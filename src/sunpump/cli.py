@@ -133,25 +133,22 @@ def _cmd_track_sim(args):
     e0, e1 = _parse_span(args.elevation, 2)
     a0, a1 = _parse_span(args.azimuth, 2)
     n = args.steps
-    path_pts = [SunPosition(e0 + (e1 - e0) * k / max(n - 1, 1),
-                            a0 + (a1 - a0) * k / max(n - 1, 1))
-                for k in range(n)]
+    k = np.arange(n)
     start = None
     if args.start:
         te, ta = _parse_span(args.start, 2)
         start = TrackerOrientation(te, ta)
-    records = tracking_sim(path_pts, TrackingThresholds(),
-                           motor_step_deg=args.motor_step,
-                           irradiance=args.irradiance, start=start)
-    rows = [[r.step, r.orientation.theta_TE, r.orientation.theta_TA,
-             r.alpha, r.readings.top_left, r.readings.top_right,
-             r.readings.bottom_left, r.readings.bottom_right,
-             r.command.azimuth_move, r.command.elevation_move]
-            for r in records]
+    run = tracking_sim(e0 + (e1 - e0) * k / max(n - 1, 1),
+                       a0 + (a1 - a0) * k / max(n - 1, 1),
+                       TrackingThresholds(), motor_step_deg=args.motor_step,
+                       irradiance=args.irradiance, start=start)
+    rows = zip(range(n), run.theta_TE.tolist(), run.theta_TA.tolist(),
+               run.alpha.tolist(), *run.readings.T.tolist(),
+               run.azimuth_move.tolist(), run.elevation_move.tolist())
     path = _out_path(args, "track_sim.csv")
     csvio.emit_csv(["step", "theta_TE", "theta_TA", "alpha", "tl", "tr",
                     "bl", "br", "az_cmd", "el_cmd"], rows, path)
-    print(f"wrote {path}; final AOI = {records[-1].alpha:.2f} deg")
+    print(f"wrote {path}; final AOI = {run.alpha[-1]:.2f} deg")
     return 0
 
 
@@ -161,11 +158,14 @@ def _cmd_mppt_run(args):
     if v0 is None:
         v0 = 0.5 * pv.open_circuit_voltage(ap)
     st0 = mppt.initial_state(v0, args.dv_step)
-    _, rows = mppt.mppt_run(ap, args.algo, st0, args.steps)
+    run = mppt.mppt_run(ap, args.algo, st0, args.steps)
+    p = run.p.tolist()
     path = _out_path(args, f"mppt_{args.algo}.csv")
-    csvio.emit_csv(["iter", "v_ref", "i", "p"], rows, path)
+    csvio.emit_csv(["iter", "v_ref", "i", "p"],
+                   zip(range(1, args.steps + 1), run.v_ref.tolist(),
+                       run.i.tolist(), p), path)
     best = pv.find_mpp(ap)
-    print(f"wrote {path}; final P = {rows[-1][3]:.2f} W "
+    print(f"wrote {path}; final P = {p[-1]:.2f} W "
           f"(model MPP {best.P_mpp:.2f} W)")
     return 0
 

@@ -26,18 +26,17 @@ def _quote(s):
 
 def emit_csv(header, rows, path):
     """
-    Write rows to `path` as RFC-4180-style CSV.
+    Write rows to `path` as RFC-4180-style CSV, one line at a time.
 
     Floats are printed with 9 significant digits so a round-trip parse
-    reproduces the emitted text exactly.
+    reproduces the emitted text exactly.  Rows are streamed, so an
+    error partway through leaves the lines written so far.
     """
-    lines = [",".join(_quote(h) for h in header)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    text = "\n".join(lines) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.write(",".join(_quote(h) for h in header) + "\n")
+            for row in rows:
+                fh.write(",".join(format_value(v) for v in row) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write CSV {path}: {exc}") from exc
     return path

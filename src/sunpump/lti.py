@@ -667,33 +667,26 @@ def ss_error_vs_gain(g_template, gains, error_kind="step"):
     Returns
     -------
     (gains, errors, targets) where targets maps 0.1 and 0.01 to the K
-    achieving them (located by bisection on the gain interval), or None
-    when unreachable on the range.
+    achieving them, or None when unreachable on the range.  With ``base``
+    the error constant of ``G``, the error is ``1/(1 + K base)`` (step)
+    or ``1/(K base)`` (ramp, parabola), solved for K in closed form; a
+    target met everywhere on the range maps to ``gains[0]``.
     """
-    attr = {"step": "e_step", "ramp": "e_ramp", "parabola": "e_parabola"}[error_kind]
+    attr, order = {"step": ("e_step", 0), "ramp": ("e_ramp", 1),
+                   "parabola": ("e_parabola", 2)}[error_kind]
     gains = np.asarray(gains, dtype=float)
-
-    def err_at(k):
-        return getattr(error_constants(k * g_template), attr)
-
-    errors = np.array([err_at(k) for k in gains])
+    errors = np.array([getattr(error_constants(k * g_template), attr)
+                       for k in gains])
+    ec = error_constants(g_template)
+    base = (ec.Kp_pos, ec.Kv_vel, ec.Ka_acc)[order]
     targets = {}
     for target in (0.1, 0.01):
         sol = None
-        for i in range(len(gains) - 1):
-            e0, e1 = errors[i], errors[i + 1]
-            if not (np.isfinite(e0) and np.isfinite(e1)):
-                continue
-            if (e0 - target) * (e1 - target) <= 0 and e0 != e1:
-                lo, hi = gains[i], gains[i + 1]
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    if (err_at(lo) - target) * (err_at(mid) - target) <= 0:
-                        hi = mid
-                    else:
-                        lo = mid
-                sol = 0.5 * (lo + hi)
-                break
+        if ec.system_type == order:
+            k = ((1.0 / target - 1.0) / base if order == 0
+                 else 1.0 / (target * base))
+            if gains[0] <= k <= gains[-1]:
+                sol = k
         if sol is None and np.all(np.isfinite(errors)) and np.all(errors <= target):
             sol = gains[0]  # trivially met everywhere on the range
         targets[target] = sol

@@ -9,6 +9,8 @@ dI/dV against -I/V and holds exactly at the equality.
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from . import pv
 
 
@@ -120,12 +122,26 @@ def ic_step(st, v_now, i_now, rel_tol=1e-6):
                    flag=flag)
 
 
-def mppt_run(ap, algo, st0, steps, measure=None):
+@dataclass(frozen=True)
+class MpptRun:
+    """Per-step columns of :func:`mppt_run` and its final state."""
+
+    v_ref: np.ndarray   # voltage reference each step operated at
+    i: np.ndarray       # current measured there
+    final: MpptState
+
+    @property
+    def p(self):
+        return self.v_ref * self.i
+
+
+def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
     """
     Closed-loop MPPT against the PV array model.
 
-    Each iteration measures ``I = array_current(V_ref)``, applies the
-    chosen update law, and records ``(iteration, V_ref, I, P)``.
+    Each step measures ``I = array_current(V_ref)`` and applies the
+    chosen update law.  A step whose current solve fails
+    (``PvSolverError``) records ``I = 0`` and the run goes on.
 
     Parameters
     ----------
@@ -133,29 +149,38 @@ def mppt_run(ap, algo, st0, steps, measure=None):
     algo : "po" | "ic"
     st0 : MpptState
     steps : int, >= 1
+    irradiance : sequence of ``steps`` floats, optional
+        Per-step irradiance in W/m2: step k measures on
+        ``ap.at_irradiance(irradiance[k])``.  Without it every step
+        measures on ``ap`` as given.
     measure : callable, optional
         Replacement for the array model: ``measure(v) -> i``.  Used by
         tests to climb synthetic power curves.
 
     Returns
     -------
-    (states, trajectory) where trajectory rows are (iter, v_ref, i, p).
+    MpptRun
     """
     if steps < 1:
         raise ValueError("need at least one step")
     step_fn = {"po": po_step, "ic": ic_step}[algo]
-    if measure is None:
-        measure = lambda v: pv.array_current(ap, v)
+    if irradiance is not None:
+        irradiance = np.broadcast_to(irradiance, (steps,)).tolist()
+    v_ref = np.empty(steps)
+    cur = np.empty(steps)
     st = st0
-    rows = []
-    states = [st]
-    for _ in range(steps):
+    for k in range(steps):
         v = st.V_ref
         try:
-            i = measure(v)
+            if measure is not None:
+                i = measure(v)
+            elif irradiance is None:
+                i = pv.array_current(ap, v)
+            else:
+                i = pv.array_current(ap.at_irradiance(irradiance[k]), v)
         except pv.PvSolverError:
-            break
+            i = 0.0
         st = step_fn(st, v, i)
-        rows.append((st.iteration, v, i, v * i))
-        states.append(st)
-    return states, rows
+        v_ref[k] = v
+        cur[k] = i
+    return MpptRun(v_ref, cur, st)

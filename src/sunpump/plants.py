@@ -163,12 +163,6 @@ def tank_loop_tf(k_i, k_s, k_v, tau_v):
     return TransferFunction([k_i * k_s * k_v], [tau_v, 1.0])
 
 
-def second_order_tf(k, omega_n, zeta):
-    """Standard form ``K wn^2 / (s^2 + 2 zeta wn s + wn^2)``."""
-    return TransferFunction([k * omega_n ** 2],
-                            [1.0, 2.0 * zeta * omega_n, omega_n ** 2])
-
-
 def tank_second_order(k=1.0):
     """Sensor-feedback tank response ``5K / (s^2 + 0.02241 s + 5)``."""
     return TransferFunction([5.0 * k], [1.0, 0.02241, 5.0])
@@ -188,7 +182,6 @@ class CascadeSystem:
     sensor_gain: float
     open_loop: TransferFunction          # C G H
     closed_loop_unity: TransferFunction  # L / (1 + L), normalized loop
-    closed_loop_reference: TransferFunction  # C G / (1 + C G H)
 
 
 def cascade_plant():
@@ -202,16 +195,12 @@ def cascade_system(k_sensor, pid):
     and a pure-gain level sensor.
 
     ``closed_loop_unity`` is the normalized loop step ``L/(1+L)`` with
-    ``L = C G H`` (what a loop-shaping tuner reports);
-    ``closed_loop_reference`` is the reference-to-output response
-    ``C G / (1 + C G H)``.
+    ``L = C G H`` (what a loop-shaping tuner reports).
     """
     g = cascade_plant()
     c = pid_tf(pid)
     loop = c * g * k_sensor
-    closed_unity = tf_feedback(loop, 1.0)
-    closed_ref = tf_feedback(c * g, k_sensor)
-    return CascadeSystem(g, c, k_sensor, loop, closed_unity, closed_ref)
+    return CascadeSystem(g, c, k_sensor, loop, tf_feedback(loop, 1.0))
 
 
 # Numeric tracking-motor system exactly as used by the analyses; the

@@ -1,12 +1,14 @@
 """
 Discrete-time whole-system scenario engine.
 
-One deterministic forward-Euler loop ties the submodels together:
-irradiance and sun-position profiles drive the LDR tracker, the tracked
-panel feeds the PV array model through the MPPT law, harvested energy
-integrates into a battery state of charge, and two hysteresis-latched
-pumps move water from the storage tank to the reservoir tank and from
-the reservoir to the soil.
+The system is a cascade with no feedback between its stages, so a run
+is four feed-forward passes over the steps ``t = k * dt``: the
+irradiance and sun profiles, interpolated at once; the LDR tracker
+(``tracking_sim``) along the sun path; the MPPT law (``mppt_run``) on
+the lit steps at the effective irradiance; and one forward-Euler loop in
+which harvested energy integrates into a battery state of charge and two
+hysteresis-latched pumps move water from the storage tank to the
+reservoir tank and from the reservoir to the soil.
 
 Water bookkeeping is exact: every liter leaving a tank lands in the
 other tank or in the delivered-to-soil ledger, so conservation holds to
@@ -19,9 +21,8 @@ import math
 import numpy as np
 
 from . import mppt, pv
-from .solar import SunPosition, TrackerOrientation, angle_of_incidence
-from .tracking import TrackingThresholds, apply_command, ldr_model, \
-    tracking_step
+from .solar import TrackerOrientation
+from .tracking import TrackingThresholds, tracking_sim
 
 
 BATTERY_BUS_V = 12.0
@@ -129,7 +130,6 @@ class SystemState:
     soil_pct: float
     delivered_soil_L: float
     relays: RelayState
-    orientation: TrackerOrientation
     flow1_Lpm: float = 0.0
     flow2_Lpm: float = 0.0
 
@@ -174,10 +174,11 @@ def pump_dynamics_step(on, flow_prev_Lpm, dt, cfg, rated_power_W=0.0):
     return flow, rated_power_W * flow / cfg.pump_flow_Lpm
 
 
-def _interp_profile(t, pts, col):
-    times = [p[0] for p in pts]
-    vals = [p[col] for p in pts]
-    return float(np.interp(t, times, vals))
+def _profile_columns(pts, t):
+    """Every value column of a breakpoint profile, interpolated at t."""
+    pts = np.asarray(pts, dtype=float)
+    return [np.interp(t, pts[:, 0], pts[:, c])
+            for c in range(1, pts.shape[1])]
 
 
 @dataclass
@@ -227,29 +228,48 @@ def run_scenario(cfg):
     """
     Run one scenario and return (SimTrace, ScenarioSummary).
 
-    The loop per step: interpolate sun/irradiance, advance the LDR
-    tracker one motor step, derive effective irradiance from the angle
-    of incidence, measure the MPPT operating point on the PV array,
-    update relay latches, advance pump flows, move water, integrate the
-    battery state of charge.
+    Passes: the profiles; the tracker, started aligned with the first
+    sun point unless the config sets the start; MPPT and converter duty
+    where the effective irradiance ``G cos(alpha)`` is positive; then
+    relays, pump flows, water and battery, step by step.
     """
     cfg.validate()
     n_steps = int(round(cfg.duration_s / cfg.dt_s))
     dt = cfg.dt_s
 
-    sun0 = SunPosition(_interp_profile(0.0, cfg.sun_path, 1),
-                       _interp_profile(0.0, cfg.sun_path, 2))
+    # 1. profiles
+    t = np.arange(n_steps) * dt
+    (irr,) = _profile_columns(cfg.irradiance_profile, t)
+    sun_elev, sun_azi = _profile_columns(cfg.sun_path, t)
+
+    # 2. tracker, started aligned with the first sun point by default
     init_te = cfg.tracker_init_elev
     init_ta = cfg.tracker_init_azi
     orientation0 = TrackerOrientation(
-        sun0.theta_SE if init_te is None else init_te,
-        sun0.theta_SA if init_ta is None else init_ta)
+        float(sun_elev[0]) if init_te is None else init_te,
+        float(sun_azi[0]) if init_ta is None else init_ta)
+    track = tracking_sim(sun_elev, sun_azi, TrackingThresholds(),
+                         motor_step_deg=cfg.motor_step_deg,
+                         irradiance=irr, start=orientation0)
+    eff_irr = irr * np.maximum(0.0, np.cos(np.radians(track.alpha)))
 
-    base_array = pv.default_array(1000.0)
-    voc_stc = pv.open_circuit_voltage(base_array)
-    mppt_state = mppt.initial_state(0.8 * voc_stc, cfg.mppt_dv_step)
-    mppt_step = mppt.po_step if cfg.mppt_algo == "po" else mppt.ic_step
+    # 3. harvest on the lit steps; the converter duty steps the array
+    # voltage down to the 12 V battery bus
+    pv_power = np.zeros(n_steps)
+    duty = np.zeros(n_steps)
+    lit = np.flatnonzero(eff_irr > 0.0)
+    if lit.size:
+        base_array = pv.default_array(1000.0)
+        st0 = mppt.initial_state(0.8 * pv.open_circuit_voltage(base_array),
+                                 cfg.mppt_dv_step)
+        harvest = mppt.mppt_run(base_array, cfg.mppt_algo, st0, lit.size,
+                                irradiance=eff_irr[lit])
+        p = harvest.p
+        pv_power[lit] = np.where(p > 0.0, p, 0.0)
+        duty[lit] = [mppt.duty_for_ratio(v, BATTERY_BUS_V)
+                     for v in harvest.v_ref.tolist()]
 
+    # 4. hydraulics and battery
     state = SystemState(
         soc_pct=cfg.soc_init_pct,
         tank1_L=cfg.tank1_init_pct / 100.0 * cfg.tank1_volume_L,
@@ -257,44 +277,16 @@ def run_scenario(cfg):
         soil_pct=cfg.soil_init_pct,
         delivered_soil_L=0.0,
         relays=RelayState(),
-        orientation=orientation0,
     )
-    thresholds = TrackingThresholds()
-    cols = {name: np.zeros(n_steps) for name in SimTrace.COLUMNS}
+    staged = {"t": t, "irradiance": irr, "pv_power_W": pv_power,
+              "theta_TE": track.theta_TE, "theta_TA": track.theta_TA,
+              "alpha": track.alpha, "duty_D": duty}
+    cols = {name: np.zeros(n_steps) for name in SimTrace.COLUMNS
+            if name not in staged}
     energy_harvested_Ws = 0.0
     soil_decay_per_s = cfg.soil_decay_pct_per_hr / 3600.0
 
-    for k in range(n_steps):
-        t = k * dt
-        sun = SunPosition(_interp_profile(t, cfg.sun_path, 1),
-                          _interp_profile(t, cfg.sun_path, 2))
-        irr = _interp_profile(t, cfg.irradiance_profile, 1)
-
-        # tracker
-        readings = ldr_model(sun, state.orientation, irr)
-        cmd = tracking_step(readings, thresholds)
-        state.orientation = apply_command(state.orientation, cmd,
-                                          cfg.motor_step_deg,
-                                          initial=orientation0)
-        alpha = angle_of_incidence(sun, state.orientation)
-        eff_irr = irr * max(0.0, math.cos(math.radians(alpha)))
-
-        # PV + MPPT operating point; converter duty steps the array
-        # voltage down to the 12 V battery bus
-        if eff_irr > 0.0:
-            array = base_array.at_irradiance(eff_irr)
-            v = mppt_state.V_ref
-            try:
-                i = pv.array_current(array, v)
-            except pv.PvSolverError:
-                i = 0.0
-            mppt_state = mppt_step(mppt_state, v, i)
-            pv_power = max(0.0, v * i)
-            duty = mppt.duty_for_ratio(v, BATTERY_BUS_V)
-        else:
-            pv_power = 0.0
-            duty = 0.0
-
+    for k, power in enumerate(pv_power.tolist()):
         # relays and pump flows; the battery relay and an empty source
         # tank both stop the physical flow (the latch state is untouched)
         state.relays = control_logic_step(state, cfg)
@@ -322,33 +314,26 @@ def run_scenario(cfg):
 
         # battery energy balance
         load = load1 + load2
-        energy_harvested_Ws += pv_power * dt
-        dsoc = (pv_power - load) * dt / 3600.0 / cfg.battery_capacity_Wh * 100.0
+        energy_harvested_Ws += power * dt
+        dsoc = (power - load) * dt / 3600.0 / cfg.battery_capacity_Wh * 100.0
         state.soc_pct = min(100.0, max(0.0, state.soc_pct + dsoc))
 
-        cols["t"][k] = t
-        cols["irradiance"][k] = irr
-        cols["pv_power_W"][k] = pv_power
         cols["soc_pct"][k] = state.soc_pct
         cols["pump1_on"][k] = 1.0 if state.relays.pump1 else 0.0
         cols["pump2_on"][k] = 1.0 if state.relays.pump2 else 0.0
         cols["tank2_level_pct"][k] = 100.0 * state.tank2_L / cfg.tank2_volume_L
         cols["soil_moisture_pct"][k] = state.soil_pct
-        cols["theta_TE"][k] = state.orientation.theta_TE
-        cols["theta_TA"][k] = state.orientation.theta_TA
-        cols["alpha"][k] = alpha
         cols["battery_relay"][k] = 1.0 if state.relays.battery_relay else 0.0
         cols["tank1_level_pct"][k] = 100.0 * state.tank1_L / cfg.tank1_volume_L
         cols["delivered_soil_L"][k] = state.delivered_soil_L
-        cols["duty_D"][k] = duty
 
-    trace = SimTrace(**cols)
+    trace = SimTrace(**staged, **cols)
 
     def cycles(flags):
         return int(np.sum(np.diff(flags) > 0))
 
     summary = ScenarioSummary(
-        final_soc_pct=float(trace.soc_pct[-1]) if n_steps else cfg.soc_init_pct,
+        final_soc_pct=state.soc_pct,
         pump1_cycles=cycles(trace.pump1_on),
         pump2_cycles=cycles(trace.pump2_on),
         pump1_on_steps=int(trace.pump1_on.sum()),

@@ -55,12 +55,6 @@ class TrackerOrientation:
         return abs(90.0 - self.theta_TE)
 
 
-@dataclass(frozen=True)
-class IncidenceResult:
-    alpha: float
-    beta: float
-
-
 def declination(n):
     """Seasonal declination, degrees: -23.45 cos(360/365 (n + 10))."""
     if not 1 <= n <= 366:
@@ -146,12 +140,6 @@ def incidence_direction(sp, to):
     if abs(s_x) < 1e-12 and abs(s_z) < 1e-12:
         raise UndefinedDirectionError("sun is along the panel normal")
     return math.degrees(math.atan2(s_x, s_z))
-
-
-def incidence(sp, to):
-    """Angle of incidence and direction together."""
-    return IncidenceResult(angle_of_incidence(sp, to),
-                           incidence_direction(sp, to))
 
 
 @dataclass(frozen=True)

@@ -131,51 +131,68 @@ def apply_command(to, cmd, motor_step_deg, initial=None):
 
 
 @dataclass(frozen=True)
-class TrackingRecord:
-    step: int
-    orientation: TrackerOrientation
-    alpha: float
-    readings: LdrReadings
-    command: TrackerCommand
+class TrackingRun:
+    """Per-step columns of :func:`tracking_sim`, each of length n."""
+
+    theta_TE: np.ndarray        # orientation after the step's command
+    theta_TA: np.ndarray
+    alpha: np.ndarray           # angle of incidence there, degrees
+    readings: np.ndarray        # (n, 4) sensed counts: tl, tr, bl, br
+    azimuth_move: np.ndarray    # command labels
+    elevation_move: np.ndarray
+    park: np.ndarray
 
 
-def tracking_sim(sun_path, th, motor_step_deg=1.8, irradiance=1000.0,
-                 start=None):
+def tracking_sim(sun_elev, sun_azi, th, motor_step_deg=1.8,
+                 irradiance=1000.0, start=None):
     """
-    Closed-loop tracking along a list of sun positions.
+    Closed-loop tracking along a sun path.
 
     Per step: sense quadrant counts, run the state machine, move at most
     one motor step per axis (elevation clamped to [0, 180]).
 
     Parameters
     ----------
-    sun_path : list of SunPosition
+    sun_elev, sun_azi : sequences of n floats, the solar elevation and
+        azimuth per step in degrees; each step's ``SunPosition`` (and
+        its range check) is built as the loop reaches it
     th : TrackingThresholds
     motor_step_deg : float, > 0
-    irradiance : float or sequence, W/m2 (scalar is broadcast)
+    irradiance : float or sequence of n floats, W/m2 (scalar is broadcast)
     start : TrackerOrientation, optional (defaults to face-up at the
-        first sun azimuth)
+        first sun azimuth); parking snaps back to it
 
     Returns
     -------
-    list of TrackingRecord
+    TrackingRun
     """
     if motor_step_deg <= 0:
         raise ValueError("motor step must be > 0")
-    if len(sun_path) == 0:
+    elev = np.asarray(sun_elev, dtype=float).tolist()
+    azi = np.asarray(sun_azi, dtype=float).tolist()
+    n = len(elev)
+    if n == 0:
         raise ValueError("sun path must be nonempty")
-    irr = np.broadcast_to(np.asarray(irradiance, dtype=float),
-                          (len(sun_path),))
+    irr = np.broadcast_to(np.asarray(irradiance, dtype=float), (n,)).tolist()
     if start is None:
-        start = TrackerOrientation(90.0, sun_path[0].theta_SA)
+        start = TrackerOrientation(90.0, azi[0])
+    run = TrackingRun(np.empty(n), np.empty(n), np.empty(n),
+                      np.empty((n, 4), dtype=np.int16),
+                      np.empty(n, dtype="<U5"), np.empty(n, dtype="<U5"),
+                      np.empty(n, dtype=bool))
     orientation = start
-    records = []
-    for k, sp in enumerate(sun_path):
-        readings = ldr_model(sp, orientation, irr[k])
-        cmd = tracking_step(readings, th)
+    for k in range(n):
+        sp = SunPosition(elev[k], azi[k])
+        r = ldr_model(sp, orientation, irr[k])
+        cmd = tracking_step(r, th)
         orientation = apply_command(orientation, cmd, motor_step_deg,
                                     initial=start)
-        records.append(TrackingRecord(
-            k, orientation, angle_of_incidence(sp, orientation),
-            readings, cmd))
-    return records
+        run.theta_TE[k] = orientation.theta_TE
+        run.theta_TA[k] = orientation.theta_TA
+        run.alpha[k] = angle_of_incidence(sp, orientation)
+        run.readings[k] = (r.top_left, r.top_right,
+                           r.bottom_left, r.bottom_right)
+        run.azimuth_move[k] = cmd.azimuth_move
+        run.elevation_move[k] = cmd.elevation_move
+        run.park[k] = cmd.park
+    return run

@@ -168,17 +168,16 @@ def test_criterion_8_mppt_convergence():
     details = []
     ok = True
     for algo in ("po", "ic"):
-        states, _ = mppt_run(None, algo, initial_state(10.0, 0.5), 200,
-                             measure=synthetic)
-        err = abs(states[-1].V_ref - 17.0)
+        run = mppt_run(None, algo, initial_state(10.0, 0.5), 200,
+                       measure=synthetic)
+        err = abs(run.final.V_ref - 17.0)
         ok &= err <= 0.5
         details.append(f"{algo} synthetic |V-17| = {err:.3f}")
     ap = default_array()
     best = find_mpp(ap)
     for algo in ("po", "ic"):
-        _, rows = mppt_run(ap, algo, initial_state(0.6 * best.V_mpp, 0.5),
-                           200)
-        frac = rows[-1][3] / best.P_mpp
+        run = mppt_run(ap, algo, initial_state(0.6 * best.V_mpp, 0.5), 200)
+        frac = run.p[-1] / best.P_mpp
         ok &= frac >= 0.98
         details.append(f"{algo} array P/Pmpp = {frac:.4f}")
     _report("criterion 8: P&O and IC converge on synthetic and model "

@@ -340,6 +340,66 @@ class TestErrorConstants:
         assert targets[0.1] == 1.0 and targets[0.01] == 1.0
 
 
+def _bisected_targets(g, gains, error_kind):
+    """The gain for each error target, located by bisection on the first
+    gain interval whose errors bracket it: the closed form's oracle."""
+    attr = {"step": "e_step", "ramp": "e_ramp"}[error_kind]
+
+    def err_at(k):
+        return getattr(error_constants(k * g), attr)
+
+    errors = [err_at(k) for k in gains]
+    out = {}
+    for target in (0.1, 0.01):
+        out[target] = None
+        for i in range(len(gains) - 1):
+            e0, e1 = errors[i], errors[i + 1]
+            if (e0 - target) * (e1 - target) <= 0 and e0 != e1:
+                lo, hi = gains[i], gains[i + 1]
+                for _ in range(200):
+                    mid = 0.5 * (lo + hi)
+                    if (err_at(lo) - target) * (err_at(mid) - target) <= 0:
+                        hi = mid
+                    else:
+                        lo = mid
+                out[target] = 0.5 * (lo + hi)
+                break
+    return out
+
+
+class TestGainForError:
+    @pytest.mark.parametrize("g, kind", [
+        (TransferFunction([0.05], [0.1, 1.1, 1.0]), "step"),    # type 0
+        (TransferFunction([0.0001563],
+                          [1.2e-8, 7.51e-6, 0.0001625, 0.0]), "ramp"),
+    ])
+    def test_closed_form_matches_bisection(self, g, kind):
+        gains = np.geomspace(1e-2, 1e7, 400)
+        _, _, targets = ss_error_vs_gain(g, gains, error_kind=kind)
+        oracle = _bisected_targets(g, gains, kind)
+        for target in (0.1, 0.01):
+            assert targets[target] == pytest.approx(oracle[target],
+                                                    rel=1e-9)
+
+    def test_target_off_the_gain_range_is_unreachable(self):
+        # e = 1/(1 + 0.05 K) stays above 0.6 for K <= 10
+        g = TransferFunction([0.05], [0.1, 1.1, 1.0])
+        _, errors, targets = ss_error_vs_gain(g, np.geomspace(0.1, 10.0, 30))
+        assert errors.min() > 0.6
+        assert targets == {0.1: None, 0.01: None}
+
+    def test_negative_base_is_unreachable(self):
+        # Kp = -2: e = 1/(1 - 2K) jumps from +inf to -inf at K = 0.5 and
+        # equals 0.1 only at the negative gain K = -4.5
+        g = TransferFunction([-2.0], [1.0, 1.0])
+        assert error_constants(g).Kp_pos == -2.0
+        gains = np.geomspace(0.1, 100.0, 50)
+        assert not np.any(gains == 0.5)
+        _, errors, targets = ss_error_vs_gain(g, gains)
+        assert errors[0] > 1.0 and errors[-1] < 0.0
+        assert targets == {0.1: None, 0.01: None}
+
+
 class TestSerialization:
     def test_round_trip(self):
         tf = TransferFunction([0.0001563], [1.2e-8, 7.51e-6, 0.0001625, 0.0])

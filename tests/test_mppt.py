@@ -3,7 +3,8 @@ import pytest
 from sunpump.mppt import (ConverterSetting, InvalidDutyError, MpptState,
                           boost_ratio, duty_for_ratio, ic_step,
                           initial_state, mppt_run, po_step)
-from sunpump.pv import default_array, find_mpp
+from sunpump.pv import (PvSolverError, array_current, default_array,
+                        find_mpp)
 
 
 def synthetic_measure(v):
@@ -100,17 +101,15 @@ class TestClosedLoop:
     @pytest.mark.parametrize("algo", ["po", "ic"])
     def test_synthetic_hill_climb(self, algo):
         st0 = initial_state(10.0, 0.5)
-        states, rows = mppt_run(None, algo, st0, 100,
-                                measure=synthetic_measure)
-        assert abs(states[-1].V_ref - 17.0) <= 0.5
-        assert len(rows) == 100
+        run = mppt_run(None, algo, st0, 100, measure=synthetic_measure)
+        assert abs(run.final.V_ref - 17.0) <= 0.5
+        assert len(run.v_ref) == 100
 
     @pytest.mark.parametrize("algo", ["po", "ic"])
     def test_limit_cycle_band(self, algo):
         st0 = initial_state(10.0, 0.5)
-        states, _ = mppt_run(None, algo, st0, 200,
-                             measure=synthetic_measure)
-        refs = [s.V_ref for s in states]
+        run = mppt_run(None, algo, st0, 200, measure=synthetic_measure)
+        refs = [*run.v_ref.tolist(), run.final.V_ref]
         inside = [k for k, v in enumerate(refs) if abs(v - 17.0) <= 0.5]
         first = inside[0]
         assert all(abs(v - 17.0) <= 2 * 0.5 + 1e-12 for v in refs[first:])
@@ -118,9 +117,8 @@ class TestClosedLoop:
     @pytest.mark.parametrize("algo", ["po", "ic"])
     def test_step_bound_per_iteration(self, algo):
         st0 = initial_state(10.0, 0.5)
-        states, _ = mppt_run(None, algo, st0, 150,
-                             measure=synthetic_measure)
-        refs = [s.V_ref for s in states]
+        run = mppt_run(None, algo, st0, 150, measure=synthetic_measure)
+        refs = [*run.v_ref.tolist(), run.final.V_ref]
         assert all(abs(b - a) <= 0.5 + 1e-12
                    for a, b in zip(refs, refs[1:]))
 
@@ -129,15 +127,39 @@ class TestClosedLoop:
         ap = default_array()
         best = find_mpp(ap)
         st0 = initial_state(0.6 * best.V_mpp, 0.5)
-        _, rows = mppt_run(ap, algo, st0, 200)
-        final_power = rows[-1][3]
+        run = mppt_run(ap, algo, st0, 200)
+        final_power = run.p[-1]
         assert final_power >= 0.98 * best.P_mpp
 
     def test_determinism(self):
         st0 = initial_state(10.0, 0.5)
-        a = mppt_run(None, "po", st0, 50, measure=synthetic_measure)[1]
-        b = mppt_run(None, "po", st0, 50, measure=synthetic_measure)[1]
-        assert a == b
+        a = mppt_run(None, "po", st0, 50, measure=synthetic_measure)
+        b = mppt_run(None, "po", st0, 50, measure=synthetic_measure)
+        assert (a.v_ref.tolist(), a.i.tolist(), a.p.tolist()) == \
+            (b.v_ref.tolist(), b.i.tolist(), b.p.tolist())
+
+    def test_solver_failure_records_zero_current_and_goes_on(self):
+        calls = []
+
+        def flaky(v):
+            calls.append(v)
+            if len(calls) == 5:
+                raise PvSolverError("no bracket")
+            return synthetic_measure(v)
+
+        run = mppt_run(None, "po", initial_state(10.0, 0.5), 20,
+                       measure=flaky)
+        assert len(run.v_ref) == len(run.i) == 20
+        assert run.i[4] == 0.0
+        assert all(run.i[k] > 0.0 for k in range(20) if k != 4)
+
+    def test_per_step_irradiance_scales_the_array(self):
+        ap = default_array()
+        irr = [1000.0, 400.0, 0.0, 750.0]
+        run = mppt_run(ap, "po", initial_state(15.0, 0.5), 4, irradiance=irr)
+        for k, g in enumerate(irr):
+            assert run.i[k] == array_current(ap.at_irradiance(g),
+                                             run.v_ref[k])
 
     def test_steps_validation(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,6 @@ import pytest
 from sunpump.scenario import (ConfigError, RelayState, ScenarioConfig,
                               SystemState, control_logic_step,
                               pump_dynamics_step, run_scenario)
-from sunpump.solar import TrackerOrientation
 
 
 def make_state(tank2_frac=0.5, soil=50.0, soc=50.0, pump1=False,
@@ -17,7 +16,6 @@ def make_state(tank2_frac=0.5, soil=50.0, soc=50.0, pump1=False,
         soil_pct=soil,
         delivered_soil_L=0.0,
         relays=RelayState(pump1=pump1, pump2=pump2),
-        orientation=TrackerOrientation(45.0, 180.0),
     )
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sunpump.solar import SunPosition, TrackerOrientation
+from sunpump.solar import (SunPosition, TrackerOrientation,
+                          angle_of_incidence)
 from sunpump.tracking import (LdrReadings, TrackerCommand,
                               TrackingThresholds, apply_command, ldr_model,
                               tracking_sim, tracking_step)
@@ -94,52 +95,76 @@ class TestApplyCommand:
 
 class TestTrackingSim:
     def test_fixed_sun_converges(self):
-        sun = [SunPosition(45.0, 180.0)] * 120
-        records = tracking_sim(sun, TrackingThresholds(), motor_step_deg=1.8,
-                               start=TrackerOrientation(45.0, 160.0))
-        aois = [r.alpha for r in records]
+        run = tracking_sim([45.0] * 120, [180.0] * 120, TrackingThresholds(),
+                           motor_step_deg=1.8,
+                           start=TrackerOrientation(45.0, 160.0))
+        aois = run.alpha.tolist()
         # decreasing alignment error until the deadband stalls motion
         assert aois[-1] < 3.0
         worst_late = max(aois[60:])
         assert worst_late <= aois[0]
 
     def test_deadband_freezes_orientation(self):
-        sun = [SunPosition(45.0, 180.0)] * 200
-        records = tracking_sim(sun, TrackingThresholds(), motor_step_deg=1.8,
-                               start=TrackerOrientation(45.0, 180.0))
+        run = tracking_sim([45.0] * 200, [180.0] * 200, TrackingThresholds(),
+                           motor_step_deg=1.8,
+                           start=TrackerOrientation(45.0, 180.0))
         # aligned from the start: orientation never changes
-        orientations = {(r.orientation.theta_TE, r.orientation.theta_TA)
-                        for r in records}
+        orientations = set(zip(run.theta_TE.tolist(), run.theta_TA.tolist()))
         assert len(orientations) == 1
 
     def test_zero_irradiance_parks_at_initial(self):
-        sun = [SunPosition(45.0, 180.0)] * 10
         start = TrackerOrientation(80.0, 150.0)
-        records = tracking_sim(sun, TrackingThresholds(), irradiance=0.0,
-                               start=start)
-        assert all(r.command.park for r in records)
-        assert all(r.orientation == start for r in records)
+        run = tracking_sim([45.0] * 10, [180.0] * 10, TrackingThresholds(),
+                           irradiance=0.0, start=start)
+        assert all(run.park)
+        assert all(TrackerOrientation(te, ta) == start for te, ta in
+                   zip(run.theta_TE.tolist(), run.theta_TA.tolist()))
 
     def test_east_to_west_arc_followed(self):
         n = 400
-        sun = [SunPosition(40.0, 120.0 + 120.0 * k / (n - 1))
-               for k in range(n)]
-        records = tracking_sim(sun, TrackingThresholds(), motor_step_deg=1.8,
-                               start=TrackerOrientation(40.0, 120.0))
-        final = records[-1]
-        assert abs(final.orientation.theta_TA - 240.0) < 6.0
-        assert final.alpha < 6.0
+        azi = [120.0 + 120.0 * k / (n - 1) for k in range(n)]
+        run = tracking_sim([40.0] * n, azi, TrackingThresholds(),
+                           motor_step_deg=1.8,
+                           start=TrackerOrientation(40.0, 120.0))
+        assert abs(run.theta_TA[-1] - 240.0) < 6.0
+        assert run.alpha[-1] < 6.0
 
     def test_per_step_bound(self):
-        sun = [SunPosition(45.0, 180.0)] * 50
-        records = tracking_sim(sun, TrackingThresholds(), motor_step_deg=1.8,
-                               start=TrackerOrientation(30.0, 150.0))
-        prev = records[0].orientation
-        for r in records[1:]:
-            assert abs(r.orientation.theta_TE - prev.theta_TE) <= 1.8 + 1e-9
-            assert abs(r.orientation.theta_TA - prev.theta_TA) <= 1.8 + 1e-9
-            prev = r.orientation
+        run = tracking_sim([45.0] * 50, [180.0] * 50, TrackingThresholds(),
+                           motor_step_deg=1.8,
+                           start=TrackerOrientation(30.0, 150.0))
+        orientations = [TrackerOrientation(te, ta) for te, ta in
+                        zip(run.theta_TE.tolist(), run.theta_TA.tolist())]
+        prev = orientations[0]
+        for o in orientations[1:]:
+            assert abs(o.theta_TE - prev.theta_TE) <= 1.8 + 1e-9
+            assert abs(o.theta_TA - prev.theta_TA) <= 1.8 + 1e-9
+            prev = o
+
+    def test_columns_match_the_step_functions(self):
+        elev, azi, irr = [30.0, 31.0, 32.0], [100.0, 104.0, 108.0], 800.0
+        start = TrackerOrientation(30.0, 95.0)
+        run = tracking_sim(elev, azi, TrackingThresholds(), start=start,
+                           irradiance=irr)
+        to = start
+        for k in range(3):
+            sp = SunPosition(elev[k], azi[k])
+            r = ldr_model(sp, to, irr)
+            cmd = tracking_step(r, TrackingThresholds())
+            to = apply_command(to, cmd, 1.8, initial=start)
+            assert (run.theta_TE[k], run.theta_TA[k]) == (to.theta_TE,
+                                                          to.theta_TA)
+            assert run.alpha[k] == angle_of_incidence(sp, to)
+            assert run.readings[k].tolist() == [
+                r.top_left, r.top_right, r.bottom_left, r.bottom_right]
+            assert (run.azimuth_move[k], run.elevation_move[k],
+                    run.park[k]) == (cmd.azimuth_move, cmd.elevation_move,
+                                     cmd.park)
+
+    def test_sun_below_range_rejected(self):
+        with pytest.raises(ValueError):
+            tracking_sim([30.0, 95.0], [100.0, 100.0], TrackingThresholds())
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
-            tracking_sim([], TrackingThresholds())
+            tracking_sim([], [], TrackingThresholds())
