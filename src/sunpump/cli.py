@@ -285,7 +285,8 @@ def _cmd_scenario(args):
     cfg.validate()
     trace, summary = run_scenario(cfg)
     path = _out_path(args, "scenario_trace.csv")
-    csvio.emit_csv(trace.COLUMNS, csvio.trace_rows(trace), path)
+    csvio.emit_csv(trace.COLUMNS, None, path,
+                   columns=[trace.column(name) for name in trace.COLUMNS])
     print(f"wrote {path} ({len(trace)} steps)")
     print(f"final SOC: {summary.final_soc_pct:.2f}%")
     print(f"pump1: {summary.pump1_cycles} cycles, "

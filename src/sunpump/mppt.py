@@ -7,7 +7,7 @@ direction that last increased power, Incremental-Conductance compares
 dI/dV against -I/V and holds exactly at the equality.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,9 +83,8 @@ def po_step(st, v_now, i_now, printed_variant=False):
         move = -st.dV_step
     if printed_variant:
         move = -move
-    return replace(st, V_prev=v_now, I_prev=i_now, P_prev=p_now,
-                   V_ref=st.V_ref + move, iteration=st.iteration + 1,
-                   flag="")
+    return MpptState(v_now, i_now, p_now, st.V_ref + move, st.dV_step,
+                     st.iteration + 1, "")
 
 
 def ic_step(st, v_now, i_now, rel_tol=1e-6):
@@ -117,9 +116,8 @@ def ic_step(st, v_now, i_now, rel_tol=1e-6):
             move = st.dV_step
         else:
             move = -st.dV_step
-    return replace(st, V_prev=v_now, I_prev=i_now, P_prev=v_now * i_now,
-                   V_ref=st.V_ref + move, iteration=st.iteration + 1,
-                   flag=flag)
+    return MpptState(v_now, i_now, v_now * i_now, st.V_ref + move,
+                     st.dV_step, st.iteration + 1, flag)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,14 @@ The cell current solves the implicit circuit equation
              - I_o2 (exp((V + I Rs)/Vt2) - 1) - (V + I Rs)/Rp
 
 with Vt_k = a_k * kB * T / q.  The array version scales voltages by the
-series count and currents by the parallel count.  All solves are
-safeguarded scalar root finds with a 1e-9 A residual contract.
+series count and currents by the parallel count.  The current solve is
+Newton's method, started right of the root (the mismatch is increasing
+and convex in I, so the iterates descend onto it) and accepted at a
+1e-12 A residual; when it does not get there, a bracketed ``brentq``
+solve takes over.  Either way the 1e-9 A residual contract holds.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -91,10 +94,12 @@ class PvArrayParams:
 
     def at_irradiance(self, g_t):
         """Same array with photocurrent scaled linearly to irradiance."""
+        c = self.cell
         scale_old = self.irradiance_G_T / 1000.0
-        i_ph_stc = self.cell.I_ph / scale_old if scale_old > 0 else self.cell.I_ph
-        cell = replace(self.cell, I_ph=i_ph_stc * g_t / 1000.0)
-        return replace(self, cell=cell, irradiance_G_T=g_t)
+        i_ph_stc = c.I_ph / scale_old if scale_old > 0 else c.I_ph
+        cell = PvCellParams(i_ph_stc * g_t / 1000.0, c.I_o1, c.I_o2, c.R_s,
+                            c.R_p, c.a1, c.a2, c.T_c)
+        return PvArrayParams(cell, self.N_s, self.N_p, self.area_A, g_t)
 
 
 def default_array(g_t=1000.0, t_c=T_REFERENCE_K):
@@ -118,32 +123,62 @@ def _saturation_at_temperature(i_o_ref, t_c):
     return i_o_ref * (t_c / T_REFERENCE_K) ** 3 * math.exp(min(expo, 700.0))
 
 
-def _exp(x):
-    """exp with the argument capped so brackets stay finite."""
-    return math.exp(min(x, 700.0))
-
-
-def _array_mismatch(p, n_s, n_p, v, i):
-    """f(I) = I - RHS(I): strictly increasing in I, zero at the solution."""
+def _array_mismatch(p, n_s, n_p, v):
+    """
+    The mismatch f(I) = I - RHS(I) at array voltage ``v`` and its slope,
+    as one function ``I -> (f, df/dI)`` with the thermal voltages and
+    saturation currents computed once.  f is strictly increasing and
+    convex in I and zero at the solution.  The exponents are capped at
+    700 so that f stays finite on any bracket.
+    """
     vt1 = thermal_voltage(p.a1, p.T_c)
     vt2 = thermal_voltage(p.a2, p.T_c)
     io1 = _saturation_at_temperature(p.I_o1, p.T_c)
     io2 = _saturation_at_temperature(p.I_o2, p.T_c)
-    u = v / n_s + i * p.R_s / n_p
-    rhs = (n_p * p.I_ph
-           - n_p * io1 * (_exp(u / vt1) - 1.0)
-           - n_p * io2 * (_exp(u / vt2) - 1.0)
-           - (n_p / p.R_p) * u)
-    return i - rhs
+    v_cell = v / n_s
+    r_s = p.R_s
+    du_di = r_s / n_p
+    i_ph = n_p * p.I_ph
+    k1, k2, g_p = n_p * io1, n_p * io2, n_p / p.R_p
+    exp = math.exp
+
+    def f_df(i):
+        u = v_cell + i * r_s / n_p
+        e1 = exp(min(u / vt1, 700.0))
+        e2 = exp(min(u / vt2, 700.0))
+        f = i - (i_ph - k1 * (e1 - 1.0) - k2 * (e2 - 1.0) - g_p * u)
+        return f, 1.0 + du_di * (k1 * e1 / vt1 + k2 * e2 / vt2 + g_p)
+    return f_df
+
+
+# Newton acceptance: |f| at or below this, in amperes, within this many
+# iterations; otherwise the bracketing fallback runs.
+_NEWTON_TOL_A = 1e-12
+_NEWTON_MAX_ITER = 50
 
 
 def _solve_current(p, n_s, n_p, v):
+    f_df = _array_mismatch(p, n_s, n_p, v)
     if p.R_s == 0.0:
         # current appears only through I*Rs; the equation is explicit
-        return -_array_mismatch(p, n_s, n_p, v, 0.0)
+        return -f_df(0.0)[0]
+    # Newton from the right of the root: f is increasing and convex, so
+    # the iterates descend onto the root without overshooting it; the
+    # step from the accepted iterate is taken too, as it is free
+    i = n_p * p.I_ph + 1.0
+    for _ in range(_NEWTON_MAX_ITER):
+        f, df = f_df(i)
+        i -= f / df
+        if abs(f) <= _NEWTON_TOL_A:
+            return i
+    return _solve_current_bracketed(f_df, p, n_p, v)
+
+
+def _solve_current_bracketed(f_df, p, n_p, v):
+    """Fallback: brentq on a sign-changing bracket, 1e-9 A residual."""
+    f = lambda i: f_df(i)[0]
     hi = n_p * p.I_ph + 1.0
     lo = -(n_p * p.I_ph + abs(v) / p.R_p + 10.0)
-    f = lambda i: _array_mismatch(p, n_s, n_p, v, i)
     if f(lo) * f(hi) > 0:
         lo, hi = lo * 10 - 10, hi * 10 + 10   # widen once
         if f(lo) * f(hi) > 0:
@@ -162,7 +197,7 @@ def cell_current(p, v_c):
 
 def current_residual(ap, v_a, i_a):
     """Mismatch of the array equation at (V, I); |.| < 1e-9 A when solved."""
-    return _array_mismatch(ap.cell, ap.N_s, ap.N_p, v_a, i_a)
+    return _array_mismatch(ap.cell, ap.N_s, ap.N_p, v_a)(i_a)[0]
 
 
 def array_current(ap, v_a):

@@ -15,7 +15,7 @@ other tank or in the delivered-to-soil ledger, so conservation holds to
 floating-point accumulation error.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
 
 import numpy as np
@@ -26,6 +26,10 @@ from .tracking import TrackingThresholds, tracking_sim
 
 
 BATTERY_BUS_V = 12.0
+
+# longest run a config may ask for, in steps: checked before the trace
+# columns are allocated (about 120 MB per million steps)
+MAX_STEPS = 5_000_000
 
 
 class ConfigError(ValueError):
@@ -67,10 +71,18 @@ class ScenarioConfig:
     tracker_init_azi: float = None
 
     def validate(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type is float and v is not None and not math.isfinite(v):
+                raise ConfigError(f"{f.name} = {v} is not finite")
         if self.dt_s <= 0:
             raise ConfigError("dt_s must be > 0")
         if self.duration_s < self.dt_s:
             raise ConfigError("duration_s must cover at least one step")
+        # the run takes round(duration_s / dt_s) steps
+        if self.duration_s / self.dt_s > MAX_STEPS + 0.5:
+            raise ConfigError(
+                f"duration_s / dt_s asks for more than {MAX_STEPS} steps")
         for name in ("soc_init_pct", "tank1_init_pct", "tank2_init_pct",
                      "soil_init_pct", "tank_low_pct", "tank_full_pct",
                      "soil_dry_pct", "soil_wet_pct", "battery_min_soc_pct"):
@@ -86,8 +98,10 @@ class ScenarioConfig:
                      "mppt_dv_step", "motor_step_deg"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
-        if self.pump1_power_W < 0 or self.pump2_power_W < 0:
-            raise ConfigError("pump powers must be >= 0")
+        for name in ("pump1_power_W", "pump2_power_W",
+                     "soil_gain_pct_per_L", "soil_decay_pct_per_hr"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.mppt_algo not in ("po", "ic"):
             raise ConfigError("mppt_algo must be 'po' or 'ic'")
         for prof, width in (("irradiance_profile", 2), ("sun_path", 3)):
@@ -97,6 +111,8 @@ class ScenarioConfig:
             times = [p[0] for p in pts]
             if any(len(p) != width for p in pts):
                 raise ConfigError(f"{prof} rows must have {width} entries")
+            if not all(math.isfinite(x) for p in pts for x in p):
+                raise ConfigError(f"{prof} entries must be finite")
             if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
                 raise ConfigError(f"{prof} breakpoints must be ascending")
         return self

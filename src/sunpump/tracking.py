@@ -17,8 +17,7 @@ import math
 
 import numpy as np
 
-from .solar import SunPosition, TrackerOrientation, angle_of_incidence, \
-    sun_vector, tracker_basis
+from .solar import SunPosition, TrackerOrientation, angle_of_incidence
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -63,26 +62,32 @@ def ldr_model(sp, to, irradiance):
     Each reading is ``round(1023 * irradiance/1000 * max(0, cos angle))``
     between the sun vector and that quadrant's normal, where the
     quadrant normals are the panel normal tilted 45 degrees toward the
-    four diagonal in-face directions.
+    four diagonal in-face directions: ``sqrt(1/2) (y_m + sqrt(1/2)
+    (+-z_m +- x_m))``.  The cosines are taken in closed form from the
+    sun's projections on the tracker frame (``s . y_m``, and
+    ``s . x_m``, ``s . z_m`` as in ``incidence_projections``).
     """
     if irradiance < 0:
         raise ValueError("irradiance must be >= 0")
-    s = sun_vector(sp)
-    x_m, normal, z_m = tracker_basis(to)
+    se, te = math.radians(sp.theta_SE), math.radians(to.theta_TE)
+    dazi = math.radians(sp.theta_SA - to.theta_TA)
+    cos_se, sin_se = math.cos(se), math.sin(se)
+    cos_te, sin_te = math.cos(te), math.sin(te)
+    cos_d = math.cos(dazi)
+    s_y = sin_se * sin_te + cos_se * cos_te * cos_d
+    s_x = cos_se * math.sin(dazi)
+    s_z = sin_se * cos_te - cos_se * sin_te * cos_d
     scale = 1023.0 * irradiance / 1000.0
+    axial = _SQRT_HALF * s_y
 
-    def count(diag):
-        quad_normal = _SQRT_HALF * (normal + diag)
-        c = max(0.0, float(s @ quad_normal))
-        return int(min(1023, round(scale * c)))
+    def count(c):
+        return int(min(1023, round(scale * max(0.0, c))))
 
-    up = _SQRT_HALF * z_m
-    right = _SQRT_HALF * x_m
     return LdrReadings(
-        top_left=count(up - right),
-        top_right=count(up + right),
-        bottom_left=count(-up - right),
-        bottom_right=count(-up + right),
+        top_left=count(axial + 0.5 * (s_z - s_x)),
+        top_right=count(axial + 0.5 * (s_z + s_x)),
+        bottom_left=count(axial - 0.5 * (s_z + s_x)),
+        bottom_right=count(axial + 0.5 * (s_x - s_z)),
     )
 
 

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from sunpump.cli import main
 from sunpump.config import parse_config, parse_config_text
 from sunpump.csvio import emit_csv, format_value
-from sunpump.scenario import ConfigError
+from sunpump.scenario import ConfigError, SimTrace
 
 MINIMAL = """
 # minimal scenario: defaults fill everything else
@@ -117,6 +119,57 @@ class TestCsv:
         assert b"\r" not in raw
 
 
+def rowwise_trace_csv(trace):
+    """Reference: the trace written row by row, each float formatted on
+    its own."""
+    def fmt(v):
+        if math.isinf(v):
+            return "inf" if v > 0 else "-inf"
+        return "%.9g" % v
+
+    cols = [trace.column(name) for name in trace.COLUMNS]
+    lines = [",".join(trace.COLUMNS)]
+    for k in range(len(trace)):
+        lines.append(",".join(fmt(float(c[k])) for c in cols))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestColumnCsv:
+    def test_trace_matches_rowwise_writer(self, tmp_path):
+        # more rows than one block, specials spread across every column
+        rng = np.random.default_rng(9)
+        n = 10000
+        specials = [math.inf, -math.inf, math.nan, -0.0, 0.0, 1e-300,
+                    -1e-300, 5e-324, 1.7976931348623157e308, 123456789.5]
+        cols = {}
+        for j, name in enumerate(SimTrace.COLUMNS):
+            c = rng.standard_normal(n) * 10.0 ** rng.integers(-12, 12, n)
+            picks = rng.integers(0, n, 200)
+            c[picks] = [specials[(j + k) % len(specials)]
+                        for k in range(200)]
+            cols[name] = c
+        trace = SimTrace(**cols)
+        path = tmp_path / "trace.csv"
+        emit_csv(trace.COLUMNS, None, path,
+                 columns=[trace.column(name) for name in trace.COLUMNS])
+        assert path.read_bytes() == rowwise_trace_csv(trace)
+
+    def test_empty_columns(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        emit_csv(["t", "y"], None, path, columns=[np.empty(0), np.empty(0)])
+        assert path.read_text() == "t,y\n"
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            emit_csv(["t", "y"], None, tmp_path / "x.csv",
+                     columns=[np.zeros(3), np.zeros(2)])
+
+    def test_rows_and_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError):
+            emit_csv(["t"], [[0.0]], tmp_path / "x.csv",
+                     columns=[np.zeros(1)])
+
+
 class TestCliExitCodes:
     def test_usage_error(self, capsys):
         assert main(["tf", "wrong-mode"]) == 1
@@ -128,6 +181,21 @@ class TestCliExitCodes:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[scenario]\nduration_s = -5\n")
         assert main(["scenario", "run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("section, line", [
+        ("battery", "battery_capacity_Wh = nan"),
+        ("pumps", "pump_flow_Lpm = inf"),
+        ("soil", "soil_gain_pct_per_L = -5"),
+        ("scenario", "dt_s = nan"),
+    ])
+    def test_bad_scalar_is_a_config_error(self, tmp_path, capsys, section,
+                                          line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        code = main(["scenario", "run", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_numeric_failure(self, capsys):
         # improper transfer function cannot produce a step response

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from sunpump import pv
 from sunpump.pv import (PvCellParams, PvArrayParams,
                         UndefinedEfficiencyError, array_current,
                         cell_current, current_residual, default_array,
@@ -140,6 +142,77 @@ class TestArrayCurrent:
         i1 = cell_current(cell, 0.0)
         i2 = cell_current(scaled, 0.0)
         assert i2 == pytest.approx(lam * i1, rel=1e-6)
+
+
+def brentq_reference_current(ap, v):
+    """The bracketed brentq solve, as the solver ran before Newton."""
+    f = lambda i: current_residual(ap, v, i)
+    i_ph = ap.N_p * ap.cell.I_ph
+    hi = i_ph + 1.0
+    lo = -(i_ph + abs(v) / ap.cell.R_p + 10.0)
+    if f(lo) * f(hi) > 0:
+        lo, hi = lo * 10 - 10, hi * 10 + 10
+    return brentq(f, lo, hi, xtol=1e-13, rtol=8.882e-16, maxiter=200)
+
+
+class TestNewtonSolve:
+    def test_matches_brentq_on_seeded_grid(self):
+        rng = np.random.default_rng(2011)
+        n = 10000
+        grid = zip(rng.uniform(0.0, 1200.0, n).tolist(),
+                   rng.uniform(250.0, 350.0, n).tolist(),
+                   rng.uniform(-5.0, 25.0, n).tolist())
+        worst_delta = worst_residual = 0.0
+        for g, t, v in grid:
+            ap = default_array(g, t)
+            i = array_current(ap, v)
+            worst_delta = max(worst_delta,
+                              abs(i - brentq_reference_current(ap, v)))
+            worst_residual = max(worst_residual,
+                                 abs(current_residual(ap, v, i)))
+        assert worst_delta <= 1e-12
+        assert worst_residual <= 1e-12
+
+    def test_falls_back_to_brentq(self, monkeypatch):
+        # R_s = 5 ohm at 0 V: the start I_ph + 1 lies ~1700 thermal
+        # voltages right of the root, too far for the Newton budget
+        calls = []
+        real = pv.brentq
+        monkeypatch.setattr(
+            pv, "brentq", lambda *a, **k: calls.append(a) or real(*a, **k))
+        p = PvCellParams(I_ph=8.0, I_o1=1e-10, I_o2=1e-6, R_s=5.0,
+                         R_p=100.0, a1=1.0, a2=2.0, T_c=298.0)
+        i = cell_current(p, 0.0)
+        assert len(calls) == 1
+        assert abs(current_residual(PvArrayParams(cell=p), 0.0, i)) <= 1e-9
+        assert i == pytest.approx(
+            brute_force_cell_current(p, 0.0, lo=-2.0, hi=2.0), abs=2e-6)
+
+    def test_explicit_without_series_resistance(self, monkeypatch):
+        def no_root_find(*args, **kwargs):
+            raise AssertionError("R_s = 0 needs no root find")
+        monkeypatch.setattr(pv, "brentq", no_root_find)
+        p = PvCellParams(I_ph=8.0, I_o1=1e-10, I_o2=1e-6, R_s=0.0,
+                         R_p=100.0, a1=1.0, a2=2.0, T_c=298.0)
+        v = 0.5
+        vt1, vt2 = thermal_voltage(1.0, 298.0), thermal_voltage(2.0, 298.0)
+        expected = (8.0 - 1e-10 * (math.exp(v / vt1) - 1.0)
+                    - 1e-6 * (math.exp(v / vt2) - 1.0) - v / 100.0)
+        assert cell_current(p, v) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("g", [50.0, 400.0, 1000.0])
+    def test_daylight_range_never_falls_back(self, monkeypatch, g):
+        # the scenario's operating range, 0 to Voc of the default array,
+        # must be solved by Newton alone
+        ap = default_array(g)
+        voc = open_circuit_voltage(ap)
+
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("brentq fallback ran")
+        monkeypatch.setattr(pv, "brentq", no_fallback)
+        for v in np.linspace(0.0, voc, 301).tolist():
+            assert abs(current_residual(ap, v, array_current(ap, v))) \
+                <= 1e-12
 
 
 class TestIvCurve:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sunpump import scenario
 from sunpump.scenario import (ConfigError, RelayState, ScenarioConfig,
                               SystemState, control_logic_step,
                               pump_dynamics_step, run_scenario)
@@ -92,6 +95,54 @@ class TestConfigValidation:
     def test_bad_algo(self):
         with pytest.raises(ConfigError):
             ScenarioConfig(mppt_algo="fuzzy").validate()
+
+    def test_nan_capacity_rejected(self):
+        # max(0.0, nan) used to pin the SOC at 0 % for the whole run
+        with pytest.raises(ConfigError, match="battery_capacity_Wh"):
+            ScenarioConfig(battery_capacity_Wh=float("nan")).validate()
+
+    def test_infinite_flow_rejected(self):
+        with pytest.raises(ConfigError, match="pump_flow_Lpm"):
+            ScenarioConfig(pump_flow_Lpm=float("inf")).validate()
+
+    def test_nan_dt_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="dt_s"):
+            ScenarioConfig(dt_s=float("nan")).validate()
+
+    def test_nonfinite_tracker_start_rejected(self):
+        with pytest.raises(ConfigError, match="tracker_init_azi"):
+            ScenarioConfig(tracker_init_azi=float("-inf")).validate()
+
+    def test_nonfinite_profile_entry_rejected(self):
+        with pytest.raises(ConfigError, match="irradiance_profile"):
+            ScenarioConfig(irradiance_profile=(
+                (0.0, 100.0), (10.0, float("nan")))).validate()
+        with pytest.raises(ConfigError, match="sun_path"):
+            ScenarioConfig(sun_path=(
+                (0.0, 30.0, 95.0), (float("inf"), 60.0, 180.0))).validate()
+
+    def test_negative_soil_rates_rejected(self):
+        with pytest.raises(ConfigError, match="soil_gain_pct_per_L"):
+            ScenarioConfig(soil_gain_pct_per_L=-5.0).validate()
+        with pytest.raises(ConfigError, match="soil_decay_pct_per_hr"):
+            ScenarioConfig(soil_decay_pct_per_hr=-1.0).validate()
+
+    def test_step_ceiling(self):
+        n = scenario.MAX_STEPS
+        ScenarioConfig(duration_s=n * 1.0, dt_s=1.0).validate()
+        with pytest.raises(ConfigError, match="steps"):
+            ScenarioConfig(duration_s=(n + 1) * 1.0, dt_s=1.0).validate()
+
+    def test_step_ceiling_checked_before_allocating(self):
+        # 1e15 steps: the run must refuse before any column exists
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError):
+                run_scenario(ScenarioConfig(duration_s=1e15, dt_s=1.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 @pytest.fixture(scope="module")

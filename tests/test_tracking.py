@@ -1,14 +1,52 @@
+import math
+
 import numpy as np
 import pytest
 
 from sunpump.solar import (SunPosition, TrackerOrientation,
-                          angle_of_incidence)
+                          angle_of_incidence, sun_vector, tracker_basis)
 from sunpump.tracking import (LdrReadings, TrackerCommand,
                               TrackingThresholds, apply_command, ldr_model,
                               tracking_sim, tracking_step)
 
 
+def vector_ldr_model(sp, to, irradiance):
+    """Reference: each quadrant normal built as a 3-vector and dotted
+    with the sun vector."""
+    s = sun_vector(sp)
+    x_m, normal, z_m = tracker_basis(to)
+    scale = 1023.0 * irradiance / 1000.0
+    half = math.sqrt(0.5)
+
+    def count(diag):
+        c = max(0.0, float(s @ (half * (normal + diag))))
+        return int(min(1023, round(scale * c)))
+
+    up = half * z_m
+    right = half * x_m
+    return LdrReadings(count(up - right), count(up + right),
+                       count(-up - right), count(-up + right))
+
+
 class TestLdrModel:
+    def test_matches_vector_reference(self):
+        rng = np.random.default_rng(4)
+        n = 50000
+        sun_elev = rng.uniform(-90.0, 90.0, n)
+        sun_azi = rng.uniform(0.0, 360.0, n)
+        # half the trackers point near the sun, as a converged one does
+        near = rng.random(n) < 0.5
+        te = np.where(near, np.clip(sun_elev + rng.uniform(-5, 5, n), 0, 180),
+                      rng.uniform(0.0, 180.0, n))
+        ta = np.where(near, sun_azi + rng.uniform(-5, 5, n),
+                      rng.uniform(-360.0, 360.0, n))
+        irr = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 1200.0, n),
+                       rng.integers(0, 1200, n))
+        for se, sa, e, a, g in zip(sun_elev.tolist(), sun_azi.tolist(),
+                                   te.tolist(), ta.tolist(), irr.tolist()):
+            sp, to = SunPosition(se, sa), TrackerOrientation(e, a)
+            assert ldr_model(sp, to, g) == vector_ldr_model(sp, to, g)
+
     def test_aligned_zenith_equal_quadrants(self):
         sp = SunPosition(90.0, 0.0)
         to = TrackerOrientation(90.0, 0.0)
