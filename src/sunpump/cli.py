@@ -205,8 +205,7 @@ def _cmd_tf(args):
         closed = tf_feedback_gain(tf, 1.0) if args.closed else tf
         trace = step_response(closed, t_end, args.dt)
         path = _out_path(args, "step.csv")
-        csvio.emit_csv(["t", "y"], zip(trace.t.tolist(), trace.y.tolist()),
-                       path)
+        csvio.emit_csv(["t", "y"], None, path, columns=[trace.t, trace.y])
         print(f"wrote {path} ({len(trace.t)} samples, t_end {t_end:.4g} s)")
         try:
             m = step_metrics(trace)
@@ -222,9 +221,9 @@ def _cmd_tf(args):
     if mode == "bode":
         fr = frequency_response(tf)
         path = _out_path(args, "bode.csv")
-        csvio.emit_csv(["omega_rad_s", "magnitude_db", "phase_deg"],
-                       zip(fr.omegas.tolist(), fr.magnitude_db.tolist(),
-                           fr.phase_deg.tolist()), path)
+        csvio.emit_csv(["omega_rad_s", "magnitude_db", "phase_deg"], None,
+                       path, columns=[fr.omegas, fr.magnitude_db,
+                                      fr.phase_deg])
         m = stability_margins(fr)
         print(f"wrote {path}")
         gm = ("absent" if m.gain_margin_db is None
@@ -237,12 +236,10 @@ def _cmd_tf(args):
     if mode == "rlocus":
         gains = _gain_grid(args.gains or "0.01:1000:60")
         locus = root_locus(tf, gains)
-        rows = []
-        for gi, k in enumerate(gains):
-            for p in locus[gi]:
-                rows.append([k, p.real, p.imag])
         path = _out_path(args, "rlocus.csv")
-        csvio.emit_csv(["gain", "re", "im"], rows, path)
+        csvio.emit_csv(["gain", "re", "im"], None, path,
+                       columns=[np.repeat(gains, locus.shape[1]),
+                                locus.real.ravel(), locus.imag.ravel()])
         print(f"wrote {path} ({len(gains)} gains x {locus.shape[1]} poles)")
         return 0
     if mode == "routh":
@@ -262,8 +259,8 @@ def _cmd_tf(args):
             gains = _gain_grid(args.gains)
             ks, errs, targets = ss_error_vs_gain(tf, gains)
             path = _out_path(args, "ss_error.csv")
-            csvio.emit_csv(["gain", "e_step"], zip(ks.tolist(),
-                                                   errs.tolist()), path)
+            csvio.emit_csv(["gain", "e_step"], None, path,
+                           columns=[ks, errs])
             print(f"wrote {path}")
             for tgt, k in targets.items():
                 where = "unreachable on range" if k is None else f"K = {k:.6g}"

@@ -4,7 +4,14 @@ Polynomial and rational transfer-function mathematics.
 Everything here works on continuous-time LTI systems given as coefficient
 lists (highest degree first).  Time responses are produced by converting to
 controllable-canonical state equations and integrating with fixed-step
-classical Runge-Kutta, so traces are bit-reproducible across runs.
+classical Runge-Kutta, so traces are bit-reproducible across runs.  RK4
+on a linear system is the recurrence ``x <- M x + g``; it is evaluated a
+block of ``_STEP_BLOCK`` samples at a time from precomputed powers of
+``M``, within 1e-12 * max|y| of the sample-by-sample recurrence.
+
+Roots come from one routine, ``_polished_roots``, which solves a stack of
+equal-degree polynomials with one batched eigenvalue call; ``poly_roots``
+hands it one polynomial and ``root_locus`` all the gains of a sweep.
 """
 
 from dataclasses import dataclass, field
@@ -25,17 +32,21 @@ class NotSettledError(ValueError):
     """Step trace has not settled and carries no divergence flag."""
 
 
+def _first_kept(c):
+    """Index, along the last axis, of the first coefficient that is not
+    exactly or relatively zero."""
+    scale = np.max(np.abs(c), axis=-1, keepdims=True)
+    if np.any(scale == 0.0):
+        raise ValueError("zero polynomial")
+    return np.argmax(np.abs(c) > 1e-13 * scale, axis=-1)
+
+
 def _trim(coeffs):
     """Drop leading coefficients that are exactly or relatively zero."""
     c = np.asarray(coeffs, dtype=float).ravel()
     if c.size == 0:
         raise ValueError("empty coefficient list")
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        raise ValueError("zero polynomial")
-    keep = np.abs(c) > 1e-13 * scale
-    first = int(np.argmax(keep))
-    return c[first:]
+    return c[int(_first_kept(c)):]
 
 
 @dataclass(frozen=True)
@@ -151,21 +162,50 @@ def poly_roots(p):
     p = p if isinstance(p, Polynomial) else Polynomial(p)
     if p.degree < 1:
         raise ValueError("need degree >= 1 to extract roots")
-    c = np.asarray(p.coeffs)
-    roots = np.roots(c).astype(complex)
-    dc = np.polyder(c)
+    return _polished_roots(np.asarray(p.coeffs)[None, :])[0]
+
+
+def _horner(c, x):
+    """Row i of ``c`` evaluated at row i of ``x``, as np.polyval does."""
+    y = np.zeros_like(x)
+    for j in range(c.shape[1]):
+        y = y * x + c[:, j, None]
+    return y
+
+
+def _polished_roots(c):
+    """
+    Roots of each row of ``c``, a 2-D stack of trimmed coefficient rows of
+    one degree >= 1: the np.roots eigenvalues, two guarded Newton passes,
+    then each row sorted by (real, imag).
+    """
+    rows, width = c.shape
+    roots = np.zeros((rows, width - 1), dtype=complex)
+    # np.roots: exact trailing zeros are roots at the origin, appended
+    # after the companion eigenvalues of the rest
+    core_len = width - np.argmax(c[:, ::-1] != 0.0, axis=1)
+    for n in np.unique(core_len):
+        if n < 2:
+            continue
+        sel = core_len == n
+        core = c[sel, :n]
+        companion = np.zeros((len(core), n - 1, n - 1))
+        companion[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
+        companion[:, 0, :] = -core[:, 1:] / core[:, :1]
+        roots[sel, :n - 1] = np.linalg.eigvals(companion)
+    dc = c[:, :-1] * np.arange(width - 1, 0, -1)
     # guarded Newton polish: near multiple roots the derivative vanishes
     # and a raw step diverges, so only accept residual improvements
     for _ in range(2):
-        residual = np.abs(np.polyval(c, roots))
-        deriv = np.polyval(dc, roots)
+        value = _horner(c, roots)
+        deriv = _horner(dc, roots)
         ok = np.abs(deriv) > 0
-        cand = roots.copy()
-        cand[ok] = roots[ok] - np.polyval(c, roots[ok]) / deriv[ok]
-        better = np.abs(np.polyval(c, cand)) < residual
-        roots[better] = cand[better]
-    order = np.lexsort((roots.imag, roots.real))
-    return roots[order]
+        cand = roots - np.divide(value, deriv, out=np.zeros_like(value),
+                                 where=ok)
+        better = np.abs(_horner(c, cand)) < np.abs(value)
+        roots = np.where(better, cand, roots)
+    order = np.lexsort((roots.imag, roots.real), axis=-1)
+    return np.take_along_axis(roots, order, axis=-1)
 
 
 def root_residual_bound(p, root):
@@ -277,6 +317,8 @@ def step_response(tf, t_end, dt=None):
     -------
     StepTrace
         ``diverged`` is set when the system is not strictly stable.
+        ``y`` is within ``1e-12 * max|y|`` of stepping the RK4
+        recurrence one sample at a time.
     """
     if not tf.proper:
         raise ImproperSystemError(
@@ -296,7 +338,7 @@ def step_response(tf, t_end, dt=None):
     if A is None:
         return StepTrace(t, np.full(t.shape, D), False)
     # classical RK4 on x' = A x + B u with u = 1 collapses to the linear
-    # recurrence x <- M x + g; precomputing M keeps long traces cheap
+    # recurrence x <- M x + g
     n = len(B)
     dA = dt * A
     M = np.eye(n)
@@ -306,12 +348,41 @@ def step_response(tf, t_end, dt=None):
     for k in (4, 3, 2):
         g = dt * (B + A @ g / k)
     y = np.empty(n_steps + 1)
-    x = np.zeros(n)
-    y[0] = C @ x + D
-    for i in range(n_steps):
-        x = M @ x + g
-        y[i + 1] = C @ x + D
+    y[0] = C @ np.zeros(n) + D
+    y[1:] = _recurrence_outputs(M, g, C, n_steps) + D
     return StepTrace(t, y, diverged)
+
+
+# samples per block of the blocked recurrence in step_response
+_STEP_BLOCK = 256
+
+
+def _recurrence_outputs(M, g, C, n_steps):
+    """
+    ``C x_i`` for i = 1..n_steps of ``x_i = M x_{i-1} + g``, ``x_0 = 0``.
+
+    With ``S_j = sum_{i<j} M^i``, ``x_{k+j} = M^j x_k + S_j g``: the rows
+    ``C M^j`` and numbers ``C S_j g`` for j = 1..b turn the b outputs
+    after each block start ``x_k`` into one matrix product, and the block
+    starts follow from ``x_{k+b} = M^b x_k + S_b g``.
+    """
+    n = len(g)
+    b = min(_STEP_BLOCK, n_steps)
+    P = np.empty((b, n))
+    Sg = np.empty((b, n))
+    Mj = np.eye(n)
+    w = np.zeros(n)
+    for j in range(b):
+        Mj = M @ Mj
+        w = M @ w + g
+        P[j] = C @ Mj
+        Sg[j] = w
+    starts = np.empty((-(-n_steps // b), n))
+    x = np.zeros(n)
+    for k in range(len(starts)):
+        starts[k] = x
+        x = Mj @ x + w
+    return (starts @ P.T + Sg @ C).ravel()[:n_steps]
 
 
 @dataclass(frozen=True)
@@ -347,7 +418,9 @@ def step_metrics(trace):
 
     Rise time is the first 10% to first 90% crossing of the final value,
     settling time is the last exit from the +-2% band, overshoot is
-    ``(peak - final) / final * 100``.
+    ``(peak - final) / final * 100``.  A peak within ``1e-12 * |final|``
+    of the final value (the ``step_response`` accuracy) is no overshoot:
+    the peak is the final value, at the last sample's time.
 
     Raises
     ------
@@ -364,6 +437,10 @@ def step_metrics(trace):
 
     peak_idx = int(np.argmax(y)) if final >= 0 else int(np.argmin(y))
     peak = y[peak_idx]
+    if abs(peak - final) <= 1e-12 * abs(final):
+        # no overshoot: a peak this close to the final value is rounding
+        # on the plateau of a monotone response
+        peak_idx, peak = len(y) - 1, final
     overshoot = max(0.0, (peak - final) / final * 100.0) if final != 0 else 0.0
 
     if abs(final) == 0.0:
@@ -571,13 +648,19 @@ def root_locus(g, gains):
     """
     Closed-loop pole sets of unity feedback ``den(G) + K num(G)``.
 
-    Pole sets of adjacent gains are continuity-matched by greedy
-    nearest-neighbor pairing so each column of the result traces one
-    locus branch.
+    The polynomials of all gains are solved in one batch.  Pole sets of
+    adjacent gains are continuity-matched by greedy nearest-neighbor
+    pairing so each column of the result traces one locus branch.
 
     Returns
     -------
     ndarray, shape (len(gains), n_poles), complex
+
+    Raises
+    ------
+    ValueError
+        When the closed-loop degree is not the same at every gain (a
+        biproper ``G`` whose leading coefficient cancels on the range).
     """
     gains = np.asarray(gains, dtype=float)
     if gains.size == 0:
@@ -586,11 +669,19 @@ def root_locus(g, gains):
         raise ValueError("gains must be positive ascending")
     num = np.asarray(g.num.coeffs)
     den = np.asarray(g.den.coeffs)
+    width = max(len(num), len(den))
+    # row i holds np.polyadd(den, gains[i] * num)
+    stack = (np.pad(den, (width - len(den), 0))
+             + gains[:, None] * np.pad(num, (width - len(num), 0)))
+    first = _first_kept(stack)
+    if np.any(first != first[0]):
+        raise ValueError("closed-loop degree changes along the gain sweep")
+    if first[0] == width - 1:
+        raise ValueError("need degree >= 1 to extract roots")
     branches = []
     prev = None
-    for k in gains:
-        r = poly_roots(Polynomial(np.polyadd(den, k * num)))
-        if prev is not None and len(r) == len(prev):
+    for r in _polished_roots(stack[:, first[0]:]):
+        if prev is not None:
             used = np.zeros(len(r), dtype=bool)
             matched = np.empty_like(r)
             for i, p in enumerate(prev):
@@ -618,13 +709,8 @@ class ErrorConstants:
     system_type: int
 
 
-def error_constants(g_open):
-    """
-    Position/velocity/acceleration constants of a unity-feedback loop.
-
-    ``Kp = lim G``, ``Kv = lim s G``, ``Ka = lim s^2 G`` as s -> 0; the
-    system type is the multiplicity of the pole at the origin.
-    """
+def _lowest_terms(g_open):
+    """(system type, lowest nonzero num and den coefficients) of ``g_open``."""
     num = np.asarray(g_open.num.coeffs)
     den = np.asarray(g_open.den.coeffs)
 
@@ -636,8 +722,19 @@ def error_constants(g_open):
         return k
 
     zn, zd = trailing_zeros(num), trailing_zeros(den)
-    sys_type = max(0, zd - zn)
-    base = (num[len(num) - 1 - zn]) / (den[len(den) - 1 - zd])
+    return (max(0, zd - zn), num[len(num) - 1 - zn],
+            den[len(den) - 1 - zd])
+
+
+def error_constants(g_open):
+    """
+    Position/velocity/acceleration constants of a unity-feedback loop.
+
+    ``Kp = lim G``, ``Kv = lim s G``, ``Ka = lim s^2 G`` as s -> 0; the
+    system type is the multiplicity of the pole at the origin.
+    """
+    sys_type, num_low, den_low = _lowest_terms(g_open)
+    base = num_low / den_low
 
     def const_at(order):
         if sys_type > order:
@@ -668,21 +765,30 @@ def ss_error_vs_gain(g_template, gains, error_kind="step"):
     -------
     (gains, errors, targets) where targets maps 0.1 and 0.01 to the K
     achieving them, or None when unreachable on the range.  With ``base``
-    the error constant of ``G``, the error is ``1/(1 + K base)`` (step)
-    or ``1/(K base)`` (ramp, parabola), solved for K in closed form; a
-    target met everywhere on the range maps to ``gains[0]``.
+    the error constant of ``G`` of the error's order, the error is
+    ``1/(1 + K base)`` (step) or ``1/(K base)`` (ramp, parabola), solved
+    for K in closed form; a target met everywhere on the range maps to
+    ``gains[0]``.  The error column is that closed form too, with the
+    error constant of ``K G`` rounded as ``error_constants(K * G)``
+    rounds it; it is 0 for a system type above the error's order and
+    inf below it.
     """
-    attr, order = {"step": ("e_step", 0), "ramp": ("e_ramp", 1),
-                   "parabola": ("e_parabola", 2)}[error_kind]
+    order = {"step": 0, "ramp": 1, "parabola": 2}[error_kind]
     gains = np.asarray(gains, dtype=float)
-    errors = np.array([getattr(error_constants(k * g_template), attr)
-                       for k in gains])
-    ec = error_constants(g_template)
-    base = (ec.Kp_pos, ec.Kv_vel, ec.Ka_acc)[order]
+    sys_type, num_low, den_low = _lowest_terms(g_template)
+    base = num_low / den_low
+    if sys_type > order:
+        errors = np.zeros(len(gains))
+    elif sys_type < order:
+        errors = np.full(len(gains), math.inf)
+    else:
+        const = num_low * gains / den_low
+        with np.errstate(divide="raise"):
+            errors = 1.0 / (1.0 + const) if order == 0 else 1.0 / const
     targets = {}
     for target in (0.1, 0.01):
         sol = None
-        if ec.system_type == order:
+        if sys_type == order:
             k = ((1.0 / target - 1.0) / base if order == 0
                  else 1.0 / (target * base))
             if gains[0] <= k <= gains[-1]:

@@ -79,10 +79,16 @@ class ScenarioConfig:
             raise ConfigError("dt_s must be > 0")
         if self.duration_s < self.dt_s:
             raise ConfigError("duration_s must cover at least one step")
-        # the run takes round(duration_s / dt_s) steps
-        if self.duration_s / self.dt_s > MAX_STEPS + 0.5:
+        # the run takes round(duration_s / dt_s) steps, so the ratio must
+        # be whole for them to cover duration_s
+        steps = self.duration_s / self.dt_s
+        if steps > MAX_STEPS + 0.5:
             raise ConfigError(
                 f"duration_s / dt_s asks for more than {MAX_STEPS} steps")
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError(
+                f"duration_s / dt_s = {steps:.12g} is not a whole number "
+                "of steps")
         for name in ("soc_init_pct", "tank1_init_pct", "tank2_init_pct",
                      "soil_init_pct", "tank_low_pct", "tank_full_pct",
                      "soil_dry_pct", "soil_wet_pct", "battery_min_soc_pct"):
@@ -115,6 +121,10 @@ class ScenarioConfig:
                 raise ConfigError(f"{prof} entries must be finite")
             if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
                 raise ConfigError(f"{prof} breakpoints must be ascending")
+        if any(p[1] < 0.0 for p in self.irradiance_profile):
+            raise ConfigError("irradiance_profile values must be >= 0")
+        if any(not -90.0 <= p[1] <= 90.0 for p in self.sun_path):
+            raise ConfigError("sun_path elevations must lie in [-90, 90]")
         return self
 
     @classmethod

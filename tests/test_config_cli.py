@@ -197,6 +197,23 @@ class TestCliExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "[environment]\nirradiance_profile = 0:-100, 10:-50\n",
+        "[environment]\nsun_path = 0:95:90, 10:95:100\n",
+        "[environment]\nsun_path = 0:-91:90, 10:30:100\n",
+        "[scenario]\nduration_s = 1\ndt_s = 0.3\n",
+    ], ids=["negative-irradiance", "sun-above-zenith", "sun-below-nadir",
+            "fractional-step-count"])
+    def test_bad_profile_or_step_count_is_a_config_error(self, tmp_path,
+                                                         capsys, text):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[scenario]\nduration_s = 1\ndt_s = 0.1\n" + text
+                       if text.startswith("[environment]") else text)
+        code = main(["scenario", "run", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_numeric_failure(self, capsys):
         # improper transfer function cannot produce a step response
         code = main(["tf", "step", "--tf-text", "num: 1 0 0 / den: 1 1"])
@@ -344,3 +361,52 @@ class TestAnalysisConfig:
         path = tmp_path / "s.cfg"
         path.write_text(MINIMAL)
         assert main(["tf", "analyze", "--config", str(path)]) == 2
+
+
+class TestTfColumnCsv:
+    """The tf CSVs, written column-wise, carry the row writer's bytes."""
+
+    def _rowwise(self, tmp_path, header, rows):
+        path = tmp_path / "rowwise.csv"
+        emit_csv(header, rows, path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("preset_name", ["metering_pump", "pump_loop",
+                                             "cascade", "tank_2nd_order"])
+    def test_step_and_bode(self, tmp_path, capsys, preset_name):
+        from sunpump.lti import (frequency_response, step_response,
+                                 tf_feedback_gain)
+        from sunpump.plants import preset
+        out = tmp_path / "out"
+        assert main(["tf", "step", "--closed", "--t-end", "30", "--preset",
+                     preset_name, "--out", str(out)]) == 0
+        assert main(["tf", "bode", "--preset", preset_name,
+                     "--out", str(out)]) == 0
+        tf = preset(preset_name)
+        trace = step_response(tf_feedback_gain(tf, 1.0), 30.0)
+        assert (out / "step.csv").read_bytes() == self._rowwise(
+            tmp_path, ["t", "y"], zip(trace.t.tolist(), trace.y.tolist()))
+        fr = frequency_response(tf)
+        assert (out / "bode.csv").read_bytes() == self._rowwise(
+            tmp_path, ["omega_rad_s", "magnitude_db", "phase_deg"],
+            zip(fr.omegas.tolist(), fr.magnitude_db.tolist(),
+                fr.phase_deg.tolist()))
+
+    def test_rlocus_and_ss_error(self, tmp_path, capsys):
+        from sunpump.lti import root_locus, ss_error_vs_gain
+        from sunpump.plants import preset
+        out = tmp_path / "out"
+        assert main(["tf", "rlocus", "--preset", "cascade", "--gains",
+                     "0.01:1000:60", "--out", str(out)]) == 0
+        assert main(["tf", "errors", "--preset", "cascade", "--gains",
+                     "0.1:1000:40", "--out", str(out)]) == 0
+        tf = preset("cascade")
+        gains = np.geomspace(0.01, 1000.0, 60)
+        locus = root_locus(tf, gains)
+        rows = [[k, p.real, p.imag] for k, ps in zip(gains, locus)
+                for p in ps]
+        assert (out / "rlocus.csv").read_bytes() == self._rowwise(
+            tmp_path, ["gain", "re", "im"], rows)
+        ks, errs, _ = ss_error_vs_gain(tf, np.geomspace(0.1, 1000.0, 40))
+        assert (out / "ss_error.csv").read_bytes() == self._rowwise(
+            tmp_path, ["gain", "e_step"], zip(ks.tolist(), errs.tolist()))

@@ -423,3 +423,232 @@ class TestPoleOnGrid:
         fr = frequency_response(tf, np.array([0.5, 1.0, 2.0]))
         assert np.all(np.isfinite(fr.magnitude_db))
         assert fr.magnitude_db[1] > 100.0   # huge but finite
+
+
+def _loop_step_y(tf, t_end, dt=None):
+    """The RK4 recurrence stepped one sample at a time: the blocked
+    step_response's oracle."""
+    from sunpump.lti import _canonical_state_space, default_step_dt
+    if dt is None:
+        dt = default_step_dt(tf, t_end)
+    A, B, C, D = _canonical_state_space(tf)
+    n_steps = int(round(t_end / dt))
+    n = len(B)
+    dA = dt * A
+    M = np.eye(n)
+    for k in (4, 3, 2, 1):
+        M = np.eye(n) + dA @ M / k
+    g = dt * B
+    for k in (4, 3, 2):
+        g = dt * (B + A @ g / k)
+    y = np.empty(n_steps + 1)
+    x = np.zeros(n)
+    y[0] = C @ x + D
+    for i in range(n_steps):
+        x = M @ x + g
+        y[i + 1] = C @ x + D
+    return y
+
+
+def _random_system(rng, order, kind):
+    """Seeded proper system of one order: all poles in the left half
+    plane, or one in the right half plane, or one at the origin."""
+    poles = list(-rng.uniform(0.05, 5.0, order))
+    if order >= 2 and rng.random() < 0.5:
+        w = rng.uniform(0.1, 5.0)
+        poles[0], poles[1] = poles[0] + 1j * w, poles[0] - 1j * w
+    if kind == "unstable":
+        poles[-1] = rng.uniform(0.01, 0.3)
+    elif kind == "integrating":
+        poles[-1] = 0.0
+    num = rng.normal(size=int(rng.integers(1, order + 2)))
+    return TransferFunction(num, np.real(np.poly(poles)))
+
+
+class TestBlockedStepResponse:
+    @pytest.mark.parametrize("kind", ["stable", "unstable", "integrating"])
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_matches_sample_by_sample_recurrence(self, kind, order):
+        rng = np.random.default_rng(1000 * order + len(kind))
+        for _ in range(3):
+            tf = _random_system(rng, order, kind)
+            t_end = rng.uniform(5.0, 60.0)
+            tr = step_response(tf, t_end)
+            y = _loop_step_y(tf, t_end)
+            assert tr.y.shape == y.shape == tr.t.shape
+            assert tr.y[0] == y[0]
+            assert np.max(np.abs(tr.y - y)) <= 1e-12 * np.max(np.abs(y))
+            assert tr.diverged == (kind != "stable")
+
+    @pytest.mark.parametrize("t_end", [0.1, 2.55, 2.56, 2.57, 51.3])
+    def test_partial_and_short_blocks(self, t_end):
+        # dt 0.01: 10 samples (shorter than one block), one block
+        # exactly, one sample over it, and many blocks with a partial tail
+        tf = TransferFunction([2.0, 3.0], [1.0, 0.7, 4.0])
+        tr = step_response(tf, t_end, dt=0.01)
+        y = _loop_step_y(tf, t_end, dt=0.01)
+        assert len(tr.y) == len(y)
+        assert np.max(np.abs(tr.y - y)) <= 1e-12 * np.max(np.abs(y))
+
+    def test_longest_validate_response(self):
+        # the tuned cascade loop of the validation report: 240 675 samples
+        from sunpump.plants import PidParams, cascade_system
+        closed = cascade_system(
+            50.0, PidParams(4.67, 3.91, -0.0047, 1002.69)).closed_loop_unity
+        tr = step_response(closed, 12.0)
+        y = _loop_step_y(closed, 12.0)
+        assert len(y) == 240675
+        assert np.max(np.abs(tr.y - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+class TestPlateauRounding:
+    def _monotone(self):
+        t = np.linspace(0.0, 20.0, 2001)
+        return t, 3.0 * (1.0 - np.exp(-t))
+
+    def test_ulp_bump_on_plateau_is_no_overshoot(self):
+        from sunpump.lti import StepTrace
+        t, y = self._monotone()
+        final = y[-1]
+        y[1500] = np.nextafter(np.nextafter(final, np.inf), np.inf)
+        assert y[1500] > final
+        m = step_metrics(StepTrace(t, y))
+        assert m.overshoot_pct == 0.0
+        assert m.peak == final
+        assert m.peak_time_s == t[-1]
+
+    def test_exact_plateau_peaks_at_the_last_sample(self):
+        from sunpump.lti import StepTrace
+        t = np.linspace(0.0, 1.0, 100)
+        m = step_metrics(StepTrace(t, np.minimum(5.0 * t, 2.0)))
+        assert m.peak == 2.0 and m.overshoot_pct == 0.0
+        assert m.peak_time_s == t[-1]
+
+    def test_real_overshoot_still_reported(self):
+        from sunpump.lti import StepTrace
+        t, y = self._monotone()
+        final = y[-1]
+        y[1500] = final * (1.0 + 1e-9)
+        m = step_metrics(StepTrace(t, y))
+        assert m.overshoot_pct == pytest.approx(1e-7, rel=1e-3)
+        assert m.peak_time_s == t[1500]
+
+
+def _old_poly_roots(c):
+    """np.roots plus the two guarded np.polyval Newton passes, one
+    polynomial at a time: poly_roots' oracle."""
+    c = np.asarray(Polynomial(c).coeffs)
+    roots = np.roots(c).astype(complex)
+    dc = np.polyder(c)
+    for _ in range(2):
+        residual = np.abs(np.polyval(c, roots))
+        deriv = np.polyval(dc, roots)
+        ok = np.abs(deriv) > 0
+        cand = roots.copy()
+        cand[ok] = roots[ok] - np.polyval(c, roots[ok]) / deriv[ok]
+        better = np.abs(np.polyval(c, cand)) < residual
+        roots[better] = cand[better]
+    return roots[np.lexsort((roots.imag, roots.real))]
+
+
+def _per_gain_locus(g, gains):
+    """Root locus solved gain by gain with poly_roots, greedy-matched."""
+    num, den = np.asarray(g.num.coeffs), np.asarray(g.den.coeffs)
+    branches, prev = [], None
+    for k in gains:
+        r = poly_roots(Polynomial(np.polyadd(den, k * num)))
+        if prev is not None and len(r) == len(prev):
+            used = np.zeros(len(r), dtype=bool)
+            matched = np.empty_like(r)
+            for i, p in enumerate(prev):
+                dist = np.abs(r - p)
+                dist[used] = np.inf
+                j = int(np.argmin(dist))
+                used[j] = True
+                matched[i] = r[j]
+            r = matched
+        branches.append(r)
+        prev = r
+    return np.vstack(branches)
+
+
+def _bit_equal(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.asarray(a, dtype=complex).view(float),
+        np.asarray(b, dtype=complex).view(float))
+
+
+class TestBatchedRoots:
+    def test_poly_roots_unchanged_on_seeded_polynomials(self):
+        rng = np.random.default_rng(11)
+        for trial in range(600):
+            deg = 1 + trial % 8
+            c = rng.normal(size=deg + 1) * 10.0 ** rng.uniform(-3, 3,
+                                                              deg + 1)
+            zeros_at_origin = trial % 3 if deg > 2 else 0
+            if zeros_at_origin:
+                c[-zeros_at_origin:] = 0.0
+            assert _bit_equal(poly_roots(c), _old_poly_roots(c)), c
+
+    def test_trailing_zeros_and_degree_one(self):
+        for c in ([2.0, 0.0], [1.0, 3.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                  [4.0, -1.0], [1.0, 2.0, 1.0, 0.0]):
+            r = poly_roots(c)
+            assert _bit_equal(r, _old_poly_roots(c))
+            assert len(r) == len(c) - 1
+
+    def test_presets_batched_equal_per_gain(self):
+        from sunpump.plants import PRESETS, preset
+        gains = np.geomspace(0.01, 1000.0, 60)
+        for name in PRESETS:
+            g = preset(name)
+            assert _bit_equal(root_locus(g, gains), _per_gain_locus(g, gains))
+
+    def test_random_systems_batched_equal_per_gain(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            nd = int(rng.integers(1, 7))
+            den = rng.normal(size=nd + 1)
+            num = rng.normal(size=int(rng.integers(1, nd + 1)))
+            if rng.random() < 0.3:
+                den[-1] = 0.0
+            g = TransferFunction(num, den)
+            gains = np.geomspace(10 ** rng.uniform(-3, 0),
+                                 10 ** rng.uniform(1, 4),
+                                 int(rng.integers(1, 60)))
+            assert _bit_equal(root_locus(g, gains), _per_gain_locus(g, gains))
+
+    def test_degree_change_along_sweep_rejected(self):
+        # (1 - K) s^2 + (2 + K) s + 3: the s^2 term cancels at K = 1
+        g = TransferFunction([-1.0, 1.0, 0.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="degree"):
+            root_locus(g, [0.5, 1.0, 2.0])
+        with pytest.raises(ValueError):
+            _per_gain_locus(g, [0.5, 1.0, 2.0])
+
+
+class TestClosedFormErrorSweep:
+    @pytest.mark.parametrize("kind, attr", [("step", "e_step"),
+                                            ("ramp", "e_ramp"),
+                                            ("parabola", "e_parabola")])
+    def test_equals_per_gain_error_constants(self, kind, attr):
+        from sunpump.plants import PRESETS, preset
+        gains = np.geomspace(0.1, 1000.0, 40)
+        systems = [preset(name) for name in PRESETS] + [
+            TransferFunction([3.0, 0.7], [1.0, 0.3, 0.0, 0.0]),
+            TransferFunction([0.37], [2.9, 1.3, 0.11])]
+        for g in systems:
+            _, errors, _ = ss_error_vs_gain(g, gains, error_kind=kind)
+            expect = np.array([getattr(error_constants(k * g), attr)
+                               for k in gains])
+            assert np.array_equal(errors, expect)
+
+    def test_no_per_gain_error_constants_calls(self, monkeypatch):
+        import sunpump.lti as lti
+        calls = []
+        real = lti.error_constants
+        monkeypatch.setattr(lti, "error_constants",
+                            lambda g: calls.append(g) or real(g))
+        ss_error_vs_gain(TransferFunction([0.05], [0.1, 1.1, 1.0]),
+                         np.geomspace(0.1, 1000.0, 40))
+        assert calls == []

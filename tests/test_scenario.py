@@ -133,6 +133,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="steps"):
             ScenarioConfig(duration_s=(n + 1) * 1.0, dt_s=1.0).validate()
 
+    def test_negative_irradiance_rejected(self):
+        with pytest.raises(ConfigError, match="irradiance_profile"):
+            ScenarioConfig(irradiance_profile=(
+                (0.0, 100.0), (10.0, -1e-9))).validate()
+
+    def test_sun_elevation_range(self):
+        ScenarioConfig(sun_path=((0.0, -90.0, 95.0),
+                                 (10.0, 90.0, 180.0))).validate()
+        for elev in (90.5, -95.0):
+            with pytest.raises(ConfigError, match="sun_path"):
+                ScenarioConfig(sun_path=((0.0, 30.0, 95.0),
+                                         (10.0, elev, 180.0))).validate()
+
+    @pytest.mark.parametrize("duration, dt", [
+        (7200.0, 0.1), (86400.0, 2.0), (60.0, 0.1), (60.0, 0.5),
+        (1.0, 0.1), (0.3 * (1 + 5e-10), 0.1)])
+    def test_whole_step_count_accepted(self, duration, dt):
+        ScenarioConfig(duration_s=duration, dt_s=dt).validate()
+
+    @pytest.mark.parametrize("duration, dt", [
+        (1.0, 0.3), (7200.05, 0.1), (0.3 * (1 + 1e-8), 0.1)])
+    def test_fractional_step_count_rejected(self, duration, dt):
+        with pytest.raises(ConfigError, match="whole number of steps"):
+            ScenarioConfig(duration_s=duration, dt_s=dt).validate()
+
     def test_step_ceiling_checked_before_allocating(self):
         # 1e15 steps: the run must refuse before any column exists
         tracemalloc.start()
