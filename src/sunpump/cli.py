@@ -16,13 +16,14 @@ All outputs are deterministic; CSV files land in --out (default '.').
 """
 
 import argparse
+from dataclasses import replace
 import os
 import sys
 
 import numpy as np
 
 from . import csvio, mppt, pv, validation
-from .config import parse_config
+from .config import ANALYSIS_KINDS, parse_config
 from .lti import (NotSettledError, error_constants, frequency_response,
                   poly_roots, root_locus, routh_table, ss_error_vs_gain,
                   stability_margins, stability_verdict_from_roots,
@@ -89,8 +90,7 @@ def _cmd_pv_curve(args):
     curve = pv.iv_curve(ap, grid)
     path = _out_path(args, "pv_curve.csv")
     csvio.emit_csv(["v", "i", "p"],
-                   zip(curve.voltages.tolist(), curve.currents.tolist(),
-                       curve.powers.tolist()), path)
+                   [curve.voltages, curve.currents, curve.powers], path)
     m = pv.find_mpp(ap)
     print(f"wrote {path} ({len(curve.voltages)} points, Voc = {voc:.3f} V)")
     print(f"MPP: V = {m.V_mpp:.3f} V, I = {m.I_mpp:.3f} A, "
@@ -102,29 +102,35 @@ def _cmd_solar_angles(args):
     st0, st1, n = _parse_span(args.hour_angles)
     az0, az1 = _parse_span(args.azimuth, 2)
     n = int(n)
+    if n < 0:
+        raise UsageError("hour-angle count must be >= 0")
     delta = declination(args.day)
-    rows = []
-    for k in range(n):
-        st = st0 + (st1 - st0) * k / max(n - 1, 1)
-        theta_z, theta_e = zenith_and_elevation(args.lat, delta, st)
-        theta_sa = az0 + (az1 - az0) * k / max(n - 1, 1)
-        row = [args.day, st, delta, theta_e, theta_z, theta_sa]
-        if theta_e > 0:
-            sol = optimal_orientation(SunPosition(theta_e, theta_sa),
-                                      args.alpha_target, args.beta_target)
-            to = sol.orientation
-            alpha = angle_of_incidence(SunPosition(theta_e, theta_sa), to)
-            try:
-                beta = incidence_direction(SunPosition(theta_e, theta_sa), to)
-            except UndefinedDirectionError:
-                beta = 0.0
-            row += [to.theta_TE, to.theta_TA, alpha, beta]
-        else:
-            row += [0.0, theta_sa, 90.0, 0.0]
-        rows.append(row)
+    k = np.arange(n)
+    st = st0 + (st1 - st0) * k / max(n - 1, 1)
+    theta_sa = az0 + (az1 - az0) * k / max(n - 1, 1)
+    theta_z, theta_e = np.zeros(n), np.zeros(n)
+    # rows with the sun at or below the horizon keep these values
+    theta_te, theta_ta = np.zeros(n), theta_sa.copy()
+    alpha, beta = np.full(n, 90.0), np.zeros(n)
+    for j, (s, sa) in enumerate(zip(st.tolist(), theta_sa.tolist())):
+        theta_z[j], elevation = zenith_and_elevation(args.lat, delta, s)
+        theta_e[j] = elevation
+        if elevation <= 0:
+            continue
+        sun = SunPosition(elevation, sa)
+        to = optimal_orientation(sun, args.alpha_target,
+                                 args.beta_target).orientation
+        theta_te[j], theta_ta[j] = to.theta_TE, to.theta_TA
+        alpha[j] = angle_of_incidence(sun, to)
+        try:
+            beta[j] = incidence_direction(sun, to)
+        except UndefinedDirectionError:
+            pass    # sun along the panel normal: beta stays 0
     path = _out_path(args, "solar_angles.csv")
     csvio.emit_csv(["n", "ST", "delta", "theta_e", "theta_z", "theta_SA",
-                    "theta_TE", "theta_TA", "alpha", "beta"], rows, path)
+                    "theta_TE", "theta_TA", "alpha", "beta"],
+                   [np.full(n, args.day), st, np.full(n, delta), theta_e,
+                    theta_z, theta_sa, theta_te, theta_ta, alpha, beta], path)
     print(f"wrote {path} ({n} rows, declination {delta:.3f} deg)")
     return 0
 
@@ -142,12 +148,12 @@ def _cmd_track_sim(args):
                        a0 + (a1 - a0) * k / max(n - 1, 1),
                        TrackingThresholds(), motor_step_deg=args.motor_step,
                        irradiance=args.irradiance, start=start)
-    rows = zip(range(n), run.theta_TE.tolist(), run.theta_TA.tolist(),
-               run.alpha.tolist(), *run.readings.T.tolist(),
-               run.azimuth_move.tolist(), run.elevation_move.tolist())
     path = _out_path(args, "track_sim.csv")
     csvio.emit_csv(["step", "theta_TE", "theta_TA", "alpha", "tl", "tr",
-                    "bl", "br", "az_cmd", "el_cmd"], rows, path)
+                    "bl", "br", "az_cmd", "el_cmd"],
+                   [k, run.theta_TE, run.theta_TA, run.alpha,
+                    *run.readings.T, run.azimuth_move, run.elevation_move],
+                   path)
     print(f"wrote {path}; final AOI = {run.alpha[-1]:.2f} deg")
     return 0
 
@@ -159,13 +165,12 @@ def _cmd_mppt_run(args):
         v0 = 0.5 * pv.open_circuit_voltage(ap)
     st0 = mppt.initial_state(v0, args.dv_step)
     run = mppt.mppt_run(ap, args.algo, st0, args.steps)
-    p = run.p.tolist()
     path = _out_path(args, f"mppt_{args.algo}.csv")
     csvio.emit_csv(["iter", "v_ref", "i", "p"],
-                   zip(range(1, args.steps + 1), run.v_ref.tolist(),
-                       run.i.tolist(), p), path)
+                   [np.arange(1, args.steps + 1), run.v_ref, run.i, run.p],
+                   path)
     best = pv.find_mpp(ap)
-    print(f"wrote {path}; final P = {p[-1]:.2f} W "
+    print(f"wrote {path}; final P = {run.p[-1]:.2f} W "
           f"(model MPP {best.P_mpp:.2f} W)")
     return 0
 
@@ -205,7 +210,7 @@ def _cmd_tf(args):
         closed = tf_feedback_gain(tf, 1.0) if args.closed else tf
         trace = step_response(closed, t_end, args.dt)
         path = _out_path(args, "step.csv")
-        csvio.emit_csv(["t", "y"], None, path, columns=[trace.t, trace.y])
+        csvio.emit_csv(["t", "y"], [trace.t, trace.y], path)
         print(f"wrote {path} ({len(trace.t)} samples, t_end {t_end:.4g} s)")
         try:
             m = step_metrics(trace)
@@ -221,9 +226,8 @@ def _cmd_tf(args):
     if mode == "bode":
         fr = frequency_response(tf)
         path = _out_path(args, "bode.csv")
-        csvio.emit_csv(["omega_rad_s", "magnitude_db", "phase_deg"], None,
-                       path, columns=[fr.omegas, fr.magnitude_db,
-                                      fr.phase_deg])
+        csvio.emit_csv(["omega_rad_s", "magnitude_db", "phase_deg"],
+                       [fr.omegas, fr.magnitude_db, fr.phase_deg], path)
         m = stability_margins(fr)
         print(f"wrote {path}")
         gm = ("absent" if m.gain_margin_db is None
@@ -237,9 +241,9 @@ def _cmd_tf(args):
         gains = _gain_grid(args.gains or "0.01:1000:60")
         locus = root_locus(tf, gains)
         path = _out_path(args, "rlocus.csv")
-        csvio.emit_csv(["gain", "re", "im"], None, path,
-                       columns=[np.repeat(gains, locus.shape[1]),
-                                locus.real.ravel(), locus.imag.ravel()])
+        csvio.emit_csv(["gain", "re", "im"],
+                       [np.repeat(gains, locus.shape[1]),
+                        locus.real.ravel(), locus.imag.ravel()], path)
         print(f"wrote {path} ({len(gains)} gains x {locus.shape[1]} poles)")
         return 0
     if mode == "routh":
@@ -259,8 +263,7 @@ def _cmd_tf(args):
             gains = _gain_grid(args.gains)
             ks, errs, targets = ss_error_vs_gain(tf, gains)
             path = _out_path(args, "ss_error.csv")
-            csvio.emit_csv(["gain", "e_step"], None, path,
-                           columns=[ks, errs])
+            csvio.emit_csv(["gain", "e_step"], [ks, errs], path)
             print(f"wrote {path}")
             for tgt, k in targets.items():
                 where = "unreachable on range" if k is None else f"K = {k:.6g}"
@@ -273,17 +276,13 @@ def _cmd_scenario(args):
     if args.action != "run":
         raise UsageError("scenario supports: run")
     cfg = parse_config(args.config) if args.config else ScenarioConfig()
-    if args.dt is not None:
-        from dataclasses import replace
-        cfg = replace(cfg, dt_s=args.dt)
-    if args.t_end is not None:
-        from dataclasses import replace
-        cfg = replace(cfg, duration_s=args.t_end)
-    cfg.validate()
+    overrides = {"dt_s": args.dt, "duration_s": args.t_end}
+    cfg = replace(cfg, **{name: v for name, v in overrides.items()
+                          if v is not None})
     trace, summary = run_scenario(cfg)
     path = _out_path(args, "scenario_trace.csv")
-    csvio.emit_csv(trace.COLUMNS, None, path,
-                   columns=[trace.column(name) for name in trace.COLUMNS])
+    csvio.emit_csv(trace.COLUMNS,
+                   [trace.column(name) for name in trace.COLUMNS], path)
     print(f"wrote {path} ({len(trace)} steps)")
     print(f"final SOC: {summary.final_soc_pct:.2f}%")
     print(f"pump1: {summary.pump1_cycles} cycles, "
@@ -299,8 +298,8 @@ def _cmd_validate(args):
     rows = validation.build_report()
     print(validation.format_report(rows))
     path = _out_path(args, "validation_report.csv")
-    header, data = validation.report_rows_for_csv(rows)
-    csvio.emit_csv(header, data, path)
+    header, columns = validation.report_columns(rows)
+    csvio.emit_csv(header, columns, path)
     print(f"wrote {path}")
     return 0
 
@@ -351,8 +350,7 @@ def build_parser():
     q.set_defaults(fn=_cmd_mppt_run)
 
     q = sub.add_parser("tf", help="transfer-function analyses")
-    q.add_argument("mode", nargs="?", choices=("analyze", "step", "bode",
-                                               "rlocus", "routh", "errors"))
+    q.add_argument("mode", nargs="?", choices=ANALYSIS_KINDS)
     q.add_argument("--config",
                    help="config file with an [analysis] section")
     q.add_argument("--preset", help="named system: "

@@ -33,7 +33,7 @@ _SCHEMA = {
 }
 _PROFILE_KEYS = {"irradiance_profile": 2, "sun_path": 3}
 _STRING_KEYS = {"mppt_algo", "kind", "preset", "tf_text", "gains"}
-_ANALYSIS_KINDS = ("analyze", "step", "bode", "rlocus", "routh", "errors")
+ANALYSIS_KINDS = ("analyze", "step", "bode", "rlocus", "routh", "errors")
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,9 @@ class AnalysisRequest:
     gains: str = None
 
     def validate(self):
-        if self.kind not in _ANALYSIS_KINDS:
+        if self.kind not in ANALYSIS_KINDS:
             raise ConfigError(
-                f"analysis kind must be one of {', '.join(_ANALYSIS_KINDS)}")
+                f"analysis kind must be one of {', '.join(ANALYSIS_KINDS)}")
         if self.preset is None and self.tf_text is None:
             raise ConfigError("analysis needs a preset or a tf_text system")
         return self

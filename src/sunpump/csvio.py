@@ -1,23 +1,16 @@
 """
 Deterministic CSV emission: LF line endings, '.' decimal separator,
-floats at 9 significant digits, header always present.
+header always present.
+
+Data arrive as equal-length columns, and each column's format follows
+from its dtype: floats print at 9 significant digits ("%.9g", so a
+round-trip parse reproduces the text; inf, -inf, nan and -0 print as
+such), integers and bools as integers ("%d"), and anything else as text,
+``str`` of each value, quoted when it holds a comma, a quote or a line
+break.
 """
 
-import math
-
 import numpy as np
-
-
-def format_value(v):
-    if isinstance(v, bool):
-        return "1" if v else "0"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return "%.9g" % v
-    return _quote(str(v))
 
 
 def _quote(s):
@@ -26,48 +19,35 @@ def _quote(s):
     return s
 
 
-# rows per text chunk when writing columns; bounds the text held at once
+# printf format per numpy dtype kind; every other kind is text
+_FORMATS = {"f": "%.9g", "i": "%d", "u": "%d", "b": "%d"}
+
+# rows per text chunk; bounds the text held at once
 _BLOCK_ROWS = 1024
 
 
-def emit_csv(header, rows, path, *, columns=None):
+def emit_csv(header, columns, path):
     """
-    Write rows to `path` as RFC-4180-style CSV.
+    Write equal-length ``columns`` to `path` as RFC-4180-style CSV.
 
-    Floats are printed with 9 significant digits so a round-trip parse
-    reproduces the emitted text exactly.  Rows are streamed, so an
-    error partway through leaves the lines written so far.
-
-    Equal-length float columns may be passed as ``columns`` in place of
-    ``rows`` (``rows=None``); they are formatted a block of rows at a
-    time, to the bytes the rows ``zip(*columns)`` of floats would give.
+    Rows are formatted and written a block of rows at a time, so an error
+    partway through leaves the blocks written so far.
     """
-    if columns is not None:
-        if rows is not None:
-            raise ValueError("pass rows or columns, not both")
-        cols = [np.asarray(c, dtype=float) for c in columns]
-        if len({len(c) for c in cols}) > 1:
-            raise ValueError("columns must have equal lengths")
-        chunks = _column_blocks(cols)
-    else:
-        chunks = (",".join(format_value(v) for v in row) + "\n"
-                  for row in rows)
+    cols = [np.asarray(c) for c in columns]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError("columns must have equal lengths")
+    formats = [_FORMATS.get(c.dtype.kind, "%s") for c in cols]
+    text = [j for j, f in enumerate(formats) if f == "%s"]
+    row_format = ",".join(formats) + "\n"
+    n = len(cols[0]) if cols else 0
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(_quote(h) for h in header) + "\n")
-            for chunk in chunks:
-                fh.write(chunk)
+            for lo in range(0, n, _BLOCK_ROWS):
+                block = [c[lo:lo + _BLOCK_ROWS].tolist() for c in cols]
+                for j in text:
+                    block[j] = [_quote(str(v)) for v in block[j]]
+                fh.write("".join([row_format % row for row in zip(*block)]))
     except OSError as exc:
         raise OSError(f"cannot write CSV {path}: {exc}") from exc
     return path
-
-
-def _column_blocks(cols):
-    """Text of the rows of float arrays, _BLOCK_ROWS rows per chunk."""
-    n = len(cols[0]) if cols else 0
-    # "%.9g" prints what format_value prints for a float: inf, -inf,
-    # nan and -0 included
-    row_format = ",".join(["%.9g"] * len(cols)) + "\n"
-    for lo in range(0, n, _BLOCK_ROWS):
-        block = [c[lo:lo + _BLOCK_ROWS].tolist() for c in cols]
-        yield "".join([row_format % row for row in zip(*block)])

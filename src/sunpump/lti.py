@@ -599,8 +599,9 @@ class Margins:
     pm_freq_rad_s: float = None
 
 
-def _crossings(x_log, y, level):
-    """(x, exact y) pairs where y crosses `level`, log-x interpolated."""
+def _crossings(y, level):
+    """Fractional sample positions where y meets or crosses `level`,
+    linearly interpolated between samples."""
     out = []
     d = y - level
     for i in range(len(d) - 1):
@@ -631,12 +632,12 @@ def stability_margins(fr):
         return arr[i] * (1 - frac) + arr[i + 1] * frac
 
     gm = gmf = pm = pmf = None
-    for pos in _crossings(logw, fr.phase_deg, -180.0):
+    for pos in _crossings(fr.phase_deg, -180.0):
         cand = -interp(fr.magnitude_db, pos)
         if gm is None or cand < gm:
             gm = cand
             gmf = math.exp(interp(logw, pos))
-    for pos in _crossings(logw, fr.magnitude_db, 0.0):
+    for pos in _crossings(fr.magnitude_db, 0.0):
         cand = 180.0 + interp(fr.phase_deg, pos)
         if pm is None or abs(cand) < abs(pm):
             pm = cand
@@ -713,15 +714,7 @@ def _lowest_terms(g_open):
     """(system type, lowest nonzero num and den coefficients) of ``g_open``."""
     num = np.asarray(g_open.num.coeffs)
     den = np.asarray(g_open.den.coeffs)
-
-    def trailing_zeros(c):
-        k = 0
-        scale = np.max(np.abs(c))
-        while k < len(c) - 1 and abs(c[len(c) - 1 - k]) <= 1e-13 * scale:
-            k += 1
-        return k
-
-    zn, zd = trailing_zeros(num), trailing_zeros(den)
+    zn, zd = int(_first_kept(num[::-1])), int(_first_kept(den[::-1]))
     return (max(0, zd - zn), num[len(num) - 1 - zn],
             den[len(den) - 1 - zd])
 

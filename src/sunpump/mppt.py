@@ -33,7 +33,8 @@ def boost_ratio(cs):
 
 
 def duty_for_ratio(v_in, v_out, d_max=0.95):
-    """Duty cycle stepping v_in up to v_out, clamped to [0, d_max]."""
+    """Boost-law duty ``1 - v_out/v_in``, clamped to [0, d_max]; 0 when
+    v_in <= 0."""
     if v_in <= 0:
         return 0.0
     return min(max(1.0 - v_out / v_in, 0.0), d_max)

@@ -11,9 +11,7 @@ used in the analyses live in :data:`PRESETS`.
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
-from .lti import Polynomial, TransferFunction, tf_feedback
+from .lti import TransferFunction, tf_feedback
 
 
 @dataclass(frozen=True)
@@ -118,13 +116,16 @@ def pid_tf(pp):
 
 
 def closed_loop_char_poly(c, g):
-    """Monic numerator polynomial of ``1 + G C``."""
-    coeffs = np.polyadd(np.convolve(g.den.coeffs, c.den.coeffs),
-                        np.convolve(g.num.coeffs, c.num.coeffs))
-    try:
-        return Polynomial(coeffs).monic()
-    except ValueError as exc:
-        raise ValueError("1 + GC cancelled to the zero polynomial") from exc
+    """
+    Monic numerator polynomial of ``1 + G C``: the denominator of the
+    closed loop ``G / (1 + G C)``.
+
+    Raises
+    ------
+    DegenerateSystemError
+        If ``1 + G C`` cancels to the zero polynomial.
+    """
+    return tf_feedback(g, c).den
 
 
 def pump_tf(k, tau):

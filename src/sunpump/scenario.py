@@ -279,8 +279,8 @@ def run_scenario(cfg):
                          irradiance=irr, start=orientation0)
     eff_irr = irr * np.maximum(0.0, np.cos(np.radians(track.alpha)))
 
-    # 3. harvest on the lit steps; the converter duty steps the array
-    # voltage down to the 12 V battery bus
+    # 3. harvest on the lit steps; the converter duty is the boost law
+    # 1 - V_bus/V_ref for the 12 V battery bus, clamped to [0, 0.95]
     pv_power = np.zeros(n_steps)
     duty = np.zeros(n_steps)
     lit = np.flatnonzero(eff_irr > 0.0)

@@ -17,7 +17,7 @@ and, where one exists, the reconstruction that reproduces the claim;
 the notes column records the derivation path taken.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
 
 import numpy as np
@@ -29,8 +29,8 @@ from .lti import (Polynomial, TransferFunction, error_constants,
                   stability_verdict_from_roots, step_metrics, step_response,
                   tf_feedback_gain)
 from .plants import (MOTOR_PAPER, PidParams, cascade_plant, cascade_system,
-                     metering_pump_tf, motor_tf, MotorParams, pid_tf,
-                     pump_tf, tank_second_order)
+                     closed_loop_char_poly, metering_pump_tf, motor_tf,
+                     MotorParams, pid_tf, pump_tf, tank_second_order)
 
 TOL_POLE_ABS = 1e-3
 TOL_READOUT_REL = 0.15
@@ -206,8 +206,7 @@ def build_report():
 
     # ----- characteristic quartic and its stability table --------------
     pid = PidParams(K_p=9.51202, K_i=5.6443, K_d=0.00022)
-    char = (MOTOR_PAPER.den * pid_tf(pid).den
-            + MOTOR_PAPER.num * pid_tf(pid).num).monic()
+    char = closed_loop_char_poly(pid_tf(pid), MOTOR_PAPER)
     printed_quartic = Polynomial([1.0, 625.8, 1.382e4, 1.239e7, 7.349e6])
     for idx, name in ((1, "s3"), (2, "s2"), (3, "s1"), (4, "s0")):
         add(_row(f"charpoly_{name}", f"characteristic polynomial {name} "
@@ -394,15 +393,23 @@ def build_report():
     return rows
 
 
-def report_rows_for_csv(rows):
+def report_columns(rows):
+    """
+    Header and columns of the report CSV, one per ``ReportedClaim`` field
+    in order: the float fields as float arrays (a missing value as nan),
+    the rest as text.
+    """
     header = ["id", "description", "claimed", "unit", "computed",
               "abs_dev", "rel_dev", "status", "tolerance",
               "tolerance_kind", "note"]
-    data = [[r.id, r.description,
-             float("nan") if r.claimed_value is None else r.claimed_value,
-             r.unit, r.computed_value, r.abs_dev, r.rel_dev, r.status,
-             r.tolerance, r.tolerance_kind, r.note] for r in rows]
-    return header, data
+    columns = []
+    for field in fields(ReportedClaim):
+        values = [getattr(r, field.name) for r in rows]
+        if field.type is float:
+            values = np.array([math.nan if v is None else v for v in values],
+                              dtype=float)
+        columns.append(values)
+    return header, columns
 
 
 def format_report(rows):

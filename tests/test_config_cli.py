@@ -5,7 +5,7 @@ import pytest
 
 from sunpump.cli import main
 from sunpump.config import parse_config, parse_config_text
-from sunpump.csvio import emit_csv, format_value
+from sunpump.csvio import emit_csv
 from sunpump.scenario import ConfigError, SimTrace
 
 MINIMAL = """
@@ -91,25 +91,25 @@ class TestCsv:
     def test_nine_significant_digits_round_trip(self, tmp_path):
         values = [1.0 / 3.0, 123456789.123, 5e-17, 475.0, -0.0112]
         path = tmp_path / "vals.csv"
-        emit_csv(["x"], [[v] for v in values], path)
+        emit_csv(["x"], [values], path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x"
         for line, v in zip(lines[1:], values):
-            assert format_value(float(line)) == line
+            assert "%.9g" % float(line) == line
 
     def test_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv(["t", "y"], [], path)
+        emit_csv(["t", "y"], [[], []], path)
         assert path.read_text() == "t,y\n"
 
     def test_one_row(self, tmp_path):
         path = tmp_path / "one.csv"
-        emit_csv(["t", "y"], [[0.0, 1.5]], path)
+        emit_csv(["t", "y"], [[0.0], [1.5]], path)
         assert path.read_text() == "t,y\n0,1.5\n"
 
     def test_quoting(self, tmp_path):
         path = tmp_path / "q.csv"
-        emit_csv(["name"], [["a,b"], ['say "hi"']], path)
+        emit_csv(["name"], [["a,b", 'say "hi"']], path)
         assert path.read_text() == 'name\n"a,b"\n"say ""hi"""\n'
 
     def test_lf_endings(self, tmp_path):
@@ -119,18 +119,29 @@ class TestCsv:
         assert b"\r" not in raw
 
 
-def rowwise_trace_csv(trace):
-    """Reference: the trace written row by row, each float formatted on
-    its own."""
-    def fmt(v):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return "%.9g" % v
+def _quote(s):
+    if any(ch in s for ch in (",", '"', "\n", "\r")):
+        return '"' + s.replace('"', '""') + '"'
+    return s
 
-    cols = [trace.column(name) for name in trace.COLUMNS]
-    lines = [",".join(trace.COLUMNS)]
-    for k in range(len(trace)):
-        lines.append(",".join(fmt(float(c[k])) for c in cols))
+
+def rowwise_csv(header, rows):
+    """Reference: the CSV written row by row, each value formatted on its
+    own by its Python type: bool and int as integers, float at 9
+    significant digits, anything else as quoted text."""
+    def fmt(v):
+        if isinstance(v, bool):
+            return "1" if v else "0"
+        if isinstance(v, int):
+            return str(v)
+        if isinstance(v, float):
+            if math.isinf(v):
+                return "inf" if v > 0 else "-inf"
+            return "%.9g" % v
+        return _quote(str(v))
+
+    lines = [",".join(_quote(h) for h in header)]
+    lines += [",".join(fmt(v) for v in row) for row in rows]
     return ("\n".join(lines) + "\n").encode()
 
 
@@ -150,29 +161,45 @@ class TestColumnCsv:
             cols[name] = c
         trace = SimTrace(**cols)
         path = tmp_path / "trace.csv"
-        emit_csv(trace.COLUMNS, None, path,
-                 columns=[trace.column(name) for name in trace.COLUMNS])
-        assert path.read_bytes() == rowwise_trace_csv(trace)
+        cols = [trace.column(name) for name in trace.COLUMNS]
+        emit_csv(trace.COLUMNS, cols, path)
+        assert path.read_bytes() == rowwise_csv(
+            trace.COLUMNS, zip(*(c.tolist() for c in cols)))
 
     def test_empty_columns(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv(["t", "y"], None, path, columns=[np.empty(0), np.empty(0)])
+        emit_csv(["t", "y"], [np.empty(0), np.empty(0)], path)
         assert path.read_text() == "t,y\n"
 
     def test_unequal_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit_csv(["t", "y"], None, tmp_path / "x.csv",
-                     columns=[np.zeros(3), np.zeros(2)])
+            emit_csv(["t", "y"], [np.zeros(3), np.zeros(2)],
+                     tmp_path / "x.csv")
 
-    def test_rows_and_columns_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_csv(["t"], [[0.0]], tmp_path / "x.csv",
-                     columns=[np.zeros(1)])
+    def test_integer_columns_print_as_integers(self, tmp_path):
+        # "%.9g" would print 1e+09 and lose the last digits of 2**53 + 1
+        path = tmp_path / "n.csv"
+        emit_csv(["n", "flag"], [np.array([10**9, 2**53 + 1, -3]),
+                                 np.array([True, False, True])], path)
+        assert path.read_text() == ("n,flag\n1000000000,1\n"
+                                    "9007199254740993,0\n-3,1\n")
+
+    def test_text_column_quoted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        emit_csv(["name", "x"],
+                 [["a,b", 'say "hi"', "two\nlines", "plain"],
+                  np.array([1.0, 2.5, -0.0, math.nan])], path)
+        assert path.read_bytes() == (b'name,x\n"a,b",1\n"say ""hi""",2.5\n'
+                                     b'"two\nlines",-0\nplain,nan\n')
 
 
 class TestCliExitCodes:
     def test_usage_error(self, capsys):
         assert main(["tf", "wrong-mode"]) == 1
+
+    def test_negative_hour_angle_count(self, tmp_path, capsys):
+        assert main(["solar-angles", "--hour-angles=0:10:-2",
+                     "--out", str(tmp_path)]) == 1
 
     def test_unknown_preset(self, capsys):
         assert main(["tf", "analyze", "--preset", "nope"]) == 1
@@ -211,6 +238,14 @@ class TestCliExitCodes:
                        if text.startswith("[environment]") else text)
         code = main(["scenario", "run", "--config", str(cfg),
                      "--out", str(tmp_path)])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--dt", "0"], ["--dt", "nan"], ["--t-end", "1", "--dt", "0.3"],
+    ], ids=["zero-dt", "nan-dt", "fractional-step-count"])
+    def test_bad_override_is_a_config_error(self, tmp_path, capsys, flags):
+        code = main(["scenario", "run", *flags, "--out", str(tmp_path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
@@ -294,6 +329,13 @@ class TestCliCommands:
         lines = (tmp_path / "scenario_trace.csv").read_text().splitlines()
         assert len(lines) == 301
 
+    def test_scenario_run_overrides(self, tmp_path, capsys):
+        assert main(["scenario", "run", "--t-end", "60", "--dt", "0.5",
+                     "--out", str(tmp_path)]) == 0
+        assert "(120 steps)" in capsys.readouterr().out
+        lines = (tmp_path / "scenario_trace.csv").read_text().splitlines()
+        assert len(lines) == 121
+
 
 class TestDeterminism:
     def test_scenario_byte_identical(self, tmp_path, capsys):
@@ -366,11 +408,6 @@ class TestAnalysisConfig:
 class TestTfColumnCsv:
     """The tf CSVs, written column-wise, carry the row writer's bytes."""
 
-    def _rowwise(self, tmp_path, header, rows):
-        path = tmp_path / "rowwise.csv"
-        emit_csv(header, rows, path)
-        return path.read_bytes()
-
     @pytest.mark.parametrize("preset_name", ["metering_pump", "pump_loop",
                                              "cascade", "tank_2nd_order"])
     def test_step_and_bode(self, tmp_path, capsys, preset_name):
@@ -384,11 +421,11 @@ class TestTfColumnCsv:
                      "--out", str(out)]) == 0
         tf = preset(preset_name)
         trace = step_response(tf_feedback_gain(tf, 1.0), 30.0)
-        assert (out / "step.csv").read_bytes() == self._rowwise(
-            tmp_path, ["t", "y"], zip(trace.t.tolist(), trace.y.tolist()))
+        assert (out / "step.csv").read_bytes() == rowwise_csv(
+            ["t", "y"], zip(trace.t.tolist(), trace.y.tolist()))
         fr = frequency_response(tf)
-        assert (out / "bode.csv").read_bytes() == self._rowwise(
-            tmp_path, ["omega_rad_s", "magnitude_db", "phase_deg"],
+        assert (out / "bode.csv").read_bytes() == rowwise_csv(
+            ["omega_rad_s", "magnitude_db", "phase_deg"],
             zip(fr.omegas.tolist(), fr.magnitude_db.tolist(),
                 fr.phase_deg.tolist()))
 
@@ -405,8 +442,103 @@ class TestTfColumnCsv:
         locus = root_locus(tf, gains)
         rows = [[k, p.real, p.imag] for k, ps in zip(gains, locus)
                 for p in ps]
-        assert (out / "rlocus.csv").read_bytes() == self._rowwise(
-            tmp_path, ["gain", "re", "im"], rows)
+        assert (out / "rlocus.csv").read_bytes() == rowwise_csv(
+            ["gain", "re", "im"], rows)
         ks, errs, _ = ss_error_vs_gain(tf, np.geomspace(0.1, 1000.0, 40))
-        assert (out / "ss_error.csv").read_bytes() == self._rowwise(
-            tmp_path, ["gain", "e_step"], zip(ks.tolist(), errs.tolist()))
+        assert (out / "ss_error.csv").read_bytes() == rowwise_csv(
+            ["gain", "e_step"], zip(ks.tolist(), errs.tolist()))
+
+
+class TestCliCsvBytes:
+    """The other CLI CSVs carry the row writer's bytes for the rows the
+    commands used to build value by value."""
+
+    def test_pv_curve(self, tmp_path, capsys):
+        from sunpump import pv
+        assert main(["pv-curve", "--points", "60", "--g-t", "700",
+                     "--out", str(tmp_path)]) == 0
+        ap = pv.default_array(700.0, t_c=298.0)
+        curve = pv.iv_curve(ap, np.linspace(0.0, pv.open_circuit_voltage(ap),
+                                             60))
+        rows = zip(curve.voltages.tolist(), curve.currents.tolist(),
+                   curve.powers.tolist())
+        assert (tmp_path / "pv_curve.csv").read_bytes() == rowwise_csv(
+            ["v", "i", "p"], rows)
+
+    @pytest.mark.parametrize("hour_angles", ["-60:60:25", "-170:170:18"])
+    def test_solar_angles(self, tmp_path, capsys, hour_angles):
+        from sunpump.solar import (SunPosition, UndefinedDirectionError,
+                                   angle_of_incidence, declination,
+                                   incidence_direction, optimal_orientation,
+                                   zenith_and_elevation)
+        assert main(["solar-angles", "--day", "300", "--lat", "30",
+                     f"--hour-angles={hour_angles}", "--azimuth", "100:260",
+                     "--alpha-target", "5", "--out", str(tmp_path)]) == 0
+        st0, st1, n = (float(x) for x in hour_angles.split(":"))
+        n = int(n)
+        delta = declination(300)
+        rows = []
+        for k in range(n):
+            st = st0 + (st1 - st0) * k / max(n - 1, 1)
+            theta_z, theta_e = zenith_and_elevation(30.0, delta, st)
+            theta_sa = 100.0 + (260.0 - 100.0) * k / max(n - 1, 1)
+            row = [300, st, delta, theta_e, theta_z, theta_sa]
+            if theta_e > 0:
+                sun = SunPosition(theta_e, theta_sa)
+                to = optimal_orientation(sun, 5.0, 0.0).orientation
+                try:
+                    beta = incidence_direction(sun, to)
+                except UndefinedDirectionError:
+                    beta = 0.0
+                row += [to.theta_TE, to.theta_TA,
+                        angle_of_incidence(sun, to), beta]
+            else:
+                row += [0.0, theta_sa, 90.0, 0.0]
+            rows.append(row)
+        assert any(r[3] <= 0 for r in rows) == hour_angles.startswith("-170")
+        assert (tmp_path / "solar_angles.csv").read_bytes() == rowwise_csv(
+            ["n", "ST", "delta", "theta_e", "theta_z", "theta_SA",
+             "theta_TE", "theta_TA", "alpha", "beta"], rows)
+
+    def test_track_sim(self, tmp_path, capsys):
+        from sunpump.solar import TrackerOrientation
+        from sunpump.tracking import TrackingThresholds, tracking_sim
+        assert main(["track-sim", "--steps", "300", "--start", "45:160",
+                     "--out", str(tmp_path)]) == 0
+        k = np.arange(300)
+        run = tracking_sim(30.0 + 30.0 * k / 299, 90.0 + 180.0 * k / 299,
+                           TrackingThresholds(), start=TrackerOrientation(
+                               45.0, 160.0))
+        rows = zip(range(300), run.theta_TE.tolist(), run.theta_TA.tolist(),
+                   run.alpha.tolist(), *run.readings.T.tolist(),
+                   run.azimuth_move.tolist(), run.elevation_move.tolist())
+        assert (tmp_path / "track_sim.csv").read_bytes() == rowwise_csv(
+            ["step", "theta_TE", "theta_TA", "alpha", "tl", "tr", "bl", "br",
+             "az_cmd", "el_cmd"], rows)
+
+    @pytest.mark.parametrize("algo, g_t", [("po", 1000.0), ("ic", 400.0)])
+    def test_mppt_run(self, tmp_path, capsys, algo, g_t):
+        from sunpump import mppt, pv
+        assert main(["mppt-run", "--algo", algo, "--g-t", str(g_t),
+                     "--out", str(tmp_path)]) == 0
+        ap = pv.default_array(g_t)
+        st0 = mppt.initial_state(0.5 * pv.open_circuit_voltage(ap), 0.5)
+        run = mppt.mppt_run(ap, algo, st0, 120)
+        rows = zip(range(1, 121), run.v_ref.tolist(), run.i.tolist(),
+                   run.p.tolist())
+        assert (tmp_path / f"mppt_{algo}.csv").read_bytes() == rowwise_csv(
+            ["iter", "v_ref", "i", "p"], rows)
+
+    def test_validate(self, tmp_path, capsys):
+        from sunpump.validation import build_report
+        assert main(["validate", "--out", str(tmp_path)]) == 0
+        rows = [[r.id, r.description,
+                 math.nan if r.claimed_value is None else r.claimed_value,
+                 r.unit, r.computed_value, r.abs_dev, r.rel_dev, r.status,
+                 r.tolerance, r.tolerance_kind, r.note]
+                for r in build_report()]
+        assert any(r[2] != r[2] for r in rows)   # a missing claim: nan
+        assert (tmp_path / "validation_report.csv").read_bytes() == (
+            rowwise_csv(["id", "description", "claimed", "unit", "computed",
+                         "abs_dev", "rel_dev", "status", "tolerance",
+                         "tolerance_kind", "note"], rows))

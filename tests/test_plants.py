@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sunpump.lti import (TransferFunction, poly_roots,
+from sunpump.lti import (DegenerateSystemError, TransferFunction, poly_roots,
                          routh_table, stability_verdict_from_roots,
                          tf_feedback_gain)
 from sunpump.plants import (MOTOR_PAPER, CascadeSystem, MotorParams,
@@ -80,6 +80,12 @@ class TestCharPoly:
         assert char.coeffs[1] == pytest.approx(625.83, abs=0.1)
         assert char.coeffs[3] == pytest.approx(123894, rel=1e-3)
         assert stability_verdict_from_roots(char) == "stable"
+
+    def test_cancellation_is_degenerate(self):
+        g = TransferFunction([1.0], [1.0, 1.0])
+        c = TransferFunction([-1.0, -1.0], [1.0])   # G C = -1
+        with pytest.raises(DegenerateSystemError):
+            closed_loop_char_poly(c, g)
 
     def test_zero_controller_gives_plant_poles(self):
         g = TransferFunction([2.0], [1.0, 3.0])

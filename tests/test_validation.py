@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from sunpump.validation import (build_report, format_report,
-                                report_rows_for_csv)
+                                report_columns)
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,10 @@ class TestReportFormats:
 
     def test_csv_rows_align(self, report):
         _, rows = report
-        header, data = report_rows_for_csv(rows)
-        assert len(data) == len(rows)
-        assert all(len(row) == len(header) for row in data)
+        header, columns = report_columns(rows)
+        assert len(columns) == len(header)
+        assert all(len(c) == len(rows) for c in columns)
+        claimed = columns[header.index("claimed")]
+        assert claimed.dtype == float
+        assert [r.claimed_value is None for r in rows] == (
+            np.isnan(claimed).tolist())
