@@ -11,8 +11,7 @@ from .solar import (SunPosition, TrackerOrientation, declination,
                     zenith_and_elevation, sun_vector, tracker_basis,
                     angle_of_incidence, incidence_direction,
                     quartic_even_roots, optimal_orientation)
-from .mppt import (MpptState, ConverterSetting, boost_ratio, po_step,
-                   ic_step, mppt_run)
+from .mppt import MpptState, po_step, ic_step, mppt_run
 from .tracking import (LdrReadings, TrackingThresholds, TrackerCommand,
                        ldr_model, tracking_step, tracking_sim)
 from .plants import (MotorParams, PidParams, TankParams, ValveParams,

@@ -276,6 +276,9 @@ def _cmd_scenario(args):
     if args.action != "run":
         raise UsageError("scenario supports: run")
     cfg = parse_config(args.config) if args.config else ScenarioConfig()
+    if not isinstance(cfg, ScenarioConfig):
+        raise ConfigError(
+            f"{args.config} holds an [analysis] request, not a scenario")
     overrides = {"dt_s": args.dt, "duration_s": args.t_end}
     cfg = replace(cfg, **{name: v for name, v in overrides.items()
                           if v is not None})

@@ -1,10 +1,20 @@
 """
-Maximum-power-point tracking update laws and the boost-converter ratio.
+Maximum-power-point tracking update laws and the converter duty.
 
 Both hill-climbing laws are pure step functions (state in, state out):
 Perturb-and-Observe moves the voltage reference by one fixed step in the
 direction that last increased power, Incremental-Conductance compares
-dI/dV against -I/V and holds exactly at the equality.
+dI/dV against -I/V and holds exactly at the equality.  The move
+decisions are plain-float helpers shared by the step functions and by
+the lattice walk of :func:`mppt_run`.
+
+A run against per-step irradiance only ever moves ``V_ref`` by
+``+-dV_step`` or holds it, so it revisits few voltages.  ``mppt_run``
+keeps a table per exact ``V_ref``: a voltage's first visit is one
+scalar solve, and each later visit that runs past its table solves the
+next block of steps at that voltage at once with
+``pv.array_current_lanes`` (8 steps, doubling up to 4096).  Every
+current is the scalar solve's, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -13,31 +23,19 @@ import numpy as np
 
 from . import pv
 
-
-class InvalidDutyError(ValueError):
-    """Boost converter duty cycle outside [0, 1)."""
-
-
-@dataclass(frozen=True)
-class ConverterSetting:
-    duty_D: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.duty_D < 1.0:
-            raise InvalidDutyError("duty cycle must lie in [0, 1)")
-
-
-def boost_ratio(cs):
-    """Ideal boost conversion ratio ``Vout/Vin = 1 / (1 - D)``."""
-    return 1.0 / (1.0 - cs.duty_D)
+# steps a voltage's table covers on its second visit; each later
+# re-tabulation doubles it, up to the maximum
+_TABLE_MIN = 8
+_TABLE_MAX = 4096
 
 
 def duty_for_ratio(v_in, v_out, d_max=0.95):
-    """Boost-law duty ``1 - v_out/v_in``, clamped to [0, d_max]; 0 when
-    v_in <= 0."""
-    if v_in <= 0:
-        return 0.0
-    return min(max(1.0 - v_out / v_in, 0.0), d_max)
+    """Boost-law duty ``1 - v_out/v_in``, clamped to [0, d_max]; 0 where
+    v_in <= 0.  ``v_in`` is a float or an array."""
+    v = np.asarray(v_in, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(v <= 0.0, 0.0, np.clip(1.0 - v_out / v, 0.0, d_max))
+    return d if d.ndim else float(d)
 
 
 @dataclass(frozen=True)
@@ -64,26 +62,45 @@ def initial_state(v_ref, dv_step=0.5):
                      V_ref=v_ref, dV_step=dv_step)
 
 
-def po_step(st, v_now, i_now, printed_variant=False):
+def _po_move(dv_step, v_prev, p_prev, v_now, p_now):
+    """P&O reference move: up when the power and voltage changes share a
+    sign, down when they differ, none when the power did not change."""
+    dp = p_now - p_prev
+    if dp == 0.0:
+        return 0.0
+    return dv_step if dp * (v_now - v_prev) > 0.0 else -dv_step
+
+
+def _ic_move(dv_step, v_prev, i_prev, v_now, i_now, rel_tol=1e-6):
+    """IC reference move and flag (see :func:`ic_step`)."""
+    dv = v_now - v_prev
+    di = i_now - i_prev
+    if dv == 0.0:
+        if di > 0.0:
+            return dv_step, ""
+        if di < 0.0:
+            return -dv_step, ""
+        return 0.0, ""
+    if v_now == 0.0:
+        return 0.0, "conductance-undefined"
+    inc = di / dv
+    ref = -i_now / v_now
+    scale = max(abs(inc), abs(ref), 1e-12)
+    if abs(inc - ref) <= rel_tol * scale:
+        return 0.0, ""
+    return (dv_step if inc > ref else -dv_step), ""
+
+
+def po_step(st, v_now, i_now):
     """
     One Perturb-and-Observe update.
 
     The standard law: move the reference up when the last power change
     and voltage change share a sign, down when they differ, hold when
-    power did not change.  ``printed_variant=True`` flips the move
-    directions (a non-converging variant kept for comparison only).
+    power did not change.
     """
     p_now = v_now * i_now
-    dp = p_now - st.P_prev
-    dv = v_now - st.V_prev
-    if dp == 0.0:
-        move = 0.0
-    elif dp * dv > 0.0:
-        move = st.dV_step
-    else:
-        move = -st.dV_step
-    if printed_variant:
-        move = -move
+    move = _po_move(st.dV_step, st.V_prev, st.P_prev, v_now, p_now)
     return MpptState(v_now, i_now, p_now, st.V_ref + move, st.dV_step,
                      st.iteration + 1, "")
 
@@ -96,27 +113,8 @@ def ic_step(st, v_now, i_now, rel_tol=1e-6):
     move; otherwise dI/dV is compared against -I/V and the reference
     holds at equality (tested with relative tolerance ``rel_tol``).
     """
-    dv = v_now - st.V_prev
-    di = i_now - st.I_prev
-    move = 0.0
-    flag = ""
-    if dv == 0.0:
-        if di > 0.0:
-            move = st.dV_step
-        elif di < 0.0:
-            move = -st.dV_step
-    elif v_now == 0.0:
-        flag = "conductance-undefined"
-    else:
-        inc = di / dv
-        ref = -i_now / v_now
-        scale = max(abs(inc), abs(ref), 1e-12)
-        if abs(inc - ref) <= rel_tol * scale:
-            move = 0.0
-        elif inc > ref:
-            move = st.dV_step
-        else:
-            move = -st.dV_step
+    move, flag = _ic_move(st.dV_step, st.V_prev, st.I_prev, v_now, i_now,
+                          rel_tol)
     return MpptState(v_now, i_now, v_now * i_now, st.V_ref + move,
                      st.dV_step, st.iteration + 1, flag)
 
@@ -150,8 +148,9 @@ def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
     steps : int, >= 1
     irradiance : sequence of ``steps`` floats, optional
         Per-step irradiance in W/m2: step k measures on
-        ``ap.at_irradiance(irradiance[k])``.  Without it every step
-        measures on ``ap`` as given.
+        ``ap.at_irradiance(irradiance[k])``, solved on the voltage
+        lattice the walk visits (module docstring).  Without it every
+        step measures on ``ap`` as given.
     measure : callable, optional
         Replacement for the array model: ``measure(v) -> i``.  Used by
         tests to climb synthetic power curves.
@@ -163,23 +162,72 @@ def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
     if steps < 1:
         raise ValueError("need at least one step")
     step_fn = {"po": po_step, "ic": ic_step}[algo]
-    if irradiance is not None:
-        irradiance = np.broadcast_to(irradiance, (steps,)).tolist()
+    if irradiance is not None and measure is None:
+        g = np.broadcast_to(np.asarray(irradiance, dtype=float), (steps,))
+        return _lattice_run(ap, algo == "ic", st0, g)
     v_ref = np.empty(steps)
     cur = np.empty(steps)
     st = st0
     for k in range(steps):
         v = st.V_ref
         try:
-            if measure is not None:
-                i = measure(v)
-            elif irradiance is None:
-                i = pv.array_current(ap, v)
-            else:
-                i = pv.array_current(ap.at_irradiance(irradiance[k]), v)
+            i = measure(v) if measure is not None else pv.array_current(ap, v)
         except pv.PvSolverError:
             i = 0.0
         st = step_fn(st, v, i)
         v_ref[k] = v
         cur[k] = i
     return MpptRun(v_ref, cur, st)
+
+
+def _measure_at(ap, g, v):
+    """The scalar current at irradiance g, with a failed solve as 0 A."""
+    try:
+        return pv.array_current(ap.at_irradiance(g), v)
+    except pv.PvSolverError:
+        return 0.0
+
+
+def _tabulate(ap, v, g):
+    """Currents at voltage v over the irradiances g, as a list; lanes the
+    lane solve leaves open take the scalar path."""
+    cur, left_open = pv.array_current_lanes(ap, v, g)
+    for j in left_open.tolist():
+        cur[j] = _measure_at(ap, g.item(j), v)
+    return cur.tolist()
+
+
+def _lattice_run(ap, ic, st0, g):
+    """``mppt_run`` against per-step irradiance ``g``, walking the update
+    law in plain floats over per-voltage current tables."""
+    steps = len(g)
+    v_ref = np.empty(steps)
+    cur = np.empty(steps)
+    dv_step = st0.dV_step
+    v_prev, i_prev, p_prev = st0.V_prev, st0.I_prev, st0.P_prev
+    v, flag = st0.V_ref, ""
+    # V_ref -> [first step of its table, currents from there, next length]
+    tables = {}
+    for k in range(steps):
+        t = tables.get(v)
+        if t is None:
+            i = _measure_at(ap, g.item(k), v)
+            tables[v] = [k, (), _TABLE_MIN]
+        elif k - t[0] < len(t[1]):
+            i = t[1][k - t[0]]
+        else:
+            m = t[2]
+            t[:] = [k, _tabulate(ap, v, g[k:k + m]), min(2 * m, _TABLE_MAX)]
+            i = t[1][0]
+        p_now = v * i
+        if ic:
+            move, flag = _ic_move(dv_step, v_prev, i_prev, v, i)
+        else:
+            move = _po_move(dv_step, v_prev, p_prev, v, p_now)
+        v_ref[k] = v
+        cur[k] = i
+        v_prev, i_prev, p_prev = v, i, p_now
+        v = v + move
+    final = MpptState(v_prev, i_prev, p_prev, v, dv_step,
+                      st0.iteration + steps, flag)
+    return MpptRun(v_ref, cur, final)

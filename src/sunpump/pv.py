@@ -12,6 +12,11 @@ Newton's method, started right of the root (the mismatch is increasing
 and convex in I, so the iterates descend onto it) and accepted at a
 1e-12 A residual; when it does not get there, a bracketed ``brentq``
 solve takes over.  Either way the 1e-9 A residual contract holds.
+
+``array_current_lanes`` runs the same Newton on one voltage over a
+vector of irradiances, lane by lane, with the scalar operations in the
+same order and ``math.exp`` on each lane, so every settled lane is
+bit-identical to ``array_current(ap.at_irradiance(g), v)``.
 """
 
 from dataclasses import dataclass
@@ -92,12 +97,18 @@ class PvArrayParams:
         if self.irradiance_G_T < 0:
             raise ValueError("irradiance must be >= 0")
 
-    def at_irradiance(self, g_t):
-        """Same array with photocurrent scaled linearly to irradiance."""
+    def photocurrent(self, g_t):
+        """Cell photocurrent scaled linearly to irradiance ``g_t`` (a float
+        or an array)."""
         c = self.cell
         scale_old = self.irradiance_G_T / 1000.0
         i_ph_stc = c.I_ph / scale_old if scale_old > 0 else c.I_ph
-        cell = PvCellParams(i_ph_stc * g_t / 1000.0, c.I_o1, c.I_o2, c.R_s,
+        return i_ph_stc * g_t / 1000.0
+
+    def at_irradiance(self, g_t):
+        """Same array with photocurrent scaled linearly to irradiance."""
+        c = self.cell
+        cell = PvCellParams(self.photocurrent(g_t), c.I_o1, c.I_o2, c.R_s,
                             c.R_p, c.a1, c.a2, c.T_c)
         return PvArrayParams(cell, self.N_s, self.N_p, self.area_A, g_t)
 
@@ -123,14 +134,28 @@ def _saturation_at_temperature(i_o_ref, t_c):
     return i_o_ref * (t_c / T_REFERENCE_K) ** 3 * math.exp(min(expo, 700.0))
 
 
-def _array_mismatch(p, n_s, n_p, v):
+def _exp_lanes(x):
+    """``math.exp`` of each element (``np.exp`` differs from it in the
+    last bit on some arguments)."""
+    return np.fromiter(map(math.exp, x.tolist()), float, len(x))
+
+
+def _array_mismatch(p, n_s, n_p, v, i_ph=None):
     """
     The mismatch f(I) = I - RHS(I) at array voltage ``v`` and its slope,
     as one function ``I -> (f, df/dI)`` with the thermal voltages and
     saturation currents computed once.  f is strictly increasing and
     convex in I and zero at the solution.  The exponents are capped at
     700 so that f stays finite on any bracket.
+
+    ``i_ph``, an array of cell photocurrents in place of ``p.I_ph``,
+    makes the function act on arrays of currents, one lane per
+    photocurrent, with the same operations in the same order.
     """
+    if i_ph is None:
+        i_ph, exp, cap = p.I_ph, math.exp, min
+    else:
+        exp, cap = _exp_lanes, np.minimum
     vt1 = thermal_voltage(p.a1, p.T_c)
     vt2 = thermal_voltage(p.a2, p.T_c)
     io1 = _saturation_at_temperature(p.I_o1, p.T_c)
@@ -138,14 +163,13 @@ def _array_mismatch(p, n_s, n_p, v):
     v_cell = v / n_s
     r_s = p.R_s
     du_di = r_s / n_p
-    i_ph = n_p * p.I_ph
+    i_ph = n_p * i_ph
     k1, k2, g_p = n_p * io1, n_p * io2, n_p / p.R_p
-    exp = math.exp
 
     def f_df(i):
         u = v_cell + i * r_s / n_p
-        e1 = exp(min(u / vt1, 700.0))
-        e2 = exp(min(u / vt2, 700.0))
+        e1 = exp(cap(u / vt1, 700.0))
+        e2 = exp(cap(u / vt2, 700.0))
         f = i - (i_ph - k1 * (e1 - 1.0) - k2 * (e2 - 1.0) - g_p * u)
         return f, 1.0 + du_di * (k1 * e1 / vt1 + k2 * e2 / vt2 + g_p)
     return f_df
@@ -203,6 +227,41 @@ def current_residual(ap, v_a, i_a):
 def array_current(ap, v_a):
     """Array output current; reduces to :func:`cell_current` at 1x1."""
     return _solve_current(ap.cell, ap.N_s, ap.N_p, v_a)
+
+
+def array_current_lanes(ap, v_a, g_t):
+    """
+    Array currents at one voltage over an array of irradiances: lane j
+    is ``array_current(ap.at_irradiance(g_t[j]), v_a)``, bit for bit,
+    for every lane the Newton iteration settles.
+
+    Returns
+    -------
+    (currents, open): ``open`` holds the indices of the lanes left to
+    the scalar path, whose currents are NaN here: lanes still unsettled
+    after the Newton iterations, and lanes whose photocurrent is
+    negative (``at_irradiance`` rejects it) or NaN.
+    """
+    p, n_s, n_p = ap.cell, ap.N_s, ap.N_p
+    i_ph = ap.photocurrent(np.asarray(g_t, dtype=float))
+    out = np.full(i_ph.shape, np.nan)
+    ok = i_ph >= 0.0
+    lanes = np.flatnonzero(ok)
+    with np.errstate(all="ignore"):
+        if p.R_s == 0.0:
+            f_df = _array_mismatch(p, n_s, n_p, v_a, i_ph[lanes])
+            out[lanes] = -f_df(np.zeros(lanes.size))[0]
+            return out, np.flatnonzero(~ok)
+        i = n_p * i_ph[lanes] + 1.0
+        for _ in range(_NEWTON_MAX_ITER):
+            if lanes.size == 0:
+                break
+            f, df = _array_mismatch(p, n_s, n_p, v_a, i_ph[lanes])(i)
+            i = i - f / df
+            done = np.abs(f) <= _NEWTON_TOL_A
+            out[lanes[done]] = i[done]
+            lanes, i = lanes[~done], i[~done]
+    return out, np.sort(np.concatenate([np.flatnonzero(~ok), lanes]))
 
 
 def open_circuit_voltage(ap):

@@ -5,9 +5,10 @@ The system is a cascade with no feedback between its stages, so a run
 is four feed-forward passes over the steps ``t = k * dt``: the
 irradiance and sun profiles, interpolated at once; the LDR tracker
 (``tracking_sim``) along the sun path; the MPPT law (``mppt_run``) on
-the lit steps at the effective irradiance; and one forward-Euler loop in
-which harvested energy integrates into a battery state of charge and two
-hysteresis-latched pumps move water from the storage tank to the
+the lit steps at the effective irradiance, with the converter duty of
+every lit step from one ``duty_for_ratio`` call; and one forward-Euler
+loop in which harvested energy integrates into a battery state of charge
+and two hysteresis-latched pumps move water from the storage tank to the
 reservoir tank and from the reservoir to the soil.
 
 Water bookkeeping is exact: every liter leaving a tank lands in the
@@ -292,8 +293,7 @@ def run_scenario(cfg):
                                 irradiance=eff_irr[lit])
         p = harvest.p
         pv_power[lit] = np.where(p > 0.0, p, 0.0)
-        duty[lit] = [mppt.duty_for_ratio(v, BATTERY_BUS_V)
-                     for v in harvest.v_ref.tolist()]
+        duty[lit] = mppt.duty_for_ratio(harvest.v_ref, BATTERY_BUS_V)
 
     # 4. hydraulics and battery
     state = SystemState(

@@ -404,6 +404,14 @@ class TestAnalysisConfig:
         path.write_text(MINIMAL)
         assert main(["tf", "analyze", "--config", str(path)]) == 2
 
+    def test_analysis_config_into_scenario_rejected(self, tmp_path, capsys):
+        path = tmp_path / "a.cfg"
+        path.write_text(ANALYSIS)
+        assert main(["scenario", "run", "--config", str(path),
+                     "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "scenario_trace.csv").exists()
+
 
 class TestTfColumnCsv:
     """The tf CSVs, written column-wise, carry the row writer's bytes."""

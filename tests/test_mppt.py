@@ -1,10 +1,16 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from sunpump.mppt import (ConverterSetting, InvalidDutyError, MpptState,
-                          boost_ratio, duty_for_ratio, ic_step,
+from sunpump import pv
+from sunpump.mppt import (MpptRun, MpptState, duty_for_ratio, ic_step,
                           initial_state, mppt_run, po_step)
 from sunpump.pv import (PvSolverError, array_current, default_array,
                         find_mpp)
+from sunpump.scenario import ScenarioConfig, _profile_columns
+from sunpump.solar import TrackerOrientation
+from sunpump.tracking import TrackingThresholds, tracking_sim
 
 
 def synthetic_measure(v):
@@ -14,24 +20,32 @@ def synthetic_measure(v):
     return (100.0 - (v - 17.0) ** 2) / v
 
 
+def scalar_duty(v_in, v_out, d_max=0.95):
+    """Reference: the per-voltage boost-law rule."""
+    if v_in <= 0:
+        return 0.0
+    return min(max(1.0 - v_out / v_in, 0.0), d_max)
+
+
 class TestBoost:
-    def test_passthrough(self):
-        assert boost_ratio(ConverterSetting(0.0)) == 1.0
-
-    def test_half_duty(self):
-        assert boost_ratio(ConverterSetting(0.5)) == pytest.approx(2.0)
-
-    def test_ninety_percent(self):
-        assert boost_ratio(ConverterSetting(0.9)) == pytest.approx(10.0)
-
-    def test_invalid_duty(self):
-        with pytest.raises(InvalidDutyError):
-            ConverterSetting(1.0)
-
     def test_duty_mapping_clamped(self):
         assert duty_for_ratio(10.0, 12.0) == 0.0        # step-down request
         assert duty_for_ratio(10.0, 5.0) == pytest.approx(0.5)
         assert duty_for_ratio(1000.0, 1.0) == 0.95      # clamp
+
+    def test_array_matches_scalar_rule(self):
+        rng = np.random.default_rng(5)
+        v = np.concatenate([rng.uniform(-50.0, 50.0, 5000), [0.0, -0.0,
+                            12.0, 11.999, 240.0, 1e-300, np.inf, np.nan]])
+        with np.errstate(all="raise"):
+            d = duty_for_ratio(v, 12.0)
+        want = np.array([scalar_duty(x, 12.0) for x in v.tolist()])
+        assert d.dtype == np.float64
+        assert np.array_equal(d.view(np.int64), want.view(np.int64))
+        assert (v <= 0).sum() > 2000 and np.all(d[v <= 0] == 0.0)
+        for x in v[:50].tolist():
+            got = duty_for_ratio(x, 12.0)
+            assert type(got) is float and got == scalar_duty(x, 12.0)
 
 
 class TestPoStep:
@@ -49,12 +63,6 @@ class TestPoStep:
         st = MpptState(V_prev=10.0, I_prev=1.0, P_prev=10.0, V_ref=10.0)
         new = po_step(st, 10.0, 1.0)   # dP = 0, dV = 0
         assert new.V_ref == st.V_ref
-
-    def test_printed_variant_reverses(self):
-        st = MpptState(V_prev=10.0, I_prev=1.0, P_prev=10.0, V_ref=11.0)
-        std = po_step(st, 11.0, 1.2)
-        printed = po_step(st, 11.0, 1.2, printed_variant=True)
-        assert std.V_ref - st.V_ref == -(printed.V_ref - st.V_ref)
 
     def test_history_stores_current(self):
         st = MpptState(V_prev=1.0, I_prev=1.0, P_prev=1.0, V_ref=5.0)
@@ -165,3 +173,171 @@ class TestClosedLoop:
         with pytest.raises(ValueError):
             mppt_run(None, "po", initial_state(10.0), 0,
                      measure=synthetic_measure)
+
+
+def scalar_mppt_run(ap, algo, st0, irradiance):
+    """Reference: the step-by-step loop, one ``at_irradiance`` and one
+    scalar current solve per step."""
+    step_fn = {"po": po_step, "ic": ic_step}[algo]
+    irradiance = np.asarray(irradiance, dtype=float).tolist()
+    v_ref, cur, st = [], [], st0
+    for g in irradiance:
+        v = st.V_ref
+        try:
+            i = array_current(ap.at_irradiance(g), v)
+        except PvSolverError:
+            i = 0.0
+        st = step_fn(st, v, i)
+        v_ref.append(v)
+        cur.append(i)
+    return MpptRun(np.array(v_ref), np.array(cur), st)
+
+
+def assert_same_mppt_run(got, want):
+    for name in ("v_ref", "i"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape
+        bad = np.flatnonzero(a.view(np.int64) != b.view(np.int64))
+        assert bad.size == 0, f"{name} differs at steps {bad[:5]}"
+    for f in dataclasses.fields(MpptState):
+        a, b = getattr(got.final, f.name), getattr(want.final, f.name)
+        assert type(a) is type(b), f.name
+        if isinstance(a, float):
+            assert np.float64(a).view(np.int64) == \
+                np.float64(b).view(np.int64), f.name
+        else:
+            assert a == b, f.name
+
+
+def compare(ap, algo, st0, g):
+    got = mppt_run(ap, algo, st0, len(g), irradiance=g)
+    assert_same_mppt_run(got, scalar_mppt_run(ap, algo, st0, g))
+    return got
+
+
+@pytest.fixture
+def lane_counts(monkeypatch):
+    """Counts of the lanes tabulated and of the scalar solves made."""
+    counts = {"lanes": 0, "scalar": 0}
+    lanes, scalar = pv.array_current_lanes, pv.array_current
+
+    def counted_lanes(ap, v, g):
+        counts["lanes"] += len(g)
+        return lanes(ap, v, g)
+
+    def counted_scalar(ap, v):
+        counts["scalar"] += 1
+        return scalar(ap, v)
+    monkeypatch.setattr(pv, "array_current_lanes", counted_lanes)
+    monkeypatch.setattr(pv, "array_current", counted_scalar)
+    return counts
+
+
+def cloudy_irradiance(seed, n):
+    """Seeded irradiance with two-state cloud cover and dark (0) steps."""
+    rng = np.random.default_rng(seed)
+    clear = 1000.0 * np.sin(np.linspace(0.05, np.pi - 0.05, n))
+    cover = np.where(np.cumsum(rng.random(n) < 0.02) % 2 == 1,
+                     rng.uniform(0.1, 0.6), 1.0)
+    g = clear * cover
+    g[rng.random(n) < 0.01] = 0.0
+    return g
+
+
+class TestLatticeRunMatchesScalarLoop:
+    """``mppt_run(..., irradiance=...)`` tabulates the currents of each
+    revisited voltage with the lane solve; the run must equal the
+    step-by-step loop bit for bit, its final state included."""
+
+    def test_default_daylight(self, lane_counts):
+        cfg = ScenarioConfig.default_daylight()
+        t = np.arange(int(round(cfg.duration_s / cfg.dt_s))) * cfg.dt_s
+        (irr,) = _profile_columns(cfg.irradiance_profile, t)
+        elev, azi = _profile_columns(cfg.sun_path, t)
+        track = tracking_sim(elev, azi, TrackingThresholds(),
+                             irradiance=irr, start=TrackerOrientation(
+                                 float(elev[0]), float(azi[0])))
+        eff = irr * np.maximum(0.0, np.cos(np.radians(track.alpha)))
+        g = eff[eff > 0.0]
+        ap = default_array(1000.0)
+        st0 = initial_state(0.8 * pv.open_circuit_voltage(ap), 0.5)
+        got = mppt_run(ap, "po", st0, len(g), irradiance=g)
+        assert lane_counts["scalar"] < 100     # revisits run as lanes
+        assert_same_mppt_run(got, scalar_mppt_run(ap, "po", st0, g))
+
+    @pytest.mark.parametrize("algo", ["po", "ic"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cloudy_irradiance(self, algo, seed, lane_counts):
+        ap = default_array(1000.0)
+        st0 = initial_state(0.8 * pv.open_circuit_voltage(ap), 0.5)
+        g = cloudy_irradiance(seed, 3000)
+        compare(ap, algo, st0, g)
+        assert lane_counts["lanes"] > 0
+
+    def test_zero_irradiance_lanes(self):
+        ap = default_array(1000.0)
+        g = np.zeros(500)
+        g[::7] = 300.0
+        for algo in ("po", "ic"):
+            compare(ap, algo, initial_state(15.0, 0.5), g)
+
+    def test_monotone_ic_walk_solves_each_voltage_once(self, lane_counts):
+        # a dim dawn: IC steps V_ref down on every step, below 0 V, and
+        # never visits a voltage twice, so nothing is tabulated
+        ap = default_array(1000.0)
+        st0 = initial_state(0.8 * pv.open_circuit_voltage(ap), 0.5)
+        g = 1e-6 * (1.0 + np.arange(400))
+        solves_before = lane_counts["scalar"]
+        run = compare(ap, "ic", st0, g)
+        assert np.all(np.diff(run.v_ref) < 0.0)
+        assert run.final.V_ref < -150.0
+        assert lane_counts["lanes"] == 0
+        assert lane_counts["scalar"] - solves_before == 400
+
+    def test_open_lanes_take_the_scalar_path(self, lane_counts):
+        # R_s = 5 ohm at 0 V: the Newton does not settle within its
+        # iterations, so every lane falls back to the scalar solve
+        base = default_array(1000.0)
+        ap = dataclasses.replace(base, cell=dataclasses.replace(base.cell,
+                                                               R_s=5.0))
+        _, left_open = pv.array_current_lanes(ap, 0.0, np.full(4, 800.0))
+        assert left_open.tolist() == [0, 1, 2, 3]
+        g = 800.0 + 10.0 * np.sin(np.arange(300))
+        for algo in ("po", "ic"):
+            compare(ap, algo, initial_state(0.0, 0.5), g)
+
+    def test_solver_error_lanes_record_zero(self, lane_counts):
+        # far above V_oc the current has no bracket: PvSolverError, I = 0
+        ap = default_array(1000.0)
+        with pytest.raises(PvSolverError):
+            array_current(ap, 1000.0)
+        g = np.full(200, 900.0)
+        run = compare(ap, "po", initial_state(1000.0, 0.5), g)
+        assert np.all(run.i == 0.0)
+        assert lane_counts["lanes"] > 0
+
+    def test_zero_series_resistance(self, lane_counts):
+        base = default_array(1000.0)
+        ap = dataclasses.replace(base, cell=dataclasses.replace(base.cell,
+                                                               R_s=0.0))
+        for algo in ("po", "ic"):
+            compare(ap, algo, initial_state(15.0, 0.5),
+                    cloudy_irradiance(9, 1500))
+        assert lane_counts["lanes"] > 0
+
+    def test_final_state_from_a_flagged_start(self):
+        ap = default_array(1000.0)
+        st0 = MpptState(V_prev=3.0, I_prev=1.0, P_prev=3.0, V_ref=0.0,
+                        dV_step=0.25, iteration=7,
+                        flag="conductance-undefined")
+        g = cloudy_irradiance(3, 400)
+        for algo in ("po", "ic"):
+            run = compare(ap, algo, st0, g)
+            assert run.final.iteration == 407
+
+    def test_negative_irradiance_raises_as_the_scalar_loop(self):
+        ap = default_array(1000.0)
+        g = np.full(50, 500.0)
+        g[30] = -1.0
+        with pytest.raises(ValueError, match="photocurrent"):
+            mppt_run(ap, "po", initial_state(15.0, 0.5), 50, irradiance=g)

@@ -298,3 +298,39 @@ class TestParamValidation:
     def test_bad_counts(self):
         with pytest.raises(ValueError):
             PvArrayParams(cell=default_array().cell, N_s=0)
+
+
+class TestCurrentLanes:
+    """``array_current_lanes`` equals the scalar solve lane by lane, bit
+    for bit, and leaves to it the lanes it does not settle."""
+
+    @pytest.mark.parametrize("t_c,r_s", [(298.0, 0.01), (320.0, 0.01),
+                                         (298.0, 0.0), (275.0, 0.3)])
+    def test_lanes_match_scalar_solve(self, t_c, r_s):
+        # at R_s = 0.3 ohm some lanes need more Newton iterations than
+        # allowed and are left open; at the others every lane settles
+        base = default_array(1000.0, t_c)
+        cell = PvCellParams(base.cell.I_ph, base.cell.I_o1, base.cell.I_o2,
+                            r_s, base.cell.R_p, 1.0, 2.0, t_c)
+        ap = PvArrayParams(cell, N_s=36, N_p=2, area_A=0.5)
+        rng = np.random.default_rng(17)
+        g = np.concatenate([rng.uniform(0.0, 1200.0, 300), [0.0, 1e-6]])
+        for v in (-40.0, 0.0, 9.5, 17.25, 20.0, 23.0):
+            cur, left_open = pv.array_current_lanes(ap, v, g)
+            assert np.isnan(cur[left_open]).all()
+            settled = np.setdiff1d(np.arange(g.size), left_open)
+            assert settled.size > 0
+            if r_s < 0.1:
+                assert left_open.size == 0
+            want = np.array([array_current(ap.at_irradiance(x), v)
+                             for x in g[settled].tolist()])
+            assert np.array_equal(cur[settled].view(np.int64),
+                                  want.view(np.int64))
+
+    def test_rejected_photocurrent_left_open(self):
+        ap = default_array()
+        cur, left_open = pv.array_current_lanes(
+            ap, 10.0, np.array([500.0, -1.0, np.nan, 800.0]))
+        assert left_open.tolist() == [1, 2]
+        assert np.isnan(cur[[1, 2]]).all()
+        assert cur[3] == array_current(ap.at_irradiance(800.0), 10.0)

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from sunpump import tracking
+from sunpump.scenario import ScenarioConfig, _profile_columns
 from sunpump.solar import (SunPosition, TrackerOrientation,
                           angle_of_incidence, sun_vector, tracker_basis)
-from sunpump.tracking import (LdrReadings, TrackerCommand,
+from sunpump.tracking import (LdrReadings, TrackerCommand, TrackingRun,
                               TrackingThresholds, apply_command, ldr_model,
                               tracking_sim, tracking_step)
 
@@ -206,3 +208,177 @@ class TestTrackingSim:
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             tracking_sim([], [], TrackingThresholds())
+
+
+def scalar_tracking_sim(sun_elev, sun_azi, th, motor_step_deg=1.8,
+                        irradiance=1000.0, start=None):
+    """Reference: the step-by-step loop over the public scalar functions,
+    one ``SunPosition`` and one ``angle_of_incidence`` per step."""
+    elev = np.asarray(sun_elev, dtype=float).tolist()
+    azi = np.asarray(sun_azi, dtype=float).tolist()
+    n = len(elev)
+    irr = np.broadcast_to(np.asarray(irradiance, dtype=float), (n,)).tolist()
+    if start is None:
+        start = TrackerOrientation(90.0, azi[0])
+    run = TrackingRun(np.empty(n), np.empty(n), np.empty(n),
+                      np.empty((n, 4), dtype=np.int16),
+                      np.empty(n, dtype="<U5"), np.empty(n, dtype="<U5"),
+                      np.empty(n, dtype=bool))
+    orientation = start
+    for k in range(n):
+        sp = SunPosition(elev[k], azi[k])
+        r = ldr_model(sp, orientation, irr[k])
+        cmd = tracking_step(r, th)
+        orientation = apply_command(orientation, cmd, motor_step_deg,
+                                    initial=start)
+        run.theta_TE[k] = orientation.theta_TE
+        run.theta_TA[k] = orientation.theta_TA
+        run.alpha[k] = angle_of_incidence(sp, orientation)
+        run.readings[k] = (r.top_left, r.top_right,
+                           r.bottom_left, r.bottom_right)
+        run.azimuth_move[k] = cmd.azimuth_move
+        run.elevation_move[k] = cmd.elevation_move
+        run.park[k] = cmd.park
+    return run
+
+
+def assert_same_run(got, want):
+    """Every column equal bit for bit, dtypes included."""
+    for name in ("theta_TE", "theta_TA", "alpha"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype == np.float64, name
+        bad = np.flatnonzero(a.view(np.int64) != b.view(np.int64))
+        assert bad.size == 0, f"{name} differs at steps {bad[:5]}"
+    for name in ("readings", "azimuth_move", "elevation_move", "park"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(a, b), name
+
+
+def cloudy_day(seed, n):
+    """A seeded day of n steps: a sun arch with a night below the
+    horizon on each side, and two-state cloud cover."""
+    rng = np.random.default_rng(seed)
+    phase = np.linspace(-0.4, 1.4, n)
+    elev = rng.uniform(40.0, 80.0) * np.sin(np.pi * phase)
+    elev = np.where(elev > 0.0, elev, 0.5 * elev)
+    azi = 60.0 + 240.0 * np.linspace(0.0, 1.0, n)
+    cover = np.where(np.cumsum(rng.random(n) < 0.02) % 2 == 1,
+                     rng.uniform(0.1, 0.6), 1.0)
+    irr = 1000.0 * np.sin(np.radians(np.maximum(elev, 0.0))) * cover
+    return elev, azi, irr
+
+
+class TestBlockPassMatchesScalarLoop:
+    """``tracking_sim`` runs hold stretches as numpy blocks; each column
+    must equal the step-by-step loop bit for bit.  ``np.sin`` and
+    ``np.cos`` must equal ``math.sin`` and ``math.cos`` for that (the
+    first test checks the host's numpy)."""
+
+    def test_numpy_trig_matches_math(self):
+        rng = np.random.default_rng(11)
+        x = np.radians(np.concatenate([rng.uniform(-90.0, 90.0, 100000),
+                                       rng.uniform(-400.0, 400.0, 100000)]))
+        for np_fn, math_fn in ((np.sin, math.sin), (np.cos, math.cos)):
+            want = np.array([math_fn(v) for v in x.tolist()])
+            assert np.array_equal(np_fn(x).view(np.int64),
+                                  want.view(np.int64)), (
+                f"this host's np.{np_fn.__name__} differs from "
+                f"math.{math_fn.__name__}; the tracker block pass is then "
+                "not bit-identical to the scalar loop")
+        assert np.array_equal(np.radians(x), [math.radians(v)
+                                              for v in x.tolist()])
+
+    def test_default_daylight(self):
+        cfg = ScenarioConfig.default_daylight()
+        t = np.arange(int(round(cfg.duration_s / cfg.dt_s))) * cfg.dt_s
+        (irr,) = _profile_columns(cfg.irradiance_profile, t)
+        elev, azi = _profile_columns(cfg.sun_path, t)
+        start = TrackerOrientation(float(elev[0]), float(azi[0]))
+        args = (elev, azi, TrackingThresholds())
+        got = tracking_sim(*args, irradiance=irr, start=start)
+        assert_same_run(got, scalar_tracking_sim(*args, irradiance=irr,
+                                                 start=start))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cloudy_days_with_parked_nights(self, seed):
+        elev, azi, irr = cloudy_day(seed, 6000)
+        start = TrackerOrientation(90.0, 180.0)
+        got = tracking_sim(elev, azi, TrackingThresholds(), irradiance=irr,
+                           start=start)
+        assert got.park.sum() > 1000      # the nights run as parked blocks
+        assert_same_run(got, scalar_tracking_sim(
+            elev, azi, TrackingThresholds(), irradiance=irr, start=start))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_clamps_at_0_and_180(self, seed):
+        # a sun wandering just below the horizon, in front of the tracker
+        # (it tilts down onto 0) or behind it (it tilts up onto 180)
+        rng = np.random.default_rng(100 + seed)
+        n = 3000
+        elev = np.clip(-8.0 + np.cumsum(rng.normal(0.0, 0.5, n)), -30, 30)
+        azi = np.cumsum(rng.normal(0.0, 0.5, n))
+        irr = rng.uniform(200.0, 1100.0, n)
+        for behind, limit in ((0.0, 0.0), (180.0, 180.0)):
+            args = (elev, azi + behind, TrackingThresholds())
+            kw = dict(motor_step_deg=2.5, irradiance=irr,
+                      start=TrackerOrientation(abs(limit - 1.0), 0.0))
+            got = tracking_sim(*args, **kw)
+            assert (got.theta_TE == limit).sum() > 100
+            assert_same_run(got, scalar_tracking_sim(*args, **kw))
+
+    @pytest.mark.parametrize("start", [TrackerOrientation(200.0, 30.0),
+                                       TrackerOrientation(-15.0, -400.0),
+                                       TrackerOrientation(-0.0, 0.0)])
+    def test_start_outside_range(self, start):
+        # parking snaps back outside [0, 180]; a held step clamps
+        elev, azi, irr = cloudy_day(7, 4000)
+        got = tracking_sim(elev, azi, TrackingThresholds(), irradiance=irr,
+                           start=start)
+        assert_same_run(got, scalar_tracking_sim(
+            elev, azi, TrackingThresholds(), irradiance=irr, start=start))
+
+    def test_scalar_irradiance_and_fixed_sun(self):
+        for n, irr in ((1, 1000.0), (5, 0.0), (700, 640.0)):
+            args = ([45.0] * n, [180.0] * n, TrackingThresholds())
+            start = TrackerOrientation(30.0, 150.0)
+            assert_same_run(
+                tracking_sim(*args, irradiance=irr, start=start),
+                scalar_tracking_sim(*args, irradiance=irr, start=start))
+
+    def test_parked_at_signed_zero_start(self):
+        # parked at a start of -0.0, the first held step moves the
+        # elevation to +0.0 (-0.0 + 0.0): a change of bits that ends the
+        # block although the orientation compares equal
+        n = 80
+        irr = np.where(np.arange(n) < 30, 0.0, 800.0)
+        args = ([0.0] * n, [0.0] * n, TrackingThresholds())
+        start = TrackerOrientation(-0.0, 0.0)
+        got = tracking_sim(*args, irradiance=irr, start=start)
+        assert math.copysign(1.0, got.theta_TE[29]) == -1.0   # parked
+        assert math.copysign(1.0, got.theta_TE[-1]) == 1.0    # held
+        assert_same_run(got, scalar_tracking_sim(*args, irradiance=irr,
+                                                 start=start))
+
+    def test_hold_stretches_run_as_blocks(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tracking, "ldr_model",
+                            lambda *a: calls.append(1) or ldr_model(*a))
+        tracking_sim([45.0] * 5000, [180.0] * 5000, TrackingThresholds(),
+                     start=TrackerOrientation(45.0, 180.0))
+        assert len(calls) == tracking._SETTLE_STEPS
+
+    def test_nonfinite_irradiance_rejected(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                tracking_sim([30.0, 31.0], [100.0, 101.0],
+                             TrackingThresholds(), irradiance=[500.0, bad])
+
+    def test_negative_irradiance_rejected(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            tracking_sim([30.0, 31.0], [100.0, 101.0], TrackingThresholds(),
+                         irradiance=[500.0, -1.0])
+
+    def test_path_lengths_must_match(self):
+        with pytest.raises(ValueError):
+            tracking_sim([30.0, 31.0], [100.0], TrackingThresholds())
