@@ -164,7 +164,8 @@ def _cmd_mppt_run(args):
     if v0 is None:
         v0 = 0.5 * pv.open_circuit_voltage(ap)
     st0 = mppt.initial_state(v0, args.dv_step)
-    run = mppt.mppt_run(ap, args.algo, st0, args.steps)
+    run = mppt.mppt_run(pv.default_array(1000.0), args.algo, st0, args.steps,
+                        irradiance=args.g_t)
     path = _out_path(args, f"mppt_{args.algo}.csv")
     csvio.emit_csv(["iter", "v_ref", "i", "p"],
                    [np.arange(1, args.steps + 1), run.v_ref, run.i, run.p],

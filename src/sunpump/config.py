@@ -11,7 +11,7 @@ comma-separated breakpoint lists, e.g.::
     sun_path = 0:30:95, 3600:60:180, 7200:30:265
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .scenario import ConfigError, ScenarioConfig
 
@@ -72,7 +72,7 @@ def _parse_profile(key, raw, lineno, width):
     return tuple(points)
 
 
-def parse_config_text(text, defaults=None):
+def parse_config_text(text):
     """
     Parse configuration text.
 
@@ -138,17 +138,14 @@ def parse_config_text(text, defaults=None):
             raise ConfigError("[analysis] requires a 'kind' key")
         return AnalysisRequest(**picked_analysis).validate()
 
-    base = defaults if defaults is not None else ScenarioConfig()
-    merged = {f.name: getattr(base, f.name) for f in fields(ScenarioConfig)}
-    merged.update(values)
-    return ScenarioConfig(**merged).validate()
+    return ScenarioConfig(**values).validate()
 
 
-def parse_config(path, defaults=None):
+def parse_config(path):
     """Parse a configuration file; diagnostics carry line numbers."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    return parse_config_text(text, defaults=defaults)
+    return parse_config_text(text)

@@ -561,20 +561,20 @@ class FrequencyResponse:
     phase_deg: np.ndarray
 
 
-def default_omega_grid(lo=1e-2, hi=1e4, points=400):
-    """Log-spaced frequency grid, 400 points over [1e-2, 1e4] rad/s."""
-    return np.geomspace(lo, hi, points)
+# default frequency grid: log-spaced (lo, hi, points), rad/s
+_OMEGA_GRID = (1e-2, 1e4, 400)
 
 
 def frequency_response(tf, omegas=None):
     """
-    Evaluate ``tf(j omega)`` on a positive ascending grid.
+    Evaluate ``tf(j omega)`` on a positive ascending grid (by default
+    400 log-spaced points over [1e-2, 1e4] rad/s).
 
     A grid point landing exactly on a pole is nudged by a factor
     ``1 + 1e-12`` before evaluation.
     """
     if omegas is None:
-        omegas = default_omega_grid()
+        omegas = np.geomspace(*_OMEGA_GRID)
     omegas = np.asarray(omegas, dtype=float)
     if omegas.size == 0 or np.any(omegas <= 0) or np.any(np.diff(omegas) <= 0):
         raise ValueError("omega grid must be positive and strictly increasing")

@@ -6,15 +6,16 @@ Perturb-and-Observe moves the voltage reference by one fixed step in the
 direction that last increased power, Incremental-Conductance compares
 dI/dV against -I/V and holds exactly at the equality.  The move
 decisions are plain-float helpers shared by the step functions and by
-the lattice walk of :func:`mppt_run`.
+the walk of :func:`mppt_run`, the one closed MPPT loop.
 
-A run against per-step irradiance only ever moves ``V_ref`` by
-``+-dV_step`` or holds it, so it revisits few voltages.  ``mppt_run``
-keeps a table per exact ``V_ref``: a voltage's first visit is one
-scalar solve, and each later visit that runs past its table solves the
-next block of steps at that voltage at once with
-``pv.array_current_lanes`` (8 steps, doubling up to 4096).  Every
-current is the scalar solve's, bit for bit.
+The walk only ever moves ``V_ref`` by ``+-dV_step`` or holds it, so it
+revisits few voltages.  ``mppt_run`` keeps a table per exact ``V_ref``:
+a voltage's first visit is one scalar solve at that step's irradiance,
+and each later visit that runs past its table solves the next block of
+steps at that voltage at once with ``pv.array_current_lanes`` (8 steps,
+doubling up to 4096).  Every current is the scalar solve's, bit for
+bit.  A ``measure`` function given in place of the irradiance is called
+on every step instead, with no table.
 """
 
 from dataclasses import dataclass
@@ -28,13 +29,16 @@ from . import pv
 _TABLE_MIN = 8
 _TABLE_MAX = 4096
 
+D_MAX = 0.95          # largest boost duty the converter is driven at
+IC_REL_TOL = 1e-6     # relative tolerance of the IC law's hold test
 
-def duty_for_ratio(v_in, v_out, d_max=0.95):
-    """Boost-law duty ``1 - v_out/v_in``, clamped to [0, d_max]; 0 where
+
+def duty_for_ratio(v_in, v_out):
+    """Boost-law duty ``1 - v_out/v_in``, clamped to [0, D_MAX]; 0 where
     v_in <= 0.  ``v_in`` is a float or an array."""
     v = np.asarray(v_in, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(v <= 0.0, 0.0, np.clip(1.0 - v_out / v, 0.0, d_max))
+        d = np.where(v <= 0.0, 0.0, np.clip(1.0 - v_out / v, 0.0, D_MAX))
     return d if d.ndim else float(d)
 
 
@@ -71,7 +75,7 @@ def _po_move(dv_step, v_prev, p_prev, v_now, p_now):
     return dv_step if dp * (v_now - v_prev) > 0.0 else -dv_step
 
 
-def _ic_move(dv_step, v_prev, i_prev, v_now, i_now, rel_tol=1e-6):
+def _ic_move(dv_step, v_prev, i_prev, v_now, i_now):
     """IC reference move and flag (see :func:`ic_step`)."""
     dv = v_now - v_prev
     di = i_now - i_prev
@@ -86,7 +90,7 @@ def _ic_move(dv_step, v_prev, i_prev, v_now, i_now, rel_tol=1e-6):
     inc = di / dv
     ref = -i_now / v_now
     scale = max(abs(inc), abs(ref), 1e-12)
-    if abs(inc - ref) <= rel_tol * scale:
+    if abs(inc - ref) <= IC_REL_TOL * scale:
         return 0.0, ""
     return (dv_step if inc > ref else -dv_step), ""
 
@@ -105,16 +109,15 @@ def po_step(st, v_now, i_now):
                      st.iteration + 1, "")
 
 
-def ic_step(st, v_now, i_now, rel_tol=1e-6):
+def ic_step(st, v_now, i_now):
     """
     One Incremental-Conductance update.
 
     Branches: with no voltage change the current change alone steers the
     move; otherwise dI/dV is compared against -I/V and the reference
-    holds at equality (tested with relative tolerance ``rel_tol``).
+    holds at equality (tested with relative tolerance ``IC_REL_TOL``).
     """
-    move, flag = _ic_move(st.dV_step, st.V_prev, st.I_prev, v_now, i_now,
-                          rel_tol)
+    move, flag = _ic_move(st.dV_step, st.V_prev, st.I_prev, v_now, i_now)
     return MpptState(v_now, i_now, v_now * i_now, st.V_ref + move,
                      st.dV_step, st.iteration + 1, flag)
 
@@ -136,9 +139,9 @@ def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
     """
     Closed-loop MPPT against the PV array model.
 
-    Each step measures ``I = array_current(V_ref)`` and applies the
-    chosen update law.  A step whose current solve fails
-    (``PvSolverError``) records ``I = 0`` and the run goes on.
+    Step k measures ``I = array_current(ap.at_irradiance(irradiance[k]),
+    V_ref)`` (module docstring) and applies the chosen update law.  A
+    step whose current solve fails records ``I = 0`` and the run goes on.
 
     Parameters
     ----------
@@ -146,14 +149,11 @@ def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
     algo : "po" | "ic"
     st0 : MpptState
     steps : int, >= 1
-    irradiance : sequence of ``steps`` floats, optional
-        Per-step irradiance in W/m2: step k measures on
-        ``ap.at_irradiance(irradiance[k])``, solved on the voltage
-        lattice the walk visits (module docstring).  Without it every
-        step measures on ``ap`` as given.
+    irradiance : float or sequence of ``steps`` floats, W/m2
+        (a float is broadcast); required unless ``measure`` is given
     measure : callable, optional
-        Replacement for the array model: ``measure(v) -> i``.  Used by
-        tests to climb synthetic power curves.
+        ``measure(v) -> i`` in place of the array model, called once per
+        step; tests climb synthetic power curves with it.
 
     Returns
     -------
@@ -161,64 +161,38 @@ def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    step_fn = {"po": po_step, "ic": ic_step}[algo]
-    if irradiance is not None and measure is None:
+    ic = {"po": False, "ic": True}[algo]
+    # V_ref -> [first step of its table, currents from there, next length]
+    tables = {}
+    # miss(k, v, t): step k's current at v where v's table t (None before
+    # v's first visit) does not reach step k
+    if measure is not None:
+        def miss(k, v, t):
+            return _or_zero(measure, v)
+    elif irradiance is None:
+        raise ValueError("need the irradiance or a measure function")
+    else:
         g = np.broadcast_to(np.asarray(irradiance, dtype=float), (steps,))
-        return _lattice_run(ap, algo == "ic", st0, g)
-    v_ref = np.empty(steps)
-    cur = np.empty(steps)
-    st = st0
-    for k in range(steps):
-        v = st.V_ref
-        try:
-            i = measure(v) if measure is not None else pv.array_current(ap, v)
-        except pv.PvSolverError:
-            i = 0.0
-        st = step_fn(st, v, i)
-        v_ref[k] = v
-        cur[k] = i
-    return MpptRun(v_ref, cur, st)
 
-
-def _measure_at(ap, g, v):
-    """The scalar current at irradiance g, with a failed solve as 0 A."""
-    try:
-        return pv.array_current(ap.at_irradiance(g), v)
-    except pv.PvSolverError:
-        return 0.0
-
-
-def _tabulate(ap, v, g):
-    """Currents at voltage v over the irradiances g, as a list; lanes the
-    lane solve leaves open take the scalar path."""
-    cur, left_open = pv.array_current_lanes(ap, v, g)
-    for j in left_open.tolist():
-        cur[j] = _measure_at(ap, g.item(j), v)
-    return cur.tolist()
-
-
-def _lattice_run(ap, ic, st0, g):
-    """``mppt_run`` against per-step irradiance ``g``, walking the update
-    law in plain floats over per-voltage current tables."""
-    steps = len(g)
+        def miss(k, v, t):
+            if t is None:
+                tables[v] = [k, (), _TABLE_MIN]
+                return _or_zero(pv.array_current,
+                                ap.at_irradiance(g.item(k)), v)
+            m = t[2]
+            t[:] = [k, _tabulate(ap, v, g[k:k + m]), min(2 * m, _TABLE_MAX)]
+            return t[1][0]
     v_ref = np.empty(steps)
     cur = np.empty(steps)
     dv_step = st0.dV_step
     v_prev, i_prev, p_prev = st0.V_prev, st0.I_prev, st0.P_prev
     v, flag = st0.V_ref, ""
-    # V_ref -> [first step of its table, currents from there, next length]
-    tables = {}
     for k in range(steps):
         t = tables.get(v)
-        if t is None:
-            i = _measure_at(ap, g.item(k), v)
-            tables[v] = [k, (), _TABLE_MIN]
-        elif k - t[0] < len(t[1]):
+        if t is not None and k - t[0] < len(t[1]):
             i = t[1][k - t[0]]
         else:
-            m = t[2]
-            t[:] = [k, _tabulate(ap, v, g[k:k + m]), min(2 * m, _TABLE_MAX)]
-            i = t[1][0]
+            i = miss(k, v, t)
         p_now = v * i
         if ic:
             move, flag = _ic_move(dv_step, v_prev, i_prev, v, i)
@@ -231,3 +205,20 @@ def _lattice_run(ap, ic, st0, g):
     final = MpptState(v_prev, i_prev, p_prev, v, dv_step,
                       st0.iteration + steps, flag)
     return MpptRun(v_ref, cur, final)
+
+
+def _or_zero(current, *args):
+    """``current(*args)``, with a failed solve as 0 A."""
+    try:
+        return current(*args)
+    except pv.PvSolverError:
+        return 0.0
+
+
+def _tabulate(ap, v, g):
+    """Currents at voltage v over the irradiances g, as a list; lanes the
+    lane solve leaves open take the scalar path."""
+    cur, left_open = pv.array_current_lanes(ap, v, g)
+    for j in left_open.tolist():
+        cur[j] = _or_zero(pv.array_current, ap.at_irradiance(g.item(j)), v)
+    return cur.tolist()

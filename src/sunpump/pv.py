@@ -316,7 +316,10 @@ class MppResult:
     unimodal: bool = True
 
 
-def find_mpp(ap, tol_v=1e-4):
+_MPP_TOL_V = 1e-4    # MPP search stops at this bracket width, V
+
+
+def find_mpp(ap):
     """
     Maximum power point by golden-section search on P(V) over [0, Voc].
 
@@ -347,7 +350,7 @@ def find_mpp(ap, tol_v=1e-4):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = power(c), power(d)
-    while (b - a) > tol_v:
+    while (b - a) > _MPP_TOL_V:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -109,22 +109,29 @@ def tracker_basis(to):
     return x_m, y_m, z_m
 
 
+def sun_on_frame(se, te, dazi, sin, cos):
+    """The sun's projections ``(s . x_m, s . y_m, s . z_m)`` on the tracker
+    frame from the sun elevation, tracker elevation and azimuth difference
+    (sun minus tracker) in radians; ``sin`` and ``cos`` are ``math``'s on
+    floats or ``numpy``'s on arrays."""
+    cos_se, sin_se = cos(se), sin(se)
+    cos_te, sin_te = cos(te), sin(te)
+    cos_d = cos(dazi)
+    return (cos_se * sin(dazi),
+            sin_se * sin_te + cos_se * cos_te * cos_d,
+            sin_se * cos_te - cos_se * sin_te * cos_d)
+
+
+def _projections(sp, to):
+    """:func:`sun_on_frame` for a sun position and orientation."""
+    return sun_on_frame(_d(sp.theta_SE), _d(to.theta_TE),
+                        _d(sp.theta_SA - to.theta_TA), math.sin, math.cos)
+
+
 def angle_of_incidence(sp, to):
     """Angle between the sun direction and the panel normal, degrees."""
-    arg = (math.sin(_d(sp.theta_SE)) * math.sin(_d(to.theta_TE))
-           + math.cos(_d(sp.theta_SE)) * math.cos(_d(to.theta_TE))
-           * math.cos(_d(sp.theta_SA - to.theta_TA)))
-    arg = max(-1.0, min(1.0, arg))
+    arg = max(-1.0, min(1.0, _projections(sp, to)[1]))
     return math.degrees(math.acos(arg))
-
-
-def incidence_projections(sp, to):
-    """In-face projections (s . x_m, s . z_m) in closed form."""
-    se, te = _d(sp.theta_SE), _d(to.theta_TE)
-    dazi = _d(sp.theta_SA - to.theta_TA)
-    s_x = math.cos(se) * math.sin(dazi)
-    s_z = math.sin(se) * math.cos(te) - math.cos(se) * math.sin(te) * math.cos(dazi)
-    return s_x, s_z
 
 
 def incidence_direction(sp, to):
@@ -136,7 +143,7 @@ def incidence_direction(sp, to):
     UndefinedDirectionError
         When both projections vanish (sun along the panel normal).
     """
-    s_x, s_z = incidence_projections(sp, to)
+    s_x, _, s_z = _projections(sp, to)
     if abs(s_x) < 1e-12 and abs(s_z) < 1e-12:
         raise UndefinedDirectionError("sun is along the panel normal")
     return math.degrees(math.atan2(s_x, s_z))
@@ -236,31 +243,39 @@ def _target_error(sp, to, alpha_target, beta_target):
     return max(err_a, err_b)
 
 
-def _grid_minimize(sp, alpha_target, beta_target, step=0.1):
+# the fallback grid's refined pitch, and the error above which the
+# closed-form orientation gives way to it, degrees
+_GRID_STEP_DEG = 0.1
+_MAX_ERROR_DEG = 0.5
+
+
+def _grid_errors(sp, alpha_target, beta_target, te_deg, ta_deg):
+    """:func:`_target_error` over the grid of tracker elevations
+    ``te_deg`` (rows) and azimuths ``ta_deg`` (columns)."""
+    te = np.radians(te_deg)[:, None]
+    sx, cosa, sz = sun_on_frame(_d(sp.theta_SE), te,
+                                np.radians(sp.theta_SA - ta_deg)[None, :],
+                                np.sin, np.cos)
+    a = np.degrees(np.arccos(np.clip(cosa, -1.0, 1.0)))
+    err_a = np.abs(a - alpha_target)
+    if alpha_target < 0.25:
+        return err_a
+    # "+ 0.0 * te" reads a -0.0 projection as 0.0 in the bearing
+    b = np.degrees(np.arctan2(sx + 0.0 * te, sz))
+    err_b = np.abs((b - beta_target + 180.0) % 360.0 - 180.0)
+    return np.maximum(err_a, err_b)
+
+
+def _grid_minimize(sp, alpha_target, beta_target):
     """Brute-force orientation search, coarse pass then local refinement."""
-    se = _d(sp.theta_SE)
-
-    def errors(te_deg, ta_deg):
-        te = np.radians(te_deg)[:, None]
-        ddeg = np.radians(sp.theta_SA - ta_deg)[None, :]
-        cosa = math.sin(se) * np.sin(te) + math.cos(se) * np.cos(te) * np.cos(ddeg)
-        a = np.degrees(np.arccos(np.clip(cosa, -1.0, 1.0)))
-        sx = math.cos(se) * np.sin(ddeg) + 0.0 * te
-        sz = math.sin(se) * np.cos(te) - math.cos(se) * np.sin(te) * np.cos(ddeg)
-        b = np.degrees(np.arctan2(sx, sz))
-        err_a = np.abs(a - alpha_target)
-        if alpha_target < 0.25:
-            return err_a
-        err_b = np.abs((b - beta_target + 180.0) % 360.0 - 180.0)
-        return np.maximum(err_a, err_b)
-
     te0 = np.arange(0.0, 180.0 + 1.0, 1.0)
     ta0 = np.arange(sp.theta_SA - 180.0, sp.theta_SA + 180.0, 1.0)
-    e0 = errors(te0, ta0)
+    e0 = _grid_errors(sp, alpha_target, beta_target, te0, ta0)
     i, j = np.unravel_index(np.argmin(e0), e0.shape)
+    step = _GRID_STEP_DEG
     te1 = np.arange(te0[i] - 1.5, te0[i] + 1.5 + step / 2, step)
     ta1 = np.arange(ta0[j] - 1.5, ta0[j] + 1.5 + step / 2, step)
-    e1 = errors(te1, ta1)
+    e1 = _grid_errors(sp, alpha_target, beta_target, te1, ta1)
     i1, j1 = np.unravel_index(np.argmin(e1), e1.shape)
     return TrackerOrientation(float(te1[i1]), float(ta1[j1])), float(e1[i1, j1])
 
@@ -272,15 +287,15 @@ class OrientationSolution:
     analytic: bool   # False when the grid fallback produced the answer
 
 
-def optimal_orientation(sp, alpha_target, beta_target, max_error_deg=0.5):
+def optimal_orientation(sp, alpha_target, beta_target):
     """
     Tracker orientation achieving a requested (alpha, beta).
 
     The closed-form path evaluates every real root of the even quartic
     and keeps the candidate whose achieved incidence pair is closest to
-    the targets (max-norm).  If no candidate lands within
-    ``max_error_deg`` the answer falls back to a 0.1-degree brute-force
-    grid minimization and is flagged non-analytic.
+    the targets (max-norm).  If no candidate lands within 0.5 degrees
+    (``_MAX_ERROR_DEG``) the answer falls back to a 0.1-degree
+    brute-force grid minimization and is flagged non-analytic.
     """
     if not 0.0 <= alpha_target < 90.0:
         raise ValueError("alpha target must lie in [0, 90)")
@@ -299,7 +314,7 @@ def optimal_orientation(sp, alpha_target, beta_target, max_error_deg=0.5):
             if err < best_err - 1e-9 or (abs(err - best_err) <= 1e-9
                                          and rank < best_rank):
                 best, best_err, best_rank = cand, err, rank
-    if best is not None and best_err < max_error_deg:
+    if best is not None and best_err < _MAX_ERROR_DEG:
         return OrientationSolution(best, best_err, True)
     fallback, err = _grid_minimize(sp, alpha_target, beta_target)
     return OrientationSolution(fallback, err, False)

@@ -2,7 +2,8 @@
 Four-quadrant LDR sensing model and the tracking state machine.
 
 The sensor model projects the sun direction onto four quadrant normals
-(the panel normal tilted 45 degrees toward each in-face half-axis) and
+(the panel normal tilted 45 degrees toward each in-face half-axis), from
+the sun's projections on the tracker frame (``solar.sun_on_frame``), and
 quantizes to 10-bit ADC counts, full scale at 1000 W/m2 normal
 incidence.  The state machine compares pairwise averages against a
 deadband and commands one motor step per axis per cycle.
@@ -25,7 +26,7 @@ import math
 
 import numpy as np
 
-from .solar import SunPosition, TrackerOrientation
+from .solar import SunPosition, TrackerOrientation, sun_on_frame
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -72,8 +73,8 @@ def ldr_model(sp, to, irradiance):
     quadrant normals are the panel normal tilted 45 degrees toward the
     four diagonal in-face directions: ``sqrt(1/2) (y_m + sqrt(1/2)
     (+-z_m +- x_m))``.  The cosines are taken in closed form from the
-    sun's projections on the tracker frame (``s . y_m``, and
-    ``s . x_m``, ``s . z_m`` as in ``incidence_projections``).
+    sun's projections ``s . x_m``, ``s . y_m``, ``s . z_m`` on the
+    tracker frame (``solar.sun_on_frame``).
     """
     if irradiance < 0:
         raise ValueError("irradiance must be >= 0")
@@ -88,18 +89,9 @@ def ldr_model(sp, to, irradiance):
 
 
 def _quadrant_cosines(se, te, dazi, sin, cos):
-    """
-    Cosines between the sun and the quadrant normals (top left, top
-    right, bottom left, bottom right) from the sun elevation, tracker
-    elevation and azimuth difference in radians; ``sin`` and ``cos``
-    are ``math``'s on floats or ``numpy``'s on arrays.
-    """
-    cos_se, sin_se = cos(se), sin(se)
-    cos_te, sin_te = cos(te), sin(te)
-    cos_d = cos(dazi)
-    s_y = sin_se * sin_te + cos_se * cos_te * cos_d
-    s_x = cos_se * sin(dazi)
-    s_z = sin_se * cos_te - cos_se * sin_te * cos_d
+    """Cosines between the sun and the quadrant normals (top left, top
+    right, bottom left, bottom right); arguments as ``sun_on_frame``."""
+    s_x, s_y, s_z = sun_on_frame(se, te, dazi, sin, cos)
     axial = _SQRT_HALF * s_y
     return (axial + 0.5 * (s_z - s_x), axial + 0.5 * (s_z + s_x),
             axial - 0.5 * (s_z + s_x), axial + 0.5 * (s_x - s_z))
@@ -228,9 +220,8 @@ def _incidence_angles(elev, azi, te, ta):
     """:func:`~sunpump.solar.angle_of_incidence` over arrays, in its
     operation order, with ``math.acos`` on each element (``np.arccos``
     differs from it in the last bit on some arguments)."""
-    se, te = np.radians(elev), np.radians(te)
-    arg = (np.sin(se) * np.sin(te)
-           + np.cos(se) * np.cos(te) * np.cos(np.radians(azi - ta)))
+    arg = sun_on_frame(np.radians(elev), np.radians(te),
+                       np.radians(azi - ta), np.sin, np.cos)[1]
     arg = np.where(arg < 1.0, arg, 1.0)
     arg = np.where(arg > -1.0, arg, -1.0)
     return np.degrees(np.fromiter(map(math.acos, arg), float, arg.size))

@@ -176,7 +176,8 @@ def test_criterion_8_mppt_convergence():
     ap = default_array()
     best = find_mpp(ap)
     for algo in ("po", "ic"):
-        run = mppt_run(ap, algo, initial_state(0.6 * best.V_mpp, 0.5), 200)
+        run = mppt_run(ap, algo, initial_state(0.6 * best.V_mpp, 0.5), 200,
+                       irradiance=1000.0)
         frac = run.p[-1] / best.P_mpp
         ok &= frac >= 0.98
         details.append(f"{algo} array P/Pmpp = {frac:.4f}")

@@ -529,11 +529,16 @@ class TestCliCsvBytes:
         from sunpump import mppt, pv
         assert main(["mppt-run", "--algo", algo, "--g-t", str(g_t),
                      "--out", str(tmp_path)]) == 0
+        # reference: the step-by-step law on default_array(g_t)
         ap = pv.default_array(g_t)
-        st0 = mppt.initial_state(0.5 * pv.open_circuit_voltage(ap), 0.5)
-        run = mppt.mppt_run(ap, algo, st0, 120)
-        rows = zip(range(1, 121), run.v_ref.tolist(), run.i.tolist(),
-                   run.p.tolist())
+        st = mppt.initial_state(0.5 * pv.open_circuit_voltage(ap), 0.5)
+        step_fn = {"po": mppt.po_step, "ic": mppt.ic_step}[algo]
+        rows = []
+        for k in range(1, 121):
+            v = st.V_ref
+            i = pv.array_current(ap, v)
+            st = step_fn(st, v, i)
+            rows.append((k, v, i, v * i))
         assert (tmp_path / f"mppt_{algo}.csv").read_bytes() == rowwise_csv(
             ["iter", "v_ref", "i", "p"], rows)
 

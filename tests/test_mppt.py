@@ -20,11 +20,11 @@ def synthetic_measure(v):
     return (100.0 - (v - 17.0) ** 2) / v
 
 
-def scalar_duty(v_in, v_out, d_max=0.95):
+def scalar_duty(v_in, v_out):
     """Reference: the per-voltage boost-law rule."""
     if v_in <= 0:
         return 0.0
-    return min(max(1.0 - v_out / v_in, 0.0), d_max)
+    return min(max(1.0 - v_out / v_in, 0.0), 0.95)
 
 
 class TestBoost:
@@ -135,7 +135,7 @@ class TestClosedLoop:
         ap = default_array()
         best = find_mpp(ap)
         st0 = initial_state(0.6 * best.V_mpp, 0.5)
-        run = mppt_run(ap, algo, st0, 200)
+        run = mppt_run(ap, algo, st0, 200, irradiance=1000.0)
         final_power = run.p[-1]
         assert final_power >= 0.98 * best.P_mpp
 
@@ -160,6 +160,7 @@ class TestClosedLoop:
         assert len(run.v_ref) == len(run.i) == 20
         assert run.i[4] == 0.0
         assert all(run.i[k] > 0.0 for k in range(20) if k != 4)
+        assert calls == run.v_ref.tolist()
 
     def test_per_step_irradiance_scales_the_array(self):
         ap = default_array()
@@ -174,6 +175,18 @@ class TestClosedLoop:
             mppt_run(None, "po", initial_state(10.0), 0,
                      measure=synthetic_measure)
 
+    def test_unknown_algo_raises_on_both_paths(self):
+        with pytest.raises(KeyError):
+            mppt_run(None, "hill", initial_state(10.0), 10,
+                     measure=synthetic_measure)
+        with pytest.raises(KeyError):
+            mppt_run(default_array(), "hill", initial_state(10.0), 10,
+                     irradiance=1000.0)
+
+    def test_needs_irradiance_or_measure(self):
+        with pytest.raises(ValueError, match="irradiance"):
+            mppt_run(default_array(), "po", initial_state(10.0), 10)
+
 
 def scalar_mppt_run(ap, algo, st0, irradiance):
     """Reference: the step-by-step loop, one ``at_irradiance`` and one
@@ -185,6 +198,23 @@ def scalar_mppt_run(ap, algo, st0, irradiance):
         v = st.V_ref
         try:
             i = array_current(ap.at_irradiance(g), v)
+        except PvSolverError:
+            i = 0.0
+        st = step_fn(st, v, i)
+        v_ref.append(v)
+        cur.append(i)
+    return MpptRun(np.array(v_ref), np.array(cur), st)
+
+
+def array_as_given_run(ap, algo, st0, steps):
+    """Reference: the step-by-step loop on ``ap`` as given, one scalar
+    current solve per step."""
+    step_fn = {"po": po_step, "ic": ic_step}[algo]
+    v_ref, cur, st = [], [], st0
+    for _ in range(steps):
+        v = st.V_ref
+        try:
+            i = array_current(ap, v)
         except PvSolverError:
             i = 0.0
         st = step_fn(st, v, i)
@@ -334,6 +364,18 @@ class TestLatticeRunMatchesScalarLoop:
         for algo in ("po", "ic"):
             run = compare(ap, algo, st0, g)
             assert run.final.iteration == 407
+
+    @pytest.mark.parametrize("steps", [120, 2000])
+    @pytest.mark.parametrize("g_t", [1000.0, 400.0, 123.456, 5e-3, 0.0])
+    @pytest.mark.parametrize("algo", ["po", "ic"])
+    def test_constant_irradiance(self, algo, g_t, steps):
+        # the CLI's run: the 1000 W/m2 array at g_t on every step equals
+        # the loop on default_array(g_t) as given
+        ap = default_array(g_t)
+        st0 = initial_state(0.5 * pv.open_circuit_voltage(ap), 0.5)
+        got = mppt_run(default_array(1000.0), algo, st0, steps,
+                       irradiance=g_t)
+        assert_same_mppt_run(got, array_as_given_run(ap, algo, st0, steps))
 
     def test_negative_irradiance_raises_as_the_scalar_loop(self):
         ap = default_array(1000.0)

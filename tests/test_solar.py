@@ -5,11 +5,73 @@ import pytest
 
 from sunpump.solar import (SunPosition,
                            TrackerOrientation, UndefinedDirectionError,
+                           _grid_errors, _grid_minimize,
                            angle_of_incidence, declination,
-                           incidence_direction, incidence_projections,
-                           optimal_orientation, orientation_quartic,
-                           quartic_even_roots, sun_vector, tracker_basis,
+                           incidence_direction, optimal_orientation,
+                           orientation_quartic, quartic_even_roots,
+                           sun_on_frame, sun_vector, tracker_basis,
                            zenith_and_elevation, QuarticCoeffs)
+
+
+def on_frame(sp, to):
+    """The kernel's (s . x_m, s . y_m, s . z_m) for degree angles."""
+    return sun_on_frame(math.radians(sp.theta_SE), math.radians(to.theta_TE),
+                        math.radians(sp.theta_SA - to.theta_TA),
+                        math.sin, math.cos)
+
+
+# References: the incidence formulas as each function first wrote them
+# out, before they shared the kernel.
+
+def ref_angle_of_incidence(sp, to):
+    arg = (math.sin(math.radians(sp.theta_SE))
+           * math.sin(math.radians(to.theta_TE))
+           + math.cos(math.radians(sp.theta_SE))
+           * math.cos(math.radians(to.theta_TE))
+           * math.cos(math.radians(sp.theta_SA - to.theta_TA)))
+    arg = max(-1.0, min(1.0, arg))
+    return math.degrees(math.acos(arg))
+
+
+def ref_incidence_projections(sp, to):
+    se, te = math.radians(sp.theta_SE), math.radians(to.theta_TE)
+    dazi = math.radians(sp.theta_SA - to.theta_TA)
+    s_x = math.cos(se) * math.sin(dazi)
+    s_z = (math.sin(se) * math.cos(te)
+           - math.cos(se) * math.sin(te) * math.cos(dazi))
+    return s_x, s_z
+
+
+def ref_grid_errors(sp, alpha_target, beta_target, te_deg, ta_deg):
+    se = math.radians(sp.theta_SE)
+    te = np.radians(te_deg)[:, None]
+    ddeg = np.radians(sp.theta_SA - ta_deg)[None, :]
+    cosa = math.sin(se) * np.sin(te) + math.cos(se) * np.cos(te) * np.cos(ddeg)
+    a = np.degrees(np.arccos(np.clip(cosa, -1.0, 1.0)))
+    sx = math.cos(se) * np.sin(ddeg) + 0.0 * te
+    sz = math.sin(se) * np.cos(te) - math.cos(se) * np.sin(te) * np.cos(ddeg)
+    b = np.degrees(np.arctan2(sx, sz))
+    err_a = np.abs(a - alpha_target)
+    if alpha_target < 0.25:
+        return err_a
+    err_b = np.abs((b - beta_target + 180.0) % 360.0 - 180.0)
+    return np.maximum(err_a, err_b)
+
+
+def ref_grid_minimize(sp, alpha_target, beta_target):
+    te0 = np.arange(0.0, 180.0 + 1.0, 1.0)
+    ta0 = np.arange(sp.theta_SA - 180.0, sp.theta_SA + 180.0, 1.0)
+    e0 = ref_grid_errors(sp, alpha_target, beta_target, te0, ta0)
+    i, j = np.unravel_index(np.argmin(e0), e0.shape)
+    te1 = np.arange(te0[i] - 1.5, te0[i] + 1.5 + 0.05, 0.1)
+    ta1 = np.arange(ta0[j] - 1.5, ta0[j] + 1.5 + 0.05, 0.1)
+    e1 = ref_grid_errors(sp, alpha_target, beta_target, te1, ta1)
+    i1, j1 = np.unravel_index(np.argmin(e1), e1.shape)
+    return TrackerOrientation(float(te1[i1]), float(ta1[j1])), float(e1[i1, j1])
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
 
 
 class TestDeclination:
@@ -139,7 +201,7 @@ class TestIncidenceDirection:
         to = TrackerOrientation(30.0, 80.0)
         s = sun_vector(sp)
         x_m, _, z_m = tracker_basis(to)
-        s_x, s_z = incidence_projections(sp, to)
+        s_x, _, s_z = on_frame(sp, to)
         assert s_x == pytest.approx(float(s @ x_m), abs=1e-9)
         assert s_z == pytest.approx(float(s @ z_m), abs=1e-9)
         beta = incidence_direction(sp, to)
@@ -154,7 +216,7 @@ class TestIncidenceDirection:
                 to = TrackerOrientation(float(te), float(ta))
                 s = sun_vector(sp)
                 x_m, _, z_m = tracker_basis(to)
-                s_x, s_z = incidence_projections(sp, to)
+                s_x, _, s_z = on_frame(sp, to)
                 assert abs(s_x - float(s @ x_m)) < 1e-9
                 assert abs(s_z - float(s @ z_m)) < 1e-9
 
@@ -162,6 +224,79 @@ class TestIncidenceDirection:
         sp = SunPosition(35.0, 150.0)
         with pytest.raises(UndefinedDirectionError):
             incidence_direction(sp, TrackerOrientation(35.0, 150.0))
+
+
+def kernel_samples(n):
+    """Seeded (se, sa, te, ta) rows in degrees, with the edges mixed in:
+    se = +-90, dazi = 0 (ta = sa) and te in {0, 180}."""
+    rng = np.random.default_rng(11)
+    se = rng.uniform(-90.0, 90.0, n)
+    sa = rng.uniform(-360.0, 360.0, n)
+    te = rng.uniform(-10.0, 190.0, n)
+    ta = rng.uniform(-360.0, 360.0, n)
+    pick = rng.random((3, n)) < 0.1
+    se[pick[0]] = rng.choice([-90.0, 90.0], pick[0].sum())
+    ta[pick[1]] = sa[pick[1]]
+    te[pick[2]] = rng.choice([0.0, 180.0], pick[2].sum())
+    return se, sa, te, ta
+
+
+class TestSunOnFrameKernel:
+    """Every caller of ``sun_on_frame`` returns the bits its inline
+    formula returned."""
+
+    N = 50_000
+
+    def test_scalar_callers_bit_identical(self):
+        se, sa, te, ta = kernel_samples(self.N)
+        assert {90.0, -90.0} <= set(se.tolist())
+        assert {0.0, 180.0} <= set(te.tolist())
+        assert np.sum(sa == ta) > 1000
+        got, want = [], []
+        for row in zip(se.tolist(), sa.tolist(), te.tolist(), ta.tolist()):
+            sp, to = SunPosition(row[0], row[1]), TrackerOrientation(*row[2:])
+            s_x, _, s_z = on_frame(sp, to)
+            got.append((angle_of_incidence(sp, to), s_x, s_z))
+            want.append((ref_angle_of_incidence(sp, to),
+                         *ref_incidence_projections(sp, to)))
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_array_kernel_matches_the_scalar_formulas(self):
+        se, sa, te, ta = kernel_samples(self.N)
+        s_x, _, s_z = sun_on_frame(np.radians(se), np.radians(te),
+                                   np.radians(sa - ta), np.sin, np.cos)
+        want = [ref_incidence_projections(SunPosition(*r[:2]),
+                                          TrackerOrientation(*r[2:]))
+                for r in zip(se.tolist(), sa.tolist(), te.tolist(),
+                             ta.tolist())]
+        assert np.array_equal(bits(np.stack([s_x, s_z], axis=1)), bits(want))
+
+    @pytest.mark.parametrize("se", [-90.0, -35.0, 0.0, 12.5, 64.0, 90.0])
+    @pytest.mark.parametrize("target", [(0.0, 0.0), (0.2, 40.0),
+                                        (15.0, 20.0), (30.0, -67.3)])
+    def test_grid_errors_bit_identical(self, se, target):
+        # the coarse grid holds te = 0 and 180 and ta = sa (dazi = 0); at
+        # sa = -0.0 the dazi = -0.0 column gives s . x_m = -0.0, whose
+        # bearing -180 rounds the beta error of -67.3 apart from +180
+        for sa in (-0.0, 0.0, 137.25):
+            sp = SunPosition(se, sa)
+            te = np.arange(0.0, 181.0, 1.0)
+            ta = np.arange(sa - 180.0, sa + 180.0, 1.0)
+            got = _grid_errors(sp, *target, te, ta)
+            assert got.size >= 65_000
+            assert np.array_equal(bits(got),
+                                  bits(ref_grid_errors(sp, *target, te, ta)))
+
+    def test_grid_minimize_identical(self):
+        rng = np.random.default_rng(4)
+        for _ in range(12):
+            sp = SunPosition(rng.uniform(-90.0, 90.0),
+                             rng.uniform(0.0, 360.0))
+            at, bt = rng.uniform(0.0, 60.0), rng.uniform(-180.0, 180.0)
+            (to, err), (want_to, want_err) = (
+                _grid_minimize(sp, at, bt), ref_grid_minimize(sp, at, bt))
+            assert bits([to.theta_TE, to.theta_TA, err]).tolist() == \
+                bits([want_to.theta_TE, want_to.theta_TA, want_err]).tolist()
 
 
 class TestQuarticRoots:
