@@ -19,8 +19,7 @@ from .plants import (MotorParams, PidParams, TankParams, ValveParams,
                      tank_tf, valve_linearize, tank_loop_tf,
                      tank_second_order, cascade_system, metering_pump_tf,
                      preset, PRESETS)
-from .scenario import (ScenarioConfig, RelayState, control_logic_step,
-                       run_scenario)
+from .scenario import ScenarioConfig, control_logic_step, run_scenario
 from .config import parse_config
 from .validation import build_report
 

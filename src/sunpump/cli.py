@@ -84,6 +84,8 @@ def _out_path(args, name):
 
 
 def _cmd_pv_curve(args):
+    if args.points < 0:
+        raise UsageError("point count must be >= 0")
     ap = pv.default_array(args.g_t, t_c=args.t_c)
     voc = pv.open_circuit_voltage(ap)
     grid = np.linspace(0.0, voc, args.points)
@@ -139,6 +141,8 @@ def _cmd_track_sim(args):
     e0, e1 = _parse_span(args.elevation, 2)
     a0, a1 = _parse_span(args.azimuth, 2)
     n = args.steps
+    if n < 1:
+        raise UsageError("step count must be >= 1")
     k = np.arange(n)
     start = None
     if args.start:
@@ -159,6 +163,8 @@ def _cmd_track_sim(args):
 
 
 def _cmd_mppt_run(args):
+    if args.steps < 1:
+        raise UsageError("step count must be >= 1")
     ap = pv.default_array(args.g_t)
     v0 = args.start_v
     if v0 is None:
@@ -286,7 +292,7 @@ def _cmd_scenario(args):
     trace, summary = run_scenario(cfg)
     path = _out_path(args, "scenario_trace.csv")
     csvio.emit_csv(trace.COLUMNS,
-                   [trace.column(name) for name in trace.COLUMNS], path)
+                   [getattr(trace, name) for name in trace.COLUMNS], path)
     print(f"wrote {path} ({len(trace)} steps)")
     print(f"final SOC: {summary.final_soc_pct:.2f}%")
     print(f"pump1: {summary.pump1_cycles} cycles, "

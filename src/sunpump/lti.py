@@ -75,9 +75,6 @@ class Polynomial:
     def __add__(self, other):
         return Polynomial(np.polyadd(self.coeffs, other.coeffs))
 
-    def derivative(self):
-        return Polynomial(np.polyder(self.coeffs))
-
     def monic(self):
         return Polynomial(np.asarray(self.coeffs) / self.coeffs[0])
 

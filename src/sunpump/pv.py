@@ -176,9 +176,12 @@ def _array_mismatch(p, n_s, n_p, v, i_ph=None):
 
 
 # Newton acceptance: |f| at or below this, in amperes, within this many
-# iterations; otherwise the bracketing fallback runs.
+# iterations; otherwise the bracketing fallback runs.  The descent from
+# the right is monotone, so the budget only decides how far right of the
+# root a start may lie: 200 settles every start up to R_s = 0.3 ohm on a
+# cold (275 K) array.
 _NEWTON_TOL_A = 1e-12
-_NEWTON_MAX_ITER = 50
+_NEWTON_MAX_ITER = 200
 
 
 def _solve_current(p, n_s, n_p, v):

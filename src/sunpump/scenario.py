@@ -9,7 +9,10 @@ the lit steps at the effective irradiance, with the converter duty of
 every lit step from one ``duty_for_ratio`` call; and one forward-Euler
 loop in which harvested energy integrates into a battery state of charge
 and two hysteresis-latched pumps move water from the storage tank to the
-reservoir tank and from the reservoir to the soil.
+reservoir tank and from the reservoir to the soil.  That loop keeps its
+state in plain floats and bools: the latches follow
+``control_logic_step``, and each pump flow follows its first-order law
+exactly over a step, by one decay factor computed once per run.
 
 Water bookkeeping is exact: every liter leaving a tank lands in the
 other tank or in the delivered-to-soil ledger, so conservation holds to
@@ -18,6 +21,7 @@ floating-point accumulation error.
 
 from dataclasses import dataclass, fields
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -115,11 +119,12 @@ class ScenarioConfig:
             pts = getattr(self, prof)
             if len(pts) == 0:
                 raise ConfigError(f"{prof} must be nonempty")
-            times = [p[0] for p in pts]
             if any(len(p) != width for p in pts):
                 raise ConfigError(f"{prof} rows must have {width} entries")
-            if not all(math.isfinite(x) for p in pts for x in p):
-                raise ConfigError(f"{prof} entries must be finite")
+            if not all(isinstance(x, Real) and math.isfinite(x)
+                       for p in pts for x in p):
+                raise ConfigError(f"{prof} entries must be finite numbers")
+            times = [p[0] for p in pts]
             if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
                 raise ConfigError(f"{prof} breakpoints must be ascending")
         if any(p[1] < 0.0 for p in self.irradiance_profile):
@@ -140,65 +145,27 @@ class ScenarioConfig:
         return cls(soil_gain_pct_per_L=5.0, soil_decay_pct_per_hr=22.5)
 
 
-@dataclass(frozen=True)
-class RelayState:
-    pump1: bool = False
-    pump2: bool = False
-    battery_relay: bool = True
-
-
-@dataclass
-class SystemState:
-    """Mutable integration state of one scenario run."""
-
-    soc_pct: float
-    tank1_L: float
-    tank2_L: float
-    soil_pct: float
-    delivered_soil_L: float
-    relays: RelayState
-    flow1_Lpm: float = 0.0
-    flow2_Lpm: float = 0.0
-
-
-def control_logic_step(state, cfg):
+def control_logic_step(pump1, pump2, tank2_pct, soil_pct, soc_pct, cfg):
     """
     Relay latches: pump1 turns on below the tank-low threshold and off at
     tank-full; pump2 turns on below soil-dry and off at soil-wet; the
     battery relay opens below the brown-out SOC and gates both pumps'
     actual flow (the pump latches themselves only follow their level
     thresholds).
+
+    Returns
+    -------
+    (pump1, pump2, battery_relay): the latches after this step.
     """
-    r = state.relays
-    tank2_pct = 100.0 * state.tank2_L / cfg.tank2_volume_L
-    pump1 = r.pump1
     if tank2_pct < cfg.tank_low_pct:
         pump1 = True
     elif tank2_pct >= cfg.tank_full_pct:
         pump1 = False
-    pump2 = r.pump2
-    if state.soil_pct < cfg.soil_dry_pct:
+    if soil_pct < cfg.soil_dry_pct:
         pump2 = True
-    elif state.soil_pct >= cfg.soil_wet_pct:
+    elif soil_pct >= cfg.soil_wet_pct:
         pump2 = False
-    battery = state.soc_pct >= cfg.battery_min_soc_pct
-    return RelayState(pump1, pump2, battery)
-
-
-def pump_dynamics_step(on, flow_prev_Lpm, dt, cfg, rated_power_W=0.0):
-    """
-    First-order flow response toward rated flow (on) or zero (off),
-    advanced exactly over dt.
-
-    Returns
-    -------
-    (flow_Lpm, load_W): the electrical load scales linearly with the
-    delivered flow fraction.
-    """
-    target = cfg.pump_flow_Lpm if on else 0.0
-    decay = math.exp(-dt / cfg.pump_tau_s)
-    flow = target + (flow_prev_Lpm - target) * decay
-    return flow, rated_power_W * flow / cfg.pump_flow_Lpm
+    return pump1, pump2, soc_pct >= cfg.battery_min_soc_pct
 
 
 def _profile_columns(pts, t):
@@ -232,9 +199,6 @@ class SimTrace:
                "pump2_on", "tank2_level_pct", "soil_moisture_pct",
                "theta_TE", "theta_TA", "alpha", "battery_relay",
                "tank1_level_pct", "delivered_soil_L", "duty_D")
-
-    def column(self, name):
-        return getattr(self, name)
 
     def __len__(self):
         return len(self.t)
@@ -295,76 +259,81 @@ def run_scenario(cfg):
         pv_power[lit] = np.where(p > 0.0, p, 0.0)
         duty[lit] = mppt.duty_for_ratio(harvest.v_ref, BATTERY_BUS_V)
 
-    # 4. hydraulics and battery
-    state = SystemState(
-        soc_pct=cfg.soc_init_pct,
-        tank1_L=cfg.tank1_init_pct / 100.0 * cfg.tank1_volume_L,
-        tank2_L=cfg.tank2_init_pct / 100.0 * cfg.tank2_volume_L,
-        soil_pct=cfg.soil_init_pct,
-        delivered_soil_L=0.0,
-        relays=RelayState(),
-    )
-    staged = {"t": t, "irradiance": irr, "pv_power_W": pv_power,
-              "theta_TE": track.theta_TE, "theta_TA": track.theta_TA,
-              "alpha": track.alpha, "duty_D": duty}
-    cols = {name: np.zeros(n_steps) for name in SimTrace.COLUMNS
-            if name not in staged}
-    energy_harvested_Ws = 0.0
+    # 4. hydraulics and battery, over plain floats: relays, pump flows
+    # (first order toward rated flow or zero, advanced exactly over dt,
+    # with the load in proportion to the flow), water and charge
+    soc = cfg.soc_init_pct
+    soil = cfg.soil_init_pct
+    tank1 = cfg.tank1_init_pct / 100.0 * cfg.tank1_volume_L
+    tank2 = cfg.tank2_init_pct / 100.0 * cfg.tank2_volume_L
+    delivered = flow1 = flow2 = 0.0
+    pump1 = pump2 = False
+    tank1_cap, tank2_cap = cfg.tank1_volume_L, cfg.tank2_volume_L
+    rated = cfg.pump_flow_Lpm
+    power1, power2 = cfg.pump1_power_W, cfg.pump2_power_W
+    decay = math.exp(-dt / cfg.pump_tau_s)
+    soil_gain = cfg.soil_gain_pct_per_L
     soil_decay_per_s = cfg.soil_decay_pct_per_hr / 3600.0
+    capacity_Wh = cfg.battery_capacity_Wh
+    energy_harvested_Ws = 0.0
+    tank2_pct = 100.0 * tank2 / tank2_cap
+    (soc_col, pump1_col, pump2_col, tank2_col, soil_col, relay_col,
+     tank1_col, delivered_col) = (np.zeros(n_steps) for _ in range(8))
 
     for k, power in enumerate(pv_power.tolist()):
-        # relays and pump flows; the battery relay and an empty source
-        # tank both stop the physical flow (the latch state is untouched)
-        state.relays = control_logic_step(state, cfg)
-        gate = state.relays.battery_relay
-        state.flow1_Lpm, load1 = pump_dynamics_step(
-            state.relays.pump1 and gate and state.tank1_L > 1e-9,
-            state.flow1_Lpm, dt, cfg, cfg.pump1_power_W)
-        state.flow2_Lpm, load2 = pump_dynamics_step(
-            state.relays.pump2 and gate and state.tank2_L > 1e-9,
-            state.flow2_Lpm, dt, cfg, cfg.pump2_power_W)
+        pump1, pump2, relay = control_logic_step(pump1, pump2, tank2_pct,
+                                                 soil, soc, cfg)
+        # the battery relay and an empty source tank both stop the
+        # physical flow (the latches are untouched)
+        target = rated if pump1 and relay and tank1 > 1e-9 else 0.0
+        flow1 = target + (flow1 - target) * decay
+        target = rated if pump2 and relay and tank2 > 1e-9 else 0.0
+        flow2 = target + (flow2 - target) * decay
+        load = power1 * flow1 / rated + power2 * flow2 / rated
 
         # water movement: tank1 -> tank2 -> soil, exactly ledgered
-        move1 = min(state.flow1_Lpm / 60.0 * dt, state.tank1_L,
-                    cfg.tank2_volume_L - state.tank2_L)
-        move1 = max(0.0, move1)
-        state.tank1_L -= move1
-        state.tank2_L += move1
-        move2 = min(state.flow2_Lpm / 60.0 * dt, state.tank2_L)
-        move2 = max(0.0, move2)
-        state.tank2_L -= move2
-        state.delivered_soil_L += move2
-        state.soil_pct = min(100.0, max(0.0,
-            state.soil_pct + cfg.soil_gain_pct_per_L * move2
-            - soil_decay_per_s * dt))
+        move1 = max(0.0, min(flow1 / 60.0 * dt, tank1, tank2_cap - tank2))
+        tank1 -= move1
+        tank2 += move1
+        move2 = max(0.0, min(flow2 / 60.0 * dt, tank2))
+        tank2 -= move2
+        delivered += move2
+        soil = min(100.0, max(0.0, soil + soil_gain * move2
+                              - soil_decay_per_s * dt))
 
         # battery energy balance
-        load = load1 + load2
         energy_harvested_Ws += power * dt
-        dsoc = (power - load) * dt / 3600.0 / cfg.battery_capacity_Wh * 100.0
-        state.soc_pct = min(100.0, max(0.0, state.soc_pct + dsoc))
+        soc = min(100.0, max(0.0, soc + (power - load) * dt / 3600.0
+                             / capacity_Wh * 100.0))
 
-        cols["soc_pct"][k] = state.soc_pct
-        cols["pump1_on"][k] = 1.0 if state.relays.pump1 else 0.0
-        cols["pump2_on"][k] = 1.0 if state.relays.pump2 else 0.0
-        cols["tank2_level_pct"][k] = 100.0 * state.tank2_L / cfg.tank2_volume_L
-        cols["soil_moisture_pct"][k] = state.soil_pct
-        cols["battery_relay"][k] = 1.0 if state.relays.battery_relay else 0.0
-        cols["tank1_level_pct"][k] = 100.0 * state.tank1_L / cfg.tank1_volume_L
-        cols["delivered_soil_L"][k] = state.delivered_soil_L
+        tank2_pct = 100.0 * tank2 / tank2_cap
+        soc_col[k] = soc
+        pump1_col[k] = pump1
+        pump2_col[k] = pump2
+        tank2_col[k] = tank2_pct
+        soil_col[k] = soil
+        relay_col[k] = relay
+        tank1_col[k] = 100.0 * tank1 / tank1_cap
+        delivered_col[k] = delivered
 
-    trace = SimTrace(**staged, **cols)
+    trace = SimTrace(
+        t=t, irradiance=irr, pv_power_W=pv_power, soc_pct=soc_col,
+        pump1_on=pump1_col, pump2_on=pump2_col, tank2_level_pct=tank2_col,
+        soil_moisture_pct=soil_col, theta_TE=track.theta_TE,
+        theta_TA=track.theta_TA, alpha=track.alpha, battery_relay=relay_col,
+        tank1_level_pct=tank1_col, delivered_soil_L=delivered_col,
+        duty_D=duty)
 
     def cycles(flags):
         return int(np.sum(np.diff(flags) > 0))
 
     summary = ScenarioSummary(
-        final_soc_pct=state.soc_pct,
+        final_soc_pct=soc,
         pump1_cycles=cycles(trace.pump1_on),
         pump2_cycles=cycles(trace.pump2_on),
         pump1_on_steps=int(trace.pump1_on.sum()),
         pump2_on_steps=int(trace.pump2_on.sum()),
-        water_delivered_L=state.delivered_soil_L,
+        water_delivered_L=delivered,
         energy_harvested_Wh=energy_harvested_Ws / 3600.0,
     )
     return trace, summary

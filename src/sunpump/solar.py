@@ -29,7 +29,7 @@ def _d(x):
 
 @dataclass(frozen=True)
 class SunPosition:
-    """Solar elevation and azimuth; zenith is the elevation complement."""
+    """Solar elevation and azimuth, degrees."""
 
     theta_SE: float
     theta_SA: float
@@ -38,21 +38,13 @@ class SunPosition:
         if not -90.0 <= self.theta_SE <= 90.0:
             raise ValueError("solar elevation must lie in [-90, 90]")
 
-    @property
-    def theta_SZ(self):
-        return 90.0 - self.theta_SE
-
 
 @dataclass(frozen=True)
 class TrackerOrientation:
-    """Tracker elevation/azimuth pair; tilt = |90 - elevation|."""
+    """Tracker elevation/azimuth pair, degrees."""
 
     theta_TE: float
     theta_TA: float
-
-    @property
-    def theta_tilt(self):
-        return abs(90.0 - self.theta_TE)
 
 
 def declination(n):

@@ -161,7 +161,7 @@ class TestColumnCsv:
             cols[name] = c
         trace = SimTrace(**cols)
         path = tmp_path / "trace.csv"
-        cols = [trace.column(name) for name in trace.COLUMNS]
+        cols = [getattr(trace, name) for name in trace.COLUMNS]
         emit_csv(trace.COLUMNS, cols, path)
         assert path.read_bytes() == rowwise_csv(
             trace.COLUMNS, zip(*(c.tolist() for c in cols)))
@@ -200,6 +200,21 @@ class TestCliExitCodes:
     def test_negative_hour_angle_count(self, tmp_path, capsys):
         assert main(["solar-angles", "--hour-angles=0:10:-2",
                      "--out", str(tmp_path)]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["track-sim", "--steps", "0"], ["track-sim", "--steps", "-4"],
+        ["mppt-run", "--steps", "0"], ["pv-curve", "--points", "-3"]],
+        ids=["track-sim-0", "track-sim-negative", "mppt-run-0",
+             "pv-curve-negative"])
+    def test_bad_count_is_a_usage_error(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path)]) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_zero_point_curve_is_header_only(self, tmp_path, capsys):
+        assert main(["pv-curve", "--points", "0", "--out",
+                     str(tmp_path)]) == 0
+        assert (tmp_path / "pv_curve.csv").read_text() == "v,i,p\n"
 
     def test_unknown_preset(self, capsys):
         assert main(["tf", "analyze", "--preset", "nope"]) == 1

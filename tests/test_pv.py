@@ -188,6 +188,26 @@ class TestNewtonSolve:
         assert i == pytest.approx(
             brute_force_cell_current(p, 0.0, lo=-2.0, hi=2.0), abs=2e-6)
 
+    @pytest.mark.parametrize("n_p", [1, 2])
+    def test_large_series_resistance_settles_by_newton(self, monkeypatch,
+                                                       n_p):
+        # R_s = 0.3 ohm on a cold array starts Newton far right of the
+        # root; the iteration budget still lets every solve settle
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("brentq fallback ran")
+        monkeypatch.setattr(pv, "brentq", no_fallback)
+        base = default_array(1000.0, 275.0)
+        cell = PvCellParams(base.cell.I_ph, base.cell.I_o1, base.cell.I_o2,
+                            0.3, base.cell.R_p, 1.0, 2.0, 275.0)
+        ap = PvArrayParams(cell, N_s=36, N_p=n_p, area_A=0.5)
+        g = np.random.default_rng(17).uniform(0.0, 1200.0, 300)
+        for v in (0.0, 17.25):
+            for x in g.tolist():
+                lit = ap.at_irradiance(x)
+                assert abs(current_residual(lit, v, array_current(lit, v))) \
+                    <= 1e-12
+            assert pv.array_current_lanes(ap, v, g)[1].size == 0
+
     def test_explicit_without_series_resistance(self, monkeypatch):
         def no_root_find(*args, **kwargs):
             raise AssertionError("R_s = 0 needs no root find")
@@ -305,9 +325,10 @@ class TestCurrentLanes:
     for bit, and leaves to it the lanes it does not settle."""
 
     @pytest.mark.parametrize("t_c,r_s", [(298.0, 0.01), (320.0, 0.01),
-                                         (298.0, 0.0), (275.0, 0.3)])
+                                         (298.0, 0.0), (275.0, 0.3),
+                                         (298.0, 5.0)])
     def test_lanes_match_scalar_solve(self, t_c, r_s):
-        # at R_s = 0.3 ohm some lanes need more Newton iterations than
+        # at R_s = 5 ohm most lanes need more Newton iterations than
         # allowed and are left open; at the others every lane settles
         base = default_array(1000.0, t_c)
         cell = PvCellParams(base.cell.I_ph, base.cell.I_o1, base.cell.I_o2,
@@ -320,7 +341,7 @@ class TestCurrentLanes:
             assert np.isnan(cur[left_open]).all()
             settled = np.setdiff1d(np.arange(g.size), left_open)
             assert settled.size > 0
-            if r_s < 0.1:
+            if r_s < 1.0:
                 assert left_open.size == 0
             want = np.array([array_current(ap.at_irradiance(x), v)
                              for x in g[settled].tolist()])

@@ -1,77 +1,302 @@
+from dataclasses import dataclass
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from sunpump import scenario
-from sunpump.scenario import (ConfigError, RelayState, ScenarioConfig,
-                              SystemState, control_logic_step,
-                              pump_dynamics_step, run_scenario)
+from sunpump.scenario import (ConfigError, ScenarioConfig,
+                              control_logic_step, run_scenario)
 
 
-def make_state(tank2_frac=0.5, soil=50.0, soc=50.0, pump1=False,
-               pump2=False):
-    cfg = ScenarioConfig()
-    return cfg, SystemState(
-        soc_pct=soc,
-        tank1_L=30.0,
-        tank2_L=tank2_frac * cfg.tank2_volume_L,
-        soil_pct=soil,
-        delivered_soil_L=0.0,
-        relays=RelayState(pump1=pump1, pump2=pump2),
-    )
+def relays(tank2_pct=50.0, soil=50.0, soc=50.0, pump1=False, pump2=False):
+    return control_logic_step(pump1, pump2, tank2_pct, soil, soc,
+                              ScenarioConfig())
 
 
 class TestControlLogic:
     def test_low_tank_turns_pump1_on(self):
-        cfg, st = make_state(tank2_frac=0.15, pump1=False)
-        assert control_logic_step(st, cfg).pump1 is True
+        assert relays(tank2_pct=15.0, pump1=False)[0] is True
 
     def test_between_thresholds_holds_previous(self):
-        cfg, st_on = make_state(tank2_frac=0.5, pump1=True)
-        assert control_logic_step(st_on, cfg).pump1 is True
-        cfg, st_off = make_state(tank2_frac=0.5, pump1=False)
-        assert control_logic_step(st_off, cfg).pump1 is False
+        assert relays(tank2_pct=50.0, pump1=True)[0] is True
+        assert relays(tank2_pct=50.0, pump1=False)[0] is False
 
     def test_full_tank_turns_pump1_off(self):
-        cfg, st = make_state(tank2_frac=0.92, pump1=True)
-        assert control_logic_step(st, cfg).pump1 is False
+        assert relays(tank2_pct=92.0, pump1=True)[0] is False
 
     def test_soil_wet_threshold_turns_pump2_off(self):
-        cfg, st = make_state(soil=70.0, pump2=True)
-        assert control_logic_step(st, cfg).pump2 is False
+        assert relays(soil=70.0, pump2=True)[1] is False
 
     def test_soil_dry_turns_pump2_on(self):
-        cfg, st = make_state(soil=25.0, pump2=False)
-        assert control_logic_step(st, cfg).pump2 is True
+        assert relays(soil=25.0, pump2=False)[1] is True
 
     def test_battery_relay_brownout(self):
-        cfg, st = make_state(soc=9.0)
-        assert control_logic_step(st, cfg).battery_relay is False
-        cfg, st = make_state(soc=10.0)
-        assert control_logic_step(st, cfg).battery_relay is True
+        assert relays(soc=9.0)[2] is False
+        assert relays(soc=10.0)[2] is True
+
+
+# -- reference: the hydraulics and battery loop as an object-state loop,
+# one relay object per step and the pump law as a function --------------
+
+@dataclass(frozen=True)
+class RelayState:
+    pump1: bool = False
+    pump2: bool = False
+    battery_relay: bool = True
+
+
+@dataclass
+class SystemState:
+    soc_pct: float
+    tank1_L: float
+    tank2_L: float
+    soil_pct: float
+    delivered_soil_L: float
+    relays: RelayState
+    flow1_Lpm: float = 0.0
+    flow2_Lpm: float = 0.0
+
+
+def reference_relays(state, cfg):
+    r = state.relays
+    tank2_pct = 100.0 * state.tank2_L / cfg.tank2_volume_L
+    pump1 = r.pump1
+    if tank2_pct < cfg.tank_low_pct:
+        pump1 = True
+    elif tank2_pct >= cfg.tank_full_pct:
+        pump1 = False
+    pump2 = r.pump2
+    if state.soil_pct < cfg.soil_dry_pct:
+        pump2 = True
+    elif state.soil_pct >= cfg.soil_wet_pct:
+        pump2 = False
+    battery = state.soc_pct >= cfg.battery_min_soc_pct
+    return RelayState(pump1, pump2, battery)
+
+
+def reference_pump(on, flow_prev_Lpm, dt, cfg, rated_power_W=0.0):
+    target = cfg.pump_flow_Lpm if on else 0.0
+    decay = math.exp(-dt / cfg.pump_tau_s)
+    flow = target + (flow_prev_Lpm - target) * decay
+    return flow, rated_power_W * flow / cfg.pump_flow_Lpm
+
+
+HYDRAULIC_COLUMNS = ("soc_pct", "pump1_on", "pump2_on", "tank2_level_pct",
+                     "soil_moisture_pct", "battery_relay",
+                     "tank1_level_pct", "delivered_soil_L")
+
+
+def reference_hydraulics(cfg, pv_power):
+    """The eight hydraulic columns and (final SOC, water delivered,
+    energy harvested in Wh) for a given harvest."""
+    dt = cfg.dt_s
+    state = SystemState(
+        soc_pct=cfg.soc_init_pct,
+        tank1_L=cfg.tank1_init_pct / 100.0 * cfg.tank1_volume_L,
+        tank2_L=cfg.tank2_init_pct / 100.0 * cfg.tank2_volume_L,
+        soil_pct=cfg.soil_init_pct,
+        delivered_soil_L=0.0,
+        relays=RelayState(),
+    )
+    cols = {name: np.zeros(len(pv_power)) for name in HYDRAULIC_COLUMNS}
+    energy_harvested_Ws = 0.0
+    soil_decay_per_s = cfg.soil_decay_pct_per_hr / 3600.0
+    for k, power in enumerate(pv_power.tolist()):
+        state.relays = reference_relays(state, cfg)
+        gate = state.relays.battery_relay
+        state.flow1_Lpm, load1 = reference_pump(
+            state.relays.pump1 and gate and state.tank1_L > 1e-9,
+            state.flow1_Lpm, dt, cfg, cfg.pump1_power_W)
+        state.flow2_Lpm, load2 = reference_pump(
+            state.relays.pump2 and gate and state.tank2_L > 1e-9,
+            state.flow2_Lpm, dt, cfg, cfg.pump2_power_W)
+        move1 = min(state.flow1_Lpm / 60.0 * dt, state.tank1_L,
+                    cfg.tank2_volume_L - state.tank2_L)
+        move1 = max(0.0, move1)
+        state.tank1_L -= move1
+        state.tank2_L += move1
+        move2 = min(state.flow2_Lpm / 60.0 * dt, state.tank2_L)
+        move2 = max(0.0, move2)
+        state.tank2_L -= move2
+        state.delivered_soil_L += move2
+        state.soil_pct = min(100.0, max(0.0,
+            state.soil_pct + cfg.soil_gain_pct_per_L * move2
+            - soil_decay_per_s * dt))
+        load = load1 + load2
+        energy_harvested_Ws += power * dt
+        dsoc = (power - load) * dt / 3600.0 / cfg.battery_capacity_Wh * 100.0
+        state.soc_pct = min(100.0, max(0.0, state.soc_pct + dsoc))
+        cols["soc_pct"][k] = state.soc_pct
+        cols["pump1_on"][k] = 1.0 if state.relays.pump1 else 0.0
+        cols["pump2_on"][k] = 1.0 if state.relays.pump2 else 0.0
+        cols["tank2_level_pct"][k] = \
+            100.0 * state.tank2_L / cfg.tank2_volume_L
+        cols["soil_moisture_pct"][k] = state.soil_pct
+        cols["battery_relay"][k] = \
+            1.0 if state.relays.battery_relay else 0.0
+        cols["tank1_level_pct"][k] = \
+            100.0 * state.tank1_L / cfg.tank1_volume_L
+        cols["delivered_soil_L"][k] = state.delivered_soil_L
+    return cols, (state.soc_pct, state.delivered_soil_L,
+                  energy_harvested_Ws / 3600.0)
+
+
+def assert_matches_reference(cfg, trace, summary):
+    cols, (soc, delivered, harvested) = reference_hydraulics(
+        cfg, trace.pv_power_W)
+    for name in HYDRAULIC_COLUMNS:
+        got = getattr(trace, name)
+        assert got.dtype == np.float64, name
+        bad = np.flatnonzero(got.view(np.int64) != cols[name].view(np.int64))
+        assert bad.size == 0, f"{name} differs at steps {bad[:5]}"
+    for name, want in (("final_soc_pct", soc),
+                       ("water_delivered_L", delivered),
+                       ("energy_harvested_Wh", harvested)):
+        got = getattr(summary, name)
+        assert type(got) is float, name
+        assert np.float64(got).view(np.int64) == \
+            np.float64(want).view(np.int64), name
+
+
+def cloudy_config(seed):
+    """A seeded 20-minute day under passing clouds, P&O on even seeds
+    and IC on odd ones, with the tanks, soil and battery started at
+    random levels and random pump ratings."""
+    rng = np.random.default_rng(seed)
+    duration = 1200.0
+    times = np.unique(np.concatenate(
+        [[0.0, duration], rng.uniform(1.0, duration - 1.0, 60).round(1)]))
+    irr = rng.uniform(0.0, 1000.0, times.size)
+    irr[rng.random(times.size) < 0.2] = 0.0
+    return ScenarioConfig(
+        duration_s=duration, dt_s=0.1,
+        irradiance_profile=tuple(zip(times.tolist(), irr.tolist())),
+        sun_path=((0.0, 20.0, 100.0), (duration, 55.0, 200.0)),
+        mppt_algo="po" if seed % 2 == 0 else "ic",
+        battery_capacity_Wh=float(rng.uniform(2.0, 60.0)),
+        soc_init_pct=float(rng.uniform(8.0, 95.0)),
+        tank1_init_pct=float(rng.uniform(5.0, 100.0)),
+        tank2_init_pct=float(rng.uniform(5.0, 40.0)),
+        soil_init_pct=float(rng.uniform(15.0, 45.0)),
+        soil_gain_pct_per_L=float(rng.uniform(0.0, 20.0)),
+        soil_decay_pct_per_hr=float(rng.uniform(0.0, 200.0)),
+        pump_flow_Lpm=float(rng.uniform(1.0, 10.0)),
+        pump_tau_s=float(rng.uniform(0.05, 5.0)),
+        pump1_power_W=float(rng.uniform(10.0, 100.0)),
+        pump2_power_W=float(rng.uniform(5.0, 50.0)))
+
+
+DARK = ((0.0, 0.0), (600.0, 0.0))
+
+# configs that drive the loop into each of its branches, with the check
+# that they do
+BRANCH_CONFIGS = {
+    "brownout": (
+        dict(duration_s=60.0, irradiance_profile=DARK, soc_init_pct=10.02,
+             tank2_init_pct=10.0),
+        lambda tr: (tr.battery_relay[0] == 1.0
+                    and tr.battery_relay[-1] == 0.0)),
+    "tank1_runs_dry": (
+        dict(duration_s=60.0, irradiance_profile=DARK, soc_init_pct=90.0,
+             tank1_init_pct=2.0, tank2_init_pct=10.0),
+        lambda tr: tr.tank1_level_pct[-1] == 0.0 and tr.pump1_on[-1] == 1.0),
+    "tank2_capacity_limits_transfer": (
+        dict(duration_s=30.0, irradiance_profile=DARK, soc_init_pct=90.0,
+             tank_low_pct=99.95, tank_full_pct=100.0, tank2_init_pct=99.9),
+        lambda tr: tr.tank2_level_pct.max() == 100.0),
+    "soil_clamped_at_0": (
+        dict(duration_s=30.0, irradiance_profile=DARK, soc_init_pct=5.0,
+             soil_init_pct=0.5, soil_decay_pct_per_hr=3600.0),
+        lambda tr: tr.soil_moisture_pct[-1] == 0.0),
+    "soil_clamped_at_100": (
+        dict(duration_s=30.0, irradiance_profile=DARK, soc_init_pct=90.0,
+             soil_dry_pct=99.0, soil_wet_pct=100.0, soil_init_pct=95.0,
+             soil_gain_pct_per_L=1000.0),
+        lambda tr: tr.soil_moisture_pct.max() == 100.0),
+    "soc_clamped_at_0": (
+        dict(duration_s=30.0, irradiance_profile=DARK, soc_init_pct=0.05,
+             battery_min_soc_pct=0.0, tank2_init_pct=10.0),
+        lambda tr: tr.soc_pct[-1] == 0.0 and tr.battery_relay[-1] == 1.0),
+    "soc_clamped_at_100": (
+        dict(duration_s=60.0, soc_init_pct=99.99),
+        lambda tr: tr.soc_pct[-1] == 100.0),
+}
+
+
+class TestHydraulicsMatchesReference:
+    """The plain-float hydraulics pass equals the object-state loop bit
+    for bit on every column it writes and every summary term."""
+
+    def test_daylight(self, daylight_run):
+        assert_matches_reference(*daylight_run)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cloudy(self, seed):
+        cfg = cloudy_config(seed)
+        trace, summary = run_scenario(cfg)
+        assert summary.pump1_on_steps + summary.pump2_on_steps > 0
+        assert_matches_reference(cfg, trace, summary)
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_CONFIGS))
+    def test_branch(self, name):
+        values, reached = BRANCH_CONFIGS[name]
+        cfg = ScenarioConfig(**values)
+        trace, summary = run_scenario(cfg)
+        assert reached(trace)
+        assert_matches_reference(cfg, trace, summary)
+
+
+def pump1_flow_and_load(cfg, trace):
+    """Pump1 flow (L/min) and total load (W) of each step after the
+    first, read back from the tank1 level and, in the dark, the SOC."""
+    tank1_L = trace.tank1_level_pct / 100.0 * cfg.tank1_volume_L
+    flow = -np.diff(tank1_L) / cfg.dt_s * 60.0
+    load = -np.diff(trace.soc_pct) / 100.0 * cfg.battery_capacity_Wh \
+        * 3600.0 / cfg.dt_s
+    return flow, load
+
+
+# dark, battery high, soil between its thresholds (pump2 stays off) and
+# tank2 below its low mark, so pump1 latches on at the first step
+PUMP1_ONLY = dict(duration_s=30.0, irradiance_profile=DARK,
+                  soc_init_pct=90.0, tank2_init_pct=10.0)
 
 
 class TestPumpDynamics:
     def test_steady_on_reaches_rated(self):
-        cfg = ScenarioConfig()
-        flow = 0.0
-        for _ in range(100):
-            flow, _ = pump_dynamics_step(True, flow, 0.1, cfg, 60.0)
-        assert flow == pytest.approx(cfg.pump_flow_Lpm, rel=0.01)
+        cfg = ScenarioConfig(**PUMP1_ONLY)
+        trace, _ = run_scenario(cfg)
+        assert np.all(trace.pump1_on == 1.0)
+        flow, _ = pump1_flow_and_load(cfg, trace)
+        assert flow[-1] == pytest.approx(cfg.pump_flow_Lpm, rel=0.01)
 
     def test_first_order_rise(self):
-        cfg = ScenarioConfig()
-        flow, load = pump_dynamics_step(True, 0.0, 0.05, cfg, 60.0)
-        assert 0.0 < flow < cfg.pump_flow_Lpm
-        assert load == pytest.approx(60.0 * flow / cfg.pump_flow_Lpm)
+        cfg = ScenarioConfig(dt_s=0.05, **PUMP1_ONLY)
+        trace, _ = run_scenario(cfg)
+        flow, load = pump1_flow_and_load(cfg, trace)
+        assert 0.0 < flow[0] < cfg.pump_flow_Lpm
+        # step k + 1 ends (k + 2) dt after the pump turned on
+        k = np.arange(flow.size)
+        want = cfg.pump_flow_Lpm * (
+            1.0 - np.exp(-(k + 2) * cfg.dt_s / cfg.pump_tau_s))
+        assert flow == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert load == pytest.approx(
+            cfg.pump1_power_W * flow / cfg.pump_flow_Lpm, rel=1e-6)
 
     def test_off_decays_to_zero(self):
-        cfg = ScenarioConfig()
-        flow = cfg.pump_flow_Lpm
-        for _ in range(200):
-            flow, _ = pump_dynamics_step(False, flow, 0.1, cfg)
-        assert flow == pytest.approx(0.0, abs=1e-6)
+        # pump1 fills tank2 from 19 % to its 21 % full mark, then stops
+        cfg = ScenarioConfig(**dict(PUMP1_ONLY, duration_s=60.0,
+                                    tank2_init_pct=19.0, tank_low_pct=20.0,
+                                    tank_full_pct=21.0))
+        trace, _ = run_scenario(cfg)
+        off = np.flatnonzero(np.diff(trace.pump1_on) < 0)
+        assert off.size == 1
+        flow, _ = pump1_flow_and_load(cfg, trace)
+        assert flow[off[0]] > 1.0
+        assert np.all(np.diff(flow[off[0]:]) <= 0.0)
+        assert flow[off[0] + 200] == pytest.approx(0.0, abs=1e-6)
 
 
 class TestConfigValidation:
@@ -112,6 +337,14 @@ class TestConfigValidation:
     def test_nonfinite_tracker_start_rejected(self):
         with pytest.raises(ConfigError, match="tracker_init_azi"):
             ScenarioConfig(tracker_init_azi=float("-inf")).validate()
+
+    def test_empty_profile_row_rejected(self):
+        with pytest.raises(ConfigError, match="irradiance_profile"):
+            ScenarioConfig(irradiance_profile=((),)).validate()
+
+    def test_text_profile_entry_rejected(self):
+        with pytest.raises(ConfigError, match="irradiance_profile"):
+            ScenarioConfig(irradiance_profile=(("a", 1.0),)).validate()
 
     def test_nonfinite_profile_entry_rejected(self):
         with pytest.raises(ConfigError, match="irradiance_profile"):
@@ -250,7 +483,7 @@ class TestScenarioRun:
         t1, s1 = run_scenario(cfg)
         t2, s2 = run_scenario(cfg)
         for name in t1.COLUMNS:
-            assert np.array_equal(t1.column(name), t2.column(name))
+            assert np.array_equal(getattr(t1, name), getattr(t2, name))
         assert s1 == s2
 
     def test_brownout_blocks_pumping(self):
