@@ -12,8 +12,8 @@ from .solar import (SunPosition, TrackerOrientation, declination,
                     angle_of_incidence, incidence_direction,
                     quartic_even_roots, optimal_orientation)
 from .mppt import MpptState, po_step, ic_step, mppt_run
-from .tracking import (LdrReadings, TrackingThresholds, TrackerCommand,
-                       ldr_model, tracking_step, tracking_sim)
+from .tracking import (TrackingThresholds, ldr_model, tracking_step,
+                       tracking_sim)
 from .plants import (MotorParams, PidParams, TankParams, ValveParams,
                      motor_tf, pid_tf, closed_loop_char_poly, pump_tf,
                      tank_tf, valve_linearize, tank_loop_tf,

@@ -156,7 +156,9 @@ def _cmd_track_sim(args):
     csvio.emit_csv(["step", "theta_TE", "theta_TA", "alpha", "tl", "tr",
                     "bl", "br", "az_cmd", "el_cmd"],
                    [k, run.theta_TE, run.theta_TA, run.alpha,
-                    *run.readings.T, run.azimuth_move, run.elevation_move],
+                    *run.readings.T,
+                    np.array(["right", "hold", "left"])[run.azimuth_step + 1],
+                    np.array(["down", "hold", "up"])[run.elevation_step + 1]],
                    path)
     print(f"wrote {path}; final AOI = {run.alpha[-1]:.2f} deg")
     return 0

@@ -19,6 +19,7 @@ on every step instead, with no table.
 """
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -55,8 +56,8 @@ class MpptState:
     flag: str = ""
 
     def __post_init__(self):
-        if self.dV_step <= 0:
-            raise ValueError("perturbation step must be > 0")
+        if not 0.0 < self.dV_step < math.inf:
+            raise ValueError("perturbation step must be finite and > 0")
         if self.iteration < 0:
             raise ValueError("iteration must be >= 0")
 

@@ -19,6 +19,7 @@ other tank or in the delivered-to-soil ledger, so conservation holds to
 floating-point accumulation error.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 import math
 from numbers import Real
@@ -78,8 +79,9 @@ class ScenarioConfig:
     def validate(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.type is float and v is not None and not math.isfinite(v):
-                raise ConfigError(f"{f.name} = {v} is not finite")
+            if f.type is float and v is not None and not (
+                    isinstance(v, Real) and math.isfinite(v)):
+                raise ConfigError(f"{f.name} = {v!r} is not a finite number")
         if self.dt_s <= 0:
             raise ConfigError("dt_s must be > 0")
         if self.duration_s < self.dt_s:
@@ -117,10 +119,12 @@ class ScenarioConfig:
             raise ConfigError("mppt_algo must be 'po' or 'ic'")
         for prof, width in (("irradiance_profile", 2), ("sun_path", 3)):
             pts = getattr(self, prof)
-            if len(pts) == 0:
-                raise ConfigError(f"{prof} must be nonempty")
-            if any(len(p) != width for p in pts):
-                raise ConfigError(f"{prof} rows must have {width} entries")
+            if not isinstance(pts, Sequence) or len(pts) == 0:
+                raise ConfigError(f"{prof} must be a nonempty sequence")
+            if not all(isinstance(p, Sequence) and len(p) == width
+                       for p in pts):
+                raise ConfigError(
+                    f"{prof} rows must be sequences of {width} entries")
             if not all(isinstance(x, Real) and math.isfinite(x)
                        for p in pts for x in p):
                 raise ConfigError(f"{prof} entries must be finite numbers")
@@ -195,13 +199,12 @@ class SimTrace:
     delivered_soil_L: np.ndarray
     duty_D: np.ndarray
 
-    COLUMNS = ("t", "irradiance", "pv_power_W", "soc_pct", "pump1_on",
-               "pump2_on", "tank2_level_pct", "soil_moisture_pct",
-               "theta_TE", "theta_TA", "alpha", "battery_relay",
-               "tank1_level_pct", "delivered_soil_L", "duty_D")
-
     def __len__(self):
         return len(self.t)
+
+
+# the trace CSV columns, in field order
+SimTrace.COLUMNS = tuple(f.name for f in fields(SimTrace))
 
 
 @dataclass(frozen=True)

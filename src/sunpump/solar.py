@@ -63,6 +63,8 @@ def zenith_and_elevation(l_st, delta, st):
     -------
     (theta_z, theta_e) in degrees.
     """
+    if not all(map(math.isfinite, (l_st, delta, st))):
+        raise ValueError("solar angles must be finite")
     arg = (math.sin(_d(l_st)) * math.sin(_d(delta))
            + math.cos(_d(l_st)) * math.cos(_d(delta)) * math.cos(_d(st)))
     if abs(arg) > 1.0 + 1e-12:

@@ -6,19 +6,18 @@ The sensor model projects the sun direction onto four quadrant normals
 the sun's projections on the tracker frame (``solar.sun_on_frame``), and
 quantizes to 10-bit ADC counts, full scale at 1000 W/m2 normal
 incidence.  The state machine compares pairwise averages against a
-deadband and commands one motor step per axis per cycle.
+deadband and commands one signed motor step per axis per cycle: azimuth
++1 on the printed "left" branch and -1 on "right", elevation +1 "up" and
+-1 "down", 0 to hold.  Left-brighter commands "right", a negative
+azimuth step, so the loop converges either way.  A park snaps the
+tracker back to its start.
 
-Command labels follow the tracking algorithm's printed branches
-(left-brighter commands "right"); the simulation maps "right" to a
-negative azimuth step so the loop converges either way.
-
-``tracking_sim`` runs the steps that move the panel through the scalar
-functions below, and the hold stretches between them as numpy blocks:
-while the orientation is fixed the counts and commands of a step depend
-on that step's sun and irradiance alone.  The blocks repeat the scalar
-operations in the same order, so every column is bit-identical to a
-step-by-step loop over ``ldr_model``, ``tracking_step`` and
-``apply_command``.
+The law is written once, :func:`sense_and_decide`, on floats or arrays.
+``tracking_sim`` runs the steps that move the panel through it on
+floats, and the hold stretches between them on numpy blocks: while the
+orientation is fixed the counts and commands of a step depend on that
+step's sun and irradiance alone.  Both take the same operations in the
+same order, so every column is bit-identical to a step-by-step loop.
 """
 
 from dataclasses import dataclass
@@ -26,25 +25,9 @@ import math
 
 import numpy as np
 
-from .solar import SunPosition, TrackerOrientation, sun_on_frame
+from .solar import TrackerOrientation, sun_on_frame
 
 _SQRT_HALF = math.sqrt(0.5)
-
-
-@dataclass(frozen=True)
-class LdrReadings:
-    """Quadrant ADC counts, each in [0, 1023]."""
-
-    top_left: int
-    top_right: int
-    bottom_left: int
-    bottom_right: int
-
-    def __post_init__(self):
-        for v in (self.top_left, self.top_right,
-                  self.bottom_left, self.bottom_right):
-            if not 0 <= v <= 1023:
-                raise ValueError("ADC count out of [0, 1023]")
 
 
 @dataclass(frozen=True)
@@ -57,88 +40,96 @@ class TrackingThresholds:
             raise ValueError("thresholds must be positive")
 
 
-@dataclass(frozen=True)
-class TrackerCommand:
-    azimuth_move: str   # "left" | "right" | "hold"
-    elevation_move: str  # "up" | "down" | "hold"
-    park: bool = False
+def _clip(x, lo, hi):
+    """``np.clip`` on one number."""
+    return min(max(x, lo), hi)
 
 
-def ldr_model(sp, to, irradiance):
+def sense_and_decide(se, te, dazi, irradiance, th, sin, cos, rint, clip):
     """
-    Quadrant sensor counts for a sun position and tracker orientation.
+    One cycle of the tracker law: quadrant counts, then the state machine.
 
-    Each reading is ``round(1023 * irradiance/1000 * max(0, cos angle))``
-    between the sun vector and that quadrant's normal, where the
-    quadrant normals are the panel normal tilted 45 degrees toward the
-    four diagonal in-face directions: ``sqrt(1/2) (y_m + sqrt(1/2)
-    (+-z_m +- x_m))``.  The cosines are taken in closed form from the
-    sun's projections ``s . x_m``, ``s . y_m``, ``s . z_m`` on the
-    tracker frame (``solar.sun_on_frame``).
+    Each count is ``round(1023 * irradiance/1000 * cos angle)``, clipped
+    to [0, 1023], for the angle between the sun vector and that
+    quadrant's normal, where the quadrant normals are the panel normal
+    tilted 45 degrees toward the four diagonal in-face directions:
+    ``sqrt(1/2) (y_m + sqrt(1/2) (+-z_m +- x_m))``.  The cosines are
+    taken in closed form from the sun's projections on the tracker
+    frame.  The counts then go through :func:`tracking_step`.
+
+    Parameters
+    ----------
+    se, te, dazi : sun elevation, tracker elevation and azimuth difference
+        (sun minus tracker), radians, as for ``solar.sun_on_frame``
+    irradiance : W/m2, >= 0
+    th : TrackingThresholds
+    sin, cos, rint, clip : ``math.sin``, ``math.cos``, ``round`` and
+        ``_clip`` on floats, or ``np.sin``, ``np.cos``, ``np.rint`` and
+        ``np.clip`` on arrays
+
+    Returns
+    -------
+    (top_left, top_right, bottom_left, bottom_right, azimuth step,
+    elevation step, park)
     """
-    if irradiance < 0:
-        raise ValueError("irradiance must be >= 0")
-    scale = 1023.0 * irradiance / 1000.0
-
-    def count(c):
-        return int(min(1023, round(scale * max(0.0, c))))
-
-    return LdrReadings(*map(count, _quadrant_cosines(
-        math.radians(sp.theta_SE), math.radians(to.theta_TE),
-        math.radians(sp.theta_SA - to.theta_TA), math.sin, math.cos)))
-
-
-def _quadrant_cosines(se, te, dazi, sin, cos):
-    """Cosines between the sun and the quadrant normals (top left, top
-    right, bottom left, bottom right); arguments as ``sun_on_frame``."""
     s_x, s_y, s_z = sun_on_frame(se, te, dazi, sin, cos)
     axial = _SQRT_HALF * s_y
-    return (axial + 0.5 * (s_z - s_x), axial + 0.5 * (s_z + s_x),
-            axial - 0.5 * (s_z + s_x), axial + 0.5 * (s_x - s_z))
+    scale = 1023.0 * irradiance / 1000.0
+    counts = [clip(rint(scale * c), 0, 1023) for c in (
+        axial + 0.5 * (s_z - s_x), axial + 0.5 * (s_z + s_x),
+        axial - 0.5 * (s_z + s_x), axial + 0.5 * (s_x - s_z))]
+    return (*counts, *tracking_step(*counts, th))
 
 
-def tracking_step(r, th):
+def ldr_model(sun_elev, sun_azi, tracker_elev, tracker_azi, irradiance):
+    """Quadrant counts (top left, top right, bottom left, bottom right)
+    for one sun position and tracker orientation in degrees:
+    :func:`sense_and_decide` on floats."""
+    if irradiance < 0:
+        raise ValueError("irradiance must be >= 0")
+    return sense_and_decide(
+        math.radians(sun_elev), math.radians(tracker_elev),
+        math.radians(sun_azi - tracker_azi), irradiance,
+        TrackingThresholds(), math.sin, math.cos, round, _clip)[:4]
+
+
+def tracking_step(tl, tr, bl, br, th):
     """
-    One pass of the tracking state machine.
+    The tracking state machine on quadrant counts, floats or arrays.
 
     Pairwise averages feed two difference signals; below the light
-    threshold the tracker parks, inside the deadband an axis holds,
-    otherwise the printed branch directions apply (positive azimuth
-    difference commands "right", positive elevation difference "up").
+    threshold the tracker parks and holds, inside the deadband an axis
+    holds, otherwise the printed branch directions apply: a positive
+    azimuth difference commands "right" (-1), a negative one "left"
+    (+1), a positive elevation difference "up" (+1), a negative one
+    "down" (-1).
+
+    Returns
+    -------
+    (azimuth step, elevation step, park)
     """
-    avg_top = (r.top_left + r.top_right) / 2.0
-    avg_bottom = (r.bottom_left + r.bottom_right) / 2.0
-    avg_left = (r.top_left + r.bottom_left) / 2.0
-    avg_right = (r.top_right + r.bottom_right) / 2.0
+    avg_top = (tl + tr) / 2.0
+    avg_bottom = (bl + br) / 2.0
+    avg_left = (tl + bl) / 2.0
+    avg_right = (tr + br) / 2.0
     avgsum = (avg_top + avg_bottom + avg_left + avg_right) / 4.0
-    if avgsum < th.avgsum_min:
-        return TrackerCommand("hold", "hold", park=True)
+    lit = avgsum >= th.avgsum_min
     diff_azi = avg_left - avg_right
     diff_elev = avg_top - avg_bottom
-    if abs(diff_azi) <= th.diff_deadband:
-        azi = "hold"
-    else:
-        azi = "right" if diff_azi > 0 else "left"
-    if abs(diff_elev) <= th.diff_deadband:
-        elev = "hold"
-    else:
-        elev = "up" if diff_elev > 0 else "down"
-    return TrackerCommand(azi, elev, park=False)
+    db = th.diff_deadband
+    azi = (lit & (abs(diff_azi) > db)) * (1 - 2 * (diff_azi > 0))
+    elev = (lit & (abs(diff_elev) > db)) * (2 * (diff_elev > 0) - 1)
+    return azi, elev, avgsum < th.avgsum_min
 
 
-# command label -> signed orientation increment, in motor steps
-_AZI_STEP = {"left": +1.0, "right": -1.0, "hold": 0.0}
-_ELEV_STEP = {"up": +1.0, "down": -1.0, "hold": 0.0}
-
-
-def apply_command(to, cmd, motor_step_deg, initial=None):
-    """Orientation after one command; park snaps to the initial position."""
-    if cmd.park:
-        return initial if initial is not None else to
-    te = to.theta_TE + _ELEV_STEP[cmd.elevation_move] * motor_step_deg
-    ta = to.theta_TA + _AZI_STEP[cmd.azimuth_move] * motor_step_deg
-    te = min(max(te, 0.0), 180.0)
-    return TrackerOrientation(te, ta)
+def _move(te, ta, azi_step, elev_step, park, motor_step_deg, start):
+    """Orientation ``(te, ta)`` after one command: a signed motor step per
+    axis with the elevation clamped to [0, 180]; a park snaps to
+    ``start``."""
+    if park:
+        return start
+    return (_clip(te + elev_step * motor_step_deg, 0.0, 180.0),
+            ta + azi_step * motor_step_deg)
 
 
 @dataclass(frozen=True)
@@ -149,8 +140,8 @@ class TrackingRun:
     theta_TA: np.ndarray
     alpha: np.ndarray           # angle of incidence there, degrees
     readings: np.ndarray        # (n, 4) sensed counts: tl, tr, bl, br
-    azimuth_move: np.ndarray    # command labels
-    elevation_move: np.ndarray
+    azimuth_step: np.ndarray    # int8: +1 left, -1 right, 0 hold
+    elevation_step: np.ndarray  # int8: +1 up, -1 down, 0 hold
     park: np.ndarray
 
 
@@ -161,67 +152,20 @@ _SETTLE_STEPS = 8
 _BLOCK_MIN = 32
 _BLOCK_MAX = 4096
 
-# command codes, indices into the label arrays
-_AZI_LABELS = np.array(["hold", "left", "right"], dtype="<U5")
-_ELEV_LABELS = np.array(["hold", "up", "down"], dtype="<U5")
-_AZI_CODE = {label: j for j, label in enumerate(_AZI_LABELS.tolist())}
-_ELEV_CODE = {label: j for j, label in enumerate(_ELEV_LABELS.tolist())}
-# a block step's command as one code: 3 * azimuth + elevation, or park
-_PARK_CODE = 9
-_COMMANDS = tuple(TrackerCommand(azi, elev) for azi in _AZI_LABELS.tolist()
-                  for elev in _ELEV_LABELS.tolist()) + (
-    TrackerCommand("hold", "hold", park=True),)
-
 
 def _same_orientation(a, b):
-    """Bit-for-bit equal orientations: 0.0 and -0.0 differ, and NaN
-    equals nothing."""
-    sign = math.copysign
-    return (a.theta_TE == b.theta_TE and a.theta_TA == b.theta_TA
-            and sign(1.0, a.theta_TE) == sign(1.0, b.theta_TE)
-            and sign(1.0, a.theta_TA) == sign(1.0, b.theta_TA))
+    """Bit-for-bit equal ``(te, ta)`` pairs: 0.0 and -0.0 differ."""
+    return a == b and all(math.copysign(1.0, x) == math.copysign(1.0, y)
+                          for x, y in zip(a, b))
 
 
-def _block_commands(to, elev, azi, irr, th):
-    """
-    Counts and command codes of steps sensed from the fixed orientation
-    ``to``: :func:`ldr_model` and :func:`tracking_step` over arrays, in
-    their operation order.
-
-    Returns
-    -------
-    (counts (m, 4) float array, azimuth codes, elevation codes, park)
-    """
-    c = np.stack(_quadrant_cosines(
-        np.radians(elev), np.radians(np.full(elev.size, to.theta_TE)),
-        np.radians(azi - to.theta_TA), np.sin, np.cos), axis=1)
-    scale = 1023.0 * irr / 1000.0
-    counts = np.minimum(1023, np.rint(scale[:, None]
-                                      * np.where(c > 0.0, c, 0.0)))
-    tl, tr, bl, br = counts.T
-    avg_top = (tl + tr) / 2.0
-    avg_bottom = (bl + br) / 2.0
-    avg_left = (tl + bl) / 2.0
-    avg_right = (tr + br) / 2.0
-    avgsum = (avg_top + avg_bottom + avg_left + avg_right) / 4.0
-    park = avgsum < th.avgsum_min
-    diff_azi = avg_left - avg_right
-    diff_elev = avg_top - avg_bottom
-    azi_code = np.where(
-        park | (np.abs(diff_azi) <= th.diff_deadband), _AZI_CODE["hold"],
-        np.where(diff_azi > 0, _AZI_CODE["right"], _AZI_CODE["left"]))
-    elev_code = np.where(
-        park | (np.abs(diff_elev) <= th.diff_deadband), _ELEV_CODE["hold"],
-        np.where(diff_elev > 0, _ELEV_CODE["up"], _ELEV_CODE["down"]))
-    return counts, azi_code, elev_code, park
-
-
-def _incidence_angles(elev, azi, te, ta):
-    """:func:`~sunpump.solar.angle_of_incidence` over arrays, in its
-    operation order, with ``math.acos`` on each element (``np.arccos``
-    differs from it in the last bit on some arguments)."""
-    arg = sun_on_frame(np.radians(elev), np.radians(te),
-                       np.radians(azi - ta), np.sin, np.cos)[1]
+def _incidence_angles(se, azi, te, ta):
+    """:func:`~sunpump.solar.angle_of_incidence` over arrays (sun
+    elevation ``se`` in radians), in its operation order, with
+    ``math.acos`` on each element (``np.arccos`` differs from it in the
+    last bit on some arguments)."""
+    arg = sun_on_frame(se, np.radians(te), np.radians(azi - ta),
+                       np.sin, np.cos)[1]
     arg = np.where(arg < 1.0, arg, 1.0)
     arg = np.where(arg > -1.0, arg, -1.0)
     return np.degrees(np.fromiter(map(math.acos, arg), float, arg.size))
@@ -234,29 +178,29 @@ def tracking_sim(sun_elev, sun_azi, th, motor_step_deg=1.8,
 
     Per step: sense quadrant counts, run the state machine, move at most
     one motor step per axis (elevation clamped to [0, 180]).  Steps that
-    follow a move run one by one through :func:`ldr_model`,
-    :func:`tracking_step` and :func:`apply_command`; once the orientation
-    has held for a few steps, the steps run as blocks from the fixed
-    orientation until the first step that changes it (module docstring).
+    follow a move run one by one through :func:`sense_and_decide` on
+    floats; once the orientation has held for a few steps, the steps run
+    through it on arrays from the fixed orientation until the first step
+    that changes it (module docstring).
 
     Parameters
     ----------
     sun_elev, sun_azi : sequences of n floats, the solar elevation and
         azimuth per step in degrees; every elevation must lie in
-        [-90, 90]
+        [-90, 90] and every azimuth must be finite
     th : TrackingThresholds
-    motor_step_deg : float, > 0
+    motor_step_deg : float, finite and > 0
     irradiance : float or sequence of n floats, finite and >= 0, W/m2
         (a scalar is broadcast)
-    start : TrackerOrientation, optional (defaults to face-up at the
-        first sun azimuth); parking snaps back to it
+    start : TrackerOrientation with finite angles, optional (defaults to
+        face-up at the first sun azimuth); parking snaps back to it
 
     Returns
     -------
     TrackingRun
     """
-    if motor_step_deg <= 0:
-        raise ValueError("motor step must be > 0")
+    if not 0.0 < motor_step_deg < math.inf:
+        raise ValueError("motor step must be finite and > 0")
     elev = np.asarray(sun_elev, dtype=float)
     azi = np.asarray(sun_azi, dtype=float)
     n = len(elev)
@@ -267,65 +211,66 @@ def tracking_sim(sun_elev, sun_azi, th, motor_step_deg=1.8,
     irr = np.broadcast_to(np.asarray(irradiance, dtype=float), (n,))
     if not np.all((elev >= -90.0) & (elev <= 90.0)):
         raise ValueError("solar elevation must lie in [-90, 90]")
+    if not np.all(np.isfinite(azi)):
+        raise ValueError("solar azimuth must be finite")
     if not np.all(np.isfinite(irr)):
         raise ValueError("irradiance must be finite")
     if not np.all(irr >= 0.0):
         raise ValueError("irradiance must be >= 0")
     if start is None:
         start = TrackerOrientation(90.0, azi.item(0))
+    start = (float(start.theta_TE), float(start.theta_TA))
+    if not all(map(math.isfinite, start)):
+        raise ValueError("start orientation must be finite")
+    se = np.radians(elev)
     theta_te, theta_ta = np.empty(n), np.empty(n)
     readings = np.empty((n, 4), dtype=np.int16)
-    azi_code = np.empty(n, dtype=np.int8)
-    elev_code = np.empty(n, dtype=np.int8)
+    azi_step = np.empty(n, dtype=np.int8)
+    elev_step = np.empty(n, dtype=np.int8)
     park = np.empty(n, dtype=bool)
-    orientation = start
+    here = te, ta = start
     k = held = 0
     while k < n:
         if held < _SETTLE_STEPS:
-            r = ldr_model(SunPosition(elev.item(k), azi.item(k)),
-                          orientation, irr.item(k))
-            cmd = tracking_step(r, th)
-            moved = apply_command(orientation, cmd, motor_step_deg,
-                                  initial=start)
-            held = held + 1 if _same_orientation(moved, orientation) else 0
-            orientation = moved
-            theta_te[k], theta_ta[k] = moved.theta_TE, moved.theta_TA
-            readings[k] = (r.top_left, r.top_right,
-                           r.bottom_left, r.bottom_right)
-            azi_code[k] = _AZI_CODE[cmd.azimuth_move]
-            elev_code[k] = _ELEV_CODE[cmd.elevation_move]
-            park[k] = cmd.park
+            *counts, az, el, pk = sense_and_decide(
+                se.item(k), math.radians(te), math.radians(azi.item(k) - ta),
+                irr.item(k), th, math.sin, math.cos, round, _clip)
+            moved = _move(te, ta, az, el, pk, motor_step_deg, start)
+            held = held + 1 if _same_orientation(moved, here) else 0
+            here = te, ta = moved
+            theta_te[k], theta_ta[k] = moved
+            readings[k] = counts
+            azi_step[k], elev_step[k], park[k] = az, el, pk
             k += 1
             if held == _SETTLE_STEPS:
-                # where each command code leads from here, and whether
-                # it leaves the orientation
-                dest = [apply_command(orientation, c, motor_step_deg,
-                                      initial=start) for c in _COMMANDS]
-                leaves = np.array([not _same_orientation(d, orientation)
+                # where each command leads from here, indexed by the code
+                # 3 * azimuth step + elevation step + 4 (9 for a park),
+                # and whether it leaves the orientation
+                dest = [_move(te, ta, a, e, False, motor_step_deg, start)
+                        for a in (-1, 0, 1) for e in (-1, 0, 1)] + [start]
+                leaves = np.array([not _same_orientation(d, here)
                                    for d in dest])
                 block = _BLOCK_MIN
             continue
         stop = min(k + block, n)
-        counts, az, el, pk = _block_commands(
-            orientation, elev[k:stop], azi[k:stop], irr[k:stop], th)
-        code = np.where(pk, _PARK_CODE, 3 * az + el)
+        *counts, az, el, pk = sense_and_decide(
+            se[k:stop], math.radians(te), np.radians(azi[k:stop] - ta),
+            irr[k:stop], th, np.sin, np.cos, np.rint, np.clip)
+        code = np.where(pk, 9, 3 * az + el + 4)
         leaving = np.flatnonzero(leaves[code])
         end = stop if leaving.size == 0 else k + leaving[0] + 1
+        m = end - k
         span = slice(k, end)
-        readings[span] = counts[:end - k]
-        azi_code[span], elev_code[span] = az[:end - k], el[:end - k]
-        park[span] = pk[:end - k]
-        theta_te[span] = orientation.theta_TE
-        theta_ta[span] = orientation.theta_TA
+        readings[span] = np.stack(counts, axis=1)[:m]
+        azi_step[span], elev_step[span], park[span] = az[:m], el[:m], pk[:m]
+        theta_te[span], theta_ta[span] = here
         if leaving.size:
-            orientation = dest[code[end - k - 1]]
-            theta_te[end - 1] = orientation.theta_TE
-            theta_ta[end - 1] = orientation.theta_TA
+            here = te, ta = dest[code[m - 1]]
+            theta_te[end - 1], theta_ta[end - 1] = here
             held = 0
         else:
             block = min(2 * block, _BLOCK_MAX)
         k = end
     return TrackingRun(theta_te, theta_ta,
-                       _incidence_angles(elev, azi, theta_te, theta_ta),
-                       readings, _AZI_LABELS[azi_code],
-                       _ELEV_LABELS[elev_code], park)
+                       _incidence_angles(se, azi, theta_te, theta_ta),
+                       readings, azi_step, elev_step, park)

@@ -1,4 +1,6 @@
 import math
+from pathlib import Path
+import re
 
 import numpy as np
 import pytest
@@ -166,6 +168,12 @@ class TestColumnCsv:
         assert path.read_bytes() == rowwise_csv(
             trace.COLUMNS, zip(*(c.tolist() for c in cols)))
 
+    def test_readme_lists_the_trace_columns(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = re.search(r"The trace CSV columns, in order: `([^`]*)`",
+                           readme).group(1)
+        assert tuple(re.split(r",\s+", listed)) == SimTrace.COLUMNS
+
     def test_empty_columns(self, tmp_path):
         path = tmp_path / "empty.csv"
         emit_csv(["t", "y"], [np.empty(0), np.empty(0)], path)
@@ -268,6 +276,21 @@ class TestCliExitCodes:
         # improper transfer function cannot produce a step response
         code = main(["tf", "step", "--tf-text", "num: 1 0 0 / den: 1 1"])
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["track-sim", "--motor-step", "nan"],
+        ["track-sim", "--start", "nan:0"],
+        ["track-sim", "--azimuth", "nan:0"],
+        ["solar-angles", "--lat", "nan"],
+        ["mppt-run", "--dv-step", "inf"]],
+        ids=["track-sim-motor-step", "track-sim-start", "track-sim-azimuth",
+             "solar-angles-lat", "mppt-run-dv-step"])
+    def test_nonfinite_input_is_a_numeric_failure(self, tmp_path, capsys,
+                                                  argv):
+        # each used to exit 0 with NaN or infinite rows
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        assert "numeric failure" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
 
 class TestCliCommands:
@@ -532,9 +555,12 @@ class TestCliCsvBytes:
         run = tracking_sim(30.0 + 30.0 * k / 299, 90.0 + 180.0 * k / 299,
                            TrackingThresholds(), start=TrackerOrientation(
                                45.0, 160.0))
+        azi_label = {1: "left", -1: "right", 0: "hold"}
+        elev_label = {1: "up", -1: "down", 0: "hold"}
         rows = zip(range(300), run.theta_TE.tolist(), run.theta_TA.tolist(),
                    run.alpha.tolist(), *run.readings.T.tolist(),
-                   run.azimuth_move.tolist(), run.elevation_move.tolist())
+                   map(azi_label.get, run.azimuth_step.tolist()),
+                   map(elev_label.get, run.elevation_step.tolist()))
         assert (tmp_path / "track_sim.csv").read_bytes() == rowwise_csv(
             ["step", "theta_TE", "theta_TA", "alpha", "tl", "tr", "bl", "br",
              "az_cmd", "el_cmd"], rows)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -186,6 +187,12 @@ class TestClosedLoop:
     def test_needs_irradiance_or_measure(self):
         with pytest.raises(ValueError, match="irradiance"):
             mppt_run(default_array(), "po", initial_state(10.0), 10)
+
+    @pytest.mark.parametrize("dv", [math.inf, math.nan, 0.0, -0.5])
+    def test_bad_perturbation_step_rejected(self, dv):
+        # an infinite step used to walk V_ref to -inf
+        with pytest.raises(ValueError, match="perturbation step"):
+            initial_state(10.0, dv)
 
 
 def scalar_mppt_run(ap, algo, st0, irradiance):

@@ -346,6 +346,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="irradiance_profile"):
             ScenarioConfig(irradiance_profile=(("a", 1.0),)).validate()
 
+    def test_profile_row_not_a_sequence_rejected(self):
+        with pytest.raises(ConfigError, match="irradiance_profile"):
+            ScenarioConfig(irradiance_profile=(1.0,)).validate()
+        with pytest.raises(ConfigError, match="sun_path"):
+            ScenarioConfig(sun_path=5.0).validate()
+
+    def test_text_scalar_rejected(self):
+        with pytest.raises(ConfigError, match="dt_s"):
+            ScenarioConfig(dt_s="a").validate()
+        with pytest.raises(ConfigError, match="tracker_init_elev"):
+            ScenarioConfig(tracker_init_elev=[45.0]).validate()
+
     def test_nonfinite_profile_entry_rejected(self):
         with pytest.raises(ConfigError, match="irradiance_profile"):
             ScenarioConfig(irradiance_profile=(

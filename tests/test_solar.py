@@ -113,6 +113,14 @@ class TestZenithElevation:
         assert theta_z == pytest.approx(expect, rel=1e-12)
         assert theta_z + theta_e == pytest.approx(90.0)
 
+    @pytest.mark.parametrize("args", [(math.nan, 23.45, 0.0),
+                                      (45.0, math.inf, 0.0),
+                                      (45.0, 23.45, -math.inf)])
+    def test_nonfinite_rejected(self, args):
+        # a NaN cosine argument used to clamp to 1: elevation 90
+        with pytest.raises(ValueError, match="finite"):
+            zenith_and_elevation(*args)
+
 
 class TestSunVector:
     def test_zenith(self):

@@ -1,15 +1,17 @@
+from dataclasses import dataclass
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from sunpump import tracking
 from sunpump.scenario import ScenarioConfig, _profile_columns
 from sunpump.solar import (SunPosition, TrackerOrientation,
-                          angle_of_incidence, sun_vector, tracker_basis)
-from sunpump.tracking import (LdrReadings, TrackerCommand, TrackingRun,
-                              TrackingThresholds, apply_command, ldr_model,
-                              tracking_sim, tracking_step)
+                          angle_of_incidence, sun_on_frame, sun_vector,
+                          tracker_basis)
+from sunpump.tracking import (TrackingRun, TrackingThresholds, ldr_model,
+                              sense_and_decide, tracking_sim, tracking_step)
 
 
 def vector_ldr_model(sp, to, irradiance):
@@ -26,8 +28,92 @@ def vector_ldr_model(sp, to, irradiance):
 
     up = half * z_m
     right = half * x_m
-    return LdrReadings(count(up - right), count(up + right),
-                       count(-up - right), count(-up + right))
+    return (count(up - right), count(up + right),
+            count(-up - right), count(-up + right))
+
+
+# -- reference: the tracker as object-based step functions, one reading,
+# command and orientation object per step ---------------------------------
+
+_SQRT_HALF = math.sqrt(0.5)
+
+
+@dataclass(frozen=True)
+class LdrReadings:
+    """Quadrant ADC counts, each in [0, 1023]."""
+
+    top_left: int
+    top_right: int
+    bottom_left: int
+    bottom_right: int
+
+    def __post_init__(self):
+        for v in (self.top_left, self.top_right,
+                  self.bottom_left, self.bottom_right):
+            if not 0 <= v <= 1023:
+                raise ValueError("ADC count out of [0, 1023]")
+
+
+@dataclass(frozen=True)
+class TrackerCommand:
+    azimuth_move: str   # "left" | "right" | "hold"
+    elevation_move: str  # "up" | "down" | "hold"
+    park: bool = False
+
+
+def reference_ldr_model(sp, to, irradiance):
+    if irradiance < 0:
+        raise ValueError("irradiance must be >= 0")
+    scale = 1023.0 * irradiance / 1000.0
+
+    def count(c):
+        return int(min(1023, round(scale * max(0.0, c))))
+
+    return LdrReadings(*map(count, _quadrant_cosines(
+        math.radians(sp.theta_SE), math.radians(to.theta_TE),
+        math.radians(sp.theta_SA - to.theta_TA), math.sin, math.cos)))
+
+
+def _quadrant_cosines(se, te, dazi, sin, cos):
+    s_x, s_y, s_z = sun_on_frame(se, te, dazi, sin, cos)
+    axial = _SQRT_HALF * s_y
+    return (axial + 0.5 * (s_z - s_x), axial + 0.5 * (s_z + s_x),
+            axial - 0.5 * (s_z + s_x), axial + 0.5 * (s_x - s_z))
+
+
+def reference_tracking_step(r, th):
+    avg_top = (r.top_left + r.top_right) / 2.0
+    avg_bottom = (r.bottom_left + r.bottom_right) / 2.0
+    avg_left = (r.top_left + r.bottom_left) / 2.0
+    avg_right = (r.top_right + r.bottom_right) / 2.0
+    avgsum = (avg_top + avg_bottom + avg_left + avg_right) / 4.0
+    if avgsum < th.avgsum_min:
+        return TrackerCommand("hold", "hold", park=True)
+    diff_azi = avg_left - avg_right
+    diff_elev = avg_top - avg_bottom
+    if abs(diff_azi) <= th.diff_deadband:
+        azi = "hold"
+    else:
+        azi = "right" if diff_azi > 0 else "left"
+    if abs(diff_elev) <= th.diff_deadband:
+        elev = "hold"
+    else:
+        elev = "up" if diff_elev > 0 else "down"
+    return TrackerCommand(azi, elev, park=False)
+
+
+# command label -> signed orientation increment, in motor steps
+_AZI_STEP = {"left": +1.0, "right": -1.0, "hold": 0.0}
+_ELEV_STEP = {"up": +1.0, "down": -1.0, "hold": 0.0}
+
+
+def reference_apply_command(to, cmd, motor_step_deg, initial=None):
+    if cmd.park:
+        return initial if initial is not None else to
+    te = to.theta_TE + _ELEV_STEP[cmd.elevation_move] * motor_step_deg
+    ta = to.theta_TA + _AZI_STEP[cmd.azimuth_move] * motor_step_deg
+    te = min(max(te, 0.0), 180.0)
+    return TrackerOrientation(te, ta)
 
 
 class TestLdrModel:
@@ -47,90 +133,80 @@ class TestLdrModel:
         for se, sa, e, a, g in zip(sun_elev.tolist(), sun_azi.tolist(),
                                    te.tolist(), ta.tolist(), irr.tolist()):
             sp, to = SunPosition(se, sa), TrackerOrientation(e, a)
-            assert ldr_model(sp, to, g) == vector_ldr_model(sp, to, g)
+            assert ldr_model(se, sa, e, a, g) == vector_ldr_model(sp, to, g)
 
     def test_aligned_zenith_equal_quadrants(self):
-        sp = SunPosition(90.0, 0.0)
-        to = TrackerOrientation(90.0, 0.0)
-        r = ldr_model(sp, to, 1000.0)
-        assert r.top_left == r.top_right == r.bottom_left == r.bottom_right
-        assert r.top_left > 700   # cos 45 of full scale
+        tl, tr, bl, br = ldr_model(90.0, 0.0, 90.0, 0.0, 1000.0)
+        assert tl == tr == bl == br
+        assert tl > 700   # cos 45 of full scale
 
     def test_dark(self):
-        r = ldr_model(SunPosition(40.0, 100.0),
-                      TrackerOrientation(40.0, 100.0), 0.0)
-        assert (r.top_left, r.top_right, r.bottom_left, r.bottom_right) == \
-            (0, 0, 0, 0)
+        assert ldr_model(40.0, 100.0, 40.0, 100.0, 0.0) == (0, 0, 0, 0)
 
     def test_sun_toward_plus_x_favors_right_pair(self):
         # tracker at azimuth 180, sun displaced toward smaller azimuth:
         # s . x_m = cos(se) sin(sa - ta) < 0 for sa < ta, so displacement
         # toward +x means sa > ta
-        sp = SunPosition(45.0, 200.0)
-        to = TrackerOrientation(45.0, 180.0)
-        r = ldr_model(sp, to, 1000.0)
-        assert r.top_right > r.top_left
-        assert r.bottom_right > r.bottom_left
+        tl, tr, bl, br = ldr_model(45.0, 200.0, 45.0, 180.0, 1000.0)
+        assert tr > tl
+        assert br > bl
 
     def test_counts_in_range(self):
-        r = ldr_model(SunPosition(45.0, 100.0),
-                      TrackerOrientation(45.0, 100.0), 1500.0)
-        for v in (r.top_left, r.top_right, r.bottom_left, r.bottom_right):
+        for v in ldr_model(45.0, 100.0, 45.0, 100.0, 1500.0):
             assert 0 <= v <= 1023
 
 
 class TestTrackingStep:
+    """Commands as (azimuth step, elevation step, park): azimuth +1 left,
+    -1 right, elevation +1 up, -1 down, 0 hold."""
+
     def test_balanced_holds(self):
-        cmd = tracking_step(LdrReadings(500, 500, 500, 500),
-                            TrackingThresholds())
-        assert cmd == TrackerCommand("hold", "hold", park=False)
+        cmd = tracking_step(500, 500, 500, 500, TrackingThresholds())
+        assert cmd == (0, 0, False)
 
     def test_night_parks(self):
-        cmd = tracking_step(LdrReadings(1, 1, 1, 1), TrackingThresholds())
-        assert cmd.park
-        assert cmd.azimuth_move == "hold"
-        assert cmd.elevation_move == "hold"
+        azi, elev, park = tracking_step(1, 1, 1, 1, TrackingThresholds())
+        assert park
+        assert azi == 0
+        assert elev == 0
 
     def test_park_dominates_differences(self):
-        cmd = tracking_step(LdrReadings(7, 0, 7, 0), TrackingThresholds())
-        assert cmd.park
+        assert tracking_step(7, 0, 7, 0, TrackingThresholds())[2]
 
     def test_top_brighter_moves_up(self):
-        cmd = tracking_step(LdrReadings(600, 600, 500, 500),
-                            TrackingThresholds())
-        assert cmd.elevation_move == "up"
-        assert cmd.azimuth_move == "hold"
+        azi, elev, _ = tracking_step(600, 600, 500, 500,
+                                     TrackingThresholds())
+        assert elev == +1
+        assert azi == 0
 
     def test_left_brighter_commands_right_label(self):
-        cmd = tracking_step(LdrReadings(600, 500, 600, 500),
-                            TrackingThresholds())
-        assert cmd.azimuth_move == "right"
-        assert cmd.elevation_move == "hold"
+        azi, elev, _ = tracking_step(600, 500, 600, 500,
+                                     TrackingThresholds())
+        assert azi == -1
+        assert elev == 0
 
     def test_within_deadband_holds(self):
-        cmd = tracking_step(LdrReadings(505, 500, 505, 500),
-                            TrackingThresholds())
-        assert cmd.azimuth_move == "hold"
+        azi, _, _ = tracking_step(505, 500, 505, 500, TrackingThresholds())
+        assert azi == 0
 
 
 class TestApplyCommand:
+    """The move law: one signed motor step per axis, the elevation
+    clamped to [0, 180], a park back to the start."""
+
     def test_elevation_clamped(self):
-        to = TrackerOrientation(179.5, 0.0)
-        moved = apply_command(to, TrackerCommand("hold", "up"), 1.8)
-        assert moved.theta_TE == 180.0
+        moved = tracking._move(179.5, 0.0, 0, +1, False, 1.8, None)
+        assert moved[0] == 180.0
 
     def test_park_returns_initial(self):
-        init = TrackerOrientation(90.0, 50.0)
-        here = TrackerOrientation(40.0, 120.0)
-        parked = apply_command(here, TrackerCommand("hold", "hold", True),
-                               1.8, initial=init)
+        init = (90.0, 50.0)
+        parked = tracking._move(40.0, 120.0, 0, 0, True, 1.8, init)
         assert parked == init
 
     def test_bounded_actuation(self):
-        to = TrackerOrientation(50.0, 100.0)
-        moved = apply_command(to, TrackerCommand("left", "down"), 1.8)
-        assert abs(moved.theta_TE - to.theta_TE) <= 1.8
-        assert abs(moved.theta_TA - to.theta_TA) <= 1.8
+        te, ta = tracking._move(50.0, 100.0, +1, -1, False, 1.8, None)
+        assert abs(te - 50.0) <= 1.8
+        assert abs(ta - 100.0) <= 1.8
 
 
 class TestTrackingSim:
@@ -186,20 +262,18 @@ class TestTrackingSim:
         start = TrackerOrientation(30.0, 95.0)
         run = tracking_sim(elev, azi, TrackingThresholds(), start=start,
                            irradiance=irr)
-        to = start
+        te, ta = start.theta_TE, start.theta_TA
         for k in range(3):
-            sp = SunPosition(elev[k], azi[k])
-            r = ldr_model(sp, to, irr)
-            cmd = tracking_step(r, TrackingThresholds())
-            to = apply_command(to, cmd, 1.8, initial=start)
-            assert (run.theta_TE[k], run.theta_TA[k]) == (to.theta_TE,
-                                                          to.theta_TA)
-            assert run.alpha[k] == angle_of_incidence(sp, to)
-            assert run.readings[k].tolist() == [
-                r.top_left, r.top_right, r.bottom_left, r.bottom_right]
-            assert (run.azimuth_move[k], run.elevation_move[k],
-                    run.park[k]) == (cmd.azimuth_move, cmd.elevation_move,
-                                     cmd.park)
+            r = ldr_model(elev[k], azi[k], te, ta, irr)
+            cmd = tracking_step(*r, TrackingThresholds())
+            te, ta = tracking._move(te, ta, *cmd, 1.8,
+                                    (start.theta_TE, start.theta_TA))
+            assert (run.theta_TE[k], run.theta_TA[k]) == (te, ta)
+            assert run.alpha[k] == angle_of_incidence(
+                SunPosition(elev[k], azi[k]), TrackerOrientation(te, ta))
+            assert run.readings[k].tolist() == list(r)
+            assert (run.azimuth_step[k], run.elevation_step[k],
+                    run.park[k]) == cmd
 
     def test_sun_below_range_rejected(self):
         with pytest.raises(ValueError):
@@ -209,11 +283,57 @@ class TestTrackingSim:
         with pytest.raises(ValueError):
             tracking_sim([], [], TrackingThresholds())
 
+    @pytest.mark.parametrize("kw", [
+        dict(motor_step_deg=math.nan), dict(motor_step_deg=math.inf),
+        dict(start=TrackerOrientation(math.nan, 0.0)),
+        dict(start=TrackerOrientation(45.0, -math.inf))])
+    def test_nonfinite_step_or_start_rejected(self, kw):
+        # a NaN orientation used to run to NaN columns with alpha = 0
+        with pytest.raises(ValueError, match="finite"):
+            tracking_sim([30.0, 31.0], [100.0, 101.0], TrackingThresholds(),
+                         **kw)
+
+    def test_nonfinite_azimuth_rejected(self):
+        with pytest.raises(ValueError, match="azimuth"):
+            tracking_sim([30.0, 31.0], [100.0, math.nan],
+                         TrackingThresholds())
+
+
+def _or_special(values, strategy):
+    return st.one_of(st.sampled_from(values), strategy)
+
+
+class TestKernelFloatsMatchArrays:
+    @settings(derandomize=True, database=None, deadline=None)
+    @given(te=_or_special([0.0, -0.0, 180.0], st.floats(-200.0, 200.0)),
+           rows=st.lists(st.tuples(
+               _or_special([-90.0, -0.0, 0.0, 90.0], st.floats(-90.0, 90.0)),
+               _or_special([-0.0, 0.0], st.floats(-720.0, 720.0)),
+               _or_special([0.0], st.floats(0.0, 1200.0))),
+               min_size=1, max_size=40))
+    def test_float_path_equals_array_path(self, te, rows):
+        """One orientation against arrays of suns, as in a block pass,
+        equals the same law on each sun as floats: counts, steps and park
+        as ``tracking_sim`` stores them, bit for bit."""
+        th = TrackingThresholds()
+        se, dazi, irr = (np.array(c) for c in zip(*rows))
+        got = sense_and_decide(np.radians(se), math.radians(te),
+                               np.radians(dazi), irr, th,
+                               np.sin, np.cos, np.rint, np.clip)
+        want = [sense_and_decide(math.radians(e), math.radians(te),
+                                 math.radians(d), g, th, math.sin, math.cos,
+                                 round, tracking._clip) for e, d, g in rows]
+        for j, dtype in enumerate([np.int16] * 4 + [np.int8] * 2 + [bool]):
+            column = np.array([w[j] for w in want], dtype=dtype)
+            assert np.array_equal(got[j].astype(dtype), column), j
+            assert np.array_equal(got[j], column), j   # values, not casts
+
 
 def scalar_tracking_sim(sun_elev, sun_azi, th, motor_step_deg=1.8,
                         irradiance=1000.0, start=None):
-    """Reference: the step-by-step loop over the public scalar functions,
-    one ``SunPosition`` and one ``angle_of_incidence`` per step."""
+    """Reference: the step-by-step loop over the object-based step
+    functions, one ``SunPosition`` and one ``angle_of_incidence`` per
+    step."""
     elev = np.asarray(sun_elev, dtype=float).tolist()
     azi = np.asarray(sun_azi, dtype=float).tolist()
     n = len(elev)
@@ -222,22 +342,22 @@ def scalar_tracking_sim(sun_elev, sun_azi, th, motor_step_deg=1.8,
         start = TrackerOrientation(90.0, azi[0])
     run = TrackingRun(np.empty(n), np.empty(n), np.empty(n),
                       np.empty((n, 4), dtype=np.int16),
-                      np.empty(n, dtype="<U5"), np.empty(n, dtype="<U5"),
+                      np.empty(n, dtype=np.int8), np.empty(n, dtype=np.int8),
                       np.empty(n, dtype=bool))
     orientation = start
     for k in range(n):
         sp = SunPosition(elev[k], azi[k])
-        r = ldr_model(sp, orientation, irr[k])
-        cmd = tracking_step(r, th)
-        orientation = apply_command(orientation, cmd, motor_step_deg,
-                                    initial=start)
+        r = reference_ldr_model(sp, orientation, irr[k])
+        cmd = reference_tracking_step(r, th)
+        orientation = reference_apply_command(orientation, cmd,
+                                              motor_step_deg, initial=start)
         run.theta_TE[k] = orientation.theta_TE
         run.theta_TA[k] = orientation.theta_TA
         run.alpha[k] = angle_of_incidence(sp, orientation)
         run.readings[k] = (r.top_left, r.top_right,
                            r.bottom_left, r.bottom_right)
-        run.azimuth_move[k] = cmd.azimuth_move
-        run.elevation_move[k] = cmd.elevation_move
+        run.azimuth_step[k] = _AZI_STEP[cmd.azimuth_move]
+        run.elevation_step[k] = _ELEV_STEP[cmd.elevation_move]
         run.park[k] = cmd.park
     return run
 
@@ -249,7 +369,7 @@ def assert_same_run(got, want):
         assert a.dtype == b.dtype == np.float64, name
         bad = np.flatnonzero(a.view(np.int64) != b.view(np.int64))
         assert bad.size == 0, f"{name} differs at steps {bad[:5]}"
-    for name in ("readings", "azimuth_move", "elevation_move", "park"):
+    for name in ("readings", "azimuth_step", "elevation_step", "park"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert np.array_equal(a, b), name
@@ -361,12 +481,17 @@ class TestBlockPassMatchesScalarLoop:
                                                  start=start))
 
     def test_hold_stretches_run_as_blocks(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(tracking, "ldr_model",
-                            lambda *a: calls.append(1) or ldr_model(*a))
+        shapes = []
+        monkeypatch.setattr(
+            tracking, "sense_and_decide",
+            lambda *a: shapes.append(np.shape(a[3])) or sense_and_decide(*a))
         tracking_sim([45.0] * 5000, [180.0] * 5000, TrackingThresholds(),
                      start=TrackerOrientation(45.0, 180.0))
-        assert len(calls) == tracking._SETTLE_STEPS
+        # the settling steps on floats, then the 4992 held steps in blocks
+        # of 32, 64, ..., 2048 and the last 928
+        assert shapes[:tracking._SETTLE_STEPS] == [()] * tracking._SETTLE_STEPS
+        assert shapes[tracking._SETTLE_STEPS:] == [
+            (32 << j,) for j in range(7)] + [(928,)]
 
     def test_nonfinite_irradiance_rejected(self):
         for bad in (math.inf, math.nan):
