@@ -56,6 +56,9 @@ class MpptState:
     flag: str = ""
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.V_prev, self.I_prev, self.P_prev,
+                                       self.V_ref))):
+            raise ValueError("operating point and reference must be finite")
         if not 0.0 < self.dV_step < math.inf:
             raise ValueError("perturbation step must be finite and > 0")
         if self.iteration < 0:

@@ -10,8 +10,11 @@ with Vt_k = a_k * kB * T / q.  The array version scales voltages by the
 series count and currents by the parallel count.  The current solve is
 Newton's method, started right of the root (the mismatch is increasing
 and convex in I, so the iterates descend onto it) and accepted at a
-1e-12 A residual; when it does not get there, a bracketed ``brentq``
-solve takes over.  Either way the 1e-9 A residual contract holds.
+1e-12 A residual; when it does not get there, a bisection on a
+sign-changing bracket takes over.  Either way the 1e-9 A residual
+contract holds.  The open-circuit voltage needs no current solve: at
+I = 0 the cell voltage solves an explicit equation (see
+:func:`open_circuit_voltage`).
 
 ``array_current_lanes`` runs the same Newton on one voltage over a
 vector of irradiances, lane by lane, with the scalar operations in the
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 BOLTZMANN_J_PER_K = 1.381e-23
 ELECTRON_CHARGE_C = 1.602e-19
@@ -65,6 +67,8 @@ class PvCellParams:
     T_c: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise ValueError("cell parameters must be finite")
         if self.I_ph < 0:
             raise ValueError("photocurrent must be >= 0")
         if self.I_o1 <= 0 or self.I_o2 <= 0:
@@ -88,6 +92,9 @@ class PvArrayParams:
     irradiance_G_T: float = 1000.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.N_s, self.N_p, self.area_A,
+                                       self.irradiance_G_T))):
+            raise ValueError("array parameters must be finite")
         if self.N_s < 1 or self.N_p < 1:
             raise ValueError("module counts must be >= 1")
         if int(self.N_s) != self.N_s or int(self.N_p) != self.N_p:
@@ -202,16 +209,25 @@ def _solve_current(p, n_s, n_p, v):
 
 
 def _solve_current_bracketed(f_df, p, n_p, v):
-    """Fallback: brentq on a sign-changing bracket, 1e-9 A residual."""
+    """Fallback: bisection on a sign-changing bracket down to adjacent
+    floats, 1e-9 A residual.  A NaN mismatch fails the sign test."""
     f = lambda i: f_df(i)[0]
     hi = n_p * p.I_ph + 1.0
     lo = -(n_p * p.I_ph + abs(v) / p.R_p + 10.0)
-    if f(lo) * f(hi) > 0:
+    if not f(lo) <= 0.0 <= f(hi):
         lo, hi = lo * 10 - 10, hi * 10 + 10   # widen once
-        if f(lo) * f(hi) > 0:
+        if not f(lo) <= 0.0 <= f(hi):
             raise PvSolverError(
                 f"no sign change bracketing the current at V={v}")
-    i = brentq(f, lo, hi, xtol=1e-13, rtol=8.882e-16, maxiter=200)
+    for _ in range(200):   # f(lo) <= 0 <= f(hi) throughout
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if f(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    i = lo if -f(lo) <= f(hi) else hi
     if abs(f(i)) > 1e-9:
         raise PvSolverError(f"residual {f(i):.2e} A exceeds contract at V={v}")
     return i
@@ -268,7 +284,16 @@ def array_current_lanes(ap, v_a, g_t):
 
 
 def open_circuit_voltage(ap):
-    """Array open-circuit voltage located by bisection on I(V) = 0."""
+    """
+    Array open-circuit voltage ``N_s u``.  At I = 0 the I Rs term drops
+    out and the cell voltage u solves the explicit equation
+
+        h(u) = I_o1 (exp(u/Vt1) - 1) + I_o2 (exp(u/Vt2) - 1) + u/Rp - I_ph,
+
+    increasing and convex in u.  Newton starts where one diode alone
+    carries I_ph, right of the root, and descends onto it; the first
+    iterate that does not descend is returned.
+    """
     p = ap.cell
     if p.I_ph <= 0:
         return 0.0
@@ -276,12 +301,19 @@ def open_circuit_voltage(ap):
     io2 = _saturation_at_temperature(p.I_o2, p.T_c)
     vt1 = thermal_voltage(p.a1, p.T_c)
     vt2 = thermal_voltage(p.a2, p.T_c)
-    bound = ap.N_s * min(vt1 * math.log(p.I_ph / io1 + 1.0),
-                         vt2 * math.log(p.I_ph / io2 + 1.0)) + 1.0
-    f = lambda v: array_current(ap, v)
-    if f(0.0) <= 0:
-        return 0.0
-    return brentq(f, 0.0, bound, xtol=1e-10)
+    u = min(vt1 * math.log(p.I_ph / io1 + 1.0),
+            vt2 * math.log(p.I_ph / io2 + 1.0))
+    if math.isinf(u):   # I_ph / io overflowed: a cell far below 20 K
+        raise PvSolverError("no finite start for the open-circuit voltage")
+    for _ in range(_NEWTON_MAX_ITER):
+        e1 = math.exp(u / vt1)
+        e2 = math.exp(u / vt2)
+        h = io1 * (e1 - 1.0) + io2 * (e2 - 1.0) + u / p.R_p - p.I_ph
+        step = u - h / (io1 * e1 / vt1 + io2 * e2 / vt2 + 1.0 / p.R_p)
+        if not step < u:
+            return ap.N_s * u
+        u = step
+    raise PvSolverError("open-circuit voltage did not converge")
 
 
 @dataclass(frozen=True)

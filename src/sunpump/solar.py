@@ -37,6 +37,8 @@ class SunPosition:
     def __post_init__(self):
         if not -90.0 <= self.theta_SE <= 90.0:
             raise ValueError("solar elevation must lie in [-90, 90]")
+        if not math.isfinite(self.theta_SA):
+            raise ValueError("solar azimuth must be finite")
 
 
 @dataclass(frozen=True)
@@ -293,6 +295,8 @@ def optimal_orientation(sp, alpha_target, beta_target):
     """
     if not 0.0 <= alpha_target < 90.0:
         raise ValueError("alpha target must lie in [0, 90)")
+    if not math.isfinite(beta_target):
+        raise ValueError("beta target must be finite")
     best, best_err, best_rank = None, math.inf, math.inf
     if abs(abs(beta_target) - 90.0) > 1e-9:   # tan singularity guard
         qc = orientation_quartic(sp, alpha_target, beta_target)

@@ -282,9 +282,20 @@ class TestCliExitCodes:
         ["track-sim", "--start", "nan:0"],
         ["track-sim", "--azimuth", "nan:0"],
         ["solar-angles", "--lat", "nan"],
-        ["mppt-run", "--dv-step", "inf"]],
+        ["mppt-run", "--dv-step", "inf"],
+        ["mppt-run", "--start-v", "nan"],
+        ["mppt-run", "--start-v", "inf"],
+        ["mppt-run", "--start-v=-inf"],
+        ["mppt-run", "--g-t", "nan"],
+        ["pv-curve", "--g-t", "nan"],
+        ["pv-curve", "--t-c", "nan"],
+        ["solar-angles", "--azimuth", "nan:0"],
+        ["solar-angles", "--alpha-target", "5", "--beta-target", "nan"]],
         ids=["track-sim-motor-step", "track-sim-start", "track-sim-azimuth",
-             "solar-angles-lat", "mppt-run-dv-step"])
+             "solar-angles-lat", "mppt-run-dv-step", "mppt-run-start-v-nan",
+             "mppt-run-start-v-inf", "mppt-run-start-v-minus-inf",
+             "mppt-run-g-t", "pv-curve-g-t", "pv-curve-t-c",
+             "solar-angles-azimuth", "solar-angles-beta-target"])
     def test_nonfinite_input_is_a_numeric_failure(self, tmp_path, capsys,
                                                   argv):
         # each used to exit 0 with NaN or infinite rows

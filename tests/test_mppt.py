@@ -194,6 +194,16 @@ class TestClosedLoop:
         with pytest.raises(ValueError, match="perturbation step"):
             initial_state(10.0, dv)
 
+    @pytest.mark.parametrize("field", ["V_prev", "I_prev", "P_prev",
+                                       "V_ref"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_operating_point_rejected(self, field, x):
+        # a -inf start used to write p = nan rows
+        kwargs = dict(V_prev=10.0, I_prev=1.0, P_prev=10.0, V_ref=10.0)
+        kwargs[field] = x
+        with pytest.raises(ValueError, match="finite"):
+            MpptState(**kwargs)
+
 
 def scalar_mppt_run(ap, algo, st0, irradiance):
     """Reference: the step-by-step loop, one ``at_irradiance`` and one

@@ -1,4 +1,8 @@
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -177,9 +181,10 @@ class TestNewtonSolve:
         # R_s = 5 ohm at 0 V: the start I_ph + 1 lies ~1700 thermal
         # voltages right of the root, too far for the Newton budget
         calls = []
-        real = pv.brentq
+        real = pv._solve_current_bracketed
         monkeypatch.setattr(
-            pv, "brentq", lambda *a, **k: calls.append(a) or real(*a, **k))
+            pv, "_solve_current_bracketed",
+            lambda *a, **k: calls.append(a) or real(*a, **k))
         p = PvCellParams(I_ph=8.0, I_o1=1e-10, I_o2=1e-6, R_s=5.0,
                          R_p=100.0, a1=1.0, a2=2.0, T_c=298.0)
         i = cell_current(p, 0.0)
@@ -194,8 +199,8 @@ class TestNewtonSolve:
         # R_s = 0.3 ohm on a cold array starts Newton far right of the
         # root; the iteration budget still lets every solve settle
         def no_fallback(*args, **kwargs):
-            raise AssertionError("brentq fallback ran")
-        monkeypatch.setattr(pv, "brentq", no_fallback)
+            raise AssertionError("bisection fallback ran")
+        monkeypatch.setattr(pv, "_solve_current_bracketed", no_fallback)
         base = default_array(1000.0, 275.0)
         cell = PvCellParams(base.cell.I_ph, base.cell.I_o1, base.cell.I_o2,
                             0.3, base.cell.R_p, 1.0, 2.0, 275.0)
@@ -211,7 +216,7 @@ class TestNewtonSolve:
     def test_explicit_without_series_resistance(self, monkeypatch):
         def no_root_find(*args, **kwargs):
             raise AssertionError("R_s = 0 needs no root find")
-        monkeypatch.setattr(pv, "brentq", no_root_find)
+        monkeypatch.setattr(pv, "_solve_current_bracketed", no_root_find)
         p = PvCellParams(I_ph=8.0, I_o1=1e-10, I_o2=1e-6, R_s=0.0,
                          R_p=100.0, a1=1.0, a2=2.0, T_c=298.0)
         v = 0.5
@@ -228,11 +233,94 @@ class TestNewtonSolve:
         voc = open_circuit_voltage(ap)
 
         def no_fallback(*args, **kwargs):
-            raise AssertionError("brentq fallback ran")
-        monkeypatch.setattr(pv, "brentq", no_fallback)
+            raise AssertionError("bisection fallback ran")
+        monkeypatch.setattr(pv, "_solve_current_bracketed", no_fallback)
         for v in np.linspace(0.0, voc, 301).tolist():
             assert abs(current_residual(ap, v, array_current(ap, v))) \
                 <= 1e-12
+
+    def test_bisection_matches_brentq(self):
+        # the fallback alone, on the series resistances that need it
+        rng = np.random.default_rng(4242)
+        n = 400
+        worst_delta = worst_residual = 0.0
+        for r_s, g, t, v in zip(rng.uniform(1.0, 10.0, n).tolist(),
+                                rng.uniform(0.0, 1200.0, n).tolist(),
+                                rng.uniform(250.0, 350.0, n).tolist(),
+                                rng.uniform(-5.0, 25.0, n).tolist()):
+            base = default_array(g, t).cell
+            cell = PvCellParams(base.I_ph, base.I_o1, base.I_o2, r_s,
+                                base.R_p, 1.0, 2.0, t)
+            ap = PvArrayParams(cell, N_s=36)
+            i = pv._solve_current_bracketed(
+                pv._array_mismatch(cell, 36, 1, v), cell, 1, v)
+            worst_delta = max(worst_delta,
+                              abs(i - brentq_reference_current(ap, v)))
+            worst_residual = max(worst_residual,
+                                 abs(current_residual(ap, v, i)))
+        assert worst_delta <= 1e-12
+        assert worst_residual <= 1e-12
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_voltage_fails_the_solve(self, v):
+        # a NaN bracket must fail the sign test, not bisect forever
+        with pytest.raises(pv.PvSolverError):
+            array_current(default_array(), v)
+
+
+def brentq_reference_voc(ap):
+    """The open-circuit voltage as ``brentq`` on I(V) = 0 located it
+    before the explicit Newton."""
+    p = ap.cell
+    if p.I_ph <= 0:
+        return 0.0
+    io1 = pv._saturation_at_temperature(p.I_o1, p.T_c)
+    io2 = pv._saturation_at_temperature(p.I_o2, p.T_c)
+    vt1 = thermal_voltage(p.a1, p.T_c)
+    vt2 = thermal_voltage(p.a2, p.T_c)
+    bound = ap.N_s * min(vt1 * math.log(p.I_ph / io1 + 1.0),
+                         vt2 * math.log(p.I_ph / io2 + 1.0)) + 1.0
+    f = lambda v: array_current(ap, v)
+    if f(0.0) <= 0:
+        return 0.0
+    return brentq(f, 0.0, bound, xtol=1e-10)
+
+
+class TestOpenCircuitVoltage:
+    def test_matches_brentq_on_seeded_grid(self):
+        rng = np.random.default_rng(305)
+        worst_delta = worst_current = 0.0
+        for g, t in zip(rng.uniform(0.0, 1200.0, 305).tolist(),
+                        rng.uniform(250.0, 350.0, 305).tolist()):
+            ap = default_array(g, t)
+            voc = open_circuit_voltage(ap)
+            worst_delta = max(worst_delta,
+                              abs(voc - brentq_reference_voc(ap)))
+            worst_current = max(worst_current, abs(array_current(ap, voc)))
+        assert worst_delta <= 1e-10
+        assert worst_current <= 1e-12
+
+    def test_bit_identical_at_the_scenario_array(self):
+        # the scenario's only V_oc: its 0.8 V_oc MPPT start, and so the
+        # daylight trace, depend on every bit of it
+        ap = default_array(1000.0)
+        assert open_circuit_voltage(ap) == brentq_reference_voc(ap)
+
+    def test_overflowing_start_raises(self):
+        # at 17.5 K both saturation currents are so small that I_ph / io
+        # overflows: Newton from an infinite start would return inf
+        with pytest.raises(pv.PvSolverError):
+            open_circuit_voltage(default_array(1000.0, 17.5))
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(pv.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, sunpump.cli; print(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestIvCurve:
@@ -318,6 +406,24 @@ class TestParamValidation:
     def test_bad_counts(self):
         with pytest.raises(ValueError):
             PvArrayParams(cell=default_array().cell, N_s=0)
+
+    @pytest.mark.parametrize("field", ["I_ph", "I_o1", "I_o2", "R_s", "R_p",
+                                       "a1", "a2", "T_c"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_nonfinite_cell_field(self, field, x):
+        # a NaN photocurrent used to pass the I_ph < 0 check
+        kwargs = dict(I_ph=8.0, I_o1=1e-10, I_o2=1e-6, R_s=0.01, R_p=100.0,
+                      a1=1.0, a2=2.0, T_c=298.0)
+        kwargs[field] = x
+        with pytest.raises(ValueError):
+            PvCellParams(**kwargs)
+
+    @pytest.mark.parametrize("field", ["N_s", "N_p", "area_A",
+                                       "irradiance_G_T"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_nonfinite_array_field(self, field, x):
+        with pytest.raises(ValueError):
+            PvArrayParams(cell=default_array().cell, **{field: x})
 
 
 class TestCurrentLanes:

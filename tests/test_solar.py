@@ -335,6 +335,18 @@ class TestQuarticRoots:
 
 
 class TestOptimalOrientation:
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_nonfinite_azimuth_rejected(self, x):
+        # a NaN azimuth used to give NaN incidence angles with alpha = 0
+        with pytest.raises(ValueError, match="azimuth"):
+            SunPosition(35.0, x)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_nonfinite_beta_target_rejected(self, x):
+        # a NaN target used to select the grid's first cell
+        with pytest.raises(ValueError, match="beta target"):
+            optimal_orientation(SunPosition(35.0, 150.0), 5.0, x)
+
     def test_point_at_sun(self):
         sp = SunPosition(35.0, 150.0)
         sol = optimal_orientation(sp, 0.0, 0.0)
