@@ -8,14 +8,20 @@ dI/dV against -I/V and holds exactly at the equality.  The move
 decisions are plain-float helpers shared by the step functions and by
 the walk of :func:`mppt_run`, the one closed MPPT loop.
 
-The walk only ever moves ``V_ref`` by ``+-dV_step`` or holds it, so it
-revisits few voltages.  ``mppt_run`` keeps a table per exact ``V_ref``:
-a voltage's first visit is one scalar solve at that step's irradiance,
-and each later visit that runs past its table solves the next block of
-steps at that voltage at once with ``pv.array_current_lanes`` (8 steps,
-doubling up to 4096).  Every current is the scalar solve's, bit for
-bit.  A ``measure`` function given in place of the irradiance is called
-on every step instead, with no table.
+The walk only ever moves ``V_ref`` by ``+-dV_step`` or holds it, and it
+soon falls into a pattern whose moves repeat with period 4: a hold, the
+P&O limit cycle V*, V*+d, V*, V*-d, or a monotone IC drift.
+``mppt_run`` steps the law one scalar solve at a time until its last 8
+moves repeat with period 4.  Then it predicts a block of voltages by
+repeating the last 4 moves from the current ``V_ref``, solves each step
+at its own predicted voltage at once with ``pv.array_current_lanes``,
+and recomputes the law's decisions over the block in numpy with the
+same IEEE operations.  The block is kept up to and including the first
+step whose next voltage leaves the prediction, and the walk goes back
+to scalar steps from there; a block that checks out doubles the next
+one (8 steps, up to 4096).  Every current and every decision is the
+scalar loop's, bit for bit.  A ``measure`` function given in place of
+the irradiance is called on every step, with no blocks.
 """
 
 from dataclasses import dataclass
@@ -25,10 +31,10 @@ import numpy as np
 
 from . import pv
 
-# steps a voltage's table covers on its second visit; each later
-# re-tabulation doubles it, up to the maximum
-_TABLE_MIN = 8
-_TABLE_MAX = 4096
+# steps in the first block after scalar steps; each block that checks
+# out doubles the next, up to the maximum
+_BLOCK_MIN = 8
+_BLOCK_MAX = 4096
 
 D_MAX = 0.95          # largest boost duty the converter is driven at
 IC_REL_TOL = 1e-6     # relative tolerance of the IC law's hold test
@@ -139,6 +145,8 @@ class MpptRun:
         return self.v_ref * self.i
 
 
+
+
 def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
     """
     Closed-loop MPPT against the PV array model.
@@ -166,37 +174,46 @@ def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
     if steps < 1:
         raise ValueError("need at least one step")
     ic = {"po": False, "ic": True}[algo]
-    # V_ref -> [first step of its table, currents from there, next length]
-    tables = {}
-    # miss(k, v, t): step k's current at v where v's table t (None before
-    # v's first visit) does not reach step k
     if measure is not None:
-        def miss(k, v, t):
-            return _or_zero(measure, v)
+        g = None
     elif irradiance is None:
         raise ValueError("need the irradiance or a measure function")
     else:
         g = np.broadcast_to(np.asarray(irradiance, dtype=float), (steps,))
-
-        def miss(k, v, t):
-            if t is None:
-                tables[v] = [k, (), _TABLE_MIN]
-                return _or_zero(pv.array_current,
-                                ap.at_irradiance(g.item(k)), v)
-            m = t[2]
-            t[:] = [k, _tabulate(ap, v, g[k:k + m]), min(2 * m, _TABLE_MAX)]
-            return t[1][0]
     v_ref = np.empty(steps)
     cur = np.empty(steps)
     dv_step = st0.dV_step
     v_prev, i_prev, p_prev = st0.V_prev, st0.I_prev, st0.P_prev
     v, flag = st0.V_ref, ""
-    for k in range(steps):
-        t = tables.get(v)
-        if t is not None and k - t[0] < len(t[1]):
-            i = t[1][k - t[0]]
+    moves = []          # the moves of the last 8 steps, oldest first
+    size = _BLOCK_MIN
+    k = 0
+    while k < steps:
+        if g is not None and len(moves) == 8 and moves[:4] == moves[4:]:
+            n = min(size, steps - k)
+            vs = np.add.accumulate(np.concatenate(([v],
+                                                   np.resize(moves[4:], n))))
+            i = _currents(ap, vs[:n], g[k:k + n])
+            move, undefined = _block_moves(ic, dv_step, v_prev, i_prev,
+                                           p_prev, vs[:n], i)
+            after = vs[:n] + move
+            miss = np.flatnonzero(after.view(np.int64)
+                                  != vs[1:].view(np.int64))
+            c = int(miss[0]) + 1 if miss.size else n
+            v_ref[k:k + c] = vs[:c]
+            cur[k:k + c] = i[:c]
+            v_prev, i_prev, v = vs.item(c - 1), i.item(c - 1), \
+                after.item(c - 1)
+            p_prev = v_prev * i_prev
+            flag = "conductance-undefined" if undefined[c - 1] else ""
+            moves = (moves + move[:c].tolist())[-8:]
+            size = _BLOCK_MIN if miss.size else min(2 * size, _BLOCK_MAX)
+            k += c
+            continue
+        if g is None:
+            i = _or_zero(measure, v)
         else:
-            i = miss(k, v, t)
+            i = _or_zero(pv.array_current, ap.at_irradiance(g.item(k)), v)
         p_now = v * i
         if ic:
             move, flag = _ic_move(dv_step, v_prev, i_prev, v, i)
@@ -206,6 +223,8 @@ def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
         cur[k] = i
         v_prev, i_prev, p_prev = v, i, p_now
         v = v + move
+        moves = (moves + [move])[-8:]
+        k += 1
     final = MpptState(v_prev, i_prev, p_prev, v, dv_step,
                       st0.iteration + steps, flag)
     return MpptRun(v_ref, cur, final)
@@ -219,10 +238,39 @@ def _or_zero(current, *args):
         return 0.0
 
 
-def _tabulate(ap, v, g):
-    """Currents at voltage v over the irradiances g, as a list; lanes the
-    lane solve leaves open take the scalar path."""
+def _currents(ap, v, g):
+    """Currents at the voltages v over the irradiances g, lane by lane;
+    lanes the lane solve leaves open take the scalar path."""
     cur, left_open = pv.array_current_lanes(ap, v, g)
     for j in left_open.tolist():
-        cur[j] = _or_zero(pv.array_current, ap.at_irradiance(g.item(j)), v)
-    return cur.tolist()
+        cur[j] = _or_zero(pv.array_current, ap.at_irradiance(g.item(j)),
+                          v.item(j))
+    return cur
+
+
+def _block_moves(ic, dv_step, v_prev, i_prev, p_prev, v, i):
+    """
+    The law's moves over a block whose step j operated at ``v[j]`` and
+    measured ``i[j]``, after the operating point ``(v_prev, i_prev,
+    p_prev)``; and where IC flagged the conductance undefined.  These
+    are the IEEE operations of :func:`_po_move` and :func:`_ic_move`, so
+    each move is theirs bit for bit (a NaN fails every test, as there).
+    """
+    with np.errstate(all="ignore"):
+        dv = v - np.concatenate(([v_prev], v[:-1]))
+        if not ic:
+            p = v * i
+            dp = p - np.concatenate(([p_prev], p[:-1]))
+            move = np.where(dp == 0.0, 0.0,
+                            np.where(dp * dv > 0.0, dv_step, -dv_step))
+            return move, np.zeros(v.size, dtype=bool)
+        di = i - np.concatenate(([i_prev], i[:-1]))
+        inc = di / dv
+        ref = -i / v
+        scale = np.maximum(np.maximum(np.abs(inc), np.abs(ref)), 1e-12)
+        climb = np.where(np.abs(inc - ref) <= IC_REL_TOL * scale, 0.0,
+                         np.where(inc > ref, dv_step, -dv_step))
+        steer = np.where(di > 0.0, dv_step,
+                         np.where(di < 0.0, -dv_step, 0.0))
+        move = np.where(dv == 0.0, steer, np.where(v == 0.0, 0.0, climb))
+        return move, (dv != 0.0) & (v == 0.0)

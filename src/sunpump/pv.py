@@ -16,10 +16,12 @@ contract holds.  The open-circuit voltage needs no current solve: at
 I = 0 the cell voltage solves an explicit equation (see
 :func:`open_circuit_voltage`).
 
-``array_current_lanes`` runs the same Newton on one voltage over a
-vector of irradiances, lane by lane, with the scalar operations in the
-same order and ``math.exp`` on each lane, so every settled lane is
-bit-identical to ``array_current(ap.at_irradiance(g), v)``.
+``array_current_lanes`` runs the same Newton over lanes that each pair
+a voltage with an irradiance (or share one voltage), with the scalar
+operations in the same order and ``math.exp`` on each lane, so every
+settled lane is bit-identical to ``array_current(ap.at_irradiance(g),
+v)``.  The MPPT harvest solves each step of a block at its own
+predicted voltage with it.
 """
 
 from dataclasses import dataclass
@@ -36,6 +38,12 @@ ELECTRON_CHARGE_C = 1.602e-19
 BANDGAP_SILICON_EV = 1.12
 T_REFERENCE_K = 298.0
 _BOLTZMANN_EV_PER_K = 8.617333262e-5
+
+# Coldest cell the model supports.  The saturation law scales I_o by
+# about e^-222 at 50 K, so the default array's open-circuit exponent
+# ln(I_ph / I_o1) is 247 there, far below the 700 cap of the current
+# solve; it reaches the cap near 18.3 K, and near 17 K I_o underflows.
+T_C_MIN_K = 50.0
 
 
 class PvSolverError(RuntimeError):
@@ -77,8 +85,10 @@ class PvCellParams:
             raise ValueError("R_s must be >= 0 and R_p > 0")
         if not (0.5 <= self.a1 <= 3.0 and 0.5 <= self.a2 <= 3.0):
             raise ValueError("ideality factors must lie in [0.5, 3]")
-        if self.T_c <= 0:
-            raise ValueError("cell temperature must be > 0")
+        if not self.T_c >= T_C_MIN_K:
+            raise ValueError(
+                f"cell temperature T_c = {self.T_c:g} K is outside the "
+                f"range the model supports, T_c >= {T_C_MIN_K:g} K")
 
 
 @dataclass(frozen=True)
@@ -157,7 +167,8 @@ def _array_mismatch(p, n_s, n_p, v, i_ph=None):
 
     ``i_ph``, an array of cell photocurrents in place of ``p.I_ph``,
     makes the function act on arrays of currents, one lane per
-    photocurrent, with the same operations in the same order.
+    photocurrent, with the same operations in the same order; ``v`` may
+    then be an array too, one voltage per lane.
     """
     if i_ph is None:
         i_ph, exp, cap = p.I_ph, math.exp, min
@@ -250,9 +261,10 @@ def array_current(ap, v_a):
 
 def array_current_lanes(ap, v_a, g_t):
     """
-    Array currents at one voltage over an array of irradiances: lane j
-    is ``array_current(ap.at_irradiance(g_t[j]), v_a)``, bit for bit,
-    for every lane the Newton iteration settles.
+    Array currents over lanes of voltages and irradiances: lane j is
+    ``array_current(ap.at_irradiance(g_t[j]), v_a[j])``, bit for bit,
+    for every lane the Newton iteration settles.  A float ``v_a`` is
+    the voltage of every lane.
 
     Returns
     -------
@@ -263,19 +275,20 @@ def array_current_lanes(ap, v_a, g_t):
     """
     p, n_s, n_p = ap.cell, ap.N_s, ap.N_p
     i_ph = ap.photocurrent(np.asarray(g_t, dtype=float))
+    v, i_ph = np.broadcast_arrays(np.asarray(v_a, dtype=float), i_ph)
     out = np.full(i_ph.shape, np.nan)
     ok = i_ph >= 0.0
     lanes = np.flatnonzero(ok)
     with np.errstate(all="ignore"):
         if p.R_s == 0.0:
-            f_df = _array_mismatch(p, n_s, n_p, v_a, i_ph[lanes])
+            f_df = _array_mismatch(p, n_s, n_p, v[lanes], i_ph[lanes])
             out[lanes] = -f_df(np.zeros(lanes.size))[0]
             return out, np.flatnonzero(~ok)
         i = n_p * i_ph[lanes] + 1.0
         for _ in range(_NEWTON_MAX_ITER):
             if lanes.size == 0:
                 break
-            f, df = _array_mismatch(p, n_s, n_p, v_a, i_ph[lanes])(i)
+            f, df = _array_mismatch(p, n_s, n_p, v[lanes], i_ph[lanes])(i)
             i = i - f / df
             done = np.abs(f) <= _NEWTON_TOL_A
             out[lanes[done]] = i[done]

@@ -303,6 +303,15 @@ class TestCliExitCodes:
         assert "numeric failure" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("t_c", ["5", "17.5", "18"])
+    def test_cold_cell_names_its_range(self, tmp_path, capsys, t_c):
+        # used to exit 3 with "float division by zero", "no finite
+        # start" or "math range error", none naming the input
+        assert main(["pv-curve", "--t-c", t_c, "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert f"T_c = {t_c} K" in err and "T_c >= 50 K" in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestCliCommands:
     def test_tf_analyze(self, capsys):

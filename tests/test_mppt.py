@@ -1,10 +1,11 @@
 import dataclasses
 import math
 
+from hypothesis import example, given, strategies as st
 import numpy as np
 import pytest
 
-from sunpump import pv
+from sunpump import mppt, pv
 from sunpump.mppt import (MpptRun, MpptState, duty_for_ratio, ic_step,
                           initial_state, mppt_run, po_step)
 from sunpump.pv import (PvSolverError, array_current, default_array,
@@ -264,7 +265,7 @@ def compare(ap, algo, st0, g):
 
 @pytest.fixture
 def lane_counts(monkeypatch):
-    """Counts of the lanes tabulated and of the scalar solves made."""
+    """Counts of the lanes solved and of the scalar solves made."""
     counts = {"lanes": 0, "scalar": 0}
     lanes, scalar = pv.array_current_lanes, pv.array_current
 
@@ -292,9 +293,10 @@ def cloudy_irradiance(seed, n):
 
 
 class TestLatticeRunMatchesScalarLoop:
-    """``mppt_run(..., irradiance=...)`` tabulates the currents of each
-    revisited voltage with the lane solve; the run must equal the
-    step-by-step loop bit for bit, its final state included."""
+    """``mppt_run(..., irradiance=...)`` solves the steps of its checked
+    blocks with the lane solve, each at its predicted voltage; the run
+    must equal the step-by-step loop bit for bit, its final state
+    included."""
 
     def test_default_daylight(self, lane_counts):
         cfg = ScenarioConfig.default_daylight()
@@ -309,7 +311,9 @@ class TestLatticeRunMatchesScalarLoop:
         ap = default_array(1000.0)
         st0 = initial_state(0.8 * pv.open_circuit_voltage(ap), 0.5)
         got = mppt_run(ap, "po", st0, len(g), irradiance=g)
-        assert lane_counts["scalar"] < 100     # revisits run as lanes
+        # about one solve per lit step, nearly all of them as lanes
+        assert lane_counts["lanes"] + lane_counts["scalar"] <= 1.2 * len(g)
+        assert lane_counts["scalar"] <= 0.01 * len(g)
         assert_same_mppt_run(got, scalar_mppt_run(ap, "po", st0, g))
 
     @pytest.mark.parametrize("algo", ["po", "ic"])
@@ -329,8 +333,9 @@ class TestLatticeRunMatchesScalarLoop:
             compare(ap, algo, initial_state(15.0, 0.5), g)
 
     def test_monotone_ic_walk_solves_each_voltage_once(self, lane_counts):
-        # a dim dawn: IC steps V_ref down on every step, below 0 V, and
-        # never visits a voltage twice, so nothing is tabulated
+        # a dim dawn: IC steps V_ref down on every step, below 0 V; the
+        # drift repeats its move, so after 8 scalar steps it runs as
+        # blocks that each solve a step once, at its own voltage
         ap = default_array(1000.0)
         st0 = initial_state(0.8 * pv.open_circuit_voltage(ap), 0.5)
         g = 1e-6 * (1.0 + np.arange(400))
@@ -338,8 +343,8 @@ class TestLatticeRunMatchesScalarLoop:
         run = compare(ap, "ic", st0, g)
         assert np.all(np.diff(run.v_ref) < 0.0)
         assert run.final.V_ref < -150.0
-        assert lane_counts["lanes"] == 0
-        assert lane_counts["scalar"] - solves_before == 400
+        assert lane_counts["lanes"] + lane_counts["scalar"] \
+            - solves_before <= 1.2 * 400
 
     def test_open_lanes_take_the_scalar_path(self, lane_counts):
         # R_s = 5 ohm at 0 V: the Newton does not settle within its
@@ -372,6 +377,16 @@ class TestLatticeRunMatchesScalarLoop:
                     cloudy_irradiance(9, 1500))
         assert lane_counts["lanes"] > 0
 
+    def test_ic_block_ends_on_zero_volts_flagged(self):
+        # the drift from 5 V reaches 0 V exactly inside a block; IC holds
+        # there with the conductance undefined, which ends the block and
+        # the run, so the final state carries the block's flag
+        ap = default_array(1000.0)
+        run = compare(ap, "ic", initial_state(5.0, 0.5),
+                      1e-6 * (1.0 + np.arange(11)))
+        assert run.v_ref[-1] == 0.0 and run.final.V_ref == 0.0
+        assert run.final.flag == "conductance-undefined"
+
     def test_final_state_from_a_flagged_start(self):
         ap = default_array(1000.0)
         st0 = MpptState(V_prev=3.0, I_prev=1.0, P_prev=3.0, V_ref=0.0,
@@ -400,3 +415,85 @@ class TestLatticeRunMatchesScalarLoop:
         g[30] = -1.0
         with pytest.raises(ValueError, match="photocurrent"):
             mppt_run(ap, "po", initial_state(15.0, 0.5), 50, irradiance=g)
+
+
+def harvest_irradiance():
+    """Irradiance sequences of 1 to 400 steps: constant, ramps, cloud
+    edges, and dawns of 1e-6 W/m2 steps after a dark (0) stretch."""
+    n = st.integers(1, 400)
+    level = st.one_of(st.sampled_from([0.0, 1e-6, 5e-3, 123.456, 1000.0]),
+                      st.floats(0.0, 1200.0))
+    edges = st.lists(st.tuples(st.integers(1, 120), level), min_size=1,
+                     max_size=8)
+    return st.one_of(
+        st.builds(np.full, n, level),
+        st.builds(np.linspace, level, level, n),
+        edges.map(lambda segs: np.concatenate([np.full(k, x)
+                                               for k, x in segs])),
+        st.builds(lambda n, dark: np.where(np.arange(n) < dark, 0.0,
+                                           1e-6 * (1.0 + np.arange(n))),
+                  n, st.integers(0, 60)))
+
+
+def harvest_start():
+    """Starts at 0.0, -0.0 or a finite voltage, with an odd step too,
+    fresh or from a flagged state."""
+    v0 = st.one_of(st.sampled_from([0.0, -0.0, 5.0]), st.floats(-5.0, 25.0))
+    dv = st.one_of(st.sampled_from([0.5, 0.1, 0.3, 1.0 / 3.0]),
+                   st.floats(1e-3, 2.0))
+    flagged = st.builds(
+        lambda v, d: MpptState(V_prev=3.0, I_prev=1.0, P_prev=3.0,
+                               V_ref=v, dV_step=d, iteration=7,
+                               flag="conductance-undefined"), v0, dv)
+    return st.one_of(st.builds(initial_state, v0, dv), flagged)
+
+
+# (V, I) steps with repeats, zeros of both signs, tiny currents and
+# non-finite values, so that every branch of both laws is taken
+LAW_STEP = st.tuples(
+    st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 10.0, 12.0]),
+              st.floats(-50.0, 50.0),
+              st.sampled_from([math.inf, -math.inf, math.nan])),
+    st.one_of(st.sampled_from([0.0, -0.0, 5.0, 30.0 / 7.0, 1e-13, 5e-19,
+                               -1e-3]),
+              st.floats(-10.0, 10.0),
+              st.sampled_from([math.inf, math.nan])))
+
+
+class TestBlockLawMatchesScalarLaw:
+    @given(algo=st.sampled_from(["po", "ic"]),
+           dv=st.sampled_from([0.5, 0.3]), prev=LAW_STEP,
+           rows=st.lists(LAW_STEP, min_size=1, max_size=12))
+    @example(algo="ic", dv=0.5, prev=(1.0, 0.0), rows=[(2.0, 5e-19)])
+    @example(algo="ic", dv=0.5, prev=(10.0, 5.0), rows=[(12.0, 30.0 / 7.0)])
+    @example(algo="po", dv=0.5, prev=(10.0, 0.0), rows=[(10.0, 1.0)])
+    def test_moves_and_flags(self, algo, dv, prev, rows):
+        """The numpy law over a block gives each step's move, bit for
+        bit, and IC's undefined-conductance flag, as the float helpers
+        do step by step."""
+        v_prev, i_prev = prev
+        p_prev = v_prev * i_prev
+        v, i = (np.array(c) for c in zip(*rows))
+        move, undefined = mppt._block_moves(algo == "ic", dv, v_prev,
+                                            i_prev, p_prev, v, i)
+        want, flags = [], []
+        for x, y in rows:
+            if algo == "ic":
+                m, flag = mppt._ic_move(dv, v_prev, i_prev, x, y)
+            else:
+                m, flag = mppt._po_move(dv, v_prev, p_prev, x, x * y), ""
+            want.append(m)
+            flags.append(flag == "conductance-undefined")
+            v_prev, i_prev, p_prev = x, y, x * y
+        assert np.array_equal(move.view(np.int64),
+                              np.array(want).view(np.int64))
+        assert undefined.tolist() == flags
+
+
+class TestHarvestProperty:
+    @given(g=harvest_irradiance(), algo=st.sampled_from(["po", "ic"]),
+           st0=harvest_start())
+    def test_blocks_match_scalar_loop(self, g, algo, st0):
+        """The checked blocks equal the step-by-step loop bit for bit,
+        the final state included, on any of these harvests."""
+        compare(default_array(1000.0), algo, st0, g)

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 from sunpump import pv
-from sunpump.pv import (PvCellParams, PvArrayParams,
+from sunpump.pv import (PvCellParams, PvArrayParams, PvSolverError,
                         UndefinedEfficiencyError, array_current,
                         cell_current, current_residual, default_array,
                         find_mpp, iv_curve, open_circuit_voltage,
@@ -307,10 +307,12 @@ class TestOpenCircuitVoltage:
         assert open_circuit_voltage(ap) == brentq_reference_voc(ap)
 
     def test_overflowing_start_raises(self):
-        # at 17.5 K both saturation currents are so small that I_ph / io
-        # overflows: Newton from an infinite start would return inf
+        # both saturation currents are so small that I_ph / io overflows:
+        # Newton from an infinite start would return inf
+        cell = PvCellParams(I_ph=8.0, I_o1=1e-320, I_o2=1e-320, R_s=0.01,
+                            R_p=100.0, a1=1.0, a2=2.0, T_c=298.0)
         with pytest.raises(pv.PvSolverError):
-            open_circuit_voltage(default_array(1000.0, 17.5))
+            open_circuit_voltage(PvArrayParams(cell, N_s=36))
 
 
 def test_cli_import_loads_no_scipy():
@@ -418,6 +420,21 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             PvCellParams(**kwargs)
 
+    @pytest.mark.parametrize("t_c", [-1.0, 0.0, 5.0, 17.5, 18.0, 49.9])
+    def test_cold_cell_rejected(self, t_c):
+        # near 17 K the saturation currents underflow to 0, and the
+        # solves fail with messages that name neither T_c nor its range
+        with pytest.raises(ValueError, match=r"T_c = .* K .* T_c >= 50 K"):
+            default_array(1000.0, t_c)
+
+    @pytest.mark.parametrize("t_c", [50.0, 250.0, 298.0, 350.0])
+    def test_supported_temperatures_solve(self, t_c):
+        ap = default_array(1000.0, t_c)
+        voc = open_circuit_voltage(ap)
+        assert 0.0 < voc < math.inf
+        assert abs(current_residual(ap, 0.5 * voc,
+                                    array_current(ap, 0.5 * voc))) <= 1e-9
+
     @pytest.mark.parametrize("field", ["N_s", "N_p", "area_A",
                                        "irradiance_G_T"])
     @pytest.mark.parametrize("x", [math.nan, math.inf])
@@ -453,6 +470,40 @@ class TestCurrentLanes:
                              for x in g[settled].tolist()])
             assert np.array_equal(cur[settled].view(np.int64),
                                   want.view(np.int64))
+
+    @pytest.mark.parametrize("r_s", [0.01, 0.0, 5.0])
+    def test_per_lane_voltages_match_scalar_solve(self, r_s):
+        # one voltage per lane, mixed: 0 V and -0.0, negative voltages,
+        # and voltages far above V_oc, whose scalar solve raises
+        # PvSolverError; at R_s = 5 ohm Newton leaves lanes open
+        base = default_array(1000.0)
+        cell = PvCellParams(base.cell.I_ph, base.cell.I_o1, base.cell.I_o2,
+                            r_s, base.cell.R_p, 1.0, 2.0, 298.0)
+        ap = PvArrayParams(cell, N_s=36, N_p=1, area_A=0.5)
+        rng = np.random.default_rng(29)
+        special = [0.0, -0.0, -0.0, 0.0, -1.0, -40.0, 30.0, 1000.0, 1e4]
+        v = np.concatenate([rng.uniform(-40.0, 25.0, 150), special])
+        g = np.concatenate([rng.uniform(0.0, 1200.0, 150),
+                            [800.0, 800.0, 0.0, 1e-6, 500.0, 900.0, 1000.0,
+                             900.0, 200.0]])
+        cur, left_open = pv.array_current_lanes(ap, v, g)
+        failed = []
+        for j, (x, y) in enumerate(zip(v.tolist(), g.tolist())):
+            try:
+                want = array_current(ap.at_irradiance(y), x)
+            except PvSolverError:
+                failed.append(j)
+                continue
+            if j not in left_open:
+                assert np.float64(want).view(np.int64) == \
+                    cur[j:j + 1].view(np.int64)[0], (x, y)
+        assert np.isnan(cur[left_open]).all()
+        assert set(failed) <= set(left_open.tolist())
+        if r_s == 5.0:
+            assert left_open.size > 0
+        if r_s == 0.01:
+            assert failed == [157, 158]   # 1000 V and 1e4 V
+        assert left_open.size < v.size
 
     def test_rejected_photocurrent_left_open(self):
         ap = default_array()

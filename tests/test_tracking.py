@@ -1,7 +1,7 @@
 from dataclasses import dataclass
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
@@ -304,7 +304,6 @@ def _or_special(values, strategy):
 
 
 class TestKernelFloatsMatchArrays:
-    @settings(derandomize=True, database=None, deadline=None)
     @given(te=_or_special([0.0, -0.0, 180.0], st.floats(-200.0, 200.0)),
            rows=st.lists(st.tuples(
                _or_special([-90.0, -0.0, 0.0, 90.0], st.floats(-90.0, 90.0)),
