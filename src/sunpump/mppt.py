@@ -4,9 +4,10 @@ Maximum-power-point tracking update laws and the converter duty.
 Both hill-climbing laws are pure step functions (state in, state out):
 Perturb-and-Observe moves the voltage reference by one fixed step in the
 direction that last increased power, Incremental-Conductance compares
-dI/dV against -I/V and holds exactly at the equality.  The move
-decisions are plain-float helpers shared by the step functions and by
-the walk of :func:`mppt_run`, the one closed MPPT loop.
+dI/dV against -I/V and holds exactly at the equality.  Each law's move
+is written once, branch-free, on floats or arrays: the step functions
+and the scalar steps of :func:`mppt_run`, the one closed MPPT loop, run
+it on floats, and the loop's blocks run it on arrays.
 
 The walk only ever moves ``V_ref`` by ``+-dV_step`` or holds it, and it
 soon falls into a pattern whose moves repeat with period 4: a hold, the
@@ -15,8 +16,8 @@ P&O limit cycle V*, V*+d, V*, V*-d, or a monotone IC drift.
 moves repeat with period 4.  Then it predicts a block of voltages by
 repeating the last 4 moves from the current ``V_ref``, solves each step
 at its own predicted voltage at once with ``pv.array_current_lanes``,
-and recomputes the law's decisions over the block in numpy with the
-same IEEE operations.  The block is kept up to and including the first
+and runs the same move kernel over the block on arrays, with the same
+IEEE operations.  The block is kept up to and including the first
 step whose next voltage leaves the prediction, and the walk goes back
 to scalar steps from there; a block that checks out doubles the next
 one (8 steps, up to 4096).  Every current and every decision is the
@@ -77,32 +78,42 @@ def initial_state(v_ref, dv_step=0.5):
 
 
 def _po_move(dv_step, v_prev, p_prev, v_now, p_now):
-    """P&O reference move: up when the power and voltage changes share a
-    sign, down when they differ, none when the power did not change."""
+    """P&O reference move, on floats or arrays: up when the power and
+    voltage changes share a sign, down when they differ, none when the
+    power did not change."""
     dp = p_now - p_prev
-    if dp == 0.0:
-        return 0.0
-    return dv_step if dp * (v_now - v_prev) > 0.0 else -dv_step
+    return (dp != 0.0) * (2 * (dp * (v_now - v_prev) > 0.0) - 1) * dv_step
 
 
-def _ic_move(dv_step, v_prev, i_prev, v_now, i_now):
-    """IC reference move and flag (see :func:`ic_step`)."""
+def _ic_move(dv_step, v_prev, i_prev, v_now, i_now, maximum, divide):
+    """
+    IC reference move (see :func:`ic_step`) and whether the conductance
+    is undefined (a voltage change onto 0 V), on floats or arrays.
+
+    ``maximum`` and ``divide`` are ``max`` and :func:`_divide` on floats,
+    or ``np.maximum`` and ``np.divide`` (numpy's errors off) on arrays.
+    A quotient over a zero divisor only feeds a branch the law does not
+    take, and a NaN fails every test, so both forms decide alike.
+    """
     dv = v_now - v_prev
     di = i_now - i_prev
-    if dv == 0.0:
-        if di > 0.0:
-            return dv_step, ""
-        if di < 0.0:
-            return -dv_step, ""
-        return 0.0, ""
-    if v_now == 0.0:
-        return 0.0, "conductance-undefined"
-    inc = di / dv
-    ref = -i_now / v_now
-    scale = max(abs(inc), abs(ref), 1e-12)
-    if abs(inc - ref) <= IC_REL_TOL * scale:
-        return 0.0, ""
-    return (dv_step if inc > ref else -dv_step), ""
+    inc = divide(di, dv)
+    ref = divide(-i_now, v_now)
+    hold = abs(inc - ref) <= IC_REL_TOL * maximum(
+        maximum(abs(inc), abs(ref)), 1e-12)
+    steer = 1 * (di > 0.0) - (di < 0.0)
+    climb = (v_now != 0.0) * (1 - hold) * (2 * (inc > ref) - 1)
+    move = ((dv == 0.0) * steer + (dv != 0.0) * climb) * dv_step
+    return move, (dv != 0.0) & (v_now == 0.0)
+
+
+def _divide(a, b):
+    """``a / b`` on floats, 0.0 where ``b`` is 0."""
+    return a / b if b else 0.0
+
+
+def _flag(undefined):
+    return "conductance-undefined" if undefined else ""
 
 
 def po_step(st, v_now, i_now):
@@ -127,9 +138,10 @@ def ic_step(st, v_now, i_now):
     move; otherwise dI/dV is compared against -I/V and the reference
     holds at equality (tested with relative tolerance ``IC_REL_TOL``).
     """
-    move, flag = _ic_move(st.dV_step, st.V_prev, st.I_prev, v_now, i_now)
+    move, undefined = _ic_move(st.dV_step, st.V_prev, st.I_prev, v_now,
+                               i_now, max, _divide)
     return MpptState(v_now, i_now, v_now * i_now, st.V_ref + move,
-                     st.dV_step, st.iteration + 1, flag)
+                     st.dV_step, st.iteration + 1, _flag(undefined))
 
 
 @dataclass(frozen=True)
@@ -143,8 +155,6 @@ class MpptRun:
     @property
     def p(self):
         return self.v_ref * self.i
-
-
 
 
 def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
@@ -194,8 +204,18 @@ def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
             vs = np.add.accumulate(np.concatenate(([v],
                                                    np.resize(moves[4:], n))))
             i = _currents(ap, vs[:n], g[k:k + n])
-            move, undefined = _block_moves(ic, dv_step, v_prev, i_prev,
-                                           p_prev, vs[:n], i)
+            before = np.concatenate(([v_prev], vs[:n - 1]))
+            with np.errstate(all="ignore"):
+                if ic:
+                    move, undefined = _ic_move(
+                        dv_step, before, np.concatenate(([i_prev], i[:-1])),
+                        vs[:n], i, np.maximum, np.divide)
+                else:
+                    p = vs[:n] * i
+                    move = _po_move(dv_step, before,
+                                    np.concatenate(([p_prev], p[:-1])),
+                                    vs[:n], p)
+                    undefined = np.zeros(n, dtype=bool)
             after = vs[:n] + move
             miss = np.flatnonzero(after.view(np.int64)
                                   != vs[1:].view(np.int64))
@@ -205,7 +225,7 @@ def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
             v_prev, i_prev, v = vs.item(c - 1), i.item(c - 1), \
                 after.item(c - 1)
             p_prev = v_prev * i_prev
-            flag = "conductance-undefined" if undefined[c - 1] else ""
+            flag = _flag(undefined[c - 1])
             moves = (moves + move[:c].tolist())[-8:]
             size = _BLOCK_MIN if miss.size else min(2 * size, _BLOCK_MAX)
             k += c
@@ -216,7 +236,9 @@ def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
             i = _or_zero(pv.array_current, ap.at_irradiance(g.item(k)), v)
         p_now = v * i
         if ic:
-            move, flag = _ic_move(dv_step, v_prev, i_prev, v, i)
+            move, undefined = _ic_move(dv_step, v_prev, i_prev, v, i, max,
+                                       _divide)
+            flag = _flag(undefined)
         else:
             move = _po_move(dv_step, v_prev, p_prev, v, p_now)
         v_ref[k] = v
@@ -246,31 +268,3 @@ def _currents(ap, v, g):
         cur[j] = _or_zero(pv.array_current, ap.at_irradiance(g.item(j)),
                           v.item(j))
     return cur
-
-
-def _block_moves(ic, dv_step, v_prev, i_prev, p_prev, v, i):
-    """
-    The law's moves over a block whose step j operated at ``v[j]`` and
-    measured ``i[j]``, after the operating point ``(v_prev, i_prev,
-    p_prev)``; and where IC flagged the conductance undefined.  These
-    are the IEEE operations of :func:`_po_move` and :func:`_ic_move`, so
-    each move is theirs bit for bit (a NaN fails every test, as there).
-    """
-    with np.errstate(all="ignore"):
-        dv = v - np.concatenate(([v_prev], v[:-1]))
-        if not ic:
-            p = v * i
-            dp = p - np.concatenate(([p_prev], p[:-1]))
-            move = np.where(dp == 0.0, 0.0,
-                            np.where(dp * dv > 0.0, dv_step, -dv_step))
-            return move, np.zeros(v.size, dtype=bool)
-        di = i - np.concatenate(([i_prev], i[:-1]))
-        inc = di / dv
-        ref = -i / v
-        scale = np.maximum(np.maximum(np.abs(inc), np.abs(ref)), 1e-12)
-        climb = np.where(np.abs(inc - ref) <= IC_REL_TOL * scale, 0.0,
-                         np.where(inc > ref, dv_step, -dv_step))
-        steer = np.where(di > 0.0, dv_step,
-                         np.where(di < 0.0, -dv_step, 0.0))
-        move = np.where(dv == 0.0, steer, np.where(v == 0.0, 0.0, climb))
-        return move, (dv != 0.0) & (v == 0.0)
