@@ -66,6 +66,11 @@ class TestPoStep:
         new = po_step(st, 10.0, 1.0)   # dP = 0, dV = 0
         assert new.V_ref == st.V_ref
 
+    def test_power_change_at_same_voltage_decreases(self):
+        st = MpptState(V_prev=10.0, I_prev=1.0, P_prev=10.0, V_ref=10.0)
+        new = po_step(st, 10.0, 2.0)   # dP = 10 > 0, dV = 0: no shared sign
+        assert new.V_ref == st.V_ref - st.dV_step
+
     def test_history_stores_current(self):
         st = MpptState(V_prev=1.0, I_prev=1.0, P_prev=1.0, V_ref=5.0)
         new = po_step(st, 5.0, 2.0)
@@ -105,6 +110,25 @@ class TestIcStep:
         new = ic_step(st, 0.0, 1.0)
         assert new.V_ref == st.V_ref
         assert new.flag == "conductance-undefined"
+
+    def test_no_voltage_change_at_zero_volts_steers_unflagged(self):
+        st = MpptState(V_prev=0.0, I_prev=2.0, P_prev=0.0, V_ref=0.0)
+        new = ic_step(st, 0.0, 1.0)    # dV = 0, dI < 0
+        assert new.V_ref == st.V_ref - st.dV_step
+        assert new.flag == ""
+
+    def test_hold_at_the_tolerance_bound(self):
+        # dI/dV - (-I/V) is exactly IC_REL_TOL * |I/V|, which holds
+        i = 1.000000000139778
+        st = MpptState(V_prev=0.0, I_prev=1.9999990002795558, P_prev=0.0,
+                       V_ref=1.0)
+        assert (i - st.I_prev) + i == mppt.IC_REL_TOL * i
+        assert ic_step(st, 1.0, i).V_ref == st.V_ref
+
+    def test_hold_test_has_an_absolute_floor(self):
+        # both slopes ~1e-19: within IC_REL_TOL of the 1e-12 floor
+        st = MpptState(V_prev=1.0, I_prev=0.0, P_prev=0.0, V_ref=2.0)
+        assert ic_step(st, 2.0, 5e-19).V_ref == st.V_ref
 
 
 class TestClosedLoop:
