@@ -303,6 +303,9 @@ def _cmd_scenario(args):
           f"{summary.pump2_on_steps} on-steps")
     print(f"water delivered to soil: {summary.water_delivered_L:.3f} L")
     print(f"energy harvested: {summary.energy_harvested_Wh:.3f} Wh")
+    print(f"energy to pumps: {summary.energy_load_Wh:.3f} Wh, "
+          f"curtailed at full charge: {summary.energy_curtailed_Wh:.3f} Wh, "
+          f"deficit at empty: {summary.energy_deficit_Wh:.3f} Wh")
     return 0
 
 

@@ -168,7 +168,9 @@ def _array_mismatch(p, n_s, n_p, v, i_ph=None):
     ``i_ph``, an array of cell photocurrents in place of ``p.I_ph``,
     makes the function act on arrays of currents, one lane per
     photocurrent, with the same operations in the same order; ``v`` may
-    then be an array too, one voltage per lane.
+    then be an array too, one voltage per lane.  The function then takes
+    an optional second argument, the indices of the lanes its currents
+    belong to (all lanes by default).
     """
     if i_ph is None:
         i_ph, exp, cap = p.I_ph, math.exp, min
@@ -184,11 +186,13 @@ def _array_mismatch(p, n_s, n_p, v, i_ph=None):
     i_ph = n_p * i_ph
     k1, k2, g_p = n_p * io1, n_p * io2, n_p / p.R_p
 
-    def f_df(i):
-        u = v_cell + i * r_s / n_p
+    def f_df(i, lanes=None):
+        vc, iph = (v_cell, i_ph) if lanes is None else \
+            (v_cell[lanes], i_ph[lanes])
+        u = vc + i * r_s / n_p
         e1 = exp(cap(u / vt1, 700.0))
         e2 = exp(cap(u / vt2, 700.0))
-        f = i - (i_ph - k1 * (e1 - 1.0) - k2 * (e2 - 1.0) - g_p * u)
+        f = i - (iph - k1 * (e1 - 1.0) - k2 * (e2 - 1.0) - g_p * u)
         return f, 1.0 + du_di * (k1 * e1 / vt1 + k2 * e2 / vt2 + g_p)
     return f_df
 
@@ -280,20 +284,22 @@ def array_current_lanes(ap, v_a, g_t):
     ok = i_ph >= 0.0
     lanes = np.flatnonzero(ok)
     with np.errstate(all="ignore"):
+        f_df = _array_mismatch(p, n_s, n_p, v[lanes], i_ph[lanes])
         if p.R_s == 0.0:
-            f_df = _array_mismatch(p, n_s, n_p, v[lanes], i_ph[lanes])
             out[lanes] = -f_df(np.zeros(lanes.size))[0]
             return out, np.flatnonzero(~ok)
+        # the lanes still iterating, as indices into ``lanes``
+        left = np.arange(lanes.size)
         i = n_p * i_ph[lanes] + 1.0
         for _ in range(_NEWTON_MAX_ITER):
-            if lanes.size == 0:
+            if left.size == 0:
                 break
-            f, df = _array_mismatch(p, n_s, n_p, v[lanes], i_ph[lanes])(i)
+            f, df = f_df(i, left)
             i = i - f / df
             done = np.abs(f) <= _NEWTON_TOL_A
-            out[lanes[done]] = i[done]
-            lanes, i = lanes[~done], i[~done]
-    return out, np.sort(np.concatenate([np.flatnonzero(~ok), lanes]))
+            out[lanes[left[done]]] = i[done]
+            left, i = left[~done], i[~done]
+    return out, np.sort(np.concatenate([np.flatnonzero(~ok), lanes[left]]))
 
 
 def open_circuit_voltage(ap):

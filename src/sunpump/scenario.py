@@ -216,6 +216,256 @@ class ScenarioSummary:
     pump2_on_steps: int
     water_delivered_L: float
     energy_harvested_Wh: float
+    # the energy ledger: harvested = load + stored change + curtailed
+    # - deficit, to floating-point accumulation error
+    energy_load_Wh: float        # drawn by the pumps
+    energy_curtailed_Wh: float   # cut off by the SOC clamp at 100 %
+    energy_deficit_Wh: float     # made up by the SOC clamp at 0 %
+
+
+# A settled stretch runs as numpy blocks of this many steps at first,
+# doubling after each block that runs to its end, up to the maximum.
+_BLOCK_MIN = 64
+_BLOCK_MAX = 4096
+
+
+def _hydraulics(cfg, pv_power):
+    """
+    Relays, pump flows, water and battery over the run, at PV power
+    ``pv_power[k]`` in step k.
+
+    Each pump flow follows its first-order law toward rated flow or zero
+    exactly over a step, by one decay factor, with the load in proportion
+    to the flow.  While both flows sit exactly at their targets, the
+    steps run as numpy blocks (:meth:`_Hydraulics.block`) up to the
+    first step that changes a latch, the relay or a flow target, or at
+    which a clamp engages or releases; that step, and every step whose
+    flows have not settled, runs alone (:meth:`_Hydraulics.step`).
+
+    Returns
+    -------
+    (columns, totals): the eight hydraulic trace columns by
+    :class:`SimTrace` field name, and the final SOC, the water delivered
+    and the energy ledger by :class:`ScenarioSummary` field name.
+    """
+    n = len(pv_power)
+    h = _Hydraulics(cfg, n)
+    size = _BLOCK_MIN
+    k = 0
+    while k < n:
+        if h.flow1 == h.target1 and h.flow2 == h.target2:
+            stop = min(k + size, n)
+            k += h.block(k, pv_power[k:stop])
+            if k == stop:
+                size = min(2 * size, _BLOCK_MAX)
+                continue
+            size = _BLOCK_MIN
+        h.step(k, pv_power.item(k))
+        k += 1
+    harvested_Ws = 0.0
+    for k in range(0, n, _BLOCK_MAX):
+        harvested_Ws = _partial_sums(
+            harvested_Ws, pv_power[k:k + _BLOCK_MAX] * cfg.dt_s).item(-1)
+    capacity_Wh = cfg.battery_capacity_Wh
+    return h.columns, dict(
+        final_soc_pct=h.soc, water_delivered_L=h.delivered,
+        energy_harvested_Wh=harvested_Ws / 3600.0,
+        energy_load_Wh=h.load_Ws / 3600.0,
+        energy_curtailed_Wh=h.curtailed_pct / 100.0 * capacity_Wh,
+        energy_deficit_Wh=h.deficit_pct / 100.0 * capacity_Wh)
+
+
+class _Hydraulics:
+    """The hydraulic and battery state between steps, as plain floats
+    and bools, and the trace columns written so far."""
+
+    def __init__(self, cfg, n_steps):
+        self.cfg = cfg
+        self.decay = math.exp(-cfg.dt_s / cfg.pump_tau_s)
+        self.soil_decay = cfg.soil_decay_pct_per_hr / 3600.0 * cfg.dt_s
+        self.soc = cfg.soc_init_pct
+        self.soil = cfg.soil_init_pct
+        self.tank1 = cfg.tank1_init_pct / 100.0 * cfg.tank1_volume_L
+        self.tank2 = cfg.tank2_init_pct / 100.0 * cfg.tank2_volume_L
+        self.tank2_pct = 100.0 * self.tank2 / cfg.tank2_volume_L
+        self.delivered = 0.0
+        self.pump1 = self.pump2 = False
+        self.relay = True
+        self.flow1 = self.flow2 = self.target1 = self.target2 = 0.0
+        self.load_Ws = self.curtailed_pct = self.deficit_pct = 0.0
+        self.columns = {name: np.zeros(n_steps) for name in (
+            "soc_pct", "pump1_on", "pump2_on", "tank2_level_pct",
+            "soil_moisture_pct", "battery_relay", "tank1_level_pct",
+            "delivered_soil_L")}
+
+    def step(self, k, power):
+        """Advance one step at PV power ``power`` and write row k."""
+        cfg = self.cfg
+        dt = cfg.dt_s
+        rated = cfg.pump_flow_Lpm
+        pump1, pump2, relay = control_logic_step(
+            self.pump1, self.pump2, self.tank2_pct, self.soil, self.soc, cfg)
+        tank1, tank2 = self.tank1, self.tank2
+        # the battery relay and an empty source tank both stop the
+        # physical flow (the latches are untouched)
+        target1 = rated if pump1 and relay and tank1 > 1e-9 else 0.0
+        flow1 = target1 + (self.flow1 - target1) * self.decay
+        target2 = rated if pump2 and relay and tank2 > 1e-9 else 0.0
+        flow2 = target2 + (self.flow2 - target2) * self.decay
+        load = cfg.pump1_power_W * flow1 / rated \
+            + cfg.pump2_power_W * flow2 / rated
+
+        # water movement: tank1 -> tank2 -> soil, exactly ledgered
+        move1 = max(0.0, min(flow1 / 60.0 * dt, tank1,
+                             cfg.tank2_volume_L - tank2))
+        tank1 -= move1
+        tank2 += move1
+        move2 = max(0.0, min(flow2 / 60.0 * dt, tank2))
+        tank2 -= move2
+        soil = min(100.0, max(0.0, self.soil + cfg.soil_gain_pct_per_L
+                              * move2 - self.soil_decay))
+
+        # battery energy balance; the clamps' cuts go to the ledger
+        soc = self.soc + (power - load) * dt / 3600.0 \
+            / cfg.battery_capacity_Wh * 100.0
+        if soc > 100.0:
+            self.curtailed_pct += soc - 100.0
+        elif soc < 0.0:
+            self.deficit_pct -= soc
+        soc = min(100.0, max(0.0, soc))
+        self.load_Ws += load * dt
+
+        self.pump1, self.pump2, self.relay = pump1, pump2, relay
+        self.target1, self.flow1 = target1, flow1
+        self.target2, self.flow2 = target2, flow2
+        self.tank1, self.tank2 = tank1, tank2
+        self.tank2_pct = 100.0 * tank2 / cfg.tank2_volume_L
+        self.delivered += move2
+        self.soil, self.soc = soil, soc
+        col = self.columns
+        col["soc_pct"][k] = soc
+        col["pump1_on"][k] = pump1
+        col["pump2_on"][k] = pump2
+        col["tank2_level_pct"][k] = self.tank2_pct
+        col["soil_moisture_pct"][k] = soil
+        col["battery_relay"][k] = relay
+        col["tank1_level_pct"][k] = 100.0 * tank1 / cfg.tank1_volume_L
+        col["delivered_soil_L"][k] = self.delivered
+
+    def block(self, k, power):
+        """
+        Run steps k, k + 1, ... at the PV powers ``power`` with both
+        flows at their targets, as numpy arrays in :meth:`step`'s
+        operation order: each state is a running sum, which
+        ``np.add.accumulate`` adds left to right as the step does, and a
+        state pinned at a clamp is constant.  Write the leading steps
+        that :meth:`step` would take alike, which are bit for bit its
+        steps, and return their count: the block stops at the first step
+        that changes a latch, the relay or a flow target, or whose clamp
+        engages or releases.
+        """
+        cfg = self.cfg
+        dt = cfg.dt_s
+        n = len(power)
+        rated = cfg.pump_flow_Lpm
+        load = cfg.pump1_power_W * self.flow1 / rated \
+            + cfg.pump2_power_W * self.flow2 / rated
+        move1 = self.flow1 / 60.0 * dt
+        move2 = self.flow2 / 60.0 * dt
+        with np.errstate(all="ignore"):
+            # tank1 before and after each step; tank2 before each step,
+            # between its two moves, and after it
+            tank1 = _partial_sums(self.tank1, np.full(n, -move1))
+            tank2 = _partial_sums(self.tank2, np.tile([move1, -move2], n))
+            tank2_pct = 100.0 * tank2[::2] / cfg.tank2_volume_L
+            delivered = _partial_sums(self.delivered, np.full(n, move2))
+            soil, ok, _ = _clamped(self.soil, np.tile(
+                [cfg.soil_gain_pct_per_L * move2, -self.soil_decay], (n, 1)))
+            soc, soc_ok, cut = _clamped(self.soc, (
+                (power - load) * dt / 3600.0 / cfg.battery_capacity_Wh
+                * 100.0)[:, None])
+            ok &= soc_ok
+            soc_before = np.concatenate(([self.soc], soc[:-1]))
+            ok &= (soc_before >= cfg.battery_min_soc_pct) == self.relay
+            ok &= _latch_holds(self.pump1, tank2_pct[:-1], cfg.tank_low_pct,
+                               cfg.tank_full_pct)
+            ok &= _latch_holds(self.pump2,
+                               np.concatenate(([self.soil], soil[:-1])),
+                               cfg.soil_dry_pct, cfg.soil_wet_pct)
+            # flow gates: a tank running dry turns its pump's target off
+            if self.pump1 and self.relay:
+                ok &= (tank1[:-1] > 1e-9) == (self.target1 != 0.0)
+            if self.pump2 and self.relay:
+                ok &= (tank2[:-1:2] > 1e-9) == (self.target2 != 0.0)
+            # moves the tank1, tank2-capacity and tank2 clamps leave whole
+            if move1 != 0.0:
+                ok &= (move1 <= tank1[:-1]) \
+                    & (move1 <= cfg.tank2_volume_L - tank2[:-1:2])
+            if move2 != 0.0:
+                ok &= move2 <= tank2[1::2]
+            bad = np.flatnonzero(~ok)
+            c = int(bad[0]) if bad.size else n
+            if c == 0:
+                return 0
+            col = self.columns
+            span = slice(k, k + c)
+            col["soc_pct"][span] = soc[:c]
+            col["pump1_on"][span] = self.pump1
+            col["pump2_on"][span] = self.pump2
+            col["tank2_level_pct"][span] = tank2_pct[1:c + 1]
+            col["soil_moisture_pct"][span] = soil[:c]
+            col["battery_relay"][span] = self.relay
+            col["tank1_level_pct"][span] = \
+                100.0 * tank1[1:c + 1] / cfg.tank1_volume_L
+            col["delivered_soil_L"][span] = delivered[1:c + 1]
+            self.soc, self.soil = soc.item(c - 1), soil.item(c - 1)
+            self.tank1, self.tank2 = tank1.item(c), tank2.item(2 * c)
+            self.tank2_pct = tank2_pct.item(c)
+            self.delivered = delivered.item(c)
+            self.load_Ws = _partial_sums(self.load_Ws,
+                                         np.full(c, load * dt)).item(-1)
+            self.curtailed_pct = _partial_sums(
+                self.curtailed_pct, np.maximum(cut[:c], 0.0)).item(-1)
+            self.deficit_pct = _partial_sums(
+                self.deficit_pct, np.maximum(-cut[:c], 0.0)).item(-1)
+        return c
+
+
+def _partial_sums(x, d):
+    """``x``, ``x + d[0]``, ``x + d[0] + d[1]``, ...: added left to
+    right, as a loop adds them."""
+    return np.add.accumulate(np.concatenate(([x], d)))
+
+
+def _clamped(x, d):
+    """
+    A state that each step moves to ``min(100.0, max(0.0, x + d0 + d1
+    ...))``, over a block whose step j adds the row ``d[j]`` in order.
+
+    Returns
+    -------
+    (after, ok, cut): the state after each step, which is the scalar
+    step's bit for bit at each step where ``ok`` holds and at every step
+    before it; and what the clamp cut off at each step, > 0 at 100 and
+    < 0 at 0.
+    """
+    if x == 0.0 or x == 100.0:
+        # pinned: the state stays at the bound while each step's sum
+        # from it stays on the far side of it
+        edge = 0.0 if x == 0.0 else 100.0
+        raw = x
+        for column in d.T:
+            raw = raw + column
+        ok = raw <= 0.0 if edge == 0.0 else raw >= 100.0
+        return np.full(len(d), edge), ok, raw - edge
+    raw = _partial_sums(x, d.ravel())[d.shape[1]::d.shape[1]]
+    return raw, (raw > 0.0) & (raw <= 100.0), np.zeros(len(d))
+
+
+def _latch_holds(on, level, low, high):
+    """Where :func:`control_logic_step` leaves a latch that turns on
+    below ``low`` and off at ``high`` (> low) as it is."""
+    return level < high if on else level >= low
 
 
 def run_scenario(cfg):
@@ -262,81 +512,20 @@ def run_scenario(cfg):
         pv_power[lit] = np.where(p > 0.0, p, 0.0)
         duty[lit] = mppt.duty_for_ratio(harvest.v_ref, BATTERY_BUS_V)
 
-    # 4. hydraulics and battery, over plain floats: relays, pump flows
-    # (first order toward rated flow or zero, advanced exactly over dt,
-    # with the load in proportion to the flow), water and charge
-    soc = cfg.soc_init_pct
-    soil = cfg.soil_init_pct
-    tank1 = cfg.tank1_init_pct / 100.0 * cfg.tank1_volume_L
-    tank2 = cfg.tank2_init_pct / 100.0 * cfg.tank2_volume_L
-    delivered = flow1 = flow2 = 0.0
-    pump1 = pump2 = False
-    tank1_cap, tank2_cap = cfg.tank1_volume_L, cfg.tank2_volume_L
-    rated = cfg.pump_flow_Lpm
-    power1, power2 = cfg.pump1_power_W, cfg.pump2_power_W
-    decay = math.exp(-dt / cfg.pump_tau_s)
-    soil_gain = cfg.soil_gain_pct_per_L
-    soil_decay_per_s = cfg.soil_decay_pct_per_hr / 3600.0
-    capacity_Wh = cfg.battery_capacity_Wh
-    energy_harvested_Ws = 0.0
-    tank2_pct = 100.0 * tank2 / tank2_cap
-    (soc_col, pump1_col, pump2_col, tank2_col, soil_col, relay_col,
-     tank1_col, delivered_col) = (np.zeros(n_steps) for _ in range(8))
-
-    for k, power in enumerate(pv_power.tolist()):
-        pump1, pump2, relay = control_logic_step(pump1, pump2, tank2_pct,
-                                                 soil, soc, cfg)
-        # the battery relay and an empty source tank both stop the
-        # physical flow (the latches are untouched)
-        target = rated if pump1 and relay and tank1 > 1e-9 else 0.0
-        flow1 = target + (flow1 - target) * decay
-        target = rated if pump2 and relay and tank2 > 1e-9 else 0.0
-        flow2 = target + (flow2 - target) * decay
-        load = power1 * flow1 / rated + power2 * flow2 / rated
-
-        # water movement: tank1 -> tank2 -> soil, exactly ledgered
-        move1 = max(0.0, min(flow1 / 60.0 * dt, tank1, tank2_cap - tank2))
-        tank1 -= move1
-        tank2 += move1
-        move2 = max(0.0, min(flow2 / 60.0 * dt, tank2))
-        tank2 -= move2
-        delivered += move2
-        soil = min(100.0, max(0.0, soil + soil_gain * move2
-                              - soil_decay_per_s * dt))
-
-        # battery energy balance
-        energy_harvested_Ws += power * dt
-        soc = min(100.0, max(0.0, soc + (power - load) * dt / 3600.0
-                             / capacity_Wh * 100.0))
-
-        tank2_pct = 100.0 * tank2 / tank2_cap
-        soc_col[k] = soc
-        pump1_col[k] = pump1
-        pump2_col[k] = pump2
-        tank2_col[k] = tank2_pct
-        soil_col[k] = soil
-        relay_col[k] = relay
-        tank1_col[k] = 100.0 * tank1 / tank1_cap
-        delivered_col[k] = delivered
+    # 4. hydraulics and battery
+    columns, totals = _hydraulics(cfg, pv_power)
 
     trace = SimTrace(
-        t=t, irradiance=irr, pv_power_W=pv_power, soc_pct=soc_col,
-        pump1_on=pump1_col, pump2_on=pump2_col, tank2_level_pct=tank2_col,
-        soil_moisture_pct=soil_col, theta_TE=track.theta_TE,
-        theta_TA=track.theta_TA, alpha=track.alpha, battery_relay=relay_col,
-        tank1_level_pct=tank1_col, delivered_soil_L=delivered_col,
-        duty_D=duty)
+        t=t, irradiance=irr, pv_power_W=pv_power, theta_TE=track.theta_TE,
+        theta_TA=track.theta_TA, alpha=track.alpha, duty_D=duty, **columns)
 
     def cycles(flags):
         return int(np.sum(np.diff(flags) > 0))
 
     summary = ScenarioSummary(
-        final_soc_pct=soc,
         pump1_cycles=cycles(trace.pump1_on),
         pump2_cycles=cycles(trace.pump2_on),
         pump1_on_steps=int(trace.pump1_on.sum()),
         pump2_on_steps=int(trace.pump2_on.sum()),
-        water_delivered_L=delivered,
-        energy_harvested_Wh=energy_harvested_Ws / 3600.0,
-    )
+        **totals)
     return trace, summary

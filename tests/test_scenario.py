@@ -88,9 +88,14 @@ HYDRAULIC_COLUMNS = ("soc_pct", "pump1_on", "pump2_on", "tank2_level_pct",
                      "tank1_level_pct", "delivered_soil_L")
 
 
+SUMMARY_TERMS = ("final_soc_pct", "water_delivered_L", "energy_harvested_Wh",
+                 "energy_load_Wh", "energy_curtailed_Wh",
+                 "energy_deficit_Wh")
+
+
 def reference_hydraulics(cfg, pv_power):
-    """The eight hydraulic columns and (final SOC, water delivered,
-    energy harvested in Wh) for a given harvest."""
+    """The eight hydraulic columns and the summary terms (final SOC,
+    water delivered and the energy ledger) for a given harvest."""
     dt = cfg.dt_s
     state = SystemState(
         soc_pct=cfg.soc_init_pct,
@@ -101,7 +106,8 @@ def reference_hydraulics(cfg, pv_power):
         relays=RelayState(),
     )
     cols = {name: np.zeros(len(pv_power)) for name in HYDRAULIC_COLUMNS}
-    energy_harvested_Ws = 0.0
+    energy_harvested_Ws = energy_load_Ws = 0.0
+    curtailed_pct = deficit_pct = 0.0
     soil_decay_per_s = cfg.soil_decay_pct_per_hr / 3600.0
     for k, power in enumerate(pv_power.tolist()):
         state.relays = reference_relays(state, cfg)
@@ -126,8 +132,14 @@ def reference_hydraulics(cfg, pv_power):
             - soil_decay_per_s * dt))
         load = load1 + load2
         energy_harvested_Ws += power * dt
+        energy_load_Ws += load * dt
         dsoc = (power - load) * dt / 3600.0 / cfg.battery_capacity_Wh * 100.0
-        state.soc_pct = min(100.0, max(0.0, state.soc_pct + dsoc))
+        soc = state.soc_pct + dsoc
+        if soc > 100.0:
+            curtailed_pct += soc - 100.0
+        if soc < 0.0:
+            deficit_pct += -soc
+        state.soc_pct = min(100.0, max(0.0, soc))
         cols["soc_pct"][k] = state.soc_pct
         cols["pump1_on"][k] = 1.0 if state.relays.pump1 else 0.0
         cols["pump2_on"][k] = 1.0 if state.relays.pump2 else 0.0
@@ -139,21 +151,21 @@ def reference_hydraulics(cfg, pv_power):
         cols["tank1_level_pct"][k] = \
             100.0 * state.tank1_L / cfg.tank1_volume_L
         cols["delivered_soil_L"][k] = state.delivered_soil_L
-    return cols, (state.soc_pct, state.delivered_soil_L,
-                  energy_harvested_Ws / 3600.0)
+    capacity_Wh = cfg.battery_capacity_Wh
+    return cols, dict(zip(SUMMARY_TERMS, (
+        state.soc_pct, state.delivered_soil_L, energy_harvested_Ws / 3600.0,
+        energy_load_Ws / 3600.0, curtailed_pct / 100.0 * capacity_Wh,
+        deficit_pct / 100.0 * capacity_Wh)))
 
 
 def assert_matches_reference(cfg, trace, summary):
-    cols, (soc, delivered, harvested) = reference_hydraulics(
-        cfg, trace.pv_power_W)
+    cols, terms = reference_hydraulics(cfg, trace.pv_power_W)
     for name in HYDRAULIC_COLUMNS:
         got = getattr(trace, name)
         assert got.dtype == np.float64, name
         bad = np.flatnonzero(got.view(np.int64) != cols[name].view(np.int64))
         assert bad.size == 0, f"{name} differs at steps {bad[:5]}"
-    for name, want in (("final_soc_pct", soc),
-                       ("water_delivered_L", delivered),
-                       ("energy_harvested_Wh", harvested)):
+    for name, want in terms.items():
         got = getattr(summary, name)
         assert type(got) is float, name
         assert np.float64(got).view(np.int64) == \
