@@ -6,17 +6,27 @@ is four feed-forward passes over the steps ``t = k * dt``: the
 irradiance and sun profiles, interpolated at once; the LDR tracker
 (``tracking_sim``) along the sun path; the MPPT law (``mppt_run``) on
 the lit steps at the effective irradiance, with the converter duty of
-every lit step from one ``duty_for_ratio`` call; and one forward-Euler
-loop in which harvested energy integrates into a battery state of charge
-and two hysteresis-latched pumps move water from the storage tank to the
-reservoir tank and from the reservoir to the soil.  That loop keeps its
-state in plain floats and bools: the latches follow
-``control_logic_step``, and each pump flow follows its first-order law
-exactly over a step, by one decay factor computed once per run.
+every lit step from one ``duty_for_ratio`` call; and a forward-Euler
+hydraulics and battery stage (``_hydraulics``) in which harvested energy
+integrates into a battery state of charge and two hysteresis-latched
+pumps move water from the storage tank to the reservoir tank and from
+the reservoir to the soil.  Its scalar step keeps the state in plain
+floats and bools: the latches follow ``control_logic_step``, and each
+pump flow follows its first-order law exactly over a step, by one decay
+factor computed once per run.  Once both flows sit exactly at their
+targets, every increment of a step is fixed or known ahead, so settled
+stretches run as numpy blocks: the tanks, delivered water, soil and SOC
+are running sums (``np.add.accumulate`` adds left to right, as the step
+does) or constant while pinned at a clamp, and a block stops at the
+first step that changes a latch, the relay or a flow target, or at which
+a clamp engages or releases.  That step runs alone, so the trace is the
+scalar step's bit for bit.
 
 Water bookkeeping is exact: every liter leaving a tank lands in the
 other tank or in the delivered-to-soil ledger, so conservation holds to
-floating-point accumulation error.
+floating-point accumulation error.  So is the energy ledger: harvested
+= pump load + change in stored energy + curtailed (cut off by the SOC
+clamp at 100 %) - deficit (made up by the clamp at 0 %).
 """
 
 from collections.abc import Sequence
@@ -475,7 +485,7 @@ def run_scenario(cfg):
     Passes: the profiles; the tracker, started aligned with the first
     sun point unless the config sets the start; MPPT and converter duty
     where the effective irradiance ``G cos(alpha)`` is positive; then
-    relays, pump flows, water and battery, step by step.
+    relays, pump flows, water and battery (:func:`_hydraulics`).
     """
     cfg.validate()
     n_steps = int(round(cfg.duration_s / cfg.dt_s))

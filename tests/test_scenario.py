@@ -1,7 +1,10 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+import importlib.util
 import math
+from pathlib import Path
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -202,39 +205,202 @@ def cloudy_config(seed):
 
 DARK = ((0.0, 0.0), (600.0, 0.0))
 
+
+def first(flags):
+    return int(np.flatnonzero(flags)[0])
+
+
+def block_stops_at(scalar, k):
+    """Step k ran alone right after a block: the block stopped at it."""
+    return scalar[k] and not scalar[k - 1]
+
+
+def gate_closes_at_block_stop(tank_L, scalar):
+    """The one block stop after the flows settle is the step after the
+    tank fell to 1e-9 L, where the flow gate closes; no move was cut."""
+    stops = np.flatnonzero(scalar[1:] & ~scalar[:-1]) + 1
+    return (stops.size == 1 and tank_L[stops[0] - 2] > 1e-9
+            and tank_L[stops[0] - 1] <= 1e-9 and tank_L[-1] > 0.0)
+
+
 # configs that drive the loop into each of its branches, with the check
-# that they do
+# that they do; the check also gets the steps the scalar step ran, as
+# flags, so that it can tell where a block of settled steps stopped
 BRANCH_CONFIGS = {
     "brownout": (
         dict(duration_s=60.0, irradiance_profile=DARK, soc_init_pct=10.02,
              tank2_init_pct=10.0),
-        lambda tr: (tr.battery_relay[0] == 1.0
-                    and tr.battery_relay[-1] == 0.0)),
+        lambda tr, _: (tr.battery_relay[0] == 1.0
+                       and tr.battery_relay[-1] == 0.0)),
     "tank1_runs_dry": (
         dict(duration_s=60.0, irradiance_profile=DARK, soc_init_pct=90.0,
              tank1_init_pct=2.0, tank2_init_pct=10.0),
-        lambda tr: tr.tank1_level_pct[-1] == 0.0 and tr.pump1_on[-1] == 1.0),
+        lambda tr, _: (tr.tank1_level_pct[-1] == 0.0
+                       and tr.pump1_on[-1] == 1.0)),
     "tank2_capacity_limits_transfer": (
         dict(duration_s=30.0, irradiance_profile=DARK, soc_init_pct=90.0,
              tank_low_pct=99.95, tank_full_pct=100.0, tank2_init_pct=99.9),
-        lambda tr: tr.tank2_level_pct.max() == 100.0),
+        lambda tr, _: tr.tank2_level_pct.max() == 100.0),
     "soil_clamped_at_0": (
         dict(duration_s=30.0, irradiance_profile=DARK, soc_init_pct=5.0,
              soil_init_pct=0.5, soil_decay_pct_per_hr=3600.0),
-        lambda tr: tr.soil_moisture_pct[-1] == 0.0),
+        lambda tr, _: tr.soil_moisture_pct[-1] == 0.0),
     "soil_clamped_at_100": (
         dict(duration_s=30.0, irradiance_profile=DARK, soc_init_pct=90.0,
              soil_dry_pct=99.0, soil_wet_pct=100.0, soil_init_pct=95.0,
              soil_gain_pct_per_L=1000.0),
-        lambda tr: tr.soil_moisture_pct.max() == 100.0),
+        lambda tr, _: tr.soil_moisture_pct.max() == 100.0),
     "soc_clamped_at_0": (
         dict(duration_s=30.0, irradiance_profile=DARK, soc_init_pct=0.05,
              battery_min_soc_pct=0.0, tank2_init_pct=10.0),
-        lambda tr: tr.soc_pct[-1] == 0.0 and tr.battery_relay[-1] == 1.0),
+        lambda tr, _: tr.soc_pct[-1] == 0.0 and tr.battery_relay[-1] == 1.0),
     "soc_clamped_at_100": (
         dict(duration_s=60.0, soc_init_pct=99.99),
-        lambda tr: tr.soc_pct[-1] == 100.0),
+        lambda tr, _: tr.soc_pct[-1] == 100.0),
+    # SOC pinned at 100 with pump1 running, released when the sun dims
+    # below the pump load
+    "soc_released_from_100_in_block": (
+        dict(duration_s=60.0, soc_init_pct=100.0, tank2_init_pct=10.0,
+             irradiance_profile=((0.0, 900.0), (30.0, 900.0),
+                                 (30.5, 100.0), (600.0, 100.0))),
+        lambda tr, scalar: block_stops_at(scalar,
+                                          first(tr.soc_pct < 100.0))),
+    # the clouds seed 6 shape: browned out with pump2 latched on, the
+    # soil dries to 0 and stays pinned there until the sun closes the
+    # relay
+    "soil_pinned_at_0_in_blocks": (
+        dict(duration_s=4000.0, dt_s=2.0, soc_init_pct=9.9,
+             soil_init_pct=0.05, soil_decay_pct_per_hr=6.0,
+             irradiance_profile=((0.0, 0.0), (3000.0, 0.0),
+                                 (3002.0, 1000.0), (4000.0, 1000.0))),
+        lambda tr, scalar: (
+            block_stops_at(scalar, first(tr.soil_moisture_pct == 0.0))
+            and (tr.soil_moisture_pct[20:1500] == 0.0).all()
+            and not scalar[20:1500].any()
+            and tr.soil_moisture_pct[-1] > 0.0)),
+    # a flat battery with the pumps off charges at sunrise
+    "soc_released_from_0_in_block": (
+        dict(duration_s=60.0, soc_init_pct=0.0,
+             irradiance_profile=((0.0, 0.0), (30.0, 0.0), (30.5, 500.0),
+                                 (600.0, 500.0))),
+        lambda tr, scalar: block_stops_at(scalar,
+                                          first(tr.soc_pct > 0.0))),
+    # pump2 empties tank2 with tank1 dry, so pump1 cannot refill it
+    "tank2_runs_dry_in_block": (
+        dict(duration_s=60.0, irradiance_profile=DARK, soc_init_pct=90.0,
+             soil_init_pct=10.0, tank1_init_pct=0.0, tank2_init_pct=5.0),
+        lambda tr, scalar: block_stops_at(
+            scalar, first(tr.tank2_level_pct == 0.0))),
+    # a trickle of a flow (1e-10 L a step) leaves a micro-liter tank
+    # without flow at 1e-9 L while every move still fits: the pump1 flow
+    # gate closes inside a block
+    "tank1_flow_gate_closes_in_block": (
+        dict(duration_s=60.0, irradiance_profile=DARK, soc_init_pct=90.0,
+             pump_flow_Lpm=6e-8, tank1_volume_L=1e-6, tank1_init_pct=1.0,
+             tank2_init_pct=10.0),
+        lambda tr, scalar: gate_closes_at_block_stop(
+            tr.tank1_level_pct / 100.0 * 1e-6, scalar)),
+    # the same for pump2 on a micro-liter tank2, with tank1 dry
+    "tank2_flow_gate_closes_in_block": (
+        dict(duration_s=60.0, irradiance_profile=DARK, soc_init_pct=90.0,
+             pump_flow_Lpm=6e-8, tank2_volume_L=1e-6, tank2_init_pct=1.0,
+             tank1_init_pct=0.0, soil_init_pct=10.0),
+        lambda tr, scalar: gate_closes_at_block_stop(
+            tr.tank2_level_pct / 100.0 * 1e-6, scalar)),
+    # pump1 drains the battery below the brown-out SOC
+    "relay_trips_in_block": (
+        dict(duration_s=60.0, irradiance_profile=DARK, soc_init_pct=10.5,
+             tank2_init_pct=10.0),
+        lambda tr, scalar: block_stops_at(scalar,
+                                          first(tr.battery_relay == 0.0))),
+    # pump1 fills tank2 to its capacity, its full mark
+    "tank2_capacity_engages_in_block": (
+        dict(duration_s=60.0, irradiance_profile=DARK, soc_init_pct=90.0,
+             tank_low_pct=99.95, tank_full_pct=100.0, tank2_init_pct=90.0),
+        lambda tr, scalar: block_stops_at(
+            scalar, first(tr.tank2_level_pct == 100.0))),
+    # settled throughout: blocks of 64 and 128 steps end on the last step
+    "block_ends_on_last_step": (
+        dict(duration_s=19.2, irradiance_profile=DARK, soc_init_pct=50.0,
+             soil_init_pct=50.0, soil_decay_pct_per_hr=100.0),
+        lambda tr, scalar: (len(tr) == 3 * scenario._BLOCK_MIN
+                            and not scalar.any())),
 }
+
+
+@pytest.fixture
+def scalar_steps(monkeypatch):
+    """The steps the scalar hydraulic step runs, in order."""
+    steps = []
+    step = scenario._Hydraulics.step
+
+    def counted(self, k, power):
+        steps.append(k)
+        return step(self, k, power)
+    monkeypatch.setattr(scenario._Hydraulics, "step", counted)
+    return steps
+
+
+def percents():
+    """A percentage in [0, 100], often at or next to a bound."""
+    return st.one_of(st.sampled_from([0.0, 1e-9, 100.0 - 1e-9, 100.0]),
+                     st.floats(0.0, 100.0))
+
+
+def magnitudes(normal):
+    """A positive size: tiny, ``normal`` (a range) or huge."""
+    return st.one_of(st.floats(1e-3, 0.1), st.floats(*normal),
+                     st.floats(1e4, 1e6))
+
+
+def thresholds():
+    """A (low, high) pair in [0, 100], low < high, often close."""
+    return st.tuples(
+        st.floats(0.0, 99.99),
+        st.one_of(st.sampled_from([1e-9, 1e-3]), st.floats(1e-6, 60.0)),
+    ).map(lambda p: (p[0], min(100.0, p[0] + p[1])))
+
+
+@st.composite
+def short_configs(draw):
+    """A short scenario: dark, flat or cloudy irradiance, tiny to huge
+    tanks and batteries, levels at or near their clamps, pump time
+    constants from 0.01 s (a flow that decays into subnormals within a
+    few steps) to 10 s, and close thresholds."""
+    dt = draw(st.sampled_from([0.05, 0.1, 0.5, 2.0]))
+    duration = draw(st.integers(1, 400)) * dt
+    sky = draw(st.sampled_from(["dark", "flat", "cloudy"]))
+    if sky == "dark":
+        profile = ((0.0, 0.0),)
+    elif sky == "flat":
+        profile = ((0.0, draw(st.floats(0.0, 1200.0))),)
+    else:
+        times = draw(st.lists(st.floats(0.0, duration), min_size=1,
+                              max_size=12, unique=True))
+        profile = tuple((t, draw(st.one_of(st.just(0.0),
+                                           st.floats(0.0, 1200.0))))
+                        for t in sorted(times))
+    tank_low, tank_full = draw(thresholds())
+    soil_dry, soil_wet = draw(thresholds())
+    return ScenarioConfig(
+        duration_s=duration, dt_s=dt, irradiance_profile=profile,
+        battery_capacity_Wh=draw(magnitudes((1.0, 100.0))),
+        soc_init_pct=draw(percents()),
+        battery_min_soc_pct=draw(percents()),
+        tank1_volume_L=draw(magnitudes((1.0, 100.0))),
+        tank2_volume_L=draw(magnitudes((1.0, 100.0))),
+        tank1_init_pct=draw(percents()), tank2_init_pct=draw(percents()),
+        soil_init_pct=draw(percents()),
+        pump_flow_Lpm=draw(st.one_of(st.floats(1e-8, 1e-6),
+                                     st.floats(0.1, 20.0))),
+        pump_tau_s=draw(st.floats(0.01, 10.0)),
+        pump1_power_W=draw(st.floats(0.0, 200.0)),
+        pump2_power_W=draw(st.floats(0.0, 200.0)),
+        tank_low_pct=tank_low, tank_full_pct=tank_full,
+        soil_dry_pct=soil_dry, soil_wet_pct=soil_wet,
+        soil_gain_pct_per_L=draw(st.floats(0.0, 1000.0)),
+        soil_decay_pct_per_hr=draw(st.floats(0.0, 1e4)),
+        mppt_algo=draw(st.sampled_from(["po", "ic"]))).validate()
 
 
 class TestHydraulicsMatchesReference:
@@ -252,12 +418,59 @@ class TestHydraulicsMatchesReference:
         assert_matches_reference(cfg, trace, summary)
 
     @pytest.mark.parametrize("name", sorted(BRANCH_CONFIGS))
-    def test_branch(self, name):
+    def test_branch(self, name, scalar_steps):
         values, reached = BRANCH_CONFIGS[name]
         cfg = ScenarioConfig(**values)
         trace, summary = run_scenario(cfg)
-        assert reached(trace)
+        scalar = np.zeros(len(trace), dtype=bool)
+        scalar[scalar_steps] = True
+        assert reached(trace, scalar)
         assert_matches_reference(cfg, trace, summary)
+
+    @settings(max_examples=60)
+    @given(cfg=short_configs())
+    def test_generated(self, cfg):
+        trace, summary = run_scenario(cfg)
+        assert_matches_reference(cfg, trace, summary)
+        assert_water_ledger_closes(cfg, trace)
+        # rounding: a few ulps per step of every ledger term and of the
+        # battery (the SOC's own rounding)
+        flow = summary.energy_harvested_Wh + summary.energy_load_Wh \
+            + summary.energy_curtailed_Wh + summary.energy_deficit_Wh \
+            + cfg.battery_capacity_Wh
+        assert abs(energy_ledger_residual(cfg, summary)) <= \
+            8 * (len(trace) + 10) * np.finfo(float).eps * flow
+
+    def test_settled_steps_run_in_blocks(self, scalar_steps):
+        # on the reference day only the steps whose pump flows have not
+        # settled run alone
+        trace, _ = run_scenario(ScenarioConfig.default_daylight())
+        assert len(scalar_steps) <= 0.05 * len(trace)
+
+
+def assert_water_ledger_closes(cfg, trace):
+    """Every liter that leaves a tank lands in the other or in the soil:
+    the total stays put up to rounding, a few ulps of it per step."""
+    total = trace.tank1_level_pct / 100.0 * cfg.tank1_volume_L \
+        + trace.tank2_level_pct / 100.0 * cfg.tank2_volume_L \
+        + trace.delivered_soil_L
+    water = cfg.tank1_init_pct / 100.0 * cfg.tank1_volume_L \
+        + cfg.tank2_init_pct / 100.0 * cfg.tank2_volume_L
+    tol = 8 * (len(trace) + 10) * np.finfo(float).eps * water
+    assert np.abs(total - water).max() <= tol
+
+
+def energy_ledger_residual(cfg, summary):
+    """harvested - (load + stored change + curtailed - deficit), in Wh,
+    with every ledger term checked to be >= 0."""
+    assert summary.energy_load_Wh >= 0.0
+    assert summary.energy_curtailed_Wh >= 0.0
+    assert summary.energy_deficit_Wh >= 0.0
+    stored = (summary.final_soc_pct - cfg.soc_init_pct) / 100.0 \
+        * cfg.battery_capacity_Wh
+    return summary.energy_harvested_Wh - (
+        summary.energy_load_Wh + stored + summary.energy_curtailed_Wh
+        - summary.energy_deficit_Wh)
 
 
 def pump1_flow_and_load(cfg, trace):
@@ -434,6 +647,41 @@ def daylight_run():
     return cfg, trace, summary
 
 
+@pytest.fixture(scope="module")
+def clouds():
+    """The benchmark's generator of seeded 24-hour cloudy days."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "clouds.py"
+    spec = importlib.util.spec_from_file_location("clouds", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestEnergyLedger:
+    """harvested = load + stored change + curtailed - deficit closes to
+    1e-9 of the harvest (of the load on a day without one; exactly when
+    neither flows)."""
+
+    @staticmethod
+    def assert_closes(cfg, summary):
+        scale = max(summary.energy_harvested_Wh, summary.energy_load_Wh)
+        assert abs(energy_ledger_residual(cfg, summary)) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_clouds(self, clouds, seed):
+        # the benchmark's config: its fields over default_daylight's
+        cfg = replace(ScenarioConfig.default_daylight(),
+                      **clouds.generate(seed))
+        _, summary = run_scenario(cfg)
+        self.assert_closes(cfg, summary)
+
+    @pytest.mark.parametrize("name", sorted(BRANCH_CONFIGS))
+    def test_branch(self, name):
+        cfg = ScenarioConfig(**BRANCH_CONFIGS[name][0])
+        _, summary = run_scenario(cfg)
+        self.assert_closes(cfg, summary)
+
+
 class TestScenarioRun:
     def test_water_conservation(self, daylight_run):
         cfg, trace, _ = daylight_run
@@ -442,6 +690,14 @@ class TestScenarioRun:
         total = t1 + t2 + trace.delivered_soil_L
         assert np.abs(np.diff(total)).max() < 1e-9
         assert abs(total[-1] - total[0]) < 1e-6
+
+    def test_energy_ledger(self, daylight_run):
+        cfg, _, summary = daylight_run
+        # the SOC sits at 100 % for most of the day, and the clamp throws
+        # away most of the harvest there
+        assert summary.energy_curtailed_Wh > 0.5 * summary.energy_harvested_Wh
+        assert abs(energy_ledger_residual(cfg, summary)) <= \
+            1e-9 * summary.energy_harvested_Wh
 
     def test_soc_bounds(self, daylight_run):
         _, trace, _ = daylight_run
