@@ -207,6 +207,7 @@ DARK = ((0.0, 0.0), (600.0, 0.0))
 
 
 def first(flags):
+    """The index of the first set flag."""
     return int(np.flatnonzero(flags)[0])
 
 
