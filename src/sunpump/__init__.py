@@ -4,16 +4,14 @@ from .lti import (Polynomial, TransferFunction, poly_roots, tf_feedback,
                   step_response, step_metrics, routh_table,
                   frequency_response, stability_margins, root_locus,
                   error_constants, ss_error_vs_gain)
-from .pv import (PvCellParams, PvArrayParams, default_array, cell_current,
-                 array_current, iv_curve, find_mpp, pv_efficiency,
-                 thermal_voltage)
+from .pv import (PvCellParams, PvArrayParams, default_array, array_current,
+                 iv_curve, find_mpp, thermal_voltage)
 from .solar import (SunPosition, TrackerOrientation, declination,
-                    zenith_and_elevation, sun_vector, tracker_basis,
-                    angle_of_incidence, incidence_direction,
-                    quartic_even_roots, optimal_orientation)
+                    zenith_and_elevation, angle_of_incidence,
+                    incidence_direction, quartic_even_roots,
+                    optimal_orientation)
 from .mppt import MpptState, po_step, ic_step, mppt_run
-from .tracking import (TrackingThresholds, ldr_model, tracking_step,
-                       tracking_sim)
+from .tracking import tracking_step, tracking_sim
 from .plants import (MotorParams, PidParams, TankParams, ValveParams,
                      motor_tf, pid_tf, closed_loop_char_poly, pump_tf,
                      tank_tf, valve_linearize, tank_loop_tf,

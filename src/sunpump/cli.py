@@ -33,7 +33,7 @@ from .scenario import ConfigError, ScenarioConfig, run_scenario
 from .solar import (SunPosition, TrackerOrientation, UndefinedDirectionError,
                     angle_of_incidence, declination, incidence_direction,
                     optimal_orientation, zenith_and_elevation)
-from .tracking import TrackingThresholds, tracking_sim
+from .tracking import tracking_sim
 
 
 class UsageError(Exception):
@@ -150,7 +150,7 @@ def _cmd_track_sim(args):
         start = TrackerOrientation(te, ta)
     run = tracking_sim(e0 + (e1 - e0) * k / max(n - 1, 1),
                        a0 + (a1 - a0) * k / max(n - 1, 1),
-                       TrackingThresholds(), motor_step_deg=args.motor_step,
+                       motor_step_deg=args.motor_step,
                        irradiance=args.irradiance, start=start)
     path = _out_path(args, "track_sim.csv")
     csvio.emit_csv(["step", "theta_TE", "theta_TA", "alpha", "tl", "tr",
@@ -411,6 +411,9 @@ def main(argv=None):
         return 2
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
         return 3
 
 

@@ -14,7 +14,7 @@ equal-degree polynomials with one batched eigenvalue call; ``poly_roots``
 hands it one polynomial and ``root_locus`` all the gains of a sweep.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -119,15 +119,8 @@ class TransferFunction:
         return poly_roots(self.num)
 
 
-def tf_to_text(tf):
-    """Serialize as ``num: c_n ... c_0 / den: d_m ... d_0``."""
-    num = " ".join("%.17g" % c for c in tf.num.coeffs)
-    den = " ".join("%.17g" % c for c in tf.den.coeffs)
-    return f"num: {num} / den: {den}"
-
-
 def tf_from_text(text):
-    """Parse the serialization produced by :func:`tf_to_text`."""
+    """Parse ``num: c_n ... c_0 / den: d_m ... d_0``."""
     body = text.strip()
     if not body.startswith("num:") or "/" not in body:
         raise ValueError(f"malformed transfer-function text: {text!r}")
@@ -203,12 +196,6 @@ def _polished_roots(c):
         roots = np.where(better, cand, roots)
     order = np.lexsort((roots.imag, roots.real), axis=-1)
     return np.take_along_axis(roots, order, axis=-1)
-
-
-def root_residual_bound(p, root):
-    """Residual bound used by the root-quality contract."""
-    c = np.asarray(p.coeffs if isinstance(p, Polynomial) else p, dtype=float)
-    return 1e-9 * np.sum(np.abs(c)) * max(1.0, abs(root)) ** (len(c) - 1)
 
 
 def tf_feedback(g, h):
@@ -296,6 +283,11 @@ def default_step_dt(tf, t_end):
     return dt
 
 
+# most samples a step response may ask for: checked before the trace is
+# allocated (about 16 MB per million samples for t and y alone)
+MAX_SAMPLES = 5_000_000
+
+
 def step_response(tf, t_end, dt=None):
     """
     Unit-step response by RK4 on the controllable-canonical realization.
@@ -305,7 +297,8 @@ def step_response(tf, t_end, dt=None):
     tf : TransferFunction
         Must be proper (num degree <= den degree).
     t_end : float
-        Final simulation time, must be at least 10*dt.
+        Final simulation time, must be at least 10*dt, and at most
+        ``MAX_SAMPLES - 1`` steps of dt.
     dt : float, optional
         Fixed integration step; defaults to
         ``min(tau_min/20, t_end/2000)`` with ``tau_min = 1/max|pole|``.
@@ -326,11 +319,15 @@ def step_response(tf, t_end, dt=None):
         raise ValueError("dt must be positive")
     if t_end < 10 * dt:
         raise ValueError("t_end must cover at least 10 integration steps")
+    steps = t_end / dt
+    if not steps <= MAX_SAMPLES - 1:
+        raise ValueError(f"t_end / dt = {steps:.3g} asks for more than "
+                         f"{MAX_SAMPLES} samples")
     poles = tf.poles()
     diverged = bool(np.any(poles.real >= -1e-12))
 
     A, B, C, D = _canonical_state_space(tf)
-    n_steps = int(round(t_end / dt))
+    n_steps = int(round(steps))
     t = np.arange(n_steps + 1) * dt
     if A is None:
         return StepTrace(t, np.full(t.shape, D), False)

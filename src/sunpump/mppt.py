@@ -21,8 +21,7 @@ IEEE operations.  The block is kept up to and including the first
 step whose next voltage leaves the prediction, and the walk goes back
 to scalar steps from there; a block that checks out doubles the next
 one (8 steps, up to 4096).  Every current and every decision is the
-scalar loop's, bit for bit.  A ``measure`` function given in place of
-the irradiance is called on every step, with no blocks.
+scalar loop's, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -157,7 +156,7 @@ class MpptRun:
         return self.v_ref * self.i
 
 
-def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
+def mppt_run(ap, algo, st0, steps, irradiance):
     """
     Closed-loop MPPT against the PV array model.
 
@@ -172,10 +171,7 @@ def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
     st0 : MpptState
     steps : int, >= 1
     irradiance : float or sequence of ``steps`` floats, W/m2
-        (a float is broadcast); required unless ``measure`` is given
-    measure : callable, optional
-        ``measure(v) -> i`` in place of the array model, called once per
-        step; tests climb synthetic power curves with it.
+        (a float is broadcast)
 
     Returns
     -------
@@ -184,12 +180,7 @@ def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
     if steps < 1:
         raise ValueError("need at least one step")
     ic = {"po": False, "ic": True}[algo]
-    if measure is not None:
-        g = None
-    elif irradiance is None:
-        raise ValueError("need the irradiance or a measure function")
-    else:
-        g = np.broadcast_to(np.asarray(irradiance, dtype=float), (steps,))
+    g = np.broadcast_to(np.asarray(irradiance, dtype=float), (steps,))
     v_ref = np.empty(steps)
     cur = np.empty(steps)
     dv_step = st0.dV_step
@@ -199,7 +190,7 @@ def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
     size = _BLOCK_MIN
     k = 0
     while k < steps:
-        if g is not None and len(moves) == 8 and moves[:4] == moves[4:]:
+        if len(moves) == 8 and moves[:4] == moves[4:]:
             n = min(size, steps - k)
             vs = np.add.accumulate(np.concatenate(([v],
                                                    np.resize(moves[4:], n))))
@@ -230,10 +221,7 @@ def mppt_run(ap, algo, st0, steps, irradiance=None, measure=None):
             size = _BLOCK_MIN if miss.size else min(2 * size, _BLOCK_MAX)
             k += c
             continue
-        if g is None:
-            i = _or_zero(measure, v)
-        else:
-            i = _or_zero(pv.array_current, ap.at_irradiance(g.item(k)), v)
+        i = _or_zero(pv.array_current, ap.at_irradiance(g.item(k)), v)
         p_now = v * i
         if ic:
             move, undefined = _ic_move(dv_step, v_prev, i_prev, v, i, max,

@@ -50,10 +50,6 @@ class PvSolverError(RuntimeError):
     """Implicit current solve failed to bracket or converge."""
 
 
-class UndefinedEfficiencyError(ValueError):
-    """Efficiency requested at zero irradiance."""
-
-
 def thermal_voltage(a, t_c):
     """Diode thermal voltage ``a * kB * T / q`` in volts."""
     if a <= 0 or t_c < 0:
@@ -248,18 +244,9 @@ def _solve_current_bracketed(f_df, p, n_p, v):
     return i
 
 
-def cell_current(p, v_c):
-    """Cell output current solving the implicit double-diode equation."""
-    return _solve_current(p, 1, 1, v_c)
-
-
-def current_residual(ap, v_a, i_a):
-    """Mismatch of the array equation at (V, I); |.| < 1e-9 A when solved."""
-    return _array_mismatch(ap.cell, ap.N_s, ap.N_p, v_a)(i_a)[0]
-
-
 def array_current(ap, v_a):
-    """Array output current; reduces to :func:`cell_current` at 1x1."""
+    """Array output current solving the implicit double-diode equation;
+    a 1x1 array gives the cell current."""
     return _solve_current(ap.cell, ap.N_s, ap.N_p, v_a)
 
 
@@ -416,12 +403,3 @@ def find_mpp(ap):
     v = 0.5 * (a + b)
     i = array_current(ap, v)
     return MppResult(v, i, v * i)
-
-
-def pv_efficiency(v_a, i_a, area_a, g_t):
-    """Conversion efficiency ``V I / (A G_T)``."""
-    if area_a <= 0:
-        raise ValueError("area must be > 0")
-    if g_t <= 0:
-        raise UndefinedEfficiencyError("efficiency undefined at zero irradiance")
-    return v_a * i_a / (area_a * g_t)

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import mppt, pv
 from .solar import TrackerOrientation
-from .tracking import TrackingThresholds, tracking_sim
+from .tracking import tracking_sim
 
 
 BATTERY_BUS_V = 12.0
@@ -502,8 +502,7 @@ def run_scenario(cfg):
     orientation0 = TrackerOrientation(
         float(sun_elev[0]) if init_te is None else init_te,
         float(sun_azi[0]) if init_ta is None else init_ta)
-    track = tracking_sim(sun_elev, sun_azi, TrackingThresholds(),
-                         motor_step_deg=cfg.motor_step_deg,
+    track = tracking_sim(sun_elev, sun_azi, motor_step_deg=cfg.motor_step_deg,
                          irradiance=irr, start=orientation0)
     eff_irr = irr * np.maximum(0.0, np.cos(np.radians(track.alpha)))
 

@@ -76,35 +76,6 @@ def zenith_and_elevation(l_st, delta, st):
     return theta_z, 90.0 - theta_z
 
 
-def sun_vector(sp):
-    """Unit vector to the sun: [sin(az) cos(el), cos(az) cos(el), sin(el)]."""
-    se, sa = _d(sp.theta_SE), _d(sp.theta_SA)
-    return np.array([math.sin(sa) * math.cos(se),
-                     math.cos(sa) * math.cos(se),
-                     math.sin(se)])
-
-
-def tracker_basis(to):
-    """
-    Right-handed orthonormal frame of the tracker face.
-
-    Returns
-    -------
-    (x_m, y_m, z_m) unit vectors: in-face horizontal, outward normal,
-    in-face up.  ``x_m cross y_m == z_m`` and the normal satisfies
-    ``cos(alpha) = s . y_m`` for the incidence formula.
-    """
-    te, ta = _d(to.theta_TE), _d(to.theta_TA)
-    x_m = np.array([math.cos(ta), -math.sin(ta), 0.0])
-    y_m = np.array([math.sin(ta) * math.cos(te),
-                    math.cos(ta) * math.cos(te),
-                    math.sin(te)])
-    z_m = np.array([-math.sin(te) * math.sin(ta),
-                    -math.sin(te) * math.cos(ta),
-                    math.cos(te)])
-    return x_m, y_m, z_m
-
-
 def sun_on_frame(se, te, dazi, sin, cos):
     """The sun's projections ``(s . x_m, s . y_m, s . z_m)`` on the tracker
     frame from the sun elevation, tracker elevation and azimuth difference

@@ -29,15 +29,11 @@ from .solar import TrackerOrientation, sun_on_frame
 
 _SQRT_HALF = math.sqrt(0.5)
 
-
-@dataclass(frozen=True)
-class TrackingThresholds:
-    avgsum_min: float = 8.0
-    diff_deadband: float = 10.0
-
-    def __post_init__(self):
-        if self.avgsum_min <= 0 or self.diff_deadband <= 0:
-            raise ValueError("thresholds must be positive")
+# the state machine's thresholds, in ADC counts: below this mean count
+# the tracker parks; an axis holds while its difference stays within
+# the deadband
+AVGSUM_MIN = 8.0
+DIFF_DEADBAND = 10.0
 
 
 def _clip(x, lo, hi):
@@ -45,7 +41,7 @@ def _clip(x, lo, hi):
     return min(max(x, lo), hi)
 
 
-def sense_and_decide(se, te, dazi, irradiance, th, sin, cos, rint, clip):
+def sense_and_decide(se, te, dazi, irradiance, sin, cos, rint, clip):
     """
     One cycle of the tracker law: quadrant counts, then the state machine.
 
@@ -62,7 +58,6 @@ def sense_and_decide(se, te, dazi, irradiance, th, sin, cos, rint, clip):
     se, te, dazi : sun elevation, tracker elevation and azimuth difference
         (sun minus tracker), radians, as for ``solar.sun_on_frame``
     irradiance : W/m2, >= 0
-    th : TrackingThresholds
     sin, cos, rint, clip : ``math.sin``, ``math.cos``, ``round`` and
         ``_clip`` on floats, or ``np.sin``, ``np.cos``, ``np.rint`` and
         ``np.clip`` on arrays
@@ -78,27 +73,16 @@ def sense_and_decide(se, te, dazi, irradiance, th, sin, cos, rint, clip):
     counts = [clip(rint(scale * c), 0, 1023) for c in (
         axial + 0.5 * (s_z - s_x), axial + 0.5 * (s_z + s_x),
         axial - 0.5 * (s_z + s_x), axial + 0.5 * (s_x - s_z))]
-    return (*counts, *tracking_step(*counts, th))
+    return (*counts, *tracking_step(*counts))
 
 
-def ldr_model(sun_elev, sun_azi, tracker_elev, tracker_azi, irradiance):
-    """Quadrant counts (top left, top right, bottom left, bottom right)
-    for one sun position and tracker orientation in degrees:
-    :func:`sense_and_decide` on floats."""
-    if irradiance < 0:
-        raise ValueError("irradiance must be >= 0")
-    return sense_and_decide(
-        math.radians(sun_elev), math.radians(tracker_elev),
-        math.radians(sun_azi - tracker_azi), irradiance,
-        TrackingThresholds(), math.sin, math.cos, round, _clip)[:4]
-
-
-def tracking_step(tl, tr, bl, br, th):
+def tracking_step(tl, tr, bl, br):
     """
     The tracking state machine on quadrant counts, floats or arrays.
 
     Pairwise averages feed two difference signals; below the light
-    threshold the tracker parks and holds, inside the deadband an axis
+    threshold ``AVGSUM_MIN`` the tracker parks and holds, inside the
+    deadband ``DIFF_DEADBAND`` an axis
     holds, otherwise the printed branch directions apply: a positive
     azimuth difference commands "right" (-1), a negative one "left"
     (+1), a positive elevation difference "up" (+1), a negative one
@@ -113,13 +97,12 @@ def tracking_step(tl, tr, bl, br, th):
     avg_left = (tl + bl) / 2.0
     avg_right = (tr + br) / 2.0
     avgsum = (avg_top + avg_bottom + avg_left + avg_right) / 4.0
-    lit = avgsum >= th.avgsum_min
+    lit = avgsum >= AVGSUM_MIN
     diff_azi = avg_left - avg_right
     diff_elev = avg_top - avg_bottom
-    db = th.diff_deadband
-    azi = (lit & (abs(diff_azi) > db)) * (1 - 2 * (diff_azi > 0))
-    elev = (lit & (abs(diff_elev) > db)) * (2 * (diff_elev > 0) - 1)
-    return azi, elev, avgsum < th.avgsum_min
+    azi = (lit & (abs(diff_azi) > DIFF_DEADBAND)) * (1 - 2 * (diff_azi > 0))
+    elev = (lit & (abs(diff_elev) > DIFF_DEADBAND)) * (2 * (diff_elev > 0) - 1)
+    return azi, elev, avgsum < AVGSUM_MIN
 
 
 def _move(te, ta, azi_step, elev_step, park, motor_step_deg, start):
@@ -171,8 +154,8 @@ def _incidence_angles(se, azi, te, ta):
     return np.degrees(np.fromiter(map(math.acos, arg), float, arg.size))
 
 
-def tracking_sim(sun_elev, sun_azi, th, motor_step_deg=1.8,
-                 irradiance=1000.0, start=None):
+def tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8, irradiance=1000.0,
+                 start=None):
     """
     Closed-loop tracking along a sun path.
 
@@ -188,7 +171,6 @@ def tracking_sim(sun_elev, sun_azi, th, motor_step_deg=1.8,
     sun_elev, sun_azi : sequences of n floats, the solar elevation and
         azimuth per step in degrees; every elevation must lie in
         [-90, 90] and every azimuth must be finite
-    th : TrackingThresholds
     motor_step_deg : float, finite and > 0
     irradiance : float or sequence of n floats, finite and >= 0, W/m2
         (a scalar is broadcast)
@@ -234,7 +216,7 @@ def tracking_sim(sun_elev, sun_azi, th, motor_step_deg=1.8,
         if held < _SETTLE_STEPS:
             *counts, az, el, pk = sense_and_decide(
                 se.item(k), math.radians(te), math.radians(azi.item(k) - ta),
-                irr.item(k), th, math.sin, math.cos, round, _clip)
+                irr.item(k), math.sin, math.cos, round, _clip)
             moved = _move(te, ta, az, el, pk, motor_step_deg, start)
             held = held + 1 if _same_orientation(moved, here) else 0
             here = te, ta = moved
@@ -255,7 +237,7 @@ def tracking_sim(sun_elev, sun_azi, th, motor_step_deg=1.8,
         stop = min(k + block, n)
         *counts, az, el, pk = sense_and_decide(
             se[k:stop], math.radians(te), np.radians(azi[k:stop] - ta),
-            irr[k:stop], th, np.sin, np.cos, np.rint, np.clip)
+            irr[k:stop], np.sin, np.cos, np.rint, np.clip)
         code = np.where(pk, 9, 3 * az + el + 4)
         leaving = np.flatnonzero(leaves[code])
         end = stop if leaving.size == 0 else k + leaving[0] + 1

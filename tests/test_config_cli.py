@@ -1,14 +1,18 @@
 import math
 from pathlib import Path
 import re
+import shlex
 
 import numpy as np
 import pytest
 
-from sunpump.cli import main
+from sunpump.cli import build_parser, main
 from sunpump.config import parse_config, parse_config_text
 from sunpump.csvio import emit_csv
 from sunpump.scenario import ConfigError, SimTrace
+
+# a stiff system, poles at -1e-3 and -1e6
+STIFF = "num: 1 / den: 1 1000000.001 1000"
 
 MINIMAL = """
 # minimal scenario: defaults fill everything else
@@ -168,6 +172,17 @@ class TestColumnCsv:
         assert path.read_bytes() == rowwise_csv(
             trace.COLUMNS, zip(*(c.tolist() for c in cols)))
 
+    def test_readme_commands_parse(self):
+        # each example command in the README parses as written
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        lines = [line for line in readme.splitlines()
+                 if line.startswith("sunpump ")]
+        assert len(lines) >= 12
+        for line in lines:
+            argv = shlex.split(line)[1:]
+            args = build_parser().parse_args(argv)
+            assert args.command == argv[0]
+
     def test_readme_lists_the_trace_columns(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         listed = re.search(r"The trace CSV columns, in order: `([^`]*)`",
@@ -276,6 +291,37 @@ class TestCliExitCodes:
         # improper transfer function cannot produce a step response
         code = main(["tf", "step", "--tf-text", "num: 1 0 0 / den: 1 1"])
         assert code == 3
+
+    @pytest.mark.parametrize("flags", [[], ["--t-end", "1e9", "--dt", "1e-6"]],
+                             ids=["default-t-end-dt", "t-end-dt"])
+    def test_oversized_step_response_is_a_numeric_failure(self, tmp_path,
+                                                          capsys, flags):
+        # poles at -1e-3 and -1e6: the defaults ask for 1.6e11 samples,
+        # which used to end in a memory-error traceback with exit 1
+        code = main(["tf", "step", "--tf-text", STIFF, *flags,
+                     "--out", str(tmp_path)])
+        assert code == 3
+        assert "samples" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("timing", ["", "t_end = 1e9\ndt = 1e-6\n"],
+                             ids=["default-t-end-dt", "t-end-dt"])
+    def test_oversized_step_response_from_a_config(self, tmp_path, capsys,
+                                                   timing):
+        path = tmp_path / "a.cfg"
+        path.write_text(f"[analysis]\nkind = step\ntf_text = {STIFF}\n"
+                        + timing)
+        out = tmp_path / "out"
+        assert main(["tf", "--config", str(path), "--out", str(out)]) == 3
+        assert "samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_memory_is_a_numeric_failure(self, tmp_path, capsys):
+        # 1e15 gains: the grid alone would take petabytes
+        code = main(["tf", "rlocus", "--preset", "cascade", "--gains",
+                     "0.1:10:1e15", "--out", str(tmp_path)])
+        assert code == 3
+        assert "out of memory" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["track-sim", "--motor-step", "nan"],
@@ -568,13 +614,12 @@ class TestCliCsvBytes:
 
     def test_track_sim(self, tmp_path, capsys):
         from sunpump.solar import TrackerOrientation
-        from sunpump.tracking import TrackingThresholds, tracking_sim
+        from sunpump.tracking import tracking_sim
         assert main(["track-sim", "--steps", "300", "--start", "45:160",
                      "--out", str(tmp_path)]) == 0
         k = np.arange(300)
         run = tracking_sim(30.0 + 30.0 * k / 299, 90.0 + 180.0 * k / 299,
-                           TrackingThresholds(), start=TrackerOrientation(
-                               45.0, 160.0))
+                           start=TrackerOrientation(45.0, 160.0))
         azi_label = {1: "left", -1: "right", 0: "hold"}
         elev_label = {1: "up", -1: "down", 0: "hold"}
         rows = zip(range(300), run.theta_TE.tolist(), run.theta_TA.tolist(),

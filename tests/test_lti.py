@@ -1,16 +1,24 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sunpump import lti
 from sunpump.lti import (DegenerateSystemError, ImproperSystemError,
                          NotSettledError, Polynomial, TransferFunction,
                          error_constants, frequency_response, poly_roots,
-                         root_locus, root_residual_bound, routh_table,
-                         ss_error_vs_gain, stability_margins,
-                         stability_verdict_from_roots, step_metrics,
-                         step_response, tf_feedback, tf_feedback_gain,
-                         tf_from_text, tf_to_text)
+                         root_locus, routh_table, ss_error_vs_gain,
+                         stability_margins, stability_verdict_from_roots,
+                         step_metrics, step_response, tf_feedback,
+                         tf_feedback_gain, tf_from_text)
+
+
+def root_residual_bound(p, root):
+    """The root-quality contract of ``poly_roots``:
+    ``|p(r)| <= 1e-9 * sum|c_i| * max(1, |r|)**deg``."""
+    c = np.asarray(p.coeffs, dtype=float)
+    return 1e-9 * np.sum(np.abs(c)) * max(1.0, abs(root)) ** (len(c) - 1)
 
 
 class TestPolynomial:
@@ -141,6 +149,29 @@ class TestStepResponse:
         tr = step_response(TransferFunction([1.0, 2.0], [1.0, 1.0]), 12.0)
         assert tr.y[0] == pytest.approx(1.0)
         assert tr.y[-1] == pytest.approx(2.0, rel=1e-4)
+
+    def test_sample_ceiling(self, monkeypatch):
+        # the ceiling itself, lowered: exactly MAX_SAMPLES samples run
+        monkeypatch.setattr(lti, "MAX_SAMPLES", 1000)
+        tf = TransferFunction([1.0], [1.0, 1.0])
+        assert len(step_response(tf, 0.999, dt=1e-3).t) == 1000
+        with pytest.raises(ValueError, match="more than 1000 samples"):
+            step_response(tf, 1.0, dt=1e-3)
+
+    @pytest.mark.parametrize("t_end, dt", [
+        (8000.0, None), (1e9, 1e-6), (math.inf, 1.0), (math.nan, 1.0)])
+    def test_sample_ceiling_checked_before_allocating(self, t_end, dt):
+        # poles at -1e-3 and -1e6: the default dt over 8000 s asks for
+        # 1.6e11 samples; the response must refuse before any array exists
+        tf = TransferFunction([1.0], [1.0, 1000000.001, 1000.0])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="samples"):
+                step_response(tf, t_end, dt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_dt_halving_stability(self):
         tf = TransferFunction([10.0], [1.0, 2.0, 10.0])
@@ -400,6 +431,13 @@ class TestGainForError:
         assert targets == {0.1: None, 0.01: None}
 
 
+def tf_to_text(tf):
+    """The ``--tf-text`` form of a system, every coefficient exact."""
+    num = " ".join("%.17g" % c for c in tf.num.coeffs)
+    den = " ".join("%.17g" % c for c in tf.den.coeffs)
+    return f"num: {num} / den: {den}"
+
+
 class TestSerialization:
     def test_round_trip(self):
         tf = TransferFunction([0.0001563], [1.2e-8, 7.51e-6, 0.0001625, 0.0])
@@ -408,8 +446,8 @@ class TestSerialization:
         assert again.den.coeffs == tf.den.coeffs
 
     def test_format(self):
-        text = tf_to_text(TransferFunction([2.0], [1.0, 3.0]))
-        assert text == "num: 2 / den: 1 3"
+        tf = tf_from_text("num: 2 / den: 1 3")
+        assert (tf.num.coeffs, tf.den.coeffs) == ((2.0,), (1.0, 3.0))
 
     def test_malformed_rejected(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from sunpump.pv import (PvSolverError, array_current, default_array,
                         find_mpp)
 from sunpump.scenario import ScenarioConfig, _profile_columns
 from sunpump.solar import TrackerOrientation
-from sunpump.tracking import TrackingThresholds, tracking_sim
+from sunpump.tracking import tracking_sim
 
 
 def synthetic_measure(v):
@@ -20,6 +20,23 @@ def synthetic_measure(v):
     if v <= 0:
         return 0.0
     return (100.0 - (v - 17.0) ** 2) / v
+
+
+def loop_run(measure, algo, st0, steps):
+    """Reference: the step-by-step loop of the update law, one
+    ``measure(v)`` per step; a failed solve records 0 A."""
+    step_fn = {"po": po_step, "ic": ic_step}[algo]
+    v_ref, cur, st = [], [], st0
+    for _ in range(steps):
+        v = st.V_ref
+        try:
+            i = measure(v)
+        except PvSolverError:
+            i = 0.0
+        st = step_fn(st, v, i)
+        v_ref.append(v)
+        cur.append(i)
+    return MpptRun(np.array(v_ref), np.array(cur), st)
 
 
 def scalar_duty(v_in, v_out):
@@ -135,14 +152,14 @@ class TestClosedLoop:
     @pytest.mark.parametrize("algo", ["po", "ic"])
     def test_synthetic_hill_climb(self, algo):
         st0 = initial_state(10.0, 0.5)
-        run = mppt_run(None, algo, st0, 100, measure=synthetic_measure)
+        run = loop_run(synthetic_measure, algo, st0, 100)
         assert abs(run.final.V_ref - 17.0) <= 0.5
         assert len(run.v_ref) == 100
 
     @pytest.mark.parametrize("algo", ["po", "ic"])
     def test_limit_cycle_band(self, algo):
         st0 = initial_state(10.0, 0.5)
-        run = mppt_run(None, algo, st0, 200, measure=synthetic_measure)
+        run = loop_run(synthetic_measure, algo, st0, 200)
         refs = [*run.v_ref.tolist(), run.final.V_ref]
         inside = [k for k, v in enumerate(refs) if abs(v - 17.0) <= 0.5]
         first = inside[0]
@@ -151,7 +168,7 @@ class TestClosedLoop:
     @pytest.mark.parametrize("algo", ["po", "ic"])
     def test_step_bound_per_iteration(self, algo):
         st0 = initial_state(10.0, 0.5)
-        run = mppt_run(None, algo, st0, 150, measure=synthetic_measure)
+        run = loop_run(synthetic_measure, algo, st0, 150)
         refs = [*run.v_ref.tolist(), run.final.V_ref]
         assert all(abs(b - a) <= 0.5 + 1e-12
                    for a, b in zip(refs, refs[1:]))
@@ -167,26 +184,32 @@ class TestClosedLoop:
 
     def test_determinism(self):
         st0 = initial_state(10.0, 0.5)
-        a = mppt_run(None, "po", st0, 50, measure=synthetic_measure)
-        b = mppt_run(None, "po", st0, 50, measure=synthetic_measure)
+        g = cloudy_irradiance(1, 400)
+        a = mppt_run(default_array(), "po", st0, 400, irradiance=g)
+        b = mppt_run(default_array(), "po", st0, 400, irradiance=g)
         assert (a.v_ref.tolist(), a.i.tolist(), a.p.tolist()) == \
             (b.v_ref.tolist(), b.i.tolist(), b.p.tolist())
 
-    def test_solver_failure_records_zero_current_and_goes_on(self):
+    def test_solver_failure_records_zero_current_and_goes_on(self,
+                                                             monkeypatch):
         calls = []
+        solve = pv.array_current
 
-        def flaky(v):
+        def flaky(ap, v):
             calls.append(v)
             if len(calls) == 5:
                 raise PvSolverError("no bracket")
-            return synthetic_measure(v)
+            return solve(ap, v)
 
-        run = mppt_run(None, "po", initial_state(10.0, 0.5), 20,
-                       measure=flaky)
+        monkeypatch.setattr(pv, "array_current", flaky)
+        run = mppt_run(default_array(), "po", initial_state(10.0, 0.5), 20,
+                       irradiance=1000.0)
         assert len(run.v_ref) == len(run.i) == 20
         assert run.i[4] == 0.0
         assert all(run.i[k] > 0.0 for k in range(20) if k != 4)
-        assert calls == run.v_ref.tolist()
+        # the scalar steps solve one by one, at the voltages they record
+        assert len(calls) >= 5
+        assert calls == run.v_ref[:len(calls)].tolist()
 
     def test_per_step_irradiance_scales_the_array(self):
         ap = default_array()
@@ -198,19 +221,18 @@ class TestClosedLoop:
 
     def test_steps_validation(self):
         with pytest.raises(ValueError):
-            mppt_run(None, "po", initial_state(10.0), 0,
-                     measure=synthetic_measure)
-
-    def test_unknown_algo_raises_on_both_paths(self):
-        with pytest.raises(KeyError):
-            mppt_run(None, "hill", initial_state(10.0), 10,
-                     measure=synthetic_measure)
-        with pytest.raises(KeyError):
-            mppt_run(default_array(), "hill", initial_state(10.0), 10,
+            mppt_run(default_array(), "po", initial_state(10.0), 0,
                      irradiance=1000.0)
 
-    def test_needs_irradiance_or_measure(self):
-        with pytest.raises(ValueError, match="irradiance"):
+    def test_unknown_algo_raises_on_both_paths(self):
+        # a broadcast irradiance and one per step
+        for g in (1000.0, np.full(10, 1000.0)):
+            with pytest.raises(KeyError):
+                mppt_run(default_array(), "hill", initial_state(10.0), 10,
+                         irradiance=g)
+
+    def test_irradiance_is_required(self):
+        with pytest.raises(TypeError, match="irradiance"):
             mppt_run(default_array(), "po", initial_state(10.0), 10)
 
     @pytest.mark.parametrize("dv", [math.inf, math.nan, 0.0, -0.5])
@@ -251,18 +273,7 @@ def scalar_mppt_run(ap, algo, st0, irradiance):
 def array_as_given_run(ap, algo, st0, steps):
     """Reference: the step-by-step loop on ``ap`` as given, one scalar
     current solve per step."""
-    step_fn = {"po": po_step, "ic": ic_step}[algo]
-    v_ref, cur, st = [], [], st0
-    for _ in range(steps):
-        v = st.V_ref
-        try:
-            i = array_current(ap, v)
-        except PvSolverError:
-            i = 0.0
-        st = step_fn(st, v, i)
-        v_ref.append(v)
-        cur.append(i)
-    return MpptRun(np.array(v_ref), np.array(cur), st)
+    return loop_run(lambda v: array_current(ap, v), algo, st0, steps)
 
 
 def assert_same_mppt_run(got, want):
@@ -327,9 +338,9 @@ class TestLatticeRunMatchesScalarLoop:
         t = np.arange(int(round(cfg.duration_s / cfg.dt_s))) * cfg.dt_s
         (irr,) = _profile_columns(cfg.irradiance_profile, t)
         elev, azi = _profile_columns(cfg.sun_path, t)
-        track = tracking_sim(elev, azi, TrackingThresholds(),
-                             irradiance=irr, start=TrackerOrientation(
-                                 float(elev[0]), float(azi[0])))
+        track = tracking_sim(elev, azi, irradiance=irr,
+                             start=TrackerOrientation(float(elev[0]),
+                                                      float(azi[0])))
         eff = irr * np.maximum(0.0, np.cos(np.radians(track.alpha)))
         g = eff[eff > 0.0]
         ap = default_array(1000.0)

@@ -8,9 +8,13 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from sunpump import scenario
-from sunpump.scenario import (ConfigError, ScenarioConfig,
+from sunpump import pv, scenario
+from sunpump.mppt import initial_state
+from sunpump.scenario import (ConfigError, ScenarioConfig, _profile_columns,
                               control_logic_step, run_scenario)
+from sunpump.solar import TrackerOrientation
+from test_mppt import scalar_duty, scalar_mppt_run
+from test_tracking import scalar_tracking_sim
 
 
 def relays(tank2_pct=50.0, soil=50.0, soc=50.0, pump1=False, pump2=False):
@@ -447,6 +451,74 @@ class TestHydraulicsMatchesReference:
         # settled run alone
         trace, _ = run_scenario(ScenarioConfig.default_daylight())
         assert len(scalar_steps) <= 0.05 * len(trace)
+
+
+@st.composite
+def whole_run_configs(draw):
+    """A short scenario (:func:`short_configs`) under a drawn sun path,
+    above or below the horizon, with a drawn tracker start, set on
+    either axis or on none, and motor step."""
+    cfg = draw(short_configs())
+    elevation = st.one_of(st.sampled_from([-90.0, -0.0, 0.0, 90.0]),
+                          st.floats(5.0, 85.0), st.floats(-90.0, 90.0))
+    azimuth = st.one_of(st.floats(60.0, 300.0), st.floats(-720.0, 720.0))
+    points = draw(st.lists(
+        st.tuples(st.floats(0.0, cfg.duration_s), elevation, azimuth),
+        min_size=1, max_size=6, unique_by=lambda p: p[0]))
+    angle = st.one_of(st.none(), st.floats(-200.0, 200.0))
+    return replace(
+        cfg, sun_path=tuple(sorted(points)),
+        tracker_init_elev=draw(angle), tracker_init_azi=draw(angle),
+        motor_step_deg=draw(st.one_of(st.sampled_from([1.8, 0.9]),
+                                      st.floats(0.01, 10.0)))).validate()
+
+
+def assert_same_bits(got, want, name):
+    bad = np.flatnonzero(np.asarray(got).view(np.int64)
+                         != np.asarray(want).view(np.int64))
+    assert bad.size == 0, f"{name} differs at steps {bad[:5]}"
+
+
+class TestWholeRunProperty:
+    @settings(max_examples=25)
+    @given(cfg=whole_run_configs())
+    def test_tracker_and_harvest_match_scalar_loops(self, cfg):
+        """The tracker columns equal the tracker's step-by-step loop, and
+        the harvest columns the MPPT step-by-step loop on the lit steps,
+        bit for bit; a rerun writes the same bytes."""
+        trace, summary = run_scenario(cfg)
+        (irr,) = _profile_columns(cfg.irradiance_profile, trace.t)
+        elev, azi = _profile_columns(cfg.sun_path, trace.t)
+        start = TrackerOrientation(
+            float(elev[0]) if cfg.tracker_init_elev is None
+            else cfg.tracker_init_elev,
+            float(azi[0]) if cfg.tracker_init_azi is None
+            else cfg.tracker_init_azi)
+        track = scalar_tracking_sim(elev, azi, cfg.motor_step_deg,
+                                    irradiance=irr, start=start)
+        for name in ("theta_TE", "theta_TA", "alpha"):
+            assert_same_bits(getattr(trace, name), getattr(track, name), name)
+
+        eff = irr * np.maximum(0.0, np.cos(np.radians(track.alpha)))
+        lit = eff > 0.0
+        power, duty = np.zeros(len(trace)), np.zeros(len(trace))
+        if lit.any():
+            ap = pv.default_array(1000.0)
+            st0 = initial_state(0.8 * pv.open_circuit_voltage(ap),
+                                cfg.mppt_dv_step)
+            harvest = scalar_mppt_run(ap, cfg.mppt_algo, st0, eff[lit])
+            power[lit] = [p if p > 0.0 else 0.0
+                          for p in harvest.p.tolist()]
+            duty[lit] = [scalar_duty(v, scenario.BATTERY_BUS_V)
+                         for v in harvest.v_ref.tolist()]
+        assert_same_bits(trace.pv_power_W, power, "pv_power_W")
+        assert_same_bits(trace.duty_D, duty, "duty_D")
+
+        again, again_summary = run_scenario(cfg)
+        assert again_summary == summary
+        for name in trace.COLUMNS:
+            a, b = getattr(trace, name), getattr(again, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def assert_water_ledger_closes(cfg, trace):

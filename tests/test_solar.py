@@ -9,8 +9,40 @@ from sunpump.solar import (SunPosition,
                            angle_of_incidence, declination,
                            incidence_direction, optimal_orientation,
                            orientation_quartic, quartic_even_roots,
-                           sun_on_frame, sun_vector, tracker_basis,
-                           zenith_and_elevation, QuarticCoeffs)
+                           sun_on_frame, zenith_and_elevation,
+                           QuarticCoeffs)
+
+
+# The vector oracle for ``sun_on_frame``: the sun direction and the
+# tracker frame as 3-vectors, whose dot products the kernel expands.
+
+def sun_vector(sp):
+    """Unit vector to the sun: [sin(az) cos(el), cos(az) cos(el), sin(el)]."""
+    se, sa = math.radians(sp.theta_SE), math.radians(sp.theta_SA)
+    return np.array([math.sin(sa) * math.cos(se),
+                     math.cos(sa) * math.cos(se),
+                     math.sin(se)])
+
+
+def tracker_basis(to):
+    """
+    Right-handed orthonormal frame of the tracker face.
+
+    Returns
+    -------
+    (x_m, y_m, z_m) unit vectors: in-face horizontal, outward normal,
+    in-face up.  ``x_m cross y_m == z_m`` and the normal satisfies
+    ``cos(alpha) = s . y_m`` for the incidence formula.
+    """
+    te, ta = math.radians(to.theta_TE), math.radians(to.theta_TA)
+    x_m = np.array([math.cos(ta), -math.sin(ta), 0.0])
+    y_m = np.array([math.sin(ta) * math.cos(te),
+                    math.cos(ta) * math.cos(te),
+                    math.sin(te)])
+    z_m = np.array([-math.sin(te) * math.sin(ta),
+                    -math.sin(te) * math.cos(ta),
+                    math.cos(te)])
+    return x_m, y_m, z_m
 
 
 def on_frame(sp, to):

@@ -8,10 +8,25 @@ import pytest
 from sunpump import tracking
 from sunpump.scenario import ScenarioConfig, _profile_columns
 from sunpump.solar import (SunPosition, TrackerOrientation,
-                          angle_of_incidence, sun_on_frame, sun_vector,
-                          tracker_basis)
-from sunpump.tracking import (TrackingRun, TrackingThresholds, ldr_model,
-                              sense_and_decide, tracking_sim, tracking_step)
+                          angle_of_incidence, sun_on_frame)
+from sunpump.tracking import (TrackingRun, sense_and_decide, tracking_sim,
+                              tracking_step)
+from test_solar import sun_vector, tracker_basis
+
+# the paper's thresholds, in ADC counts: the light threshold below which
+# the tracker parks, and the per-axis deadband
+AVGSUM_MIN = 8.0
+DIFF_DEADBAND = 10.0
+
+
+def ldr_model(sun_elev, sun_azi, tracker_elev, tracker_azi, irradiance):
+    """Quadrant counts (top left, top right, bottom left, bottom right)
+    for one sun position and tracker orientation in degrees:
+    :func:`sense_and_decide` on floats."""
+    return sense_and_decide(
+        math.radians(sun_elev), math.radians(tracker_elev),
+        math.radians(sun_azi - tracker_azi), irradiance, math.sin, math.cos,
+        round, tracking._clip)[:4]
 
 
 def vector_ldr_model(sp, to, irradiance):
@@ -81,21 +96,21 @@ def _quadrant_cosines(se, te, dazi, sin, cos):
             axial - 0.5 * (s_z + s_x), axial + 0.5 * (s_x - s_z))
 
 
-def reference_tracking_step(r, th):
+def reference_tracking_step(r):
     avg_top = (r.top_left + r.top_right) / 2.0
     avg_bottom = (r.bottom_left + r.bottom_right) / 2.0
     avg_left = (r.top_left + r.bottom_left) / 2.0
     avg_right = (r.top_right + r.bottom_right) / 2.0
     avgsum = (avg_top + avg_bottom + avg_left + avg_right) / 4.0
-    if avgsum < th.avgsum_min:
+    if avgsum < AVGSUM_MIN:
         return TrackerCommand("hold", "hold", park=True)
     diff_azi = avg_left - avg_right
     diff_elev = avg_top - avg_bottom
-    if abs(diff_azi) <= th.diff_deadband:
+    if abs(diff_azi) <= DIFF_DEADBAND:
         azi = "hold"
     else:
         azi = "right" if diff_azi > 0 else "left"
-    if abs(diff_elev) <= th.diff_deadband:
+    if abs(diff_elev) <= DIFF_DEADBAND:
         elev = "hold"
     else:
         elev = "up" if diff_elev > 0 else "down"
@@ -161,32 +176,30 @@ class TestTrackingStep:
     -1 right, elevation +1 up, -1 down, 0 hold."""
 
     def test_balanced_holds(self):
-        cmd = tracking_step(500, 500, 500, 500, TrackingThresholds())
+        cmd = tracking_step(500, 500, 500, 500)
         assert cmd == (0, 0, False)
 
     def test_night_parks(self):
-        azi, elev, park = tracking_step(1, 1, 1, 1, TrackingThresholds())
+        azi, elev, park = tracking_step(1, 1, 1, 1)
         assert park
         assert azi == 0
         assert elev == 0
 
     def test_park_dominates_differences(self):
-        assert tracking_step(7, 0, 7, 0, TrackingThresholds())[2]
+        assert tracking_step(7, 0, 7, 0)[2]
 
     def test_top_brighter_moves_up(self):
-        azi, elev, _ = tracking_step(600, 600, 500, 500,
-                                     TrackingThresholds())
+        azi, elev, _ = tracking_step(600, 600, 500, 500)
         assert elev == +1
         assert azi == 0
 
     def test_left_brighter_commands_right_label(self):
-        azi, elev, _ = tracking_step(600, 500, 600, 500,
-                                     TrackingThresholds())
+        azi, elev, _ = tracking_step(600, 500, 600, 500)
         assert azi == -1
         assert elev == 0
 
     def test_within_deadband_holds(self):
-        azi, _, _ = tracking_step(505, 500, 505, 500, TrackingThresholds())
+        azi, _, _ = tracking_step(505, 500, 505, 500)
         assert azi == 0
 
 
@@ -211,7 +224,7 @@ class TestApplyCommand:
 
 class TestTrackingSim:
     def test_fixed_sun_converges(self):
-        run = tracking_sim([45.0] * 120, [180.0] * 120, TrackingThresholds(),
+        run = tracking_sim([45.0] * 120, [180.0] * 120,
                            motor_step_deg=1.8,
                            start=TrackerOrientation(45.0, 160.0))
         aois = run.alpha.tolist()
@@ -221,7 +234,7 @@ class TestTrackingSim:
         assert worst_late <= aois[0]
 
     def test_deadband_freezes_orientation(self):
-        run = tracking_sim([45.0] * 200, [180.0] * 200, TrackingThresholds(),
+        run = tracking_sim([45.0] * 200, [180.0] * 200,
                            motor_step_deg=1.8,
                            start=TrackerOrientation(45.0, 180.0))
         # aligned from the start: orientation never changes
@@ -230,8 +243,8 @@ class TestTrackingSim:
 
     def test_zero_irradiance_parks_at_initial(self):
         start = TrackerOrientation(80.0, 150.0)
-        run = tracking_sim([45.0] * 10, [180.0] * 10, TrackingThresholds(),
-                           irradiance=0.0, start=start)
+        run = tracking_sim([45.0] * 10, [180.0] * 10, irradiance=0.0,
+                           start=start)
         assert all(run.park)
         assert all(TrackerOrientation(te, ta) == start for te, ta in
                    zip(run.theta_TE.tolist(), run.theta_TA.tolist()))
@@ -239,14 +252,13 @@ class TestTrackingSim:
     def test_east_to_west_arc_followed(self):
         n = 400
         azi = [120.0 + 120.0 * k / (n - 1) for k in range(n)]
-        run = tracking_sim([40.0] * n, azi, TrackingThresholds(),
-                           motor_step_deg=1.8,
+        run = tracking_sim([40.0] * n, azi, motor_step_deg=1.8,
                            start=TrackerOrientation(40.0, 120.0))
         assert abs(run.theta_TA[-1] - 240.0) < 6.0
         assert run.alpha[-1] < 6.0
 
     def test_per_step_bound(self):
-        run = tracking_sim([45.0] * 50, [180.0] * 50, TrackingThresholds(),
+        run = tracking_sim([45.0] * 50, [180.0] * 50,
                            motor_step_deg=1.8,
                            start=TrackerOrientation(30.0, 150.0))
         orientations = [TrackerOrientation(te, ta) for te, ta in
@@ -260,12 +272,12 @@ class TestTrackingSim:
     def test_columns_match_the_step_functions(self):
         elev, azi, irr = [30.0, 31.0, 32.0], [100.0, 104.0, 108.0], 800.0
         start = TrackerOrientation(30.0, 95.0)
-        run = tracking_sim(elev, azi, TrackingThresholds(), start=start,
+        run = tracking_sim(elev, azi, start=start,
                            irradiance=irr)
         te, ta = start.theta_TE, start.theta_TA
         for k in range(3):
             r = ldr_model(elev[k], azi[k], te, ta, irr)
-            cmd = tracking_step(*r, TrackingThresholds())
+            cmd = tracking_step(*r)
             te, ta = tracking._move(te, ta, *cmd, 1.8,
                                     (start.theta_TE, start.theta_TA))
             assert (run.theta_TE[k], run.theta_TA[k]) == (te, ta)
@@ -277,11 +289,11 @@ class TestTrackingSim:
 
     def test_sun_below_range_rejected(self):
         with pytest.raises(ValueError):
-            tracking_sim([30.0, 95.0], [100.0, 100.0], TrackingThresholds())
+            tracking_sim([30.0, 95.0], [100.0, 100.0])
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
-            tracking_sim([], [], TrackingThresholds())
+            tracking_sim([], [])
 
     @pytest.mark.parametrize("kw", [
         dict(motor_step_deg=math.nan), dict(motor_step_deg=math.inf),
@@ -290,13 +302,11 @@ class TestTrackingSim:
     def test_nonfinite_step_or_start_rejected(self, kw):
         # a NaN orientation used to run to NaN columns with alpha = 0
         with pytest.raises(ValueError, match="finite"):
-            tracking_sim([30.0, 31.0], [100.0, 101.0], TrackingThresholds(),
-                         **kw)
+            tracking_sim([30.0, 31.0], [100.0, 101.0], **kw)
 
     def test_nonfinite_azimuth_rejected(self):
         with pytest.raises(ValueError, match="azimuth"):
-            tracking_sim([30.0, 31.0], [100.0, math.nan],
-                         TrackingThresholds())
+            tracking_sim([30.0, 31.0], [100.0, math.nan])
 
 
 def _or_special(values, strategy):
@@ -314,13 +324,12 @@ class TestKernelFloatsMatchArrays:
         """One orientation against arrays of suns, as in a block pass,
         equals the same law on each sun as floats: counts, steps and park
         as ``tracking_sim`` stores them, bit for bit."""
-        th = TrackingThresholds()
         se, dazi, irr = (np.array(c) for c in zip(*rows))
         got = sense_and_decide(np.radians(se), math.radians(te),
-                               np.radians(dazi), irr, th,
+                               np.radians(dazi), irr,
                                np.sin, np.cos, np.rint, np.clip)
         want = [sense_and_decide(math.radians(e), math.radians(te),
-                                 math.radians(d), g, th, math.sin, math.cos,
+                                 math.radians(d), g, math.sin, math.cos,
                                  round, tracking._clip) for e, d, g in rows]
         for j, dtype in enumerate([np.int16] * 4 + [np.int8] * 2 + [bool]):
             column = np.array([w[j] for w in want], dtype=dtype)
@@ -328,7 +337,7 @@ class TestKernelFloatsMatchArrays:
             assert np.array_equal(got[j], column), j   # values, not casts
 
 
-def scalar_tracking_sim(sun_elev, sun_azi, th, motor_step_deg=1.8,
+def scalar_tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8,
                         irradiance=1000.0, start=None):
     """Reference: the step-by-step loop over the object-based step
     functions, one ``SunPosition`` and one ``angle_of_incidence`` per
@@ -347,7 +356,7 @@ def scalar_tracking_sim(sun_elev, sun_azi, th, motor_step_deg=1.8,
     for k in range(n):
         sp = SunPosition(elev[k], azi[k])
         r = reference_ldr_model(sp, orientation, irr[k])
-        cmd = reference_tracking_step(r, th)
+        cmd = reference_tracking_step(r)
         orientation = reference_apply_command(orientation, cmd,
                                               motor_step_deg, initial=start)
         run.theta_TE[k] = orientation.theta_TE
@@ -414,7 +423,7 @@ class TestBlockPassMatchesScalarLoop:
         (irr,) = _profile_columns(cfg.irradiance_profile, t)
         elev, azi = _profile_columns(cfg.sun_path, t)
         start = TrackerOrientation(float(elev[0]), float(azi[0]))
-        args = (elev, azi, TrackingThresholds())
+        args = (elev, azi)
         got = tracking_sim(*args, irradiance=irr, start=start)
         assert_same_run(got, scalar_tracking_sim(*args, irradiance=irr,
                                                  start=start))
@@ -423,11 +432,11 @@ class TestBlockPassMatchesScalarLoop:
     def test_cloudy_days_with_parked_nights(self, seed):
         elev, azi, irr = cloudy_day(seed, 6000)
         start = TrackerOrientation(90.0, 180.0)
-        got = tracking_sim(elev, azi, TrackingThresholds(), irradiance=irr,
+        got = tracking_sim(elev, azi, irradiance=irr,
                            start=start)
         assert got.park.sum() > 1000      # the nights run as parked blocks
         assert_same_run(got, scalar_tracking_sim(
-            elev, azi, TrackingThresholds(), irradiance=irr, start=start))
+            elev, azi, irradiance=irr, start=start))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_clamps_at_0_and_180(self, seed):
@@ -439,7 +448,7 @@ class TestBlockPassMatchesScalarLoop:
         azi = np.cumsum(rng.normal(0.0, 0.5, n))
         irr = rng.uniform(200.0, 1100.0, n)
         for behind, limit in ((0.0, 0.0), (180.0, 180.0)):
-            args = (elev, azi + behind, TrackingThresholds())
+            args = (elev, azi + behind)
             kw = dict(motor_step_deg=2.5, irradiance=irr,
                       start=TrackerOrientation(abs(limit - 1.0), 0.0))
             got = tracking_sim(*args, **kw)
@@ -452,14 +461,14 @@ class TestBlockPassMatchesScalarLoop:
     def test_start_outside_range(self, start):
         # parking snaps back outside [0, 180]; a held step clamps
         elev, azi, irr = cloudy_day(7, 4000)
-        got = tracking_sim(elev, azi, TrackingThresholds(), irradiance=irr,
+        got = tracking_sim(elev, azi, irradiance=irr,
                            start=start)
         assert_same_run(got, scalar_tracking_sim(
-            elev, azi, TrackingThresholds(), irradiance=irr, start=start))
+            elev, azi, irradiance=irr, start=start))
 
     def test_scalar_irradiance_and_fixed_sun(self):
         for n, irr in ((1, 1000.0), (5, 0.0), (700, 640.0)):
-            args = ([45.0] * n, [180.0] * n, TrackingThresholds())
+            args = ([45.0] * n, [180.0] * n)
             start = TrackerOrientation(30.0, 150.0)
             assert_same_run(
                 tracking_sim(*args, irradiance=irr, start=start),
@@ -471,7 +480,7 @@ class TestBlockPassMatchesScalarLoop:
         # block although the orientation compares equal
         n = 80
         irr = np.where(np.arange(n) < 30, 0.0, 800.0)
-        args = ([0.0] * n, [0.0] * n, TrackingThresholds())
+        args = ([0.0] * n, [0.0] * n)
         start = TrackerOrientation(-0.0, 0.0)
         got = tracking_sim(*args, irradiance=irr, start=start)
         assert math.copysign(1.0, got.theta_TE[29]) == -1.0   # parked
@@ -484,7 +493,7 @@ class TestBlockPassMatchesScalarLoop:
         monkeypatch.setattr(
             tracking, "sense_and_decide",
             lambda *a: shapes.append(np.shape(a[3])) or sense_and_decide(*a))
-        tracking_sim([45.0] * 5000, [180.0] * 5000, TrackingThresholds(),
+        tracking_sim([45.0] * 5000, [180.0] * 5000,
                      start=TrackerOrientation(45.0, 180.0))
         # the settling steps on floats, then the 4992 held steps in blocks
         # of 32, 64, ..., 2048 and the last 928
@@ -496,13 +505,13 @@ class TestBlockPassMatchesScalarLoop:
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="finite"):
                 tracking_sim([30.0, 31.0], [100.0, 101.0],
-                             TrackingThresholds(), irradiance=[500.0, bad])
+                             irradiance=[500.0, bad])
 
     def test_negative_irradiance_rejected(self):
         with pytest.raises(ValueError, match=">= 0"):
-            tracking_sim([30.0, 31.0], [100.0, 101.0], TrackingThresholds(),
+            tracking_sim([30.0, 31.0], [100.0, 101.0],
                          irradiance=[500.0, -1.0])
 
     def test_path_lengths_must_match(self):
         with pytest.raises(ValueError):
-            tracking_sim([30.0, 31.0], [100.0], TrackingThresholds())
+            tracking_sim([30.0, 31.0], [100.0])
