@@ -60,11 +60,9 @@ def _parse_span(text, parts=3):
 def _gain_grid(spec):
     a, b, n = _parse_span(spec, 3)
     n = int(n)
-    if n < 1 or b <= a:
-        raise UsageError("gains must be 'a:b:n' with b > a and n >= 1")
-    if a > 0:
-        return np.geomspace(a, b, n)
-    return np.linspace(a, b, n)
+    if n < 1 or b <= a or not a > 0:
+        raise UsageError("gains must be 'a:b:n' with b > a > 0 and n >= 1")
+    return np.geomspace(a, b, n)
 
 
 def _resolve_tf(args):
@@ -263,13 +261,13 @@ def _cmd_tf(args):
         print(f"sign changes: {res.sign_changes}; verdict: {res.verdict}")
         return 0
     if mode == "errors":
+        gains = _gain_grid(args.gains) if args.gains else None
         ec = error_constants(tf)
         print(f"system type {ec.system_type}: Kp = {ec.Kp_pos:.6g}, "
               f"Kv = {ec.Kv_vel:.6g}, Ka = {ec.Ka_acc:.6g}")
         print(f"e_step = {ec.e_step:.6g}, e_ramp = {ec.e_ramp:.6g}, "
               f"e_parabola = {ec.e_parabola:.6g}")
-        if args.gains:
-            gains = _gain_grid(args.gains)
+        if gains is not None:
             ks, errs, targets = ss_error_vs_gain(tf, gains)
             path = _out_path(args, "ss_error.csv")
             csvio.emit_csv(["gain", "e_step"], [ks, errs], path)
@@ -375,7 +373,8 @@ def build_parser():
                    help="close unity feedback before the step response")
     q.add_argument("--dt", type=float)
     q.add_argument("--t-end", type=float)
-    q.add_argument("--gains", help="a:b:n sweep (log-spaced when a > 0)")
+    q.add_argument("--gains",
+                   help="a:b:n sweep of n log-spaced gains, b > a > 0")
     q.add_argument("--out")
     q.set_defaults(fn=_cmd_tf)
 

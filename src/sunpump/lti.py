@@ -72,9 +72,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __add__(self, other):
-        return Polynomial(np.polyadd(self.coeffs, other.coeffs))
-
     def monic(self):
         return Polynomial(np.asarray(self.coeffs) / self.coeffs[0])
 
@@ -639,6 +636,16 @@ def stability_margins(fr):
     return Margins(gm, gmf, pm, pmf)
 
 
+def _gain_sweep(gains):
+    """``gains`` as a float array, checked to be nonempty, positive and
+    strictly ascending (``ValueError`` otherwise)."""
+    gains = np.asarray(gains, dtype=float)
+    if not (gains.size and np.all(gains > 0) and np.all(np.diff(gains) > 0)):
+        raise ValueError("gains must be nonempty, positive and strictly "
+                         "ascending")
+    return gains
+
+
 def root_locus(g, gains):
     """
     Closed-loop pole sets of unity feedback ``den(G) + K num(G)``.
@@ -654,14 +661,11 @@ def root_locus(g, gains):
     Raises
     ------
     ValueError
-        When the closed-loop degree is not the same at every gain (a
+        When ``gains`` is empty, not positive or not strictly ascending,
+        or the closed-loop degree is not the same at every gain (a
         biproper ``G`` whose leading coefficient cancels on the range).
     """
-    gains = np.asarray(gains, dtype=float)
-    if gains.size == 0:
-        raise ValueError("gain list must be nonempty")
-    if np.any(gains <= 0) or np.any(np.diff(gains) <= 0):
-        raise ValueError("gains must be positive ascending")
+    gains = _gain_sweep(gains)
     num = np.asarray(g.num.coeffs)
     den = np.asarray(g.den.coeffs)
     width = max(len(num), len(den))
@@ -745,7 +749,7 @@ def ss_error_vs_gain(g_template, gains, error_kind="step"):
     ----------
     g_template : TransferFunction
         Open-loop template; the swept system is ``K * G``.
-    gains : ascending positive array
+    gains : nonempty, positive and strictly ascending array
     error_kind : "step" | "ramp" | "parabola"
 
     Returns
@@ -761,7 +765,7 @@ def ss_error_vs_gain(g_template, gains, error_kind="step"):
     inf below it.
     """
     order = {"step": 0, "ramp": 1, "parabola": 2}[error_kind]
-    gains = np.asarray(gains, dtype=float)
+    gains = _gain_sweep(gains)
     sys_type, num_low, den_low = _lowest_terms(g_template)
     base = num_low / den_low
     if sys_type > order:

@@ -10,17 +10,18 @@ every lit step from one ``duty_for_ratio`` call; and a forward-Euler
 hydraulics and battery stage (``_hydraulics``) in which harvested energy
 integrates into a battery state of charge and two hysteresis-latched
 pumps move water from the storage tank to the reservoir tank and from
-the reservoir to the soil.  Its scalar step keeps the state in plain
-floats and bools: the latches follow ``control_logic_step``, and each
-pump flow follows its first-order law exactly over a step, by one decay
-factor computed once per run.  Once both flows sit exactly at their
-targets, every increment of a step is fixed or known ahead, so settled
-stretches run as numpy blocks: the tanks, delivered water, soil and SOC
-are running sums (``np.add.accumulate`` adds left to right, as the step
-does) or constant while pinned at a clamp, and a block stops at the
-first step that changes a latch, the relay or a flow target, or at which
-a clamp engages or releases.  That step runs alone, so the trace is the
-scalar step's bit for bit.
+the reservoir to the soil.  Its law (``_Hydraulics.law``) is written
+once, on floats or arrays: the latches follow ``control_logic_step``,
+and each pump flow follows its first-order law exactly over a step, by
+one decay factor computed once per run.  The scalar step runs it on
+plain floats and bools.  Once both flows have settled, every increment
+of a step is fixed or known ahead, so a block predicts its steps: the
+latches and flows stay as they are, and the tanks, soil and SOC are
+running sums (``np.add.accumulate`` adds left to right, as the step
+does) or constant while pinned at a clamp.  The law runs over the
+predicted states as arrays, and the block keeps the steps whose next
+state matches the prediction bit for bit.  The first step that does not
+runs alone, so the trace is the scalar step's bit for bit.
 
 Water bookkeeping is exact: every liter leaving a tank lands in the
 other tank or in the delivered-to-soil ledger, so conservation holds to
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import mppt, pv
 from .solar import TrackerOrientation
-from .tracking import tracking_sim
+from .tracking import _where, tracking_sim
 
 
 BATTERY_BUS_V = 12.0
@@ -161,25 +162,22 @@ class ScenarioConfig:
 
 def control_logic_step(pump1, pump2, tank2_pct, soil_pct, soc_pct, cfg):
     """
-    Relay latches: pump1 turns on below the tank-low threshold and off at
-    tank-full; pump2 turns on below soil-dry and off at soil-wet; the
-    battery relay opens below the brown-out SOC and gates both pumps'
-    actual flow (the pump latches themselves only follow their level
-    thresholds).
+    Relay latches, on floats or arrays: pump1 turns on below the tank-low
+    threshold and off at tank-full; pump2 turns on below soil-dry and off
+    at soil-wet; the battery relay opens below the brown-out SOC and
+    gates both pumps' actual flow (the pump latches themselves only
+    follow their level thresholds).
 
     Returns
     -------
-    (pump1, pump2, battery_relay): the latches after this step.
+    (pump1, pump2, battery_relay): the latches after this step, bools on
+    floats.
     """
-    if tank2_pct < cfg.tank_low_pct:
-        pump1 = True
-    elif tank2_pct >= cfg.tank_full_pct:
-        pump1 = False
-    if soil_pct < cfg.soil_dry_pct:
-        pump2 = True
-    elif soil_pct >= cfg.soil_wet_pct:
-        pump2 = False
-    return pump1, pump2, soc_pct >= cfg.battery_min_soc_pct
+    return ((tank2_pct < cfg.tank_low_pct)
+            | (pump1 & (tank2_pct < cfg.tank_full_pct)),
+            (soil_pct < cfg.soil_dry_pct)
+            | (pump2 & (soil_pct < cfg.soil_wet_pct)),
+            soc_pct >= cfg.battery_min_soc_pct)
 
 
 def _profile_columns(pts, t):
@@ -246,11 +244,11 @@ def _hydraulics(cfg, pv_power):
 
     Each pump flow follows its first-order law toward rated flow or zero
     exactly over a step, by one decay factor, with the load in proportion
-    to the flow.  While both flows sit exactly at their targets, the
-    steps run as numpy blocks (:meth:`_Hydraulics.block`) up to the
-    first step that changes a latch, the relay or a flow target, or at
-    which a clamp engages or releases; that step, and every step whose
-    flows have not settled, runs alone (:meth:`_Hydraulics.step`).
+    to the flow.  While both flows sit at 0 or at rated flow, where a
+    flow settles, the steps run as checked numpy blocks
+    (:meth:`_Hydraulics.block`) up to the first step whose next state
+    leaves the block's prediction; that step, and every step whose flows
+    have not settled, runs alone (:meth:`_Hydraulics.step`).
 
     Returns
     -------
@@ -260,10 +258,11 @@ def _hydraulics(cfg, pv_power):
     """
     n = len(pv_power)
     h = _Hydraulics(cfg, n)
+    settled = (0.0, cfg.pump_flow_Lpm)
     size = _BLOCK_MIN
     k = 0
     while k < n:
-        if h.flow1 == h.target1 and h.flow2 == h.target2:
+        if h.flow1 in settled and h.flow2 in settled:
             stop = min(k + size, n)
             k += h.block(k, pv_power[k:stop])
             if k == stop:
@@ -297,148 +296,158 @@ class _Hydraulics:
         self.soil = cfg.soil_init_pct
         self.tank1 = cfg.tank1_init_pct / 100.0 * cfg.tank1_volume_L
         self.tank2 = cfg.tank2_init_pct / 100.0 * cfg.tank2_volume_L
-        self.tank2_pct = 100.0 * self.tank2 / cfg.tank2_volume_L
         self.delivered = 0.0
         self.pump1 = self.pump2 = False
         self.relay = True
-        self.flow1 = self.flow2 = self.target1 = self.target2 = 0.0
+        self.flow1 = self.flow2 = 0.0
         self.load_Ws = self.curtailed_pct = self.deficit_pct = 0.0
         self.columns = {name: np.zeros(n_steps) for name in (
             "soc_pct", "pump1_on", "pump2_on", "tank2_level_pct",
             "soil_moisture_pct", "battery_relay", "tank1_level_pct",
             "delivered_soil_L")}
 
-    def step(self, k, power):
-        """Advance one step at PV power ``power`` and write row k."""
+    def law(self, pump1, pump2, flow1, flow2, tank1, tank2, soil, soc, power,
+            where):
+        """
+        One step from the given state at PV power ``power``, on floats
+        (``where`` is ``tracking._where``) or arrays (``np.where``).  Each
+        ``min`` and ``max`` is spelled as a comparison and a ``where``,
+        so both forms break a tie of 0.0 and -0.0 alike.
+
+        Returns
+        -------
+        (pump1, pump2, battery relay, flow1, flow2, tank1 L, tank2 L,
+        soil %, SOC %, load W, L moved to the soil, SOC % before its
+        clamp): the state after the step, then what the ledgers take.
+        """
         cfg = self.cfg
         dt = cfg.dt_s
         rated = cfg.pump_flow_Lpm
         pump1, pump2, relay = control_logic_step(
-            self.pump1, self.pump2, self.tank2_pct, self.soil, self.soc, cfg)
-        tank1, tank2 = self.tank1, self.tank2
+            pump1, pump2, 100.0 * tank2 / cfg.tank2_volume_L, soil, soc, cfg)
         # the battery relay and an empty source tank both stop the
         # physical flow (the latches are untouched)
-        target1 = rated if pump1 and relay and tank1 > 1e-9 else 0.0
-        flow1 = target1 + (self.flow1 - target1) * self.decay
-        target2 = rated if pump2 and relay and tank2 > 1e-9 else 0.0
-        flow2 = target2 + (self.flow2 - target2) * self.decay
+        target1 = where(pump1 & relay & (tank1 > 1e-9), rated, 0.0)
+        flow1 = target1 + (flow1 - target1) * self.decay
+        target2 = where(pump2 & relay & (tank2 > 1e-9), rated, 0.0)
+        flow2 = target2 + (flow2 - target2) * self.decay
         load = cfg.pump1_power_W * flow1 / rated \
             + cfg.pump2_power_W * flow2 / rated
 
-        # water movement: tank1 -> tank2 -> soil, exactly ledgered
-        move1 = max(0.0, min(flow1 / 60.0 * dt, tank1,
-                             cfg.tank2_volume_L - tank2))
-        tank1 -= move1
-        tank2 += move1
-        move2 = max(0.0, min(flow2 / 60.0 * dt, tank2))
-        tank2 -= move2
-        soil = min(100.0, max(0.0, self.soil + cfg.soil_gain_pct_per_L
-                              * move2 - self.soil_decay))
+        # water movement: tank1 -> tank2 -> soil, exactly ledgered; a
+        # move is cut to what its source holds and tank2 has room for
+        move1 = flow1 / 60.0 * dt
+        move1 = where(tank1 < move1, tank1, move1)
+        room = cfg.tank2_volume_L - tank2
+        move1 = where(room < move1, room, move1)
+        move1 = where(move1 > 0.0, move1, 0.0)
+        tank1 = tank1 - move1
+        tank2 = tank2 + move1
+        move2 = flow2 / 60.0 * dt
+        move2 = where(tank2 < move2, tank2, move2)
+        move2 = where(move2 > 0.0, move2, 0.0)
+        tank2 = tank2 - move2
+        soil = _percent(soil + cfg.soil_gain_pct_per_L * move2
+                        - self.soil_decay, where)
 
         # battery energy balance; the clamps' cuts go to the ledger
-        soc = self.soc + (power - load) * dt / 3600.0 \
+        raw = soc + (power - load) * dt / 3600.0 \
             / cfg.battery_capacity_Wh * 100.0
-        if soc > 100.0:
-            self.curtailed_pct += soc - 100.0
-        elif soc < 0.0:
-            self.deficit_pct -= soc
-        soc = min(100.0, max(0.0, soc))
-        self.load_Ws += load * dt
+        return (pump1, pump2, relay, flow1, flow2, tank1, tank2, soil,
+                _percent(raw, where), load, move2, raw)
 
-        self.pump1, self.pump2, self.relay = pump1, pump2, relay
-        self.target1, self.flow1 = target1, flow1
-        self.target2, self.flow2 = target2, flow2
-        self.tank1, self.tank2 = tank1, tank2
-        self.tank2_pct = 100.0 * tank2 / cfg.tank2_volume_L
+    def step(self, k, power):
+        """Advance one step at PV power ``power`` and write row k."""
+        cfg = self.cfg
+        (self.pump1, self.pump2, self.relay, self.flow1, self.flow2,
+         self.tank1, self.tank2, self.soil, self.soc, load, move2,
+         raw) = self.law(
+            self.pump1, self.pump2, self.flow1, self.flow2, self.tank1,
+            self.tank2, self.soil, self.soc, power, _where)
+        cut = raw - self.soc        # > 0 at the clamp at 100, < 0 at 0
+        self.curtailed_pct += max(cut, 0.0)
+        self.deficit_pct += max(-cut, 0.0)
+        self.load_Ws += load * cfg.dt_s
         self.delivered += move2
-        self.soil, self.soc = soil, soc
+        self._write(k, self.tank1, self.tank2, self.soil, self.soc,
+                    self.delivered)
+
+    def _write(self, rows, tank1, tank2, soil, soc, delivered):
+        """Write the trace rows ``rows``, at the latches and relay held
+        now."""
+        cfg = self.cfg
         col = self.columns
-        col["soc_pct"][k] = soc
-        col["pump1_on"][k] = pump1
-        col["pump2_on"][k] = pump2
-        col["tank2_level_pct"][k] = self.tank2_pct
-        col["soil_moisture_pct"][k] = soil
-        col["battery_relay"][k] = relay
-        col["tank1_level_pct"][k] = 100.0 * tank1 / cfg.tank1_volume_L
-        col["delivered_soil_L"][k] = self.delivered
+        col["soc_pct"][rows] = soc
+        col["pump1_on"][rows] = self.pump1
+        col["pump2_on"][rows] = self.pump2
+        col["tank2_level_pct"][rows] = 100.0 * tank2 / cfg.tank2_volume_L
+        col["soil_moisture_pct"][rows] = soil
+        col["battery_relay"][rows] = self.relay
+        col["tank1_level_pct"][rows] = 100.0 * tank1 / cfg.tank1_volume_L
+        col["delivered_soil_L"][rows] = delivered
 
     def block(self, k, power):
         """
         Run steps k, k + 1, ... at the PV powers ``power`` with both
-        flows at their targets, as numpy arrays in :meth:`step`'s
-        operation order: each state is a running sum, which
-        ``np.add.accumulate`` adds left to right as the step does, and a
-        state pinned at a clamp is constant.  Write the leading steps
-        that :meth:`step` would take alike, which are bit for bit its
-        steps, and return their count: the block stops at the first step
-        that changes a latch, the relay or a flow target, or whose clamp
-        engages or releases.
+        flows settled, as a block of predicted states (module
+        docstring) that :meth:`law` checks as arrays.  Write the leading
+        steps whose next state is the predicted one bit for bit, which
+        are then :meth:`step`'s bit for bit, and return their count.
         """
         cfg = self.cfg
         dt = cfg.dt_s
         n = len(power)
         rated = cfg.pump_flow_Lpm
-        load = cfg.pump1_power_W * self.flow1 / rated \
+        settled_load = cfg.pump1_power_W * self.flow1 / rated \
             + cfg.pump2_power_W * self.flow2 / rated
         move1 = self.flow1 / 60.0 * dt
         move2 = self.flow2 / 60.0 * dt
         with np.errstate(all="ignore"):
-            # tank1 before and after each step; tank2 before each step,
-            # between its two moves, and after it
-            tank1 = _partial_sums(self.tank1, np.full(n, -move1))
-            tank2 = _partial_sums(self.tank2, np.tile([move1, -move2], n))
-            tank2_pct = 100.0 * tank2[::2] / cfg.tank2_volume_L
-            delivered = _partial_sums(self.delivered, np.full(n, move2))
-            soil, ok, _ = _clamped(self.soil, np.tile(
+            # the tanks, soil and SOC before each step and after the
+            # last one
+            ahead = np.empty((4, n + 1))
+            ahead[0] = _partial_sums(self.tank1, np.full(n, -move1))
+            ahead[1] = _partial_sums(self.tank2,
+                                     np.tile([move1, -move2], n))[::2]
+            ahead[2] = _predicted(self.soil, np.tile(
                 [cfg.soil_gain_pct_per_L * move2, -self.soil_decay], (n, 1)))
-            soc, soc_ok, cut = _clamped(self.soc, (
-                (power - load) * dt / 3600.0 / cfg.battery_capacity_Wh
-                * 100.0)[:, None])
-            ok &= soc_ok
-            soc_before = np.concatenate(([self.soc], soc[:-1]))
-            ok &= (soc_before >= cfg.battery_min_soc_pct) == self.relay
-            ok &= _latch_holds(self.pump1, tank2_pct[:-1], cfg.tank_low_pct,
-                               cfg.tank_full_pct)
-            ok &= _latch_holds(self.pump2,
-                               np.concatenate(([self.soil], soil[:-1])),
-                               cfg.soil_dry_pct, cfg.soil_wet_pct)
-            # flow gates: a tank running dry turns its pump's target off
-            if self.pump1 and self.relay:
-                ok &= (tank1[:-1] > 1e-9) == (self.target1 != 0.0)
-            if self.pump2 and self.relay:
-                ok &= (tank2[:-1:2] > 1e-9) == (self.target2 != 0.0)
-            # moves the tank1, tank2-capacity and tank2 clamps leave whole
-            if move1 != 0.0:
-                ok &= (move1 <= tank1[:-1]) \
-                    & (move1 <= cfg.tank2_volume_L - tank2[:-1:2])
-            if move2 != 0.0:
-                ok &= move2 <= tank2[1::2]
-            bad = np.flatnonzero(~ok)
+            ahead[3] = _predicted(self.soc, ((power - settled_load) * dt
+                                             / 3600.0 / cfg.battery_capacity_Wh
+                                             * 100.0)[:, None])
+            pump1, pump2, relay, *state, load, move2, raw = self.law(
+                self.pump1, self.pump2, self.flow1, self.flow2,
+                *ahead[:, :-1], power, np.where)
+            miss = (pump1 != self.pump1) | (pump2 != self.pump2) \
+                | (relay != self.relay)
+            for got, want in zip(state, (self.flow1, self.flow2,
+                                         *ahead[:, 1:])):
+                miss |= got.view(np.int64) != np.asarray(want).view(np.int64)
+            bad = np.flatnonzero(miss)
             c = int(bad[0]) if bad.size else n
             if c == 0:
                 return 0
-            col = self.columns
-            span = slice(k, k + c)
-            col["soc_pct"][span] = soc[:c]
-            col["pump1_on"][span] = self.pump1
-            col["pump2_on"][span] = self.pump2
-            col["tank2_level_pct"][span] = tank2_pct[1:c + 1]
-            col["soil_moisture_pct"][span] = soil[:c]
-            col["battery_relay"][span] = self.relay
-            col["tank1_level_pct"][span] = \
-                100.0 * tank1[1:c + 1] / cfg.tank1_volume_L
-            col["delivered_soil_L"][span] = delivered[1:c + 1]
-            self.soc, self.soil = soc.item(c - 1), soil.item(c - 1)
-            self.tank1, self.tank2 = tank1.item(c), tank2.item(2 * c)
-            self.tank2_pct = tank2_pct.item(c)
-            self.delivered = delivered.item(c)
+            tank1, tank2, soil, soc = (x[:c] for x in state[2:])
+            delivered = _partial_sums(self.delivered, move2[:c])
+            self._write(slice(k, k + c), tank1, tank2, soil, soc,
+                        delivered[1:])
+            self.tank1, self.tank2 = tank1.item(-1), tank2.item(-1)
+            self.soil, self.soc = soil.item(-1), soc.item(-1)
+            self.delivered = delivered.item(-1)
             self.load_Ws = _partial_sums(self.load_Ws,
-                                         np.full(c, load * dt)).item(-1)
+                                         load[:c] * dt).item(-1)
+            # what the SOC clamp cut off: > 0 at 100 and < 0 at 0
+            cut = raw[:c] - soc
             self.curtailed_pct = _partial_sums(
-                self.curtailed_pct, np.maximum(cut[:c], 0.0)).item(-1)
+                self.curtailed_pct, np.maximum(cut, 0.0)).item(-1)
             self.deficit_pct = _partial_sums(
-                self.deficit_pct, np.maximum(-cut[:c], 0.0)).item(-1)
+                self.deficit_pct, np.maximum(-cut, 0.0)).item(-1)
         return c
+
+
+def _percent(x, where):
+    """``min(100.0, max(0.0, x))``, on floats or arrays."""
+    x = where(x > 0.0, x, 0.0)
+    return where(x < 100.0, x, 100.0)
 
 
 def _partial_sums(x, d):
@@ -447,35 +456,16 @@ def _partial_sums(x, d):
     return np.add.accumulate(np.concatenate(([x], d)))
 
 
-def _clamped(x, d):
+def _predicted(x, d):
     """
     A state that each step moves to ``min(100.0, max(0.0, x + d0 + d1
-    ...))``, over a block whose step j adds the row ``d[j]`` in order.
-
-    Returns
-    -------
-    (after, ok, cut): the state after each step, which is the scalar
-    step's bit for bit at each step where ``ok`` holds and at every step
-    before it; and what the clamp cut off at each step, > 0 at 100 and
-    < 0 at 0.
+    ...))``, predicted over a block whose step j adds the row ``d[j]``
+    in order: before each step and after the last, a running sum, or
+    ``x`` itself while pinned at 0 or 100.
     """
     if x == 0.0 or x == 100.0:
-        # pinned: the state stays at the bound while each step's sum
-        # from it stays on the far side of it
-        edge = 0.0 if x == 0.0 else 100.0
-        raw = x
-        for column in d.T:
-            raw = raw + column
-        ok = raw <= 0.0 if edge == 0.0 else raw >= 100.0
-        return np.full(len(d), edge), ok, raw - edge
-    raw = _partial_sums(x, d.ravel())[d.shape[1]::d.shape[1]]
-    return raw, (raw > 0.0) & (raw <= 100.0), np.zeros(len(d))
-
-
-def _latch_holds(on, level, low, high):
-    """Where :func:`control_logic_step` leaves a latch that turns on
-    below ``low`` and off at ``high`` (> low) as it is."""
-    return level < high if on else level >= low
+        return x
+    return _partial_sums(x, d.ravel())[::d.shape[1]]
 
 
 def run_scenario(cfg):

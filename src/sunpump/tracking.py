@@ -12,12 +12,15 @@ deadband and commands one signed motor step per axis per cycle: azimuth
 azimuth step, so the loop converges either way.  A park snaps the
 tracker back to its start.
 
-The law is written once, :func:`sense_and_decide`, on floats or arrays.
-``tracking_sim`` runs the steps that move the panel through it on
-floats, and the hold stretches between them on numpy blocks: while the
-orientation is fixed the counts and commands of a step depend on that
-step's sun and irradiance alone.  Both take the same operations in the
-same order, so every column is bit-identical to a step-by-step loop.
+The law, :func:`sense_and_decide` and the move :func:`_move`, is written
+once on floats or arrays.  ``tracking_sim`` steps it on floats until the
+orientations after its last 8 steps repeat with period 4 (a hold, a
+parked night, a clamp at 0 or 180 degrees, the up/down dither), then
+runs it as arrays over a block of orientations predicted by repeating
+the last 4, and keeps the steps up to the first one whose next
+orientation leaves the prediction, bit for bit.  Both forms take the
+same operations in the same order, so every column is bit-identical to
+a step-by-step loop.
 """
 
 from dataclasses import dataclass
@@ -105,14 +108,20 @@ def tracking_step(tl, tr, bl, br):
     return azi, elev, avgsum < AVGSUM_MIN
 
 
-def _move(te, ta, azi_step, elev_step, park, motor_step_deg, start):
+def _where(cond, a, b):
+    """``np.where`` on one number."""
+    return a if cond else b
+
+
+def _move(te, ta, azi_step, elev_step, park, motor_step_deg, start, where,
+          clip):
     """Orientation ``(te, ta)`` after one command: a signed motor step per
     axis with the elevation clamped to [0, 180]; a park snaps to
-    ``start``."""
-    if park:
-        return start
-    return (_clip(te + elev_step * motor_step_deg, 0.0, 180.0),
-            ta + azi_step * motor_step_deg)
+    ``start``.  On floats (``where`` and ``clip`` are :func:`_where` and
+    :func:`_clip`) or arrays (``np.where`` and ``np.clip``)."""
+    return (where(park, start[0],
+                  clip(te + elev_step * motor_step_deg, 0.0, 180.0)),
+            where(park, start[1], ta + azi_step * motor_step_deg))
 
 
 @dataclass(frozen=True)
@@ -128,18 +137,12 @@ class TrackingRun:
     park: np.ndarray
 
 
-# A block pass starts after this many scalar steps in a row leave the
-# orientation unchanged; a block covers this many steps at first and
-# doubles after each block the tracker holds through, up to the maximum.
-_SETTLE_STEPS = 8
+# a block covers this many steps at first and doubles after each block
+# whose orientations all come as predicted, up to the maximum
 _BLOCK_MIN = 32
 _BLOCK_MAX = 4096
-
-
-def _same_orientation(a, b):
-    """Bit-for-bit equal ``(te, ta)`` pairs: 0.0 and -0.0 differ."""
-    return a == b and all(math.copysign(1.0, x) == math.copysign(1.0, y)
-                          for x, y in zip(a, b))
+# the position of each step of a block in the predicted 4-cycle
+_PHASE = np.arange(_BLOCK_MAX + 3) % 4
 
 
 def _incidence_angles(se, azi, te, ta):
@@ -160,11 +163,10 @@ def tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8, irradiance=1000.0,
     Closed-loop tracking along a sun path.
 
     Per step: sense quadrant counts, run the state machine, move at most
-    one motor step per axis (elevation clamped to [0, 180]).  Steps that
-    follow a move run one by one through :func:`sense_and_decide` on
-    floats; once the orientation has held for a few steps, the steps run
-    through it on arrays from the fixed orientation until the first step
-    that changes it (module docstring).
+    one motor step per axis (elevation clamped to [0, 180]).  The steps
+    run one by one on floats until the orientation falls into a 4-cycle,
+    and then as checked blocks of predicted orientations on arrays
+    (module docstring).
 
     Parameters
     ----------
@@ -210,49 +212,52 @@ def tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8, irradiance=1000.0,
     azi_step = np.empty(n, dtype=np.int8)
     elev_step = np.empty(n, dtype=np.int8)
     park = np.empty(n, dtype=bool)
-    here = te, ta = start
-    k = held = 0
+    te, ta = start
+    last = []       # the orientations after the last 8 steps, oldest first
+    size = _BLOCK_MIN
+    k = 0
     while k < n:
-        if held < _SETTLE_STEPS:
+        # compared by value: a cycle that takes -0.0 for 0.0 only
+        # predicts a block that misses at once
+        if len(last) == 8 and last[:4] == last[4:]:
+            stop = min(k + size, n)
+            m = stop - k
+            # the cycle's orientations, and which one each step of the
+            # block is predicted to start from and to end at
+            cte, cta = (np.array(c) for c in zip(*last[4:]))
+            ahead, behind = _PHASE[:m], _PHASE[3:m + 3]
+            te_0, ta_0 = cte[behind], cta[behind]
             *counts, az, el, pk = sense_and_decide(
-                se.item(k), math.radians(te), math.radians(azi.item(k) - ta),
-                irr.item(k), math.sin, math.cos, round, _clip)
-            moved = _move(te, ta, az, el, pk, motor_step_deg, start)
-            held = held + 1 if _same_orientation(moved, here) else 0
-            here = te, ta = moved
-            theta_te[k], theta_ta[k] = moved
-            readings[k] = counts
-            azi_step[k], elev_step[k], park[k] = az, el, pk
-            k += 1
-            if held == _SETTLE_STEPS:
-                # where each command leads from here, indexed by the code
-                # 3 * azimuth step + elevation step + 4 (9 for a park),
-                # and whether it leaves the orientation
-                dest = [_move(te, ta, a, e, False, motor_step_deg, start)
-                        for a in (-1, 0, 1) for e in (-1, 0, 1)] + [start]
-                leaves = np.array([not _same_orientation(d, here)
-                                   for d in dest])
-                block = _BLOCK_MIN
+                se[k:stop], np.radians(cte)[behind],
+                np.radians(azi[k:stop] - ta_0), irr[k:stop],
+                np.sin, np.cos, np.rint, np.clip)
+            te_1, ta_1 = _move(te_0, ta_0, az, el, pk, motor_step_deg, start,
+                               np.where, np.clip)
+            miss = np.flatnonzero(
+                (te_1.view(np.int64) != cte[ahead].view(np.int64))
+                | (ta_1.view(np.int64) != cta[ahead].view(np.int64)))
+            c = int(miss[0]) + 1 if miss.size else m
+            span = slice(k, k + c)
+            theta_te[span], theta_ta[span] = te_1[:c], ta_1[:c]
+            readings[span] = np.stack(counts, axis=1)[:c]
+            azi_step[span], elev_step[span], park[span] = az[:c], el[:c], \
+                pk[:c]
+            te, ta = te_1.item(c - 1), ta_1.item(c - 1)
+            last = (last + list(zip(te_1[:c][-8:].tolist(),
+                                    ta_1[:c][-8:].tolist())))[-8:]
+            size = _BLOCK_MIN if miss.size else min(2 * size, _BLOCK_MAX)
+            k += c
             continue
-        stop = min(k + block, n)
         *counts, az, el, pk = sense_and_decide(
-            se[k:stop], math.radians(te), np.radians(azi[k:stop] - ta),
-            irr[k:stop], np.sin, np.cos, np.rint, np.clip)
-        code = np.where(pk, 9, 3 * az + el + 4)
-        leaving = np.flatnonzero(leaves[code])
-        end = stop if leaving.size == 0 else k + leaving[0] + 1
-        m = end - k
-        span = slice(k, end)
-        readings[span] = np.stack(counts, axis=1)[:m]
-        azi_step[span], elev_step[span], park[span] = az[:m], el[:m], pk[:m]
-        theta_te[span], theta_ta[span] = here
-        if leaving.size:
-            here = te, ta = dest[code[m - 1]]
-            theta_te[end - 1], theta_ta[end - 1] = here
-            held = 0
-        else:
-            block = min(2 * block, _BLOCK_MAX)
-        k = end
+            se.item(k), math.radians(te), math.radians(azi.item(k) - ta),
+            irr.item(k), math.sin, math.cos, round, _clip)
+        te, ta = _move(te, ta, az, el, pk, motor_step_deg, start, _where,
+                       _clip)
+        theta_te[k], theta_ta[k] = te, ta
+        readings[k] = counts
+        azi_step[k], elev_step[k], park[k] = az, el, pk
+        last = (last + [(te, ta)])[-8:]
+        k += 1
     return TrackingRun(theta_te, theta_ta,
                        _incidence_angles(se, azi, theta_te, theta_ta),
                        readings, azi_step, elev_step, park)

@@ -398,6 +398,20 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert "Kp = 5" in out
 
+    @pytest.mark.parametrize("mode", ["errors", "rlocus"])
+    @pytest.mark.parametrize("preset", ["motor_paper", "cascade"])
+    @pytest.mark.parametrize("gains", ["0:10:5", "-1:10:5", "10:1:5",
+                                       "1:10:0"])
+    def test_gain_sweep_from_zero_or_below_is_a_usage_error(
+            self, mode, preset, gains, tmp_path, capsys):
+        code = main(["tf", mode, "--preset", preset, f"--gains={gains}",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "b > a > 0" in captured.err
+        assert captured.out == ""        # nothing printed before the check
+        assert not list(tmp_path.iterdir())
+
     def test_pv_curve(self, tmp_path, capsys):
         assert main(["pv-curve", "--points", "50",
                      "--out", str(tmp_path)]) == 0

@@ -335,6 +335,15 @@ class TestRootLocus:
         with pytest.raises(ValueError):
             root_locus(TransferFunction([1.0], [1.0, 1.0]), [])
 
+    @pytest.mark.parametrize("sweep", [root_locus, ss_error_vs_gain])
+    @pytest.mark.parametrize("gains", [
+        [], [0.0, 1.0, 10.0], [-1.0, 4.25, 10.0], [1.0, 10.0, 5.0],
+        [1.0, 1.0], [math.nan, 1.0]])
+    def test_gains_must_be_positive_ascending(self, sweep, gains):
+        # K <= 0 is no loop gain: a sweep through it is refused
+        with pytest.raises(ValueError, match="gain"):
+            sweep(TransferFunction([0.05], [0.1, 1.1, 1.0]), gains)
+
 
 class TestErrorConstants:
     def test_pump_final_value_theorem(self):

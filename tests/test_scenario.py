@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from sunpump import pv, scenario
+from sunpump import pv, scenario, tracking
 from sunpump.mppt import initial_state
 from sunpump.scenario import (ConfigError, ScenarioConfig, _profile_columns,
                               control_logic_step, run_scenario)
@@ -448,9 +448,64 @@ class TestHydraulicsMatchesReference:
 
     def test_settled_steps_run_in_blocks(self, scalar_steps):
         # on the reference day only the steps whose pump flows have not
-        # settled run alone
+        # settled, and the first step that leaves a block's prediction,
+        # run alone: 1 606 of the 72 000
         trace, _ = run_scenario(ScenarioConfig.default_daylight())
-        assert len(scalar_steps) <= 0.05 * len(trace)
+        assert len(scalar_steps) <= 1606
+
+
+@st.composite
+def hydraulic_states(draw):
+    """A :func:`short_configs` scenario and states to step it from: tank
+    and percentage levels at 0.0 and -0.0, at empty and at capacity, at
+    each clamp and on each latch and relay threshold; flows settled at 0
+    or rated flow, or not; and a PV power often equal to the load of
+    settled pumps."""
+    cfg = draw(short_configs())
+    rated = cfg.pump_flow_Lpm
+
+    def tank(volume, *marks):
+        return st.one_of(st.sampled_from(
+            [0.0, -0.0, 1e-9, volume] + [m / 100.0 * volume for m in marks]),
+            st.floats(0.0, volume))
+
+    def percent(*marks):
+        return st.one_of(st.sampled_from([0.0, -0.0, 100.0, *marks]),
+                         st.floats(0.0, 100.0))
+
+    flow = st.one_of(st.sampled_from([0.0, rated]), st.floats(0.0, rated))
+    loads = [cfg.pump1_power_W * f1 / rated + cfg.pump2_power_W * f2 / rated
+             for f1, f2 in ((rated, 0.0), (0.0, rated), (rated, rated))]
+    power = st.one_of(st.sampled_from([0.0, *loads]),
+                      st.floats(0.0, 2000.0))
+    rows = draw(st.lists(st.tuples(
+        st.booleans(), st.booleans(), flow, flow,
+        tank(cfg.tank1_volume_L),
+        tank(cfg.tank2_volume_L, cfg.tank_low_pct, cfg.tank_full_pct),
+        percent(cfg.soil_dry_pct, cfg.soil_wet_pct),
+        percent(cfg.battery_min_soc_pct), power), min_size=1, max_size=30))
+    return cfg, rows
+
+
+class TestLawFloatsMatchArrays:
+    @settings(max_examples=100)
+    @given(case=hydraulic_states())
+    def test_hydraulics_law(self, case):
+        """The hydraulics law over arrays of states, as a block runs it,
+        equals the law on each state as floats, bit for bit, in every
+        output; on floats the latches are bools."""
+        cfg, rows = case
+        h = scenario._Hydraulics(cfg, 0)
+        with np.errstate(all="ignore"):
+            got = h.law(*(np.array(c) for c in zip(*rows)), np.where)
+        want = [h.law(*r, tracking._where) for r in rows]
+        for w in want:
+            assert all(type(latch) is bool for latch in w[:3])
+        for j, column in enumerate(got):
+            column = np.asarray(column, dtype=float)
+            expected = np.array([w[j] for w in want], dtype=float)
+            assert np.array_equal(column.view(np.int64),
+                                  expected.view(np.int64)), j
 
 
 @st.composite

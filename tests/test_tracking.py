@@ -203,21 +203,27 @@ class TestTrackingStep:
         assert azi == 0
 
 
+def move(te, ta, azi_step, elev_step, park, start=(90.0, 0.0),
+         motor_step_deg=1.8):
+    """The move law on floats."""
+    return tracking._move(te, ta, azi_step, elev_step, park, motor_step_deg,
+                          start, tracking._where, tracking._clip)
+
+
 class TestApplyCommand:
     """The move law: one signed motor step per axis, the elevation
     clamped to [0, 180], a park back to the start."""
 
     def test_elevation_clamped(self):
-        moved = tracking._move(179.5, 0.0, 0, +1, False, 1.8, None)
-        assert moved[0] == 180.0
+        assert move(179.5, 0.0, 0, +1, False)[0] == 180.0
+        assert move(0.5, 0.0, 0, -1, False)[0] == 0.0
 
     def test_park_returns_initial(self):
         init = (90.0, 50.0)
-        parked = tracking._move(40.0, 120.0, 0, 0, True, 1.8, init)
-        assert parked == init
+        assert move(40.0, 120.0, 0, 0, True, init) == init
 
     def test_bounded_actuation(self):
-        te, ta = tracking._move(50.0, 100.0, +1, -1, False, 1.8, None)
+        te, ta = move(50.0, 100.0, +1, -1, False)
         assert abs(te - 50.0) <= 1.8
         assert abs(ta - 100.0) <= 1.8
 
@@ -278,8 +284,7 @@ class TestTrackingSim:
         for k in range(3):
             r = ldr_model(elev[k], azi[k], te, ta, irr)
             cmd = tracking_step(*r)
-            te, ta = tracking._move(te, ta, *cmd, 1.8,
-                                    (start.theta_TE, start.theta_TA))
+            te, ta = move(te, ta, *cmd, (start.theta_TE, start.theta_TA))
             assert (run.theta_TE[k], run.theta_TA[k]) == (te, ta)
             assert run.alpha[k] == angle_of_incidence(
                 SunPosition(elev[k], azi[k]), TrackerOrientation(te, ta))
@@ -335,6 +340,30 @@ class TestKernelFloatsMatchArrays:
             column = np.array([w[j] for w in want], dtype=dtype)
             assert np.array_equal(got[j].astype(dtype), column), j
             assert np.array_equal(got[j], column), j   # values, not casts
+
+    @given(rows=st.lists(st.tuples(
+               _or_special([0.0, -0.0, 1.8, 178.2, 180.0],
+                           st.floats(-400.0, 400.0)),
+               _or_special([0.0, -0.0], st.floats(-720.0, 720.0)),
+               st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]),
+               st.booleans()), min_size=1, max_size=40),
+           step=_or_special([1.8, 0.9], st.floats(0.01, 10.0)),
+           start=st.tuples(
+               _or_special([0.0, -0.0, 180.0, 200.0, -15.0],
+                           st.floats(-400.0, 400.0)),
+               _or_special([0.0, -0.0], st.floats(-720.0, 720.0))))
+    def test_move_floats_equal_arrays(self, rows, step, start):
+        """The move over arrays of orientations and commands, as a block
+        runs it, equals the move on each as floats, bit for bit: at the
+        clamps, at -0.0, on a park and from outside [0, 180]."""
+        te, ta, azi, elev, park = (np.array(c) for c in zip(*rows))
+        got = tracking._move(te, ta, azi, elev, park, step, start,
+                             np.where, np.clip)
+        want = [move(*r, start, step) for r in rows]
+        for j in range(2):
+            column = np.array([w[j] for w in want])
+            assert np.array_equal(got[j].view(np.int64),
+                                  column.view(np.int64)), j
 
 
 def scalar_tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8,
@@ -417,14 +446,22 @@ class TestBlockPassMatchesScalarLoop:
         assert np.array_equal(np.radians(x), [math.radians(v)
                                               for v in x.tolist()])
 
-    def test_default_daylight(self):
+    def test_default_daylight(self, monkeypatch):
         cfg = ScenarioConfig.default_daylight()
         t = np.arange(int(round(cfg.duration_s / cfg.dt_s))) * cfg.dt_s
         (irr,) = _profile_columns(cfg.irradiance_profile, t)
         elev, azi = _profile_columns(cfg.sun_path, t)
         start = TrackerOrientation(float(elev[0]), float(azi[0]))
         args = (elev, azi)
+        steps_alone = []
+        monkeypatch.setattr(
+            tracking, "sense_and_decide",
+            lambda *a: steps_alone.append(np.ndim(a[3]) == 0)
+            or sense_and_decide(*a))
         got = tracking_sim(*args, irradiance=irr, start=start)
+        # the one-step elevation dither runs as blocks too: about 1 200
+        # of the 72 000 steps run alone on floats
+        assert sum(steps_alone) <= 1500
         assert_same_run(got, scalar_tracking_sim(*args, irradiance=irr,
                                                  start=start))
 
@@ -488,18 +525,37 @@ class TestBlockPassMatchesScalarLoop:
         assert_same_run(got, scalar_tracking_sim(*args, irradiance=irr,
                                                  start=start))
 
-    def test_hold_stretches_run_as_blocks(self, monkeypatch):
+    @staticmethod
+    def block_shapes(start_elevation, monkeypatch):
+        """The irradiance shapes of the law's calls on a fixed sun at
+        45 degrees elevation, and the run, checked against the scalar
+        loop."""
         shapes = []
         monkeypatch.setattr(
             tracking, "sense_and_decide",
             lambda *a: shapes.append(np.shape(a[3])) or sense_and_decide(*a))
-        tracking_sim([45.0] * 5000, [180.0] * 5000,
-                     start=TrackerOrientation(45.0, 180.0))
-        # the settling steps on floats, then the 4992 held steps in blocks
-        # of 32, 64, ..., 2048 and the last 928
-        assert shapes[:tracking._SETTLE_STEPS] == [()] * tracking._SETTLE_STEPS
-        assert shapes[tracking._SETTLE_STEPS:] == [
-            (32 << j,) for j in range(7)] + [(928,)]
+        args = ([45.0] * 5000, [180.0] * 5000)
+        start = TrackerOrientation(start_elevation, 180.0)
+        got = tracking_sim(*args, start=start)
+        assert_same_run(got, scalar_tracking_sim(*args, start=start))
+        return shapes, got
+
+    # 8 steps on floats, then the other 4992 in blocks of 32, 64, ...,
+    # 2048 and the last 928
+    BLOCKS = [()] * 8 + [(32 << j,) for j in range(7)] + [(928,)]
+
+    def test_hold_stretches_run_as_blocks(self, monkeypatch):
+        shapes, got = self.block_shapes(45.0, monkeypatch)
+        assert set(got.theta_TE.tolist()) == {45.0}
+        assert shapes == self.BLOCKS
+
+    def test_dither_runs_as_blocks(self, monkeypatch):
+        # 0.9 degrees off, each motor step overshoots the deadband, and
+        # the elevation dithers 44.1, 45.9, 44.1, ...
+        shapes, got = self.block_shapes(45.9, monkeypatch)
+        assert len(set(got.theta_TE.tolist())) == 2
+        assert (got.elevation_step[1:] == -got.elevation_step[:-1]).all()
+        assert shapes == self.BLOCKS
 
     def test_nonfinite_irradiance_rejected(self):
         for bad in (math.inf, math.nan):
