@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import csvio, mppt, pv, validation
-from .config import ANALYSIS_KINDS, parse_config
+from .config import ANALYSIS_KINDS, parse_config, parse_gains
 from .lti import (NotSettledError, error_constants, frequency_response,
                   poly_roots, root_locus, routh_table, ss_error_vs_gain,
                   stability_margins, stability_verdict_from_roots,
@@ -58,10 +58,10 @@ def _parse_span(text, parts=3):
 
 
 def _gain_grid(spec):
-    a, b, n = _parse_span(spec, 3)
-    n = int(n)
-    if n < 1 or b <= a or not a > 0:
-        raise UsageError("gains must be 'a:b:n' with b > a > 0 and n >= 1")
+    try:
+        a, b, n = parse_gains(spec)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     return np.geomspace(a, b, n)
 
 

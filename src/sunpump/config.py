@@ -12,6 +12,7 @@ comma-separated breakpoint lists, e.g.::
 """
 
 from dataclasses import dataclass
+import math
 
 from .scenario import ConfigError, ScenarioConfig
 
@@ -36,6 +37,19 @@ _STRING_KEYS = {"mppt_algo", "kind", "preset", "tf_text", "gains"}
 ANALYSIS_KINDS = ("analyze", "step", "bode", "rlocus", "routh", "errors")
 
 
+def parse_gains(spec):
+    """The gain sweep ``'a:b:n'`` as ``(a, b, n)``: n gains spaced
+    geometrically from a to b (``ValueError`` unless b > a > 0 are finite
+    and n >= 1; a fractional n is truncated)."""
+    try:
+        a, b, n = (float(bit) for bit in spec.split(":"))
+    except ValueError:
+        raise ValueError(f"gains must be 'a:b:n', got {spec!r}") from None
+    if not (0.0 < a < b < math.inf and 1.0 <= n < math.inf):
+        raise ValueError("gains must be 'a:b:n' with b > a > 0 and n >= 1")
+    return a, b, int(n)
+
+
 @dataclass(frozen=True)
 class AnalysisRequest:
     """A transfer-function analysis described by a config file."""
@@ -53,6 +67,16 @@ class AnalysisRequest:
                 f"analysis kind must be one of {', '.join(ANALYSIS_KINDS)}")
         if self.preset is None and self.tf_text is None:
             raise ConfigError("analysis needs a preset or a tf_text system")
+        for name in ("t_end", "dt"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ConfigError(f"analysis {name} must be finite and > 0, "
+                                  f"got {value}")
+        if self.gains is not None:
+            try:
+                parse_gains(self.gains)
+            except ValueError as exc:
+                raise ConfigError(f"analysis {exc}") from None
         return self
 
 

@@ -294,10 +294,10 @@ def step_response(tf, t_end, dt=None):
     tf : TransferFunction
         Must be proper (num degree <= den degree).
     t_end : float
-        Final simulation time, must be at least 10*dt, and at most
-        ``MAX_SAMPLES - 1`` steps of dt.
+        Final simulation time, finite and > 0, at least 10*dt, and at
+        most ``MAX_SAMPLES - 1`` steps of dt.
     dt : float, optional
-        Fixed integration step; defaults to
+        Fixed integration step, finite and > 0; defaults to
         ``min(tau_min/20, t_end/2000)`` with ``tau_min = 1/max|pole|``.
 
     Returns
@@ -310,10 +310,13 @@ def step_response(tf, t_end, dt=None):
     if not tf.proper:
         raise ImproperSystemError(
             f"num degree {tf.num.degree} > den degree {tf.den.degree}")
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if value is not None and not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     if dt is None:
         dt = default_step_dt(tf, t_end)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+        if not dt > 0:
+            raise ValueError(f"the default dt for t_end = {t_end} is 0")
     if t_end < 10 * dt:
         raise ValueError("t_end must cover at least 10 integration steps")
     steps = t_end / dt

@@ -138,8 +138,10 @@ class TrackingRun:
 
 
 # a block covers this many steps at first and doubles after each block
-# whose orientations all come as predicted, up to the maximum
-_BLOCK_MIN = 32
+# whose orientations all come as predicted, up to the maximum; a block
+# costs about 80 us fixed plus 0.1 us per step (2-vCPU x86 host), so a
+# short first block loses more on its doublings than it saves on a miss
+_BLOCK_MIN = 256
 _BLOCK_MAX = 4096
 # the position of each step of a block in the predicted 4-cycle
 _PHASE = np.arange(_BLOCK_MAX + 3) % 4

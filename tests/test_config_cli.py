@@ -3,13 +3,16 @@ from pathlib import Path
 import re
 import shlex
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from sunpump.cli import build_parser, main
 from sunpump.config import parse_config, parse_config_text
 from sunpump.csvio import emit_csv
-from sunpump.scenario import ConfigError, SimTrace
+from sunpump.scenario import (ConfigError, ScenarioConfig, SimTrace,
+                              run_scenario)
+from test_scenario import cloudy_config
 
 # a stiff system, poles at -1e-3 and -1e6
 STIFF = "num: 1 / den: 1 1000000.001 1000"
@@ -149,6 +152,113 @@ def rowwise_csv(header, rows):
     lines = [",".join(_quote(h) for h in header)]
     lines += [",".join(fmt(v) for v in row) for row in rows]
     return ("\n".join(lines) + "\n").encode()
+
+
+# the printf format per numpy dtype kind; every other kind is text
+ROW_FORMATS = {"f": "%.9g", "i": "%d", "u": "%d", "b": "%d"}
+
+
+def row_format_csv(header, columns):
+    """Reference: every value of every row formatted on its own by its
+    column's printf format (``emit_csv``'s dtype rule), text quoted."""
+    cols = [np.asarray(c) for c in columns]
+    formats = [ROW_FORMATS.get(c.dtype.kind, "%s") for c in cols]
+    row_format = ",".join(formats) + "\n"
+    values = [c.tolist() if f != "%s" else [_quote(str(v)) for v in c]
+              for c, f in zip(cols, formats)]
+    text = ",".join(_quote(h) for h in header) + "\n"
+    text += "".join(row_format % row for row in zip(*values))
+    return text.encode()
+
+
+def _nan(payload, dtype):
+    """A quiet NaN of ``dtype`` with the given payload bits."""
+    bits = {np.float64: 0x7FF8000000000000, np.float32: 0x7FC00000}[dtype]
+    width = {np.float64: np.int64, np.float32: np.int32}[dtype]
+    return np.array(bits | payload, dtype=width).view(dtype).item()
+
+
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                  -2.2e-308, 1.7976931348623157e308, 1.0 / 3.0, 123456789.5]
+
+# value strategies per column dtype; text columns hold object arrays of
+# str, as the CLI's text columns do
+COLUMN_VALUES = {
+    np.float64: st.sampled_from(SPECIAL_FLOATS
+                                + [_nan(p, np.float64) for p in (1, 7)])
+    | st.floats(width=64),
+    np.float32: st.sampled_from(SPECIAL_FLOATS[:5] + [1e-45, -1e-40]
+                                + [_nan(p, np.float32) for p in (1, 7)])
+    | st.floats(width=32),
+    np.int64: st.integers(-2 ** 63, 2 ** 63 - 1),
+    np.int16: st.integers(-2 ** 15, 2 ** 15 - 1),
+    np.uint64: st.integers(0, 2 ** 64 - 1),
+    np.uint8: st.integers(0, 255),
+    np.bool_: st.booleans(),
+    object: st.text(alphabet='ab ,"\n\r', max_size=4),
+}
+
+
+@st.composite
+def csv_columns(draw):
+    """Equal-length columns of every dtype the writer meets: runs of a
+    few values that change every row or hardly ever, and cross the
+    1024-row block edges; lengths at and next to the block size."""
+    n = draw(st.sampled_from([0, 1, 1023, 1024, 1025, 4097])
+             | st.integers(0, 2100))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        dtype = draw(st.sampled_from(sorted(COLUMN_VALUES, key=str)))
+        pool = draw(st.lists(COLUMN_VALUES[dtype], min_size=1, max_size=5))
+        if dtype in (np.float64, np.float32):
+            pool += draw(st.sampled_from([[], [0.0, -0.0]]))
+        # run lengths: 1 changes on every row, the others hardly ever
+        mean_run = draw(st.sampled_from([1, 3, 4, 5, 200, 1024, 5000]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        runs = rng.geometric(1.0 / mean_run, n + 1).cumsum()
+        run_of_row = np.searchsorted(runs, np.arange(n), "right")
+        picks = rng.integers(0, len(pool), run_of_row.size + 1)
+        values = np.empty(len(pool), dtype=dtype)
+        values[:] = pool
+        columns.append(values[picks[run_of_row]])
+    return columns
+
+
+class TestCsvMatchesRowFormat:
+    """``emit_csv`` formats each run of a repeated value once; its bytes
+    must equal the row-format writer's."""
+
+    @settings(max_examples=200)
+    @given(columns=csv_columns())
+    def test_generated_columns(self, columns, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "generated.csv"
+        header = [f"c{j}" for j in range(len(columns))]
+        emit_csv(header, columns, path)
+        assert path.read_bytes() == row_format_csv(header, columns)
+
+    def test_runs_across_block_edges(self, tmp_path):
+        # signed zeros and NaN payloads in runs that start and end on and
+        # next to the block edges, next to a column that never repeats
+        edges = [0, 1, 1023, 1024, 1025, 2047, 2048, 3000, 4097]
+        runs = [0.0, -0.0, _nan(1, np.float64), _nan(2, np.float64), -0.0,
+                0.0, -0.0, 0.0]
+        held = np.repeat(runs, np.diff(edges))
+        columns = [held, held.astype(np.float32), np.arange(4097.0) / 7.0,
+                   held == 0.0]
+        path = tmp_path / "edges.csv"
+        emit_csv(["a", "b", "c", "d"], columns, path)
+        assert path.read_bytes() == row_format_csv(["a", "b", "c", "d"],
+                                                   columns)
+
+    @pytest.mark.parametrize("cfg", [ScenarioConfig.default_daylight(),
+                                     cloudy_config(1)],
+                             ids=["default_daylight", "cloudy"])
+    def test_scenario_trace(self, cfg, tmp_path):
+        trace, _ = run_scenario(cfg)
+        columns = [getattr(trace, name) for name in trace.COLUMNS]
+        path = tmp_path / "trace.csv"
+        emit_csv(trace.COLUMNS, columns, path)
+        assert path.read_bytes() == row_format_csv(trace.COLUMNS, columns)
 
 
 class TestColumnCsv:
@@ -316,6 +426,33 @@ class TestCliExitCodes:
         assert "samples" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", [
+        "--t-end=-5", "--t-end=0", "--t-end=nan", "--t-end=inf", "--dt=nan",
+        "--dt=-1"])
+    def test_bad_step_time_is_named(self, tmp_path, capsys, flag):
+        # refused before a default dt is derived from a bad t_end
+        code = main(["tf", "step", "--preset", "pump_loop", flag,
+                     "--out", str(tmp_path)])
+        assert code == 3
+        name = flag[2:].split("=")[0].replace("-", "_")
+        assert f"{name} must be finite and > 0" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("line", [
+        "t_end = -5", "t_end = 0", "t_end = nan", "t_end = inf", "dt = -1",
+        "dt = nan", "gains = 0:10:5", "gains = 10:1:5", "gains = 1:10:0",
+        "gains = 1:10", "gains = 1:x:5", "gains = 1:inf:5"])
+    def test_bad_analysis_value_is_a_config_error(self, tmp_path, capsys,
+                                                  line):
+        path = tmp_path / "a.cfg"
+        path.write_text(f"[analysis]\nkind = errors\npreset = cascade\n"
+                        f"{line}\n")
+        out = tmp_path / "out"
+        assert main(["tf", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: analysis " + line.split()[0])
+        assert not out.exists()
+
     def test_out_of_memory_is_a_numeric_failure(self, tmp_path, capsys):
         # 1e15 gains: the grid alone would take petabytes
         code = main(["tf", "rlocus", "--preset", "cascade", "--gains",
@@ -397,6 +534,16 @@ class TestCliCommands:
         assert main(["tf", "errors", "--preset", "pump_storage"]) == 0
         out = capsys.readouterr().out
         assert "Kp = 5" in out
+
+    @pytest.mark.parametrize("gains", ["1:10", "1:x:5", "1:10:nan",
+                                       "1:inf:5"])
+    def test_malformed_gain_sweep_is_a_usage_error(self, gains, tmp_path,
+                                                   capsys):
+        code = main(["tf", "errors", "--preset", "cascade",
+                     f"--gains={gains}", "--out", str(tmp_path)])
+        assert code == 1
+        assert "usage error: gains must be 'a:b:n'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("mode", ["errors", "rlocus"])
     @pytest.mark.parametrize("preset", ["motor_paper", "cascade"])

@@ -138,6 +138,18 @@ class TestStepResponse:
         with pytest.raises(ImproperSystemError):
             step_response(TransferFunction([1.0, 0.0, 0.0], [1.0, 1.0]), 1.0)
 
+    @pytest.mark.parametrize("name, t_end, dt", [
+        ("t_end", -5.0, None), ("t_end", 0.0, None), ("t_end", -0.0, None),
+        ("t_end", math.nan, None), ("t_end", math.inf, None),
+        ("t_end", -math.inf, 0.1), ("dt", 10.0, 0.0), ("dt", 10.0, -1.0),
+        ("dt", 10.0, math.nan), ("dt", 10.0, math.inf)])
+    def test_bad_t_end_or_dt_named(self, name, t_end, dt):
+        # checked before the default dt is derived from t_end, so the
+        # message names the argument that is wrong
+        tf = TransferFunction([1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            step_response(tf, t_end, dt)
+
     def test_unstable_flagged(self):
         tr = step_response(TransferFunction([1.0], [1.0, -1.0]), 5.0)
         assert tr.diverged
@@ -163,10 +175,12 @@ class TestStepResponse:
     def test_sample_ceiling_checked_before_allocating(self, t_end, dt):
         # poles at -1e-3 and -1e6: the default dt over 8000 s asks for
         # 1.6e11 samples; the response must refuse before any array exists
+        # (a t_end that is not finite is refused by name, before that)
         tf = TransferFunction([1.0], [1.0, 1000000.001, 1000.0])
+        message = "samples" if math.isfinite(t_end) else "t_end must be"
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="samples"):
+            with pytest.raises(ValueError, match=message):
                 step_response(tf, t_end, dt)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 from hypothesis import example, given, strategies as st
@@ -327,6 +328,56 @@ def cloudy_irradiance(seed, n):
     return g
 
 
+@functools.cache
+def daylight_lit_irradiance():
+    """The effective irradiance on the lit steps of ``default_daylight``,
+    behind the tracker: the harvest's input."""
+    cfg = ScenarioConfig.default_daylight()
+    t = np.arange(int(round(cfg.duration_s / cfg.dt_s))) * cfg.dt_s
+    (irr,) = _profile_columns(cfg.irradiance_profile, t)
+    elev, azi = _profile_columns(cfg.sun_path, t)
+    track = tracking_sim(elev, azi, irradiance=irr,
+                         start=TrackerOrientation(float(elev[0]),
+                                                  float(azi[0])))
+    eff = irr * np.maximum(0.0, np.cos(np.radians(track.alpha)))
+    return eff[eff > 0.0]
+
+
+# the harvests a block size must not change: P&O on default_daylight,
+# and each law under passing clouds
+HARVESTS = {"daylight-po": ("po", daylight_lit_irradiance),
+            "cloudy-po": ("po", lambda: cloudy_irradiance(5, 6000)),
+            "cloudy-ic": ("ic", lambda: cloudy_irradiance(5, 6000))}
+
+
+@functools.cache
+def shipped_block_harvest(name):
+    """``mppt_run`` on one of :data:`HARVESTS` at the shipped block
+    sizes."""
+    algo, irradiance = HARVESTS[name]
+    g = irradiance()
+    ap = default_array(1000.0)
+    st0 = initial_state(0.8 * pv.open_circuit_voltage(ap), 0.5)
+    return mppt_run(ap, algo, st0, len(g), irradiance=g)
+
+
+class TestBlockSizeIsOnlySpeed:
+    """The first block size changes which steps are solved alone and
+    which as lanes, never the run."""
+
+    @pytest.mark.parametrize("name", sorted(HARVESTS))
+    @pytest.mark.parametrize("block_min", [1, 8, 256])
+    def test_run_equal(self, name, block_min, monkeypatch):
+        want = shipped_block_harvest(name)
+        monkeypatch.setattr(mppt, "_BLOCK_MIN", block_min)
+        algo, irradiance = HARVESTS[name]
+        g = irradiance()
+        ap = default_array(1000.0)
+        st0 = initial_state(0.8 * pv.open_circuit_voltage(ap), 0.5)
+        assert_same_mppt_run(mppt_run(ap, algo, st0, len(g), irradiance=g),
+                             want)
+
+
 class TestLatticeRunMatchesScalarLoop:
     """``mppt_run(..., irradiance=...)`` solves the steps of its checked
     blocks with the lane solve, each at its predicted voltage; the run
@@ -334,15 +385,7 @@ class TestLatticeRunMatchesScalarLoop:
     included."""
 
     def test_default_daylight(self, lane_counts):
-        cfg = ScenarioConfig.default_daylight()
-        t = np.arange(int(round(cfg.duration_s / cfg.dt_s))) * cfg.dt_s
-        (irr,) = _profile_columns(cfg.irradiance_profile, t)
-        elev, azi = _profile_columns(cfg.sun_path, t)
-        track = tracking_sim(elev, azi, irradiance=irr,
-                             start=TrackerOrientation(float(elev[0]),
-                                                      float(azi[0])))
-        eff = irr * np.maximum(0.0, np.cos(np.radians(track.alpha)))
-        g = eff[eff > 0.0]
+        g = daylight_lit_irradiance()
         ap = default_array(1000.0)
         st0 = initial_state(0.8 * pv.open_circuit_voltage(ap), 0.5)
         got = mppt_run(ap, "po", st0, len(g), irradiance=g)

@@ -1,4 +1,5 @@
 from dataclasses import dataclass
+import functools
 import math
 
 from hypothesis import given, strategies as st
@@ -426,6 +427,46 @@ def cloudy_day(seed, n):
     return elev, azi, irr
 
 
+def daylight_path():
+    """The sun path, irradiance and tracker start of ``default_daylight``,
+    one entry per step."""
+    cfg = ScenarioConfig.default_daylight()
+    t = np.arange(int(round(cfg.duration_s / cfg.dt_s))) * cfg.dt_s
+    (irr,) = _profile_columns(cfg.irradiance_profile, t)
+    elev, azi = _profile_columns(cfg.sun_path, t)
+    return elev, azi, irr, TrackerOrientation(float(elev[0]), float(azi[0]))
+
+
+def sun_days():
+    """The tracker's inputs on ``default_daylight`` and on a cloudy day
+    with parked nights, by name."""
+    elev, azi, irr = cloudy_day(3, 20000)
+    return {"daylight": daylight_path(),
+            "cloudy": (elev, azi, irr, TrackerOrientation(90.0, 180.0))}
+
+
+@functools.cache
+def shipped_block_run(day):
+    """``tracking_sim`` on one of :func:`sun_days` at the shipped block
+    sizes."""
+    elev, azi, irr, start = sun_days()[day]
+    return tracking_sim(elev, azi, irradiance=irr, start=start)
+
+
+class TestBlockSizeIsOnlySpeed:
+    """The first block size changes which steps run on floats and which
+    as arrays, never a column."""
+
+    @pytest.mark.parametrize("day", ["daylight", "cloudy"])
+    @pytest.mark.parametrize("block_min", [1, 32, 256, 4096])
+    def test_columns_equal(self, day, block_min, monkeypatch):
+        want = shipped_block_run(day)
+        monkeypatch.setattr(tracking, "_BLOCK_MIN", block_min)
+        elev, azi, irr, start = sun_days()[day]
+        assert_same_run(tracking_sim(elev, azi, irradiance=irr, start=start),
+                        want)
+
+
 class TestBlockPassMatchesScalarLoop:
     """``tracking_sim`` runs hold stretches as numpy blocks; each column
     must equal the step-by-step loop bit for bit.  ``np.sin`` and
@@ -447,11 +488,7 @@ class TestBlockPassMatchesScalarLoop:
                                               for v in x.tolist()])
 
     def test_default_daylight(self, monkeypatch):
-        cfg = ScenarioConfig.default_daylight()
-        t = np.arange(int(round(cfg.duration_s / cfg.dt_s))) * cfg.dt_s
-        (irr,) = _profile_columns(cfg.irradiance_profile, t)
-        elev, azi = _profile_columns(cfg.sun_path, t)
-        start = TrackerOrientation(float(elev[0]), float(azi[0]))
+        elev, azi, irr, start = daylight_path()
         args = (elev, azi)
         steps_alone = []
         monkeypatch.setattr(
@@ -540,14 +577,22 @@ class TestBlockPassMatchesScalarLoop:
         assert_same_run(got, scalar_tracking_sim(*args, start=start))
         return shapes, got
 
-    # 8 steps on floats, then the other 4992 in blocks of 32, 64, ...,
-    # 2048 and the last 928
-    BLOCKS = [()] * 8 + [(32 << j,) for j in range(7)] + [(928,)]
+    @staticmethod
+    def doubling_blocks(n):
+        """The law's call shapes over n steps that all come as predicted:
+        8 steps on floats, then blocks that start at ``_BLOCK_MIN`` steps
+        and double up to ``_BLOCK_MAX``, the last one cut at n."""
+        shapes, size, k = [()] * 8, tracking._BLOCK_MIN, 8
+        while k < n:
+            shapes.append((min(size, n - k),))
+            k += size
+            size = min(2 * size, tracking._BLOCK_MAX)
+        return shapes
 
     def test_hold_stretches_run_as_blocks(self, monkeypatch):
         shapes, got = self.block_shapes(45.0, monkeypatch)
         assert set(got.theta_TE.tolist()) == {45.0}
-        assert shapes == self.BLOCKS
+        assert shapes == self.doubling_blocks(5000)
 
     def test_dither_runs_as_blocks(self, monkeypatch):
         # 0.9 degrees off, each motor step overshoots the deadband, and
@@ -555,7 +600,7 @@ class TestBlockPassMatchesScalarLoop:
         shapes, got = self.block_shapes(45.9, monkeypatch)
         assert len(set(got.theta_TE.tolist())) == 2
         assert (got.elevation_step[1:] == -got.elevation_step[:-1]).all()
-        assert shapes == self.BLOCKS
+        assert shapes == self.doubling_blocks(5000)
 
     def test_nonfinite_irradiance_rejected(self):
         for bad in (math.inf, math.nan):
