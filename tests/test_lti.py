@@ -147,7 +147,7 @@ class TestStepResponse:
         # checked before the default dt is derived from t_end, so the
         # message names the argument that is wrong
         tf = TransferFunction([1.0], [1.0, 1.0])
-        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
             step_response(tf, t_end, dt)
 
     def test_unstable_flagged(self):
