@@ -101,9 +101,10 @@ def _cmd_pv_curve(args):
 def _cmd_solar_angles(args):
     st0, st1, n = _parse_span(args.hour_angles)
     az0, az1 = _parse_span(args.azimuth, 2)
+    if not 0 <= n < np.inf:   # NaN fails this too
+        raise UsageError(f"hour-angle count must be finite and >= 0, "
+                         f"got {n:g}")
     n = int(n)
-    if n < 0:
-        raise UsageError("hour-angle count must be >= 0")
     delta = declination(args.day)
     k = np.arange(n)
     st = st0 + (st1 - st0) * k / max(n - 1, 1)

@@ -18,10 +18,10 @@ I = 0 the cell voltage solves an explicit equation (see
 
 ``array_current_lanes`` runs the same Newton over lanes that each pair
 a voltage with an irradiance (or share one voltage), with the scalar
-operations in the same order and ``math.exp`` on each lane, so every
-settled lane is bit-identical to ``array_current(ap.at_irradiance(g),
-v)``.  The MPPT harvest solves each step of a block at its own
-predicted voltage with it.
+operations in the same order and numpy's exp on floats and lanes alike,
+so every settled lane is bit-identical to
+``array_current(ap.at_irradiance(g), v)``.  The MPPT harvest solves each
+step of a block at its own predicted voltage with it.
 """
 
 from dataclasses import dataclass
@@ -147,12 +147,6 @@ def _saturation_at_temperature(i_o_ref, t_c):
     return i_o_ref * (t_c / T_REFERENCE_K) ** 3 * math.exp(min(expo, 700.0))
 
 
-def _exp_lanes(x):
-    """``math.exp`` of each element (``np.exp`` differs from it in the
-    last bit on some arguments)."""
-    return np.fromiter(map(math.exp, x.tolist()), float, len(x))
-
-
 def _array_mismatch(p, n_s, n_p, v, i_ph=None):
     """
     The mismatch f(I) = I - RHS(I) at array voltage ``v`` and its slope,
@@ -169,9 +163,9 @@ def _array_mismatch(p, n_s, n_p, v, i_ph=None):
     belong to (all lanes by default).
     """
     if i_ph is None:
-        i_ph, exp, cap = p.I_ph, math.exp, min
+        i_ph, exp, cap = p.I_ph, lambda x: float(np.exp(x)), min
     else:
-        exp, cap = _exp_lanes, np.minimum
+        exp, cap = np.exp, np.minimum
     vt1 = thermal_voltage(p.a1, p.T_c)
     vt2 = thermal_voltage(p.a2, p.T_c)
     io1 = _saturation_at_temperature(p.I_o1, p.T_c)

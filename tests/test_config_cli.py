@@ -331,8 +331,10 @@ class TestCliExitCodes:
         assert main(["tf", "wrong-mode"]) == 1
 
     def test_negative_hour_angle_count(self, tmp_path, capsys):
-        assert main(["solar-angles", "--hour-angles=0:10:-2",
-                     "--out", str(tmp_path)]) == 1
+        for count in ("-2", "nan", "inf"):
+            assert main(["solar-angles", f"--hour-angles=0:10:{count}",
+                         "--out", str(tmp_path)]) == 1
+            assert "hour-angle count" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["track-sim", "--steps", "0"], ["track-sim", "--steps", "-4"],

@@ -4,6 +4,7 @@ from pathlib import Path
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -530,3 +531,111 @@ class TestCurrentLanes:
         assert left_open.tolist() == [1, 2]
         assert np.isnan(cur[[1, 2]]).all()
         assert cur[3] == array_current(ap.at_irradiance(800.0), 10.0)
+
+
+def mpmath_current(ap, v):
+    """
+    Independent oracle for the 1e-9 A contract at 50 digits: the root of
+    the array equation (as in :func:`double_diode_residual`, uncapped)
+    found by ``mpmath.findroot`` on the bracket the mismatch changes
+    sign on, returned as a float.
+    """
+    c = ap.cell
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        t_c = mpf(c.T_c)
+        law = (t_c / 298) ** 3 * mpmath.exp(
+            mpf(1.12) / mpf(8.617333262e-5) * (mpf(1) / 298 - 1 / t_c))
+        vt1 = c.a1 * mpf(1.381e-23) * t_c / mpf(1.602e-19)
+        vt2 = c.a2 * mpf(1.381e-23) * t_c / mpf(1.602e-19)
+
+        def f(i):
+            u = mpf(v) / ap.N_s + i * mpf(c.R_s) / ap.N_p
+            return i - ap.N_p * (
+                c.I_ph - c.I_o1 * law * mpmath.expm1(u / vt1)
+                - c.I_o2 * law * mpmath.expm1(u / vt2) - u / c.R_p)
+
+        hi = ap.N_p * mpf(c.I_ph) + 1
+        assert f(mpf(-1)) < 0 < f(hi)
+        return float(mpmath.findroot(f, (mpf(-1), hi), solver="anderson"))
+
+
+class TestCurrentAgainstMpmath:
+    """The solve meets the 1e-9 A contract against a 50-digit root of
+    the same equation, whichever exp the solve uses.  The mismatch has
+    slope >= 1 in I, so a current within 1e-9 A of the root is the
+    residual contract stated on the current itself."""
+
+    @pytest.mark.parametrize("t_c", [250.0, 298.0, 350.0],
+                             ids=["cold", "reference", "hot"])
+    def test_current_within_contract(self, t_c):
+        rng = np.random.default_rng(int(t_c))
+        for g in [1000.0, 1200.0, 50.0, *rng.uniform(1.0, 1200.0, 3)]:
+            ap = default_array(g, t_c)
+            voc = open_circuit_voltage(ap)
+            volts = [0.0, 0.5 * voc, voc * (1.0 - 1e-6), voc,
+                     *rng.uniform(0.0, voc, 4)]
+            lanes, left_open = pv.array_current_lanes(
+                default_array(1000.0, t_c), np.array(volts),
+                np.full(len(volts), g))
+            assert left_open.size == 0
+            for v, lane in zip(volts, lanes.tolist()):
+                want = mpmath_current(ap, v)
+                assert abs(array_current(ap, v) - want) <= 1e-9, (g, v)
+                assert abs(lane - want) <= 1e-9, (g, v)
+
+
+class TestNumpyExpIsElementwise:
+    """The premise that lets the lanes equal the scalar solve bit for
+    bit: ``float(np.exp(x))`` on one float has the bits of ``np.exp``
+    on any array holding x, whatever its length, offset, positive
+    stride or gather.  numpy picks SIMD kernels by CPU; if a host's
+    kernels give a lane other bits than a lone float, this test says so
+    directly.  A negative stride is left out: numpy runs it through the
+    C library's exp instead, which differs in the last bit.  The solve
+    never hands exp one, since every exponent it takes is a fresh array
+    from arithmetic, which numpy lays out with positive strides."""
+
+    def test_float_matches_every_array_shape(self):
+        rng = np.random.default_rng(5)
+        # the exponents the solve sees: capped at 700, mostly within
+        # tens of zero, down to where exp underflows to subnormals and 0
+        x = np.concatenate([
+            rng.uniform(-40.0, 40.0, 6000), rng.uniform(-760.0, 700.0, 2000),
+            rng.normal(0.0, 1e-3, 1000),
+            [0.0, -0.0, 700.0, -708.5, -740.0, -746.0, 1e-300, -1e-300]])
+        want = np.array([float(np.exp(a)) for a in x.tolist()])
+        # a numpy float64 argument, as the solve may get, gives the same
+        assert np.array_equal(
+            want.view(np.int64),
+            np.array([float(np.exp(a)) for a in x]).view(np.int64))
+
+        def check(idx, got):
+            assert np.array_equal(got.view(np.int64),
+                                  want[idx].view(np.int64)), idx
+
+        check(slice(None), np.exp(x))
+        for size in [*range(1, 14), 31, 33, 63, 65, 255, 257]:
+            for start in range(0, x.size - size + 1, 97 * size + 1):
+                check(slice(start, start + size),
+                      np.exp(x[start:start + size]))
+        for view in (slice(None, None, 2), slice(1, None, 3),
+                     slice(5, 900, 7)):
+            check(view, np.exp(x[view]))
+        for size in (1, 2, 3, 7, 64, 1000, x.size):
+            idx = np.sort(rng.choice(x.size, size, replace=False))
+            check(idx, np.exp(x[idx]))
+            check(idx[::-1], np.exp(x[idx[::-1]]))
+
+    def test_reversed_inputs_match_scalar_solve(self):
+        # voltages and irradiances given as negative-stride views still
+        # reach exp as fresh arrays, so every lane keeps the scalar bits
+        ap = default_array()
+        rng = np.random.default_rng(3)
+        v = rng.uniform(-5.0, 22.0, 400)[::-1]
+        g = rng.uniform(0.0, 1200.0, 400)[::-1]
+        cur, left_open = pv.array_current_lanes(ap, v, g)
+        assert left_open.size == 0
+        want = np.array([array_current(ap.at_irradiance(y), x)
+                         for x, y in zip(v.tolist(), g.tolist())])
+        assert np.array_equal(cur.view(np.int64), want.view(np.int64))
