@@ -67,7 +67,10 @@ def _gain_grid(spec):
 
 def _resolve_tf(args):
     if getattr(args, "tf_text", None):
-        return tf_from_text(args.tf_text)
+        try:
+            return tf_from_text(args.tf_text)
+        except ValueError as exc:
+            raise UsageError(f"tf-text: {exc}") from None
     name = getattr(args, "preset", None) or "motor_paper"
     try:
         return preset(name)
@@ -281,8 +284,6 @@ def _cmd_tf(args):
 
 
 def _cmd_scenario(args):
-    if args.action != "run":
-        raise UsageError("scenario supports: run")
     cfg = parse_config(args.config) if args.config else ScenarioConfig()
     if not isinstance(cfg, ScenarioConfig):
         raise ConfigError(

@@ -14,6 +14,7 @@ comma-separated breakpoint lists, e.g.::
 from dataclasses import dataclass
 import math
 
+from .lti import tf_from_text
 from .scenario import ConfigError, ScenarioConfig
 
 # section -> config field; scalar fields parse as float
@@ -72,11 +73,13 @@ class AnalysisRequest:
             if value is not None and not 0.0 < value < math.inf:
                 raise ConfigError(f"analysis {name} must be finite and > 0, "
                                   f"got {value}")
-        if self.gains is not None:
+        for name, parse in (("tf_text", tf_from_text), ("gains", parse_gains)):
+            value = getattr(self, name)
             try:
-                parse_gains(self.gains)
+                if value is not None:
+                    parse(value)
             except ValueError as exc:
-                raise ConfigError(f"analysis {exc}") from None
+                raise ConfigError(f"analysis {name}: {exc}") from None
         return self
 
 

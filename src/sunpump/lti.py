@@ -33,25 +33,29 @@ class NotSettledError(ValueError):
 
 
 def _first_kept(c):
-    """Index, along the last axis, of the first coefficient that is not
-    exactly or relatively zero."""
-    scale = np.max(np.abs(c), axis=-1, keepdims=True)
-    if np.any(scale == 0.0):
+    """Index, along the last axis, of the first nonzero coefficient; a
+    coefficient is zero only when it is 0.0."""
+    nonzero = c != 0.0
+    if not np.all(np.any(nonzero, axis=-1)):
         raise ValueError("zero polynomial")
-    return np.argmax(np.abs(c) > 1e-13 * scale, axis=-1)
+    return np.argmax(nonzero, axis=-1)
 
 
 def _trim(coeffs):
-    """Drop leading coefficients that are exactly or relatively zero."""
+    """Finite coefficients with the leading zeros dropped."""
     c = np.asarray(coeffs, dtype=float).ravel()
     if c.size == 0:
         raise ValueError("empty coefficient list")
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"coefficients must be finite, got {c.tolist()}")
     return c[int(_first_kept(c)):]
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Real polynomial, coefficients highest degree first."""
+    """Real polynomial, finite coefficients highest degree first; only
+    leading coefficients that are exactly 0.0 are dropped, so that
+    s**2 + 20 s + 1e14 keeps its poles -10 +- 1e7 j."""
 
     coeffs: tuple
 
@@ -218,11 +222,9 @@ def tf_feedback(g, h):
     nh, dh = h.num, h.den
     den_coeffs = np.polyadd(np.convolve(dg.coeffs, dh.coeffs),
                             np.convolve(ng.coeffs, nh.coeffs))
-    try:
-        den = Polynomial(den_coeffs)
-    except ValueError as exc:
-        raise DegenerateSystemError("1 + GH collapsed to zero") from exc
-    return TransferFunction(ng * dh, den)
+    if not np.any(den_coeffs):
+        raise DegenerateSystemError("1 + GH collapsed to zero")
+    return TransferFunction(ng * dh, den_coeffs)
 
 
 def tf_feedback_gain(g, k=1.0):
@@ -230,11 +232,9 @@ def tf_feedback_gain(g, k=1.0):
     if k == 0.0:
         return g
     den_coeffs = np.polyadd(g.den.coeffs, k * np.asarray(g.num.coeffs))
-    try:
-        den = Polynomial(den_coeffs)
-    except ValueError as exc:
-        raise DegenerateSystemError("1 + kG collapsed to zero") from exc
-    return TransferFunction(g.num, den)
+    if not np.any(den_coeffs):
+        raise DegenerateSystemError("1 + kG collapsed to zero")
+    return TransferFunction(g.num, den_coeffs)
 
 
 @dataclass(frozen=True)

@@ -109,13 +109,17 @@ class PvArrayParams:
             raise ValueError("array area must be > 0")
         if self.irradiance_G_T < 0:
             raise ValueError("irradiance must be >= 0")
+        if self.irradiance_G_T == 0 and self.cell.I_ph > 0:
+            raise ValueError(f"a cell carrying I_ph = {self.cell.I_ph:g} A "
+                             f"at irradiance_G_T = 0 is not dark")
 
     def photocurrent(self, g_t):
         """Cell photocurrent scaled linearly to irradiance ``g_t`` (a float
-        or an array)."""
-        c = self.cell
-        scale_old = self.irradiance_G_T / 1000.0
-        i_ph_stc = c.I_ph / scale_old if scale_old > 0 else c.I_ph
+        or an array); a dark array has no photocurrent to scale."""
+        if self.irradiance_G_T == 0:
+            raise ValueError("a dark array (irradiance_G_T = 0) cannot be "
+                             "lit again: build it at a nonzero irradiance")
+        i_ph_stc = self.cell.I_ph / (self.irradiance_G_T / 1000.0)
         return i_ph_stc * g_t / 1000.0
 
     def at_irradiance(self, g_t):
@@ -139,12 +143,11 @@ def default_array(g_t=1000.0, t_c=T_REFERENCE_K):
 
 
 def _saturation_at_temperature(i_o_ref, t_c):
-    """Cubed-power-law diode saturation current at cell temperature."""
-    if t_c == T_REFERENCE_K:
-        return i_o_ref
+    """Cubed-power-law diode saturation current at cell temperature (the
+    exponent is below E_g / (k T_ref) = 43.6; at T_ref it is 0)."""
     expo = (BANDGAP_SILICON_EV / _BOLTZMANN_EV_PER_K) * (
         1.0 / T_REFERENCE_K - 1.0 / t_c)
-    return i_o_ref * (t_c / T_REFERENCE_K) ** 3 * math.exp(min(expo, 700.0))
+    return i_o_ref * (t_c / T_REFERENCE_K) ** 3 * math.exp(expo)
 
 
 def _array_mismatch(p, n_s, n_p, v, i_ph=None):
@@ -292,7 +295,8 @@ def open_circuit_voltage(ap):
 
     increasing and convex in u.  Newton starts where one diode alone
     carries I_ph, right of the root, and descends onto it; the first
-    iterate that does not descend is returned.
+    iterate that does not descend is returned.  A cell whose u/Vt reaches
+    the current solve's exponent cap, 700, raises :class:`PvSolverError`.
     """
     p = ap.cell
     if p.I_ph <= 0:
@@ -301,16 +305,19 @@ def open_circuit_voltage(ap):
     io2 = _saturation_at_temperature(p.I_o2, p.T_c)
     vt1 = thermal_voltage(p.a1, p.T_c)
     vt2 = thermal_voltage(p.a2, p.T_c)
-    u = min(vt1 * math.log(p.I_ph / io1 + 1.0),
+    # a start clamped to the cap stays right of any root below it, so
+    # Newton leaves it exactly when the root lies at or beyond the cap
+    u_cap = 700.0 * min(vt1, vt2)
+    u = min(u_cap, vt1 * math.log(p.I_ph / io1 + 1.0),
             vt2 * math.log(p.I_ph / io2 + 1.0))
-    if math.isinf(u):   # I_ph / io overflowed: a cell far below 20 K
-        raise PvSolverError("no finite start for the open-circuit voltage")
     for _ in range(_NEWTON_MAX_ITER):
         e1 = math.exp(u / vt1)
         e2 = math.exp(u / vt2)
         h = io1 * (e1 - 1.0) + io2 * (e2 - 1.0) + u / p.R_p - p.I_ph
         step = u - h / (io1 * e1 / vt1 + io2 * e2 / vt2 + 1.0 / p.R_p)
         if not step < u:
+            if u == u_cap:
+                raise PvSolverError("open-circuit u/Vt reaches the 700 cap")
             return ap.N_s * u
         u = step
     raise PvSolverError("open-circuit voltage did not converge")
@@ -327,10 +334,10 @@ class IvCurve:
 
 
 def iv_curve(ap, v_grid):
-    """Pointwise array currents and powers over an ascending voltage grid."""
+    """Pointwise currents and powers over a finite, strictly ascending grid."""
     v_grid = np.asarray(v_grid, dtype=float)
-    if np.any(np.diff(v_grid) <= 0):
-        raise ValueError("voltage grid must be ascending")
+    if not (np.all(np.isfinite(v_grid)) and np.all(np.diff(v_grid) > 0)):
+        raise ValueError("voltage grid must be finite and strictly ascending")
     volts, amps, skipped = [], [], []
     for idx, v in enumerate(v_grid):
         try:
@@ -348,7 +355,6 @@ class MppResult:
     V_mpp: float
     I_mpp: float
     P_mpp: float
-    unimodal: bool = True
 
 
 _MPP_TOL_V = 1e-4    # MPP search stops at this bracket width, V
@@ -358,8 +364,11 @@ def find_mpp(ap):
     """
     Maximum power point by golden-section search on P(V) over [0, Voc].
 
-    A coarse scan first checks unimodality; if several local maxima show
-    up the global scan maximum is returned with ``unimodal=False``.
+    P is strictly concave there, so it needs no scan.  Per cell, with
+    u = V + I Rs and the diode current D(u): I(u) = I_ph - D(u) - u/Rp,
+    V(u) = u - Rs I(u), V'(u) > 0, so d2I/dV2 = -D''(u) / V'(u)**3 < 0
+    and P'' = 2 I' + V I'' < 0.  u rises to its open-circuit value, below
+    the current solve's exponent cap (:func:`open_circuit_voltage`).
     """
     voc = open_circuit_voltage(ap)
     if voc <= 0:
@@ -368,20 +377,8 @@ def find_mpp(ap):
     def power(v):
         return v * array_current(ap, v)
 
-    scan_v = np.linspace(0.0, voc, 201)
-    scan_p = np.array([power(v) for v in scan_v])
-    interior = scan_p[1:-1]
-    peaks = np.sum((interior > scan_p[:-2]) & (interior >= scan_p[2:]))
-    if peaks > 1:
-        k = int(np.argmax(scan_p))
-        return MppResult(scan_v[k], scan_p[k] / max(scan_v[k], 1e-12),
-                         scan_p[k], unimodal=False)
-
-    k = int(np.argmax(scan_p))
-    lo = scan_v[max(k - 1, 0)]
-    hi = scan_v[min(k + 1, len(scan_v) - 1)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
+    a, b = 0.0, voc
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = power(c), power(d)

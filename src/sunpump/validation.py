@@ -99,14 +99,9 @@ def _row(rid, desc, claimed, unit, computed, tol, kind, note=""):
                           abs_dev, rel_dev, status, tol, kind, note)
 
 
-def _loop_metrics(loop_tf, t_end=None):
+def _loop_metrics(loop_tf, t_end):
     """Unity-feedback closed-loop step metrics of an open-loop system."""
-    closed = tf_feedback_gain(loop_tf, 1.0)
-    if t_end is None:
-        poles = closed.poles()
-        stable = poles[poles.real < -1e-12]
-        t_end = 10.0 / abs(stable.real.max()) if stable.size else 1.0
-    return step_metrics(step_response(closed, t_end))
+    return step_metrics(step_response(tf_feedback_gain(loop_tf, 1.0), t_end))
 
 
 def build_report():

@@ -354,6 +354,25 @@ class TestCliExitCodes:
     def test_unknown_preset(self, capsys):
         assert main(["tf", "analyze", "--preset", "nope"]) == 1
 
+    def test_scenario_action_is_checked_by_argparse(self, capsys):
+        assert main(["scenario", "walk"]) == 1
+        assert "invalid choice: 'walk'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode,text", [
+        ("routh", "num: 1 / den: 1 nan"), ("bode", "num: 1 / den: 1 nan"),
+        ("step", "num: inf / den: 1 1"), ("analyze", "num: 1 / den: -inf 1"),
+        ("errors", "num: 1 / den: 1 x"), ("routh", "den: 1 1 / num: 1")])
+    def test_bad_tf_text_is_a_usage_error(self, tmp_path, capsys, mode,
+                                           text):
+        # a NaN denominator used to print "verdict: stable", and a NaN or
+        # inf system wrote an all-NaN bode.csv or step.csv with exit 0
+        assert main(["tf", mode, "--tf-text", text,
+                     "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error: tf-text: ")
+        assert captured.out == ""
+        assert not any(tmp_path.iterdir())
+
     def test_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[scenario]\nduration_s = -5\n")
@@ -526,6 +545,23 @@ class TestCliCommands:
                      "num: 1 / den: 1 2 5"]) == 0
         assert "verdict: stable" in capsys.readouterr().out
 
+    def test_tf_analyze_keeps_small_leading_terms(self, capsys):
+        # 1e-13 * max|c| used to count as zero: this read as first order
+        # with one pole at -5e12, and den: 1 1e14 as degree 0 (exit 3)
+        assert main(["tf", "analyze", "--tf-text",
+                     "num: 1 / den: 1 20 1e14"]) == 0
+        out = capsys.readouterr().out
+        assert "den degree 2" in out
+        assert "poles: -10-1e+07j, -10+1e+07j" in out
+        assert main(["tf", "analyze", "--tf-text",
+                     "num: 1 / den: 1 1e14"]) == 0
+        assert "poles: -1e+14" in capsys.readouterr().out
+
+    def test_tf_errors_keeps_small_constant_term(self, capsys):
+        assert main(["tf", "errors", "--tf-text",
+                     "num: 1 / den: 1 1e14 1"]) == 0
+        assert "system type 0: Kp = 1," in capsys.readouterr().out
+
     def test_tf_rlocus(self, tmp_path, capsys):
         code = main(["tf", "rlocus", "--preset", "pump_loop",
                      "--gains", "0.1:100:20", "--out", str(tmp_path)])
@@ -662,6 +698,18 @@ class TestAnalysisConfig:
         assert main(["tf", "--config", str(path),
                      "--out", str(tmp_path)]) == 0
         assert (tmp_path / "step.csv").exists()
+
+    @pytest.mark.parametrize("text", [
+        "num: 1 / den: 1 nan", "num: inf / den: 1 1", "num: 1 / den: 0 0",
+        "num: 1 / den: 1 x", "den: 1 / num: 1"])
+    def test_bad_tf_text_is_a_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "a.cfg"
+        path.write_text(f"[analysis]\nkind = bode\ntf_text = {text}\n")
+        out = tmp_path / "out"
+        assert main(["tf", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: analysis tf_text: ")
+        assert not out.exists()
 
     def test_cli_tf_without_mode_or_config(self, capsys):
         assert main(["tf"]) == 1

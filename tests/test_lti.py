@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,6 +13,7 @@ from sunpump.lti import (DegenerateSystemError, ImproperSystemError,
                          stability_margins, stability_verdict_from_roots,
                          step_metrics, step_response, tf_feedback,
                          tf_feedback_gain, tf_from_text)
+from sunpump.plants import MOTOR_PAPER
 
 
 def root_residual_bound(p, root):
@@ -30,6 +32,24 @@ class TestPolynomial:
         p = Polynomial([0.0, 0.0, 2.0, 1.0])
         assert p.degree == 1
         assert p.coeffs == (2.0, 1.0)
+
+    @pytest.mark.parametrize("coeffs,degree", [
+        ([1.0, 20.0, 1e14], 2), ([1.0, 3e6, 3e12, 1e18], 3),
+        ([1.0, 1e14, 1.0], 2), ([1.0, 1e14], 1), ([0.0, 1e-300, 1.0], 1),
+        (np.poly(np.arange(1.0, 17.0)), 16)])
+    def test_only_exact_zeros_are_trimmed(self, coeffs, degree):
+        # a 1e-13 * max|c| rule used to drop the leading term of each
+        p = Polynomial(coeffs)
+        assert p.degree == degree
+        assert p.coeffs == tuple(np.trim_zeros(np.asarray(coeffs), "f"))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, bad):
+        for coeffs in ([1.0, bad], [bad, 1.0], [bad]):
+            with pytest.raises(ValueError, match="finite"):
+                Polynomial(coeffs)
+        with pytest.raises(ValueError, match="finite"):
+            tf_from_text(f"num: {bad} / den: 1 1")
 
     def test_eval_and_multiply(self):
         p = Polynomial([1.0, 2.0])  # s + 2
@@ -75,6 +95,12 @@ class TestRoots:
         with pytest.raises(ValueError):
             poly_roots([3.0])
 
+    def test_wide_coefficient_poles(self):
+        # s^2 + 20 s + 1e14 came back as first order, one pole at -5e12
+        r = TransferFunction([1.0], [1.0, 20.0, 1e14]).poles()
+        assert r == pytest.approx([-10.0 - 1e7j, -10.0 + 1e7j], rel=1e-12)
+        assert poly_roots([1.0, 1e14]).tolist() == [-1e14]
+
     def test_double_root_survives_polish(self):
         # 53.82 s^2 + 897 s + 3737.5 = 53.82 (s + 25/3)^2 exactly
         r = poly_roots([53.82, 897.0, 3737.5])
@@ -86,6 +112,87 @@ class TestRoots:
         r = poly_roots(np.convolve(np.convolve([1, 2], [1, 2]), [1, 2]))
         assert sorted(x.real for x in r) == pytest.approx([-2.0] * 3,
                                                           abs=1e-4)
+
+
+def _mp_poly_derivative(co, k):
+    """Coefficients of the k-th derivative, highest degree first."""
+    for _ in range(k):
+        n = len(co) - 1
+        co = [c * (n - i) for i, c in enumerate(co[:-1])]
+    return co
+
+
+class TestRootsAgainstMpmath:
+    """
+    ``poly_roots`` against a 50-digit oracle on ill-conditioned cases.
+
+    The oracle solves the given float coefficients exactly: a product of
+    known factors whose float coefficients are checked to be exact, or
+    ``mpmath.polyroots`` at 50 digits.  Each computed root r has to
+    meet the docstring's residual contract evaluated at 50 digits, and
+    lie within the conditioning bound of the nearest oracle root z of
+    multiplicity k:
+
+        |r - z| <= |z| (n eps kappa_k)**(1/k),
+        kappa_k = k! sum|c_i| |z|**(n-i) / (|p^(k)(z)| |z|**k),
+
+    the first-order effect on a k-fold root of relative perturbations
+    of n eps in the coefficients, about eps**(1/k) for a k-fold
+    cluster.  A root at 0 (an exact trailing zero) must be exactly 0.
+    """
+
+    CASES = {
+        "wilkinson-12": (np.poly(np.arange(1.0, 13.0)),
+                         [(k, 1) for k in range(1, 13)]),
+        "wilkinson-16": (np.poly(np.arange(1.0, 17.0)),
+                         [(k, 1) for k in range(1, 17)]),
+        "(s+1)^6": ([1.0, 6.0, 15.0, 20.0, 15.0, 6.0, 1.0], [(-1, 6)]),
+        "(s+1e6)^3": ([1.0, 3e6, 3e12, 1e18], [(-10 ** 6, 3)]),
+        "spread-1e-3-1e3": (np.poly(-np.logspace(-3.0, 3.0, 7)), None),
+        "near-double-1e-7": (np.poly([-1.0, -1.0 - 1e-7]), None),
+        "printed-quartic": ([1.0, 625.8, 1.382e4, 1.239e7, 7.349e6], None),
+        "motor-paper-den": (MOTOR_PAPER.den.coeffs, None),
+    }
+
+    @staticmethod
+    def _oracle(co, known):
+        if known is None:
+            return [(z, 1) for z in mpmath.polyroots(co, maxsteps=200,
+                                                     extraprec=300)]
+        product = [mpmath.mpf(1)]
+        for z, k in known:
+            for _ in range(k):
+                product = [a - z * b
+                           for a, b in zip(product + [0], [0] + product)]
+        assert product == co    # the float coefficients are exact
+        return [(mpmath.mpf(z), k) for z, k in known]
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_roots_within_conditioning_bound(self, name):
+        coeffs, known = self.CASES[name]
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            co = [mpmath.mpf(float(c)) for c in coeffs]
+            n = len(co) - 1
+            roots = poly_roots(coeffs)
+            assert len(roots) == n
+            oracle = self._oracle(co, known)
+            scale = sum(abs(c) for c in co)
+            for r in roots.tolist():
+                rm = mpmath.mpc(r)
+                assert abs(mpmath.polyval(co, rm)) <= \
+                    1e-9 * scale * max(1, abs(rm)) ** n
+                z, k = min(oracle, key=lambda zk: abs(rm - zk[0]))
+                if z == 0:
+                    assert r == 0
+                    continue
+                kappa = (mpmath.factorial(k)
+                         * sum(abs(c) * abs(z) ** (n - i)
+                               for i, c in enumerate(co))
+                         / (abs(mpmath.polyval(_mp_poly_derivative(co, k), z))
+                            * abs(z) ** k))
+                assert abs(rm - z) <= \
+                    abs(z) * (n * eps * kappa) ** (mpmath.mpf(1) / k)
 
 
 class TestFeedback:
@@ -374,6 +481,13 @@ class TestErrorConstants:
         assert ec.e_step == 0.0
         assert ec.Kv_vel == pytest.approx(1.0)
         assert ec.system_type == 1
+
+    def test_tiny_constant_term_is_type_zero(self):
+        # s^2 + 1e14 s + 1 was read as type 1 with Kp = inf
+        ec = error_constants(tf_from_text("num: 1 / den: 1 1e14 1"))
+        assert ec.system_type == 0
+        assert ec.Kp_pos == 1.0
+        assert ec.e_step == 0.5
 
     def test_ss_error_monotone_decreasing(self):
         g = TransferFunction([0.05], [0.1, 1.1, 1.0])

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import os
 from pathlib import Path
 import subprocess
 import sys
 
+from hypothesis import assume, given, strategies as st
 import mpmath
 import numpy as np
 import pytest
@@ -336,11 +338,37 @@ class TestOpenCircuitVoltage:
 
     def test_overflowing_start_raises(self):
         # both saturation currents are so small that I_ph / io overflows:
-        # Newton from an infinite start would return inf
+        # the open-circuit root lies far beyond the exponent cap
         cell = PvCellParams(I_ph=8.0, I_o1=1e-320, I_o2=1e-320, R_s=0.01,
                             R_p=100.0, a1=1.0, a2=2.0, T_c=298.0)
         with pytest.raises(pv.PvSolverError):
             open_circuit_voltage(PvArrayParams(cell, N_s=36))
+
+    @pytest.mark.parametrize("i_o", [1e-305, 3e-304])
+    def test_exponent_at_the_cap_raises(self, i_o):
+        # u_oc / Vt1 = ln(8 A / I_o) is 704 and 701: the current solve caps
+        # its exponents at 700 short of V_oc, so with I_o = 1e-305 the
+        # array carried 7.7 A at a 651 V "V_oc" and find_mpp reported a
+        # 5 kW maximum there
+        cell = PvCellParams(I_ph=8.0, I_o1=i_o, I_o2=i_o, R_s=0.01,
+                            R_p=100.0, a1=1.0, a2=2.0, T_c=298.0)
+        ap = PvArrayParams(cell, N_s=36)
+        for fn in (open_circuit_voltage, find_mpp):
+            with pytest.raises(PvSolverError, match="700"):
+                fn(ap)
+
+    def test_exponent_just_below_the_cap_solves(self):
+        # u_oc / Vt1 = 699.74: below the cap the current vanishes at V_oc
+        cell = PvCellParams(I_ph=8.0, I_o1=1e-303, I_o2=1e-303, R_s=0.01,
+                            R_p=100.0, a1=1.0, a2=2.0, T_c=298.0)
+        ap = PvArrayParams(cell, N_s=36)
+        voc = open_circuit_voltage(ap)
+        assert 699.0 < voc / 36 / thermal_voltage(1.0, 298.0) < 700.0
+        assert abs(array_current(ap, voc)) <= 1e-9
+
+    @pytest.mark.parametrize("i_o", [1e-10, 1e-6, 3.7e-9])
+    def test_saturation_law_is_exact_at_the_reference(self, i_o):
+        assert pv._saturation_at_temperature(i_o, pv.T_REFERENCE_K) == i_o
 
 
 def test_cli_import_loads_no_scipy():
@@ -381,6 +409,15 @@ class TestIvCurve:
         with pytest.raises(ValueError):
             iv_curve(default_array(), np.array([1.0, 0.5]))
 
+    @pytest.mark.parametrize("grid", [
+        [5.0, math.nan, 1.0], [0.0, math.nan], [math.nan], [0.0, math.inf],
+        [-math.inf, 0.0], [1.0, 1.0]])
+    def test_grid_must_be_finite_and_strictly_ascending(self, grid):
+        # a NaN fails every comparison, so [5, nan, 1] used to pass the
+        # ascending check and return a curve that runs backwards, [5, 1]
+        with pytest.raises(ValueError, match="finite and strictly ascending"):
+            iv_curve(default_array(), grid)
+
 
 class TestFindMpp:
     def test_matches_grid_scan_oracle(self):
@@ -398,6 +435,29 @@ class TestFindMpp:
         m = find_mpp(ap)
         assert m.P_mpp == 0.0
 
+    def test_result_has_no_unimodal_flag(self):
+        # P(V) is concave on [0, V_oc]: there is no second peak to flag
+        assert [f.name for f in dataclasses.fields(pv.MppResult)] == [
+            "V_mpp", "I_mpp", "P_mpp"]
+
+    @pytest.mark.parametrize("t_c", [250.0, 298.0, 340.0])
+    @pytest.mark.parametrize("g", [1.0, 50.0, 200.0, 600.0, 1000.0, 1500.0])
+    def test_matches_dense_grid_oracle(self, g, t_c):
+        # the grid's best point lies within one grid step of the true
+        # maximum, and the search's within half its 1e-4 V bracket
+        base = default_array(1000.0, t_c)
+        ap = base.at_irradiance(g)
+        voc = open_circuit_voltage(ap)
+        grid = np.linspace(0.0, voc, 4001)
+        cur, left_open = pv.array_current_lanes(base, grid, g)
+        assert left_open.size == 0
+        powers = grid * cur
+        k = int(np.argmax(powers))
+        m = find_mpp(ap)
+        assert abs(m.V_mpp - grid[k]) <= grid[1] + 0.5e-4
+        assert m.P_mpp >= powers[k] * (1.0 - 1e-8)
+        assert m.P_mpp == m.V_mpp * m.I_mpp
+
     def test_parallel_doubling_doubles_power(self):
         cell = PvCellParams(I_ph=8.0, I_o1=1e-10, I_o2=1e-6, R_s=0.0,
                             R_p=100.0, a1=1.0, a2=2.0, T_c=298.0)
@@ -405,6 +465,35 @@ class TestFindMpp:
         two = PvArrayParams(cell=cell, N_s=36, N_p=2)
         assert find_mpp(two).P_mpp == pytest.approx(
             2 * find_mpp(one).P_mpp, rel=1e-3)
+
+
+_log_uniform = lambda lo, hi: st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+@given(cell=st.builds(PvCellParams, I_ph=st.floats(0.1, 10.0),
+                      I_o1=_log_uniform(-12, -6), I_o2=_log_uniform(-10, -4),
+                      R_s=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+                      R_p=_log_uniform(0, 4), a1=st.floats(0.5, 3.0),
+                      a2=st.floats(0.5, 3.0), T_c=st.floats(50.0, 400.0)),
+       n_s=st.sampled_from([1, 36, 72]), n_p=st.sampled_from([1, 2]))
+def test_power_is_concave_up_to_voc(cell, n_s, n_p):
+    """find_mpp's premise: below the exponent cap, which
+    open_circuit_voltage checks, P(V) is concave on [0, V_oc], so its
+    second differences on a grid are never positive and the search
+    finds the grid's peak."""
+    ap = PvArrayParams(cell, N_s=n_s, N_p=n_p)
+    try:
+        voc = open_circuit_voltage(ap)
+    except PvSolverError:
+        assume(False)
+    v = np.linspace(0.0, voc, 401)
+    cur, left_open = pv.array_current_lanes(ap, v, ap.irradiance_G_T)
+    for j in left_open.tolist():    # lanes left to the scalar solve
+        cur[j] = array_current(ap, v[j])
+    powers = v * cur
+    assert np.all(np.diff(powers, 2) <= 0.0)
+    m = find_mpp(ap)
+    assert abs(m.V_mpp - v[int(np.argmax(powers))]) <= v[1] + 0.5e-4
 
 
 class TestEfficiency:
@@ -460,6 +549,27 @@ class TestParamValidation:
     def test_nonfinite_array_field(self, field, x):
         with pytest.raises(ValueError):
             PvArrayParams(cell=default_array().cell, **{field: x})
+
+    def test_dark_array_cannot_be_lit_again(self):
+        # the dark array's 0 A was taken as its 1000 W/m2 photocurrent,
+        # so lighting it again gave 0 A
+        dark = default_array(0.0)
+        with pytest.raises(ValueError, match="dark array"):
+            dark.at_irradiance(1000.0)
+        with pytest.raises(ValueError, match="dark array"):
+            pv.array_current_lanes(dark, 10.0, np.array([1000.0]))
+
+    def test_lit_cell_at_zero_irradiance_rejected(self):
+        # its 8 A used to be scaled as a 1000 W/m2 value: 4 A at 500
+        with pytest.raises(ValueError,
+                           match="I_ph = 8 A at irradiance_G_T = 0"):
+            PvArrayParams(default_array().cell, N_s=36, irradiance_G_T=0.0)
+
+    def test_lit_arrays_scale_as_before(self):
+        ap = default_array(250.0)
+        assert ap.at_irradiance(500.0).cell.I_ph == \
+            ap.cell.I_ph / (250.0 / 1000.0) * 500.0 / 1000.0
+        assert ap.at_irradiance(0.0).cell.I_ph == 0.0
 
 
 class TestCurrentLanes:
