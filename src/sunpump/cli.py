@@ -25,7 +25,7 @@ import numpy as np
 from . import csvio, mppt, pv, validation
 from .config import ANALYSIS_KINDS, parse_config, parse_gains
 from .lti import (NotSettledError, error_constants, frequency_response,
-                  poly_roots, root_locus, routh_table, ss_error_vs_gain,
+                  root_locus, routh_table, ss_error_vs_gain,
                   stability_margins, stability_verdict_from_roots,
                   step_metrics, step_response, tf_feedback_gain, tf_from_text)
 from .plants import PRESETS, preset
@@ -89,13 +89,16 @@ def _cmd_pv_curve(args):
         raise UsageError("point count must be >= 0")
     ap = pv.default_array(args.g_t, t_c=args.t_c)
     voc = pv.open_circuit_voltage(ap)
-    grid = np.linspace(0.0, voc, args.points)
-    curve = pv.iv_curve(ap, grid)
+    if voc > 0:
+        curve = pv.iv_curve(ap, np.linspace(0.0, voc, args.points))
+        columns = [curve.voltages, curve.currents, curve.powers]
+    else:
+        # a dark array carries no current: its curve is the point 0 V, 0 A
+        columns = [np.zeros(min(args.points, 1))] * 3
     path = _out_path(args, "pv_curve.csv")
-    csvio.emit_csv(["v", "i", "p"],
-                   [curve.voltages, curve.currents, curve.powers], path)
+    csvio.emit_csv(["v", "i", "p"], columns, path)
     m = pv.find_mpp(ap)
-    print(f"wrote {path} ({len(curve.voltages)} points, Voc = {voc:.3f} V)")
+    print(f"wrote {path} ({len(columns[0])} points, Voc = {voc:.3f} V)")
     print(f"MPP: V = {m.V_mpp:.3f} V, I = {m.I_mpp:.3f} A, "
           f"P = {m.P_mpp:.2f} W")
     return 0
@@ -202,20 +205,27 @@ def _cmd_tf(args):
     tf = _resolve_tf(args)
     mode = args.mode
     if mode == "analyze":
-        poles = poly_roots(tf.den)
+        poles = tf.poles()
         print(f"system: num degree {tf.num.degree}, den degree "
               f"{tf.den.degree}, proper: {tf.proper}")
         print(f"DC gain: {tf.dc_gain() if abs(tf.den(0)) > 0 else 'inf'}")
         print("poles:", ", ".join(f"{p:.6g}" for p in poles))
         if tf.num.degree >= 1:
-            print("zeros:", ", ".join(f"{z:.6g}" for z in poly_roots(tf.num)))
-        print("routh verdict:", routh_table(tf.den).verdict)
-        print("root-sign verdict:", stability_verdict_from_roots(tf.den))
+            print("zeros:", ", ".join(f"{z:.6g}" for z in tf.zeros()))
+        if poles.size:
+            print("routh verdict:", routh_table(tf.den).verdict)
+            print("root-sign verdict:", stability_verdict_from_roots(tf.den))
+        else:
+            print("verdict: stable (no poles)")
         return 0
+    if mode in ("routh", "rlocus") and tf.den.degree < 1:
+        what = "a static gain" if tf.proper else "a polynomial"
+        raise ValueError(f"tf {mode} needs poles, and {what} (den degree 0) "
+                         f"has none")
     if mode == "step":
         t_end = args.t_end
         if t_end is None:
-            poles = poly_roots(tf.den)
+            poles = tf.poles()
             stable = poles[poles.real < -1e-12]
             t_end = 8.0 / abs(stable.real.max()) if stable.size else 10.0
         closed = tf_feedback_gain(tf, 1.0) if args.closed else tf

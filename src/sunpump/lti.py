@@ -112,6 +112,8 @@ class TransferFunction:
         return self.num(0.0) / self.den(0.0)
 
     def poles(self):
+        if self.den.degree < 1:
+            return np.array([], dtype=complex)
         return poly_roots(self.den)
 
     def zeros(self):

@@ -20,8 +20,16 @@ and runs the same move kernel over the block on arrays, with the same
 IEEE operations.  The block is kept up to and including the first
 step whose next voltage leaves the prediction, and the walk goes back
 to scalar steps from there; a block that checks out doubles the next
-one (8 steps, up to 4096).  Every current and every decision is the
+one (128 steps, up to 4096).  Every current and every decision is the
 scalar loop's, bit for bit.
+
+A monotone rise repeats its move too, and 128 steps of +0.5 V would
+predict 64 V above the start, far past the open-circuit voltage, where
+the lane Newton needs ever more iterations (68 at 80 V) and soon leaves
+its lanes to the scalar solve.  A block therefore ends before its first
+predicted voltage above ``max(V_ref, V_oc)``, with V_oc taken at the
+block's brightest irradiance; a block cut to its first step is a
+scalar step.  The cut only moves steps between two bit-identical paths.
 """
 
 from dataclasses import dataclass
@@ -33,7 +41,7 @@ from . import pv
 
 # steps in the first block after scalar steps; each block that checks
 # out doubles the next, up to the maximum
-_BLOCK_MIN = 8
+_BLOCK_MIN = 128
 _BLOCK_MAX = 4096
 
 D_MAX = 0.95          # largest boost duty the converter is driven at
@@ -190,10 +198,18 @@ def mppt_run(ap, algo, st0, steps, irradiance):
     size = _BLOCK_MIN
     k = 0
     while k < steps:
+        n = 0
         if len(moves) == 8 and moves[:4] == moves[4:]:
             n = min(size, steps - k)
             vs = np.add.accumulate(np.concatenate(([v],
                                                    np.resize(moves[4:], n))))
+            # cut the block before its first voltage past the bound; a
+            # block cut to its first step is a scalar step
+            past = np.flatnonzero(vs[1:n] > _voc_bound(ap, v, g[k:k + n]))
+            if past.size:
+                n = int(past[0]) + 1 if past[0] else 0
+                vs = vs[:n + 1]
+        if n:
             i = _currents(ap, vs[:n], g[k:k + n])
             before = np.concatenate(([v_prev], vs[:n - 1]))
             with np.errstate(all="ignore"):
@@ -246,6 +262,16 @@ def _or_zero(current, *args):
         return current(*args)
     except pv.PvSolverError:
         return 0.0
+
+
+def _voc_bound(ap, v, g):
+    """The highest voltage a block may predict from ``V_ref = v`` over
+    the irradiances ``g`` (module docstring): v, or the open-circuit
+    voltage at the brightest finite irradiance of ``g`` if higher.  A
+    NaN, infinite or negative irradiance is left to its own step, which
+    raises the scalar loop's error."""
+    g_top = np.fmax.reduce(g, initial=0.0, where=np.isfinite(g))
+    return max(v, pv.open_circuit_voltage(ap.at_irradiance(float(g_top))))
 
 
 def _currents(ap, v, g):

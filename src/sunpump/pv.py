@@ -21,10 +21,15 @@ a voltage with an irradiance (or share one voltage), with the scalar
 operations in the same order and numpy's exp on floats and lanes alike,
 so every settled lane is bit-identical to
 ``array_current(ap.at_irradiance(g), v)``.  The MPPT harvest solves each
-step of a block at its own predicted voltage with it.
+step of a block at its own predicted voltage with it.  The thermal
+voltages and saturation currents depend on the cell and its temperature
+only, so they are computed once per cell (:func:`_diode_constants`), and
+``at_irradiance`` builds its array without checking again what it did
+not change.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -125,9 +130,24 @@ class PvArrayParams:
     def at_irradiance(self, g_t):
         """Same array with photocurrent scaled linearly to irradiance."""
         c = self.cell
-        cell = PvCellParams(self.photocurrent(g_t), c.I_o1, c.I_o2, c.R_s,
-                            c.R_p, c.a1, c.a2, c.T_c)
+        i_ph = self.photocurrent(g_t)
+        if 0.0 <= g_t < math.inf and 0.0 <= i_ph < math.inf:
+            # only I_ph and the irradiance change, and both pass the
+            # checks the constructors would make
+            return _replace_unchecked(
+                self, cell=_replace_unchecked(c, I_ph=i_ph),
+                irradiance_G_T=g_t)
+        cell = PvCellParams(i_ph, c.I_o1, c.I_o2, c.R_s, c.R_p, c.a1, c.a2,
+                            c.T_c)
         return PvArrayParams(cell, self.N_s, self.N_p, self.area_A, g_t)
+
+
+def _replace_unchecked(obj, **changes):
+    """``dataclasses.replace`` without the checks of ``__post_init__``,
+    for changes known to pass them."""
+    new = object.__new__(type(obj))
+    new.__dict__.update(vars(obj), **changes)
+    return new
 
 
 def default_array(g_t=1000.0, t_c=T_REFERENCE_K):
@@ -150,42 +170,44 @@ def _saturation_at_temperature(i_o_ref, t_c):
     return i_o_ref * (t_c / T_REFERENCE_K) ** 3 * math.exp(expo)
 
 
+@functools.lru_cache(maxsize=64)
+def _diode_constants(a1, a2, t_c, i_o1, i_o2):
+    """The thermal voltages and temperature-scaled saturation currents
+    ``(Vt1, Vt2, I_o1(T), I_o2(T))`` of a cell; they do not depend on
+    the irradiance, so a harvest computes them once."""
+    return (thermal_voltage(a1, t_c), thermal_voltage(a2, t_c),
+            _saturation_at_temperature(i_o1, t_c),
+            _saturation_at_temperature(i_o2, t_c))
+
+
 def _array_mismatch(p, n_s, n_p, v, i_ph=None):
     """
     The mismatch f(I) = I - RHS(I) at array voltage ``v`` and its slope,
-    as one function ``I -> (f, df/dI)`` with the thermal voltages and
-    saturation currents computed once.  f is strictly increasing and
+    as one function ``I -> (f, df/dI)``.  f is strictly increasing and
     convex in I and zero at the solution.  The exponents are capped at
     700 so that f stays finite on any bracket.
 
     ``i_ph``, an array of cell photocurrents in place of ``p.I_ph``,
     makes the function act on arrays of currents, one lane per
     photocurrent, with the same operations in the same order; ``v`` may
-    then be an array too, one voltage per lane.  The function then takes
-    an optional second argument, the indices of the lanes its currents
-    belong to (all lanes by default).
+    then be an array too, one voltage per lane.
     """
     if i_ph is None:
         i_ph, exp, cap = p.I_ph, lambda x: float(np.exp(x)), min
     else:
         exp, cap = np.exp, np.minimum
-    vt1 = thermal_voltage(p.a1, p.T_c)
-    vt2 = thermal_voltage(p.a2, p.T_c)
-    io1 = _saturation_at_temperature(p.I_o1, p.T_c)
-    io2 = _saturation_at_temperature(p.I_o2, p.T_c)
+    vt1, vt2, io1, io2 = _diode_constants(p.a1, p.a2, p.T_c, p.I_o1, p.I_o2)
     v_cell = v / n_s
     r_s = p.R_s
     du_di = r_s / n_p
     i_ph = n_p * i_ph
     k1, k2, g_p = n_p * io1, n_p * io2, n_p / p.R_p
 
-    def f_df(i, lanes=None):
-        vc, iph = (v_cell, i_ph) if lanes is None else \
-            (v_cell[lanes], i_ph[lanes])
-        u = vc + i * r_s / n_p
+    def f_df(i):
+        u = v_cell + i * r_s / n_p
         e1 = exp(cap(u / vt1, 700.0))
         e2 = exp(cap(u / vt2, 700.0))
-        f = i - (iph - k1 * (e1 - 1.0) - k2 * (e2 - 1.0) - g_p * u)
+        f = i - (i_ph - k1 * (e1 - 1.0) - k2 * (e2 - 1.0) - g_p * u)
         return f, 1.0 + du_di * (k1 * e1 / vt1 + k2 * e2 / vt2 + g_p)
     return f_df
 
@@ -264,26 +286,26 @@ def array_current_lanes(ap, v_a, g_t):
     p, n_s, n_p = ap.cell, ap.N_s, ap.N_p
     i_ph = ap.photocurrent(np.asarray(g_t, dtype=float))
     v, i_ph = np.broadcast_arrays(np.asarray(v_a, dtype=float), i_ph)
-    out = np.full(i_ph.shape, np.nan)
-    ok = i_ph >= 0.0
-    lanes = np.flatnonzero(ok)
+    bad = ~(i_ph >= 0.0)
     with np.errstate(all="ignore"):
-        f_df = _array_mismatch(p, n_s, n_p, v[lanes], i_ph[lanes])
+        f_df = _array_mismatch(p, n_s, n_p, v, i_ph)
         if p.R_s == 0.0:
-            out[lanes] = -f_df(np.zeros(lanes.size))[0]
-            return out, np.flatnonzero(~ok)
-        # the lanes still iterating, as indices into ``lanes``
-        left = np.arange(lanes.size)
-        i = n_p * i_ph[lanes] + 1.0
-        for _ in range(_NEWTON_MAX_ITER):
-            if left.size == 0:
-                break
-            f, df = f_df(i, left)
-            i = i - f / df
-            done = np.abs(f) <= _NEWTON_TOL_A
-            out[lanes[left[done]]] = i[done]
-            left, i = left[~done], i[~done]
-    return out, np.sort(np.concatenate([np.flatnonzero(~ok), lanes[left]]))
+            i, left = -f_df(np.zeros(i_ph.shape))[0], bad
+        else:
+            # every lane iterates; a lane keeps the step from the
+            # iterate it settles at, and the rest of the work is thrown
+            # away for it
+            left = ~bad
+            i = n_p * i_ph + 1.0
+            for _ in range(_NEWTON_MAX_ITER):
+                f, df = f_df(i)
+                i = np.where(left, i - f / df, i)
+                left &= ~(np.abs(f) <= _NEWTON_TOL_A)
+                if not left.any():
+                    break
+            left |= bad
+    i[left] = np.nan
+    return i, np.flatnonzero(left)
 
 
 def open_circuit_voltage(ap):
@@ -301,10 +323,7 @@ def open_circuit_voltage(ap):
     p = ap.cell
     if p.I_ph <= 0:
         return 0.0
-    io1 = _saturation_at_temperature(p.I_o1, p.T_c)
-    io2 = _saturation_at_temperature(p.I_o2, p.T_c)
-    vt1 = thermal_voltage(p.a1, p.T_c)
-    vt2 = thermal_voltage(p.a2, p.T_c)
+    vt1, vt2, io1, io2 = _diode_constants(p.a1, p.a2, p.T_c, p.I_o1, p.I_o2)
     # a start clamped to the cap stays right of any root below it, so
     # Newton leaves it exactly when the root lies at or beyond the cap
     u_cap = 700.0 * min(vt1, vt2)

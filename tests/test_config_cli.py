@@ -351,6 +351,19 @@ class TestCliExitCodes:
                      str(tmp_path)]) == 0
         assert (tmp_path / "pv_curve.csv").read_text() == "v,i,p\n"
 
+    @pytest.mark.parametrize("t_c", ["250", "298", "340"])
+    @pytest.mark.parametrize("points, rows", [("200", "0,0,0\n"),
+                                              ("1", "0,0,0\n"), ("0", "")])
+    def test_dark_curve_is_the_origin(self, tmp_path, capsys, t_c, points,
+                                      rows):
+        # V_oc = 0 in the dark, so the grid used to be 200 zeros, which
+        # iv_curve refuses (exit 3)
+        assert main(["pv-curve", "--g-t", "0", "--t-c", t_c, "--points",
+                     points, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "pv_curve.csv").read_text() == "v,i,p\n" + rows
+        out = capsys.readouterr().out
+        assert "Voc = 0.000 V" in out and "P = 0.00 W" in out
+
     def test_unknown_preset(self, capsys):
         assert main(["tf", "analyze", "--preset", "nope"]) == 1
 
@@ -556,6 +569,30 @@ class TestCliCommands:
         assert main(["tf", "analyze", "--tf-text",
                      "num: 1 / den: 1 1e14"]) == 0
         assert "poles: -1e+14" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("closed, y", [([], "2"),
+                                           (["--closed"], "0.666666667")])
+    def test_tf_step_of_a_static_gain(self, tmp_path, capsys, closed, y):
+        # poles() used to raise for den degree 0 (exit 3)
+        assert main(["tf", "step", *closed, "--tf-text", "num: 2 / den: 1",
+                     "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "step.csv").read_text().splitlines()
+        assert len(lines) == 2002
+        assert {row.split(",")[1] for row in lines[1:]} == {y}
+
+    def test_tf_analyze_of_a_static_gain(self, capsys):
+        assert main(["tf", "analyze", "--tf-text", "num: 2 / den: 1"]) == 0
+        out = capsys.readouterr().out
+        assert "DC gain: 2.0" in out
+        assert "poles: \n" in out and "verdict: stable (no poles)" in out
+
+    @pytest.mark.parametrize("mode", ["routh", "rlocus"])
+    def test_tf_without_poles_names_the_static_gain(self, tmp_path, capsys,
+                                                    mode):
+        assert main(["tf", mode, "--tf-text", "num: 2 / den: 1",
+                     "--out", str(tmp_path)]) == 3
+        assert "a static gain (den degree 0) has none" in \
+            capsys.readouterr().err
 
     def test_tf_errors_keeps_small_constant_term(self, capsys):
         assert main(["tf", "errors", "--tf-text",

@@ -245,6 +245,15 @@ class TestStepResponse:
         with pytest.raises(ImproperSystemError):
             step_response(TransferFunction([1.0, 0.0, 0.0], [1.0, 1.0]), 1.0)
 
+    @pytest.mark.parametrize("k, want", [(0.0, 2.0), (1.0, 2.0 / 3.0)])
+    def test_static_gain(self, k, want):
+        # 2 / 1 has no poles, which used to make poles() raise
+        tf = tf_feedback_gain(TransferFunction([2.0], [1.0]), k)
+        assert tf.poles().size == 0 and tf.poles().dtype == complex
+        tr = step_response(tf, 10.0)
+        assert tr.t.size == 2001 and not tr.diverged
+        assert np.all(tr.y == want)
+
     @pytest.mark.parametrize("name, t_end, dt", [
         ("t_end", -5.0, None), ("t_end", 0.0, None), ("t_end", -0.0, None),
         ("t_end", math.nan, None), ("t_end", math.inf, None),

@@ -366,7 +366,7 @@ class TestBlockSizeIsOnlySpeed:
     which as lanes, never the run."""
 
     @pytest.mark.parametrize("name", sorted(HARVESTS))
-    @pytest.mark.parametrize("block_min", [1, 8, 256])
+    @pytest.mark.parametrize("block_min", [1, 8, 64, 256])
     def test_run_equal(self, name, block_min, monkeypatch):
         want = shipped_block_harvest(name)
         monkeypatch.setattr(mppt, "_BLOCK_MIN", block_min)
@@ -494,10 +494,97 @@ class TestLatticeRunMatchesScalarLoop:
         with pytest.raises(ValueError, match="photocurrent"):
             mppt_run(ap, "po", initial_state(15.0, 0.5), 50, irradiance=g)
 
+    @pytest.mark.parametrize("bad", [[-1.0], [math.nan], [math.inf],
+                                     [-1.0, math.nan], [-1.0, math.inf]])
+    @pytest.mark.parametrize("at", [3, 30, 298])
+    def test_bad_irradiance_raises_the_scalar_loops_error(self, bad, at):
+        # bad steps in a scalar stretch or inside a block, whose V_oc
+        # bound must not fail first: the run raises what the step-by-step
+        # loop raises at the first of them
+        ap = default_array(1000.0)
+        g = np.full(300, 500.0)
+        g[at:at + len(bad)] = bad
+        st0 = initial_state(15.0, 0.5)
+        with pytest.raises(ValueError) as want:
+            scalar_mppt_run(ap, "po", st0, g)
+        with pytest.raises(ValueError) as got:
+            mppt_run(ap, "po", st0, len(g), irradiance=g)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.fixture
+def lane_calls(monkeypatch):
+    """The voltages of each ``array_current_lanes`` call, the count of
+    lanes each left open, and the (irradiance, voltage) of each scalar
+    solve."""
+    calls = {"lanes": [], "open": [], "scalar": []}
+    lanes, scalar = pv.array_current_lanes, pv.array_current
+
+    def spied_lanes(ap, v, g):
+        cur, left_open = lanes(ap, v, g)
+        calls["lanes"].append(np.array(v, dtype=float))
+        calls["open"].append(left_open.size)
+        return cur, left_open
+
+    def spied_scalar(ap, v):
+        calls["scalar"].append((ap.irradiance_G_T, v))
+        return scalar(ap, v)
+    monkeypatch.setattr(pv, "array_current_lanes", spied_lanes)
+    monkeypatch.setattr(pv, "array_current", spied_scalar)
+    return calls
+
+
+class TestBlocksStopAtOpenCircuit:
+    """A block predicts no voltage past the open-circuit voltage at its
+    brightest irradiance (or past ``V_ref``, if that is higher): the
+    lane Newton needs ever more iterations there."""
+
+    def test_rise_is_cut_mid_block(self, lane_calls):
+        # IC climbs from 5 V by +0.5 V a step; after 8 scalar steps the
+        # first block at 9 V would predict 128 voltages up to 72.5 V,
+        # but is cut after 23.0 V, the last at or below V_oc
+        ap = default_array(1000.0)
+        voc = pv.open_circuit_voltage(ap)
+        assert 23.0 <= voc < 23.5
+        run = compare(ap, "ic", initial_state(5.0, 0.5), np.full(200, 1000.0))
+        assert run.v_ref[:9].tolist() == [5.0 + 0.5 * k for k in range(9)]
+        first = lane_calls["lanes"][0]
+        assert first.tolist() == [9.0 + 0.5 * k for k in range(29)]
+        assert max(v.max() for v in lane_calls["lanes"]) <= voc
+
+    def test_cut_at_the_first_step_solves_it_alone(self, lane_calls):
+        # the same climb, but from step 8 on the sun is nearly gone and
+        # V_oc is a few mV: the block at 9 V keeps only its first step,
+        # which runs as a scalar step, and no lane goes past 9 V
+        ap = default_array(1000.0)
+        g = np.full(200, 1e-3)
+        g[:8] = 1000.0
+        run = compare(ap, "ic", initial_state(5.0, 0.5), g)
+        assert run.v_ref[8] == 9.0
+        assert pv.open_circuit_voltage(ap.at_irradiance(1e-3)) < 0.1
+        assert lane_calls["scalar"][8] == (1e-3, 9.0)
+        assert all(v.max() <= 9.0 for v in lane_calls["lanes"])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cloudy_ic_day_leaves_no_lane_open(self, seed, lane_calls):
+        # a dim dawn drags IC down to 8 V; the climb back runs 20 steps
+        # and more, and each block of it stops at V_oc, where the lane
+        # Newton settles every lane
+        ap = default_array(1000.0)
+        st0 = initial_state(0.8 * pv.open_circuit_voltage(ap), 0.5)
+        g = np.concatenate([1e-6 * (1.0 + np.arange(20)),
+                            cloudy_irradiance(seed, 3000)])
+        run = mppt_run(ap, "ic", st0, len(g), irradiance=g)
+        rises = (np.diff(run.v_ref) > 0.0).astype(int)
+        assert np.convolve(rises, np.ones(16, dtype=int)).max() == 16
+        assert len(lane_calls["lanes"]) > 50
+        assert sum(lane_calls["open"]) == 0
+
 
 def harvest_irradiance():
-    """Irradiance sequences of 1 to 400 steps: constant, ramps, cloud
-    edges, and dawns of 1e-6 W/m2 steps after a dark (0) stretch."""
+    """Irradiance sequences of 1 to 400 steps: constant, ramps, sunrises
+    (geometric rises, which drive P&O up past V_oc), cloud edges, and
+    dawns of 1e-6 W/m2 steps after a dark (0) stretch."""
     n = st.integers(1, 400)
     level = st.one_of(st.sampled_from([0.0, 1e-6, 5e-3, 123.456, 1000.0]),
                       st.floats(0.0, 1200.0))
@@ -506,6 +593,8 @@ def harvest_irradiance():
     return st.one_of(
         st.builds(np.full, n, level),
         st.builds(np.linspace, level, level, n),
+        st.builds(np.geomspace, st.floats(1e-6, 10.0),
+                  st.floats(100.0, 1200.0), n),
         edges.map(lambda segs: np.concatenate([np.full(k, x)
                                                for k, x in segs])),
         st.builds(lambda n, dark: np.where(np.arange(n) < dark, 0.0,
@@ -514,9 +603,11 @@ def harvest_irradiance():
 
 
 def harvest_start():
-    """Starts at 0.0, -0.0 or a finite voltage, with an odd step too,
-    fresh or from a flagged state."""
-    v0 = st.one_of(st.sampled_from([0.0, -0.0, 5.0]), st.floats(-5.0, 25.0))
+    """Starts at 0.0, -0.0 or a finite voltage, below or above V_oc
+    (23.18 V at 1000 W/m2), with an odd step too, fresh or from a
+    flagged state."""
+    v0 = st.one_of(st.sampled_from([0.0, -0.0, 5.0, 23.0, 40.0]),
+                   st.floats(-5.0, 60.0))
     dv = st.one_of(st.sampled_from([0.5, 0.1, 0.3, 1.0 / 3.0]),
                    st.floats(1e-3, 2.0))
     flagged = st.builds(
