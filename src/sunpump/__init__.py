@@ -8,8 +8,7 @@ from .pv import (PvCellParams, PvArrayParams, default_array, array_current,
                  iv_curve, find_mpp, thermal_voltage)
 from .solar import (SunPosition, TrackerOrientation, declination,
                     zenith_and_elevation, angle_of_incidence,
-                    incidence_direction, quartic_even_roots,
-                    optimal_orientation)
+                    incidence_direction, optimal_orientation)
 from .mppt import MpptState, po_step, ic_step, mppt_run
 from .tracking import tracking_step, tracking_sim
 from .plants import (MotorParams, PidParams, TankParams, ValveParams,

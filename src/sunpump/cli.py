@@ -107,8 +107,8 @@ def _cmd_pv_curve(args):
 def _cmd_solar_angles(args):
     st0, st1, n = _parse_span(args.hour_angles)
     az0, az1 = _parse_span(args.azimuth, 2)
-    if not 0 <= n < np.inf:   # NaN fails this too
-        raise UsageError(f"hour-angle count must be finite and >= 0, "
+    if not 0 <= n < np.inf or n != int(n):   # NaN fails the first test
+        raise UsageError(f"hour-angle count must be a whole number >= 0, "
                          f"got {n:g}")
     n = int(n)
     delta = declination(args.day)

@@ -613,12 +613,19 @@ def stability_margins(fr):
     """
     Margins read off an open-loop frequency response.
 
-    Gain margin is taken at the phase = -180 deg crossing, phase margin
-    at the 0 dB crossing; crossings are located by log-linear
+    Gain margin is taken at every crossing of a phase of -180 + k 360 deg
+    that the unwrapped phase spans, phase margin at the 0 dB crossing,
+    reduced into [-180, 180] deg; crossings are located by log-linear
     interpolation.  When several crossings exist the smallest margin is
     reported.  Absent crossings leave the corresponding fields None.
     """
     logw = np.log(fr.omegas)
+    span = fr.phase_deg[np.isfinite(fr.phase_deg)]
+    levels = []
+    if span.size:
+        levels = [-180.0 + 360.0 * k
+                  for k in range(math.ceil((span.min() + 180.0) / 360.0),
+                                 math.floor((span.max() + 180.0) / 360.0) + 1)]
 
     def interp(arr, pos):
         i = int(math.floor(pos))
@@ -628,13 +635,14 @@ def stability_margins(fr):
         return arr[i] * (1 - frac) + arr[i + 1] * frac
 
     gm = gmf = pm = pmf = None
-    for pos in _crossings(fr.phase_deg, -180.0):
+    for pos in (p for level in levels
+                for p in _crossings(fr.phase_deg, level)):
         cand = -interp(fr.magnitude_db, pos)
         if gm is None or cand < gm:
             gm = cand
             gmf = math.exp(interp(logw, pos))
     for pos in _crossings(fr.magnitude_db, 0.0):
-        cand = 180.0 + interp(fr.phase_deg, pos)
+        cand = math.remainder(180.0 + interp(fr.phase_deg, pos), 360.0)
         if pm is None or abs(cand) < abs(pm):
             pm = cand
             pmf = math.exp(interp(logw, pos))

@@ -1,6 +1,7 @@
 """
-Solar position angles, tracker orientation geometry, and the closed-form
-optimal tracker orientation.
+Solar position angles, tracker orientation geometry, and the optimal
+tracker orientation as the closed-form inverse of the sun's projections
+on the tracker frame.
 
 Angle conventions (all degrees at the API surface):
 
@@ -58,8 +59,8 @@ def declination(n):
 
 def zenith_and_elevation(l_st, delta, st):
     """
-    Zenith and elevation angles from latitude-like angle, declination and
-    hour angle (all degrees).
+    Zenith and elevation angles from latitude-like angle (in [-90, 90]),
+    declination and hour angle (all degrees).
 
     Returns
     -------
@@ -67,6 +68,8 @@ def zenith_and_elevation(l_st, delta, st):
     """
     if not all(map(math.isfinite, (l_st, delta, st))):
         raise ValueError("solar angles must be finite")
+    if not -90.0 <= l_st <= 90.0:
+        raise ValueError("latitude must lie in [-90, 90]")
     arg = (math.sin(_d(l_st)) * math.sin(_d(delta))
            + math.cos(_d(l_st)) * math.cos(_d(delta)) * math.cos(_d(st)))
     if abs(arg) > 1.0 + 1e-12:
@@ -116,86 +119,6 @@ def incidence_direction(sp, to):
     return math.degrees(math.atan2(s_x, s_z))
 
 
-@dataclass(frozen=True)
-class QuarticCoeffs:
-    """Even quartic a w^4 + b w^2 + c with its generating intermediates."""
-
-    a: float
-    b: float
-    c: float
-    C: float
-    N: float
-    D: float
-    A: float
-
-
-def orientation_quartic(sp, alpha_target, beta_target):
-    """Coefficients of the even quartic whose roots give cos(theta_TE)."""
-    C = math.cos(_d(sp.theta_SE))
-    N = math.sin(_d(sp.theta_SE))
-    D = math.tan(_d(beta_target))
-    A = math.cos(_d(alpha_target))
-    a = (D * D * A * A + 1.0) ** 2
-    b = -2.0 * (D * D + 1.0) * (A ** 4 * D * D - A * A * D * D * N * N
-                                - 2.0 * A * A * N * N + A * A + N * N)
-    c = (D * D + 1.0) ** 2 * (A * A - N * N) ** 2
-    return QuarticCoeffs(a, b, c, C, N, D, A)
-
-
-def quartic_even_roots(qc):
-    """
-    Real roots of ``a w^4 + b w^2 + c`` via the substitution u = w^2.
-
-    Slightly negative u (>= -1e-12 after scaling) is clamped to zero;
-    each returned root is verified against the quartic residual.
-    """
-    a, b, c = qc.a, qc.b, qc.c
-    scale = abs(a) + abs(b) + abs(c)
-    if scale == 0.0:
-        return []
-    if a == 0.0:
-        us = [] if b == 0.0 else [-c / b]
-    else:
-        disc = b * b - 4.0 * a * c
-        if disc < -1e-9 * max(b * b, abs(4.0 * a * c), 1e-300):
-            return []
-        disc = max(disc, 0.0)
-        sq = math.sqrt(disc)
-        us = [(-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a)]
-    roots = []
-    for u in us:
-        if u < -1e-12:
-            continue
-        w = math.sqrt(max(u, 0.0))
-        for r in {w, -w}:
-            residual = abs(a * r ** 4 + b * r * r + c)
-            if residual < 1e-8 * scale:
-                roots.append(r)
-    return sorted(roots)
-
-
-def _candidates_from_roots(sp, qc, roots):
-    """Orientation candidates from each quartic root R = cos(theta_TE)."""
-    C, N, D, A = qc.C, qc.N, qc.D, qc.A
-    cands = []
-    if abs(C) < 1e-9 or abs(N) < 1e-9 or abs(A) < 1e-9:
-        return cands
-    for r in roots:
-        if abs(r) < 1e-12:
-            continue
-        dd = D * D
-        f = (dd * A * A + dd * N * N + A * A + N * N
-             - r * r * (dd * A * A + 1.0)) / (2.0 * A * N * (dd + 1.0))
-        g = D * (dd * N * N - dd * A * A + N * N - A * A
-                 + r * r * (dd * A * A + 1.0)) / ((dd + 1.0) * C * N * r)
-        h = (A * A + dd * A * A - N * N - dd * N * N
-             + r * r * (dd * A * A + 1.0)) / ((dd + 1.0) * C * A * r)
-        theta_te = math.degrees(math.atan2(f, r))
-        theta_ta = sp.theta_SA - math.degrees(math.atan2(g, h))
-        cands.append(TrackerOrientation(theta_te, theta_ta))
-    return cands
-
-
 def _target_error(sp, to, alpha_target, beta_target):
     """Max-norm achieved-vs-target error; beta ignored for tiny alpha."""
     a_ach = angle_of_incidence(sp, to)
@@ -210,10 +133,8 @@ def _target_error(sp, to, alpha_target, beta_target):
     return max(err_a, err_b)
 
 
-# the fallback grid's refined pitch, and the error above which the
-# closed-form orientation gives way to it, degrees
+# the refined pitch of the grid that answers unreachable targets, degrees
 _GRID_STEP_DEG = 0.1
-_MAX_ERROR_DEG = 0.5
 
 
 def _grid_errors(sp, alpha_target, beta_target, te_deg, ta_deg):
@@ -251,39 +172,50 @@ def _grid_minimize(sp, alpha_target, beta_target):
 class OrientationSolution:
     orientation: TrackerOrientation
     achieved_error_deg: float
-    analytic: bool   # False when the grid fallback produced the answer
+    analytic: bool   # False when the target is unreachable: the grid answer
 
 
 def optimal_orientation(sp, alpha_target, beta_target):
     """
     Tracker orientation achieving a requested (alpha, beta).
 
-    The closed-form path evaluates every real root of the even quartic
-    and keeps the candidate whose achieved incidence pair is closest to
-    the targets (max-norm).  If no candidate lands within 0.5 degrees
-    (``_MAX_ERROR_DEG``) the answer falls back to a 0.1-degree
-    brute-force grid minimization and is flagged non-analytic.
+    The target fixes the sun's projections on the tracker frame,
+    ``(s_x, s_y, s_z) = (sin a sin b, cos a, sin a cos b)``, and the
+    orientation follows by inverting :func:`sun_on_frame`:
+    ``s_x = cos(se) sin(dazi)`` gives the azimuth difference up to the
+    sign of ``cos(dazi)``, and ``(s_y, s_z)`` is ``(cos(se) cos(dazi),
+    sin(se))`` turned by the tracker elevation.  The two signs are the
+    mirrored gimbal pair (180 - E, A - 180); the one nearest the sun
+    angles is kept.  A target is reachable exactly when
+    ``|s_x| <= cos(se)``; one that is not is answered by a 0.1-degree
+    brute-force grid minimization and flagged non-analytic.
     """
     if not 0.0 <= alpha_target < 90.0:
         raise ValueError("alpha target must lie in [0, 90)")
     if not math.isfinite(beta_target):
         raise ValueError("beta target must be finite")
-    best, best_err, best_rank = None, math.inf, math.inf
-    if abs(abs(beta_target) - 90.0) > 1e-9:   # tan singularity guard
-        qc = orientation_quartic(sp, alpha_target, beta_target)
-        roots = quartic_even_roots(qc)
-        for cand in _candidates_from_roots(sp, qc, roots):
-            err = _target_error(sp, cand, alpha_target, beta_target)
-            # mirrored gimbal branches (180 - E, A - 180) describe the
-            # same plane; break ties toward the representation nearest
-            # the sun angles
-            rank = (abs(cand.theta_TE - sp.theta_SE)
-                    + abs((cand.theta_TA - sp.theta_SA + 180.0) % 360.0
-                          - 180.0))
-            if err < best_err - 1e-9 or (abs(err - best_err) <= 1e-9
-                                         and rank < best_rank):
-                best, best_err, best_rank = cand, err, rank
-    if best is not None and best_err < _MAX_ERROR_DEG:
-        return OrientationSolution(best, best_err, True)
-    fallback, err = _grid_minimize(sp, alpha_target, beta_target)
-    return OrientationSolution(fallback, err, False)
+    a, b = _d(alpha_target), _d(beta_target)
+    s_x, s_y, s_z = (math.sin(a) * math.sin(b), math.cos(a),
+                     math.sin(a) * math.cos(b))
+    se = _d(sp.theta_SE)
+    cos_se, sin_se = math.cos(se), math.sin(se)
+    if abs(s_x) > cos_se:
+        fallback, err = _grid_minimize(sp, alpha_target, beta_target)
+        return OrientationSolution(fallback, err, False)
+    sin_d = s_x / cos_se
+    cos_d = math.sqrt(1.0 - sin_d * sin_d)
+    cands = []
+    for c in (cos_d, -cos_d):
+        te = math.degrees(math.atan2(s_y, s_z)
+                          - math.atan2(cos_se * c, sin_se))
+        if te > 180.0:
+            te -= 360.0
+        elif te <= -180.0:
+            te += 360.0
+        cands.append(TrackerOrientation(
+            te, sp.theta_SA - math.degrees(math.atan2(sin_d, c))))
+    best = min(cands, key=lambda to: (
+        abs(to.theta_TE - sp.theta_SE)
+        + abs((to.theta_TA - sp.theta_SA + 180.0) % 360.0 - 180.0)))
+    return OrientationSolution(
+        best, _target_error(sp, best, alpha_target, beta_target), True)

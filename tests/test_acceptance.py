@@ -149,13 +149,13 @@ def test_criterion_7_optimal_orientation_sweep():
             assert sol.achieved_error_deg < 0.5, (sp, at, bt)
             worst = max(worst, sol.achieved_error_deg)
             # brute-force confirmation: the grid optimum is no better
-            # than the quartic answer beyond its own 0.1-degree pitch
+            # than the closed-form answer beyond its own 0.1-degree pitch
             _, grid_err = _grid_minimize(sp, at, bt)
             assert grid_err < 0.5 + 0.15
             assert sol.achieved_error_deg <= grid_err + 0.15
     elapsed = time.time() - t0
     ok = fallbacks < 0.05 * 300 and elapsed < 30.0
-    _report("criterion 7: quartic orientation sweep 50 positions x 6 "
+    _report("criterion 7: orientation sweep 50 positions x 6 "
             "targets, all grid-confirmed", ok,
             f"fallbacks {fallbacks}/300, worst error {worst:.2e} deg, "
             f"{elapsed:.1f} s")

@@ -331,7 +331,7 @@ class TestCliExitCodes:
         assert main(["tf", "wrong-mode"]) == 1
 
     def test_negative_hour_angle_count(self, tmp_path, capsys):
-        for count in ("-2", "nan", "inf"):
+        for count in ("-2", "nan", "inf", "2.5"):
             assert main(["solar-angles", f"--hour-angles=0:10:{count}",
                          "--out", str(tmp_path)]) == 1
             assert "hour-angle count" in capsys.readouterr().err
@@ -518,6 +518,15 @@ class TestCliExitCodes:
         # each used to exit 0 with NaN or infinite rows
         assert main([*argv, "--out", str(tmp_path)]) == 3
         assert "numeric failure" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("lat", ["95", "-90.5"])
+    def test_latitude_out_of_range_is_a_numeric_failure(self, tmp_path,
+                                                        capsys, lat):
+        # --lat 95 used to write a table and exit 0
+        assert main(["solar-angles", f"--lat={lat}",
+                     "--out", str(tmp_path)]) == 3
+        assert "latitude must lie in [-90, 90]" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("t_c", ["5", "17.5", "18"])

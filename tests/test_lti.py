@@ -429,6 +429,29 @@ class TestMargins:
         assert m.gain_margin_db is None
         assert m.phase_margin_deg is None
 
+    def test_phase_margin_reduced_mod_360(self):
+        # -2/(s+1) meets 0 dB at sqrt(3) rad/s with a phase of +120 deg;
+        # its unity-feedback loop has a pole at +1, so the margin is -60,
+        # not 180 + 120 = 300
+        g = TransferFunction([-2.0], [1.0, 1.0])
+        m = stability_margins(frequency_response(
+            g, np.geomspace(1e-2, 1e2, 4000)))
+        assert m.pm_freq_rad_s == pytest.approx(math.sqrt(3.0), rel=1e-3)
+        assert m.phase_margin_deg == pytest.approx(-60.0, abs=0.05)
+
+    def test_gain_margin_at_every_odd_half_turn(self):
+        # -(s/10 + 1)^2 / ((s + 1)(s/100 + 1)) unwraps from just under
+        # +180 deg and crosses it again at w = 10, where G = -2/10.1; no
+        # -180 crossing exists
+        g = TransferFunction(-np.polymul([0.1, 1.0], [0.1, 1.0]),
+                             np.polymul([1.0, 1.0], [0.01, 1.0]))
+        fr = frequency_response(g, np.geomspace(1e-2, 1e4, 4000))
+        assert fr.phase_deg.min() > -180.0
+        m = stability_margins(fr)
+        assert m.gm_freq_rad_s == pytest.approx(10.0, rel=1e-5)
+        assert m.gain_margin_db == pytest.approx(20.0 * math.log10(5.05),
+                                                 rel=1e-5)
+
     def test_stable_loop_positive_pm(self):
         for k in (0.5, 2.0, 10.0):
             g = k * TransferFunction([1.0], [1.0, 2.0, 1.0, 0.0])

@@ -1,5 +1,6 @@
 import math
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -8,9 +9,7 @@ from sunpump.solar import (SunPosition,
                            _grid_errors, _grid_minimize,
                            angle_of_incidence, declination,
                            incidence_direction, optimal_orientation,
-                           orientation_quartic, quartic_even_roots,
-                           sun_on_frame, zenith_and_elevation,
-                           QuarticCoeffs)
+                           sun_on_frame, zenith_and_elevation)
 
 
 # The vector oracle for ``sun_on_frame``: the sun direction and the
@@ -106,6 +105,44 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+# The paper's oracle for the optimal orientation: an even quartic
+# a w^4 + b w^2 + c whose roots include w = cos(theta_TE) of every
+# orientation meeting the target (beta = +-90, where tan(beta) is
+# singular, excepted).
+
+def paper_quartic(sp, alpha_target, beta_target):
+    C = math.cos(math.radians(sp.theta_SE))
+    N = math.sin(math.radians(sp.theta_SE))
+    D = math.tan(math.radians(beta_target))
+    A = math.cos(math.radians(alpha_target))
+    a = (D * D * A * A + 1.0) ** 2
+    b = -2.0 * (D * D + 1.0) * (A ** 4 * D * D - A * A * D * D * N * N
+                                - 2.0 * A * A * N * N + A * A + N * N)
+    c = (D * D + 1.0) ** 2 * (A * A - N * N) ** 2
+    return a, b, c
+
+
+def quartic_residual(sp, alpha_target, beta_target, w):
+    """|a w^4 + b w^2 + c| scaled by |a| + |b| + |c|."""
+    a, b, c = paper_quartic(sp, alpha_target, beta_target)
+    return abs(a * w ** 4 + b * w * w + c) / (abs(a) + abs(b) + abs(c))
+
+
+def target_on_frame(alpha_target, beta_target):
+    """The sun's projections on the tracker frame that a target fixes."""
+    a, b = math.radians(alpha_target), math.radians(beta_target)
+    return math.sin(a) * math.sin(b), math.cos(a), math.sin(a) * math.cos(b)
+
+
+def miss_deg(sp, to, alpha_target, beta_target):
+    """Angle between the achieved and the target sun direction on the
+    frame, degrees; unlike the acos of the incidence angle it stays
+    well conditioned at alpha = 0."""
+    u = np.array(on_frame(sp, to))
+    v = np.array(target_on_frame(alpha_target, beta_target))
+    return math.degrees(math.atan2(np.linalg.norm(np.cross(u, v)), u @ v))
+
+
 class TestDeclination:
     def test_full_cosine_period(self):
         assert declination(355) == pytest.approx(-23.45, abs=1e-9)
@@ -144,6 +181,11 @@ class TestZenithElevation:
         theta_z, theta_e = zenith_and_elevation(l_st, delta, st)
         assert theta_z == pytest.approx(expect, rel=1e-12)
         assert theta_z + theta_e == pytest.approx(90.0)
+
+    @pytest.mark.parametrize("lat", [90.5, -95.0])
+    def test_latitude_range(self, lat):
+        with pytest.raises(ValueError, match="latitude"):
+            zenith_and_elevation(lat, 23.45, 0.0)
 
     @pytest.mark.parametrize("args", [(math.nan, 23.45, 0.0),
                                       (45.0, math.inf, 0.0),
@@ -339,31 +381,23 @@ class TestSunOnFrameKernel:
                 bits([want_to.theta_TE, want_to.theta_TA, want_err]).tolist()
 
 
-class TestQuarticRoots:
-    def test_factorable(self):
-        qc = QuarticCoeffs(a=1.0, b=-5.0, c=4.0, C=0, N=0, D=0, A=0)
-        assert quartic_even_roots(qc) == pytest.approx([-2.0, -1.0, 1.0, 2.0])
-
-    def test_no_real_roots(self):
-        qc = QuarticCoeffs(a=1.0, b=2.0, c=1.0, C=0, N=0, D=0, A=0)
-        assert quartic_even_roots(qc) == []
-
+class TestPaperQuartic:
     def test_scan_oracle_on_generated_coefficients(self):
-        qc = orientation_quartic(SunPosition(40.0, 180.0), 20.0, 10.0)
-        roots = quartic_even_roots(qc)
-        assert roots, "expected real roots for a feasible target"
-        # sign-change scan oracle on the quartic itself
+        sp = SunPosition(40.0, 180.0)
+        sol = optimal_orientation(sp, 20.0, 10.0)
+        assert sol.analytic
+        w_sol = math.cos(math.radians(sol.orientation.theta_TE))
+        # sign-change scan oracle on the quartic itself: the closed-form
+        # answer's cos(theta_TE) is one of its roots, and so is the
+        # mirrored branch's -cos(theta_TE)
+        a, b, c = paper_quartic(sp, 20.0, 10.0)
         w = np.arange(-1.5, 1.5, 1e-6)
-        vals = qc.a * w ** 4 + qc.b * w ** 2 + qc.c
-        signs = np.sign(vals)
-        flips = np.nonzero(np.diff(signs))[0]
-        scan_roots = sorted(0.5 * (w[i] + w[i + 1]) for i in flips)
-        assert len(scan_roots) == len(roots)
-        for found, scanned in zip(roots, scan_roots):
-            assert found == pytest.approx(scanned, abs=5e-6)
-        for r in roots:
-            residual = abs(qc.a * r ** 4 + qc.b * r * r + qc.c)
-            assert residual < 1e-8 * (abs(qc.a) + abs(qc.b) + abs(qc.c))
+        flips = np.nonzero(np.diff(np.sign(a * w ** 4 + b * w ** 2 + c)))[0]
+        scan_roots = [0.5 * (w[i] + w[i + 1]) for i in flips]
+        assert len(scan_roots) == 4
+        for root in (w_sol, -w_sol):
+            assert min(abs(root - r) for r in scan_roots) < 5e-6
+            assert quartic_residual(sp, 20.0, 10.0, root) < 1e-14
 
 
 class TestOptimalOrientation:
@@ -394,12 +428,74 @@ class TestOptimalOrientation:
         assert angle_of_incidence(sp, to) == pytest.approx(15.0, abs=0.5)
         assert incidence_direction(sp, to) == pytest.approx(20.0, abs=0.5)
 
-    def test_beta_90_falls_back(self):
+    @pytest.mark.parametrize("bt", [90.0, -90.0])
+    def test_beta_90_exact(self, bt):
+        # tan(beta) is singular here, which sent the paper's quartic to
+        # the grid (0.0176 degrees off); the inverse is exact
         sp = SunPosition(45.0, 180.0)
-        sol = optimal_orientation(sp, 20.0, 90.0)
-        assert not sol.analytic
+        sol = optimal_orientation(sp, 20.0, bt)
+        assert sol.analytic
+        assert sol.achieved_error_deg < 1e-9
         assert angle_of_incidence(sp, sol.orientation) == pytest.approx(
-            20.0, abs=0.5)
+            20.0, abs=1e-9)
+        assert incidence_direction(sp, sol.orientation) == pytest.approx(
+            bt, abs=1e-9)
+
+    @pytest.mark.parametrize("se, bt", [(0.0, 30.0), (0.0, -150.0),
+                                        (90.0, 0.0), (-90.0, 180.0)])
+    def test_horizon_and_zenith_sun_exact(self, se, bt):
+        sp = SunPosition(se, 120.0)
+        sol = optimal_orientation(sp, 20.0, bt)
+        assert sol.analytic
+        assert sol.achieved_error_deg < 1e-9
+        assert miss_deg(sp, sol.orientation, 20.0, bt) < 1e-9
+
+    @pytest.mark.parametrize("se", [6.0, 23.6])
+    def test_alpha_0_points_at_the_sun(self, se):
+        # both gimbal branches meet alpha = 0; the one nearest the sun
+        # angles is kept, not the one whose acos reads the smaller error
+        # (at se = 6 that is the mirrored (174, -140))
+        sp = SunPosition(se, 40.0)
+        sol = optimal_orientation(sp, 0.0, 0.0)
+        assert sol.analytic
+        assert sol.orientation.theta_TE == pytest.approx(se, abs=1e-12)
+        assert sol.orientation.theta_TA == pytest.approx(40.0, abs=1e-12)
+
+    def test_unreachable_target_takes_the_grid(self):
+        # s . x_m = sin(30) sin(90) = 0.5 > cos(64): no orientation meets it
+        sp = SunPosition(64.0, 180.0)
+        sol = optimal_orientation(sp, 30.0, 90.0)
+        assert not sol.analytic
+        to, err = ref_grid_minimize(sp, 30.0, 90.0)
+        assert bits([sol.orientation.theta_TE, sol.orientation.theta_TA,
+                     sol.achieved_error_deg]).tolist() == \
+            bits([to.theta_TE, to.theta_TA, err]).tolist()
+        assert err > 1.0
+
+    @settings(max_examples=300)
+    @given(se=st.one_of(st.sampled_from([-90.0, 0.0, 90.0]),
+                        st.floats(-90.0, 90.0)),
+           sa=st.floats(-360.0, 360.0),
+           at=st.floats(0.0, 90.0, exclude_max=True),
+           bt=st.one_of(st.sampled_from([-180.0, -90.0, 90.0, 180.0]),
+                        st.floats(-360.0, 360.0)))
+    def test_reachable_exact_unreachable_grid(self, se, sa, at, bt):
+        # x_m is horizontal, so s . x_m of the sun sweeps exactly
+        # [-cos(se), cos(se)] as the tracker azimuth turns
+        sp = SunPosition(se, sa)
+        sol = optimal_orientation(sp, at, bt)
+        if abs(target_on_frame(at, bt)[0]) <= math.cos(math.radians(se)):
+            assert sol.analytic
+            assert miss_deg(sp, sol.orientation, at, bt) <= 1e-9
+            if abs(bt) % 180.0 != 90.0:
+                w = math.cos(math.radians(sol.orientation.theta_TE))
+                assert quartic_residual(sp, at, bt, w) < 1e-12
+        else:
+            assert not sol.analytic
+            to, err = ref_grid_minimize(sp, at, bt)
+            assert bits([sol.orientation.theta_TE, sol.orientation.theta_TA,
+                         sol.achieved_error_deg]).tolist() == \
+                bits([to.theta_TE, to.theta_TA, err]).tolist()
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):
