@@ -119,14 +119,17 @@ def _cmd_solar_angles(args):
     # rows with the sun at or below the horizon keep these values
     theta_te, theta_ta = np.zeros(n), theta_sa.copy()
     alpha, beta = np.full(n, 90.0), np.zeros(n)
+    lit = unreachable = 0
     for j, (s, sa) in enumerate(zip(st.tolist(), theta_sa.tolist())):
         theta_z[j], elevation = zenith_and_elevation(args.lat, delta, s)
         theta_e[j] = elevation
         if elevation <= 0:
             continue
         sun = SunPosition(elevation, sa)
-        to = optimal_orientation(sun, args.alpha_target,
-                                 args.beta_target).orientation
+        sol = optimal_orientation(sun, args.alpha_target, args.beta_target)
+        lit += 1
+        unreachable += not sol.reachable
+        to = sol.orientation
         theta_te[j], theta_ta[j] = to.theta_TE, to.theta_TA
         alpha[j] = angle_of_incidence(sun, to)
         try:
@@ -139,6 +142,8 @@ def _cmd_solar_angles(args):
                    [np.full(n, args.day), st, np.full(n, delta), theta_e,
                     theta_z, theta_sa, theta_te, theta_ta, alpha, beta], path)
     print(f"wrote {path} ({n} rows, declination {delta:.3f} deg)")
+    print(f"unreachable target on {unreachable} of {lit} lit rows, "
+          f"answered with the nearest reachable one")
     return 0
 
 

@@ -566,8 +566,9 @@ def frequency_response(tf, omegas=None):
     Evaluate ``tf(j omega)`` on a positive ascending grid (by default
     400 log-spaced points over [1e-2, 1e4] rad/s).
 
-    A grid point landing exactly on a pole is nudged by a factor
-    ``1 + 1e-12`` before evaluation.
+    A grid point landing exactly on a pole or a zero is nudged by a factor
+    ``1 + 1e-12`` before evaluation.  A grid whose response overflows is
+    refused with ``ValueError`` naming the first such omega.
     """
     if omegas is None:
         omegas = np.geomspace(*_OMEGA_GRID)
@@ -575,13 +576,16 @@ def frequency_response(tf, omegas=None):
     if omegas.size == 0 or np.any(omegas <= 0) or np.any(np.diff(omegas) <= 0):
         raise ValueError("omega grid must be positive and strictly increasing")
     s = 1j * omegas
-    den = tf.den(s)
-    bad = den == 0
-    if np.any(bad):
-        den[bad] = tf.den(1j * omegas[bad] * (1 + 1e-12))
-    h = tf.num(s) / den
-    mag_db = 20.0 * np.log10(np.abs(h))
-    phase = np.degrees(np.unwrap(np.angle(h)))
+    with np.errstate(all="ignore"):
+        s[(tf.num(s) == 0) | (tf.den(s) == 0)] *= 1 + 1e-12
+        h = tf.num(s) / tf.den(s)
+        mag_db = 20.0 * np.log10(np.abs(h))
+        angle = np.angle(h)
+    bad = ~(np.isfinite(mag_db) & np.isfinite(angle))
+    if bad.any():
+        raise ValueError(f"frequency response is not finite at omega = "
+                         f"{omegas[bad.argmax()]:g} rad/s")
+    phase = np.degrees(np.unwrap(angle))
     return FrequencyResponse(omegas, mag_db, phase)
 
 

@@ -17,8 +17,6 @@ Angle conventions (all degrees at the API surface):
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
 
 class UndefinedDirectionError(ValueError):
     """Sun along the panel normal: the in-face direction is a 0/0."""
@@ -104,6 +102,10 @@ def angle_of_incidence(sp, to):
     return math.degrees(math.acos(arg))
 
 
+# both in-face projections below this: the bearing is undefined
+_DIRECTION_EPS = 1e-12
+
+
 def incidence_direction(sp, to):
     """
     In-face bearing of the sun's projection, degrees in (-180, 180].
@@ -114,7 +116,7 @@ def incidence_direction(sp, to):
         When both projections vanish (sun along the panel normal).
     """
     s_x, _, s_z = _projections(sp, to)
-    if abs(s_x) < 1e-12 and abs(s_z) < 1e-12:
+    if abs(s_x) < _DIRECTION_EPS and abs(s_z) < _DIRECTION_EPS:
         raise UndefinedDirectionError("sun is along the panel normal")
     return math.degrees(math.atan2(s_x, s_z))
 
@@ -133,46 +135,11 @@ def _target_error(sp, to, alpha_target, beta_target):
     return max(err_a, err_b)
 
 
-# the refined pitch of the grid that answers unreachable targets, degrees
-_GRID_STEP_DEG = 0.1
-
-
-def _grid_errors(sp, alpha_target, beta_target, te_deg, ta_deg):
-    """:func:`_target_error` over the grid of tracker elevations
-    ``te_deg`` (rows) and azimuths ``ta_deg`` (columns)."""
-    te = np.radians(te_deg)[:, None]
-    sx, cosa, sz = sun_on_frame(_d(sp.theta_SE), te,
-                                np.radians(sp.theta_SA - ta_deg)[None, :],
-                                np.sin, np.cos)
-    a = np.degrees(np.arccos(np.clip(cosa, -1.0, 1.0)))
-    err_a = np.abs(a - alpha_target)
-    if alpha_target < 0.25:
-        return err_a
-    # "+ 0.0 * te" reads a -0.0 projection as 0.0 in the bearing
-    b = np.degrees(np.arctan2(sx + 0.0 * te, sz))
-    err_b = np.abs((b - beta_target + 180.0) % 360.0 - 180.0)
-    return np.maximum(err_a, err_b)
-
-
-def _grid_minimize(sp, alpha_target, beta_target):
-    """Brute-force orientation search, coarse pass then local refinement."""
-    te0 = np.arange(0.0, 180.0 + 1.0, 1.0)
-    ta0 = np.arange(sp.theta_SA - 180.0, sp.theta_SA + 180.0, 1.0)
-    e0 = _grid_errors(sp, alpha_target, beta_target, te0, ta0)
-    i, j = np.unravel_index(np.argmin(e0), e0.shape)
-    step = _GRID_STEP_DEG
-    te1 = np.arange(te0[i] - 1.5, te0[i] + 1.5 + step / 2, step)
-    ta1 = np.arange(ta0[j] - 1.5, ta0[j] + 1.5 + step / 2, step)
-    e1 = _grid_errors(sp, alpha_target, beta_target, te1, ta1)
-    i1, j1 = np.unravel_index(np.argmin(e1), e1.shape)
-    return TrackerOrientation(float(te1[i1]), float(ta1[j1])), float(e1[i1, j1])
-
-
 @dataclass(frozen=True)
 class OrientationSolution:
     orientation: TrackerOrientation
     achieved_error_deg: float
-    analytic: bool   # False when the target is unreachable: the grid answer
+    reachable: bool   # False: the answer meets the nearest reachable target
 
 
 def optimal_orientation(sp, alpha_target, beta_target):
@@ -186,23 +153,40 @@ def optimal_orientation(sp, alpha_target, beta_target):
     sign of ``cos(dazi)``, and ``(s_y, s_z)`` is ``(cos(se) cos(dazi),
     sin(se))`` turned by the tracker elevation.  The two signs are the
     mirrored gimbal pair (180 - E, A - 180); the one nearest the sun
-    angles is kept.  A target is reachable exactly when
-    ``|s_x| <= cos(se)``; one that is not is answered by a 0.1-degree
-    brute-force grid minimization and flagged non-analytic.
+    angles is kept.
+
+    A target is reachable exactly when ``|s_x| <= cos(se)``.  One that
+    is not is moved to the nearest reachable target in the max-norm of
+    :func:`_target_error`: ``a`` and the bearing's distance ``d`` from
+    the 0/180 axis both shrink by the ``delta`` with
+    ``sin(a - delta) sin(d - delta) = cos(se)``.  Only the bearing moves,
+    onto the axis, when ``a`` < 0.25 degrees (the error ignores the
+    bearing) or ``cos(se)`` is below the bearing guard (``|se|`` within
+    6e-11 degrees of 90): there ``s_x`` is below the guard at every
+    orientation, and the corner would land at ``a`` = 0, with no bearing.
     """
     if not 0.0 <= alpha_target < 90.0:
         raise ValueError("alpha target must lie in [0, 90)")
     if not math.isfinite(beta_target):
         raise ValueError("beta target must be finite")
     a, b = _d(alpha_target), _d(beta_target)
-    s_x, s_y, s_z = (math.sin(a) * math.sin(b), math.cos(a),
-                     math.sin(a) * math.cos(b))
+    sin_a, sin_b, cos_b = math.sin(a), math.sin(b), math.cos(b)
     se = _d(sp.theta_SE)
     cos_se, sin_se = math.cos(se), math.sin(se)
-    if abs(s_x) > cos_se:
-        fallback, err = _grid_minimize(sp, alpha_target, beta_target)
-        return OrientationSolution(fallback, err, False)
-    sin_d = s_x / cos_se
+    reachable = abs(sin_a * sin_b) <= cos_se
+    if not reachable:
+        if alpha_target < 0.25 or cos_se < _DIRECTION_EPS:
+            sin_b, cos_b = 0.0, math.copysign(1.0, cos_b)
+        else:
+            # product-to-sum: cos(a - d) - cos(a + d - 2 delta) = 2 cos(se)
+            d = math.atan2(abs(sin_b), abs(cos_b))
+            delta = 0.5 * (a + d - math.acos(math.cos(a - d) - 2.0 * cos_se))
+            a -= delta
+            sin_a = math.sin(a)
+            sin_b = math.copysign(math.sin(d - delta), sin_b)
+            cos_b = math.copysign(math.cos(d - delta), cos_b)
+    s_x, s_y, s_z = sin_a * sin_b, math.cos(a), sin_a * cos_b
+    sin_d = max(-1.0, min(1.0, s_x / cos_se))
     cos_d = math.sqrt(1.0 - sin_d * sin_d)
     cands = []
     for c in (cos_d, -cos_d):
@@ -218,4 +202,4 @@ def optimal_orientation(sp, alpha_target, beta_target):
         abs(to.theta_TE - sp.theta_SE)
         + abs((to.theta_TA - sp.theta_SA + 180.0) % 360.0 - 180.0)))
     return OrientationSolution(
-        best, _target_error(sp, best, alpha_target, beta_target), True)
+        best, _target_error(sp, best, alpha_target, beta_target), reachable)

@@ -20,6 +20,7 @@ from sunpump.scenario import ScenarioConfig, run_scenario
 from sunpump.solar import SunPosition, optimal_orientation
 from sunpump.validation import build_report
 from test_pv import double_diode_residual
+from test_solar import ref_grid_minimize
 
 
 def _report(name, ok, detail=""):
@@ -138,26 +139,25 @@ def test_criterion_7_optimal_orientation_sweep():
                      for se in np.linspace(12.0, 64.0, 10)
                      for sa in np.linspace(40.0, 320.0, 5)]
     assert len(sun_positions) == 50
-    from sunpump.solar import _grid_minimize
-    fallbacks = 0
+    unreachable = 0
     worst = 0.0
     for sp in sun_positions:
         for at, bt in targets:
             sol = optimal_orientation(sp, at, bt)
-            if not sol.analytic:
-                fallbacks += 1
+            if not sol.reachable:
+                unreachable += 1
             assert sol.achieved_error_deg < 0.5, (sp, at, bt)
             worst = max(worst, sol.achieved_error_deg)
             # brute-force confirmation: the grid optimum is no better
             # than the closed-form answer beyond its own 0.1-degree pitch
-            _, grid_err = _grid_minimize(sp, at, bt)
+            _, grid_err = ref_grid_minimize(sp, at, bt)
             assert grid_err < 0.5 + 0.15
             assert sol.achieved_error_deg <= grid_err + 0.15
     elapsed = time.time() - t0
-    ok = fallbacks < 0.05 * 300 and elapsed < 30.0
+    ok = unreachable < 0.05 * 300 and elapsed < 30.0
     _report("criterion 7: orientation sweep 50 positions x 6 "
             "targets, all grid-confirmed", ok,
-            f"fallbacks {fallbacks}/300, worst error {worst:.2e} deg, "
+            f"unreachable {unreachable}/300, worst error {worst:.2e} deg, "
             f"{elapsed:.1f} s")
 
 

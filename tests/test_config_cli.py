@@ -562,6 +562,23 @@ class TestCliCommands:
         assert text[0] == "omega_rad_s,magnitude_db,phase_deg"
         assert len(text) == 401   # default 400-point grid
 
+    def test_tf_bode_zero_on_the_grid(self, tmp_path, capsys):
+        # the zeros +-j sit on the default grid's omega = 1: the row read
+        # -inf dB with a numpy warning on stderr
+        assert main(["tf", "bode", "--tf-text", "num: 10 0 10 / den: 1 2 1",
+                     "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "bode.csv").read_text().splitlines()
+        assert "1,-219.999228,90" in rows
+        assert "inf" not in "".join(rows) and "nan" not in "".join(rows)
+        assert capsys.readouterr().err == ""
+
+    def test_tf_bode_overflow_is_a_numeric_failure(self, tmp_path, capsys):
+        assert main(["tf", "bode", "--tf-text", "num: 1e305 0 0 / den: 1 1",
+                     "--out", str(tmp_path)]) == 3
+        assert "frequency response is not finite at omega = " in \
+            capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_tf_routh(self, capsys):
         assert main(["tf", "routh", "--tf-text",
                      "num: 1 / den: 1 2 5"]) == 0
@@ -655,6 +672,17 @@ class TestCliCommands:
                      "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "solar_angles.csv").read_text().splitlines()
         assert lines[0].startswith("n,ST,delta")
+        assert "unreachable target on 0 of 25 lit rows" in \
+            capsys.readouterr().out
+
+    def test_solar_angles_counts_unreachable_rows(self, tmp_path, capsys):
+        # at 10 degrees latitude the sun climbs high enough that
+        # sin(40) sin(80) > cos(theta_e) on the 15 rows around noon
+        assert main(["solar-angles", "--alpha-target", "40",
+                     "--beta-target", "80", "--lat", "10",
+                     "--out", str(tmp_path)]) == 0
+        assert "unreachable target on 15 of 25 lit rows, answered with " \
+            "the nearest reachable one" in capsys.readouterr().out
 
     def test_track_sim(self, tmp_path, capsys):
         assert main(["track-sim", "--steps", "40",

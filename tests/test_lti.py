@@ -631,6 +631,22 @@ class TestPoleOnGrid:
         assert np.all(np.isfinite(fr.magnitude_db))
         assert fr.magnitude_db[1] > 100.0   # huge but finite
 
+    def test_zero_exactly_on_grid_point_is_nudged(self):
+        # 10 (s^2 + 1) / (s + 1)^2: num(j*1) == 0 exactly; log10(0) gave
+        # -inf dB with a divide-by-zero warning and phase 0
+        tf = TransferFunction([10.0, 0.0, 10.0], [1.0, 2.0, 1.0])
+        fr = frequency_response(tf, np.array([0.5, 1.0, 2.0]))
+        assert fr.magnitude_db[1] == pytest.approx(-220.0, abs=0.01)
+        assert fr.phase_deg[1] == pytest.approx(90.0, abs=1e-9)
+        assert fr.magnitude_db[0] == fr.magnitude_db[2] == pytest.approx(
+            20.0 * math.log10(6.0))
+
+    def test_overflowing_response_refused(self):
+        # inf / inf gave NaN phases and a NaN phase margin at 1 rad/s
+        tf = TransferFunction([1.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=r"omega = 1e\+200 rad/s"):
+            frequency_response(tf, np.array([1.0, 1e200, 1e201]))
+
 
 def _loop_step_y(tf, t_end, dt=None):
     """The RK4 recurrence stepped one sample at a time: the blocked

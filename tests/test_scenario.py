@@ -1,4 +1,5 @@
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+import functools
 import importlib.util
 import math
 from pathlib import Path
@@ -452,6 +453,43 @@ class TestHydraulicsMatchesReference:
         # run alone: 1 606 of the 72 000
         trace, _ = run_scenario(ScenarioConfig.default_daylight())
         assert len(scalar_steps) <= 1606
+
+
+BLOCK_SIZE_RUNS = ["default_daylight", *(f"cloudy_{seed}" for seed in range(6)),
+                   *sorted(BRANCH_CONFIGS)]
+
+
+def named_config(name):
+    """The config of a :data:`BLOCK_SIZE_RUNS` entry."""
+    if name == "default_daylight":
+        return ScenarioConfig.default_daylight()
+    if name.startswith("cloudy_"):
+        return cloudy_config(int(name.removeprefix("cloudy_")))
+    return ScenarioConfig(**BRANCH_CONFIGS[name][0])
+
+
+@functools.cache
+def shipped_block_scenario(name):
+    """The run at the shipped hydraulics block size."""
+    return run_scenario(named_config(name))
+
+
+class TestBlockSizeIsOnlySpeed:
+    """The first hydraulics block size changes which steps run alone and
+    which as blocks, never a hydraulic column or a summary field."""
+
+    @pytest.mark.parametrize("name", BLOCK_SIZE_RUNS)
+    @pytest.mark.parametrize("block_min", [1, 64, 4096])
+    def test_run_equal(self, name, block_min, monkeypatch):
+        want_trace, want_summary = shipped_block_scenario(name)
+        monkeypatch.setattr(scenario, "_BLOCK_MIN", block_min)
+        trace, summary = run_scenario(named_config(name))
+        for col in HYDRAULIC_COLUMNS:
+            assert_same_bits(getattr(trace, col), getattr(want_trace, col),
+                             col)
+        for field in fields(summary):
+            assert_same_bits(getattr(summary, field.name),
+                             getattr(want_summary, field.name), field.name)
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 
 from sunpump.solar import (SunPosition,
                            TrackerOrientation, UndefinedDirectionError,
-                           _grid_errors, _grid_minimize,
+                           _target_error,
                            angle_of_incidence, declination,
                            incidence_direction, optimal_orientation,
                            sun_on_frame, zenith_and_elevation)
@@ -132,6 +132,24 @@ def target_on_frame(alpha_target, beta_target):
     """The sun's projections on the tracker frame that a target fixes."""
     a, b = math.radians(alpha_target), math.radians(beta_target)
     return math.sin(a) * math.sin(b), math.cos(a), math.sin(a) * math.cos(b)
+
+
+def nearest_reachable_shift(sp, alpha_target, beta_target):
+    """The max-norm distance (radians) from an unreachable target to the
+    nearest reachable one: the shift delta of both alpha and the
+    bearing's distance d from the 0/180 axis at which
+    sin(alpha - delta) sin(d - delta) falls to cos(se), by bisection."""
+    a = math.radians(alpha_target)
+    d = math.radians(abs(math.remainder(beta_target, 180.0)))
+    cos_se = math.cos(math.radians(sp.theta_SE))
+    lo, hi = 0.0, min(a, d)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if math.sin(a - mid) * math.sin(d - mid) > cos_se:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def miss_deg(sp, to, alpha_target, beta_target):
@@ -353,39 +371,12 @@ class TestSunOnFrameKernel:
                              ta.tolist())]
         assert np.array_equal(bits(np.stack([s_x, s_z], axis=1)), bits(want))
 
-    @pytest.mark.parametrize("se", [-90.0, -35.0, 0.0, 12.5, 64.0, 90.0])
-    @pytest.mark.parametrize("target", [(0.0, 0.0), (0.2, 40.0),
-                                        (15.0, 20.0), (30.0, -67.3)])
-    def test_grid_errors_bit_identical(self, se, target):
-        # the coarse grid holds te = 0 and 180 and ta = sa (dazi = 0); at
-        # sa = -0.0 the dazi = -0.0 column gives s . x_m = -0.0, whose
-        # bearing -180 rounds the beta error of -67.3 apart from +180
-        for sa in (-0.0, 0.0, 137.25):
-            sp = SunPosition(se, sa)
-            te = np.arange(0.0, 181.0, 1.0)
-            ta = np.arange(sa - 180.0, sa + 180.0, 1.0)
-            got = _grid_errors(sp, *target, te, ta)
-            assert got.size >= 65_000
-            assert np.array_equal(bits(got),
-                                  bits(ref_grid_errors(sp, *target, te, ta)))
-
-    def test_grid_minimize_identical(self):
-        rng = np.random.default_rng(4)
-        for _ in range(12):
-            sp = SunPosition(rng.uniform(-90.0, 90.0),
-                             rng.uniform(0.0, 360.0))
-            at, bt = rng.uniform(0.0, 60.0), rng.uniform(-180.0, 180.0)
-            (to, err), (want_to, want_err) = (
-                _grid_minimize(sp, at, bt), ref_grid_minimize(sp, at, bt))
-            assert bits([to.theta_TE, to.theta_TA, err]).tolist() == \
-                bits([want_to.theta_TE, want_to.theta_TA, want_err]).tolist()
-
 
 class TestPaperQuartic:
     def test_scan_oracle_on_generated_coefficients(self):
         sp = SunPosition(40.0, 180.0)
         sol = optimal_orientation(sp, 20.0, 10.0)
-        assert sol.analytic
+        assert sol.reachable
         w_sol = math.cos(math.radians(sol.orientation.theta_TE))
         # sign-change scan oracle on the quartic itself: the closed-form
         # answer's cos(theta_TE) is one of its roots, and so is the
@@ -416,14 +407,14 @@ class TestOptimalOrientation:
     def test_point_at_sun(self):
         sp = SunPosition(35.0, 150.0)
         sol = optimal_orientation(sp, 0.0, 0.0)
-        assert sol.analytic
+        assert sol.reachable
         assert sol.orientation.theta_TE == pytest.approx(35.0, abs=0.5)
         assert sol.orientation.theta_TA == pytest.approx(150.0, abs=0.5)
 
     def test_achieved_targets_at_grid_oracle(self):
         sp = SunPosition(35.0, 150.0)
         sol = optimal_orientation(sp, 15.0, 20.0)
-        assert sol.analytic
+        assert sol.reachable
         to = sol.orientation
         assert angle_of_incidence(sp, to) == pytest.approx(15.0, abs=0.5)
         assert incidence_direction(sp, to) == pytest.approx(20.0, abs=0.5)
@@ -434,7 +425,7 @@ class TestOptimalOrientation:
         # the grid (0.0176 degrees off); the inverse is exact
         sp = SunPosition(45.0, 180.0)
         sol = optimal_orientation(sp, 20.0, bt)
-        assert sol.analytic
+        assert sol.reachable
         assert sol.achieved_error_deg < 1e-9
         assert angle_of_incidence(sp, sol.orientation) == pytest.approx(
             20.0, abs=1e-9)
@@ -446,7 +437,7 @@ class TestOptimalOrientation:
     def test_horizon_and_zenith_sun_exact(self, se, bt):
         sp = SunPosition(se, 120.0)
         sol = optimal_orientation(sp, 20.0, bt)
-        assert sol.analytic
+        assert sol.reachable
         assert sol.achieved_error_deg < 1e-9
         assert miss_deg(sp, sol.orientation, 20.0, bt) < 1e-9
 
@@ -457,45 +448,88 @@ class TestOptimalOrientation:
         # (at se = 6 that is the mirrored (174, -140))
         sp = SunPosition(se, 40.0)
         sol = optimal_orientation(sp, 0.0, 0.0)
-        assert sol.analytic
+        assert sol.reachable
         assert sol.orientation.theta_TE == pytest.approx(se, abs=1e-12)
         assert sol.orientation.theta_TA == pytest.approx(40.0, abs=1e-12)
 
-    def test_unreachable_target_takes_the_grid(self):
-        # s . x_m = sin(30) sin(90) = 0.5 > cos(64): no orientation meets it
+    def test_unreachable_target_meets_the_nearest(self):
+        # s . x_m = sin(30) sin(90) = 0.5 > cos(64): no orientation meets
+        # it; alpha and the bearing both give way by delta
         sp = SunPosition(64.0, 180.0)
         sol = optimal_orientation(sp, 30.0, 90.0)
-        assert not sol.analytic
-        to, err = ref_grid_minimize(sp, 30.0, 90.0)
-        assert bits([sol.orientation.theta_TE, sol.orientation.theta_TA,
-                     sol.achieved_error_deg]).tolist() == \
-            bits([to.theta_TE, to.theta_TA, err]).tolist()
-        assert err > 1.0
+        assert not sol.reachable
+        delta = math.degrees(nearest_reachable_shift(sp, 30.0, 90.0))
+        assert delta > 1.0
+        assert sol.achieved_error_deg == pytest.approx(delta, abs=1e-9)
+        assert angle_of_incidence(sp, sol.orientation) == pytest.approx(
+            30.0 - delta, abs=1e-9)
+        assert incidence_direction(sp, sol.orientation) == pytest.approx(
+            90.0 - delta, abs=1e-9)
+        assert sol.achieved_error_deg < ref_grid_minimize(sp, 30.0, 90.0)[1]
+
+    @pytest.mark.parametrize("se", [89.9, -89.9, 90.0])
+    def test_unreachable_tiny_alpha_moves_the_bearing_only(self, se):
+        # below alpha = 0.25 the error ignores the bearing, so the bearing
+        # moves onto the axis and alpha is met exactly
+        sp = SunPosition(se, 30.0)
+        sol = optimal_orientation(sp, 0.2, 90.0)
+        assert not sol.reachable
+        assert sol.achieved_error_deg < 1e-9
+
+    @pytest.mark.parametrize("se, at, bt", [
+        (90.0, 10.0, 30.0), (-90.0, 10.0, -150.0), (90.0, 30.0, 100.0),
+        (90.0 - 1e-12, 10.0, 30.0), (-90.0 + 1e-12, 40.0, 150.0)])
+    def test_zenith_sun_moves_the_bearing_only(self, se, at, bt):
+        # cos(se) is below the bearing guard: the corner at alpha = 0
+        # has no bearing, so alpha is kept and the bearing moves onto
+        # the axis, missing it by its distance from the axis
+        sp = SunPosition(se, 120.0)
+        sol = optimal_orientation(sp, at, bt)
+        assert not sol.reachable
+        d = abs(math.remainder(bt, 180.0))
+        assert sol.achieved_error_deg == pytest.approx(d, abs=1e-9)
+        assert angle_of_incidence(sp, sol.orientation) == pytest.approx(
+            at, abs=1e-9)
+        # a lower grid reading lies where the bearing is undefined
+        to, err = ref_grid_minimize(sp, at, bt)
+        assert err >= sol.achieved_error_deg - 1e-9 or math.isinf(
+            _target_error(sp, to, at, bt))
 
     @settings(max_examples=300)
-    @given(se=st.one_of(st.sampled_from([-90.0, 0.0, 90.0]),
+    @given(se=st.one_of(st.sampled_from([-90.0, 0.0, 90.0, 89.9999,
+                                         90.0 - 1e-11]),
                         st.floats(-90.0, 90.0)),
            sa=st.floats(-360.0, 360.0),
            at=st.floats(0.0, 90.0, exclude_max=True),
            bt=st.one_of(st.sampled_from([-180.0, -90.0, 90.0, 180.0]),
                         st.floats(-360.0, 360.0)))
-    def test_reachable_exact_unreachable_grid(self, se, sa, at, bt):
+    def test_reachable_exact_unreachable_nearest(self, se, sa, at, bt):
         # x_m is horizontal, so s . x_m of the sun sweeps exactly
         # [-cos(se), cos(se)] as the tracker azimuth turns
         sp = SunPosition(se, sa)
         sol = optimal_orientation(sp, at, bt)
-        if abs(target_on_frame(at, bt)[0]) <= math.cos(math.radians(se)):
-            assert sol.analytic
+        cos_se = math.cos(math.radians(se))
+        err = sol.achieved_error_deg
+        if abs(target_on_frame(at, bt)[0]) <= cos_se:
+            assert sol.reachable
             assert miss_deg(sp, sol.orientation, at, bt) <= 1e-9
             if abs(bt) % 180.0 != 90.0:
                 w = math.cos(math.radians(sol.orientation.theta_TE))
                 assert quartic_residual(sp, at, bt, w) < 1e-12
+            return
+        assert not sol.reachable
+        if at < 0.25:
+            assert err < 1e-9
+        elif cos_se < 1e-12:
+            assert err == pytest.approx(abs(math.remainder(bt, 180.0)),
+                                        abs=1e-9)
         else:
-            assert not sol.analytic
-            to, err = ref_grid_minimize(sp, at, bt)
-            assert bits([sol.orientation.theta_TE, sol.orientation.theta_TA,
-                         sol.achieved_error_deg]).tolist() == \
-                bits([to.theta_TE, to.theta_TA, err]).tolist()
+            delta = nearest_reachable_shift(sp, at, bt)
+            # the answer sits at alpha = a - delta, where a float
+            # orientation resolves the bearing to ~1e-16 / sin(alpha) rad
+            tol = 1e-9 + 1e-13 / math.sin(math.radians(at) - delta)
+            assert abs(err - math.degrees(delta)) <= tol
+            assert err <= ref_grid_minimize(sp, at, bt)[1] + tol
 
     def test_alpha_range(self):
         with pytest.raises(ValueError):
@@ -504,13 +538,11 @@ class TestOptimalOrientation:
     def test_sweep_analytic_accuracy(self):
         targets = [(0.0, 0.0), (10.0, 0.0), (15.0, 20.0), (30.0, 45.0),
                    (5.0, -30.0), (45.0, 10.0)]
-        fallbacks = 0
-        total = 0
+        unreachable = 0
         for se in np.linspace(15, 60, 4):
             for sa in np.linspace(60, 300, 3):
                 for at, bt in targets:
                     sol = optimal_orientation(SunPosition(se, sa), at, bt)
-                    total += 1
-                    fallbacks += 0 if sol.analytic else 1
+                    unreachable += 0 if sol.reachable else 1
                     assert sol.achieved_error_deg < 0.5
-        assert fallbacks == 0
+        assert unreachable == 0
