@@ -11,7 +11,8 @@ Subcommands::
     scenario      run a whole-system scenario from a config file
     validate      recompute every registered reported-number claim
 
-Exit codes: 0 success, 1 usage error, 2 config error, 3 numeric failure.
+Exit codes: 0 success, 1 usage error, 2 config error, 3 numeric failure,
+4 output error (--out or a CSV in it cannot be written).
 All outputs are deterministic; CSV files land in --out (default '.').
 """
 
@@ -431,6 +432,10 @@ def main(argv=None):
     except MemoryError as exc:
         print(f"numeric failure: out of memory: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        # a config that cannot be read is a config error already
+        print(f"output error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -173,6 +173,6 @@ def parse_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config_text(text)

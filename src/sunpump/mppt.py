@@ -13,11 +13,13 @@ The walk only ever moves ``V_ref`` by ``+-dV_step`` or holds it, and it
 soon falls into a pattern whose moves repeat with period 4: a hold, the
 P&O limit cycle V*, V*+d, V*, V*-d, or a monotone IC drift.
 ``mppt_run`` steps the law one scalar solve at a time until its last 8
-moves repeat with period 4.  Then it predicts a block of voltages by
-repeating the last 4 moves from the current ``V_ref``, solves each step
-at its own predicted voltage at once with ``pv.array_current_lanes``,
-and runs the same move kernel over the block on arrays, with the same
-IEEE operations.  The block is kept up to and including the first
+moves repeat with period 4; the array-only part of that solve is set up
+once per run (``pv.array_solve``), so a scalar step hands
+``pv.array_current_at`` only its voltage and irradiance.  Then it
+predicts a block of voltages by repeating the last 4 moves from the
+current ``V_ref``, solves each step at its own predicted voltage at once
+with ``pv.array_current_lanes``, and runs the same move kernel over the
+block on arrays, with the same IEEE operations.  The block is kept up to and including the first
 step whose next voltage leaves the prediction, and the walk goes back
 to scalar steps from there; a block that checks out doubles the next
 one (128 steps, up to 4096).  Every current and every decision is the
@@ -43,14 +45,20 @@ from . import pv
 # out doubles the next, up to the maximum
 _BLOCK_MIN = 128
 _BLOCK_MAX = 4096
+# the position of each step of a block in the repeated 4 moves
+_PHASE = np.arange(_BLOCK_MAX) % 4
 
 D_MAX = 0.95          # largest boost duty the converter is driven at
 IC_REL_TOL = 1e-6     # relative tolerance of the IC law's hold test
 
 
 def duty_for_ratio(v_in, v_out):
-    """Boost-law duty ``1 - v_out/v_in``, clamped to [0, D_MAX]; 0 where
-    v_in <= 0.  ``v_in`` is a float or an array."""
+    """The duty ``1 - v_out/v_in``, clamped to [0, D_MAX]; 0 where
+    v_in <= 0.  ``v_in`` is a float or an array.
+
+    This is one minus the buck duty ``v_out/v_in``; it is not the boost
+    law ``1 - v_in/v_out``.  Which converter law the 12 V bus implies is
+    an open decision (ROADMAP item 2), so the formula stays as it is."""
     v = np.asarray(v_in, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         d = np.where(v <= 0.0, 0.0, np.clip(1.0 - v_out / v, 0.0, D_MAX))
@@ -191,6 +199,7 @@ def mppt_run(ap, algo, st0, steps, irradiance):
     g = np.broadcast_to(np.asarray(irradiance, dtype=float), (steps,))
     v_ref = np.empty(steps)
     cur = np.empty(steps)
+    solve = pv.array_solve(ap)
     dv_step = st0.dV_step
     v_prev, i_prev, p_prev = st0.V_prev, st0.I_prev, st0.P_prev
     v, flag = st0.V_ref, ""
@@ -201,8 +210,8 @@ def mppt_run(ap, algo, st0, steps, irradiance):
         n = 0
         if len(moves) == 8 and moves[:4] == moves[4:]:
             n = min(size, steps - k)
-            vs = np.add.accumulate(np.concatenate(([v],
-                                                   np.resize(moves[4:], n))))
+            vs = np.add.accumulate(np.concatenate(
+                ([v], np.array(moves[4:])[_PHASE[:n]])))
             # cut the block before its first voltage past the bound; a
             # block cut to its first step is a scalar step
             past = np.flatnonzero(vs[1:n] > _voc_bound(ap, v, g[k:k + n]))
@@ -210,7 +219,7 @@ def mppt_run(ap, algo, st0, steps, irradiance):
                 n = int(past[0]) + 1 if past[0] else 0
                 vs = vs[:n + 1]
         if n:
-            i = _currents(ap, vs[:n], g[k:k + n])
+            i = _currents(ap, solve, vs[:n], g[k:k + n])
             before = np.concatenate(([v_prev], vs[:n - 1]))
             with np.errstate(all="ignore"):
                 if ic:
@@ -237,7 +246,7 @@ def mppt_run(ap, algo, st0, steps, irradiance):
             size = _BLOCK_MIN if miss.size else min(2 * size, _BLOCK_MAX)
             k += c
             continue
-        i = _or_zero(pv.array_current, ap.at_irradiance(g.item(k)), v)
+        i = _or_zero(pv.array_current_at, solve, v, g.item(k))
         p_now = v * i
         if ic:
             move, undefined = _ic_move(dv_step, v_prev, i_prev, v, i, max,
@@ -274,11 +283,11 @@ def _voc_bound(ap, v, g):
     return max(v, pv.open_circuit_voltage(ap.at_irradiance(float(g_top))))
 
 
-def _currents(ap, v, g):
+def _currents(ap, solve, v, g):
     """Currents at the voltages v over the irradiances g, lane by lane;
-    lanes the lane solve leaves open take the scalar path."""
+    lanes the lane solve leaves open take the scalar path (``solve`` is
+    ``pv.array_solve(ap)``)."""
     cur, left_open = pv.array_current_lanes(ap, v, g)
     for j in left_open.tolist():
-        cur[j] = _or_zero(pv.array_current, ap.at_irradiance(g.item(j)),
-                          v.item(j))
+        cur[j] = _or_zero(pv.array_current_at, solve, v.item(j), g.item(j))
     return cur

@@ -16,16 +16,18 @@ contract holds.  The open-circuit voltage needs no current solve: at
 I = 0 the cell voltage solves an explicit equation (see
 :func:`open_circuit_voltage`).
 
+The thermal voltages and saturation currents depend on the cell and its
+temperature only, so they are computed once per cell
+(:func:`_diode_constants`).  Everything else the solve needs of the
+array alone is set up once by :func:`array_solve`; the MPPT harvest
+does that once per run and then hands each step only its voltage and
+irradiance (:func:`array_current_at`, which builds no array).
 ``array_current_lanes`` runs the same Newton over lanes that each pair
-a voltage with an irradiance (or share one voltage), with the scalar
-operations in the same order and numpy's exp on floats and lanes alike,
-so every settled lane is bit-identical to
-``array_current(ap.at_irradiance(g), v)``.  The MPPT harvest solves each
-step of a block at its own predicted voltage with it.  The thermal
-voltages and saturation currents depend on the cell and its temperature
-only, so they are computed once per cell (:func:`_diode_constants`), and
-``at_irradiance`` builds its array without checking again what it did
-not change.
+a voltage with an irradiance (or share one voltage), on the same
+mismatch with the same operations in the same order and numpy's exp on
+floats and lanes alike, so every settled lane is bit-identical to
+``array_current(ap.at_irradiance(g), v)``.  The harvest solves each
+step of a block at its own predicted voltage with it.
 """
 
 from dataclasses import dataclass
@@ -130,24 +132,9 @@ class PvArrayParams:
     def at_irradiance(self, g_t):
         """Same array with photocurrent scaled linearly to irradiance."""
         c = self.cell
-        i_ph = self.photocurrent(g_t)
-        if 0.0 <= g_t < math.inf and 0.0 <= i_ph < math.inf:
-            # only I_ph and the irradiance change, and both pass the
-            # checks the constructors would make
-            return _replace_unchecked(
-                self, cell=_replace_unchecked(c, I_ph=i_ph),
-                irradiance_G_T=g_t)
-        cell = PvCellParams(i_ph, c.I_o1, c.I_o2, c.R_s, c.R_p, c.a1, c.a2,
-                            c.T_c)
+        cell = PvCellParams(self.photocurrent(g_t), c.I_o1, c.I_o2, c.R_s,
+                            c.R_p, c.a1, c.a2, c.T_c)
         return PvArrayParams(cell, self.N_s, self.N_p, self.area_A, g_t)
-
-
-def _replace_unchecked(obj, **changes):
-    """``dataclasses.replace`` without the checks of ``__post_init__``,
-    for changes known to pass them."""
-    new = object.__new__(type(obj))
-    new.__dict__.update(vars(obj), **changes)
-    return new
 
 
 def default_array(g_t=1000.0, t_c=T_REFERENCE_K):
@@ -180,36 +167,48 @@ def _diode_constants(a1, a2, t_c, i_o1, i_o2):
             _saturation_at_temperature(i_o2, t_c))
 
 
-def _array_mismatch(p, n_s, n_p, v, i_ph=None):
+def array_solve(ap):
     """
-    The mismatch f(I) = I - RHS(I) at array voltage ``v`` and its slope,
-    as one function ``I -> (f, df/dI)``.  f is strictly increasing and
-    convex in I and zero at the solution.  The exponents are capped at
-    700 so that f stays finite on any bracket.
-
-    ``i_ph``, an array of cell photocurrents in place of ``p.I_ph``,
-    makes the function act on arrays of currents, one lane per
-    photocurrent, with the same operations in the same order; ``v`` may
-    then be an array too, one voltage per lane.
+    The part of the current solve that depends on the array alone, set
+    up once and handed to :func:`array_current_at` for every voltage and
+    irradiance: the tuple ``(ap, N_s, N_p, R_s, R_p, Vt1, Vt2,
+    N_p I_o1(T), N_p I_o2(T), N_p / R_p, R_s / N_p)``.
     """
-    if i_ph is None:
-        i_ph, exp, cap = p.I_ph, lambda x: float(np.exp(x)), min
-    else:
-        exp, cap = np.exp, np.minimum
+    p, n_p = ap.cell, ap.N_p
     vt1, vt2, io1, io2 = _diode_constants(p.a1, p.a2, p.T_c, p.I_o1, p.I_o2)
-    v_cell = v / n_s
-    r_s = p.R_s
-    du_di = r_s / n_p
-    i_ph = n_p * i_ph
-    k1, k2, g_p = n_p * io1, n_p * io2, n_p / p.R_p
+    return (ap, ap.N_s, n_p, p.R_s, p.R_p, vt1, vt2, n_p * io1, n_p * io2,
+            n_p / p.R_p, p.R_s / n_p)
 
-    def f_df(i):
-        u = v_cell + i * r_s / n_p
-        e1 = exp(cap(u / vt1, 700.0))
-        e2 = exp(cap(u / vt2, 700.0))
-        f = i - (i_ph - k1 * (e1 - 1.0) - k2 * (e2 - 1.0) - g_p * u)
-        return f, 1.0 + du_di * (k1 * e1 / vt1 + k2 * e2 / vt2 + g_p)
-    return f_df
+
+def _mismatch(s, v_cell, i_ph, i, exp):
+    """
+    The mismatch f(I) = I - RHS(I) of the array set up by
+    :func:`array_solve`, at cell voltage ``v_cell`` and array
+    photocurrent ``i_ph`` (N_p I_ph), and its slope df/dI.  f is
+    strictly increasing and convex in I and zero at the solution.
+
+    ``exp`` is :func:`_capped_exp` on floats or :func:`_capped_exp_lanes`
+    on arrays of lanes (one voltage, photocurrent and current per lane):
+    numpy's exp either way, with the same operations in the same order.
+    """
+    _, _, n_p, r_s, _, vt1, vt2, k1, k2, g_p, du_di = s
+    u = v_cell + i * r_s / n_p
+    e1 = exp(u / vt1)
+    e2 = exp(u / vt2)
+    f = i - (i_ph - k1 * (e1 - 1.0) - k2 * (e2 - 1.0) - g_p * u)
+    return f, 1.0 + du_di * (k1 * e1 / vt1 + k2 * e2 / vt2 + g_p)
+
+
+def _capped_exp(x):
+    """numpy's exp of a float exponent capped at 700 (so that the
+    mismatch stays finite on any bracket), as a float; a NaN exponent
+    stays NaN, as under ``np.minimum``."""
+    return float(np.exp(700.0 if x > 700.0 else x))
+
+
+def _capped_exp_lanes(x):
+    """:func:`_capped_exp` on an array."""
+    return np.exp(np.minimum(x, 700.0))
 
 
 # Newton acceptance: |f| at or below this, in amperes, within this many
@@ -221,29 +220,36 @@ _NEWTON_TOL_A = 1e-12
 _NEWTON_MAX_ITER = 200
 
 
-def _solve_current(p, n_s, n_p, v):
-    f_df = _array_mismatch(p, n_s, n_p, v)
-    if p.R_s == 0.0:
+def _solve_current(s, v, i_ph):
+    """The current at array voltage ``v`` and cell photocurrent ``i_ph``
+    of the array set up by :func:`array_solve`."""
+    _, n_s, n_p, r_s = s[:4]
+    v_cell = v / n_s
+    i_ph = n_p * i_ph
+    if r_s == 0.0:
         # current appears only through I*Rs; the equation is explicit
-        return -f_df(0.0)[0]
+        return -_mismatch(s, v_cell, i_ph, 0.0, _capped_exp)[0]
     # Newton from the right of the root: f is increasing and convex, so
     # the iterates descend onto the root without overshooting it; the
     # step from the accepted iterate is taken too, as it is free
-    i = n_p * p.I_ph + 1.0
+    i = i_ph + 1.0
     for _ in range(_NEWTON_MAX_ITER):
-        f, df = f_df(i)
+        f, df = _mismatch(s, v_cell, i_ph, i, _capped_exp)
         i -= f / df
         if abs(f) <= _NEWTON_TOL_A:
             return i
-    return _solve_current_bracketed(f_df, p, n_p, v)
+    return _solve_current_bracketed(s, v, i_ph)
 
 
-def _solve_current_bracketed(f_df, p, n_p, v):
+def _solve_current_bracketed(s, v, i_ph):
     """Fallback: bisection on a sign-changing bracket down to adjacent
-    floats, 1e-9 A residual.  A NaN mismatch fails the sign test."""
-    f = lambda i: f_df(i)[0]
-    hi = n_p * p.I_ph + 1.0
-    lo = -(n_p * p.I_ph + abs(v) / p.R_p + 10.0)
+    floats, 1e-9 A residual.  A NaN mismatch fails the sign test.
+    ``i_ph`` is the array photocurrent N_p I_ph."""
+    _, n_s, _, _, r_p = s[:5]
+    v_cell = v / n_s
+    f = lambda i: _mismatch(s, v_cell, i_ph, i, _capped_exp)[0]
+    hi = i_ph + 1.0
+    lo = -(i_ph + abs(v) / r_p + 10.0)
     if not f(lo) <= 0.0 <= f(hi):
         lo, hi = lo * 10 - 10, hi * 10 + 10   # widen once
         if not f(lo) <= 0.0 <= f(hi):
@@ -266,7 +272,23 @@ def _solve_current_bracketed(f_df, p, n_p, v):
 def array_current(ap, v_a):
     """Array output current solving the implicit double-diode equation;
     a 1x1 array gives the cell current."""
-    return _solve_current(ap.cell, ap.N_s, ap.N_p, v_a)
+    return _solve_current(array_solve(ap), v_a, ap.cell.I_ph)
+
+
+def array_current_at(s, v_a, g_t):
+    """
+    ``array_current(ap.at_irradiance(g_t), v_a)``, bit for bit, for the
+    array ``ap`` that :func:`array_solve` set ``s`` up for, without
+    building the lit array: the photocurrent is ``ap.photocurrent(g_t)``,
+    as ``at_irradiance`` takes it.  An irradiance that ``at_irradiance``
+    refuses (NaN, negative or infinite) raises its error.
+    """
+    ap = s[0]
+    i_ph = ap.photocurrent(g_t)
+    if not (0.0 <= g_t < math.inf and 0.0 <= i_ph < math.inf):
+        # the checked constructors raise here
+        return array_current(ap.at_irradiance(g_t), v_a)
+    return _solve_current(s, v_a, i_ph)
 
 
 def array_current_lanes(ap, v_a, g_t):
@@ -283,22 +305,24 @@ def array_current_lanes(ap, v_a, g_t):
     after the Newton iterations, and lanes whose photocurrent is
     negative (``at_irradiance`` rejects it) or NaN.
     """
-    p, n_s, n_p = ap.cell, ap.N_s, ap.N_p
+    s = array_solve(ap)
     i_ph = ap.photocurrent(np.asarray(g_t, dtype=float))
     v, i_ph = np.broadcast_arrays(np.asarray(v_a, dtype=float), i_ph)
     bad = ~(i_ph >= 0.0)
     with np.errstate(all="ignore"):
-        f_df = _array_mismatch(p, n_s, n_p, v, i_ph)
-        if p.R_s == 0.0:
-            i, left = -f_df(np.zeros(i_ph.shape))[0], bad
+        v_cell, i_ph = v / ap.N_s, ap.N_p * i_ph
+        if ap.cell.R_s == 0.0:
+            i = -_mismatch(s, v_cell, i_ph, np.zeros(i_ph.shape),
+                           _capped_exp_lanes)[0]
+            left = bad
         else:
             # every lane iterates; a lane keeps the step from the
             # iterate it settles at, and the rest of the work is thrown
             # away for it
             left = ~bad
-            i = n_p * i_ph + 1.0
+            i = i_ph + 1.0
             for _ in range(_NEWTON_MAX_ITER):
-                f, df = f_df(i)
+                f, df = _mismatch(s, v_cell, i_ph, i, _capped_exp_lanes)
                 i = np.where(left, i - f / df, i)
                 left &= ~(np.abs(f) <= _NEWTON_TOL_A)
                 if not left.any():

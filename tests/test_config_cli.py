@@ -386,6 +386,46 @@ class TestCliExitCodes:
         assert captured.out == ""
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [["scenario", "run"], ["tf"]],
+                             ids=["scenario-run", "tf"])
+    def test_config_that_is_not_utf8_is_a_config_error(self, tmp_path,
+                                                       capsys, argv):
+        # a Latin-1 comment: 0xe9 cannot start a UTF-8 sequence here
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(b"# caf\xe9\n[scenario]\nduration_s = 1\n")
+        code = main([*argv, "--config", str(cfg), "--out",
+                     str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"config error: cannot read config {cfg}: ")
+        assert "'utf-8' codec can't decode" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_naming_a_file_is_an_output_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        code = main(["pv-curve", "--points", "5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("output error: ") and str(out) in err
+        assert err.count("\n") == 1
+        assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("argv, name", [
+        (["pv-curve", "--points", "5"], "pv_curve.csv"),
+        (["scenario", "run", "--t-end", "1"], "scenario_trace.csv")],
+        ids=["pv-curve", "scenario-run"])
+    def test_csv_that_cannot_be_written_is_an_output_error(
+            self, tmp_path, capsys, argv, name):
+        # a directory where the CSV should go: opening it for writing
+        # fails in emit_csv
+        (tmp_path / name).mkdir()
+        code = main([*argv, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("output error: ")
+        assert str(tmp_path / name) in err and err.count("\n") == 1
+
     def test_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[scenario]\nduration_s = -5\n")

@@ -194,15 +194,15 @@ class TestClosedLoop:
     def test_solver_failure_records_zero_current_and_goes_on(self,
                                                              monkeypatch):
         calls = []
-        solve = pv.array_current
+        solve = pv.array_current_at
 
-        def flaky(ap, v):
+        def flaky(s, v, g):
             calls.append(v)
             if len(calls) == 5:
                 raise PvSolverError("no bracket")
-            return solve(ap, v)
+            return solve(s, v, g)
 
-        monkeypatch.setattr(pv, "array_current", flaky)
+        monkeypatch.setattr(pv, "array_current_at", flaky)
         run = mppt_run(default_array(), "po", initial_state(10.0, 0.5), 20,
                        irradiance=1000.0)
         assert len(run.v_ref) == len(run.i) == 20
@@ -303,17 +303,17 @@ def compare(ap, algo, st0, g):
 def lane_counts(monkeypatch):
     """Counts of the lanes solved and of the scalar solves made."""
     counts = {"lanes": 0, "scalar": 0}
-    lanes, scalar = pv.array_current_lanes, pv.array_current
+    lanes, scalar = pv.array_current_lanes, pv.array_current_at
 
     def counted_lanes(ap, v, g):
         counts["lanes"] += len(g)
         return lanes(ap, v, g)
 
-    def counted_scalar(ap, v):
+    def counted_scalar(s, v, g):
         counts["scalar"] += 1
-        return scalar(ap, v)
+        return scalar(s, v, g)
     monkeypatch.setattr(pv, "array_current_lanes", counted_lanes)
-    monkeypatch.setattr(pv, "array_current", counted_scalar)
+    monkeypatch.setattr(pv, "array_current_at", counted_scalar)
     return counts
 
 
@@ -518,7 +518,7 @@ def lane_calls(monkeypatch):
     lanes each left open, and the (irradiance, voltage) of each scalar
     solve."""
     calls = {"lanes": [], "open": [], "scalar": []}
-    lanes, scalar = pv.array_current_lanes, pv.array_current
+    lanes, scalar = pv.array_current_lanes, pv.array_current_at
 
     def spied_lanes(ap, v, g):
         cur, left_open = lanes(ap, v, g)
@@ -526,11 +526,11 @@ def lane_calls(monkeypatch):
         calls["open"].append(left_open.size)
         return cur, left_open
 
-    def spied_scalar(ap, v):
-        calls["scalar"].append((ap.irradiance_G_T, v))
-        return scalar(ap, v)
+    def spied_scalar(s, v, g):
+        calls["scalar"].append((g, v))
+        return scalar(s, v, g)
     monkeypatch.setattr(pv, "array_current_lanes", spied_lanes)
-    monkeypatch.setattr(pv, "array_current", spied_scalar)
+    monkeypatch.setattr(pv, "array_current_at", spied_scalar)
     return calls
 
 

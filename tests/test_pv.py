@@ -5,7 +5,8 @@ from pathlib import Path
 import subprocess
 import sys
 
-from hypothesis import assume, given, strategies as st
+from hypothesis import (assume, example, given, settings,
+                        strategies as st)
 import mpmath
 import numpy as np
 import pytest
@@ -282,8 +283,8 @@ class TestNewtonSolve:
             cell = PvCellParams(base.I_ph, base.I_o1, base.I_o2, r_s,
                                 base.R_p, 1.0, 2.0, t)
             ap = PvArrayParams(cell, N_s=36)
-            i = pv._solve_current_bracketed(
-                pv._array_mismatch(cell, 36, 1, v), cell, 1, v)
+            i = pv._solve_current_bracketed(pv.array_solve(ap), v,
+                                            cell.I_ph)
             worst_delta = max(worst_delta,
                               abs(i - brentq_reference_current(ap, v)))
             worst_residual = max(worst_residual,
@@ -641,6 +642,54 @@ class TestCurrentLanes:
         assert left_open.tolist() == [1, 2]
         assert np.isnan(cur[[1, 2]]).all()
         assert cur[3] == array_current(ap.at_irradiance(800.0), 10.0)
+
+
+
+def _outcome(solve):
+    """A solve's current as its int64 bits, or its error as (type,
+    message)."""
+    try:
+        return int(np.float64(solve()).view(np.int64))
+    except (ValueError, PvSolverError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCurrentAtMatchesLitArray:
+    """``array_current_at`` on a solve set up once equals the solve on
+    the lit array, ``array_current(ap.at_irradiance(g), v)``, bit for
+    bit, and raises what it raises.  The examples pin the paths a draw
+    may miss: the bisection fallback (R_s = 5 ohm at 0 V, and the 50 K
+    array past 1.29 V_oc), ``PvSolverError`` (50 K past 2.9 V_oc) and
+    the irradiances ``at_irradiance`` refuses, and a dark array."""
+
+    @settings(max_examples=300)
+    @given(g0=st.sampled_from([1000.0, 400.0]),
+           r_s=st.sampled_from([0.0, 0.01, 5.0]),
+           t_c=st.sampled_from([50.0, 298.0, 400.0]),
+           n_p=st.sampled_from([1, 2]),
+           g=st.one_of(st.sampled_from([0.0, 1e-6, math.nan, -1.0,
+                                        math.inf]),
+                       st.floats(0.0, 1200.0)),
+           at=st.floats(0.0, 1.0))
+    @example(g0=1000.0, r_s=5.0, t_c=298.0, n_p=1, g=800.0,
+             at=100.0 / (3 * 23.18 + 100.0))
+    @example(g0=1000.0, r_s=0.01, t_c=50.0, n_p=1, g=1000.0, at=0.8)
+    @example(g0=1000.0, r_s=0.01, t_c=50.0, n_p=2, g=1200.0, at=1.0)
+    @example(g0=1000.0, r_s=0.01, t_c=298.0, n_p=1, g=-1.0, at=0.5)
+    @example(g0=1000.0, r_s=0.01, t_c=298.0, n_p=1, g=math.nan, at=0.5)
+    @example(g0=1000.0, r_s=0.01, t_c=298.0, n_p=1, g=math.inf, at=0.5)
+    @example(g0=0.0, r_s=0.01, t_c=298.0, n_p=1, g=500.0, at=0.5)
+    def test_bits_and_errors(self, g0, r_s, t_c, n_p, g, at):
+        # V runs over [-100, 3 V_oc] of the array at g0
+        base = default_array(g0, t_c)
+        cell = dataclasses.replace(base.cell, R_s=r_s)
+        ap = PvArrayParams(cell, N_s=36, N_p=n_p, area_A=0.5,
+                           irradiance_G_T=g0)
+        v = -100.0 + at * (3.0 * open_circuit_voltage(ap) + 100.0)
+        want = _outcome(lambda: array_current(ap.at_irradiance(g), v))
+        got = _outcome(lambda: pv.array_current_at(pv.array_solve(ap), v,
+                                                   g))
+        assert got == want, (v, g)
 
 
 def mpmath_current(ap, v):
