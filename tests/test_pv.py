@@ -644,7 +644,6 @@ class TestCurrentLanes:
         assert cur[3] == array_current(ap.at_irradiance(800.0), 10.0)
 
 
-
 def _outcome(solve):
     """A solve's current as its int64 bits, or its error as (type,
     message)."""
@@ -658,9 +657,9 @@ class TestCurrentAtMatchesLitArray:
     """``array_current_at`` on a solve set up once equals the solve on
     the lit array, ``array_current(ap.at_irradiance(g), v)``, bit for
     bit, and raises what it raises.  The examples pin the paths a draw
-    may miss: the bisection fallback (R_s = 5 ohm at 0 V, and the 50 K
-    array past 1.29 V_oc), ``PvSolverError`` (50 K past 2.9 V_oc) and
-    the irradiances ``at_irradiance`` refuses, and a dark array."""
+    may miss: the bisection fallback (R_s = 5 ohm near 0 V, and the
+    50 K array at 1.9 V_oc), ``PvSolverError`` (50 K at 3 V_oc), the
+    irradiances ``at_irradiance`` refuses, and a dark array."""
 
     @settings(max_examples=300)
     @given(g0=st.sampled_from([1000.0, 400.0]),
