@@ -26,12 +26,12 @@ one (128 steps, up to 4096).  Every current and every decision is the
 scalar loop's, bit for bit.
 
 A monotone rise repeats its move too, and 128 steps of +0.5 V would
-predict 64 V above the start, far past the open-circuit voltage, where
-the lane Newton needs ever more iterations (68 at 80 V) and soon leaves
-its lanes to the scalar solve.  A block therefore ends before its first
-predicted voltage above ``max(V_ref, V_oc)``, with V_oc taken at the
-block's brightest irradiance; a block cut to its first step is a
-scalar step.  The cut only moves steps between two bit-identical paths.
+predict 64 V above the start, far past V_oc, where the walk turns back
+and lanes need more iterations (uncut, perfbench's seed-1 ``clouds``
+harvest solves 228 k lanes in 1 360 iterations, not 183 k in 1 132).
+A block ends before its first predicted voltage above ``max(V_ref,
+V_oc)``, V_oc at its brightest irradiance; a block cut to its first
+step is a scalar step, which only moves it between bit-identical paths.
 """
 
 from dataclasses import dataclass

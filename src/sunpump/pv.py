@@ -8,13 +8,12 @@ The cell current solves the implicit circuit equation
 
 with Vt_k = a_k * kB * T / q.  The array version scales voltages by the
 series count and currents by the parallel count.  The current solve is
-Newton's method, started right of the root (the mismatch is increasing
-and convex in I, so the iterates descend onto it) and accepted at a
-1e-12 A residual; when it does not get there, a bisection on a
-sign-changing bracket takes over.  Either way the 1e-9 A residual
-contract holds.  The open-circuit voltage needs no current solve: at
-I = 0 the cell voltage solves an explicit equation (see
-:func:`open_circuit_voltage`).
+Newton's method from I_ph + 1 or a closed-form start right of the root
+(the mismatch is increasing and convex in I, so the iterates descend
+onto it), stopped at a 1e-12 A residual or where rounding stops the
+descent: within 1e-9 A of the root (at 1e4 V, -27 692 A, the residual
+is 1.2e-8 A).  The open-circuit voltage needs no current solve: at
+I = 0 the cell voltage solves an explicit equation.
 
 The thermal voltages and saturation currents depend on the cell and its
 temperature only, so they are computed once per cell
@@ -24,8 +23,9 @@ does that once per run and then hands each step only its voltage and
 irradiance (:func:`array_current_at`, which builds no array).
 ``array_current_lanes`` runs the same Newton over lanes that each pair
 a voltage with an irradiance (or share one voltage), on the same
-mismatch with the same operations in the same order and numpy's exp on
-floats and lanes alike, so every settled lane is bit-identical to
+mismatch with the same operations in the same order and numpy's exp
+and log on floats and lanes alike (a float gets the bits it gets in any
+array), so every lane is bit-identical to
 ``array_current(ap.at_irradiance(g), v)``.  The harvest solves each
 step of a block at its own predicted voltage with it.
 """
@@ -54,7 +54,7 @@ T_C_MIN_K = 50.0
 
 
 class PvSolverError(RuntimeError):
-    """Implicit current solve failed to bracket or converge."""
+    """A PV solve did not settle, or its exponent reached the cap."""
 
 
 def thermal_voltage(a, t_c):
@@ -201,7 +201,7 @@ def _mismatch(s, v_cell, i_ph, i, exp):
 
 def _capped_exp(x):
     """numpy's exp of a float exponent capped at 700 (so that the
-    mismatch stays finite on any bracket), as a float; a NaN exponent
+    mismatch stays finite at any iterate), as a float; a NaN exponent
     stays NaN, as under ``np.minimum``."""
     return float(np.exp(700.0 if x > 700.0 else x))
 
@@ -211,62 +211,51 @@ def _capped_exp_lanes(x):
     return np.exp(np.minimum(x, 700.0))
 
 
-# Newton acceptance: |f| at or below this, in amperes, within this many
-# iterations; otherwise the bracketing fallback runs.  The descent from
-# the right is monotone, so the budget only decides how far right of the
-# root a start may lie: 200 settles every start up to R_s = 0.3 ohm on a
-# cold (275 K) array.
+# Newton acceptance |f| in amperes; the budget is twice the worst case
+# of seeded sweeps over 9 000 accepted cells (R_s to 50 ohm, 50-400 K,
+# +-1e4 V): 46 iterations, 14 for open_circuit_voltage, which shares it
 _NEWTON_TOL_A = 1e-12
-_NEWTON_MAX_ITER = 200
+_NEWTON_MAX_ITER = 100
+_START_EXP_MAX = 40.0   # the largest diode exponent u/Vt of a start
+
+
+def _right_start(s, v_cell, i_ph):
+    """The smaller single-diode start (ln(1 + X/k) Vt - v)/r on floats or
+    lanes, X = N_p I_ph + 1 + max(v, 0)/r + |v| N_p/R_p, k = N_p I_o(T):
+    diode k alone carries X there, so f >= 1, right of the root."""
+    _, _, _, _, _, vt1, vt2, k1, k2, g_p, r = s
+    with np.errstate(all="ignore"):   # a non-finite voltage gives NaN
+        x = i_ph + 1.0 + np.maximum(v_cell, 0.0) / r + np.abs(v_cell) * g_p
+        return (np.minimum(vt1 * np.log(1.0 + x / k1),
+                           vt2 * np.log(1.0 + x / k2)) - v_cell) / r
 
 
 def _solve_current(s, v, i_ph):
     """The current at array voltage ``v`` and cell photocurrent ``i_ph``
     of the array set up by :func:`array_solve`."""
-    _, n_s, n_p, r_s = s[:4]
+    _, n_s, n_p, r_s, _, vt1, vt2 = s[:7]
     v_cell = v / n_s
     i_ph = n_p * i_ph
     if r_s == 0.0:
         # current appears only through I*Rs; the equation is explicit
         return -_mismatch(s, v_cell, i_ph, 0.0, _capped_exp)[0]
-    # Newton from the right of the root: f is increasing and convex, so
-    # the iterates descend onto the root without overshooting it; the
-    # step from the accepted iterate is taken too, as it is free
+    # the step from the accepted iterate is free; a start left of the
+    # root overshoots, then goes on from _right_start if that is nearer;
+    # from the third iterate, one that does not descend (rounding has
+    # stopped Newton) ends it at the better of it and the last; NaN never
     i = i_ph + 1.0
-    for _ in range(_NEWTON_MAX_ITER):
+    if v_cell + i * r_s / n_p > _START_EXP_MAX * min(vt1, vt2):
+        i = float(_right_start(s, v_cell, i_ph))
+    for n in range(_NEWTON_MAX_ITER):
         f, df = _mismatch(s, v_cell, i_ph, i, _capped_exp)
-        i -= f / df
         if abs(f) <= _NEWTON_TOL_A:
-            return i
-    return _solve_current_bracketed(s, v, i_ph)
-
-
-def _solve_current_bracketed(s, v, i_ph):
-    """Fallback: bisection on a sign-changing bracket down to adjacent
-    floats, 1e-9 A residual.  A NaN mismatch fails the sign test.
-    ``i_ph`` is the array photocurrent N_p I_ph."""
-    _, n_s, _, _, r_p = s[:5]
-    v_cell = v / n_s
-    f = lambda i: _mismatch(s, v_cell, i_ph, i, _capped_exp)[0]
-    hi = i_ph + 1.0
-    lo = -(i_ph + abs(v) / r_p + 10.0)
-    if not f(lo) <= 0.0 <= f(hi):
-        lo, hi = lo * 10 - 10, hi * 10 + 10   # widen once
-        if not f(lo) <= 0.0 <= f(hi):
-            raise PvSolverError(
-                f"no sign change bracketing the current at V={v}")
-    for _ in range(200):   # f(lo) <= 0 <= f(hi) throughout
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    i = lo if -f(lo) <= f(hi) else hi
-    if abs(f(i)) > 1e-9:
-        raise PvSolverError(f"residual {f(i):.2e} A exceeds contract at V={v}")
-    return i
+            return i - f / df
+        if n > 1 and (f <= 0.0 or i >= i_prev):
+            return i if abs(f) < abs(f_prev) else i_prev
+        i_prev, f_prev, i = i, f, i - f / df
+        if n == 0 and f < 0.0:
+            i = float(np.minimum(i, _right_start(s, v_cell, i_ph)))
+    raise PvSolverError(f"current solve did not settle at V={v}")
 
 
 def array_current(ap, v_a):
@@ -294,37 +283,48 @@ def array_current_at(s, v_a, g_t):
 def array_current_lanes(ap, v_a, g_t):
     """
     Array currents over lanes of voltages and irradiances: lane j is
-    ``array_current(ap.at_irradiance(g_t[j]), v_a[j])``, bit for bit,
-    for every lane the Newton iteration settles.  A float ``v_a`` is
-    the voltage of every lane.
+    ``array_current(ap.at_irradiance(g_t[j]), v_a[j])``, bit for bit.
+    A float ``v_a`` is the voltage of every lane.
 
     Returns
     -------
     (currents, open): ``open`` holds the indices of the lanes left to
-    the scalar path, whose currents are NaN here: lanes still unsettled
-    after the Newton iterations, and lanes whose photocurrent is
-    negative (``at_irradiance`` rejects it) or NaN.
+    the scalar path, whose currents are NaN here: lanes whose
+    photocurrent is negative (``at_irradiance`` rejects it) or NaN, and
+    lanes the Newton does not settle, as at a non-finite voltage.
     """
     s = array_solve(ap)
+    _, _, n_p, r_s, _, vt1, vt2 = s[:7]
     i_ph = ap.photocurrent(np.asarray(g_t, dtype=float))
     v, i_ph = np.broadcast_arrays(np.asarray(v_a, dtype=float), i_ph)
     bad = ~(i_ph >= 0.0)
     with np.errstate(all="ignore"):
-        v_cell, i_ph = v / ap.N_s, ap.N_p * i_ph
-        if ap.cell.R_s == 0.0:
+        v_cell, i_ph = v / ap.N_s, n_p * i_ph
+        if r_s == 0.0:
             i = -_mismatch(s, v_cell, i_ph, np.zeros(i_ph.shape),
                            _capped_exp_lanes)[0]
             left = bad
         else:
-            # every lane iterates; a lane keeps the step from the
-            # iterate it settles at, and the rest of the work is thrown
-            # away for it
-            left = ~bad
-            i = i_ph + 1.0
-            for _ in range(_NEWTON_MAX_ITER):
+            # every lane iterates and stops as the scalar solve does
+            left, i = ~bad, i_ph + 1.0
+            far = v_cell + i * r_s / n_p > _START_EXP_MAX * min(vt1, vt2)
+            if far.any():
+                i = np.where(far, _right_start(s, v_cell, i_ph), i)
+            for n in range(_NEWTON_MAX_ITER):
                 f, df = _mismatch(s, v_cell, i_ph, i, _capped_exp_lanes)
-                i = np.where(left, i - f / df, i)
-                left &= ~(np.abs(f) <= _NEWTON_TOL_A)
+                af, nxt = np.abs(f), i - f / df
+                stop = af <= _NEWTON_TOL_A
+                if n == 0 and (back := f < -_NEWTON_TOL_A).any():
+                    nxt = np.where(back, np.minimum(
+                        nxt, _right_start(s, v_cell, i_ph)), nxt)
+                elif n > 1:
+                    bend = ~stop & ((f <= 0.0) | (i >= i_prev))
+                    if bend.any():
+                        stop |= bend
+                        nxt = np.where(bend, np.where(af < af_prev, i,
+                                                      i_prev), nxt)
+                i_prev, af_prev, i = i, af, np.where(left, nxt, i)
+                left &= ~stop
                 if not left.any():
                     break
             left |= bad

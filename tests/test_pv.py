@@ -207,31 +207,43 @@ class TestNewtonSolve:
         assert worst_delta <= 1e-12
         assert worst_residual <= 1e-12
 
-    def test_falls_back_to_brentq(self, monkeypatch):
+    def test_far_start_moves_to_closed_form(self):
         # R_s = 5 ohm at 0 V: the start I_ph + 1 lies ~1700 thermal
-        # voltages right of the root, too far for the Newton budget
-        calls = []
-        real = pv._solve_current_bracketed
-        monkeypatch.setattr(
-            pv, "_solve_current_bracketed",
-            lambda *a, **k: calls.append(a) or real(*a, **k))
+        # voltages right of the root, so Newton starts instead where one
+        # diode alone carries more than I_ph + 1, f >= 1, and settles
         p = PvCellParams(I_ph=8.0, I_o1=1e-10, I_o2=1e-6, R_s=5.0,
                          R_p=100.0, a1=1.0, a2=2.0, T_c=298.0)
+        ap = PvArrayParams(cell=p)
+        assert 9.0 * 5.0 / thermal_voltage(2.0, 298.0) > pv._START_EXP_MAX
+        start = float(pv._right_start(pv.array_solve(ap), 0.0, 8.0))
+        assert start < 9.0
+        assert double_diode_residual(ap, 0.0, start) >= 1.0
         i = cell_current(p, 0.0)
-        assert len(calls) == 1
-        assert abs(double_diode_residual(PvArrayParams(cell=p), 0.0,
-                                         i)) <= 1e-9
+        assert abs(double_diode_residual(ap, 0.0, i)) <= 1e-12
         assert i == pytest.approx(
             brute_force_cell_current(p, 0.0, lo=-2.0, hi=2.0), abs=2e-6)
 
+    @pytest.mark.parametrize("v", [-10.0, -15.0, -20.0])
+    def test_left_start_goes_on_from_closed_form(self, v, monkeypatch):
+        # at these negative voltages I_ph + 1 lies left of the root, and
+        # Newton's first step overshoots far right of it, from where it
+        # did not settle within the budget; it goes on from the nearer
+        # closed-form start instead
+        monkeypatch.setattr(pv, "_NEWTON_MAX_ITER",
+                            pv._NEWTON_MAX_ITER // 2)
+        cell = PvCellParams(I_ph=2.33, I_o1=1.43e-8, I_o2=1.02e-4,
+                            R_s=2.16, R_p=546.0, a1=0.635, a2=2.26,
+                            T_c=393.5)
+        ap = PvArrayParams(cell, N_s=1, N_p=2)
+        assert double_diode_residual(ap, v, 2 * 2.33 + 1.0) < 0.0
+        i = array_current(ap, v)
+        assert abs(double_diode_residual(ap, v, i)) <= 1e-12
+        assert pv.array_current_lanes(ap, v, np.array([1000.0]))[0][0] == i
+
     @pytest.mark.parametrize("n_p", [1, 2])
-    def test_large_series_resistance_settles_by_newton(self, monkeypatch,
-                                                       n_p):
+    def test_large_series_resistance_settles_by_newton(self, n_p):
         # R_s = 0.3 ohm on a cold array starts Newton far right of the
-        # root; the iteration budget still lets every solve settle
-        def no_fallback(*args, **kwargs):
-            raise AssertionError("bisection fallback ran")
-        monkeypatch.setattr(pv, "_solve_current_bracketed", no_fallback)
+        # root; every solve still settles
         base = default_array(1000.0, 275.0)
         cell = PvCellParams(base.cell.I_ph, base.cell.I_o1, base.cell.I_o2,
                             0.3, base.cell.R_p, 1.0, 2.0, 275.0)
@@ -244,10 +256,7 @@ class TestNewtonSolve:
                 assert abs(double_diode_residual(lit, v, i)) <= 1e-12
             assert pv.array_current_lanes(ap, v, g)[1].size == 0
 
-    def test_explicit_without_series_resistance(self, monkeypatch):
-        def no_root_find(*args, **kwargs):
-            raise AssertionError("R_s = 0 needs no root find")
-        monkeypatch.setattr(pv, "_solve_current_bracketed", no_root_find)
+    def test_explicit_without_series_resistance(self):
         p = PvCellParams(I_ph=8.0, I_o1=1e-10, I_o2=1e-6, R_s=0.0,
                          R_p=100.0, a1=1.0, a2=2.0, T_c=298.0)
         v = 0.5
@@ -257,21 +266,18 @@ class TestNewtonSolve:
         assert cell_current(p, v) == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("g", [50.0, 400.0, 1000.0])
-    def test_daylight_range_never_falls_back(self, monkeypatch, g):
+    def test_daylight_range_never_falls_back(self, g):
         # the scenario's operating range, 0 to Voc of the default array,
-        # must be solved by Newton alone
+        # settles at the 1e-12 A acceptance
         ap = default_array(g)
         voc = open_circuit_voltage(ap)
-
-        def no_fallback(*args, **kwargs):
-            raise AssertionError("bisection fallback ran")
-        monkeypatch.setattr(pv, "_solve_current_bracketed", no_fallback)
         for v in np.linspace(0.0, voc, 301).tolist():
             assert abs(double_diode_residual(ap, v, array_current(ap, v))) \
                 <= 1e-12
 
-    def test_bisection_matches_brentq(self):
-        # the fallback alone, on the series resistances that need it
+    def test_large_series_resistance_matches_brentq(self):
+        # the series resistances whose start I_ph + 1 lies far right of
+        # the root, where the closed-form start takes over
         rng = np.random.default_rng(4242)
         n = 400
         worst_delta = worst_residual = 0.0
@@ -283,8 +289,7 @@ class TestNewtonSolve:
             cell = PvCellParams(base.I_ph, base.I_o1, base.I_o2, r_s,
                                 base.R_p, 1.0, 2.0, t)
             ap = PvArrayParams(cell, N_s=36)
-            i = pv._solve_current_bracketed(pv.array_solve(ap), v,
-                                            cell.I_ph)
+            i = array_current(ap, v)
             worst_delta = max(worst_delta,
                               abs(i - brentq_reference_current(ap, v)))
             worst_residual = max(worst_residual,
@@ -292,9 +297,38 @@ class TestNewtonSolve:
         assert worst_delta <= 1e-12
         assert worst_residual <= 1e-12
 
+    def test_accepted_cells_settle_in_half_the_budget(self, monkeypatch):
+        # a seeded sweep over cells the checks accept, at -1e4 V, 0 V,
+        # -100 V to 3 V_oc and 1e4 V: every current and open-circuit
+        # voltage settles within half of the Newton budget, which is
+        # twice the worst case of larger sweeps (46 iterations, 14 for
+        # V_oc)
+        monkeypatch.setattr(pv, "_NEWTON_MAX_ITER",
+                            pv._NEWTON_MAX_ITER // 2)
+        rng = np.random.default_rng(2022)
+        log_uniform = lambda lo, hi: float(10.0 ** rng.uniform(lo, hi))
+        for _ in range(400):
+            cell = PvCellParams(
+                I_ph=rng.choice([0.0, log_uniform(-3.0, 1.5)]),
+                I_o1=log_uniform(-20.0, -3.0), I_o2=log_uniform(-20.0, -3.0),
+                R_s=log_uniform(-6.0, math.log10(50.0)),
+                R_p=log_uniform(-2.0, 6.0), a1=float(rng.uniform(0.5, 3.0)),
+                a2=float(rng.uniform(0.5, 3.0)),
+                T_c=float(rng.uniform(50.0, 400.0)))
+            ap = PvArrayParams(cell, N_s=int(rng.choice([1, 36, 72])),
+                               N_p=int(rng.choice([1, 2])))
+            voc = open_circuit_voltage(ap)
+            v = np.concatenate([np.linspace(-100.0, 3.0 * voc, 20),
+                                [-1e4, 0.0, 1e4]])
+            for x in v.tolist():
+                array_current(ap, x)
+            assert pv.array_current_lanes(ap, v, ap.irradiance_G_T)[1] \
+                .size == 0
+
     @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
     def test_nonfinite_voltage_fails_the_solve(self, v):
-        # a NaN bracket must fail the sign test, not bisect forever
+        # a NaN mismatch must not end the descent: the solve runs out
+        # its budget and raises rather than return a current
         with pytest.raises(pv.PvSolverError):
             array_current(default_array(), v)
 
@@ -581,8 +615,8 @@ class TestCurrentLanes:
                                          (298.0, 0.0), (275.0, 0.3),
                                          (298.0, 5.0)])
     def test_lanes_match_scalar_solve(self, t_c, r_s):
-        # at R_s = 5 ohm most lanes need more Newton iterations than
-        # allowed and are left open; at the others every lane settles
+        # at R_s = 5 ohm most lanes start at the closed form; every lane
+        # settles
         base = default_array(1000.0, t_c)
         cell = PvCellParams(base.cell.I_ph, base.cell.I_o1, base.cell.I_o2,
                             r_s, base.cell.R_p, 1.0, 2.0, t_c)
@@ -591,21 +625,16 @@ class TestCurrentLanes:
         g = np.concatenate([rng.uniform(0.0, 1200.0, 300), [0.0, 1e-6]])
         for v in (-40.0, 0.0, 9.5, 17.25, 20.0, 23.0):
             cur, left_open = pv.array_current_lanes(ap, v, g)
-            assert np.isnan(cur[left_open]).all()
-            settled = np.setdiff1d(np.arange(g.size), left_open)
-            assert settled.size > 0
-            if r_s < 1.0:
-                assert left_open.size == 0
+            assert left_open.size == 0
             want = np.array([array_current(ap.at_irradiance(x), v)
-                             for x in g[settled].tolist()])
-            assert np.array_equal(cur[settled].view(np.int64),
-                                  want.view(np.int64))
+                             for x in g.tolist()])
+            assert np.array_equal(cur.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("r_s", [0.01, 0.0, 5.0])
     def test_per_lane_voltages_match_scalar_solve(self, r_s):
         # one voltage per lane, mixed: 0 V and -0.0, negative voltages,
-        # and voltages far above V_oc, whose scalar solve raises
-        # PvSolverError; at R_s = 5 ohm Newton leaves lanes open
+        # and voltages far above V_oc, where the current is the model's
+        # root, -2 698.33 A at 1000 V; every lane settles
         base = default_array(1000.0)
         cell = PvCellParams(base.cell.I_ph, base.cell.I_o1, base.cell.I_o2,
                             r_s, base.cell.R_p, 1.0, 2.0, 298.0)
@@ -617,23 +646,12 @@ class TestCurrentLanes:
                             [800.0, 800.0, 0.0, 1e-6, 500.0, 900.0, 1000.0,
                              900.0, 200.0]])
         cur, left_open = pv.array_current_lanes(ap, v, g)
-        failed = []
-        for j, (x, y) in enumerate(zip(v.tolist(), g.tolist())):
-            try:
-                want = array_current(ap.at_irradiance(y), x)
-            except PvSolverError:
-                failed.append(j)
-                continue
-            if j not in left_open:
-                assert np.float64(want).view(np.int64) == \
-                    cur[j:j + 1].view(np.int64)[0], (x, y)
-        assert np.isnan(cur[left_open]).all()
-        assert set(failed) <= set(left_open.tolist())
-        if r_s == 5.0:
-            assert left_open.size > 0
+        assert left_open.size == 0
+        want = np.array([array_current(ap.at_irradiance(y), x)
+                         for x, y in zip(v.tolist(), g.tolist())])
+        assert np.array_equal(cur.view(np.int64), want.view(np.int64))
         if r_s == 0.01:
-            assert failed == [157, 158]   # 1000 V and 1e4 V
-        assert left_open.size < v.size
+            assert cur[157] == pytest.approx(-2698.33, abs=5e-3)   # 1000 V
 
     def test_rejected_photocurrent_left_open(self):
         ap = default_array()
@@ -657,9 +675,9 @@ class TestCurrentAtMatchesLitArray:
     """``array_current_at`` on a solve set up once equals the solve on
     the lit array, ``array_current(ap.at_irradiance(g), v)``, bit for
     bit, and raises what it raises.  The examples pin the paths a draw
-    may miss: the bisection fallback (R_s = 5 ohm near 0 V, and the
-    50 K array at 1.9 V_oc), ``PvSolverError`` (50 K at 3 V_oc), the
-    irradiances ``at_irradiance`` refuses, and a dark array."""
+    may miss: the closed-form start (R_s = 5 ohm near 0 V, and the 50 K
+    array at 1.9 and 3 V_oc), the irradiances ``at_irradiance`` refuses,
+    and a dark array."""
 
     @settings(max_examples=300)
     @given(g0=st.sampled_from([1000.0, 400.0]),
@@ -695,8 +713,12 @@ def mpmath_current(ap, v):
     """
     Independent oracle for the 1e-9 A contract at 50 digits: the root of
     the array equation (as in :func:`double_diode_residual`, uncapped)
-    found by ``mpmath.findroot`` on the bracket the mismatch changes
-    sign on, returned as a float.
+    found by bisection on a bracket the mismatch changes sign on,
+    returned as a float.  The bracket starts at (-1, N_p I_ph + 1) and
+    each end widens tenfold until it holds the root, which lies below -1
+    far above V_oc and above N_p I_ph + 1 at strongly negative voltages.
+    ``mpmath.findroot``'s bracketing solvers miss many of these roots,
+    where the mismatch is exponentially steep.
     """
     c = ap.cell
     with mpmath.workdps(50):
@@ -713,9 +735,15 @@ def mpmath_current(ap, v):
                 c.I_ph - c.I_o1 * law * mpmath.expm1(u / vt1)
                 - c.I_o2 * law * mpmath.expm1(u / vt2) - u / c.R_p)
 
-        hi = ap.N_p * mpf(c.I_ph) + 1
-        assert f(mpf(-1)) < 0 < f(hi)
-        return float(mpmath.findroot(f, (mpf(-1), hi), solver="anderson"))
+        lo, hi = mpf(-1), ap.N_p * mpf(c.I_ph) + 1
+        while not f(lo) < 0:
+            lo *= 10
+        while not f(hi) > 0:
+            hi *= 10
+        for _ in range(80):   # to 1e-20 A and finer: far below a float
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if f(mid) < 0 else (lo, mid)
+        return float((lo + hi) / 2)
 
 
 class TestCurrentAgainstMpmath:
@@ -742,17 +770,63 @@ class TestCurrentAgainstMpmath:
                 assert abs(array_current(ap, v) - want) <= 1e-9, (g, v)
                 assert abs(lane - want) <= 1e-9, (g, v)
 
+    @pytest.mark.parametrize("t_c,r_s", [(50.0, 0.01), (298.0, 5.0),
+                                         (298.0, 50.0), (50.0, 50.0)])
+    def test_far_starts_within_contract(self, t_c, r_s):
+        # the closed-form start: large series resistances, the coldest
+        # cell, strongly negative voltages and 1000 V, far above V_oc;
+        # at 50 K and 56.86 V the iterates cycle over 3 floats
+        base = default_array(1000.0, t_c)
+        ap = PvArrayParams(dataclasses.replace(base.cell, R_s=r_s), N_s=36,
+                           N_p=1, area_A=0.5)
+        voc = open_circuit_voltage(ap)
+        volts = [-100.0, 0.0, 0.5 * voc, voc, 56.86, 3.0 * voc, 1000.0]
+        for g in (1000.0, 200.0):
+            lanes, left_open = pv.array_current_lanes(
+                ap, np.array(volts), np.full(len(volts), g))
+            assert left_open.size == 0
+            lit = ap.at_irradiance(g)
+            for v, lane in zip(volts, lanes.tolist()):
+                want = mpmath_current(lit, v)
+                assert abs(array_current(lit, v) - want) <= 1e-9, (g, v)
+                assert lane == array_current(lit, v), (g, v)
+
+
+def assert_elementwise(fn, x, rng):
+    """``float(fn(a))`` on each float a of ``x`` has the bits of ``fn``
+    on any array holding it: whole, sliced, strided or gathered."""
+    want = np.array([float(fn(a)) for a in x.tolist()])
+    # a numpy float64 argument, as the solve may get, gives the same
+    assert np.array_equal(want.view(np.int64),
+                          np.array([float(fn(a)) for a in x]).view(np.int64))
+
+    def check(idx, got):
+        assert np.array_equal(got.view(np.int64),
+                              want[idx].view(np.int64)), idx
+
+    check(slice(None), fn(x))
+    for size in [*range(1, 14), 31, 33, 63, 65, 255, 257]:
+        for start in range(0, x.size - size + 1, 97 * size + 1):
+            check(slice(start, start + size), fn(x[start:start + size]))
+    for view in (slice(None, None, 2), slice(1, None, 3), slice(5, 900, 7)):
+        check(view, fn(x[view]))
+    for size in (1, 2, 3, 7, 64, 1000, x.size):
+        idx = np.sort(rng.choice(x.size, size, replace=False))
+        check(idx, fn(x[idx]))
+        check(idx[::-1], fn(x[idx[::-1]]))
+
 
 class TestNumpyExpIsElementwise:
     """The premise that lets the lanes equal the scalar solve bit for
     bit: ``float(np.exp(x))`` on one float has the bits of ``np.exp``
     on any array holding x, whatever its length, offset, positive
-    stride or gather.  numpy picks SIMD kernels by CPU; if a host's
-    kernels give a lane other bits than a lone float, this test says so
-    directly.  A negative stride is left out: numpy runs it through the
-    C library's exp instead, which differs in the last bit.  The solve
-    never hands exp one, since every exponent it takes is a fresh array
-    from arithmetic, which numpy lays out with positive strides."""
+    stride or gather, and so has ``np.log``.  numpy picks SIMD kernels
+    by CPU; if a host's kernels give a lane other bits than a lone
+    float, this test says so directly.  A negative stride is left out:
+    numpy runs it through the C library's exp instead, which differs in
+    the last bit.  The solve never hands exp or log one, since every
+    argument it takes is a fresh array from arithmetic, which numpy lays
+    out with positive strides."""
 
     def test_float_matches_every_array_shape(self):
         rng = np.random.default_rng(5)
@@ -762,28 +836,18 @@ class TestNumpyExpIsElementwise:
             rng.uniform(-40.0, 40.0, 6000), rng.uniform(-760.0, 700.0, 2000),
             rng.normal(0.0, 1e-3, 1000),
             [0.0, -0.0, 700.0, -708.5, -740.0, -746.0, 1e-300, -1e-300]])
-        want = np.array([float(np.exp(a)) for a in x.tolist()])
-        # a numpy float64 argument, as the solve may get, gives the same
-        assert np.array_equal(
-            want.view(np.int64),
-            np.array([float(np.exp(a)) for a in x]).view(np.int64))
+        assert_elementwise(np.exp, x, rng)
 
-        def check(idx, got):
-            assert np.array_equal(got.view(np.int64),
-                                  want[idx].view(np.int64)), idx
-
-        check(slice(None), np.exp(x))
-        for size in [*range(1, 14), 31, 33, 63, 65, 255, 257]:
-            for start in range(0, x.size - size + 1, 97 * size + 1):
-                check(slice(start, start + size),
-                      np.exp(x[start:start + size]))
-        for view in (slice(None, None, 2), slice(1, None, 3),
-                     slice(5, 900, 7)):
-            check(view, np.exp(x[view]))
-        for size in (1, 2, 3, 7, 64, 1000, x.size):
-            idx = np.sort(rng.choice(x.size, size, replace=False))
-            check(idx, np.exp(x[idx]))
-            check(idx[::-1], np.exp(x[idx[::-1]]))
+    def test_log_matches_every_array_shape(self):
+        rng = np.random.default_rng(6)
+        # the closed-form start takes ln(1 + X/k): from 1 up, over
+        # hundreds of decades for the tiny saturation currents of a cold
+        # cell, and NaN or inf at a non-finite voltage
+        x = np.concatenate([
+            1.0 + 10.0 ** rng.uniform(-17.0, 300.0, 6000),
+            rng.uniform(1.0, 1e3, 2000),
+            [1.0, 1.0 + 2.0 ** -52, 2.0, 1e308, np.inf, np.nan]])
+        assert_elementwise(np.log, x, rng)
 
     def test_reversed_inputs_match_scalar_solve(self):
         # voltages and irradiances given as negative-stride views still
