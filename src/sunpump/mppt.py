@@ -9,29 +9,22 @@ is written once, branch-free, on floats or arrays: the step functions
 and the scalar steps of :func:`mppt_run`, the one closed MPPT loop, run
 it on floats, and the loop's blocks run it on arrays.
 
-The walk only ever moves ``V_ref`` by ``+-dV_step`` or holds it, and it
-soon falls into a pattern whose moves repeat with period 4: a hold, the
-P&O limit cycle V*, V*+d, V*, V*-d, or a monotone IC drift.
-``mppt_run`` steps the law one scalar solve at a time until its last 8
-moves repeat with period 4; the array-only part of that solve is set up
-once per run (``pv.array_solve``), so a scalar step hands
-``pv.array_current_at`` only its voltage and irradiance.  Then it
-predicts a block of voltages by repeating the last 4 moves from the
-current ``V_ref``, solves each step at its own predicted voltage at once
-with ``pv.array_current_lanes``, and runs the same move kernel over the
-block on arrays, with the same IEEE operations.  The block is kept up to and including the first
-step whose next voltage leaves the prediction, and the walk goes back
-to scalar steps from there; a block that checks out doubles the next
-one (128 steps, up to 4096).  Every current and every decision is the
-scalar loop's, bit for bit.
+The walk only ever moves ``V_ref`` by ``+-dV_step`` or holds it, and its
+moves soon repeat with period 4: a hold, the P&O limit cycle V*, V*+d,
+V*, V*-d, or a monotone IC drift.  :func:`mppt_run` runs the law on the
+schedule of ``blocks.run``, whose repeat test reads the moves.  A float
+step is one scalar solve, set up once per run (``pv.array_solve``).  A
+block repeats the last 4 moves from ``V_ref``, solves each predicted
+voltage at once with ``pv.array_current_lanes``, and runs the move
+kernel over the block as arrays, with the same IEEE operations: every
+current and decision is the scalar loop's, bit for bit.
 
 A monotone rise repeats its move too, and 128 steps of +0.5 V would
 predict 64 V above the start, far past V_oc, where the walk turns back
 and lanes need more iterations (uncut, perfbench's seed-1 ``clouds``
 harvest solves 228 k lanes in 1 360 iterations, not 183 k in 1 132).
-A block ends before its first predicted voltage above ``max(V_ref,
-V_oc)``, V_oc at its brightest irradiance; a block cut to its first
-step is a scalar step, which only moves it between bit-identical paths.
+A block therefore ends before its first voltage above ``max(V_ref,
+V_oc)``, V_oc at its brightest irradiance.
 """
 
 from dataclasses import dataclass
@@ -39,16 +32,12 @@ import math
 
 import numpy as np
 
-from . import pv
+from . import blocks, pv
 
-# steps in the first block after scalar steps; each block that checks
-# out doubles the next, up to the maximum
+# the first block's size (``blocks.run``)
 _BLOCK_MIN = 128
-_BLOCK_MAX = 4096
-# the position of each step of a block in the repeated 4 moves
-_PHASE = np.arange(_BLOCK_MAX) % 4
 
-D_MAX = 0.95          # largest boost duty the converter is driven at
+D_MAX = 0.95          # largest duty the converter is driven at
 IC_REL_TOL = 1e-6     # relative tolerance of the IC law's hold test
 
 
@@ -197,55 +186,14 @@ def mppt_run(ap, algo, st0, steps, irradiance):
         raise ValueError("need at least one step")
     ic = {"po": False, "ic": True}[algo]
     g = np.broadcast_to(np.asarray(irradiance, dtype=float), (steps,))
-    v_ref = np.empty(steps)
-    cur = np.empty(steps)
+    v_ref, cur = np.empty(steps), np.empty(steps)
     solve = pv.array_solve(ap)
     dv_step = st0.dV_step
     v_prev, i_prev, p_prev = st0.V_prev, st0.I_prev, st0.P_prev
     v, flag = st0.V_ref, ""
-    moves = []          # the moves of the last 8 steps, oldest first
-    size = _BLOCK_MIN
-    k = 0
-    while k < steps:
-        n = 0
-        if len(moves) == 8 and moves[:4] == moves[4:]:
-            n = min(size, steps - k)
-            vs = np.add.accumulate(np.concatenate(
-                ([v], np.array(moves[4:])[_PHASE[:n]])))
-            # cut the block before its first voltage past the bound; a
-            # block cut to its first step is a scalar step
-            past = np.flatnonzero(vs[1:n] > _voc_bound(ap, v, g[k:k + n]))
-            if past.size:
-                n = int(past[0]) + 1 if past[0] else 0
-                vs = vs[:n + 1]
-        if n:
-            i = _currents(ap, solve, vs[:n], g[k:k + n])
-            before = np.concatenate(([v_prev], vs[:n - 1]))
-            with np.errstate(all="ignore"):
-                if ic:
-                    move, undefined = _ic_move(
-                        dv_step, before, np.concatenate(([i_prev], i[:-1])),
-                        vs[:n], i, np.maximum, np.divide)
-                else:
-                    p = vs[:n] * i
-                    move = _po_move(dv_step, before,
-                                    np.concatenate(([p_prev], p[:-1])),
-                                    vs[:n], p)
-                    undefined = np.zeros(n, dtype=bool)
-            after = vs[:n] + move
-            miss = np.flatnonzero(after.view(np.int64)
-                                  != vs[1:].view(np.int64))
-            c = int(miss[0]) + 1 if miss.size else n
-            v_ref[k:k + c] = vs[:c]
-            cur[k:k + c] = i[:c]
-            v_prev, i_prev, v = vs.item(c - 1), i.item(c - 1), \
-                after.item(c - 1)
-            p_prev = v_prev * i_prev
-            flag = _flag(undefined[c - 1])
-            moves = (moves + move[:c].tolist())[-8:]
-            size = _BLOCK_MIN if miss.size else min(2 * size, _BLOCK_MAX)
-            k += c
-            continue
+
+    def step(k):
+        nonlocal v_prev, i_prev, p_prev, v, flag
         i = _or_zero(pv.array_current_at, solve, v, g.item(k))
         p_now = v * i
         if ic:
@@ -254,12 +202,44 @@ def mppt_run(ap, algo, st0, steps, irradiance):
             flag = _flag(undefined)
         else:
             move = _po_move(dv_step, v_prev, p_prev, v, p_now)
-        v_ref[k] = v
-        cur[k] = i
+        v_ref[k], cur[k] = v, i
         v_prev, i_prev, p_prev = v, i, p_now
         v = v + move
-        moves = (moves + [move])[-8:]
-        k += 1
+        return move
+
+    def block(k, n, cycle):
+        nonlocal v_prev, i_prev, p_prev, v, flag
+        vs = np.add.accumulate(np.concatenate(
+            ([v], np.array(cycle)[blocks.PHASE[:n]])))
+        # end before the first voltage past the bound (module docstring)
+        past = np.flatnonzero(vs[1:n] > _voc_bound(ap, v, g[k:k + n]))
+        if past.size:
+            if not past[0]:
+                return 0, False, []
+            n = int(past[0]) + 1
+            vs = vs[:n + 1]
+        i = _currents(ap, solve, vs[:n], g[k:k + n])
+        before = np.concatenate(([v_prev], vs[:n - 1]))
+        with np.errstate(all="ignore"):
+            if ic:
+                move, undefined = _ic_move(
+                    dv_step, before, np.concatenate(([i_prev], i[:-1])),
+                    vs[:n], i, np.maximum, np.divide)
+            else:
+                p = vs[:n] * i
+                move = _po_move(dv_step, before, np.concatenate(
+                    ([p_prev], p[:-1])), vs[:n], p)
+                undefined = np.zeros(n, dtype=bool)
+        after = vs[:n] + move
+        miss = np.flatnonzero(after.view(np.int64) != vs[1:].view(np.int64))
+        c = int(miss[0]) + 1 if miss.size else n
+        v_ref[k:k + c], cur[k:k + c] = vs[:c], i[:c]
+        v_prev, i_prev, v = vs.item(c - 1), i.item(c - 1), after.item(c - 1)
+        p_prev = v_prev * i_prev
+        flag = _flag(undefined[c - 1])
+        return c, bool(miss.size), move[:c][-8:].tolist()
+
+    blocks.run(steps, _BLOCK_MIN, step, block)
     final = MpptState(v_prev, i_prev, p_prev, v, dv_step,
                       st0.iteration + steps, flag)
     return MpptRun(v_ref, cur, final)

@@ -19,9 +19,8 @@ of a step is fixed or known ahead, so a block predicts its steps: the
 latches and flows stay as they are, and the tanks, soil and SOC are
 running sums (``np.add.accumulate`` adds left to right, as the step
 does) or constant while pinned at a clamp.  The law runs over the
-predicted states as arrays, and the block keeps the steps whose next
-state matches the prediction bit for bit.  The first step that does not
-runs alone, so the trace is the scalar step's bit for bit.
+predicted states as arrays, on the schedule of ``blocks.run``, and the
+trace is the scalar step's bit for bit.
 
 Water bookkeeping is exact: every liter leaving a tank lands in the
 other tank or in the delivered-to-soil ledger, so conservation holds to
@@ -37,7 +36,7 @@ from numbers import Real
 
 import numpy as np
 
-from . import mppt, pv
+from . import blocks, mppt, pv
 from .solar import TrackerOrientation
 from .tracking import _where, tracking_sim
 
@@ -231,10 +230,8 @@ class ScenarioSummary:
     energy_deficit_Wh: float     # made up by the SOC clamp at 0 %
 
 
-# A settled stretch runs as numpy blocks of this many steps at first,
-# doubling after each block that runs to its end, up to the maximum.
+# the first block's size (``blocks.run``)
 _BLOCK_MIN = 64
-_BLOCK_MAX = 4096
 
 
 def _hydraulics(cfg, pv_power):
@@ -244,11 +241,9 @@ def _hydraulics(cfg, pv_power):
 
     Each pump flow follows its first-order law toward rated flow or zero
     exactly over a step, by one decay factor, with the load in proportion
-    to the flow.  While both flows sit at 0 or at rated flow, where a
-    flow settles, the steps run as checked numpy blocks
-    (:meth:`_Hydraulics.block`) up to the first step whose next state
-    leaves the block's prediction; that step, and every step whose flows
-    have not settled, runs alone (:meth:`_Hydraulics.step`).
+    to the flow.  While both flows have settled, the steps run as
+    checked numpy blocks (:meth:`_Hydraulics.block`), and every other
+    step runs alone (:meth:`_Hydraulics.step`).
 
     Returns
     -------
@@ -258,23 +253,12 @@ def _hydraulics(cfg, pv_power):
     """
     n = len(pv_power)
     h = _Hydraulics(cfg, n)
-    settled = (0.0, cfg.pump_flow_Lpm)
-    size = _BLOCK_MIN
-    k = 0
-    while k < n:
-        if h.flow1 in settled and h.flow2 in settled:
-            stop = min(k + size, n)
-            k += h.block(k, pv_power[k:stop])
-            if k == stop:
-                size = min(2 * size, _BLOCK_MAX)
-                continue
-            size = _BLOCK_MIN
-        h.step(k, pv_power.item(k))
-        k += 1
+    blocks.run(n, _BLOCK_MIN, lambda k: h.step(k, pv_power.item(k)),
+               lambda k, m, _: h.block(k, pv_power[k:k + m]), period=0)
     harvested_Ws = 0.0
-    for k in range(0, n, _BLOCK_MAX):
-        harvested_Ws = _partial_sums(
-            harvested_Ws, pv_power[k:k + _BLOCK_MAX] * cfg.dt_s).item(-1)
+    for k in range(0, n, blocks.BLOCK_MAX):
+        harvested_Ws = _partial_sums(harvested_Ws, pv_power[
+            k:k + blocks.BLOCK_MAX] * cfg.dt_s).item(-1)
     capacity_Wh = cfg.battery_capacity_Wh
     return h.columns, dict(
         final_soc_pct=h.soc, water_delivered_L=h.delivered,
@@ -388,16 +372,22 @@ class _Hydraulics:
 
     def block(self, k, power):
         """
-        Run steps k, k + 1, ... at the PV powers ``power`` with both
-        flows settled, as a block of predicted states (module
-        docstring) that :meth:`law` checks as arrays.  Write the leading
-        steps whose next state is the predicted one bit for bit, which
-        are then :meth:`step`'s bit for bit, and return their count.
+        Run steps k, k + 1, ... at the PV powers ``power`` as a block of
+        predicted states (module docstring) that :meth:`law` checks as
+        arrays.  Write the leading steps that match the prediction bit
+        for bit, :meth:`step`'s bit for bit, and return what
+        ``blocks.run`` takes: their count, whether a miss stopped the
+        block, and no values.
         """
         cfg = self.cfg
+        rated = cfg.pump_flow_Lpm
+        # no step until both flows have settled: each a fixed point of its
+        # step toward 0 or rated flow, short of them above a decay of 0.5
+        if not all(f == f * self.decay or f == rated + (f - rated) * self.decay
+                   for f in (self.flow1, self.flow2)):
+            return 0, False, ()
         dt = cfg.dt_s
         n = len(power)
-        rated = cfg.pump_flow_Lpm
         settled_load = cfg.pump1_power_W * self.flow1 / rated \
             + cfg.pump2_power_W * self.flow2 / rated
         move1 = self.flow1 / 60.0 * dt
@@ -425,7 +415,7 @@ class _Hydraulics:
             bad = np.flatnonzero(miss)
             c = int(bad[0]) if bad.size else n
             if c == 0:
-                return 0
+                return 0, True, ()
             tank1, tank2, soil, soc = (x[:c] for x in state[2:])
             delivered = _partial_sums(self.delivered, move2[:c])
             self._write(slice(k, k + c), tank1, tank2, soil, soc,
@@ -441,7 +431,7 @@ class _Hydraulics:
                 self.curtailed_pct, np.maximum(cut, 0.0)).item(-1)
             self.deficit_pct = _partial_sums(
                 self.deficit_pct, np.maximum(-cut, 0.0)).item(-1)
-        return c
+        return c, c < n, ()
 
 
 def _percent(x, where):
@@ -496,8 +486,8 @@ def run_scenario(cfg):
                          irradiance=irr, start=orientation0)
     eff_irr = irr * np.maximum(0.0, np.cos(np.radians(track.alpha)))
 
-    # 3. harvest on the lit steps; the converter duty is the boost law
-    # 1 - V_bus/V_ref for the 12 V battery bus, clamped to [0, 0.95]
+    # 3. harvest on the lit steps; the converter duty is 1 - V_bus/V_ref
+    # for the 12 V bus (one minus the buck duty), clamped to [0, 0.95]
     pv_power = np.zeros(n_steps)
     duty = np.zeros(n_steps)
     lit = np.flatnonzero(eff_irr > 0.0)

@@ -13,14 +13,13 @@ azimuth step, so the loop converges either way.  A park snaps the
 tracker back to its start.
 
 The law, :func:`sense_and_decide` and the move :func:`_move`, is written
-once on floats or arrays.  ``tracking_sim`` steps it on floats until the
-orientations after its last 8 steps repeat with period 4 (a hold, a
-parked night, a clamp at 0 or 180 degrees, the up/down dither), then
-runs it as arrays over a block of orientations predicted by repeating
-the last 4, and keeps the steps up to the first one whose next
-orientation leaves the prediction, bit for bit.  Both forms take the
-same operations in the same order, so every column is bit-identical to
-a step-by-step loop.
+once on floats or arrays, and ``tracking_sim`` runs it on the schedule
+of ``blocks.run``: a float step returns its orientation, which falls
+into a 4-cycle at a hold, a parked night, a clamp at 0 or 180 degrees
+and the up/down dither, and a block runs the law as arrays over the
+orientations that cycle predicts.  Both forms take the same operations
+in the same order, so every column is bit-identical to a step-by-step
+loop.
 """
 
 from dataclasses import dataclass
@@ -28,6 +27,7 @@ import math
 
 import numpy as np
 
+from . import blocks
 from .solar import TrackerOrientation, sun_on_frame
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -137,14 +137,9 @@ class TrackingRun:
     park: np.ndarray
 
 
-# a block covers this many steps at first and doubles after each block
-# whose orientations all come as predicted, up to the maximum; a block
-# costs about 80 us fixed plus 0.1 us per step (2-vCPU x86 host), so a
-# short first block loses more on its doublings than it saves on a miss
+# the first block's size (``blocks.run``): a block costs about 80 us plus
+# 0.1 us a step (2-vCPU x86 host), so a shorter one loses more than it saves
 _BLOCK_MIN = 256
-_BLOCK_MAX = 4096
-# the position of each step of a block in the predicted 4-cycle
-_PHASE = np.arange(_BLOCK_MAX + 3) % 4
 
 
 def _incidence_angles(se, azi, te, ta):
@@ -165,10 +160,8 @@ def tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8, irradiance=1000.0,
     Closed-loop tracking along a sun path.
 
     Per step: sense quadrant counts, run the state machine, move at most
-    one motor step per axis (elevation clamped to [0, 180]).  The steps
-    run one by one on floats until the orientation falls into a 4-cycle,
-    and then as checked blocks of predicted orientations on arrays
-    (module docstring).
+    one motor step per axis (elevation clamped to [0, 180]); on floats,
+    or in checked blocks of predicted orientations (module docstring).
 
     Parameters
     ----------
@@ -214,42 +207,9 @@ def tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8, irradiance=1000.0,
     azi_step = np.empty(n, dtype=np.int8)
     elev_step = np.empty(n, dtype=np.int8)
     park = np.empty(n, dtype=bool)
-    te, ta = start
-    last = []       # the orientations after the last 8 steps, oldest first
-    size = _BLOCK_MIN
-    k = 0
-    while k < n:
-        # compared by value: a cycle that takes -0.0 for 0.0 only
-        # predicts a block that misses at once
-        if len(last) == 8 and last[:4] == last[4:]:
-            stop = min(k + size, n)
-            m = stop - k
-            # the cycle's orientations, and which one each step of the
-            # block is predicted to start from and to end at
-            cte, cta = (np.array(c) for c in zip(*last[4:]))
-            ahead, behind = _PHASE[:m], _PHASE[3:m + 3]
-            te_0, ta_0 = cte[behind], cta[behind]
-            *counts, az, el, pk = sense_and_decide(
-                se[k:stop], np.radians(cte)[behind],
-                np.radians(azi[k:stop] - ta_0), irr[k:stop],
-                np.sin, np.cos, np.rint, np.clip)
-            te_1, ta_1 = _move(te_0, ta_0, az, el, pk, motor_step_deg, start,
-                               np.where, np.clip)
-            miss = np.flatnonzero(
-                (te_1.view(np.int64) != cte[ahead].view(np.int64))
-                | (ta_1.view(np.int64) != cta[ahead].view(np.int64)))
-            c = int(miss[0]) + 1 if miss.size else m
-            span = slice(k, k + c)
-            theta_te[span], theta_ta[span] = te_1[:c], ta_1[:c]
-            readings[span] = np.stack(counts, axis=1)[:c]
-            azi_step[span], elev_step[span], park[span] = az[:c], el[:c], \
-                pk[:c]
-            te, ta = te_1.item(c - 1), ta_1.item(c - 1)
-            last = (last + list(zip(te_1[:c][-8:].tolist(),
-                                    ta_1[:c][-8:].tolist())))[-8:]
-            size = _BLOCK_MIN if miss.size else min(2 * size, _BLOCK_MAX)
-            k += c
-            continue
+
+    def step(k):
+        te, ta = (theta_te.item(k - 1), theta_ta.item(k - 1)) if k else start
         *counts, az, el, pk = sense_and_decide(
             se.item(k), math.radians(te), math.radians(azi.item(k) - ta),
             irr.item(k), math.sin, math.cos, round, _clip)
@@ -258,8 +218,32 @@ def tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8, irradiance=1000.0,
         theta_te[k], theta_ta[k] = te, ta
         readings[k] = counts
         azi_step[k], elev_step[k], park[k] = az, el, pk
-        last = (last + [(te, ta)])[-8:]
-        k += 1
+        return te, ta
+
+    def block(k, m, cycle):
+        # the cycle's orientations, and which one each step of the block
+        # is predicted to start from and to end at
+        cte, cta = (np.array(c) for c in zip(*cycle))
+        ahead, behind = blocks.PHASE[:m], blocks.PHASE[3:m + 3]
+        te_0, ta_0 = cte[behind], cta[behind]
+        *counts, az, el, pk = sense_and_decide(
+            se[k:k + m], np.radians(cte)[behind],
+            np.radians(azi[k:k + m] - ta_0), irr[k:k + m],
+            np.sin, np.cos, np.rint, np.clip)
+        te_1, ta_1 = _move(te_0, ta_0, az, el, pk, motor_step_deg, start,
+                           np.where, np.clip)
+        miss = np.flatnonzero(
+            (te_1.view(np.int64) != cte[ahead].view(np.int64))
+            | (ta_1.view(np.int64) != cta[ahead].view(np.int64)))
+        c = int(miss[0]) + 1 if miss.size else m
+        span = slice(k, k + c)
+        theta_te[span], theta_ta[span] = te_1[:c], ta_1[:c]
+        readings[span] = np.stack(counts, axis=1)[:c]
+        azi_step[span], elev_step[span], park[span] = az[:c], el[:c], pk[:c]
+        return c, bool(miss.size), list(zip(te_1[:c][-8:].tolist(),
+                                            ta_1[:c][-8:].tolist()))
+
+    blocks.run(n, _BLOCK_MIN, step, block)
     return TrackingRun(theta_te, theta_ta,
                        _incidence_angles(se, azi, theta_te, theta_ta),
                        readings, azi_step, elev_step, park)

@@ -454,6 +454,22 @@ class TestHydraulicsMatchesReference:
         trace, _ = run_scenario(ScenarioConfig.default_daylight())
         assert len(scalar_steps) <= 1606
 
+    def test_slow_pump_flows_settle_into_blocks(self, scalar_steps):
+        # at pump_tau_s = 0.2 s the decay factor exp(-0.5) exceeds 0.5, and
+        # a flow stops short of rated flow (5 L/min sticks at
+        # 4.999999999999999) and of 0 (at 5e-324): those are the fixed
+        # points of its step, and count as settled.  Pump2 runs one full
+        # cycle; about 75 steps of its rise and 1 490 of its decay run
+        # alone, of the 6 000
+        cfg = ScenarioConfig(duration_s=600.0, irradiance_profile=DARK,
+                             soc_init_pct=90.0, tank2_init_pct=90.0,
+                             soil_init_pct=30.01, soil_decay_pct_per_hr=36.0,
+                             pump_tau_s=0.2)
+        trace, summary = run_scenario(cfg)
+        assert summary.pump2_cycles == 1 and trace.pump2_on[-1] == 0.0
+        assert_matches_reference(cfg, trace, summary)
+        assert len(scalar_steps) <= 1600
+
 
 BLOCK_SIZE_RUNS = ["default_daylight", *(f"cloudy_{seed}" for seed in range(6)),
                    *sorted(BRANCH_CONFIGS)]

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 import numpy as np
 import pytest
 
-from sunpump import tracking
+from sunpump import blocks, tracking
 from sunpump.scenario import ScenarioConfig, _profile_columns
 from sunpump.solar import (SunPosition, TrackerOrientation,
                           angle_of_incidence, sun_on_frame)
@@ -581,12 +581,12 @@ class TestBlockPassMatchesScalarLoop:
     def doubling_blocks(n):
         """The law's call shapes over n steps that all come as predicted:
         8 steps on floats, then blocks that start at ``_BLOCK_MIN`` steps
-        and double up to ``_BLOCK_MAX``, the last one cut at n."""
+        and double up to ``blocks.BLOCK_MAX``, the last one cut at n."""
         shapes, size, k = [()] * 8, tracking._BLOCK_MIN, 8
         while k < n:
             shapes.append((min(size, n - k),))
             k += size
-            size = min(2 * size, tracking._BLOCK_MAX)
+            size = min(2 * size, blocks.BLOCK_MAX)
         return shapes
 
     def test_hold_stretches_run_as_blocks(self, monkeypatch):
