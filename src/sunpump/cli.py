@@ -23,13 +23,10 @@ import sys
 
 import numpy as np
 
-from . import csvio, mppt, pv, validation
+# the analysis modules (lti, plants, validation) are imported by the
+# commands that run them, so that the other commands never load them
+from . import csvio, mppt, pv
 from .config import ANALYSIS_KINDS, parse_config, parse_gains
-from .lti import (NotSettledError, error_constants, frequency_response,
-                  root_locus, routh_table, ss_error_vs_gain,
-                  stability_margins, stability_verdict_from_roots,
-                  step_metrics, step_response, tf_feedback_gain, tf_from_text)
-from .plants import PRESETS, preset
 from .scenario import ConfigError, ScenarioConfig, run_scenario
 from .solar import (SunPosition, TrackerOrientation, UndefinedDirectionError,
                     angle_of_incidence, declination, incidence_direction,
@@ -42,8 +39,17 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # fills in help texts that need an analysis module; it runs only when
+    # this parser prints its help
+    fill_help = None
+
     def error(self, message):
         raise UsageError(message)
+
+    def format_help(self):
+        if self.fill_help is not None:
+            self.fill_help()
+        return super().format_help()
 
 
 def _parse_span(text, parts=3):
@@ -67,6 +73,8 @@ def _gain_grid(spec):
 
 
 def _resolve_tf(args):
+    from .lti import tf_from_text
+    from .plants import preset
     if getattr(args, "tf_text", None):
         try:
             return tf_from_text(args.tf_text)
@@ -196,6 +204,10 @@ def _cmd_mppt_run(args):
 
 
 def _cmd_tf(args):
+    from .lti import (NotSettledError, error_constants, frequency_response,
+                      root_locus, routh_table, ss_error_vs_gain,
+                      stability_margins, stability_verdict_from_roots,
+                      step_metrics, step_response, tf_feedback_gain)
     if getattr(args, "config", None):
         from .config import AnalysisRequest
         req = parse_config(args.config)
@@ -326,6 +338,7 @@ def _cmd_scenario(args):
 
 
 def _cmd_validate(args):
+    from . import validation
     rows = validation.build_report()
     print(validation.format_report(rows))
     path = _out_path(args, "validation_report.csv")
@@ -384,8 +397,7 @@ def build_parser():
     q.add_argument("mode", nargs="?", choices=ANALYSIS_KINDS)
     q.add_argument("--config",
                    help="config file with an [analysis] section")
-    q.add_argument("--preset", help="named system: "
-                   + ", ".join(sorted(PRESETS)))
+    preset_arg = q.add_argument("--preset")
     q.add_argument("--tf-text", help="'num: ... / den: ...' literal system")
     q.add_argument("--closed", action="store_true",
                    help="close unity feedback before the step response")
@@ -396,6 +408,11 @@ def build_parser():
     q.add_argument("--out")
     q.set_defaults(fn=_cmd_tf)
 
+    def preset_help():
+        from .plants import PRESETS
+        preset_arg.help = "named system: " + ", ".join(sorted(PRESETS))
+    q.fill_help = preset_help
+
     q = sub.add_parser("scenario", help="whole-system scenario")
     q.add_argument("action", choices=("run",))
     q.add_argument("--config", help="key = value config file")
@@ -404,14 +421,17 @@ def build_parser():
     q.add_argument("--out")
     q.set_defaults(fn=_cmd_scenario)
 
-    registry_doc = "registry rows:\n" + "\n".join(
-        "  " + rid for rid in validation.REGISTRY_IDS)
-    q = sub.add_parser(
+    validate = sub.add_parser(
         "validate", help="recompute registered reported-number claims",
-        epilog=registry_doc,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    q.add_argument("--out")
-    q.set_defaults(fn=_cmd_validate)
+    validate.add_argument("--out")
+    validate.set_defaults(fn=_cmd_validate)
+
+    def registry_help():
+        from .validation import REGISTRY_IDS
+        validate.epilog = "registry rows:\n" + "\n".join(
+            "  " + rid for rid in REGISTRY_IDS)
+    validate.fill_help = registry_help
     return p
 
 

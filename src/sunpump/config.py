@@ -14,7 +14,6 @@ comma-separated breakpoint lists, e.g.::
 from dataclasses import dataclass
 import math
 
-from .lti import tf_from_text
 from .scenario import ConfigError, ScenarioConfig
 
 # section -> config field; scalar fields parse as float
@@ -73,6 +72,7 @@ class AnalysisRequest:
             if value is not None and not 0.0 < value < math.inf:
                 raise ConfigError(f"analysis {name} must be finite and > 0, "
                                   f"got {value}")
+        from .lti import tf_from_text    # only analyses need lti
         for name, parse in (("tf_text", tf_from_text), ("gains", parse_gains)):
             value = getattr(self, name)
             try:

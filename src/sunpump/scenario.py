@@ -47,6 +47,13 @@ BATTERY_BUS_V = 12.0
 # columns are allocated (about 120 MB per million steps)
 MAX_STEPS = 5_000_000
 
+# battery capacities a config may give, in Wh.  The SOC is a percentage,
+# and one step adds (power - load) * dt / capacity of it: at 1e6 Wh one
+# ulp of the SOC is 1.4e-10 Wh, and the energy ledger of a default run
+# closes to 1.3e-9 of the harvest; at 1e14 Wh the whole harvest rounds
+# away.  Far below the range the step overflows (1e-310 Wh curtails inf).
+BATTERY_CAPACITY_WH = (1e-3, 1e6)
+
 
 class ConfigError(ValueError):
     """Scenario configuration violates an invariant."""
@@ -116,9 +123,13 @@ class ScenarioConfig:
             raise ConfigError("tank_low_pct must be below tank_full_pct")
         if self.soil_dry_pct >= self.soil_wet_pct:
             raise ConfigError("soil_dry_pct must be below soil_wet_pct")
-        for name in ("battery_capacity_Wh", "tank1_volume_L",
-                     "tank2_volume_L", "pump_flow_Lpm", "pump_tau_s",
-                     "mppt_dv_step", "motor_step_deg"):
+        low, high = BATTERY_CAPACITY_WH
+        if not low <= self.battery_capacity_Wh <= high:
+            raise ConfigError(
+                f"battery_capacity_Wh = {self.battery_capacity_Wh} outside "
+                f"[{low:g}, {high:g}] Wh")
+        for name in ("tank1_volume_L", "tank2_volume_L", "pump_flow_Lpm",
+                     "pump_tau_s", "mppt_dv_step", "motor_step_deg"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
         for name in ("pump1_power_W", "pump2_power_W",

@@ -326,6 +326,120 @@ class TestColumnCsv:
                                      b'"two\nlines",-0\nplain,nan\n')
 
 
+# the help texts at 80 columns; the preset names and registry ids in them
+# are filled in only when help is printed
+TF_HELP = """\
+usage: sunpump tf [-h] [--config CONFIG] [--preset PRESET] [--tf-text TF_TEXT]
+                  [--closed] [--dt DT] [--t-end T_END] [--gains GAINS]
+                  [--out OUT]
+                  [{analyze,step,bode,rlocus,routh,errors}]
+
+positional arguments:
+  {analyze,step,bode,rlocus,routh,errors}
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       config file with an [analysis] section
+  --preset PRESET       named system: cascade, metering_pump, motor_paper,
+                        motor_symbolic, pump_loop, pump_storage, tank_001,
+                        tank_2nd_order
+  --tf-text TF_TEXT     'num: ... / den: ...' literal system
+  --closed              close unity feedback before the step response
+  --dt DT
+  --t-end T_END
+  --gains GAINS         a:b:n sweep of n log-spaced gains, b > a > 0
+  --out OUT
+"""
+
+VALIDATE_HELP = """\
+usage: sunpump validate [-h] [--out OUT]
+
+options:
+  -h, --help  show this help message and exit
+  --out OUT
+
+registry rows:
+  tank2nd_pole_re
+  tank2nd_pole_im
+  motor_tf_den_s2
+  motor_K1e5_rise
+  motor_K1e5_overshoot
+  motor_K1e5_peak_time
+  motor_K1e6_rise
+  motor_K1e6_overshoot
+  motor_K1e6_peak
+  motor_K1e6_peak_time
+  motor_K1e6_settling
+  motor_bode_mag_116
+  motor_bode_phase_893
+  motor_K1e6_gm
+  motor_K1e6_gm_freq
+  motor_K1e6_pm
+  motor_K1e6_pm_freq
+  motor_K_for_e01
+  motor_K_for_e001
+  motor_K_cl_e01
+  motor_K_cl_e001
+  charpoly_s3
+  charpoly_s2
+  charpoly_s1
+  charpoly_s0
+  tableII_verdict
+  charpoly_actual_stability
+  tuned_motor_rise
+  tuned_motor_settling
+  tuned_motor_overshoot
+  tuned_motor_peak
+  pump_rise
+  pump_settling
+  pump_time_constant
+  pump_Kp
+  pump_Kv
+  pump_Ka
+  pump_e_step
+  cascade_num
+  cascade_pole_fast
+  cascade_pole_slow
+  tableIII_all_K
+  cascade_K_for_e01
+  cascade_K_for_e001
+  cascade_e_at_K1
+  pid2_rise
+  pid2_overshoot
+  pid2_peak
+  pid2_peak_time
+  pid2_settling
+  pid2_zero
+  metering_dc_gain
+  metering_pole_slow
+  cascade_tuned1_rise
+  cascade_tuned1_settling
+  cascade_tuned1_overshoot
+  cascade_tuned1_peak
+  cascade_tuned2_rise
+  cascade_tuned2_settling
+  cascade_tuned2_overshoot
+  cascade_tuned2_peak
+  cascade_tuned2_gm
+  cascade_tuned2_gm_freq
+  cascade_tuned2_pm
+  cascade_tuned2_pm_freq
+  pv_power_vs_temp
+  pv_mpp_vs_irradiance
+"""
+
+
+class TestHelpText:
+    @pytest.mark.parametrize("command, text", [("tf", TF_HELP),
+                                               ("validate", VALIDATE_HELP)])
+    def test_help_is_pinned(self, command, text, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == text
+
+
 class TestCliExitCodes:
     def test_usage_error(self, capsys):
         assert main(["tf", "wrong-mode"]) == 1
@@ -445,6 +559,19 @@ class TestCliExitCodes:
                      "--out", str(tmp_path)])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("capacity", ["1e-310", "1e250"])
+    def test_battery_capacity_outside_range_is_a_config_error(
+            self, tmp_path, capsys, capacity):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[scenario]\nduration_s = 60\n[battery]\n"
+                       f"battery_capacity_Wh = {capacity}\n")
+        code = main(["scenario", "run", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: battery_capacity_Wh = ")
+        assert "outside [0.001, 1e+06] Wh" in err
 
     @pytest.mark.parametrize("text", [
         "[environment]\nirradiance_profile = 0:-100, 10:-50\n",

@@ -1,0 +1,118 @@
+"""
+What a process loads.  The package resolves each export on first access,
+and the commands that simulate never import the analysis half of the
+toolkit (``lti``, ``plants``, ``validation``); the ``tf`` and
+``validate`` commands import it when they run.  The load checks run in
+fresh interpreters, since this one has imported everything already.
+"""
+
+import importlib
+import json
+import os
+from pathlib import Path
+import subprocess
+import sys
+
+import pytest
+
+import sunpump
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ANALYSIS = ("sunpump.lti", "sunpump.plants", "sunpump.validation")
+
+# every name the package exports, by the module that defines it
+EXPORTS = {
+    "lti": ("Polynomial", "TransferFunction", "poly_roots", "tf_feedback",
+            "step_response", "step_metrics", "routh_table",
+            "frequency_response", "stability_margins", "root_locus",
+            "error_constants", "ss_error_vs_gain"),
+    "pv": ("PvCellParams", "PvArrayParams", "default_array",
+           "array_current", "iv_curve", "find_mpp", "thermal_voltage"),
+    "solar": ("SunPosition", "TrackerOrientation", "declination",
+              "zenith_and_elevation", "angle_of_incidence",
+              "incidence_direction", "optimal_orientation"),
+    "mppt": ("MpptState", "po_step", "ic_step", "mppt_run"),
+    "tracking": ("tracking_step", "tracking_sim"),
+    "plants": ("MotorParams", "PidParams", "TankParams", "ValveParams",
+               "motor_tf", "pid_tf", "closed_loop_char_poly", "pump_tf",
+               "tank_tf", "valve_linearize", "tank_loop_tf",
+               "tank_second_order", "cascade_system", "metering_pump_tf",
+               "preset", "PRESETS"),
+    "scenario": ("ScenarioConfig", "control_logic_step", "run_scenario"),
+    "config": ("parse_config",),
+    "validation": ("build_report",),
+}
+
+
+def run_fresh(code, cwd):
+    """Run ``code`` in a fresh interpreter that imports this checkout's
+    ``sunpump``; its last stdout line is JSON, returned parsed."""
+    path = os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd,
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestExports:
+    def test_all_lists_every_export(self):
+        assert sorted(sunpump.__all__) == sorted(
+            name for names in EXPORTS.values() for name in names)
+        assert len(sunpump.__all__) == 53
+
+    @pytest.mark.parametrize("module, name", [
+        (module, name) for module, names in EXPORTS.items()
+        for name in names])
+    def test_export_is_the_defining_modules_object(self, module, name):
+        defining = importlib.import_module(f"sunpump.{module}")
+        assert getattr(sunpump, name) is getattr(defining, name)
+        assert name in dir(sunpump)
+
+    def test_version(self):
+        assert sunpump.__version__ == "0.1.0"
+        assert "__version__" in dir(sunpump)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            sunpump.no_such_name
+        assert not hasattr(sunpump, "no_such_module")
+        assert not hasattr(sunpump, "_private")
+
+
+class TestLoadedModules:
+    def test_scenario_run_loads_no_analysis_module(self, tmp_path):
+        (tmp_path / "short.cfg").write_text(
+            "[scenario]\nduration_s = 30\ndt_s = 0.1\n")
+        seen = run_fresh(f"""
+import json, sys
+analysis = {ANALYSIS!r}
+loaded = lambda: [m for m in analysis if m in sys.modules]
+import sunpump
+seen = {{"package": loaded(), "pv": sunpump.pv.__name__}}
+import sunpump.cli
+seen["cli"] = loaded()
+seen["code"] = sunpump.cli.main(
+    ["scenario", "run", "--config", "short.cfg", "--out", "out"])
+seen["run"] = loaded()
+print(json.dumps(seen))
+""", tmp_path)
+        assert seen == {"package": [], "pv": "sunpump.pv", "cli": [],
+                        "code": 0, "run": []}
+        assert len((tmp_path / "out" / "scenario_trace.csv")
+                   .read_text().splitlines()) == 301
+
+    def test_tf_and_validate_load_what_they_run(self, tmp_path):
+        seen = run_fresh(f"""
+import json, sys
+import sunpump.cli
+codes = [sunpump.cli.main(["tf", "step", "--preset", "motor_paper",
+                           "--out", "out"]),
+         sunpump.cli.main(["validate", "--out", "out"])]
+print(json.dumps({{"codes": codes,
+                  "loaded": [m for m in {ANALYSIS!r} if m in sys.modules]}}))
+""", tmp_path)
+        assert seen == {"codes": [0, 0], "loaded": list(ANALYSIS)}
+        assert {p.name for p in (tmp_path / "out").iterdir()} == {
+            "step.csv", "validation_report.csv"}

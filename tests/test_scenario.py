@@ -733,6 +733,19 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="battery_capacity_Wh"):
             ScenarioConfig(battery_capacity_Wh=float("nan")).validate()
 
+    @pytest.mark.parametrize("capacity", [-1.0, 0.0, 1e-310, 9.99e-4,
+                                          1.000001e6, 1e250])
+    def test_capacity_outside_range_rejected(self, capacity):
+        # at 1e-310 Wh a step's SOC change overflowed and the curtailment
+        # read inf; at 1e250 Wh the whole harvest rounded away
+        with pytest.raises(ConfigError, match=r"battery_capacity_Wh = .* "
+                           r"outside \[0\.001, 1e\+06\] Wh"):
+            ScenarioConfig(battery_capacity_Wh=capacity).validate()
+
+    @pytest.mark.parametrize("capacity", [1e-3, 20.0, 60.0, 1e6])
+    def test_capacity_range_is_closed(self, capacity):
+        ScenarioConfig(battery_capacity_Wh=capacity).validate()
+
     def test_infinite_flow_rejected(self):
         with pytest.raises(ConfigError, match="pump_flow_Lpm"):
             ScenarioConfig(pump_flow_Lpm=float("inf")).validate()
