@@ -207,7 +207,7 @@ def _cmd_tf(args):
     from .lti import (NotSettledError, error_constants, frequency_response,
                       root_locus, routh_table, ss_error_vs_gain,
                       stability_margins, stability_verdict_from_roots,
-                      step_metrics, step_response, tf_feedback_gain)
+                      step_metrics, step_response, tf_feedback)
     if getattr(args, "config", None):
         from .config import AnalysisRequest
         req = parse_config(args.config)
@@ -246,7 +246,7 @@ def _cmd_tf(args):
             poles = tf.poles()
             stable = poles[poles.real < -1e-12]
             t_end = 8.0 / abs(stable.real.max()) if stable.size else 10.0
-        closed = tf_feedback_gain(tf, 1.0) if args.closed else tf
+        closed = tf_feedback(tf, 1.0) if args.closed else tf
         trace = step_response(closed, t_end, args.dt)
         path = _out_path(args, "step.csv")
         csvio.emit_csv(["t", "y"], [trace.t, trace.y], path)

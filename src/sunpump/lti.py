@@ -210,7 +210,8 @@ def tf_feedback(g, h):
     g : TransferFunction
         Forward path.
     h : TransferFunction or float
-        Feedback path; a plain number is a constant gain and 0 leaves
+        Feedback path; a plain number k is a constant gain, closing the
+        loop as ``G / (1 + k G)`` over G's own numerator, and 0 leaves
         the loop open (returns ``g`` unchanged).
 
     Raises
@@ -218,25 +219,19 @@ def tf_feedback(g, h):
     DegenerateSystemError
         If ``1 + G H`` has an identically zero numerator.
     """
-    if not isinstance(h, TransferFunction):
-        return tf_feedback_gain(g, float(h))
-    ng, dg = g.num, g.den
-    nh, dh = h.num, h.den
-    den_coeffs = np.polyadd(np.convolve(dg.coeffs, dh.coeffs),
-                            np.convolve(ng.coeffs, nh.coeffs))
+    if isinstance(h, TransferFunction):
+        num = g.num * h.den
+        den_coeffs = np.polyadd(np.convolve(g.den.coeffs, h.den.coeffs),
+                                np.convolve(g.num.coeffs, h.num.coeffs))
+    else:
+        k = float(h)
+        if k == 0.0:
+            return g
+        num = g.num
+        den_coeffs = np.polyadd(g.den.coeffs, k * np.asarray(g.num.coeffs))
     if not np.any(den_coeffs):
         raise DegenerateSystemError("1 + GH collapsed to zero")
-    return TransferFunction(ng * dh, den_coeffs)
-
-
-def tf_feedback_gain(g, k=1.0):
-    """Closed loop of ``g`` under constant feedback gain ``k`` (0 = open)."""
-    if k == 0.0:
-        return g
-    den_coeffs = np.polyadd(g.den.coeffs, k * np.asarray(g.num.coeffs))
-    if not np.any(den_coeffs):
-        raise DegenerateSystemError("1 + kG collapsed to zero")
-    return TransferFunction(g.num, den_coeffs)
+    return TransferFunction(num, den_coeffs)
 
 
 @dataclass(frozen=True)

@@ -89,31 +89,23 @@ def _po_move(dv_step, v_prev, p_prev, v_now, p_now):
     return (dp != 0.0) * (2 * (dp * (v_now - v_prev) > 0.0) - 1) * dv_step
 
 
-def _ic_move(dv_step, v_prev, i_prev, v_now, i_now, maximum, divide):
+def _ic_move(dv_step, v_prev, i_prev, v_now, i_now, ops):
     """
     IC reference move (see :func:`ic_step`) and whether the conductance
-    is undefined (a voltage change onto 0 V), on floats or arrays.
-
-    ``maximum`` and ``divide`` are ``max`` and :func:`_divide` on floats,
-    or ``np.maximum`` and ``np.divide`` (numpy's errors off) on arrays.
-    A quotient over a zero divisor only feeds a branch the law does not
-    take, and a NaN fails every test, so both forms decide alike.
+    is undefined (a voltage change onto 0 V), on floats with
+    ``blocks.FLOATS`` or on arrays with ``blocks.ARRAYS`` (numpy's
+    errors off).
     """
     dv = v_now - v_prev
     di = i_now - i_prev
-    inc = divide(di, dv)
-    ref = divide(-i_now, v_now)
-    hold = abs(inc - ref) <= IC_REL_TOL * maximum(
-        maximum(abs(inc), abs(ref)), 1e-12)
+    inc = ops.divide(di, dv)
+    ref = ops.divide(-i_now, v_now)
+    hold = abs(inc - ref) <= IC_REL_TOL * ops.maximum(
+        ops.maximum(abs(inc), abs(ref)), 1e-12)
     steer = 1 * (di > 0.0) - (di < 0.0)
     climb = (v_now != 0.0) * (1 - hold) * (2 * (inc > ref) - 1)
     move = ((dv == 0.0) * steer + (dv != 0.0) * climb) * dv_step
     return move, (dv != 0.0) & (v_now == 0.0)
-
-
-def _divide(a, b):
-    """``a / b`` on floats, 0.0 where ``b`` is 0."""
-    return a / b if b else 0.0
 
 
 def _flag(undefined):
@@ -143,7 +135,7 @@ def ic_step(st, v_now, i_now):
     holds at equality (tested with relative tolerance ``IC_REL_TOL``).
     """
     move, undefined = _ic_move(st.dV_step, st.V_prev, st.I_prev, v_now,
-                               i_now, max, _divide)
+                               i_now, blocks.FLOATS)
     return MpptState(v_now, i_now, v_now * i_now, st.V_ref + move,
                      st.dV_step, st.iteration + 1, _flag(undefined))
 
@@ -197,8 +189,8 @@ def mppt_run(ap, algo, st0, steps, irradiance):
         i = _or_zero(pv.array_current_at, solve, v, g.item(k))
         p_now = v * i
         if ic:
-            move, undefined = _ic_move(dv_step, v_prev, i_prev, v, i, max,
-                                       _divide)
+            move, undefined = _ic_move(dv_step, v_prev, i_prev, v, i,
+                                       blocks.FLOATS)
             flag = _flag(undefined)
         else:
             move = _po_move(dv_step, v_prev, p_prev, v, p_now)
@@ -224,7 +216,7 @@ def mppt_run(ap, algo, st0, steps, irradiance):
             if ic:
                 move, undefined = _ic_move(
                     dv_step, before, np.concatenate(([i_prev], i[:-1])),
-                    vs[:n], i, np.maximum, np.divide)
+                    vs[:n], i, blocks.ARRAYS)
             else:
                 p = vs[:n] * i
                 move = _po_move(dv_step, before, np.concatenate(

@@ -14,13 +14,12 @@ the reservoir to the soil.  Its law (``_Hydraulics.law``) is written
 once, on floats or arrays: the latches follow ``control_logic_step``,
 and each pump flow follows its first-order law exactly over a step, by
 one decay factor computed once per run.  The scalar step runs it on
-plain floats and bools.  Once both flows have settled, every increment
-of a step is fixed or known ahead, so a block predicts its steps: the
-latches and flows stay as they are, and the tanks, soil and SOC are
-running sums (``np.add.accumulate`` adds left to right, as the step
-does) or constant while pinned at a clamp.  The law runs over the
-predicted states as arrays, on the schedule of ``blocks.run``, and the
-trace is the scalar step's bit for bit.
+plain floats and bools and returns the latches and flows.  Once they
+repeat (``blocks.run``), both flows sit at a fixed point of their step,
+so a block predicts its steps: the latches and flows stay, and the
+tanks, soil and SOC are running sums (``np.add.accumulate`` adds left
+to right, as the step does) or constant while pinned at a clamp.  The
+law runs over them as arrays, the scalar step's trace bit for bit.
 
 Water bookkeeping is exact: every liter leaving a tank lands in the
 other tank or in the delivered-to-soil ledger, so conservation holds to
@@ -38,7 +37,7 @@ import numpy as np
 
 from . import blocks, mppt, pv
 from .solar import TrackerOrientation
-from .tracking import _where, tracking_sim
+from .tracking import tracking_sim
 
 
 BATTERY_BUS_V = 12.0
@@ -53,6 +52,12 @@ MAX_STEPS = 5_000_000
 # closes to 1.3e-9 of the harvest; at 1e14 Wh the whole harvest rounds
 # away.  Far below the range the step overflows (1e-310 Wh curtails inf).
 BATTERY_CAPACITY_WH = (1e-3, 1e6)
+# pump powers (W), rated flow (L/min) and step lengths (s) a config may
+# give: at most 2e4 W * 3600 s of load a step, far from the overflow of
+# a 1e308 W pump, a 1e308 L/min flow or a 1e307 s step (an inf load).
+PUMP_POWER_W = (0.0, 1e4)
+PUMP_FLOW_LPM = (1e-9, 1e3)
+DT_S = (1e-3, 3600.0)
 
 
 class ConfigError(ValueError):
@@ -99,8 +104,16 @@ class ScenarioConfig:
             if f.type is float and v is not None and not (
                     isinstance(v, Real) and math.isfinite(v)):
                 raise ConfigError(f"{f.name} = {v!r} is not a finite number")
-        if self.dt_s <= 0:
-            raise ConfigError("dt_s must be > 0")
+        for name, (low, high), unit in (
+                ("dt_s", DT_S, "s"),
+                ("battery_capacity_Wh", BATTERY_CAPACITY_WH, "Wh"),
+                ("pump1_power_W", PUMP_POWER_W, "W"),
+                ("pump2_power_W", PUMP_POWER_W, "W"),
+                ("pump_flow_Lpm", PUMP_FLOW_LPM, "L/min")):
+            v = getattr(self, name)
+            if not low <= v <= high:
+                raise ConfigError(
+                    f"{name} = {v} outside [{low:g}, {high:g}] {unit}")
         if self.duration_s < self.dt_s:
             raise ConfigError("duration_s must cover at least one step")
         # the run takes round(duration_s / dt_s) steps, so the ratio must
@@ -123,17 +136,11 @@ class ScenarioConfig:
             raise ConfigError("tank_low_pct must be below tank_full_pct")
         if self.soil_dry_pct >= self.soil_wet_pct:
             raise ConfigError("soil_dry_pct must be below soil_wet_pct")
-        low, high = BATTERY_CAPACITY_WH
-        if not low <= self.battery_capacity_Wh <= high:
-            raise ConfigError(
-                f"battery_capacity_Wh = {self.battery_capacity_Wh} outside "
-                f"[{low:g}, {high:g}] Wh")
-        for name in ("tank1_volume_L", "tank2_volume_L", "pump_flow_Lpm",
-                     "pump_tau_s", "mppt_dv_step", "motor_step_deg"):
+        for name in ("tank1_volume_L", "tank2_volume_L", "pump_tau_s",
+                     "mppt_dv_step", "motor_step_deg"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be > 0")
-        for name in ("pump1_power_W", "pump2_power_W",
-                     "soil_gain_pct_per_L", "soil_decay_pct_per_hr"):
+        for name in ("soil_gain_pct_per_L", "soil_decay_pct_per_hr"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if self.mppt_algo not in ("po", "ic"):
@@ -252,7 +259,7 @@ def _hydraulics(cfg, pv_power):
 
     Each pump flow follows its first-order law toward rated flow or zero
     exactly over a step, by one decay factor, with the load in proportion
-    to the flow.  While both flows have settled, the steps run as
+    to the flow.  While the latches and flows hold, the steps run as
     checked numpy blocks (:meth:`_Hydraulics.block`), and every other
     step runs alone (:meth:`_Hydraulics.step`).
 
@@ -265,7 +272,8 @@ def _hydraulics(cfg, pv_power):
     n = len(pv_power)
     h = _Hydraulics(cfg, n)
     blocks.run(n, _BLOCK_MIN, lambda k: h.step(k, pv_power.item(k)),
-               lambda k, m, _: h.block(k, pv_power[k:k + m]), period=0)
+               lambda k, m, _: h.block(k, pv_power[k:k + m]))
+    # summed by blocks: one whole-run sum adds 1 MiB to the peak RSS
     harvested_Ws = 0.0
     for k in range(0, n, blocks.BLOCK_MAX):
         harvested_Ws = _partial_sums(harvested_Ws, pv_power[
@@ -302,12 +310,12 @@ class _Hydraulics:
             "delivered_soil_L")}
 
     def law(self, pump1, pump2, flow1, flow2, tank1, tank2, soil, soc, power,
-            where):
+            ops):
         """
         One step from the given state at PV power ``power``, on floats
-        (``where`` is ``tracking._where``) or arrays (``np.where``).  Each
-        ``min`` and ``max`` is spelled as a comparison and a ``where``,
-        so both forms break a tie of 0.0 and -0.0 alike.
+        (``ops`` is ``blocks.FLOATS``) or arrays (``blocks.ARRAYS``).
+        Each ``min`` and ``max`` is spelled as a comparison and a
+        ``where``, so both forms break a tie of 0.0 and -0.0 alike.
 
         Returns
         -------
@@ -322,9 +330,9 @@ class _Hydraulics:
             pump1, pump2, 100.0 * tank2 / cfg.tank2_volume_L, soil, soc, cfg)
         # the battery relay and an empty source tank both stop the
         # physical flow (the latches are untouched)
-        target1 = where(pump1 & relay & (tank1 > 1e-9), rated, 0.0)
+        target1 = ops.where(pump1 & relay & (tank1 > 1e-9), rated, 0.0)
         flow1 = target1 + (flow1 - target1) * self.decay
-        target2 = where(pump2 & relay & (tank2 > 1e-9), rated, 0.0)
+        target2 = ops.where(pump2 & relay & (tank2 > 1e-9), rated, 0.0)
         flow2 = target2 + (flow2 - target2) * self.decay
         load = cfg.pump1_power_W * flow1 / rated \
             + cfg.pump2_power_W * flow2 / rated
@@ -332,33 +340,33 @@ class _Hydraulics:
         # water movement: tank1 -> tank2 -> soil, exactly ledgered; a
         # move is cut to what its source holds and tank2 has room for
         move1 = flow1 / 60.0 * dt
-        move1 = where(tank1 < move1, tank1, move1)
+        move1 = ops.where(tank1 < move1, tank1, move1)
         room = cfg.tank2_volume_L - tank2
-        move1 = where(room < move1, room, move1)
-        move1 = where(move1 > 0.0, move1, 0.0)
+        move1 = ops.where(room < move1, room, move1)
+        move1 = ops.where(move1 > 0.0, move1, 0.0)
         tank1 = tank1 - move1
         tank2 = tank2 + move1
         move2 = flow2 / 60.0 * dt
-        move2 = where(tank2 < move2, tank2, move2)
-        move2 = where(move2 > 0.0, move2, 0.0)
+        move2 = ops.where(tank2 < move2, tank2, move2)
+        move2 = ops.where(move2 > 0.0, move2, 0.0)
         tank2 = tank2 - move2
         soil = _percent(soil + cfg.soil_gain_pct_per_L * move2
-                        - self.soil_decay, where)
+                        - self.soil_decay, ops)
 
         # battery energy balance; the clamps' cuts go to the ledger
         raw = soc + (power - load) * dt / 3600.0 \
             / cfg.battery_capacity_Wh * 100.0
         return (pump1, pump2, relay, flow1, flow2, tank1, tank2, soil,
-                _percent(raw, where), load, move2, raw)
+                _percent(raw, ops), load, move2, raw)
 
     def step(self, k, power):
-        """Advance one step at PV power ``power`` and write row k."""
+        """Run step k at PV power ``power``; return the latches and flows."""
         cfg = self.cfg
         (self.pump1, self.pump2, self.relay, self.flow1, self.flow2,
          self.tank1, self.tank2, self.soil, self.soc, load, move2,
          raw) = self.law(
             self.pump1, self.pump2, self.flow1, self.flow2, self.tank1,
-            self.tank2, self.soil, self.soc, power, _where)
+            self.tank2, self.soil, self.soc, power, blocks.FLOATS)
         cut = raw - self.soc        # > 0 at the clamp at 100, < 0 at 0
         self.curtailed_pct += max(cut, 0.0)
         self.deficit_pct += max(-cut, 0.0)
@@ -366,6 +374,7 @@ class _Hydraulics:
         self.delivered += move2
         self._write(k, self.tank1, self.tank2, self.soil, self.soc,
                     self.delivered)
+        return self.pump1, self.pump2, self.relay, self.flow1, self.flow2
 
     def _write(self, rows, tank1, tank2, soil, soc, delivered):
         """Write the trace rows ``rows``, at the latches and relay held
@@ -388,15 +397,10 @@ class _Hydraulics:
         arrays.  Write the leading steps that match the prediction bit
         for bit, :meth:`step`'s bit for bit, and return what
         ``blocks.run`` takes: their count, whether a miss stopped the
-        block, and no values.
+        block, and the latches and flows they held, at most 8 copies.
         """
         cfg = self.cfg
         rated = cfg.pump_flow_Lpm
-        # no step until both flows have settled: each a fixed point of its
-        # step toward 0 or rated flow, short of them above a decay of 0.5
-        if not all(f == f * self.decay or f == rated + (f - rated) * self.decay
-                   for f in (self.flow1, self.flow2)):
-            return 0, False, ()
         dt = cfg.dt_s
         n = len(power)
         settled_load = cfg.pump1_power_W * self.flow1 / rated \
@@ -417,7 +421,7 @@ class _Hydraulics:
                                              * 100.0)[:, None])
             pump1, pump2, relay, *state, load, move2, raw = self.law(
                 self.pump1, self.pump2, self.flow1, self.flow2,
-                *ahead[:, :-1], power, np.where)
+                *ahead[:, :-1], power, blocks.ARRAYS)
             miss = (pump1 != self.pump1) | (pump2 != self.pump2) \
                 | (relay != self.relay)
             for got, want in zip(state, (self.flow1, self.flow2,
@@ -426,7 +430,7 @@ class _Hydraulics:
             bad = np.flatnonzero(miss)
             c = int(bad[0]) if bad.size else n
             if c == 0:
-                return 0, True, ()
+                return 0, True, []
             tank1, tank2, soil, soc = (x[:c] for x in state[2:])
             delivered = _partial_sums(self.delivered, move2[:c])
             self._write(slice(k, k + c), tank1, tank2, soil, soc,
@@ -442,13 +446,14 @@ class _Hydraulics:
                 self.curtailed_pct, np.maximum(cut, 0.0)).item(-1)
             self.deficit_pct = _partial_sums(
                 self.deficit_pct, np.maximum(-cut, 0.0)).item(-1)
-        return c, c < n, ()
+        return c, c < n, [(self.pump1, self.pump2, self.relay, self.flow1,
+                            self.flow2)] * min(c, 8)
 
 
-def _percent(x, where):
+def _percent(x, ops):
     """``min(100.0, max(0.0, x))``, on floats or arrays."""
-    x = where(x > 0.0, x, 0.0)
-    return where(x < 100.0, x, 100.0)
+    x = ops.where(x > 0.0, x, 0.0)
+    return ops.where(x < 100.0, x, 100.0)
 
 
 def _partial_sums(x, d):

@@ -39,12 +39,7 @@ AVGSUM_MIN = 8.0
 DIFF_DEADBAND = 10.0
 
 
-def _clip(x, lo, hi):
-    """``np.clip`` on one number."""
-    return min(max(x, lo), hi)
-
-
-def sense_and_decide(se, te, dazi, irradiance, sin, cos, rint, clip):
+def sense_and_decide(se, te, dazi, irradiance, ops):
     """
     One cycle of the tracker law: quadrant counts, then the state machine.
 
@@ -61,19 +56,17 @@ def sense_and_decide(se, te, dazi, irradiance, sin, cos, rint, clip):
     se, te, dazi : sun elevation, tracker elevation and azimuth difference
         (sun minus tracker), radians, as for ``solar.sun_on_frame``
     irradiance : W/m2, >= 0
-    sin, cos, rint, clip : ``math.sin``, ``math.cos``, ``round`` and
-        ``_clip`` on floats, or ``np.sin``, ``np.cos``, ``np.rint`` and
-        ``np.clip`` on arrays
+    ops : ``blocks.FLOATS`` on floats, or ``blocks.ARRAYS`` on arrays
 
     Returns
     -------
     (top_left, top_right, bottom_left, bottom_right, azimuth step,
     elevation step, park)
     """
-    s_x, s_y, s_z = sun_on_frame(se, te, dazi, sin, cos)
+    s_x, s_y, s_z = sun_on_frame(se, te, dazi, ops.sin, ops.cos)
     axial = _SQRT_HALF * s_y
     scale = 1023.0 * irradiance / 1000.0
-    counts = [clip(rint(scale * c), 0, 1023) for c in (
+    counts = [ops.clip(ops.rint(scale * c), 0, 1023) for c in (
         axial + 0.5 * (s_z - s_x), axial + 0.5 * (s_z + s_x),
         axial - 0.5 * (s_z + s_x), axial + 0.5 * (s_x - s_z))]
     return (*counts, *tracking_step(*counts))
@@ -108,20 +101,14 @@ def tracking_step(tl, tr, bl, br):
     return azi, elev, avgsum < AVGSUM_MIN
 
 
-def _where(cond, a, b):
-    """``np.where`` on one number."""
-    return a if cond else b
-
-
-def _move(te, ta, azi_step, elev_step, park, motor_step_deg, start, where,
-          clip):
+def _move(te, ta, azi_step, elev_step, park, motor_step_deg, start, ops):
     """Orientation ``(te, ta)`` after one command: a signed motor step per
     axis with the elevation clamped to [0, 180]; a park snaps to
-    ``start``.  On floats (``where`` and ``clip`` are :func:`_where` and
-    :func:`_clip`) or arrays (``np.where`` and ``np.clip``)."""
-    return (where(park, start[0],
-                  clip(te + elev_step * motor_step_deg, 0.0, 180.0)),
-            where(park, start[1], ta + azi_step * motor_step_deg))
+    ``start``.  On floats or arrays (``ops`` as for
+    :func:`sense_and_decide`)."""
+    return (ops.where(park, start[0],
+                      ops.clip(te + elev_step * motor_step_deg, 0.0, 180.0)),
+            ops.where(park, start[1], ta + azi_step * motor_step_deg))
 
 
 @dataclass(frozen=True)
@@ -212,9 +199,9 @@ def tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8, irradiance=1000.0,
         te, ta = (theta_te.item(k - 1), theta_ta.item(k - 1)) if k else start
         *counts, az, el, pk = sense_and_decide(
             se.item(k), math.radians(te), math.radians(azi.item(k) - ta),
-            irr.item(k), math.sin, math.cos, round, _clip)
-        te, ta = _move(te, ta, az, el, pk, motor_step_deg, start, _where,
-                       _clip)
+            irr.item(k), blocks.FLOATS)
+        te, ta = _move(te, ta, az, el, pk, motor_step_deg, start,
+                       blocks.FLOATS)
         theta_te[k], theta_ta[k] = te, ta
         readings[k] = counts
         azi_step[k], elev_step[k], park[k] = az, el, pk
@@ -228,10 +215,9 @@ def tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8, irradiance=1000.0,
         te_0, ta_0 = cte[behind], cta[behind]
         *counts, az, el, pk = sense_and_decide(
             se[k:k + m], np.radians(cte)[behind],
-            np.radians(azi[k:k + m] - ta_0), irr[k:k + m],
-            np.sin, np.cos, np.rint, np.clip)
+            np.radians(azi[k:k + m] - ta_0), irr[k:k + m], blocks.ARRAYS)
         te_1, ta_1 = _move(te_0, ta_0, az, el, pk, motor_step_deg, start,
-                           np.where, np.clip)
+                           blocks.ARRAYS)
         miss = np.flatnonzero(
             (te_1.view(np.int64) != cte[ahead].view(np.int64))
             | (ta_1.view(np.int64) != cta[ahead].view(np.int64)))

@@ -27,7 +27,7 @@ from .lti import (Polynomial, TransferFunction, error_constants,
                   frequency_response, poly_roots, routh_table,
                   ss_error_vs_gain, stability_margins,
                   stability_verdict_from_roots, step_metrics, step_response,
-                  tf_feedback_gain)
+                  tf_feedback)
 from .plants import (MOTOR_PAPER, PidParams, cascade_plant, cascade_system,
                      closed_loop_char_poly, metering_pump_tf, motor_tf,
                      MotorParams, pid_tf, pump_tf, tank_second_order)
@@ -101,7 +101,7 @@ def _row(rid, desc, claimed, unit, computed, tol, kind, note=""):
 
 def _loop_metrics(loop_tf, t_end):
     """Unity-feedback closed-loop step metrics of an open-loop system."""
-    return step_metrics(step_response(tf_feedback_gain(loop_tf, 1.0), t_end))
+    return step_metrics(step_response(tf_feedback(loop_tf, 1.0), t_end))
 
 
 def build_report():
@@ -135,7 +135,7 @@ def build_report():
     ):
         k_eff = k_claimed * 1e-4
         literal_stable = stability_verdict_from_roots(
-            tf_feedback_gain(k_claimed * MOTOR_PAPER, 1.0).den)
+            tf_feedback(k_claimed * MOTOR_PAPER, 1.0).den)
         note = (f"literal K={k_label} loop is {literal_stable}; metrics "
                 f"reproduce at effective gain K*1e-4 = {k_eff:g}, which is "
                 f"the reading recomputed here")
@@ -233,7 +233,7 @@ def build_report():
     tuned = PidParams(K_p=-69.94, K_i=-729.46, K_d=-1.651, N_filter=4558.36)
     tuned_loop = pid_tf(tuned) * MOTOR_PAPER
     tuned_verdict = stability_verdict_from_roots(
-        tf_feedback_gain(tuned_loop, 1.0).den)
+        tf_feedback(tuned_loop, 1.0).den)
     for rid, desc, claimed, unit in (
             ("tuned_motor_rise", "tuned motor loop rise time", 0.0303, "s"),
             ("tuned_motor_settling", "tuned motor loop settling time",
@@ -281,9 +281,9 @@ def build_report():
     add(_row("cascade_pole_slow", "cascade plant slow pole", -1.0, "1/s",
              poles.real.max(), TOL_POLE_ABS, "abs"))
     all_stable = all(
-        routh_table(tf_feedback_gain(k * plant, 1.0).den).verdict == "stable"
+        routh_table(tf_feedback(k * plant, 1.0).den).verdict == "stable"
         and stability_verdict_from_roots(
-            tf_feedback_gain(k * plant, 1.0).den) == "stable"
+            tf_feedback(k * plant, 1.0).den) == "stable"
         for k in (0.1, 1.0, 10.0, 100.0, 1000.0, 1e6))
     add(_row("tableIII_all_K", "cascade loop stable for all sampled K > 0 "
              "(1 = stable, Routh and root oracle)", 1.0, "-",

@@ -11,7 +11,7 @@ import pytest
 
 from sunpump.lti import (Polynomial, TransferFunction, poly_roots,
                          routh_table, stability_verdict_from_roots,
-                         step_metrics, step_response, tf_feedback_gain)
+                         step_metrics, step_response, tf_feedback)
 from sunpump.mppt import ic_step, initial_state, mppt_run, po_step
 from sunpump.plants import cascade_plant
 from sunpump.pv import (array_current, default_array, find_mpp, iv_curve,
@@ -54,7 +54,7 @@ def test_criterion_3_stable_for_all_sampled_gains():
     plant = cascade_plant()
     results = []
     for k in (0.1, 1.0, 10.0, 100.0, 1000.0, 1e6):
-        cl = tf_feedback_gain(k * plant, 1.0)
+        cl = tf_feedback(k * plant, 1.0)
         routh = routh_table(cl.den).verdict
         oracle = stability_verdict_from_roots(cl.den)
         results.append((k, routh, oracle))

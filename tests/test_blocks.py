@@ -1,6 +1,10 @@
 """The checked-block schedule (``blocks.run``), driven by a fake loop
-with scripted values and misses."""
+with scripted values and misses, and the float and array operations the
+loops' laws run on (``blocks.FLOATS`` and ``blocks.ARRAYS``)."""
 
+import math
+
+import numpy as np
 import pytest
 
 from sunpump import blocks
@@ -48,9 +52,8 @@ class FakeLoop:
         self.ran.extend(range(k, k + kept))
         return kept, missed, self.values[k:k + kept]
 
-    def run(self, block_min, period=4):
-        blocks.run(len(self.values), block_min, self.step, self.block,
-                   period)
+    def run(self, block_min):
+        blocks.run(len(self.values), block_min, self.step, self.block)
         return self
 
     def block_calls(self):
@@ -160,18 +163,93 @@ def test_empty_block_keeps_the_size():
     assert after[:3] == ("block", 251, 256)
 
 
-def test_no_period_tries_a_block_at_every_step():
-    # a loop with no repeat period (period 0): its block decides its own
-    # readiness, here not ready on the first 5 steps and at step 125
-    loop = FakeLoop([None] * 1000, empty=(0, 1, 2, 3, 4, 125)).run(
-        8, period=0)
-    assert loop.ran == list(range(1000))
-    assert loop.calls[:10] == [call for k in range(5) for call in (
-        ("block", k, 8, 0, False), ("step", k))]
-    assert loop.calls[10][:3] == ("block", 5, 8)
-    assert all(cycle == [] for _, cycle in loop.cycles)
-    # blocks of 8, 16, 32 and 64 steps start at 5; the one at 125 keeps
-    # no step, and the size stays
-    at = loop.calls.index(("block", 125, 128, 0, False))
-    assert loop.calls[at + 1] == ("step", 125)
-    assert loop.calls[at + 2][:3] == ("block", 126, 128)
+TINY = 5e-324                       # the smallest subnormal
+SUBNORMALS = [TINY, -TINY, 2.225073858507201e-308, -2.225073858507201e-308,
+              1e-310, -1e-310]
+HALVES = [0.5, 1.5, 2.5, -1.5, -2.5, 1022.5, 1023.5, -1023.5,
+          2.0 ** 51 + 0.5, -(2.0 ** 51) - 0.5, 0.49999999999999994]
+NEAR_ZERO = [0.0, -0.0, *SUBNORMALS]
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def same_bits(floats, arrays):
+    """The float results, as float64, and the array results have the
+    same bits."""
+    return np.array_equal(bits([float(f) for f in floats]), bits(arrays))
+
+
+class TestOperationPairs:
+    """The pairs the ``blocks`` comment calls identical give the same
+    float64 bits; the pairs it says may differ do so as it says."""
+
+    F, A = blocks.FLOATS, blocks.ARRAYS
+
+    @pytest.mark.parametrize("name", ["sin", "cos"])
+    def test_sin_and_cos(self, name):
+        xs = [*NEAR_ZERO, *HALVES, math.pi, -math.pi / 2, 1e-8, 1e300,
+              *np.random.default_rng(0).uniform(-10.0, 10.0, 1000)]
+        f, a = getattr(self.F, name), getattr(self.A, name)
+        assert same_bits([f(x) for x in xs], a(np.array(xs)))
+
+    def test_rint_is_round_but_for_the_sign_of_zero(self):
+        xs = [0.0, *[x for x in SUBNORMALS if x > 0], *HALVES, 1023.0,
+              0.5000000000000001, -0.5000000000000001, 1e300, -1e300]
+        assert same_bits([self.F.rint(x) for x in xs], self.A.rint(xs))
+        # round returns an int, which has no -0.0
+        for x in (-0.0, -TINY, -0.3, -0.5):
+            assert type(self.F.rint(x)) is int and self.F.rint(x) == 0
+            assert bits(self.A.rint(x)) == bits(-0.0)
+
+    @pytest.mark.parametrize("lo, hi", [(0, 1023), (0.0, 180.0)])
+    def test_clip(self, lo, hi):
+        xs = [*NEAR_ZERO, *HALVES, lo, hi, np.nextafter(hi, math.inf),
+              np.nextafter(hi, -math.inf), np.nextafter(lo, -math.inf),
+              -1.8, 181.8, 1e300, -1e300]
+        assert same_bits([self.F.clip(x, lo, hi) for x in xs],
+                         self.A.clip(np.array(xs), lo, hi))
+        # the tracker clips rounded counts: round's ints as floats
+        counts = [self.F.rint(x) for x in xs if abs(x) < 1e300]
+        assert same_bits([self.F.clip(c, lo, hi) for c in counts],
+                         self.A.clip(np.array(counts, dtype=float), lo, hi))
+
+    def test_where(self):
+        rows = [(c, a, b) for c in (True, False) for a in NEAR_ZERO[:3]
+                for b in (-0.0, 0.0, 100.0)]
+        c, a, b = (np.array(col) for col in zip(*rows))
+        assert same_bits([self.F.where(*r) for r in rows],
+                         self.A.where(c, a, b))
+
+    def test_maximum_off_its_differences(self):
+        xs = [*SUBNORMALS, *HALVES, 1e-12, 0.0]
+        rows = [(x, y) for x in xs for y in xs
+                if not (x == y and x == 0.0)]
+        x, y = (np.array(col) for col in zip(*rows))
+        assert same_bits([self.F.maximum(*r) for r in rows],
+                         self.A.maximum(x, y))
+
+    def test_maximum_differs_at_signed_zero_ties_and_nan(self):
+        # max keeps its first argument at a tie, np.maximum its second
+        for x, y in ((0.0, -0.0), (-0.0, 0.0)):
+            assert bits(self.F.maximum(x, y)) == bits(x)
+            assert bits(self.A.maximum(x, y)) == bits(y)
+        # max keeps a number that a NaN does not exceed
+        assert self.F.maximum(1.0, math.nan) == 1.0
+        assert math.isnan(self.A.maximum(1.0, math.nan))
+
+    def test_divide_off_a_zero_divisor(self):
+        xs = [*NEAR_ZERO, *HALVES, 3.0, -7.25, 1e300, -1e-300]
+        rows = [(x, y) for x in xs for y in xs if y != 0.0]
+        x, y = (np.array(col) for col in zip(*rows))
+        with np.errstate(all="ignore"):
+            assert same_bits([self.F.divide(*r) for r in rows],
+                             self.A.divide(x, y))
+
+    def test_divide_differs_on_a_zero_divisor(self):
+        for a in (1.0, -1.0, 0.0):
+            for b in (0.0, -0.0):
+                assert bits(self.F.divide(a, b)) == bits(0.0)
+                with np.errstate(all="ignore"):
+                    assert not math.isfinite(self.A.divide(a, b))

@@ -573,6 +573,25 @@ class TestCliExitCodes:
         assert err.startswith("config error: battery_capacity_Wh = ")
         assert "outside [0.001, 1e+06] Wh" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("[scenario]\nduration_s = 60\n[pumps]\npump1_power_W = 1e308\n",
+         "pump1_power_W = 1e+308 outside [0, 10000] W"),
+        ("[scenario]\nduration_s = 60\n[pumps]\npump_flow_Lpm = 1e308\n",
+         "pump_flow_Lpm = 1e+308 outside [1e-09, 1000] L/min"),
+        ("[scenario]\ndt_s = 1e307\nduration_s = 1e307\n",
+         "dt_s = 1e+307 outside [0.001, 3600] s")])
+    def test_ledger_overflow_is_a_config_error(self, tmp_path, capsys, text,
+                                               message):
+        # with pump1 on, each of these ran and reported energy_load_Wh = inf
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text + "[tanks]\ntank2_init_pct = 10\n"
+                       "[battery]\nsoc_init_pct = 90\n")
+        code = main(["scenario", "run", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "scenario_trace.csv").exists()
+
     @pytest.mark.parametrize("text", [
         "[environment]\nirradiance_profile = 0:-100, 10:-50\n",
         "[environment]\nsun_path = 0:95:90, 10:95:100\n",
@@ -976,7 +995,7 @@ class TestTfColumnCsv:
                                              "cascade", "tank_2nd_order"])
     def test_step_and_bode(self, tmp_path, capsys, preset_name):
         from sunpump.lti import (frequency_response, step_response,
-                                 tf_feedback_gain)
+                                 tf_feedback)
         from sunpump.plants import preset
         out = tmp_path / "out"
         assert main(["tf", "step", "--closed", "--t-end", "30", "--preset",
@@ -984,7 +1003,7 @@ class TestTfColumnCsv:
         assert main(["tf", "bode", "--preset", preset_name,
                      "--out", str(out)]) == 0
         tf = preset(preset_name)
-        trace = step_response(tf_feedback_gain(tf, 1.0), 30.0)
+        trace = step_response(tf_feedback(tf, 1.0), 30.0)
         assert (out / "step.csv").read_bytes() == rowwise_csv(
             ["t", "y"], zip(trace.t.tolist(), trace.y.tolist()))
         fr = frequency_response(tf)

@@ -6,6 +6,7 @@ toolkit (``lti``, ``plants``, ``validation``); the ``tf`` and
 fresh interpreters, since this one has imported everything already.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -116,3 +117,22 @@ print(json.dumps({{"codes": codes,
         assert seen == {"codes": [0, 0], "loaded": list(ANALYSIS)}
         assert {p.name for p in (tmp_path / "out").iterdir()} == {
             "step.csv", "validation_report.csv"}
+
+
+class TestPrivateNames:
+    def test_no_module_imports_another_modules_private_names(self):
+        # a private name is its module's own: a law another module needs
+        # is public, or comes from the module both share (``blocks``)
+        paths = sorted((SRC / "sunpump").glob("*.py"))
+        assert len(paths) > 10
+        found = []
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.level or (node.module or "").startswith(
+                            "sunpump")):
+                    found += [f"{path.name}: from {'.' * node.level}"
+                              f"{node.module or ''} import {alias.name}"
+                              for alias in node.names
+                              if alias.name.startswith("_")]
+        assert found == []

@@ -12,7 +12,7 @@ from sunpump.lti import (DegenerateSystemError, ImproperSystemError,
                          root_locus, routh_table, ss_error_vs_gain,
                          stability_margins, stability_verdict_from_roots,
                          step_metrics, step_response, tf_feedback,
-                         tf_feedback_gain, tf_from_text)
+                         tf_from_text)
 from sunpump.plants import MOTOR_PAPER
 
 
@@ -206,7 +206,7 @@ class TestFeedback:
         k = 1e5
         g = k * TransferFunction([0.0001563],
                                  [1.2e-8, 7.51e-6, 0.0001625, 0.0])
-        cl = tf_feedback_gain(g, 1.0)
+        cl = tf_feedback(g, 1.0)
         # den scaled monic; check ratios against {1.2e-8, 7.51e-6,
         # 0.0001625, 0.0001563 K}
         expect = np.array([1.2e-8, 7.51e-6, 0.0001625, 0.0001563 * k])
@@ -221,6 +221,18 @@ class TestFeedback:
         h = TransferFunction([-1.0, 0.0], [1.0])  # -s
         with pytest.raises(DegenerateSystemError):
             tf_feedback(g, h)
+
+    @pytest.mark.parametrize("k", [1.0, -2.5, 1e5])
+    def test_gain_is_a_constant_feedback_path(self, k):
+        g = TransferFunction([0.5, 2.0], [1.0, 3.0, 0.0])
+        by_gain = tf_feedback(g, k)
+        by_path = tf_feedback(g, TransferFunction([k], [1.0]))
+        assert by_gain.num.coeffs == pytest.approx(by_path.num.coeffs)
+        assert by_gain.den.coeffs == pytest.approx(by_path.den.coeffs)
+
+    def test_degenerate_gain(self):
+        with pytest.raises(DegenerateSystemError):
+            tf_feedback(TransferFunction([1.0], [1.0]), -1.0)
 
 
 class TestStepResponse:
@@ -248,7 +260,7 @@ class TestStepResponse:
     @pytest.mark.parametrize("k, want", [(0.0, 2.0), (1.0, 2.0 / 3.0)])
     def test_static_gain(self, k, want):
         # 2 / 1 has no poles, which used to make poles() raise
-        tf = tf_feedback_gain(TransferFunction([2.0], [1.0]), k)
+        tf = tf_feedback(TransferFunction([2.0], [1.0]), k)
         assert tf.poles().size == 0 and tf.poles().dtype == complex
         tr = step_response(tf, 10.0)
         assert tr.t.size == 2001 and not tr.diverged
@@ -455,7 +467,7 @@ class TestMargins:
     def test_stable_loop_positive_pm(self):
         for k in (0.5, 2.0, 10.0):
             g = k * TransferFunction([1.0], [1.0, 2.0, 1.0, 0.0])
-            cl = tf_feedback_gain(g, 1.0)
+            cl = tf_feedback(g, 1.0)
             if np.all(poly_roots(cl.den).real < 0):
                 m = stability_margins(frequency_response(
                     g, np.geomspace(1e-3, 1e3, 4000)))

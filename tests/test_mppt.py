@@ -6,7 +6,7 @@ from hypothesis import example, given, strategies as st
 import numpy as np
 import pytest
 
-from sunpump import mppt, pv
+from sunpump import blocks, mppt, pv
 from sunpump.mppt import (MpptRun, MpptState, duty_for_ratio, ic_step,
                           initial_state, mppt_run, po_step)
 from sunpump.pv import (PvSolverError, array_current, default_array,
@@ -660,7 +660,7 @@ class TestLawFloatsMatchArrays:
         with np.errstate(all="ignore"):
             if algo == "ic":
                 move, undefined = mppt._ic_move(dv, before_v, before_i, v, i,
-                                                np.maximum, np.divide)
+                                                blocks.ARRAYS)
             else:
                 move = mppt._po_move(dv, before_v, before_v * before_i, v,
                                      v * i)
@@ -668,8 +668,8 @@ class TestLawFloatsMatchArrays:
         want, flags = [], []
         for x, y in rows:
             if algo == "ic":
-                m, flag = mppt._ic_move(dv, v_prev, i_prev, x, y, max,
-                                        mppt._divide)
+                m, flag = mppt._ic_move(dv, v_prev, i_prev, x, y,
+                                        blocks.FLOATS)
             else:
                 m, flag = mppt._po_move(dv, v_prev, v_prev * i_prev, x,
                                         x * y), False

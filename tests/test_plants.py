@@ -5,7 +5,7 @@ import pytest
 
 from sunpump.lti import (DegenerateSystemError, TransferFunction, poly_roots,
                          routh_table, stability_verdict_from_roots,
-                         tf_feedback_gain)
+                         tf_feedback)
 from sunpump.plants import (MOTOR_PAPER, CascadeSystem, MotorParams,
                             PidParams, TankParams, ValveParams,
                             cascade_plant, cascade_system,
@@ -199,7 +199,7 @@ class TestCascade:
 
     @pytest.mark.parametrize("k", [1.0, 10.0, 100.0, 1000.0])
     def test_routh_first_column_positive_under_gain(self, k):
-        cl = tf_feedback_gain(k * cascade_plant(), 1.0)
+        cl = tf_feedback(k * cascade_plant(), 1.0)
         res = routh_table(cl.den)
         assert res.verdict == "stable"
         assert all(v > 0 for v in res.first_column)

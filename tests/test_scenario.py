@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from sunpump import pv, scenario, tracking
+from sunpump import blocks, pv, scenario
 from sunpump.mppt import initial_state
 from sunpump.scenario import (ConfigError, ScenarioConfig, _profile_columns,
                               control_logic_step, run_scenario)
@@ -325,12 +325,13 @@ BRANCH_CONFIGS = {
              tank_low_pct=99.95, tank_full_pct=100.0, tank2_init_pct=90.0),
         lambda tr, scalar: block_stops_at(
             scalar, first(tr.tank2_level_pct == 100.0))),
-    # settled throughout: blocks of 64 and 128 steps end on the last step
+    # settled throughout: the first 8 steps run alone, then blocks of 64
+    # and 128 steps end on the last step
     "block_ends_on_last_step": (
-        dict(duration_s=19.2, irradiance_profile=DARK, soc_init_pct=50.0,
+        dict(duration_s=20.0, irradiance_profile=DARK, soc_init_pct=50.0,
              soil_init_pct=50.0, soil_decay_pct_per_hr=100.0),
-        lambda tr, scalar: (len(tr) == 3 * scenario._BLOCK_MIN
-                            and not scalar.any())),
+        lambda tr, scalar: (len(tr) == 8 + 3 * scenario._BLOCK_MIN
+                            and scalar[:8].all() and not scalar[8:].any())),
 }
 
 
@@ -447,12 +448,21 @@ class TestHydraulicsMatchesReference:
         assert abs(energy_ledger_residual(cfg, summary)) <= \
             8 * (len(trace) + 10) * np.finfo(float).eps * flow
 
-    def test_settled_steps_run_in_blocks(self, scalar_steps):
-        # on the reference day only the steps whose pump flows have not
-        # settled, and the first step that leaves a block's prediction,
-        # run alone: 1 606 of the 72 000
-        trace, _ = run_scenario(ScenarioConfig.default_daylight())
-        assert len(scalar_steps) <= 1606
+    def test_settled_steps_run_in_blocks(self, scalar_steps, monkeypatch):
+        # on the reference day only the steps whose latches and flows
+        # have not repeated for 8 steps, and the first step that leaves
+        # a block's prediction, run alone: 1 649 of the 72 000, with 48
+        # blocks between them
+        calls = []
+        block = scenario._Hydraulics.block
+
+        def counted(self, k, power):
+            calls.append(k)
+            return block(self, k, power)
+        monkeypatch.setattr(scenario._Hydraulics, "block", counted)
+        run_scenario(ScenarioConfig.default_daylight())
+        assert len(scalar_steps) == 1649
+        assert len(calls) <= 48
 
     def test_slow_pump_flows_settle_into_blocks(self, scalar_steps):
         # at pump_tau_s = 0.2 s the decay factor exp(-0.5) exceeds 0.5, and
@@ -551,8 +561,8 @@ class TestLawFloatsMatchArrays:
         cfg, rows = case
         h = scenario._Hydraulics(cfg, 0)
         with np.errstate(all="ignore"):
-            got = h.law(*(np.array(c) for c in zip(*rows)), np.where)
-        want = [h.law(*r, tracking._where) for r in rows]
+            got = h.law(*(np.array(c) for c in zip(*rows)), blocks.ARRAYS)
+        want = [h.law(*r, blocks.FLOATS) for r in rows]
         for w in want:
             assert all(type(latch) is bool for latch in w[:3])
         for j, column in enumerate(got):
@@ -745,6 +755,26 @@ class TestConfigValidation:
     @pytest.mark.parametrize("capacity", [1e-3, 20.0, 60.0, 1e6])
     def test_capacity_range_is_closed(self, capacity):
         ScenarioConfig(battery_capacity_Wh=capacity).validate()
+
+    @pytest.mark.parametrize("name, value", [
+        ("pump1_power_W", 1e308), ("pump1_power_W", 10000.001),
+        ("pump1_power_W", -1e-9), ("pump2_power_W", 1e308),
+        ("pump2_power_W", -1.0), ("pump_flow_Lpm", 1e308),
+        ("pump_flow_Lpm", 1000.001), ("pump_flow_Lpm", 9.9e-10),
+        ("pump_flow_Lpm", 0.0), ("dt_s", 0.0), ("dt_s", 9.9e-4),
+        ("dt_s", 3600.001), ("dt_s", 1e307)])
+    def test_pump_and_step_outside_range_rejected(self, name, value):
+        # with pump1 on, a 1e308 W pump, a 1e308 L/min flow and a 1e307 s
+        # step each ran and read an infinite pump load
+        with pytest.raises(ConfigError, match=rf"{name} = .* outside \["):
+            ScenarioConfig(**{name: value}).validate()
+
+    @pytest.mark.parametrize("name, value", [
+        ("pump1_power_W", 0.0), ("pump1_power_W", 1e4),
+        ("pump2_power_W", 1e4), ("pump_flow_Lpm", 1e-9),
+        ("pump_flow_Lpm", 1e3), ("dt_s", 1e-3), ("dt_s", 3600.0)])
+    def test_pump_and_step_ranges_are_closed(self, name, value):
+        ScenarioConfig(**{name: value, "duration_s": 3600.0}).validate()
 
     def test_infinite_flow_rejected(self):
         with pytest.raises(ConfigError, match="pump_flow_Lpm"):

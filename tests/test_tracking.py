@@ -26,8 +26,7 @@ def ldr_model(sun_elev, sun_azi, tracker_elev, tracker_azi, irradiance):
     :func:`sense_and_decide` on floats."""
     return sense_and_decide(
         math.radians(sun_elev), math.radians(tracker_elev),
-        math.radians(sun_azi - tracker_azi), irradiance, math.sin, math.cos,
-        round, tracking._clip)[:4]
+        math.radians(sun_azi - tracker_azi), irradiance, blocks.FLOATS)[:4]
 
 
 def vector_ldr_model(sp, to, irradiance):
@@ -208,7 +207,7 @@ def move(te, ta, azi_step, elev_step, park, start=(90.0, 0.0),
          motor_step_deg=1.8):
     """The move law on floats."""
     return tracking._move(te, ta, azi_step, elev_step, park, motor_step_deg,
-                          start, tracking._where, tracking._clip)
+                          start, blocks.FLOATS)
 
 
 class TestApplyCommand:
@@ -332,11 +331,10 @@ class TestKernelFloatsMatchArrays:
         as ``tracking_sim`` stores them, bit for bit."""
         se, dazi, irr = (np.array(c) for c in zip(*rows))
         got = sense_and_decide(np.radians(se), math.radians(te),
-                               np.radians(dazi), irr,
-                               np.sin, np.cos, np.rint, np.clip)
+                               np.radians(dazi), irr, blocks.ARRAYS)
         want = [sense_and_decide(math.radians(e), math.radians(te),
-                                 math.radians(d), g, math.sin, math.cos,
-                                 round, tracking._clip) for e, d, g in rows]
+                                 math.radians(d), g, blocks.FLOATS)
+                for e, d, g in rows]
         for j, dtype in enumerate([np.int16] * 4 + [np.int8] * 2 + [bool]):
             column = np.array([w[j] for w in want], dtype=dtype)
             assert np.array_equal(got[j].astype(dtype), column), j
@@ -359,7 +357,7 @@ class TestKernelFloatsMatchArrays:
         clamps, at -0.0, on a park and from outside [0, 180]."""
         te, ta, azi, elev, park = (np.array(c) for c in zip(*rows))
         got = tracking._move(te, ta, azi, elev, park, step, start,
-                             np.where, np.clip)
+                             blocks.ARRAYS)
         want = [move(*r, start, step) for r in rows]
         for j in range(2):
             column = np.array([w[j] for w in want])
