@@ -14,7 +14,7 @@ comma-separated breakpoint lists, e.g.::
 from dataclasses import dataclass
 import math
 
-from .scenario import ConfigError, ScenarioConfig
+from .scenario import PROFILES, ConfigError, ScenarioConfig
 
 # section -> config field; scalar fields parse as float
 _SCHEMA = {
@@ -32,7 +32,6 @@ _SCHEMA = {
     "mppt": ("mppt_algo", "mppt_dv_step"),
     "analysis": ("kind", "preset", "tf_text", "t_end", "dt", "gains"),
 }
-_PROFILE_KEYS = {"irradiance_profile": 2, "sun_path": 3}
 _STRING_KEYS = {"mppt_algo", "kind", "preset", "tf_text", "gains"}
 ANALYSIS_KINDS = ("analyze", "step", "bode", "rlocus", "routh", "errors")
 
@@ -140,9 +139,9 @@ def parse_config_text(text):
             raise ConfigError(
                 f"duplicate key {key!r} on lines {seen[key]} and {lineno}")
         seen[key] = lineno
-        if key in _PROFILE_KEYS:
+        if key in PROFILES:
             values[key] = _parse_profile(key, raw_value, lineno,
-                                         _PROFILE_KEYS[key])
+                                         len(PROFILES[key]))
         elif key in _STRING_KEYS:
             values[key] = raw_value
         else:

@@ -46,22 +46,75 @@ BATTERY_BUS_V = 12.0
 # columns are allocated (about 120 MB per million steps)
 MAX_STEPS = 5_000_000
 
-# battery capacities a config may give, in Wh.  The SOC is a percentage,
-# and one step adds (power - load) * dt / capacity of it: at 1e6 Wh one
-# ulp of the SOC is 1.4e-10 Wh, and the energy ledger of a default run
-# closes to 1.3e-9 of the harvest; at 1e14 Wh the whole harvest rounds
-# away.  Far below the range the step overflows (1e-310 Wh curtails inf).
-BATTERY_CAPACITY_WH = (1e-3, 1e6)
-# pump powers (W), rated flow (L/min) and step lengths (s) a config may
-# give: at most 2e4 W * 3600 s of load a step, far from the overflow of
-# a 1e308 W pump, a 1e308 L/min flow or a 1e307 s step (an inf load).
-PUMP_POWER_W = (0.0, 1e4)
-PUMP_FLOW_LPM = (1e-9, 1e3)
-DT_S = (1e-3, 3600.0)
+# the closed range (low, high, unit) of every numeric scenario input, by
+# ScenarioConfig field or profile column (PROFILES), for the reason given
+RANGES = {
+    # a millisecond to an hour (a 1e307 s step read an infinite load)
+    "dt_s": (1e-3, 3600.0, "s"),
+    # one step of the shortest dt_s to MAX_STEPS steps of the longest
+    "duration_s": (1e-3, 1.8e10, "s"),
+    # a microliter, 1000 times the 1e-9 L flow gate, to a 1000 m3
+    # cistern (at 1e308 L, 100 * level / volume overflowed)
+    "tank1_volume_L": (1e-6, 1e6, "L"),
+    "tank2_volume_L": (1e-6, 1e6, "L"),     # as tank1_volume_L
+    # a step adds (power - load) * dt / capacity to the SOC percentage:
+    # at 1e6 Wh one ulp of the SOC is 1.4e-10 Wh; at 1e14 Wh the harvest
+    # rounds away, and at 1e-310 Wh the step overflows
+    "battery_capacity_Wh": (1e-3, 1e6, "Wh"),
+    "soc_init_pct": (0.0, 100.0, "%"),          # a share of the capacity
+    "battery_min_soc_pct": (0.0, 100.0, "%"),   # a share of the capacity
+    "tank1_init_pct": (0.0, 100.0, "%"),        # a share of the volume
+    "tank2_init_pct": (0.0, 100.0, "%"),        # a share of the volume
+    "soil_init_pct": (0.0, 100.0, "%"),         # a share of saturation
+    # a sub-nanoliter trickle to a fire pump (1e308 L/min read inf load)
+    "pump_flow_Lpm": (1e-9, 1e3, "L/min"),
+    # a pump at rated flow within a millisecond, or within an hour
+    "pump_tau_s": (1e-3, 3600.0, "s"),
+    # an unpowered pump to 10 kW (a 1e308 W pump read an infinite load)
+    "pump1_power_W": (0.0, 1e4, "W"),
+    "pump2_power_W": (0.0, 1e4, "W"),       # as pump1_power_W
+    "tank_low_pct": (0.0, 100.0, "%"),      # a share of the volume
+    "tank_full_pct": (0.0, 100.0, "%"),     # a share of the volume
+    "soil_dry_pct": (0.0, 100.0, "%"),      # a share of saturation
+    "soil_wet_pct": (0.0, 100.0, "%"),      # a share of saturation
+    # none to 10 mL saturating the soil, a seedling plug
+    "soil_gain_pct_per_L": (0.0, 1e4, "%/L"),
+    # none to saturated soil dried in 36 s, faster than any drainage
+    "soil_decay_pct_per_hr": (0.0, 1e4, "%/h"),
+    # a millivolt, finer than a 10-bit reading of the array voltage, to
+    # twice its 23 V open-circuit voltage (at 1e308 V, V_ref overflowed)
+    "mppt_dv_step": (1e-3, 50.0, "V"),
+    # a 1/256 microstep to the elevation axis's whole 180 degree travel
+    "motor_step_deg": (1e-3, 180.0, "deg"),
+    # a turn either way: a park returns to a start outside the [0, 180]
+    # travel too (a 1.8 degree step cannot move 1e20 degrees)
+    "tracker_init_elev": (-360.0, 360.0, "deg"),
+    # two turns either way, as the sun azimuth
+    "tracker_init_azi": (-720.0, 720.0, "deg"),
+    # the longest run, either side of t = 0 (interpolated from before it)
+    "time": (-1.8e10, 1.8e10, "s"),
+    # cloud edges lift ground irradiance briefly to about 1.8 kW/m2, over
+    # the 1.36 kW/m2 solar constant (1e306 overflowed the LDR counts)
+    "irradiance": (0.0, 2000.0, "W/m2"),
+    "elevation": (-90.0, 90.0, "deg"),      # nadir to zenith
+    # two turns either way: a sun path unwrapped over a day
+    "azimuth": (-720.0, 720.0, "deg"),
+}
+
+# each breakpoint profile's columns, by their RANGES key
+PROFILES = {"irradiance_profile": ("time", "irradiance"),
+            "sun_path": ("time", "elevation", "azimuth")}
 
 
 class ConfigError(ValueError):
     """Scenario configuration violates an invariant."""
+
+
+def _check_range(key, v, where=""):
+    low, high, unit = RANGES[key]
+    if not (isinstance(v, Real) and low <= v <= high):
+        raise ConfigError(
+            f"{where}{key} = {v} outside [{low:g}, {high:g}] {unit}")
 
 
 @dataclass(frozen=True)
@@ -99,70 +152,41 @@ class ScenarioConfig:
     tracker_init_azi: float = None
 
     def validate(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.type is float and v is not None and not (
-                    isinstance(v, Real) and math.isfinite(v)):
-                raise ConfigError(f"{f.name} = {v!r} is not a finite number")
-        for name, (low, high), unit in (
-                ("dt_s", DT_S, "s"),
-                ("battery_capacity_Wh", BATTERY_CAPACITY_WH, "Wh"),
-                ("pump1_power_W", PUMP_POWER_W, "W"),
-                ("pump2_power_W", PUMP_POWER_W, "W"),
-                ("pump_flow_Lpm", PUMP_FLOW_LPM, "L/min")):
-            v = getattr(self, name)
-            if not low <= v <= high:
-                raise ConfigError(
-                    f"{name} = {v} outside [{low:g}, {high:g}] {unit}")
-        if self.duration_s < self.dt_s:
-            raise ConfigError("duration_s must cover at least one step")
+        for key in RANGES:
+            # a profile column is checked below, and a tracker start may
+            # be left unset
+            if hasattr(self, key) and not (
+                    key.startswith("tracker_init_")
+                    and getattr(self, key) is None):
+                _check_range(key, getattr(self, key))
         # the run takes round(duration_s / dt_s) steps, so the ratio must
         # be whole for them to cover duration_s
         steps = self.duration_s / self.dt_s
-        if steps > MAX_STEPS + 0.5:
-            raise ConfigError(
-                f"duration_s / dt_s asks for more than {MAX_STEPS} steps")
+        if not 1.0 <= steps <= MAX_STEPS + 0.5:
+            raise ConfigError(f"duration_s / dt_s = {steps:.12g} steps, "
+                              f"outside [1, {MAX_STEPS}]")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigError(
                 f"duration_s / dt_s = {steps:.12g} is not a whole number "
                 "of steps")
-        for name in ("soc_init_pct", "tank1_init_pct", "tank2_init_pct",
-                     "soil_init_pct", "tank_low_pct", "tank_full_pct",
-                     "soil_dry_pct", "soil_wet_pct", "battery_min_soc_pct"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 100.0:
-                raise ConfigError(f"{name} = {v} outside [0, 100]")
         if self.tank_low_pct >= self.tank_full_pct:
             raise ConfigError("tank_low_pct must be below tank_full_pct")
         if self.soil_dry_pct >= self.soil_wet_pct:
             raise ConfigError("soil_dry_pct must be below soil_wet_pct")
-        for name in ("tank1_volume_L", "tank2_volume_L", "pump_tau_s",
-                     "mppt_dv_step", "motor_step_deg"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
-        for name in ("soil_gain_pct_per_L", "soil_decay_pct_per_hr"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
         if self.mppt_algo not in ("po", "ic"):
             raise ConfigError("mppt_algo must be 'po' or 'ic'")
-        for prof, width in (("irradiance_profile", 2), ("sun_path", 3)):
+        for prof, columns in PROFILES.items():
             pts = getattr(self, prof)
-            if not isinstance(pts, Sequence) or len(pts) == 0:
-                raise ConfigError(f"{prof} must be a nonempty sequence")
-            if not all(isinstance(p, Sequence) and len(p) == width
-                       for p in pts):
-                raise ConfigError(
-                    f"{prof} rows must be sequences of {width} entries")
-            if not all(isinstance(x, Real) and math.isfinite(x)
-                       for p in pts for x in p):
-                raise ConfigError(f"{prof} entries must be finite numbers")
-            times = [p[0] for p in pts]
-            if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+            if not (isinstance(pts, Sequence) and len(pts) and all(
+                    isinstance(p, Sequence) and len(p) == len(columns)
+                    for p in pts)):
+                raise ConfigError(f"{prof} must be a nonempty sequence of "
+                                  f"rows of {len(columns)} entries")
+            for p in pts:
+                for key, v in zip(columns, p):
+                    _check_range(key, v, f"{prof} ")
+            if any(p1[0] <= p0[0] for p0, p1 in zip(pts, pts[1:])):
                 raise ConfigError(f"{prof} breakpoints must be ascending")
-        if any(p[1] < 0.0 for p in self.irradiance_profile):
-            raise ConfigError("irradiance_profile values must be >= 0")
-        if any(not -90.0 <= p[1] <= 90.0 for p in self.sun_path):
-            raise ConfigError("sun_path elevations must lie in [-90, 90]")
         return self
 
     @classmethod

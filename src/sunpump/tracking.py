@@ -156,8 +156,8 @@ def tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8, irradiance=1000.0,
         azimuth per step in degrees; every elevation must lie in
         [-90, 90] and every azimuth must be finite
     motor_step_deg : float, finite and > 0
-    irradiance : float or sequence of n floats, finite and >= 0, W/m2
-        (a scalar is broadcast)
+    irradiance : float or sequence of n floats in W/m2, each within
+        ``scenario.RANGES["irradiance"]`` (a scalar is broadcast)
     start : TrackerOrientation with finite angles, optional (defaults to
         face-up at the first sun azimuth); parking snaps back to it
 
@@ -179,10 +179,13 @@ def tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8, irradiance=1000.0,
         raise ValueError("solar elevation must lie in [-90, 90]")
     if not np.all(np.isfinite(azi)):
         raise ValueError("solar azimuth must be finite")
-    if not np.all(np.isfinite(irr)):
-        raise ValueError("irradiance must be finite")
-    if not np.all(irr >= 0.0):
-        raise ValueError("irradiance must be >= 0")
+    from .scenario import RANGES    # scenario imports this module
+    low, high, unit = RANGES["irradiance"]
+    bad = irr[~((irr >= low) & (irr <= high))]
+    if bad.size:
+        raise ValueError(f"irradiance = {bad[0]} outside [{low:g}, {high:g}] "
+                         f"{unit}: it must be finite, >= {low:g} and <= "
+                         f"{high:g}")
     if start is None:
         start = TrackerOrientation(90.0, azi.item(0))
     start = (float(start.theta_TE), float(start.theta_TA))

@@ -592,6 +592,36 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == f"config error: {message}\n"
         assert not (tmp_path / "scenario_trace.csv").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("[tanks]\ntank1_volume_L = 1e308\n",
+         "tank1_volume_L = 1e+308 outside [1e-06, 1e+06] L"),
+        ("[mppt]\nmppt_dv_step = 1e308\n",
+         "mppt_dv_step = 1e+308 outside [0.001, 50] V"),
+        ("[tracking]\ntracker_init_azi = 1e20\n",
+         "tracker_init_azi = 1e+20 outside [-720, 720] deg"),
+        ("[tracking]\ntracker_init_elev = 1e308\n",
+         "tracker_init_elev = 1e+308 outside [-360, 360] deg"),
+        *((f"[environment]\nirradiance_profile = 0:{g}, 60:{g}\n",
+           f"irradiance_profile irradiance = {float(g)} outside [0, 2000] "
+           "W/m2") for g in ("1e20", "1e300", "1e306")),
+        ("[environment]\nsun_path = 0:30:95, 60:30:1e300\n",
+         "sun_path azimuth = 1e+300 outside [-720, 720] deg")],
+        ids=["tank-volume", "dv-step", "tracker-azimuth", "tracker-elevation",
+             "irradiance-1e20", "irradiance-1e300", "irradiance-1e306",
+             "sun-azimuth"])
+    def test_unbounded_input_is_a_config_error(self, tmp_path, capsys, text,
+                                               message):
+        # each ran to a meaningless trace with exit 0 (an inf tank level,
+        # V_ref at 1e308 V, a tracker that cannot move, 2.1 kW from the
+        # array at 1e20 W/m2), or exited 3 naming no key
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[scenario]\nduration_s = 60\n" + text)
+        code = main(["scenario", "run", "--config", str(cfg),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "scenario_trace.csv").exists()
+
     @pytest.mark.parametrize("text", [
         "[environment]\nirradiance_profile = 0:-100, 10:-50\n",
         "[environment]\nsun_path = 0:95:90, 10:95:100\n",
@@ -704,6 +734,14 @@ class TestCliExitCodes:
         # each used to exit 0 with NaN or infinite rows
         assert main([*argv, "--out", str(tmp_path)]) == 3
         assert "numeric failure" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_huge_irradiance_names_its_range(self, tmp_path, capsys):
+        # exited 3 with "cannot convert float infinity to integer"
+        assert main(["track-sim", "--irradiance", "1e306",
+                     "--out", str(tmp_path)]) == 3
+        assert "irradiance = 1e+306 outside [0, 2000] W/m2" \
+            in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("lat", ["95", "-90.5"])

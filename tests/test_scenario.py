@@ -865,6 +865,92 @@ class TestConfigValidation:
         assert peak < 1_000_000
 
 
+def config_at(key, value):
+    """A 60 s default scenario with the input ``key`` of
+    ``scenario.RANGES`` set to ``value``: a field, or every entry of a
+    profile column (a single breakpoint), with the step count kept whole
+    when the key is ``dt_s`` or ``duration_s``."""
+    values = {"duration_s": 60.0}
+    if key == "time":
+        values.update(irradiance_profile=((value, 500.0),),
+                      sun_path=((value, 30.0, 95.0),))
+    elif key == "irradiance":
+        values.update(irradiance_profile=((0.0, value),))
+    elif key == "elevation":
+        values.update(sun_path=((0.0, value, 180.0),))
+    elif key == "azimuth":
+        values.update(sun_path=((0.0, 45.0, value),))
+    elif key == "dt_s":
+        values.update(dt_s=value, duration_s=max(value, 60.0))
+    elif key == "duration_s":
+        # one step of the shortest dt_s, or MAX_STEPS of the longest
+        values.update(duration_s=value, dt_s=1e-3 if value < 60.0 else 3600.0)
+    else:
+        values[key] = value
+    return ScenarioConfig(**values)
+
+
+# the range ends that only the threshold order refuses
+ORDERED_ENDS = {("tank_low_pct", 100.0), ("tank_full_pct", 0.0),
+                ("soil_dry_pct", 100.0), ("soil_wet_pct", 0.0)}
+RANGE_ENDS = [(key, end) for key, (low, high, _) in scenario.RANGES.items()
+              for end in (low, high)]
+
+
+class TestRanges:
+    def test_one_row_per_float_field_and_profile_column(self):
+        floats = {f.name for f in fields(ScenarioConfig) if f.type is float}
+        columns = {c for cols in scenario.PROFILES.values() for c in cols}
+        assert floats.isdisjoint(columns)
+        assert set(scenario.RANGES) == floats | columns
+        assert set(scenario.PROFILES) == {
+            f.name for f in fields(ScenarioConfig) if f.type is tuple}
+        for low, high, unit in scenario.RANGES.values():
+            assert math.isfinite(low) and math.isfinite(high) and low < high
+            assert unit
+
+    @pytest.mark.parametrize("key, end", RANGE_ENDS)
+    def test_end_is_accepted_and_runs_finite(self, key, end):
+        cfg = config_at(key, end)
+        if (key, end) in ORDERED_ENDS:
+            with pytest.raises(ConfigError, match=r"^\w+ must be below"):
+                cfg.validate()
+            return
+        cfg.validate()
+        if cfg.duration_s / cfg.dt_s > 60_000:
+            return      # MAX_STEPS steps of an hour: validated, not run
+        trace, summary = run_scenario(cfg)
+        for name in trace.COLUMNS:
+            assert np.isfinite(getattr(trace, name)).all(), name
+        for f in fields(summary):
+            assert math.isfinite(getattr(summary, f.name)), f.name
+
+    @pytest.mark.parametrize("key, end", RANGE_ENDS)
+    def test_one_ulp_outside_is_refused(self, key, end):
+        low, high, unit = scenario.RANGES[key]
+        value = math.nextafter(end, -math.inf if end == low else math.inf)
+        message = f"{key} = {value} outside [{low:g}, {high:g}] {unit}"
+        if key in ("time", "irradiance"):
+            message = "irradiance_profile " + message
+        elif key in ("elevation", "azimuth"):
+            message = "sun_path " + message
+        with pytest.raises(ConfigError) as err:
+            config_at(key, value).validate()
+        assert str(err.value) == message
+
+    def test_readme_table_is_the_code_table(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md")
+        head = "| key | unit | low | high | reason |\n|---|---|---|---|---|\n"
+        rows = readme.read_text().split(head)[1].split("\n\n")[0]
+        table = {}
+        for row in rows.splitlines():
+            key, unit, low, high, reason = (
+                cell.strip() for cell in row.strip("|").split("|"))
+            assert reason and key.strip("`") not in table
+            table[key.strip("`")] = (float(low), float(high), unit)
+        assert table == scenario.RANGES
+
+
 @pytest.fixture(scope="module")
 def daylight_run():
     cfg = ScenarioConfig.default_daylight()

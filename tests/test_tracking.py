@@ -303,9 +303,11 @@ class TestTrackingSim:
     @pytest.mark.parametrize("kw", [
         dict(motor_step_deg=math.nan), dict(motor_step_deg=math.inf),
         dict(start=TrackerOrientation(math.nan, 0.0)),
-        dict(start=TrackerOrientation(45.0, -math.inf))])
+        dict(start=TrackerOrientation(45.0, -math.inf)),
+        dict(irradiance=1e306)])
     def test_nonfinite_step_or_start_rejected(self, kw):
-        # a NaN orientation used to run to NaN columns with alpha = 0
+        # a NaN orientation used to run to NaN columns with alpha = 0; at
+        # 1e306 W/m2 the LDR counts overflowed to inf
         with pytest.raises(ValueError, match="finite"):
             tracking_sim([30.0, 31.0], [100.0, 101.0], **kw)
 
