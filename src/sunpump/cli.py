@@ -428,9 +428,9 @@ def build_parser():
     validate.set_defaults(fn=_cmd_validate)
 
     def registry_help():
-        from .validation import REGISTRY_IDS
+        from .validation import build_report
         validate.epilog = "registry rows:\n" + "\n".join(
-            "  " + rid for rid in REGISTRY_IDS)
+            "  " + r.id for r in build_report())
     validate.fill_help = registry_help
     return p
 

@@ -14,7 +14,8 @@ comma-separated breakpoint lists, e.g.::
 from dataclasses import dataclass
 import math
 
-from .scenario import PROFILES, ConfigError, ScenarioConfig
+from .ranges import PROFILES
+from .scenario import ConfigError, ScenarioConfig
 
 # section -> config field; scalar fields parse as float
 _SCHEMA = {

@@ -33,6 +33,7 @@ import math
 import numpy as np
 
 from . import blocks, pv
+from .ranges import check
 
 # the first block's size (``blocks.run``)
 _BLOCK_MIN = 128
@@ -70,8 +71,7 @@ class MpptState:
         if not all(map(math.isfinite, (self.V_prev, self.I_prev, self.P_prev,
                                        self.V_ref))):
             raise ValueError("operating point and reference must be finite")
-        if not 0.0 < self.dV_step < math.inf:
-            raise ValueError("perturbation step must be finite and > 0")
+        check("mppt_dv_step", self.dV_step, ValueError)
         if self.iteration < 0:
             raise ValueError("iteration must be >= 0")
 

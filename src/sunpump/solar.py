@@ -17,6 +17,8 @@ Angle conventions (all degrees at the API surface):
 from dataclasses import dataclass
 import math
 
+from .ranges import check
+
 
 class UndefinedDirectionError(ValueError):
     """Sun along the panel normal: the in-face direction is a 0/0."""
@@ -34,10 +36,8 @@ class SunPosition:
     theta_SA: float
 
     def __post_init__(self):
-        if not -90.0 <= self.theta_SE <= 90.0:
-            raise ValueError("solar elevation must lie in [-90, 90]")
-        if not math.isfinite(self.theta_SA):
-            raise ValueError("solar azimuth must be finite")
+        check("elevation", self.theta_SE, ValueError)
+        check("azimuth", self.theta_SA, ValueError)
 
 
 @dataclass(frozen=True)

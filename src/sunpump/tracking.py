@@ -28,6 +28,7 @@ import math
 import numpy as np
 
 from . import blocks
+from .ranges import check
 from .solar import TrackerOrientation, sun_on_frame
 
 _SQRT_HALF = math.sqrt(0.5)
@@ -153,20 +154,21 @@ def tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8, irradiance=1000.0,
     Parameters
     ----------
     sun_elev, sun_azi : sequences of n floats, the solar elevation and
-        azimuth per step in degrees; every elevation must lie in
-        [-90, 90] and every azimuth must be finite
-    motor_step_deg : float, finite and > 0
-    irradiance : float or sequence of n floats in W/m2, each within
-        ``scenario.RANGES["irradiance"]`` (a scalar is broadcast)
-    start : TrackerOrientation with finite angles, optional (defaults to
-        face-up at the first sun azimuth); parking snaps back to it
+        azimuth per step in degrees
+    motor_step_deg : float
+    irradiance : float or sequence of n floats in W/m2 (a scalar is
+        broadcast)
+    start : TrackerOrientation, optional (defaults to face-up at the
+        first sun azimuth); parking snaps back to it
+
+    Each input lies in its ``ranges.RANGES`` row (the start in the
+    ``tracker_init_`` rows), or ``ValueError`` names it and the row.
 
     Returns
     -------
     TrackingRun
     """
-    if not 0.0 < motor_step_deg < math.inf:
-        raise ValueError("motor step must be finite and > 0")
+    check("motor_step_deg", motor_step_deg, ValueError)
     elev = np.asarray(sun_elev, dtype=float)
     azi = np.asarray(sun_azi, dtype=float)
     n = len(elev)
@@ -175,22 +177,14 @@ def tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8, irradiance=1000.0,
     if len(azi) != n:
         raise ValueError("sun elevation and azimuth lengths differ")
     irr = np.broadcast_to(np.asarray(irradiance, dtype=float), (n,))
-    if not np.all((elev >= -90.0) & (elev <= 90.0)):
-        raise ValueError("solar elevation must lie in [-90, 90]")
-    if not np.all(np.isfinite(azi)):
-        raise ValueError("solar azimuth must be finite")
-    from .scenario import RANGES    # scenario imports this module
-    low, high, unit = RANGES["irradiance"]
-    bad = irr[~((irr >= low) & (irr <= high))]
-    if bad.size:
-        raise ValueError(f"irradiance = {bad[0]} outside [{low:g}, {high:g}] "
-                         f"{unit}: it must be finite, >= {low:g} and <= "
-                         f"{high:g}")
+    check("elevation", elev, ValueError)
+    check("azimuth", azi, ValueError)
+    check("irradiance", irr, ValueError)
     if start is None:
         start = TrackerOrientation(90.0, azi.item(0))
     start = (float(start.theta_TE), float(start.theta_TA))
-    if not all(map(math.isfinite, start)):
-        raise ValueError("start orientation must be finite")
+    check("tracker_init_elev", start[0], ValueError)
+    check("tracker_init_azi", start[1], ValueError)
     se = np.radians(elev)
     theta_te, theta_ta = np.empty(n), np.empty(n)
     readings = np.empty((n, 4), dtype=np.int16)

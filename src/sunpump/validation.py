@@ -36,33 +36,6 @@ TOL_POLE_ABS = 1e-3
 TOL_READOUT_REL = 0.15
 TOL_ANALYTIC_REL = 1e-3
 
-# Stable row-id listing (kept in sync with build_report by a test) so the
-# CLI help can document the registry without recomputing it.
-REGISTRY_IDS = (
-    "tank2nd_pole_re", "tank2nd_pole_im", "motor_tf_den_s2",
-    "motor_K1e5_rise", "motor_K1e5_overshoot", "motor_K1e5_peak_time",
-    "motor_K1e6_rise", "motor_K1e6_overshoot", "motor_K1e6_peak",
-    "motor_K1e6_peak_time", "motor_K1e6_settling", "motor_bode_mag_116",
-    "motor_bode_phase_893", "motor_K1e6_gm", "motor_K1e6_gm_freq",
-    "motor_K1e6_pm", "motor_K1e6_pm_freq", "motor_K_for_e01",
-    "motor_K_for_e001", "motor_K_cl_e01", "motor_K_cl_e001",
-    "charpoly_s3", "charpoly_s2", "charpoly_s1", "charpoly_s0",
-    "tableII_verdict", "charpoly_actual_stability", "tuned_motor_rise",
-    "tuned_motor_settling", "tuned_motor_overshoot", "tuned_motor_peak",
-    "pump_rise", "pump_settling", "pump_time_constant", "pump_Kp",
-    "pump_Kv", "pump_Ka", "pump_e_step", "cascade_num",
-    "cascade_pole_fast", "cascade_pole_slow", "tableIII_all_K",
-    "cascade_K_for_e01", "cascade_K_for_e001", "cascade_e_at_K1",
-    "pid2_rise", "pid2_overshoot", "pid2_peak", "pid2_peak_time",
-    "pid2_settling", "pid2_zero", "metering_dc_gain",
-    "metering_pole_slow", "cascade_tuned1_rise", "cascade_tuned1_settling",
-    "cascade_tuned1_overshoot", "cascade_tuned1_peak",
-    "cascade_tuned2_rise", "cascade_tuned2_settling",
-    "cascade_tuned2_overshoot", "cascade_tuned2_peak", "cascade_tuned2_gm",
-    "cascade_tuned2_gm_freq", "cascade_tuned2_pm", "cascade_tuned2_pm_freq",
-    "pv_power_vs_temp", "pv_mpp_vs_irradiance",
-)
-
 
 @dataclass(frozen=True)
 class ReportedClaim:

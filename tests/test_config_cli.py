@@ -744,6 +744,24 @@ class TestCliExitCodes:
             in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, message", [
+        (["mppt-run", "--dv-step", "1e308"],
+         "mppt_dv_step = 1e+308 outside [0.001, 50] V"),
+        (["track-sim", "--motor-step", "1e308"],
+         "motor_step_deg = 1e+308 outside [0.001, 180] deg"),
+        (["track-sim", "--azimuth=1e300:1e300"],
+         "azimuth = 1e+300 outside [-720, 720] deg"),
+        (["track-sim", "--start=1e300:0"],
+         "tracker_init_elev = 1e+300 outside [-360, 360] deg"),
+        (["solar-angles", "--azimuth=1e300:1e300"],
+         "azimuth = 1e+300 outside [-720, 720] deg")])
+    def test_huge_input_names_its_range(self, tmp_path, capsys, argv,
+                                        message):
+        # each used to exit 0 with rows that mean nothing
+        assert main([*argv, "--out", str(tmp_path)]) == 3
+        assert message in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("lat", ["95", "-90.5"])
     def test_latitude_out_of_range_is_a_numeric_failure(self, tmp_path,
                                                         capsys, lat):

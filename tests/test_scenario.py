@@ -3,6 +3,7 @@ import functools
 import importlib.util
 import math
 from pathlib import Path
+import re
 import tracemalloc
 
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,8 @@ from sunpump import blocks, pv, scenario
 from sunpump.mppt import initial_state
 from sunpump.scenario import (ConfigError, ScenarioConfig, _profile_columns,
                               control_logic_step, run_scenario)
-from sunpump.solar import TrackerOrientation
+from sunpump.solar import SunPosition, TrackerOrientation
+from sunpump.tracking import tracking_sim
 from test_mppt import scalar_duty, scalar_mppt_run
 from test_tracking import scalar_tracking_sim
 
@@ -803,9 +805,11 @@ class TestConfigValidation:
             ScenarioConfig(sun_path=5.0).validate()
 
     def test_text_scalar_rejected(self):
-        with pytest.raises(ConfigError, match="dt_s"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "dt_s = a outside [0.001, 3600] s")):
             ScenarioConfig(dt_s="a").validate()
-        with pytest.raises(ConfigError, match="tracker_init_elev"):
+        with pytest.raises(ConfigError, match=re.escape(
+                "tracker_init_elev = [45.0] outside [-360, 360] deg")):
             ScenarioConfig(tracker_init_elev=[45.0]).validate()
 
     def test_nonfinite_profile_entry_rejected(self):
@@ -815,6 +819,8 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="sun_path"):
             ScenarioConfig(sun_path=(
                 (0.0, 30.0, 95.0), (float("inf"), 60.0, 180.0))).validate()
+        with pytest.raises(ConfigError, match="irradiance_profile"):
+            ScenarioConfig(irradiance_profile=((0.0, 10**400),)).validate()
 
     def test_negative_soil_rates_rejected(self):
         with pytest.raises(ConfigError, match="soil_gain_pct_per_L"):
@@ -896,6 +902,26 @@ ORDERED_ENDS = {("tank_low_pct", 100.0), ("tank_full_pct", 0.0),
 RANGE_ENDS = [(key, end) for key, (low, high, _) in scenario.RANGES.items()
               for end in (low, high)]
 
+# the library entry points that read a RANGES row, as calls on its value
+LIBRARY_READS = {
+    "motor_step_deg": [lambda v: tracking_sim([30.0], [100.0],
+                                              motor_step_deg=v)],
+    "elevation": [lambda v: tracking_sim([v], [100.0]),
+                  lambda v: SunPosition(v, 100.0)],
+    "azimuth": [lambda v: tracking_sim([30.0], [v]),
+                lambda v: SunPosition(30.0, v)],
+    "irradiance": [lambda v: tracking_sim([30.0], [100.0], irradiance=v)],
+    "tracker_init_elev": [lambda v: tracking_sim(
+        [30.0], [100.0], start=TrackerOrientation(v, 100.0))],
+    "tracker_init_azi": [lambda v: tracking_sim(
+        [30.0], [100.0], start=TrackerOrientation(45.0, v))],
+    "mppt_dv_step": [lambda v: initial_state(10.0, v)],
+}
+LIBRARY_ENDS = [
+    pytest.param(key, end, read, id=f"{key}-{end:g}-{i}")
+    for key, reads in LIBRARY_READS.items() for i, read in enumerate(reads)
+    for end in scenario.RANGES[key][:2]]
+
 
 class TestRanges:
     def test_one_row_per_float_field_and_profile_column(self):
@@ -937,6 +963,19 @@ class TestRanges:
         with pytest.raises(ConfigError) as err:
             config_at(key, value).validate()
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("key, end, read", LIBRARY_ENDS)
+    def test_library_accepts_the_end(self, key, end, read):
+        read(end)
+
+    @pytest.mark.parametrize("key, end, read", LIBRARY_ENDS)
+    def test_library_refuses_one_ulp_outside(self, key, end, read):
+        low, high, unit = scenario.RANGES[key]
+        value = math.nextafter(end, -math.inf if end == low else math.inf)
+        with pytest.raises(ValueError) as err:
+            read(value)
+        assert str(err.value) == (
+            f"{key} = {value} outside [{low:g}, {high:g}] {unit}")
 
     def test_readme_table_is_the_code_table(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md")

@@ -1,6 +1,7 @@
 from dataclasses import dataclass
 import functools
 import math
+import re
 
 from hypothesis import given, strategies as st
 import numpy as np
@@ -300,15 +301,22 @@ class TestTrackingSim:
         with pytest.raises(ValueError):
             tracking_sim([], [])
 
-    @pytest.mark.parametrize("kw", [
-        dict(motor_step_deg=math.nan), dict(motor_step_deg=math.inf),
-        dict(start=TrackerOrientation(math.nan, 0.0)),
-        dict(start=TrackerOrientation(45.0, -math.inf)),
-        dict(irradiance=1e306)])
-    def test_nonfinite_step_or_start_rejected(self, kw):
+    @pytest.mark.parametrize("kw, message", [
+        (dict(motor_step_deg=math.nan),
+         "motor_step_deg = nan outside [0.001, 180] deg"),
+        (dict(motor_step_deg=math.inf),
+         "motor_step_deg = inf outside [0.001, 180] deg"),
+        (dict(start=TrackerOrientation(math.nan, 0.0)),
+         "tracker_init_elev = nan outside [-360, 360] deg"),
+        (dict(start=TrackerOrientation(45.0, -math.inf)),
+         "tracker_init_azi = -inf outside [-720, 720] deg"),
+        (dict(irradiance=1e306),
+         "irradiance = 1e+306 outside [0, 2000] W/m2")],
+        ids=[f"kw{i}" for i in range(5)])
+    def test_nonfinite_step_or_start_rejected(self, kw, message):
         # a NaN orientation used to run to NaN columns with alpha = 0; at
         # 1e306 W/m2 the LDR counts overflowed to inf
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match=re.escape(message)):
             tracking_sim([30.0, 31.0], [100.0, 101.0], **kw)
 
     def test_nonfinite_azimuth_rejected(self):
@@ -604,12 +612,14 @@ class TestBlockPassMatchesScalarLoop:
 
     def test_nonfinite_irradiance_rejected(self):
         for bad in (math.inf, math.nan):
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"irradiance = {bad} outside [0, 2000] W/m2")):
                 tracking_sim([30.0, 31.0], [100.0, 101.0],
                              irradiance=[500.0, bad])
 
     def test_negative_irradiance_rejected(self):
-        with pytest.raises(ValueError, match=">= 0"):
+        with pytest.raises(ValueError, match=re.escape(
+                "irradiance = -1.0 outside [0, 2000] W/m2")):
             tracking_sim([30.0, 31.0], [100.0, 101.0],
                          irradiance=[500.0, -1.0])
 

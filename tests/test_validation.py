@@ -125,13 +125,6 @@ class TestKnownOutcomes:
             1.869 / 0.4582)
 
 
-class TestRegistryListing:
-    def test_static_ids_match_report(self, report):
-        from sunpump.validation import REGISTRY_IDS
-        _, rows = report
-        assert tuple(r.id for r in rows) == REGISTRY_IDS
-
-
 class TestReportFormats:
     def test_text_table_complete(self, report):
         _, rows = report
