@@ -2,12 +2,13 @@
 Polynomial and rational transfer-function mathematics.
 
 Everything here works on continuous-time LTI systems given as coefficient
-lists (highest degree first).  Time responses are produced by converting to
-controllable-canonical state equations and integrating with fixed-step
-classical Runge-Kutta, so traces are bit-reproducible across runs.  RK4
-on a linear system is the recurrence ``x <- M x + g``; it is evaluated a
-block of ``_STEP_BLOCK`` samples at a time from precomputed powers of
-``M``, within 1e-12 * max|y| of the sample-by-sample recurrence.
+lists (highest degree first).  A step response holds the unit step as one
+more state of the controllable-canonical realization, so that
+``z' = G z`` and every sample follows exactly from the one before by
+``z <- e^{G dt} z``: exact zero-order-hold samples, bit-reproducible
+across runs.  The samples are evaluated a block of ``_STEP_BLOCK`` at a
+time from precomputed powers of ``e^{G dt}``, within 1e-12 * max|y| of
+stepping them one at a time.
 
 Roots come from one routine, ``_polished_roots``, which solves a stack of
 equal-degree polynomials with one batched eigenvalue call; ``poly_roots``
@@ -243,34 +244,46 @@ class StepTrace:
     diverged: bool = False
 
 
-def _canonical_state_space(tf):
-    """Controllable-canonical (A, B, C, D) for a proper transfer function."""
-    den = np.asarray(tf.den.coeffs)            # monic
-    num = np.asarray(tf.num.coeffs)
+def _hold_realization(tf):
+    """
+    ``(G, c)`` of a proper transfer function with the input held as the
+    last state: ``z = (x, u)``, x in controllable-canonical form,
+    ``z' = G z`` (``G = [[A, B], [0, 0]]``) and ``y = c z``
+    (``c = [C, D]``).  A static gain is the 1 x 1 case ``G = [[0]]``.
+    """
+    den = np.asarray(tf.den.coeffs)            # monic, degree n
+    num = np.pad(tf.num.coeffs, (len(den) - len(tf.num.coeffs), 0))
     n = len(den) - 1
-    if n == 0:
-        return None, None, None, num[0]
-    d = 0.0
-    if len(num) == len(den):
-        d = num[0]
-        num = np.polysub(num, d * den)[1:]   # remainder has lower degree
-    b = np.zeros(n)
-    b[n - len(num):] = num                     # ascending later
-    a = den[1:]                                # a_{n-1} ... a_0
-    A = np.zeros((n, n))
-    if n > 1:
-        A[:-1, 1:] = np.eye(n - 1)
-    A[-1, :] = -a[::-1]
-    B = np.zeros(n)
-    B[-1] = 1.0
-    C = b[::-1]                                # coefficient of s^i at index i
-    return A, B, C, d
+    G = np.zeros((n + 1, n + 1))
+    G[:n, 1:] = np.eye(n)                      # x_i' = x_{i+1}, x_{n-1}' = u
+    G[n - 1, :n] -= den[:0:-1]                 # - a_0 x_0 - ...; none at n = 0
+    d = num[0]
+    # the remainder num - d den has lower degree; C holds its s^i at i
+    return G, np.append((num - d * den)[:0:-1], d)
+
+
+def _expm(X):
+    """
+    ``e^X``: the degree-18 Taylor polynomial of ``X / 2^s``, squared s
+    times.  With the 1-norm of X below 2^e, s = max(0, e + 1) brings the
+    1-norm of ``X / 2^s`` under 1/2; ``np.ldexp`` scales by 2^-s for any
+    s a float norm can ask for.
+    """
+    _, e = np.frexp(np.abs(X).sum(axis=0).max())   # the norm is < 2^e
+    s = max(0, int(e) + 1)
+    Y = np.ldexp(X, -s)
+    E = eye = np.eye(len(X))
+    for k in range(18, 0, -1):
+        E = eye + Y @ E / k
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def default_step_dt(tf, t_end):
-    """dt = min(tau_min / 20, t_end / 2000) with tau_min = 1 / max|pole|."""
-    poles = tf.poles()
-    mags = np.abs(poles)
+    """Sample spacing min(tau_min / 20, t_end / 2000), tau_min = 1 / max|pole|;
+    the samples are exact at any spacing, so dt is no accuracy knob."""
+    mags = np.abs(tf.poles())
     dt = t_end / 2000.0
     if mags.size and mags.max() > 0:
         dt = min(dt, 1.0 / (20.0 * mags.max()))
@@ -284,25 +297,28 @@ MAX_SAMPLES = 5_000_000
 
 def step_response(tf, t_end, dt=None):
     """
-    Unit-step response by RK4 on the controllable-canonical realization.
+    Unit-step response: exact zero-order-hold samples of the
+    controllable-canonical realization with the step held as a state.
 
     Parameters
     ----------
     tf : TransferFunction
         Must be proper (num degree <= den degree).
     t_end : float
-        Final simulation time, finite and > 0, at least 10*dt, and at
-        most ``MAX_SAMPLES - 1`` steps of dt.
+        Final time, finite and > 0, at least 10*dt, and at most
+        ``MAX_SAMPLES - 1`` steps of dt.
     dt : float, optional
-        Fixed integration step, finite and > 0; defaults to
+        Sample spacing, finite and > 0; defaults to
         ``min(tau_min/20, t_end/2000)`` with ``tau_min = 1/max|pole|``.
+        The samples are exact at any dt, so it sets only how finely the
+        trace resolves the response.
 
     Returns
     -------
     StepTrace
         ``diverged`` is set when the system is not strictly stable.
-        ``y`` is within ``1e-12 * max|y|`` of stepping the RK4
-        recurrence one sample at a time.
+        ``y`` is within ``1e-12 * max|y|`` of stepping
+        ``z <- e^{G dt} z`` one sample at a time.
     """
     if not tf.proper:
         raise ImproperSystemError(
@@ -315,65 +331,41 @@ def step_response(tf, t_end, dt=None):
         if not dt > 0:
             raise ValueError(f"the default dt for t_end = {t_end} is 0")
     if t_end < 10 * dt:
-        raise ValueError("t_end must cover at least 10 integration steps")
+        raise ValueError("t_end must cover at least 10 steps of dt")
     steps = t_end / dt
     if not steps <= MAX_SAMPLES - 1:
         raise ValueError(f"t_end / dt = {steps:.3g} asks for more than "
                          f"{MAX_SAMPLES} samples")
-    poles = tf.poles()
-    diverged = bool(np.any(poles.real >= -1e-12))
+    diverged = bool(np.any(tf.poles().real >= -1e-12))
 
-    A, B, C, D = _canonical_state_space(tf)
+    G, c = _hold_realization(tf)
+    z = np.eye(len(c))[-1]                     # x(0) = 0, the unit step held
     n_steps = int(round(steps))
-    t = np.arange(n_steps + 1) * dt
-    if A is None:
-        return StepTrace(t, np.full(t.shape, D), False)
-    # classical RK4 on x' = A x + B u with u = 1 collapses to the linear
-    # recurrence x <- M x + g
-    n = len(B)
-    dA = dt * A
-    M = np.eye(n)
-    for k in (4, 3, 2, 1):
-        M = np.eye(n) + dA @ M / k
-    g = dt * B
-    for k in (4, 3, 2):
-        g = dt * (B + A @ g / k)
-    y = np.empty(n_steps + 1)
-    y[0] = C @ np.zeros(n) + D
-    y[1:] = _recurrence_outputs(M, g, C, n_steps) + D
-    return StepTrace(t, y, diverged)
+    y = _power_outputs(_expm(G * dt), c, z, n_steps + 1)
+    return StepTrace(np.arange(n_steps + 1) * dt, y, diverged)
 
 
-# samples per block of the blocked recurrence in step_response
+# samples per block of the blocked powers in step_response
 _STEP_BLOCK = 256
 
 
-def _recurrence_outputs(M, g, C, n_steps):
+def _power_outputs(F, c, z, n):
     """
-    ``C x_i`` for i = 1..n_steps of ``x_i = M x_{i-1} + g``, ``x_0 = 0``.
-
-    With ``S_j = sum_{i<j} M^i``, ``x_{k+j} = M^j x_k + S_j g``: the rows
-    ``C M^j`` and numbers ``C S_j g`` for j = 1..b turn the b outputs
-    after each block start ``x_k`` into one matrix product, and the block
-    starts follow from ``x_{k+b} = M^b x_k + S_b g``.
+    ``c F^i z`` for i = 0..n-1: the rows ``c F^j``, j < b, turn each
+    block start ``F^{kb} z`` into the b outputs that follow it with one
+    matrix product, and the block starts follow by ``F^b``.
     """
-    n = len(g)
-    b = min(_STEP_BLOCK, n_steps)
-    P = np.empty((b, n))
-    Sg = np.empty((b, n))
-    Mj = np.eye(n)
-    w = np.zeros(n)
+    b = min(_STEP_BLOCK, n)
+    P = np.empty((b, len(z)))
+    Fj = np.eye(len(z))
     for j in range(b):
-        Mj = M @ Mj
-        w = M @ w + g
-        P[j] = C @ Mj
-        Sg[j] = w
-    starts = np.empty((-(-n_steps // b), n))
-    x = np.zeros(n)
+        P[j] = c @ Fj
+        Fj = F @ Fj
+    starts = np.empty((-(-n // b), len(z)))
     for k in range(len(starts)):
-        starts[k] = x
-        x = Mj @ x + w
-    return (starts @ P.T + Sg @ C).ravel()[:n_steps]
+        starts[k] = z
+        z = Fj @ z
+    return (starts @ P.T).ravel()[:n]
 
 
 @dataclass(frozen=True)
@@ -416,14 +408,15 @@ def step_metrics(trace):
     Raises
     ------
     NotSettledError
-        When the final 5% of samples vary by 1% or more of the final
-        value, or the trace was flagged divergent.
+        When the final 5% of samples do not stay within 1% of the final
+        value (a NaN or inf among them included), or the trace was
+        flagged divergent.
     """
     t, y = trace.t, trace.y
     final = y[-1]
     tail = y[int(math.floor(0.95 * len(y))):]
     ref = max(abs(final), 1e-300)
-    if trace.diverged or (tail.max() - tail.min()) >= 0.01 * ref:
+    if trace.diverged or not (tail.max() - tail.min()) < 0.01 * ref:
         raise NotSettledError("trace has not settled; metrics undefined")
 
     peak_idx = int(np.argmax(y)) if final >= 0 else int(np.argmin(y))

@@ -36,6 +36,8 @@ import math
 
 import numpy as np
 
+from . import ranges
+
 BOLTZMANN_J_PER_K = 1.381e-23
 ELECTRON_CHARGE_C = 1.602e-19
 
@@ -143,6 +145,7 @@ def default_array(g_t=1000.0, t_c=T_REFERENCE_K):
     I_ph 8 A at 1000 W/m2, I_o1 1e-10 A, I_o2 1e-6 A, R_s 0.01, R_p 100,
     a1 1, a2 2, 36 series cells, 0.5 m2.
     """
+    ranges.check("irradiance", g_t, ValueError)
     cell = PvCellParams(I_ph=8.0 * g_t / 1000.0, I_o1=1e-10, I_o2=1e-6,
                         R_s=0.01, R_p=100.0, a1=1.0, a2=2.0, T_c=t_c)
     return PvArrayParams(cell=cell, N_s=36, N_p=1, area_A=0.5,

@@ -1,8 +1,9 @@
 """
 The closed range of every numeric input, and the one check against it.
 
-A scenario config, ``tracking_sim``, ``MpptState`` and ``SunPosition``
-each refuse a value outside its row here, with the same message.
+A scenario config, ``tracking_sim``, ``MpptState``, ``SunPosition`` and
+``pv.default_array`` each refuse a value outside its row here, with the
+same message.
 """
 
 from numbers import Real

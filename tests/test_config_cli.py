@@ -754,10 +754,19 @@ class TestCliExitCodes:
         (["track-sim", "--start=1e300:0"],
          "tracker_init_elev = 1e+300 outside [-360, 360] deg"),
         (["solar-angles", "--azimuth=1e300:1e300"],
-         "azimuth = 1e+300 outside [-720, 720] deg")])
+         "azimuth = 1e+300 outside [-720, 720] deg"),
+        (["mppt-run", "--g-t", "5000"],
+         "irradiance = 5000.0 outside [0, 2000] W/m2"),
+        (["mppt-run", "--g-t", "1e300"],
+         "irradiance = 1e+300 outside [0, 2000] W/m2"),
+        (["pv-curve", "--g-t", "1e300"],
+         "irradiance = 1e+300 outside [0, 2000] W/m2"),
+        (["pv-curve", "--g-t", "nan"],
+         "irradiance = nan outside [0, 2000] W/m2")])
     def test_huge_input_names_its_range(self, tmp_path, capsys, argv,
                                         message):
-        # each used to exit 0 with rows that mean nothing
+        # each used to exit 0 with rows that mean nothing (a 378 W
+        # harvest at 5000 W/m2), or exit 3 naming no key
         assert main([*argv, "--out", str(tmp_path)]) == 3
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())

@@ -4,6 +4,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
 from sunpump import lti
 from sunpump.lti import (DegenerateSystemError, ImproperSystemError,
@@ -13,7 +14,7 @@ from sunpump.lti import (DegenerateSystemError, ImproperSystemError,
                          stability_margins, stability_verdict_from_roots,
                          step_metrics, step_response, tf_feedback,
                          tf_from_text)
-from sunpump.plants import MOTOR_PAPER
+from sunpump.plants import MOTOR_PAPER, PRESETS, preset
 
 
 def root_residual_bound(p, root):
@@ -343,6 +344,17 @@ class TestStepMetrics:
         assert m.overshoot_pct == 0.0
         assert m.steady_state_value == 1.0
 
+    @pytest.mark.parametrize("where", [-1, -3])
+    def test_nan_in_the_tail_is_not_settled(self, where):
+        # a NaN compared False against the 1% band, so the metrics came
+        # out as "peak nan ... steady state nan"
+        from sunpump.lti import StepTrace
+        t = np.linspace(0.0, 10.0, 1001)
+        y = 1.0 - np.exp(-t)
+        y[where] = np.nan
+        with pytest.raises(NotSettledError):
+            step_metrics(StepTrace(t, y))
+
     def test_second_order_overshoot(self):
         # zeta = 0.5: overshoot = exp(-pi zeta / sqrt(1 - zeta^2))
         wn, zeta = 3.0, 0.5
@@ -661,27 +673,20 @@ class TestPoleOnGrid:
 
 
 def _loop_step_y(tf, t_end, dt=None):
-    """The RK4 recurrence stepped one sample at a time: the blocked
-    step_response's oracle."""
-    from sunpump.lti import _canonical_state_space, default_step_dt
+    """The hold recurrence ``z <- e^{G dt} z`` stepped one sample at a
+    time: the blocked step_response's oracle."""
+    from sunpump.lti import _expm, _hold_realization, default_step_dt
     if dt is None:
         dt = default_step_dt(tf, t_end)
-    A, B, C, D = _canonical_state_space(tf)
+    G, c = _hold_realization(tf)
+    F = _expm(G * dt)
     n_steps = int(round(t_end / dt))
-    n = len(B)
-    dA = dt * A
-    M = np.eye(n)
-    for k in (4, 3, 2, 1):
-        M = np.eye(n) + dA @ M / k
-    g = dt * B
-    for k in (4, 3, 2):
-        g = dt * (B + A @ g / k)
     y = np.empty(n_steps + 1)
-    x = np.zeros(n)
-    y[0] = C @ x + D
-    for i in range(n_steps):
-        x = M @ x + g
-        y[i + 1] = C @ x + D
+    z = np.zeros(len(c))
+    z[-1] = 1.0
+    for i in range(n_steps + 1):
+        y[i] = c @ z
+        z = F @ z
     return y
 
 
@@ -734,6 +739,87 @@ class TestBlockedStepResponse:
         y = _loop_step_y(closed, 12.0)
         assert len(y) == 240675
         assert np.max(np.abs(tr.y - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def _hold_step(name):
+    """``G dt`` of a preset's closed loop at the t_end and dt that
+    ``tf step --closed`` picks by default, or of the probe
+    100 / (s + 100) at dt = 0.1."""
+    if name == "probe":
+        G, _ = lti._hold_realization(TransferFunction([100.0], [1.0, 100.0]))
+        return G * 0.1
+    tf = preset(name)
+    poles = tf.poles()
+    stable = poles[poles.real < -1e-12]
+    t_end = 8.0 / abs(stable.real.max()) if stable.size else 10.0
+    closed = tf_feedback(tf, 1.0)
+    G, _ = lti._hold_realization(closed)
+    return G * lti.default_step_dt(closed, t_end)
+
+
+class TestExactStepResponse:
+    @pytest.mark.parametrize("num, den, t_end, dt", [
+        ([2.0], [0.5, 1.0], 5.0, None),
+        # dt = 10 time constants: RK4 wrote y(5 s) = -1.57e123 here
+        ([100.0], [1.0, 100.0], 5.0, 0.1),
+        ([1.0, 2.0], [1.0, 1.0], 12.0, None),   # direct feedthrough
+        ([5.0], [475.0, 1.0], 475.0 * 6, None)])
+    def test_first_order_closed_form(self, num, den, t_end, dt):
+        # (b1 s + b0) / (a1 s + a0): y = b0/a0 + (b1/a1 - b0/a0) e^(-a0 t/a1)
+        tr = step_response(TransferFunction(num, den), t_end, dt)
+        (b1, b0), (a1, a0) = np.pad(num, (2 - len(num), 0)), den
+        want = b0 / a0 + (b1 / a1 - b0 / a0) * np.exp(-a0 / a1 * tr.t)
+        assert np.max(np.abs(tr.y - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("wn, zeta, t_end, dt", [
+        (3.0, 0.5, 10.0, None),
+        (math.sqrt(5.0), 0.005, 714.0, None),   # as lightly damped as the
+        (math.sqrt(5.0), 0.005, 714.0, 0.5),    # tank_2nd_order loop
+        (10.0, 0.2, 5.0, 0.3)])                 # under 2 samples a period
+    def test_underdamped_second_order_closed_form(self, wn, zeta, t_end, dt):
+        tf = TransferFunction([wn * wn], [1.0, 2 * zeta * wn, wn * wn])
+        tr = step_response(tf, t_end, dt)
+        root = math.sqrt(1 - zeta ** 2)
+        want = 1 - np.exp(-zeta * wn * tr.t) * (
+            np.cos(wn * root * tr.t) + zeta / root * np.sin(wn * root * tr.t))
+        assert np.max(np.abs(tr.y - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("name", [*sorted(PRESETS), "probe"])
+    def test_expm_matches_scipy_and_50_digits(self, name):
+        X = _hold_step(name)
+        with mpmath.workdps(50):
+            exact = mpmath.expm(mpmath.matrix(X.tolist()))
+            exact = np.array(exact.tolist(), dtype=float)
+        E = lti._expm(X)
+        scale = np.max(np.abs(exact))
+        assert np.max(np.abs(E - exact)) <= 1e-14 * scale
+        assert np.max(np.abs(E - scipy_expm(X))) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("a", [1e300, 1e308])
+    def test_expm_scales_a_huge_norm(self, a):
+        # 1 / (s + a) at dt = 1: 1e308 takes s = 1025 halvings, and
+        # 2.0 ** 1025 overflows; e^X = [[e^-a, (1 - e^-a) / a], [0, 1]]
+        G, _ = lti._hold_realization(TransferFunction([1.0], [1.0, a]))
+        E = lti._expm(G)
+        assert E[0, 0] == 0.0 and E[1, 1] == 1.0 and E[1, 0] == 0.0
+        assert E[0, 1] == pytest.approx(1.0 / a, rel=1e-14)
+
+    def test_static_gain_is_the_one_by_one_case(self):
+        G, c = lti._hold_realization(TransferFunction([3.0], [1.5]))
+        assert G.tolist() == [[0.0]] and c.tolist() == [2.0]
+
+    def test_probe_through_cli(self, tmp_path, capsys):
+        # RK4 at dt = 10 time constants wrote y(5 s) = -1.57e123 and
+        # printed "trace did not settle"
+        from sunpump.cli import main
+        assert main(["tf", "step", "--tf-text", "num: 100 / den: 1 100",
+                     "--t-end", "5", "--dt", "0.1",
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "rise 0.08 s, settling 0.098 s, overshoot 0%" in out
+        t, y = np.loadtxt(tmp_path / "step.csv", delimiter=",",
+                          skiprows=1)[-1]
+        assert t == 5.0 and abs(y - 1.0) <= 1e-12
 
 
 class TestPlateauRounding:
