@@ -9,15 +9,54 @@ such), integers and bools as integers ("%d"), and anything else as text,
 ``str`` of each value, quoted when it holds a comma, a quote or a line
 break.
 
-Runs: a numeric column whose value changes, bit for bit, on at most one
-row in four formats each run of equal values once per block of rows and
-repeats the text, so a latch, a tank level or a held tracker angle costs
-one format per run.  Values are compared by their bit patterns, so 0.0
-and -0.0, or NaNs with different payloads, never share a text.  Every
-other column formats each value; both give the same bytes.
+Bytes, not strings: a block of at most 512 rows becomes one uint8
+matrix.  A numeric cell gets a 32-byte slot, four uint64 words:
+
+    byte  0      '-'
+          1..5   "0.000"                  (0.1 .. 0.0001)
+          6..23  d1 '.' d2 '.' .. d9 '.'  (a float's 9 digits)
+          4..23  an integer's 20 digits, right-aligned
+          24..27 "e-XX"
+          28     ',' or '\\n'
+
+An integer's digits come from SWAR arithmetic (several decimal digits
+at once inside one 64-bit integer); a float's two 4-digit groups after
+d1 are looked up whole in a table of the 10 000 words "a.b.c.d.", which
+costs less than the arithmetic.  A row of a keep table, picked by the cell's decimal
+exponent X, its count of significant digits and its sign, says which
+slot bytes are its text; zero and -0 are the one-digit rows at X = 0
+with the digit 0.  A text cell's slot is its quoted UTF-8 in a
+fixed-width ``S`` array.  One ``np.take`` of the keep table and one
+``np.compress`` then give the block's bytes.
+
+The fast path proves a float's digits without a string.  For a finite
+|v| in [1e-14, 1e9), X = floor(log10|v|) clipped to [-14, 8], and
+y = |v|·10^(8-X) is one correctly rounded product: 10^(8-X) is exact,
+as 8-X lies in [0, 22], so y is off the exact product by at most half
+an ulp, 2^-24 below 2^30.  The digits are m = rint(y), proven when
+y >= 1e8, m <= 1e9 (1e9 is a carry to X + 1, up to X = 8) and y lies
+more than 2^-20 from the nearest half-integer; an X that log10 got
+wrong fails these or gives the same digits.  Every other float (nan,
+inf, |v| outside the range, a near tie) is formatted by ``'%.9g' % v``
+and spliced in at its offset, so the bytes equal the per-value format's
+in every case.
 """
 
+import functools
+import types
+
 import numpy as np
+
+# rows per block; bounds the slot bytes held at once
+_BLOCK_ROWS = 512
+
+# keep-table rows: floats by (X + 14, significant digits - 1, sign),
+# integers by (digits - 1, sign), and the fallback row, which keeps only
+# the separator; zero is the float row of one digit at X = 0
+_INT = 23 * 9 * 2
+_SLOW = _INT + 20 * 2
+
+_MINUS = ord("-")
 
 
 def _quote(s):
@@ -26,30 +65,200 @@ def _quote(s):
     return s
 
 
-# printf format per numpy dtype kind; every other kind is text
-_FORMATS = {"f": "%.9g", "i": "%d", "u": "%d", "b": "%d"}
-
-# rows per text chunk; bounds the text held at once
-_BLOCK_ROWS = 1024
-
-
-def _changed(c):
-    """Whether each row of numeric column ``c`` after the first differs
-    bit for bit from the row before."""
-    if c.dtype.kind == "f":
-        c = (c.view(f"i{c.itemsize}") if c.itemsize in (2, 4, 8)
-             else np.ascontiguousarray(c).view(f"V{c.itemsize}"))
-    return c[1:] != c[:-1]
+def _digits8(q):
+    """uint64 ``q`` < 10^8 as 8 ASCII digits, first digit in the low byte."""
+    v = q // 10000 | (q % 10000) << 32
+    t = (v * 10486 >> 20) & 0x7F0000007F            # v // 100 per half
+    v = t | (v - 100 * t) << 16
+    t = (v * 103 >> 10) & 0x000F000F000F000F        # v // 10 per quarter
+    return (t | (v - 10 * t) << 8) | 0x3030303030303030
 
 
-def _run_texts(c, fmt, starts, lo, hi):
-    """The texts of rows ``lo:hi`` of column ``c``, each run formatted
-    once; ``starts`` are the rows where its runs start, row 0 left out."""
-    at = np.concatenate(
-        ([lo], starts[np.searchsorted(starts, lo, "right"):
-                      np.searchsorted(starts, hi)]))
-    texts = np.array([fmt % v for v in c[at].tolist()], dtype=object)
-    return np.repeat(texts, np.diff(at, append=hi)).tolist()
+@functools.cache
+def _tables():
+    """Built on first write: the keep table and its row lengths, and the
+    lookups of the float slots, each indexed by a small integer."""
+    p = np.arange(32)
+    x = np.arange(-14, 9)[:, None, None, None]
+    sig = np.arange(1, 10)[:, None, None]
+    neg = np.arange(2)[:, None] == 1
+    sign = (p == 0) & neg
+    sep = p == 28
+    digit = (p >= 6) & (p <= 22) & (p % 2 == 0)
+    dot = (p >= 7) & (p <= 23) & (p % 2 == 1)
+    small = (x < 0) & (x >= -4)
+    whole = np.where(x >= 0, x + 1, 1)     # digits before the point
+    floats = (sign | sep
+              | digit & ((p - 4) // 2 <= np.where(x >= 0,
+                                                  np.maximum(sig, whole),
+                                                  sig))
+              | dot & ((p - 5) // 2 == whole) & (sig > whole) & ~small
+              | small & (p >= 1) & (p <= 1 - x)
+              | (x <= -5) & (p >= 24) & (p <= 27))
+    nd = np.arange(1, 21)[:, None, None]
+    ints = sign | sep | (p >= 24 - nd) & (p <= 23)
+    keep = np.concatenate([floats.reshape(-1, 32), ints.reshape(-1, 32),
+                           sep[None]])
+    # the 4-digit groups abcd = 0..9999 on a (10, 10, 10, 10) grid; the
+    # words are built in int64 (all below 2^63) and viewed as uint64
+    d = np.arange(10, dtype=np.int64)
+    c, b, a = d[:, None], d[:, None, None], d[:, None, None, None]
+    tz = ((d == 0) * (1 + (c == 0) * (1 + (b == 0) * (1 + (a == 0)))))
+    tz = tz.reshape(-1)                     # trailing zeros, 4 for 0000
+    e = np.clip(np.arange(14, -9, -1, dtype=np.int64), 0, 14)  # -X, X < 0
+    return types.SimpleNamespace(
+        keep=keep, lengths=keep.sum(axis=1),
+        # 10^(8 - X) by X + 14: exact, as 10^k is for k <= 22
+        pow10=np.array([10.0 ** k for k in range(22, -1, -1)]),
+        # the low word "-0.000d." by d
+        first=(int.from_bytes(b"-0.000\x00.", "little")
+               + (48 + d) * 2 ** 48).view(np.uint64),
+        # "a.b.c.d." by abcd
+        dotted=(0x2E302E302E302E30 + a + b * 2 ** 16 + c * 2 ** 32
+                + d * 2 ** 48).reshape(-1).view(np.uint64),
+        # 2 (significant digits - 1) of the 9 digits d1 hhhh llll: by
+        # llll when it is not 0, else by 10000 + hhhh
+        sig2=np.concatenate([16 - 2 * tz, 8 - 2 * tz]),
+        # "e-XX" by X + 14
+        exps=(ord("e") + _MINUS * 2 ** 8 + (48 + e // 10) * 2 ** 16
+              + (48 + e - e // 10 * 10) * 2 ** 24).view(np.uint64),
+        bounds=np.array([10 ** k for k in range(1, 20)], np.uint64))
+
+
+def _float_cells(v):
+    """
+    Slots and keep-table keys of float64 cells ``v`` (any shape), and
+    the mask of the cells left to the per-value fallback.
+    """
+    tab = _tables()
+    a = np.abs(v)
+    zero = a == 0.0
+    fast = (a >= 1e-14) & (a < 1e9)
+    a = np.where(fast, a, 1.0)
+    xi = np.floor(np.log10(a)).astype(np.intp)
+    xi += 14
+    np.clip(xi, 0, 22, out=xi)
+    y = a * tab.pow10.take(xi)
+    m = np.rint(y)
+    fast &= (y >= 1e8) & (m <= 1e9) & (np.abs(y - m) < 0.5 - 2.0 ** -20)
+    carry = m == 1e9
+    if carry.any():
+        m[carry] = 1e8
+        xi += carry
+        fast &= xi <= 22
+        np.minimum(xi, 22, out=xi)
+    np.putmask(m, zero, 0.0)
+    fast |= zero
+    m = m.astype(np.intp)
+    d1 = m // 10 ** 8
+    rest = m - d1 * 10 ** 8
+    hi = rest // 10000
+    lo = rest - hi * 10000
+    words = np.empty(v.shape + (4,), "<u8")
+    words[..., 0] = tab.first.take(d1, mode="clip")
+    words[..., 1] = tab.dotted.take(hi)
+    words[..., 2] = tab.dotted.take(lo)
+    words[..., 3] = tab.exps.take(xi)
+    sig2 = tab.sig2.take(np.where(lo == 0, hi + 10000, lo))
+    keys = xi * 18 + sig2 + np.signbit(v)
+    slow = ~fast
+    if slow.any():
+        keys[slow] = _SLOW
+    return words, keys, slow
+
+
+def _int_cells(v):
+    """Slots and keep-table keys of integer or bool cells ``v``."""
+    if v.dtype.kind == "i":
+        v = v.astype(np.int64)
+        neg = v < 0
+        mag = np.where(neg, -v, v).view(np.uint64)   # -(-2^63) is 2^63
+    else:
+        neg = np.zeros(v.shape, bool)
+        mag = v.astype(np.uint64)
+    top = mag // 10 ** 16
+    rest = mag - top * 10 ** 16
+    mid = rest // 10 ** 8
+    words = np.empty(v.shape + (4,), "<u8")
+    words[..., 0] = _digits8(top) & 0xFFFFFFFF00000000 | _MINUS
+    words[..., 1] = _digits8(mid)
+    words[..., 2] = _digits8(rest - mid * 10 ** 8)
+    words[..., 3] = 0
+    digits = np.searchsorted(_tables().bounds, mag, "right")
+    return words, _INT + digits * 2 + neg
+
+
+def _text_cells(values, sep):
+    """Slot bytes (rows, width), keep mask and lengths of text cells,
+    each its quoted UTF-8 and the separator."""
+    texts = [(_quote(str(v)) + sep).encode("utf-8") for v in values]
+    slots = np.array(texts)
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    width = slots.dtype.itemsize
+    return (slots.view(np.uint8).reshape(-1, width),
+            np.arange(width) < lengths[:, None], lengths)
+
+
+def _block(cols, lo, hi):
+    """The CSV bytes of rows ``lo:hi``."""
+    tab = _tables()
+    r, k = hi - lo, len(cols)
+    numeric = [j for j, c in enumerate(cols) if c.dtype.kind in "fiub"]
+    floats = [i for i, j in enumerate(numeric) if cols[j].dtype.kind == "f"]
+    words = np.empty((r, len(numeric), 4), "<u8")
+    keys = np.empty((r, len(numeric)), np.intp)
+    slow = None
+    if floats:
+        vals = np.empty((r, len(floats)))
+        with np.errstate(invalid="ignore"):     # a signaling NaN widened
+            for i, f in enumerate(floats):
+                vals[:, i] = cols[numeric[f]][lo:hi]
+        float_words, float_keys, slow = _float_cells(vals)
+        if len(floats) == len(numeric):
+            words, keys = float_words, float_keys
+        else:
+            words[:, floats], keys[:, floats] = float_words, float_keys
+    for i, j in enumerate(numeric):
+        if cols[j].dtype.kind != "f":
+            words[:, i], keys[:, i] = _int_cells(cols[j][lo:hi])
+    words[..., 3] |= np.array([ord(",") if j < k - 1 else ord("\n")
+                               for j in numeric], np.uint64) << 32
+    slots = words.view(np.uint8)
+    keep = tab.keep.take(keys, axis=0)
+    lengths = None
+    if len(numeric) < k:
+        # text columns: put every column's slots and keep mask side by side
+        at = dict(zip(numeric, range(len(numeric))))
+        parts, masks, lengths = [], [], np.empty((r, k), np.intp)
+        for j, c in enumerate(cols):
+            if j in at:
+                parts.append(slots[:, at[j]])
+                masks.append(keep[:, at[j]])
+                lengths[:, j] = tab.lengths.take(keys[:, at[j]])
+            else:
+                part, mask, lengths[:, j] = _text_cells(
+                    c[lo:hi].tolist(), "," if j < k - 1 else "\n")
+                parts.append(part)
+                masks.append(mask)
+        slots = np.concatenate(parts, axis=1)
+        keep = np.concatenate(masks, axis=1)
+    data = np.compress(keep.ravel(), slots.ravel())
+    if slow is None or not slow.any():
+        return data
+    # each fallback cell's text goes in before its separator
+    if lengths is None:
+        lengths = tab.lengths.take(keys)
+    lengths = lengths.ravel()
+    starts = np.cumsum(lengths) - lengths
+    rows, at = np.nonzero(slow)
+    offsets = starts[rows * k + np.array(numeric)[np.array(floats)[at]]]
+    data = data.tobytes()
+    pieces, prev = [], 0
+    for offset, v in zip(offsets.tolist(), vals[rows, at].tolist()):
+        pieces += [data[prev:offset], ("%.9g" % v).encode()]
+        prev = offset
+    pieces.append(data[prev:])
+    return b"".join(pieces)
 
 
 def emit_csv(header, columns, path):
@@ -63,28 +272,12 @@ def emit_csv(header, columns, path):
     if len({len(c) for c in cols}) > 1:
         raise ValueError("columns must have equal lengths")
     n = len(cols[0]) if cols else 0
-    formats = [_FORMATS.get(c.dtype.kind, "%s") for c in cols]
-    text = [j for j, f in enumerate(formats) if f == "%s"]
-    # the run starts of each column that prints its runs (module docstring)
-    runs = {}
-    for j, c in enumerate(cols):
-        if j not in text:
-            changed = _changed(c)
-            if 4 * np.count_nonzero(changed) <= n:
-                runs[j] = np.flatnonzero(changed) + 1
-    row_format = ",".join("%s" if j in runs else f
-                          for j, f in enumerate(formats)) + "\n"
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(_quote(h) for h in header) + "\n")
+        with open(path, "wb") as fh:
+            fh.write((",".join(_quote(h) for h in header) + "\n")
+                     .encode("utf-8"))
             for lo in range(0, n, _BLOCK_ROWS):
-                hi = min(lo + _BLOCK_ROWS, n)
-                block = [_run_texts(c, formats[j], runs[j], lo, hi)
-                         if j in runs else c[lo:hi].tolist()
-                         for j, c in enumerate(cols)]
-                for j in text:
-                    block[j] = [_quote(str(v)) for v in block[j]]
-                fh.write("".join([row_format % row for row in zip(*block)]))
+                fh.write(_block(cols, lo, min(lo + _BLOCK_ROWS, n)))
     except OSError as exc:
         raise OSError(f"cannot write CSV {path}: {exc}") from exc
     return path

@@ -311,7 +311,9 @@ def step_response(tf, t_end, dt=None):
         Sample spacing, finite and > 0; defaults to
         ``min(tau_min/20, t_end/2000)`` with ``tau_min = 1/max|pole|``.
         The samples are exact at any dt, so it sets only how finely the
-        trace resolves the response.
+        trace resolves the response.  A dt at which ``e^{G dt}`` is not
+        finite (G dt overflows, or its exponential does) is refused with
+        ValueError.
 
     Returns
     -------
@@ -339,9 +341,15 @@ def step_response(tf, t_end, dt=None):
     diverged = bool(np.any(tf.poles().real >= -1e-12))
 
     G, c = _hold_realization(tf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        Gdt = G * dt
+        F = _expm(Gdt) if np.isfinite(Gdt).all() else Gdt
+    if not np.isfinite(F).all():
+        raise ValueError(f"e^(G dt) overflows at dt = {dt:.6g}; "
+                         f"take a smaller dt")
     z = np.eye(len(c))[-1]                     # x(0) = 0, the unit step held
     n_steps = int(round(steps))
-    y = _power_outputs(_expm(G * dt), c, z, n_steps + 1)
+    y = _power_outputs(F, c, z, n_steps + 1)
     return StepTrace(np.arange(n_steps + 1) * dt, y, diverged)
 
 

@@ -9,6 +9,7 @@ import pytest
 
 from sunpump.cli import build_parser, main
 from sunpump.config import parse_config, parse_config_text
+from sunpump import csvio
 from sunpump.csvio import emit_csv
 from sunpump.scenario import (ConfigError, ScenarioConfig, SimTrace,
                               run_scenario)
@@ -203,8 +204,9 @@ COLUMN_VALUES = {
 def csv_columns(draw):
     """Equal-length columns of every dtype the writer meets: runs of a
     few values that change every row or hardly ever, and cross the
-    1024-row block edges; lengths at and next to the block size."""
-    n = draw(st.sampled_from([0, 1, 1023, 1024, 1025, 4097])
+    block edges; lengths at and next to the 512-row block and its
+    multiples."""
+    n = draw(st.sampled_from([0, 1, 511, 512, 513, 1023, 1024, 1025, 4097])
              | st.integers(0, 2100))
     columns = []
     for _ in range(draw(st.integers(1, 4))):
@@ -225,7 +227,8 @@ def csv_columns(draw):
 
 
 class TestCsvMatchesRowFormat:
-    """``emit_csv`` formats each run of a repeated value once; its bytes
+    """``emit_csv`` builds each block's bytes with numpy, a float by
+    per-value ``%.9g`` only where its digits are not proven; its bytes
     must equal the row-format writer's."""
 
     @settings(max_examples=200)
@@ -259,6 +262,98 @@ class TestCsvMatchesRowFormat:
         path = tmp_path / "trace.csv"
         emit_csv(trace.COLUMNS, columns, path)
         assert path.read_bytes() == row_format_csv(trace.COLUMNS, columns)
+
+    @pytest.mark.parametrize("cfg", [ScenarioConfig.default_daylight(),
+                                     cloudy_config(1)],
+                             ids=["default_daylight", "cloudy"])
+    def test_trace_floats_take_the_fast_path(self, cfg):
+        # a trace float left to per-value '%.9g' costs a Python string:
+        # at most 1 cell in 1000 may be (1 of 1 080 000 on daylight)
+        trace, _ = run_scenario(cfg)
+        cells = np.stack([getattr(trace, name) for name in trace.COLUMNS])
+        _, _, slow = csvio._float_cells(cells.astype(float))
+        assert np.count_nonzero(slow) <= cells.size // 1000
+
+
+def per_value_csv(values):
+    """Reference: one column, each value printed by ``'%.9g' % v``."""
+    return ("x\n" + "".join("%.9g\n" % v for v in values)).encode()
+
+
+def _decimal_and_neighbours(texts):
+    """The doubles nearest each decimal text and one ulp either side."""
+    out = []
+    for text in texts:
+        v = float(text)
+        out += [np.nextafter(v, -math.inf), v, np.nextafter(v, math.inf)]
+    return out
+
+
+# the float kernel's edges (csvio module docstring), each with one ulp
+# either side: every power of ten; the 10th-digit ties 1.234567895 and
+# the carries 9.999999995 at every exponent of the fast range and past
+# both ends; and the switches from fixed to exponent notation
+EDGE_FLOATS = (
+    _decimal_and_neighbours(f"1e{k}" for k in range(-15, 11))
+    + _decimal_and_neighbours(f"{d}e{k}" for d in ("1.234567895",
+                                                  "9.999999995",
+                                                  "1.000000005")
+                              for k in range(-16, 11))
+    + _decimal_and_neighbours(["9.99999999e-05", "9.999999995e-05",
+                               "0.0001", "99999999.95", "999999999.4",
+                               "999999999.5", "1e9"])
+    + [123456789.5, 5e-324, 1e-310, 2.2250738585072014e-308,
+       np.nextafter(2.2250738585072014e-308, 0), 1.7976931348623157e308,
+       0.0, math.inf, math.nan, _nan(1, np.float64), _nan(2 ** 51 - 1,
+                                                          np.float64)])
+
+
+class TestFloatKernel:
+    """The float path of ``emit_csv`` against per-value ``'%.9g'``, byte
+    for byte."""
+
+    def test_edges(self, tmp_path):
+        values = np.array(EDGE_FLOATS + [-v for v in EDGE_FLOATS])
+        path = tmp_path / "edges.csv"
+        emit_csv(["x"], [values], path)
+        assert path.read_bytes() == per_value_csv(values.tolist())
+
+    @settings(max_examples=200)
+    @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=600))
+    def test_float64_bit_patterns(self, bits, tmp_path_factory):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        path = tmp_path_factory.getbasetemp() / "bits64.csv"
+        emit_csv(["x"], [values], path)
+        assert path.read_bytes() == per_value_csv(values.tolist())
+
+    @settings(max_examples=100)
+    @given(bits=st.lists(st.integers(0, 2 ** 32 - 1), max_size=600))
+    def test_float32_bit_patterns(self, bits, tmp_path_factory):
+        # signaling NaNs among them: widening one must not warn
+        values = np.array(bits, dtype=np.uint32).view(np.float32)
+        path = tmp_path_factory.getbasetemp() / "bits32.csv"
+        emit_csv(["x"], [values], path)
+        assert path.read_bytes() == per_value_csv(values.tolist())
+
+    @settings(max_examples=100)
+    @given(values=st.lists(st.floats(width=32), max_size=600))
+    def test_float32_values(self, values, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "values32.csv"
+        emit_csv(["x"], [np.array(values, dtype=np.float32)], path)
+        assert path.read_bytes() == per_value_csv(values)
+
+    @settings(max_examples=100)
+    @given(digits=st.lists(st.integers(10 ** 8, 10 ** 9 - 1), min_size=1,
+                           max_size=600),
+           shift=st.integers(-16, 10), half=st.booleans())
+    def test_nine_digit_values(self, digits, shift, half, tmp_path_factory):
+        # every digit count at one exponent, or the nearest doubles to
+        # the ties between them
+        values = [float(f"{d}{'5' if half else ''}e{shift - half}")
+                  for d in digits]
+        path = tmp_path_factory.getbasetemp() / "nine.csv"
+        emit_csv(["x"], [np.array(values)], path)
+        assert path.read_bytes() == per_value_csv(values)
 
 
 class TestColumnCsv:
@@ -662,6 +757,17 @@ class TestCliExitCodes:
                      "--out", str(tmp_path)])
         assert code == 3
         assert "samples" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_overflowing_step_response_is_a_numeric_failure(self, tmp_path,
+                                                            capsys):
+        # G dt overflows: this used to write a trace of nan and exit 0
+        code = main(["tf", "step", "--tf-text", "num: 1 / den: 1 1e300",
+                     "--t-end", "1e11", "--dt", "1e10",
+                     "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "dt = 1e+10" in err and len(err.splitlines()) == 1
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("timing", ["", "t_end = 1e9\ndt = 1e-6\n"],

@@ -258,6 +258,14 @@ class TestStepResponse:
         with pytest.raises(ImproperSystemError):
             step_response(TransferFunction([1.0, 0.0, 0.0], [1.0, 1.0]), 1.0)
 
+    @pytest.mark.parametrize("den, t_end, dt", [
+        ([1.0, 1e300], 1e11, 1e10),     # G dt overflows
+        ([1.0, -1000.0], 100.0, 10.0)])  # G dt is finite, e^(G dt) is not
+    def test_overflowing_hold_step_is_refused(self, den, t_end, dt):
+        # both used to return a trace of nan after the first sample
+        with pytest.raises(ValueError, match=r"overflows at dt = 1"):
+            step_response(TransferFunction([1.0], den), t_end, dt)
+
     @pytest.mark.parametrize("k, want", [(0.0, 2.0), (1.0, 2.0 / 3.0)])
     def test_static_gain(self, k, want):
         # 2 / 1 has no poles, which used to make poles() raise
