@@ -10,24 +10,22 @@ such), integers and bools as integers ("%d"), and anything else as text,
 break.
 
 Bytes, not strings: a block of at most 512 rows becomes one uint8
-matrix.  A numeric cell gets a 32-byte slot, four uint64 words:
+matrix.  A float cell gets a 32-byte slot, four uint64 words:
 
     byte  0      '-'
           1..5   "0.000"                  (0.1 .. 0.0001)
-          6..23  d1 '.' d2 '.' .. d9 '.'  (a float's 9 digits)
-          4..23  an integer's 20 digits, right-aligned
+          6..23  d1 '.' d2 '.' .. d9 '.'  (the 9 digits)
           24..27 "e-XX"
           28     ',' or '\\n'
 
-An integer's digits come from SWAR arithmetic (several decimal digits
-at once inside one 64-bit integer); a float's two 4-digit groups after
-d1 are looked up whole in a table of the 10 000 words "a.b.c.d.", which
-costs less than the arithmetic.  A row of a keep table, picked by the cell's decimal
-exponent X, its count of significant digits and its sign, says which
-slot bytes are its text; zero and -0 are the one-digit rows at X = 0
-with the digit 0.  A text cell's slot is its quoted UTF-8 in a
-fixed-width ``S`` array.  One ``np.take`` of the keep table and one
-``np.compress`` then give the block's bytes.
+Its two 4-digit groups after d1 are looked up whole in a table of the
+10 000 words "a.b.c.d.".  A row of a keep table, picked by the cell's
+decimal exponent X, its count of significant digits and its sign, says
+which slot bytes are its text; zero and -0 are the one-digit rows at
+X = 0 with the digit 0.  Any other cell (an integer or bool as ``str``
+of its Python int, which is its "%d", or a text) gets a slot of its
+quoted UTF-8 in a fixed-width ``S`` array.  One ``np.take`` of the keep
+table and one ``np.compress`` then give the block's bytes.
 
 The fast path proves a float's digits without a string.  For a finite
 |v| in [1e-14, 1e9), X = floor(log10|v|) clipped to [-14, 8], and
@@ -50,28 +48,16 @@ import numpy as np
 # rows per block; bounds the slot bytes held at once
 _BLOCK_ROWS = 512
 
-# keep-table rows: floats by (X + 14, significant digits - 1, sign),
-# integers by (digits - 1, sign), and the fallback row, which keeps only
-# the separator; zero is the float row of one digit at X = 0
-_INT = 23 * 9 * 2
-_SLOW = _INT + 20 * 2
-
-_MINUS = ord("-")
+# keep-table rows: floats by (X + 14, significant digits - 1, sign), and
+# the fallback row, which keeps only the separator; zero is the row of
+# one digit at X = 0
+_SLOW = 23 * 9 * 2
 
 
 def _quote(s):
     if any(ch in s for ch in (",", '"', "\n", "\r")):
         return '"' + s.replace('"', '""') + '"'
     return s
-
-
-def _digits8(q):
-    """uint64 ``q`` < 10^8 as 8 ASCII digits, first digit in the low byte."""
-    v = q // 10000 | (q % 10000) << 32
-    t = (v * 10486 >> 20) & 0x7F0000007F            # v // 100 per half
-    v = t | (v - 100 * t) << 16
-    t = (v * 103 >> 10) & 0x000F000F000F000F        # v // 10 per quarter
-    return (t | (v - 10 * t) << 8) | 0x3030303030303030
 
 
 @functools.cache
@@ -89,40 +75,36 @@ def _tables():
     small = (x < 0) & (x >= -4)
     whole = np.where(x >= 0, x + 1, 1)     # digits before the point
     floats = (sign | sep
-              | digit & ((p - 4) // 2 <= np.where(x >= 0,
-                                                  np.maximum(sig, whole),
-                                                  sig))
-              | dot & ((p - 5) // 2 == whole) & (sig > whole) & ~small
+              | digit & (p <= 4 + 2 * np.where(x >= 0,
+                                               np.maximum(sig, whole), sig))
+              | dot & (p == 5 + 2 * whole) & (sig > whole) & ~small
               | small & (p >= 1) & (p <= 1 - x)
               | (x <= -5) & (p >= 24) & (p <= 27))
-    nd = np.arange(1, 21)[:, None, None]
-    ints = sign | sep | (p >= 24 - nd) & (p <= 23)
-    keep = np.concatenate([floats.reshape(-1, 32), ints.reshape(-1, 32),
-                           sep[None]])
-    # the 4-digit groups abcd = 0..9999 on a (10, 10, 10, 10) grid; the
+    keep = np.concatenate([floats.reshape(-1, 32), sep[None]])
+    # the 4-digit groups abcd = 0..9999 on a (10, 10, 10, 10) grid; their
     # words are built in int64 (all below 2^63) and viewed as uint64
     d = np.arange(10, dtype=np.int64)
     c, b, a = d[:, None], d[:, None, None], d[:, None, None, None]
-    tz = ((d == 0) * (1 + (c == 0) * (1 + (b == 0) * (1 + (a == 0)))))
-    tz = tz.reshape(-1)                     # trailing zeros, 4 for 0000
-    e = np.clip(np.arange(14, -9, -1, dtype=np.int64), 0, 14)  # -X, X < 0
+    tz = np.where(d > 0, 0, np.where(c > 0, 1, np.where(
+        b > 0, 2, np.where(a > 0, 3, 4)))).reshape(-1)   # trailing zeros
     return types.SimpleNamespace(
-        keep=keep, lengths=keep.sum(axis=1),
+        keep=keep,
+        lengths=np.array([row.count(True) for row in keep.tolist()],
+                         np.uint8),
         # 10^(8 - X) by X + 14: exact, as 10^k is for k <= 22
         pow10=np.array([10.0 ** k for k in range(22, -1, -1)]),
         # the low word "-0.000d." by d
-        first=(int.from_bytes(b"-0.000\x00.", "little")
-               + (48 + d) * 2 ** 48).view(np.uint64),
+        first=np.frombuffer(b"".join(b"-0.000%d." % k for k in range(10)),
+                            "<u8"),
         # "a.b.c.d." by abcd
         dotted=(0x2E302E302E302E30 + a + b * 2 ** 16 + c * 2 ** 32
                 + d * 2 ** 48).reshape(-1).view(np.uint64),
         # 2 (significant digits - 1) of the 9 digits d1 hhhh llll: by
         # llll when it is not 0, else by 10000 + hhhh
-        sig2=np.concatenate([16 - 2 * tz, 8 - 2 * tz]),
-        # "e-XX" by X + 14
-        exps=(ord("e") + _MINUS * 2 ** 8 + (48 + e // 10) * 2 ** 16
-              + (48 + e - e // 10 * 10) * 2 ** 24).view(np.uint64),
-        bounds=np.array([10 ** k for k in range(1, 20)], np.uint64))
+        sig2=np.concatenate([16 - 2 * tz, 8 - 2 * tz]).astype(np.uint8),
+        # "e-XX" by X + 14 (kept for X <= -5 only)
+        exps=np.frombuffer(b"".join(b"e-%02d\0\0\0\0" % max(-x, 0)
+                                    for x in range(-14, 9)), "<u8"))
 
 
 def _float_cells(v):
@@ -149,43 +131,25 @@ def _float_cells(v):
         np.minimum(xi, 22, out=xi)
     np.putmask(m, zero, 0.0)
     fast |= zero
-    m = m.astype(np.intp)
-    d1 = m // 10 ** 8
-    rest = m - d1 * 10 ** 8
-    hi = rest // 10000
-    lo = rest - hi * 10000
+    # d1 hhhh llll split in floats: exact, as every term is an integer
+    # below 2^53 and each quotient lies 1e-8 or more off an integer
+    d1 = np.floor(m / 1e8)
+    rest = m - d1 * 1e8
+    hi = np.floor(rest / 1e4)
+    lo = (rest - hi * 1e4).astype(np.intp)
+    d1 = d1.astype(np.intp)
+    hi = hi.astype(np.intp)
     words = np.empty(v.shape + (4,), "<u8")
     words[..., 0] = tab.first.take(d1, mode="clip")
     words[..., 1] = tab.dotted.take(hi)
     words[..., 2] = tab.dotted.take(lo)
     words[..., 3] = tab.exps.take(xi)
     sig2 = tab.sig2.take(np.where(lo == 0, hi + 10000, lo))
-    keys = xi * 18 + sig2 + np.signbit(v)
+    keys = xi * 18 + sig2 - (v.view(np.int64) >> 63)   # +1 when negative
     slow = ~fast
     if slow.any():
         keys[slow] = _SLOW
     return words, keys, slow
-
-
-def _int_cells(v):
-    """Slots and keep-table keys of integer or bool cells ``v``."""
-    if v.dtype.kind == "i":
-        v = v.astype(np.int64)
-        neg = v < 0
-        mag = np.where(neg, -v, v).view(np.uint64)   # -(-2^63) is 2^63
-    else:
-        neg = np.zeros(v.shape, bool)
-        mag = v.astype(np.uint64)
-    top = mag // 10 ** 16
-    rest = mag - top * 10 ** 16
-    mid = rest // 10 ** 8
-    words = np.empty(v.shape + (4,), "<u8")
-    words[..., 0] = _digits8(top) & 0xFFFFFFFF00000000 | _MINUS
-    words[..., 1] = _digits8(mid)
-    words[..., 2] = _digits8(rest - mid * 10 ** 8)
-    words[..., 3] = 0
-    digits = np.searchsorted(_tables().bounds, mag, "right")
-    return words, _INT + digits * 2 + neg
 
 
 def _text_cells(values, sep):
@@ -203,32 +167,19 @@ def _block(cols, lo, hi):
     """The CSV bytes of rows ``lo:hi``."""
     tab = _tables()
     r, k = hi - lo, len(cols)
-    numeric = [j for j, c in enumerate(cols) if c.dtype.kind in "fiub"]
-    floats = [i for i, j in enumerate(numeric) if cols[j].dtype.kind == "f"]
-    words = np.empty((r, len(numeric), 4), "<u8")
-    keys = np.empty((r, len(numeric)), np.intp)
-    slow = None
-    if floats:
-        vals = np.empty((r, len(floats)))
-        with np.errstate(invalid="ignore"):     # a signaling NaN widened
-            for i, f in enumerate(floats):
-                vals[:, i] = cols[numeric[f]][lo:hi]
-        float_words, float_keys, slow = _float_cells(vals)
-        if len(floats) == len(numeric):
-            words, keys = float_words, float_keys
-        else:
-            words[:, floats], keys[:, floats] = float_words, float_keys
-    for i, j in enumerate(numeric):
-        if cols[j].dtype.kind != "f":
-            words[:, i], keys[:, i] = _int_cells(cols[j][lo:hi])
-    words[..., 3] |= np.array([ord(",") if j < k - 1 else ord("\n")
-                               for j in numeric], np.uint64) << 32
+    floats = [j for j, c in enumerate(cols) if c.dtype.kind == "f"]
+    vals = np.empty((r, len(floats)))
+    with np.errstate(invalid="ignore"):     # a signaling NaN widened
+        for i, j in enumerate(floats):
+            vals[:, i] = cols[j][lo:hi]
+    words, keys, slow = _float_cells(vals)
     slots = words.view(np.uint8)
+    slots[..., 28] = [ord(",") if j < k - 1 else ord("\n") for j in floats]
     keep = tab.keep.take(keys, axis=0)
     lengths = None
-    if len(numeric) < k:
-        # text columns: put every column's slots and keep mask side by side
-        at = dict(zip(numeric, range(len(numeric))))
+    if len(floats) < k:
+        # other columns: put every column's slots and keep mask side by side
+        at = dict(zip(floats, range(len(floats))))
         parts, masks, lengths = [], [], np.empty((r, k), np.intp)
         for j, c in enumerate(cols):
             if j in at:
@@ -236,22 +187,26 @@ def _block(cols, lo, hi):
                 masks.append(keep[:, at[j]])
                 lengths[:, j] = tab.lengths.take(keys[:, at[j]])
             else:
+                c = c[lo:hi]
+                if c.dtype.kind in "iub":
+                    c = c.astype(np.uint64 if c.dtype.kind == "u"
+                                 else np.int64)
                 part, mask, lengths[:, j] = _text_cells(
-                    c[lo:hi].tolist(), "," if j < k - 1 else "\n")
+                    c.tolist(), "," if j < k - 1 else "\n")
                 parts.append(part)
                 masks.append(mask)
         slots = np.concatenate(parts, axis=1)
         keep = np.concatenate(masks, axis=1)
     data = np.compress(keep.ravel(), slots.ravel())
-    if slow is None or not slow.any():
+    if not slow.any():
         return data
     # each fallback cell's text goes in before its separator
     if lengths is None:
         lengths = tab.lengths.take(keys)
     lengths = lengths.ravel()
-    starts = np.cumsum(lengths) - lengths
+    starts = np.cumsum(lengths, dtype=np.intp) - lengths
     rows, at = np.nonzero(slow)
-    offsets = starts[rows * k + np.array(numeric)[np.array(floats)[at]]]
+    offsets = starts[rows * k + np.array(floats)[at]]
     data = data.tobytes()
     pieces, prev = [], 0
     for offset, v in zip(offsets.tolist(), vals[rows, at].tolist()):

@@ -341,12 +341,14 @@ def step_response(tf, t_end, dt=None):
     diverged = bool(np.any(tf.poles().real >= -1e-12))
 
     G, c = _hold_realization(tf)
+    overflow = f"e^(G dt) overflows at dt = {dt:.6g}; take a smaller dt"
     with np.errstate(over="ignore", invalid="ignore"):
         Gdt = G * dt
-        F = _expm(Gdt) if np.isfinite(Gdt).all() else Gdt
+        if not np.isfinite(Gdt).all():
+            raise ValueError(overflow)
+        F = _expm(Gdt)
     if not np.isfinite(F).all():
-        raise ValueError(f"e^(G dt) overflows at dt = {dt:.6g}; "
-                         f"take a smaller dt")
+        raise ValueError(overflow)
     z = np.eye(len(c))[-1]                     # x(0) = 0, the unit step held
     n_steps = int(round(steps))
     y = _power_outputs(F, c, z, n_steps + 1)
