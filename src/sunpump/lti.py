@@ -313,7 +313,7 @@ def step_response(tf, t_end, dt=None):
         The samples are exact at any dt, so it sets only how finely the
         trace resolves the response.  A dt at which ``e^{G dt}`` is not
         finite (G dt overflows, or its exponential does) is refused with
-        ValueError.
+        ValueError, and so is a response that overflows before t_end.
 
     Returns
     -------
@@ -351,8 +351,15 @@ def step_response(tf, t_end, dt=None):
         raise ValueError(overflow)
     z = np.eye(len(c))[-1]                     # x(0) = 0, the unit step held
     n_steps = int(round(steps))
-    y = _power_outputs(F, c, z, n_steps + 1)
-    return StepTrace(np.arange(n_steps + 1) * dt, y, diverged)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _power_outputs(F, c, z, n_steps + 1)
+    if not (np.isfinite(y.min()) and np.isfinite(y.max())):
+        first = np.flatnonzero(~np.isfinite(y))[0]
+        raise ValueError(f"step response overflows at t = {first * dt:.6g} "
+                         f"s; take a smaller t_end")
+    t = np.arange(n_steps + 1, dtype=float)
+    t *= dt
+    return StepTrace(t, y, diverged)
 
 
 # samples per block of the blocked powers in step_response
@@ -444,12 +451,14 @@ def step_metrics(trace):
     t90 = _cross_time(t, y, 0.9 * final, rising=final > 0)
     rise = (t90 - t10) if (t10 is not None and t90 is not None) else 0.0
 
-    outside = np.abs(y - final) > 0.02 * abs(final)
+    band = 0.02 * abs(final)
+    dev = y - final
+    np.abs(dev, out=dev)
+    outside = dev > band
     if outside.any():
-        last = int(np.max(np.nonzero(outside)))
+        last = len(outside) - 1 - int(np.argmax(outside[::-1]))
         if last + 1 < len(t):
-            y0, y1 = abs(y[last] - final), abs(y[last + 1] - final)
-            band = 0.02 * abs(final)
+            y0, y1 = dev[last], dev[last + 1]
             frac = (y0 - band) / (y0 - y1) if y0 != y1 else 1.0
             settle = t[last] + frac * (t[last + 1] - t[last])
         else:
@@ -600,15 +609,14 @@ class Margins:
 def _crossings(y, level):
     """Fractional sample positions where y meets or crosses `level`,
     linearly interpolated between samples."""
-    out = []
     d = y - level
-    for i in range(len(d) - 1):
-        if d[i] == 0.0:
-            out.append(i)
-        if d[i] * d[i + 1] < 0:
-            frac = d[i] / (d[i] - d[i + 1])
-            out.append(i + frac)
-    return out
+    d0, d1 = d[:-1], d[1:]
+    hit = d0 == 0.0
+    at = np.flatnonzero(hit | (d0 * d1 < 0))
+    with np.errstate(invalid="ignore"):     # 0/0 at a hit before a hit
+        pos = at + d0[at] / (d0[at] - d1[at])
+    return [i if h else p for i, h, p in zip(at.tolist(), hit[at].tolist(),
+                                             pos.tolist())]
 
 
 def stability_margins(fr):

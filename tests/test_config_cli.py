@@ -11,6 +11,7 @@ from sunpump.cli import build_parser, main
 from sunpump.config import parse_config, parse_config_text
 from sunpump import csvio
 from sunpump.csvio import emit_csv
+from sunpump.plants import PRESETS
 from sunpump.scenario import (ConfigError, ScenarioConfig, SimTrace,
                               run_scenario)
 from test_scenario import cloudy_config
@@ -204,9 +205,12 @@ COLUMN_VALUES = {
 def csv_columns(draw):
     """Equal-length columns of every dtype the writer meets: runs of a
     few values that change every row or hardly ever, and cross the
-    block edges; lengths at and next to the 512-row block and its
-    multiples."""
-    n = draw(st.sampled_from([0, 1, 511, 512, 513, 1023, 1024, 1025, 4097])
+    block edges; lengths at and next to multiples of 512 rows, and to
+    the 7 680-cell block of 1, 2 and 4 columns (7 680, 3 840 and 1 920
+    rows)."""
+    n = draw(st.sampled_from([0, 1, 511, 512, 513, 1023, 1024, 1025, 4097,
+                              1919, 1920, 1921, 3839, 3840, 3841, 7679,
+                              7680, 7681])
              | st.integers(0, 2100))
     columns = []
     for _ in range(draw(st.integers(1, 4))):
@@ -253,6 +257,27 @@ class TestCsvMatchesRowFormat:
         assert path.read_bytes() == row_format_csv(["a", "b", "c", "d"],
                                                    columns)
 
+    @pytest.mark.parametrize("k", [1, 2, 4, 15])
+    def test_runs_across_cell_block_edges(self, k, tmp_path):
+        # a block holds 7 680 cells: 7 680, 3 840, 1 920 and 512 rows of
+        # 1, 2, 4 and 15 columns; runs start and end at and next to two
+        # block edges, next to columns that never repeat, one of them
+        # with 3-digit exponents
+        rows = 7680 // k
+        edges = [0, 1, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows,
+                 2 * rows + 1]
+        runs = [0.0, -0.0, _nan(1, np.float64), 1e30, -0.0, 123456789.5,
+                0.0]
+        held = np.repeat(runs, np.diff(edges))
+        ramp = np.arange(2 * rows + 1.0) / 7.0
+        pool = [held, held.astype(np.float32), ramp, held == 0.0,
+                -ramp * 1e-200]
+        columns = [pool[j % len(pool)] for j in range(k)]
+        header = [f"c{j}" for j in range(k)]
+        path = tmp_path / "edges.csv"
+        emit_csv(header, columns, path)
+        assert path.read_bytes() == row_format_csv(header, columns)
+
     @pytest.mark.parametrize("cfg", [ScenarioConfig.default_daylight(),
                                      cloudy_config(1)],
                              ids=["default_daylight", "cloudy"])
@@ -274,6 +299,22 @@ class TestCsvMatchesRowFormat:
         _, _, slow = csvio._float_cells(cells.astype(float))
         assert np.count_nonzero(slow) <= cells.size // 1000
 
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_step_floats_take_the_fast_path(self, name, closed):
+        # as above for the trace of `tf step`, at its default t_end:
+        # motor_symbolic's closed loop diverges to 3e45, past 1e9
+        from sunpump.lti import step_response, tf_feedback
+        from sunpump.plants import preset
+        tf = preset(name)
+        poles = tf.poles()
+        stable = poles[poles.real < -1e-12]
+        t_end = 8.0 / abs(stable.real.max()) if stable.size else 10.0
+        trace = step_response(tf_feedback(tf, 1.0) if closed else tf, t_end)
+        cells = np.stack([trace.t, trace.y])
+        _, _, slow = csvio._float_cells(cells)
+        assert np.count_nonzero(slow) <= cells.size // 1000
+
 
 def per_value_csv(values):
     """Reference: one column, each value printed by ``'%.9g' % v``."""
@@ -291,17 +332,23 @@ def _decimal_and_neighbours(texts):
 
 # the float kernel's edges (csvio module docstring), each with one ulp
 # either side: every power of ten; the 10th-digit ties 1.234567895 and
-# the carries 9.999999995 at every exponent of the fast range and past
-# both ends; and the switches from fixed to exponent notation
+# the carries 9.999999995 at every decimal exponent of a double (one of
+# them rounds to inf); the switches from fixed to exponent notation and
+# from 2- to 3-digit exponents; and the fast path's lower end, 1e-300,
+# and the subnormals below it
 EDGE_FLOATS = (
-    _decimal_and_neighbours(f"1e{k}" for k in range(-15, 11))
+    _decimal_and_neighbours(f"1e{k}" for k in range(-308, 309))
     + _decimal_and_neighbours(f"{d}e{k}" for d in ("1.234567895",
                                                   "9.999999995",
                                                   "1.000000005")
-                              for k in range(-16, 11))
+                              for k in range(-308, 309))
     + _decimal_and_neighbours(["9.99999999e-05", "9.999999995e-05",
                                "0.0001", "99999999.95", "999999999.4",
-                               "999999999.5", "1e9"])
+                               "999999999.5", "1e9", "9.99999999e99",
+                               "9.999999995e99", "1e100", "1e-99",
+                               "9.99999999e-100", "9.999999995e-100",
+                               "1e-300", "9.99999999e-301",
+                               "9.999999995e-301", "1.00000001e-300"])
     + [123456789.5, 5e-324, 1e-310, 2.2250738585072014e-308,
        np.nextafter(2.2250738585072014e-308, 0), 1.7976931348623157e308,
        0.0, math.inf, math.nan, _nan(1, np.float64), _nan(2 ** 51 - 1,
@@ -769,6 +816,19 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "dt = 1e+10" in err and len(err.splitlines()) == 1
         assert not any(tmp_path.iterdir())
+
+    def test_diverging_step_response_is_a_numeric_failure(self, tmp_path,
+                                                          capsys):
+        # 1/(s - 1) overflows at t = 710 s: this used to print numpy's
+        # RuntimeWarnings, write inf from there on and exit 0
+        out = tmp_path / "out"
+        code = main(["tf", "step", "--tf-text", "num: 1 / den: 1 -1",
+                     "--t-end", "1000", "--dt", "1", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "step response overflows at t = 710 s" in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("timing", ["", "t_end = 1e9\ndt = 1e-6\n"],
                              ids=["default-t-end-dt", "t-end-dt"])

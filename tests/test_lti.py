@@ -266,6 +266,24 @@ class TestStepResponse:
         with pytest.raises(ValueError, match=r"overflows at dt = 1"):
             step_response(TransferFunction([1.0], den), t_end, dt)
 
+    def test_overflowing_response_is_refused(self):
+        # 1/(s - 1) passes the float range at t = 710 s: this used to warn
+        # and return inf, then nan, from there on
+        with pytest.raises(ValueError, match=r"overflows at t = 710 s"):
+            step_response(TransferFunction([1.0], [1.0, -1.0]), 1000.0, 1.0)
+
+    def test_finite_divergence_is_kept(self):
+        # motor_symbolic's closed loop grows to about 3e45 by its default
+        # t_end: a divergent trace, but a finite one
+        tr = step_response(tf_feedback(preset("motor_symbolic"), 1.0),
+                           504.7377257004022)
+        assert tr.diverged and np.all(np.isfinite(tr.y))
+        assert 1e45 < np.abs(tr.y).max() < 1e46
+
+    def test_time_axis_is_the_sample_index_times_dt(self):
+        tr = step_response(TransferFunction([1.0], [1.0, 1.0]), 5.0, 0.003)
+        assert np.array_equal(tr.t, np.arange(tr.t.size) * 0.003)
+
     @pytest.mark.parametrize("k, want", [(0.0, 2.0), (1.0, 2.0 / 3.0)])
     def test_static_gain(self, k, want):
         # 2 / 1 has no poles, which used to make poles() raise
@@ -443,7 +461,52 @@ class TestFrequencyResponse:
         assert fr.phase_deg[-1] == pytest.approx(-270.0, abs=2.0)
 
 
+def _loop_crossings(y, level):
+    """The per-sample loop that ``lti._crossings`` replaced."""
+    out = []
+    d = y - level
+    for i in range(len(d) - 1):
+        if d[i] == 0.0:
+            out.append(i)
+        if d[i] * d[i + 1] < 0:
+            frac = d[i] / (d[i] - d[i + 1])
+            out.append(i + frac)
+    return out
+
+
+def _bits(values):
+    """Each value as (is an int, its float64 bytes); None stays None."""
+    return [None if v is None
+            else (isinstance(v, int), np.float64(v).tobytes())
+            for v in values]
+
+
 class TestMargins:
+    @pytest.mark.parametrize("doctored", [False, True],
+                             ids=["as-is", "hits-and-nan"])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_crossings_match_the_sample_loop(self, name, doctored,
+                                             monkeypatch):
+        fr = frequency_response(preset(name))
+        if doctored:
+            # exact hits, two in a row among them, and NaN phases
+            mag, phase = fr.magnitude_db.copy(), fr.phase_deg.copy()
+            mag[[10, 11, 200]] = 0.0
+            phase[[20, 300]] = -180.0
+            phase[[30, 31, 32, 250]] = math.nan
+            fr = lti.FrequencyResponse(fr.omegas, mag, phase)
+        for y in (fr.magnitude_db, fr.phase_deg):
+            for level in (0.0, -180.0, 180.0, -540.0):
+                assert (_bits(lti._crossings(y, level))
+                        == _bits(_loop_crossings(y, level)))
+        got = stability_margins(fr)
+        monkeypatch.setattr(lti, "_crossings", _loop_crossings)
+        want = stability_margins(fr)
+        fields = ("gain_margin_db", "gm_freq_rad_s", "phase_margin_deg",
+                  "pm_freq_rad_s")
+        assert (_bits(getattr(got, f) for f in fields)
+                == _bits(getattr(want, f) for f in fields))
+
     def test_analytic_double_pole_crossover(self):
         # |G(jw)| = 1 for 1/(s(s+1)) at w^2(w^2+1) = 1
         g = TransferFunction([1.0], [1.0, 1.0, 0.0])
