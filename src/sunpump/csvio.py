@@ -72,11 +72,16 @@ def _quote(s):
 @functools.cache
 def _tables():
     """Built on first write: the keep table and its row lengths, and the
-    lookups of the float slots, each indexed by a small integer."""
+    lookups of the float slots, each indexed by a small integer.
+
+    The tables and the kernel use only the numpy loops they share with
+    the rest of a run (no integer abs or subtract, no bool arithmetic):
+    each other loop maps 64 KB more of numpy's code, which the peak RSS
+    counts."""
     p = np.arange(32)
     # one X per notation class: -4..8, then 9 and 100 for the 2-digit and
     # the 3-digit exponents
-    x = np.r_[-4:10, 100][:, None, None, None]
+    x = np.array([*range(-4, 10), 100])[:, None, None, None]
     sig = np.arange(1, 10)[:, None, None]
     neg = np.arange(2)[:, None] == 1
     sign = (p == 0) & neg
@@ -90,7 +95,7 @@ def _tables():
               | digit & (p <= 4 + 2 * np.maximum(sig, whole))
               | dot & (p == 5 + 2 * whole) & (sig > whole) & ~small
               | small & (p >= 1) & (p <= 1 - x)
-              | ~fixed & (p >= 24) & (p <= 27 + (x >= 100)))
+              | ~fixed & (p >= 24) & (p <= np.where(x < 100, 27, 28)))
     keep = np.concatenate([floats.reshape(-1, 32), sep[None]])
     # the 4-digit groups abcd = 0..9999 on a (10, 10, 10, 10) grid; their
     # words are built in int64 (all below 2^63) and viewed as uint64
@@ -107,7 +112,8 @@ def _tables():
         # the first keep-table row of X's notation class, and "e+XX"
         scale=np.array([float("1e%d" % (8 - x)) for x in xs.tolist()]),
         class_rows=18 * np.where((xs >= -4) & (xs <= 8), xs + 4,
-                                 np.where(abs(xs) < 100, 13, 14)),
+                                 np.where((xs > -100) & (xs < 100), 13,
+                                          14)),
         exps=np.frombuffer(b"".join((b"e%+03d" % x).ljust(8, b"\0")
                                     for x in xs.tolist()), "<u8"),
         # the low word "-0.000d." by d
@@ -132,7 +138,7 @@ def _float_cells(v):
     fast = (a >= 1e-300) & (a < np.inf)
     a = np.where(fast, a, 1.0)
     xi = np.floor(np.log10(a)).astype(np.intp)
-    xi -= _X_LO
+    xi += -_X_LO
     np.clip(xi, 0, _X_HI - _X_LO, out=xi)
     y = a * tab.scale.take(xi)
     m = np.rint(y)
