@@ -267,7 +267,7 @@ def _cmd_tf(args):
         path = _out_path(args, "bode.csv")
         csvio.emit_csv(["omega_rad_s", "magnitude_db", "phase_deg"],
                        [fr.omegas, fr.magnitude_db, fr.phase_deg], path)
-        m = stability_margins(fr)
+        m = stability_margins(tf)
         print(f"wrote {path}")
         gm = ("absent" if m.gain_margin_db is None
               else f"{m.gain_margin_db:.3g} dB @ {m.gm_freq_rad_s:.4g} rad/s")

@@ -12,7 +12,8 @@ stepping them one at a time.
 
 Roots come from one routine, ``_polished_roots``, which solves a stack of
 equal-degree polynomials with one batched eigenvalue call; ``poly_roots``
-hands it one polynomial and ``root_locus`` all the gains of a sweep.
+hands it one polynomial, ``root_locus`` all the gains of a sweep and
+``stability_margins`` its exact crossover polynomials in w**2.
 """
 
 from dataclasses import dataclass
@@ -606,56 +607,56 @@ class Margins:
     pm_freq_rad_s: float = None
 
 
-def _crossings(y, level):
-    """Fractional sample positions where y meets or crosses `level`,
-    linearly interpolated between samples."""
-    d = y - level
-    d0, d1 = d[:-1], d[1:]
-    hit = d0 == 0.0
-    at = np.flatnonzero(hit | (d0 * d1 < 0))
-    with np.errstate(invalid="ignore"):     # 0/0 at a hit before a hit
-        pos = at + d0[at] / (d0[at] - d1[at])
-    return [i if h else p for i, h, p in zip(at.tolist(), hit[at].tolist(),
-                                             pos.tolist())]
+# j**k by k mod 4: p(jw) has the exact coefficient c_k j**k at w**k
+_J_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
-def stability_margins(fr):
+def _crossovers(tf):
     """
-    Margins read off an open-loop frequency response.
-
-    Gain margin is taken at every crossing of a phase of -180 + k 360 deg
-    that the unwrapped phase spans, phase margin at the 0 dB crossing,
-    reduced into [-180, 180] deg; crossings are located by log-linear
-    interpolation.  When several crossings exist the smallest margin is
-    reported.  Absent crossings leave the corresponding fields None.
+    ``(w, G(jw))``, ascending, at the w > 0 where ``|G| = 1`` (roots of
+    the even ``|N|^2 - |D|^2``, ``N = N(jw)``, ``D = D(jw)``) and where
+    ``G < 0`` (of the odd ``Im(N conj D)``), solved in w**2.  Coefficients
+    under 2**-1000 of the largest count as 0; a pole on the axis (``|D|``
+    within 1e-9 of its terms) or a G that is not finite is no crossing.
     """
-    logw = np.log(fr.omegas)
-    span = fr.phase_deg[np.isfinite(fr.phase_deg)]
-    levels = []
-    if span.size:
-        levels = [-180.0 + 360.0 * k
-                  for k in range(math.ceil((span.min() + 180.0) / 360.0),
-                                 math.floor((span.max() + 180.0) / 360.0) + 1)]
+    # a power of 2 scales every |c| below 1: G keeps its bits, |N|^2 is finite
+    e = np.frexp(np.abs(tf.num.coeffs + tf.den.coeffs).max())[1]
+    n, d = (np.ldexp(p.coeffs, -e) * _J_POWERS[np.arange(p.degree, -1, -1) % 4]
+            for p in (tf.num, tf.den))
+    gain = np.polysub(np.convolve(n, n.conj()), np.convolve(d, d.conj())).real
+    odd = np.convolve(n, d.conj()).imag
+    out = []
+    with np.errstate(all="ignore"):
+        # gain has odd length: its even powers and odd's odd ones, in w**2
+        for x in (gain[::2], odd[len(odd) % 2::2]):
+            x = np.trim_zeros(np.where(
+                abs(x) < abs(x).max(initial=0.0) * 2.0 ** -1000, 0.0, x), "f")
+            r = _polished_roots(x[None, :])[0] if len(x) > 1 else x[:0]
+            w = np.sqrt(r.real[(r.real > 0) & (abs(r.imag) <= 1e-7 * abs(r))])
+            dw = np.polyval(d, w)
+            g = np.polyval(n, w) / dw
+            keep = np.isfinite(g) & (abs(dw) > 1e-9 * np.polyval(abs(d), w))
+            out.append((w[keep], g[keep]))
+    (gain_w, gain_g), (phase_w, phase_g) = out
+    return (gain_w, gain_g), (phase_w[phase_g.real < 0],
+                              phase_g[phase_g.real < 0])
 
-    def interp(arr, pos):
-        i = int(math.floor(pos))
-        frac = pos - i
-        if i + 1 >= len(arr):
-            return arr[-1]
-        return arr[i] * (1 - frac) + arr[i + 1] * frac
 
-    gm = gmf = pm = pmf = None
-    for pos in (p for level in levels
-                for p in _crossings(fr.phase_deg, level)):
-        cand = -interp(fr.magnitude_db, pos)
-        if gm is None or cand < gm:
-            gm = cand
-            gmf = math.exp(interp(logw, pos))
-    for pos in _crossings(fr.magnitude_db, 0.0):
-        cand = math.remainder(180.0 + interp(fr.phase_deg, pos), 360.0)
-        if pm is None or abs(cand) < abs(pm):
-            pm = cand
-            pmf = math.exp(interp(logw, pos))
+def stability_margins(tf):
+    """
+    Margins of the open loop ``tf`` at its exact crossings: the gain
+    margin ``-20 log10 |G(jw)|`` where G(jw) < 0, the phase margin
+    ``180 + arg G(jw)``, reduced into [-180, 180] deg, where
+    ``|G(jw)| = 1``.  Of several crossings the smallest margin is
+    reported; absent crossings leave the fields None.
+    """
+    (gain_w, gain_g), (phase_w, phase_g) = _crossovers(tf)
+    gms = -20.0 * np.log10(np.abs(phase_g))
+    gm, gmf = min(zip(gms.tolist(), phase_w.tolist()), default=(None, None))
+    pms = [math.remainder(180.0 + a, 360.0)
+           for a in np.degrees(np.angle(gain_g)).tolist()]
+    pm, pmf = min(zip(pms, gain_w.tolist()), key=lambda c: abs(c[0]),
+                  default=(None, None))
     return Margins(gm, gmf, pm, pmf)
 
 

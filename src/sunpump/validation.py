@@ -23,9 +23,8 @@ import math
 import numpy as np
 
 from . import pv
-from .lti import (Polynomial, TransferFunction, error_constants,
-                  frequency_response, poly_roots, routh_table,
-                  ss_error_vs_gain, stability_margins,
+from .lti import (Polynomial, TransferFunction, error_constants, poly_roots,
+                  routh_table, ss_error_vs_gain, stability_margins,
                   stability_verdict_from_roots, step_metrics, step_response,
                   tf_feedback)
 from .plants import (MOTOR_PAPER, PidParams, cascade_plant, cascade_system,
@@ -125,21 +124,20 @@ def build_report():
                      claimed, unit, computed, TOL_READOUT_REL, "rel", note))
 
     # ----- Bode point and margins of the tracking loop -----------------
-    grid = np.geomspace(1e-1, 1e4, 4000)
-    fr10 = frequency_response(10.0 * MOTOR_PAPER, grid)
-    mag116 = float(np.interp(np.log(116.0), np.log(grid), fr10.magnitude_db))
+    g10 = 10.0 * MOTOR_PAPER
+    mag116 = float(20.0 * np.log10(np.abs(g10(116j))))
     add(_row("motor_bode_mag_116", "open-loop gain at 116 rad/s (K=1e5 "
              "read at effective gain 10)", -36.3, "dB", mag116,
              TOL_READOUT_REL, "rel",
              note="literal K=1e5 gives +43.7 dB; effective gain K*1e-4 "
                   "reproduces the Bode figure"))
-    ph893 = float(np.interp(np.log(8.93), np.log(grid), fr10.phase_deg))
+    ph893 = float(np.degrees(np.angle(g10(8.93j))))
     add(_row("motor_bode_phase_893", "open-loop phase at 8.93 rad/s "
              "(claim read as 180 deg + phase)", 67.4, "deg", 180.0 + ph893,
              TOL_READOUT_REL, "rel",
              note="claimed 'phase magnitude' matches the phase measured "
                   "up from -180 deg"))
-    m100 = stability_margins(frequency_response(100.0 * MOTOR_PAPER, grid))
+    m100 = stability_margins(100.0 * MOTOR_PAPER)
     add(_row("motor_K1e6_gm", "gain margin of the K=1e6 loop (effective "
              "gain 100)", 16.3, "dB", m100.gain_margin_db,
              TOL_READOUT_REL, "rel"))
@@ -326,8 +324,7 @@ def build_report():
                      note="normalized loop step L/(1+L) with "
                           "L = C * G * 50"))
     sys2 = cascade_system(50.0, PidParams(4.67, 3.91, -0.0047, 1002.69))
-    marg = stability_margins(frequency_response(
-        sys2.open_loop, np.geomspace(1e-2, 1e5, 6000)))
+    marg = stability_margins(sys2.open_loop)
     add(_row("cascade_tuned2_gm", "tuned cascade gain margin", 38.9, "dB",
              marg.gain_margin_db, TOL_READOUT_REL, "rel"))
     add(_row("cascade_tuned2_gm_freq", "tuned cascade gain-margin "

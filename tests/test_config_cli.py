@@ -996,6 +996,28 @@ class TestCliCommands:
             capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_tf_bode_margin_below_the_grid(self, tmp_path, capsys):
+        # the loop meets 0 dB at sqrt(24)/1000 rad/s, under the CSV
+        # grid's first point: the margin read "absent"
+        assert main(["tf", "bode", "--tf-text", "num: 5 / den: 1000 1",
+                     "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "phase margin: 102 deg @ 0.004899 rad/s" in out
+        assert "gain margin: absent" in out
+
+    @pytest.mark.parametrize("text", [
+        "num: 1 / den: 1 0 1",      # read its pole at +-j: -234 dB @ 1
+        "num: 1 / den: 1",          # read 180 deg @ 0.01 rad/s
+        "num: -1 / den: 1"])        # read -0 dB @ 0.01 rad/s
+    def test_tf_bode_no_false_crossings(self, tmp_path, capsys, text):
+        assert main(["tf", "bode", "--tf-text", text,
+                     "--out", str(tmp_path)]) == 0
+        out, err = capsys.readouterr()
+        assert "gain margin: absent" in out
+        if text != "num: 1 / den: 1 0 1":    # |G| = 1 at sqrt(2) rad/s
+            assert "phase margin: absent" in out
+        assert err == ""
+
     def test_tf_routh(self, capsys):
         assert main(["tf", "routh", "--tf-text",
                      "num: 1 / den: 1 2 5"]) == 0

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+from hypothesis import given, settings, strategies as st
 import mpmath
 import numpy as np
 import pytest
@@ -461,66 +462,121 @@ class TestFrequencyResponse:
         assert fr.phase_deg[-1] == pytest.approx(-270.0, abs=2.0)
 
 
-def _loop_crossings(y, level):
-    """The per-sample loop that ``lti._crossings`` replaced."""
-    out = []
-    d = y - level
-    for i in range(len(d) - 1):
-        if d[i] == 0.0:
-            out.append(i)
-        if d[i] * d[i + 1] < 0:
-            frac = d[i] / (d[i] - d[i + 1])
-            out.append(i + frac)
-    return out
+def _mp_margins(tf):
+    """
+    ``Margins`` of ``tf`` at 50 digits: with ``N(jw) = A(x) + jw B(x)``
+    and ``D(jw) = C(x) + jw E(x)``, ``x = w**2``, the gain crossovers
+    are the positive real roots of ``A^2 + x B^2 - C^2 - x E^2`` and the
+    phase crossovers those of ``B C - A E`` with
+    ``A C + x B E < 0``, found by ``mpmath.polyroots``.
+    """
+    def parts(p):
+        c = [mpmath.mpf(v) for v in reversed(p.coeffs)]   # lowest first
+        even = [(-1) ** (k // 2) * c[k] for k in range(0, len(c), 2)]
+        odd = [(-1) ** (k // 2) * c[k] for k in range(1, len(c), 2)]
+        return even or [0], odd or [0]
+
+    def mul(a, b):
+        out = [mpmath.mpf(0)] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            for k, v in enumerate(b):
+                out[i + k] += u * v
+        return out
+
+    def add(*terms):
+        out = [mpmath.mpf(0)] * max(len(t) for t in terms)
+        for t in terms:
+            for i, v in enumerate(t):
+                out[i] += v
+        return out
+
+    def neg(a):
+        return [-v for v in a]
+
+    def xtimes(a):
+        return [mpmath.mpf(0)] + a
+
+    def positive_roots(lowest_first):
+        c = list(lowest_first)
+        while c and c[-1] == 0:
+            c.pop()
+        while c and c[0] == 0:      # roots at w = 0
+            c.pop(0)
+        if len(c) < 2:
+            return []
+        roots = mpmath.polyroots(c[::-1], maxsteps=500, extraprec=500)
+        return sorted(mpmath.sqrt(r.real) for r in map(mpmath.mpc, roots)
+                      if r.real > 0 and abs(r.imag) <= 1e-30 * abs(r))
+
+    def g(w):
+        s = mpmath.mpc(0, w)
+        return (mpmath.polyval([mpmath.mpf(v) for v in tf.num.coeffs], s)
+                / mpmath.polyval([mpmath.mpf(v) for v in tf.den.coeffs], s))
+
+    with mpmath.workdps(50):
+        A, B = parts(tf.num)
+        C, E = parts(tf.den)
+        gain = add(mul(A, A), xtimes(mul(B, B)), neg(mul(C, C)),
+                   neg(xtimes(mul(E, E))))
+        cross = add(mul(B, C), neg(mul(A, E)))
+        gms = [(-20 * mpmath.log10(abs(g(w))), w)
+               for w in positive_roots(cross) if mpmath.re(g(w)) < 0]
+        pms = [(mpmath.degrees(mpmath.arg(g(w))) + 180, w)
+               for w in positive_roots(gain)]
+        pms = [(pm - 360 if pm > 180 else pm, w) for pm, w in pms]
+        gm = min(gms, default=(None, None))
+        pm = min(pms, key=lambda c: abs(c[0]), default=(None, None))
+        return [None if v is None else float(v) for v in (*gm, *pm)]
 
 
-def _bits(values):
-    """Each value as (is an int, its float64 bytes); None stays None."""
-    return [None if v is None
-            else (isinstance(v, int), np.float64(v).tobytes())
-            for v in values]
+def _registry_loops():
+    from sunpump.plants import PidParams, cascade_system
+    return {"motor_K1e6": 100.0 * MOTOR_PAPER,
+            "cascade_tuned2": cascade_system(
+                50.0, PidParams(4.67, 3.91, -0.0047, 1002.69)).open_loop,
+            "slow_lag": TransferFunction([5.0], [1000.0, 1.0])}
+
+
+_MARGIN_LOOPS = {**{name: preset(name) for name in sorted(PRESETS)},
+                 **_registry_loops()}
 
 
 class TestMargins:
-    @pytest.mark.parametrize("doctored", [False, True],
-                             ids=["as-is", "hits-and-nan"])
-    @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_crossings_match_the_sample_loop(self, name, doctored,
-                                             monkeypatch):
-        fr = frequency_response(preset(name))
-        if doctored:
-            # exact hits, two in a row among them, and NaN phases
-            mag, phase = fr.magnitude_db.copy(), fr.phase_deg.copy()
-            mag[[10, 11, 200]] = 0.0
-            phase[[20, 300]] = -180.0
-            phase[[30, 31, 32, 250]] = math.nan
-            fr = lti.FrequencyResponse(fr.omegas, mag, phase)
-        for y in (fr.magnitude_db, fr.phase_deg):
-            for level in (0.0, -180.0, 180.0, -540.0):
-                assert (_bits(lti._crossings(y, level))
-                        == _bits(_loop_crossings(y, level)))
-        got = stability_margins(fr)
-        monkeypatch.setattr(lti, "_crossings", _loop_crossings)
-        want = stability_margins(fr)
-        fields = ("gain_margin_db", "gm_freq_rad_s", "phase_margin_deg",
-                  "pm_freq_rad_s")
-        assert (_bits(getattr(got, f) for f in fields)
-                == _bits(getattr(want, f) for f in fields))
+    @pytest.mark.parametrize("name", list(_MARGIN_LOOPS))
+    def test_match_a_50_digit_reference(self, name):
+        tf = _MARGIN_LOOPS[name]
+        m = stability_margins(tf)
+        got = [m.gain_margin_db, m.gm_freq_rad_s, m.phase_margin_deg,
+               m.pm_freq_rad_s]
+        want = _mp_margins(tf)
+        assert [v is None for v in got] == [v is None for v in want]
+        for g, w in zip(got, want):
+            if w is not None:
+                assert g == pytest.approx(w, rel=1e-9, abs=0.0)
+
+    def test_crossover_below_the_bode_grid(self):
+        # 5/(1000 s + 1) meets 0 dB at sqrt(24)/1000 rad/s, under the
+        # 1e-2 rad/s where tf bode's CSV grid starts
+        m = stability_margins(TransferFunction([5.0], [1000.0, 1.0]))
+        w = math.sqrt(24.0) / 1000.0
+        assert m.pm_freq_rad_s == pytest.approx(w, rel=1e-14)
+        assert m.phase_margin_deg == pytest.approx(
+            180.0 - math.degrees(math.atan(math.sqrt(24.0))), rel=1e-13)
+        assert m.gain_margin_db is None
 
     def test_analytic_double_pole_crossover(self):
         # |G(jw)| = 1 for 1/(s(s+1)) at w^2(w^2+1) = 1
         g = TransferFunction([1.0], [1.0, 1.0, 0.0])
-        fr = frequency_response(g, np.geomspace(1e-2, 1e2, 4000))
-        m = stability_margins(fr)
+        m = stability_margins(g)
         w = math.sqrt((math.sqrt(5) - 1) / 2)
         pm = 180 - 90 - math.degrees(math.atan(w))
-        assert m.pm_freq_rad_s == pytest.approx(w, rel=1e-3)
-        assert m.phase_margin_deg == pytest.approx(pm, rel=1e-3)
+        assert m.pm_freq_rad_s == pytest.approx(w, rel=1e-14)
+        assert m.phase_margin_deg == pytest.approx(pm, rel=1e-13)
         assert m.gain_margin_db is None   # phase never reaches -180
 
     def test_no_crossing_absent(self):
         g = TransferFunction([1.0], [1.0, 1.0])
-        m = stability_margins(frequency_response(g))
+        m = stability_margins(g)
         assert m.gain_margin_db is None
         assert m.phase_margin_deg is None
 
@@ -528,11 +584,9 @@ class TestMargins:
         # -2/(s+1) meets 0 dB at sqrt(3) rad/s with a phase of +120 deg;
         # its unity-feedback loop has a pole at +1, so the margin is -60,
         # not 180 + 120 = 300
-        g = TransferFunction([-2.0], [1.0, 1.0])
-        m = stability_margins(frequency_response(
-            g, np.geomspace(1e-2, 1e2, 4000)))
-        assert m.pm_freq_rad_s == pytest.approx(math.sqrt(3.0), rel=1e-3)
-        assert m.phase_margin_deg == pytest.approx(-60.0, abs=0.05)
+        m = stability_margins(TransferFunction([-2.0], [1.0, 1.0]))
+        assert m.pm_freq_rad_s == pytest.approx(math.sqrt(3.0), rel=1e-14)
+        assert m.phase_margin_deg == pytest.approx(-60.0, abs=1e-12)
 
     def test_gain_margin_at_every_odd_half_turn(self):
         # -(s/10 + 1)^2 / ((s + 1)(s/100 + 1)) unwraps from just under
@@ -542,20 +596,116 @@ class TestMargins:
                              np.polymul([1.0, 1.0], [0.01, 1.0]))
         fr = frequency_response(g, np.geomspace(1e-2, 1e4, 4000))
         assert fr.phase_deg.min() > -180.0
-        m = stability_margins(fr)
-        assert m.gm_freq_rad_s == pytest.approx(10.0, rel=1e-5)
+        m = stability_margins(g)
+        assert m.gm_freq_rad_s == pytest.approx(10.0, rel=1e-14)
         assert m.gain_margin_db == pytest.approx(20.0 * math.log10(5.05),
-                                                 rel=1e-5)
+                                                 rel=1e-13)
+
+    @pytest.mark.parametrize("num,den", [
+        ([1.0], [1.0, 0.0, 1.0]), ([1.0], [1.0, 1.0, 0.05, 0.05]),
+        ([-1.0], [1.0, 1.0, 0.05, 0.05]), ([1.0, 1.0], [1.0, 0.0, 0.3])])
+    def test_a_pole_on_the_axis_is_no_crossing(self, num, den):
+        # the phase polynomial of each has a root at its pole on the
+        # axis, where Re(N conj D) is 0 or a rounding error of 1e-17;
+        # -1/((s + 1)(s^2 + 0.05)) read a gain margin of -343 dB there
+        with np.errstate(all="raise"):
+            m = stability_margins(TransferFunction(num, den))
+        assert m.gain_margin_db is None
+
+    @pytest.mark.parametrize("num", [1.0, -1.0, -3.0])
+    def test_a_real_constant_has_no_crossings(self, num):
+        # |G| = 1 everywhere, or G real everywhere: no isolated crossing
+        m = stability_margins(TransferFunction([num], [1.0]))
+        assert m == lti.Margins()
+
+    @pytest.mark.parametrize("num,den", [
+        ([1e200], [1.0, 1.0]), ([1.0], [1e-160, 1.0, 1.0]),
+        ([1e300, 0.0, 0.0], [1.0, 1.0, 1.0])])
+    def test_extreme_coefficients_raise_nothing(self, num, den):
+        # |N|^2 of 1e200 overflows, and |D|^2 of 1e-160 s^2 leads with
+        # 1e-320, which made the companion matrix infinite; no crossing
+        # lies between 1e-150 and 1e150 rad/s
+        with np.errstate(all="raise"):
+            m = stability_margins(TransferFunction(num, den))
+        assert m == lti.Margins()
+
+    def test_all_pass_has_no_phase_margin(self):
+        # (1 - s)/(1 + s): |G(jw)| = 1 at every w
+        m = stability_margins(TransferFunction([-1.0, 1.0], [1.0, 1.0]))
+        assert m.phase_margin_deg is None and m.pm_freq_rad_s is None
+
+    def test_a_tangent_crossover_is_found(self):
+        # |N|^2 - |D|^2 = -(w^2 - 1)^2: |G| touches 1 at w = 1 without
+        # crossing it, and the double root in w^2 comes out as a complex
+        # pair 2e-8 off the real axis
+        c = math.sqrt(2.0)
+        b = math.sqrt(2.0 * c - 2.0)
+        m = stability_margins(TransferFunction([1.0], [1.0, b, c]))
+        assert m.pm_freq_rad_s == pytest.approx(1.0, rel=1e-7)
+        assert m.phase_margin_deg == pytest.approx(
+            180.0 - math.degrees(math.atan2(b, c - 1.0)), rel=1e-6)
 
     def test_stable_loop_positive_pm(self):
         for k in (0.5, 2.0, 10.0):
             g = k * TransferFunction([1.0], [1.0, 2.0, 1.0, 0.0])
             cl = tf_feedback(g, 1.0)
-            if np.all(poly_roots(cl.den).real < 0):
-                m = stability_margins(frequency_response(
-                    g, np.geomspace(1e-3, 1e3, 4000)))
+            if stability_verdict_from_roots(cl.den) == "stable":
+                m = stability_margins(g)
                 if m.phase_margin_deg is not None:
                     assert m.phase_margin_deg > 0
+        # at k = 2 the closed loop is (s^2 + 1)(s + 2): marginal, with
+        # both margins 0 at w = 1
+        m = stability_margins(2.0 * TransferFunction([1.0],
+                                                     [1.0, 2.0, 1.0, 0.0]))
+        assert abs(m.phase_margin_deg) <= 1e-9
+        assert abs(m.gain_margin_db) <= 1e-9
+        assert abs(m.pm_freq_rad_s - 1.0) <= 1e-9
+        assert abs(m.gm_freq_rad_s - 1.0) <= 1e-9
+
+
+@st.composite
+def stable_loops(draw):
+    """K N / D with D of degree 2 to 4, its poles in the open left
+    half-plane, and N 1 or one real zero of either sign."""
+    den = [1.0]
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            wn = draw(st.floats(0.1, 10.0))
+            zeta = draw(st.floats(0.02, 0.95))
+            den = np.polymul(den, [1.0, 2.0 * zeta * wn, wn * wn])
+        else:
+            den = np.polymul(den, [1.0, draw(st.floats(0.1, 10.0))])
+    if len(den) < 3:
+        den = np.polymul(den, [1.0, draw(st.floats(0.1, 10.0))])
+    num = [1.0]
+    if draw(st.booleans()):
+        num = [1.0, draw(st.sampled_from([-1.0, 1.0]))
+               * draw(st.floats(0.1, 100.0))]
+    k = 10.0 ** draw(st.floats(-1.0, 4.0))
+    return TransferFunction(k * np.asarray(num), den)
+
+
+class TestCrossoverProperty:
+    @settings(max_examples=150)
+    @given(tf=stable_loops())
+    def test_every_bracketed_crossing_is_found(self, tf):
+        # every crossing that a dense log grid brackets is among the
+        # exact ones, and each exact one is a crossing
+        w = np.geomspace(1e-3, 1e4, 20001)
+        g = tf(1j * w)
+        (gain_w, _), (phase_w, _) = lti._crossovers(tf)
+        lo, hi = w[:-1] * (1 - 1e-9), w[1:] * (1 + 1e-9)
+        mag = np.abs(g) - 1.0
+        for i in np.flatnonzero(mag[:-1] * mag[1:] < 0):
+            assert np.any((gain_w >= lo[i]) & (gain_w <= hi[i])), w[i]
+        im, re = g.imag, g.real
+        for i in np.flatnonzero((im[:-1] * im[1:] < 0) & (re[:-1] < 0)
+                                & (re[1:] < 0)):
+            assert np.any((phase_w >= lo[i]) & (phase_w <= hi[i])), w[i]
+        assert np.all(np.abs(np.abs(tf(1j * gain_w)) - 1.0) <= 1e-9)
+        at = tf(1j * phase_w)
+        assert np.all(at.real < 0)
+        assert np.all(np.abs(at.imag) <= 1e-9 * np.abs(at))
 
 
 class TestRootLocus:
