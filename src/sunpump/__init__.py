@@ -23,11 +23,9 @@ _EXPORTS = {
               "incidence_direction", "optimal_orientation"),
     "mppt": ("MpptState", "po_step", "ic_step", "mppt_run"),
     "tracking": ("tracking_step", "tracking_sim"),
-    "plants": ("MotorParams", "PidParams", "TankParams", "ValveParams",
-               "motor_tf", "pid_tf", "closed_loop_char_poly", "pump_tf",
-               "tank_tf", "valve_linearize", "tank_loop_tf",
-               "tank_second_order", "cascade_system", "metering_pump_tf",
-               "preset", "PRESETS"),
+    "plants": ("MotorParams", "PidParams", "TankParams", "motor_tf",
+               "pid_tf", "pump_tf", "tank_tf", "tank_second_order",
+               "cascade_system", "metering_pump_tf", "preset", "PRESETS"),
     "scenario": ("ScenarioConfig", "control_logic_step", "run_scenario"),
     "config": ("parse_config",),
     "validation": ("build_report",),

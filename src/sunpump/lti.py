@@ -92,9 +92,12 @@ class TransferFunction:
     def __init__(self, num, den):
         num = num if isinstance(num, Polynomial) else Polynomial(num)
         den = den if isinstance(den, Polynomial) else Polynomial(den)
-        lead = den.coeffs[0]
-        object.__setattr__(self, "num", Polynomial(np.asarray(num.coeffs) / lead))
-        object.__setattr__(self, "den", den.monic())
+        with np.errstate(over="ignore"):
+            # an overflow leaves inf, which Polynomial rejects as not finite
+            num = Polynomial(np.asarray(num.coeffs) / den.coeffs[0])
+            den = den.monic()
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     @property
     def proper(self):
@@ -398,6 +401,15 @@ class StepMetrics:
     steady_state_value: float
 
 
+def _meet_time(t, y, k, level):
+    """Time between samples k and k+1 at which y meets `level`, linearly
+    interpolated."""
+    y0, y1 = y[k], y[k + 1]
+    if y1 == y0:
+        return t[k + 1]
+    return t[k] + (level - y0) / (y1 - y0) * (t[k + 1] - t[k])
+
+
 def _cross_time(t, y, level, rising=True):
     """First time y crosses `level`, linearly interpolated."""
     above = y >= level if rising else y <= level
@@ -406,11 +418,7 @@ def _cross_time(t, y, level, rising=True):
         return None
     if idx == 0:
         return t[0]
-    y0, y1 = y[idx - 1], y[idx]
-    if y1 == y0:
-        return t[idx]
-    frac = (level - y0) / (y1 - y0)
-    return t[idx - 1] + frac * (t[idx] - t[idx - 1])
+    return _meet_time(t, y, idx - 1, level)
 
 
 def step_metrics(trace):
@@ -458,12 +466,8 @@ def step_metrics(trace):
     outside = dev > band
     if outside.any():
         last = len(outside) - 1 - int(np.argmax(outside[::-1]))
-        if last + 1 < len(t):
-            y0, y1 = dev[last], dev[last + 1]
-            frac = (y0 - band) / (y0 - y1) if y0 != y1 else 1.0
-            settle = t[last] + frac * (t[last + 1] - t[last])
-        else:
-            settle = t[last]
+        settle = (_meet_time(t, dev, last, band) if last + 1 < len(t)
+                  else t[last])
     else:
         settle = 0.0
     return StepMetrics(rise, settle, overshoot, peak, t[peak_idx], final)

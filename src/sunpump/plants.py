@@ -1,7 +1,7 @@
 """
 Transfer-function constructors for the pumping-system components: the
-tracking motor, PID controllers, pumps, tanks, the valve linearization,
-and the assembled sensor-feedback cascade.
+tracking motor, PID controllers, pumps, tanks and the assembled
+sensor-feedback cascade.
 
 Every constructor is a pure function returning a canonicalized
 :class:`~sunpump.lti.TransferFunction`; named presets for all systems
@@ -9,9 +9,8 @@ used in the analyses live in :data:`PRESETS`.
 """
 
 from dataclasses import dataclass
-import math
 
-from .lti import TransferFunction, tf_feedback
+from .lti import TransferFunction
 
 
 @dataclass(frozen=True)
@@ -63,21 +62,6 @@ class TankParams:
             raise ValueError("tank parameters must be > 0")
 
 
-@dataclass(frozen=True)
-class ValveParams:
-    """Sharp-edged-orifice valve at an operating level h_0."""
-
-    c_v: float
-    a_v: float
-    h_0: float
-
-    def __post_init__(self):
-        if self.c_v <= 0 or self.a_v <= 0:
-            raise ValueError("valve coefficients must be > 0")
-        if self.h_0 < 0:
-            raise ValueError("operating level must be >= 0")
-
-
 def motor_tf(mp):
     """
     Open-loop position transfer function of the tracking motor:
@@ -115,19 +99,6 @@ def pid_tf(pp):
     return TransferFunction(num, den)
 
 
-def closed_loop_char_poly(c, g):
-    """
-    Monic numerator polynomial of ``1 + G C``: the denominator of the
-    closed loop ``G / (1 + G C)``.
-
-    Raises
-    ------
-    DegenerateSystemError
-        If ``1 + G C`` cancels to the zero polynomial.
-    """
-    return tf_feedback(g, c).den
-
-
 def pump_tf(k, tau):
     """First-order pump ``K / (1 + tau s)``."""
     if tau <= 0:
@@ -141,29 +112,6 @@ def tank_tf(tp):
     return TransferFunction([r], [r * tp.area_A, 1.0])
 
 
-def valve_linearize(vp):
-    """
-    Linearize the orifice flow ``f(h) = c_v a_v sqrt(h)`` at ``h_0``.
-
-    Returns
-    -------
-    (D_slope, k_v, f_h0): the slope of the valve characteristic at the
-    operating level, its reciprocal gain, and the steady-state flow.
-    """
-    if vp.h_0 == 0:
-        raise ZeroDivisionError("linearization is singular at h_0 = 0")
-    f_h0 = vp.c_v * vp.a_v * math.sqrt(vp.h_0)
-    d_slope = vp.c_v * vp.a_v / (2.0 * math.sqrt(vp.h_0))
-    return d_slope, 1.0 / d_slope, f_h0
-
-
-def tank_loop_tf(k_i, k_s, k_v, tau_v):
-    """Pump/sensor/valve first-order loop ``k_i k_s k_v / (tau_v s + 1)``."""
-    if tau_v <= 0:
-        raise ValueError("time constant must be > 0")
-    return TransferFunction([k_i * k_s * k_v], [tau_v, 1.0])
-
-
 def tank_second_order(k=1.0):
     """Sensor-feedback tank response ``5K / (s^2 + 0.02241 s + 5)``."""
     return TransferFunction([5.0 * k], [1.0, 0.02241, 5.0])
@@ -174,17 +122,6 @@ def metering_pump_tf():
     return TransferFunction([1.869], [1.0, 12.32, 0.4582])
 
 
-@dataclass(frozen=True)
-class CascadeSystem:
-    """Pump+tank plant under PID control with a gain sensor."""
-
-    plant: TransferFunction
-    controller: TransferFunction
-    sensor_gain: float
-    open_loop: TransferFunction          # C G H
-    closed_loop_unity: TransferFunction  # L / (1 + L), normalized loop
-
-
 def cascade_plant():
     """Pump ``5/(0.1 s + 1)`` times tank ``0.01/(s + 1)``."""
     return pump_tf(5.0, 0.1) * tank_tf(TankParams(area_A=100.0, outflow_R=0.01))
@@ -192,16 +129,12 @@ def cascade_plant():
 
 def cascade_system(k_sensor, pid):
     """
-    Assemble the soil-watering loop: PID controller, pump-tank plant,
-    and a pure-gain level sensor.
-
-    ``closed_loop_unity`` is the normalized loop step ``L/(1+L)`` with
-    ``L = C G H`` (what a loop-shaping tuner reports).
+    Open loop ``L = C G H`` of the soil-watering loop: PID controller,
+    pump-tank plant and a pure-gain level sensor.  Its unity-feedback
+    closure ``L/(1+L)`` is the normalized loop a loop-shaping tuner
+    reports.
     """
-    g = cascade_plant()
-    c = pid_tf(pid)
-    loop = c * g * k_sensor
-    return CascadeSystem(g, c, k_sensor, loop, tf_feedback(loop, 1.0))
+    return pid_tf(pid) * cascade_plant() * k_sensor
 
 
 # Numeric tracking-motor system exactly as used by the analyses; the

@@ -28,8 +28,8 @@ from .lti import (Polynomial, TransferFunction, error_constants, poly_roots,
                   stability_verdict_from_roots, step_metrics, step_response,
                   tf_feedback)
 from .plants import (MOTOR_PAPER, PidParams, cascade_plant, cascade_system,
-                     closed_loop_char_poly, metering_pump_tf, motor_tf,
-                     MotorParams, pid_tf, pump_tf, tank_second_order)
+                     metering_pump_tf, motor_tf, MotorParams, pid_tf, pump_tf,
+                     tank_second_order)
 
 TOL_POLE_ABS = 1e-3
 TOL_READOUT_REL = 0.15
@@ -172,7 +172,7 @@ def build_report():
 
     # ----- characteristic quartic and its stability table --------------
     pid = PidParams(K_p=9.51202, K_i=5.6443, K_d=0.00022)
-    char = closed_loop_char_poly(pid_tf(pid), MOTOR_PAPER)
+    char = tf_feedback(MOTOR_PAPER, pid_tf(pid)).den
     printed_quartic = Polynomial([1.0, 625.8, 1.382e4, 1.239e7, 7.349e6])
     for idx, name in ((1, "s3"), (2, "s2"), (3, "s1"), (4, "s0")):
         add(_row(f"charpoly_{name}", f"characteristic polynomial {name} "
@@ -251,11 +251,11 @@ def build_report():
              poles.real.min(), TOL_POLE_ABS, "abs"))
     add(_row("cascade_pole_slow", "cascade plant slow pole", -1.0, "1/s",
              poles.real.max(), TOL_POLE_ABS, "abs"))
-    all_stable = all(
-        routh_table(tf_feedback(k * plant, 1.0).den).verdict == "stable"
-        and stability_verdict_from_roots(
-            tf_feedback(k * plant, 1.0).den) == "stable"
-        for k in (0.1, 1.0, 10.0, 100.0, 1000.0, 1e6))
+    closed_dens = (tf_feedback(k * plant, 1.0).den
+                   for k in (0.1, 1.0, 10.0, 100.0, 1000.0, 1e6))
+    all_stable = all(routh_table(den).verdict == "stable"
+                     and stability_verdict_from_roots(den) == "stable"
+                     for den in closed_dens)
     add(_row("tableIII_all_K", "cascade loop stable for all sampled K > 0 "
              "(1 = stable, Routh and root oracle)", 1.0, "-",
              1.0 if all_stable else 0.0, TOL_ANALYTIC_REL, "rel"))
@@ -305,14 +305,15 @@ def build_report():
              note="quadratic-formula poles -0.0373 and -12.283"))
 
     # ----- tuned cascade (sensor gain 50) --------------------------------
-    for label, pidp, claims in (
-        ("cascade_tuned1", PidParams(0.653, 1.085, 0.03, 19.23),
+    tuned2 = cascade_system(50.0, PidParams(4.67, 3.91, -0.0047, 1002.69))
+    for label, loop, claims in (
+        ("cascade_tuned1",
+         cascade_system(50.0, PidParams(0.653, 1.085, 0.03, 19.23)),
          dict(rise=0.812, settling=3.04, overshoot=7.47, peak=1.07)),
-        ("cascade_tuned2", PidParams(4.67, 3.91, -0.0047, 1002.69),
+        ("cascade_tuned2", tuned2,
          dict(rise=0.146, settling=0.796, overshoot=18.1, peak=1.18)),
     ):
-        sys = cascade_system(50.0, pidp)
-        m = step_metrics(step_response(sys.closed_loop_unity, 12.0))
+        m = _loop_metrics(loop, 12.0)
         claim_map = dict(rise=(m.rise_time_s, "s"),
                          settling=(m.settling_time_s, "s"),
                          overshoot=(m.overshoot_pct, "%"),
@@ -323,8 +324,7 @@ def build_report():
                      claimed, unit, computed, TOL_READOUT_REL, "rel",
                      note="normalized loop step L/(1+L) with "
                           "L = C * G * 50"))
-    sys2 = cascade_system(50.0, PidParams(4.67, 3.91, -0.0047, 1002.69))
-    marg = stability_margins(sys2.open_loop)
+    marg = stability_margins(tuned2)
     add(_row("cascade_tuned2_gm", "tuned cascade gain margin", 38.9, "dB",
              marg.gain_margin_db, TOL_READOUT_REL, "rel"))
     add(_row("cascade_tuned2_gm_freq", "tuned cascade gain-margin "

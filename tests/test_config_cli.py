@@ -1,7 +1,10 @@
 import math
+import os
 from pathlib import Path
 import re
 import shlex
+import subprocess
+import sys
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -641,6 +644,26 @@ class TestCliExitCodes:
         assert captured.err.startswith("usage error: tf-text: ")
         assert captured.out == ""
         assert not any(tmp_path.iterdir())
+
+    def test_overflowing_tf_text_prints_only_the_usage_error(self,
+                                                              tmp_path):
+        # 1e308 / 1e-308 overflows as the system is made monic: numpy's
+        # overflow warning printed ahead of the usage error; a fresh
+        # interpreter shows what a user sees, warnings printed, not raised
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(
+            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "sunpump.cli", "tf",
+             "analyze", "--tf-text", "num: 1e308 / den: 1e-308 1",
+             "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+            text=True, timeout=300)
+        assert proc.returncode == 1
+        assert proc.stderr == ("usage error: tf-text: coefficients must be "
+                               "finite, got [inf]\n")
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [["scenario", "run"], ["tf"]],
                              ids=["scenario-run", "tf"])

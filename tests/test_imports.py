@@ -34,11 +34,9 @@ EXPORTS = {
               "incidence_direction", "optimal_orientation"),
     "mppt": ("MpptState", "po_step", "ic_step", "mppt_run"),
     "tracking": ("tracking_step", "tracking_sim"),
-    "plants": ("MotorParams", "PidParams", "TankParams", "ValveParams",
-               "motor_tf", "pid_tf", "closed_loop_char_poly", "pump_tf",
-               "tank_tf", "valve_linearize", "tank_loop_tf",
-               "tank_second_order", "cascade_system", "metering_pump_tf",
-               "preset", "PRESETS"),
+    "plants": ("MotorParams", "PidParams", "TankParams", "motor_tf",
+               "pid_tf", "pump_tf", "tank_tf", "tank_second_order",
+               "cascade_system", "metering_pump_tf", "preset", "PRESETS"),
     "scenario": ("ScenarioConfig", "control_logic_step", "run_scenario"),
     "config": ("parse_config",),
     "validation": ("build_report",),
@@ -61,7 +59,7 @@ class TestExports:
     def test_all_lists_every_export(self):
         assert sorted(sunpump.__all__) == sorted(
             name for names in EXPORTS.values() for name in names)
-        assert len(sunpump.__all__) == 53
+        assert len(sunpump.__all__) == 49
 
     @pytest.mark.parametrize("module, name", [
         (module, name) for module, names in EXPORTS.items()

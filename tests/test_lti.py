@@ -53,6 +53,14 @@ class TestPolynomial:
         with pytest.raises(ValueError, match="finite"):
             tf_from_text(f"num: {bad} / den: 1 1")
 
+    @pytest.mark.parametrize("num,den", [
+        ([1e308], [1e-308, 1.0]), ([1.0], [1e-308, 1e10])])
+    def test_overflow_while_made_monic_is_not_finite(self, num, den):
+        # the division by the leading coefficient overflows to inf; it
+        # raised numpy's RuntimeWarning (an error under -W error) first
+        with pytest.raises(ValueError, match="finite"):
+            TransferFunction(num, den)
+
     def test_eval_and_multiply(self):
         p = Polynomial([1.0, 2.0])  # s + 2
         q = Polynomial([1.0, 3.0])  # s + 3
@@ -533,7 +541,7 @@ def _registry_loops():
     from sunpump.plants import PidParams, cascade_system
     return {"motor_K1e6": 100.0 * MOTOR_PAPER,
             "cascade_tuned2": cascade_system(
-                50.0, PidParams(4.67, 3.91, -0.0047, 1002.69)).open_loop,
+                50.0, PidParams(4.67, 3.91, -0.0047, 1002.69)),
             "slow_lag": TransferFunction([5.0], [1000.0, 1.0])}
 
 
@@ -954,8 +962,8 @@ class TestBlockedStepResponse:
     def test_longest_validate_response(self):
         # the tuned cascade loop of the validation report: 240 675 samples
         from sunpump.plants import PidParams, cascade_system
-        closed = cascade_system(
-            50.0, PidParams(4.67, 3.91, -0.0047, 1002.69)).closed_loop_unity
+        closed = tf_feedback(cascade_system(
+            50.0, PidParams(4.67, 3.91, -0.0047, 1002.69)), 1.0)
         tr = step_response(closed, 12.0)
         y = _loop_step_y(closed, 12.0)
         assert len(y) == 240675

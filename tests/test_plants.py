@@ -6,13 +6,10 @@ import pytest
 from sunpump.lti import (DegenerateSystemError, TransferFunction, poly_roots,
                          routh_table, stability_verdict_from_roots,
                          tf_feedback)
-from sunpump.plants import (MOTOR_PAPER, CascadeSystem, MotorParams,
-                            PidParams, TankParams, ValveParams,
-                            cascade_plant, cascade_system,
-                            closed_loop_char_poly, metering_pump_tf,
-                            motor_tf, pid_tf, preset, pump_tf,
-                            tank_loop_tf, tank_second_order, tank_tf,
-                            valve_linearize)
+from sunpump.plants import (MOTOR_PAPER, MotorParams, PidParams,
+                            TankParams, cascade_plant, cascade_system,
+                            metering_pump_tf, motor_tf, pid_tf, preset,
+                            pump_tf, tank_second_order, tank_tf)
 
 
 class TestMotor:
@@ -66,14 +63,17 @@ class TestPid:
 
 
 class TestCharPoly:
+    """The characteristic polynomial of the loop G C is the monic
+    denominator of its closure ``tf_feedback(g, c)``."""
+
     def test_integrator_unity(self):
         c = TransferFunction([1.0], [1.0])
         g = TransferFunction([1.0], [1.0, 0.0])
-        assert closed_loop_char_poly(c, g).coeffs == pytest.approx((1.0, 1.0))
+        assert tf_feedback(g, c).den.coeffs == pytest.approx((1.0, 1.0))
 
     def test_quoted_pid_gains_on_numeric_motor(self):
         c = pid_tf(PidParams(K_p=9.51202, K_i=5.6443, K_d=0.00022))
-        char = closed_loop_char_poly(c, MOTOR_PAPER)
+        char = tf_feedback(MOTOR_PAPER, c).den
         assert char.degree == 4
         # s^3 coefficient reproduces the printed 625.8; the printed s^1
         # and s^0 terms are 100x the assembled loop (validation report)
@@ -85,12 +85,12 @@ class TestCharPoly:
         g = TransferFunction([1.0], [1.0, 1.0])
         c = TransferFunction([-1.0, -1.0], [1.0])   # G C = -1
         with pytest.raises(DegenerateSystemError):
-            closed_loop_char_poly(c, g)
+            tf_feedback(g, c)
 
     def test_zero_controller_gives_plant_poles(self):
         g = TransferFunction([2.0], [1.0, 3.0])
         c = TransferFunction([1e-300], [1.0])  # effectively zero
-        char = closed_loop_char_poly(c, g)
+        char = tf_feedback(g, c).den
         assert char.coeffs == pytest.approx((1.0, 3.0))
 
 
@@ -110,51 +110,6 @@ class TestPumpTank:
         pole = poly_roots(tf.den)[0].real
         assert pole == pytest.approx(-1.0 / (0.2 * 50.0))
         assert tf.dc_gain() == pytest.approx(0.2)
-
-
-class TestValve:
-    def test_unit_orifice(self):
-        d, k_v, f = valve_linearize(ValveParams(c_v=1.0, a_v=1.0, h_0=1.0))
-        assert f == pytest.approx(1.0)
-        assert d == pytest.approx(0.5)
-        assert k_v == pytest.approx(2.0)
-
-    def test_sqrt_scaling(self):
-        d1, _, f1 = valve_linearize(ValveParams(1.0, 1.0, 1.0))
-        d4, _, f4 = valve_linearize(ValveParams(1.0, 1.0, 4.0))
-        assert f4 == pytest.approx(2 * f1)
-        assert d4 == pytest.approx(d1 / 2)
-
-    @pytest.mark.parametrize("h0", [0.1, 1.0, 10.0])
-    def test_slope_matches_finite_difference(self, h0):
-        cv, av = 0.8, 1.3
-        d, _, _ = valve_linearize(ValveParams(cv, av, h0))
-        eps = 1e-6 * h0
-        fd = (cv * av * math.sqrt(h0 + eps)
-              - cv * av * math.sqrt(h0 - eps)) / (2 * eps)
-        assert d == pytest.approx(fd, rel=1e-6)
-
-    def test_singular_at_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            valve_linearize(ValveParams(1.0, 1.0, 0.0))
-
-
-class TestTankLoop:
-    def test_all_unity(self):
-        tf = tank_loop_tf(1.0, 1.0, 1.0, 1.0)
-        assert tf.num.coeffs == pytest.approx((1.0,))
-        assert tf.den.coeffs == pytest.approx((1.0, 1.0))
-
-    def test_gain_product(self):
-        assert tank_loop_tf(2.0, 3.0, 4.0, 1.0).dc_gain() == \
-            pytest.approx(24.0)
-
-    def test_time_constant_from_valve(self):
-        d, k_v, _ = valve_linearize(ValveParams(1.0, 1.0, 1.0))
-        tau_v = 100.0 / d
-        assert tau_v == pytest.approx(200.0)
-        tf = tank_loop_tf(1.0, 1.0, k_v, tau_v)
-        assert poly_roots(tf.den)[0].real == pytest.approx(-1 / 200.0)
 
 
 class TestSecondOrderTank:
@@ -205,13 +160,15 @@ class TestCascade:
         assert all(v > 0 for v in res.first_column)
 
     def test_assembly_shapes(self):
-        sys = cascade_system(50.0, PidParams(K_p=1.0, K_i=0.5, K_d=0.1,
-                                             N_filter=20.0))
-        assert isinstance(sys, CascadeSystem)
-        assert sys.sensor_gain == 50.0
+        pid = PidParams(K_p=1.0, K_i=0.5, K_d=0.1, N_filter=20.0)
+        loop = cascade_system(50.0, pid)
+        assert isinstance(loop, TransferFunction)
+        # the sensor gain 50 multiplies C*G
+        assert loop(2.0j) == pytest.approx(
+            50.0 * pid_tf(pid)(2.0j) * cascade_plant()(2.0j), rel=1e-12)
         # loop = C*G*H: DC of loop num vs den: integrator makes it type 1
-        assert sys.open_loop.den.coeffs[-1] == pytest.approx(0.0)
-        assert sys.closed_loop_unity.dc_gain() == pytest.approx(1.0)
+        assert loop.den.coeffs[-1] == pytest.approx(0.0)
+        assert tf_feedback(loop, 1.0).dc_gain() == pytest.approx(1.0)
 
 
 class TestPresets:
