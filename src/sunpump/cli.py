@@ -317,8 +317,9 @@ def _cmd_scenario(args):
         raise ConfigError(
             f"{args.config} holds an [analysis] request, not a scenario")
     overrides = {"dt_s": args.dt, "duration_s": args.t_end}
-    cfg = replace(cfg, **{name: v for name, v in overrides.items()
-                          if v is not None})
+    overrides = {name: v for name, v in overrides.items() if v is not None}
+    if overrides:       # replace checks the config again
+        cfg = replace(cfg, **overrides)
     trace, summary = run_scenario(cfg)
     path = _out_path(args, "scenario_trace.csv")
     csvio.emit_csv(trace.COLUMNS,

@@ -3,8 +3,9 @@ Line-oriented ``key = value`` configuration files with ``[section]``
 headers.
 
 The parser keeps line numbers so diagnostics can point at the offending
-line; unknown keys and duplicate keys are hard errors.  Profiles are
-comma-separated breakpoint lists, e.g.::
+line; unknown keys and duplicate keys are hard errors, and the values
+are checked as the :class:`ScenarioConfig` or :class:`AnalysisRequest`
+is built.  Profiles are comma-separated breakpoint lists, e.g.::
 
     [environment]
     irradiance_profile = 0:100, 3600:950, 7200:60
@@ -61,7 +62,7 @@ class AnalysisRequest:
     dt: float = None
     gains: str = None
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in ANALYSIS_KINDS:
             raise ConfigError(
                 f"analysis kind must be one of {', '.join(ANALYSIS_KINDS)}")
@@ -80,7 +81,6 @@ class AnalysisRequest:
                     parse(value)
             except ValueError as exc:
                 raise ConfigError(f"analysis {name}: {exc}") from None
-        return self
 
 
 def _parse_profile(key, raw, lineno, width):
@@ -163,9 +163,9 @@ def parse_config_text(text):
                 + ", ".join(sorted(scenario_keys)))
         if "kind" not in picked_analysis:
             raise ConfigError("[analysis] requires a 'kind' key")
-        return AnalysisRequest(**picked_analysis).validate()
+        return AnalysisRequest(**picked_analysis)
 
-    return ScenarioConfig(**values).validate()
+    return ScenarioConfig(**values)
 
 
 def parse_config(path):

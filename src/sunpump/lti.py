@@ -290,7 +290,8 @@ def default_step_dt(tf, t_end):
     mags = np.abs(tf.poles())
     dt = t_end / 2000.0
     if mags.size and mags.max() > 0:
-        dt = min(dt, 1.0 / (20.0 * mags.max()))
+        with np.errstate(over="ignore"):    # dt 0 is refused by the caller
+            dt = min(dt, 1.0 / (20.0 * mags.max()))
     return dt
 
 
@@ -801,8 +802,8 @@ def ss_error_vs_gain(g_template, gains, error_kind="step"):
     elif sys_type < order:
         errors = np.full(len(gains), math.inf)
     else:
-        const = num_low * gains / den_low
-        with np.errstate(divide="raise"):
+        with np.errstate(over="ignore", divide="raise"):
+            const = num_low * gains / den_low   # inf: an error of 0
             errors = 1.0 / (1.0 + const) if order == 0 else 1.0 / const
     targets = {}
     for target in (0.1, 0.01):

@@ -26,12 +26,14 @@ other tank or in the delivered-to-soil ledger, so conservation holds to
 floating-point accumulation error.  So is the energy ledger: harvested
 = pump load + change in stored energy + curtailed (cut off by the SOC
 clamp at 100 %) - deficit (made up by the clamp at 0 %).
+
+A :class:`ScenarioConfig` checks itself when it is built, by
+``dataclasses.replace`` too, so a config that exists is valid; a
+profile is any 2-D array-like of numbers.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass, fields
 import math
-from numbers import Real
 
 import numpy as np
 
@@ -86,7 +88,11 @@ class ScenarioConfig:
     tracker_init_elev: float = None   # default: aligned with first sun point
     tracker_init_azi: float = None
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
+        """Raise :class:`ConfigError` at the first bad input; return self."""
         for key in RANGES:
             # a profile column is checked below, and a tracker start may
             # be left unset
@@ -111,19 +117,18 @@ class ScenarioConfig:
         if self.mppt_algo not in ("po", "ic"):
             raise ConfigError("mppt_algo must be 'po' or 'ic'")
         for prof, columns in PROFILES.items():
-            pts = getattr(self, prof)
-            if not (isinstance(pts, Sequence) and len(pts) and all(
-                    isinstance(p, Sequence) and len(p) == len(columns)
-                    and all(isinstance(v, Real) for v in p) for p in pts)):
+            try:
+                table = np.array(getattr(self, prof))
+            except ValueError:      # ragged rows: refused below
+                table = np.empty(0)
+            if not (table.ndim == 2 and len(table)
+                    and table.shape[1] == len(columns)
+                    and table.dtype.kind in "biuf"):
                 raise ConfigError(f"{prof} must be a nonempty sequence of "
                                   f"rows of {len(columns)} numbers")
-            try:
-                table = np.array(pts, dtype=float)
-            except OverflowError as exc:    # an int past the float range
-                raise ConfigError(f"{prof}: {exc}") from None
             for key, column in zip(columns, table.T):
                 check(key, column, ConfigError, f"{prof} ")
-            if any(p1[0] <= p0[0] for p0, p1 in zip(pts, pts[1:])):
+            if (table[1:, 0] <= table[:-1, 0]).any():
                 raise ConfigError(f"{prof} breakpoints must be ascending")
         return self
 
@@ -235,15 +240,10 @@ def _hydraulics(cfg, pv_power):
     h = _Hydraulics(cfg, n)
     blocks.run(n, _BLOCK_MIN, lambda k: h.step(k, pv_power.item(k)),
                lambda k, m, _: h.block(k, pv_power[k:k + m]))
-    # summed by blocks: one whole-run sum adds 1 MiB to the peak RSS
-    harvested_Ws = 0.0
-    for k in range(0, n, blocks.BLOCK_MAX):
-        harvested_Ws = _partial_sums(harvested_Ws, pv_power[
-            k:k + blocks.BLOCK_MAX] * cfg.dt_s).item(-1)
     capacity_Wh = cfg.battery_capacity_Wh
     return h.columns, dict(
         final_soc_pct=h.soc, water_delivered_L=h.delivered,
-        energy_harvested_Wh=harvested_Ws / 3600.0,
+        energy_harvested_Wh=h.harvested_Ws / 3600.0,
         energy_load_Wh=h.load_Ws / 3600.0,
         energy_curtailed_Wh=h.curtailed_pct / 100.0 * capacity_Wh,
         energy_deficit_Wh=h.deficit_pct / 100.0 * capacity_Wh)
@@ -265,7 +265,8 @@ class _Hydraulics:
         self.pump1 = self.pump2 = False
         self.relay = True
         self.flow1 = self.flow2 = 0.0
-        self.load_Ws = self.curtailed_pct = self.deficit_pct = 0.0
+        self.harvested_Ws = self.load_Ws = 0.0
+        self.curtailed_pct = self.deficit_pct = 0.0
         self.columns = {name: np.zeros(n_steps) for name in (
             "soc_pct", "pump1_on", "pump2_on", "tank2_level_pct",
             "soil_moisture_pct", "battery_relay", "tank1_level_pct",
@@ -332,6 +333,7 @@ class _Hydraulics:
         cut = raw - self.soc        # > 0 at the clamp at 100, < 0 at 0
         self.curtailed_pct += max(cut, 0.0)
         self.deficit_pct += max(-cut, 0.0)
+        self.harvested_Ws += power * cfg.dt_s
         self.load_Ws += load * cfg.dt_s
         self.delivered += move2
         self._write(k, self.tank1, self.tank2, self.soil, self.soc,
@@ -400,6 +402,8 @@ class _Hydraulics:
             self.tank1, self.tank2 = tank1.item(-1), tank2.item(-1)
             self.soil, self.soc = soil.item(-1), soc.item(-1)
             self.delivered = delivered.item(-1)
+            self.harvested_Ws = _partial_sums(self.harvested_Ws,
+                                              power[:c] * dt).item(-1)
             self.load_Ws = _partial_sums(self.load_Ws,
                                          load[:c] * dt).item(-1)
             # what the SOC clamp cut off: > 0 at 100 and < 0 at 0
@@ -445,7 +449,6 @@ def run_scenario(cfg):
     where the effective irradiance ``G cos(alpha)`` is positive; then
     relays, pump flows, water and battery (:func:`_hydraulics`).
     """
-    cfg.validate()
     n_steps = int(round(cfg.duration_s / cfg.dt_s))
     dt = cfg.dt_s
 

@@ -585,6 +585,18 @@ class TestHelpText:
         assert capsys.readouterr().out == text
 
 
+def fresh_cli(*argv):
+    """``sunpump argv`` in a fresh interpreter, which shows what a user
+    sees: warnings printed, not raised."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-m", "sunpump.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=300)
+
+
 class TestCliExitCodes:
     def test_usage_error(self, capsys):
         assert main(["tf", "wrong-mode"]) == 1
@@ -648,22 +660,29 @@ class TestCliExitCodes:
     def test_overflowing_tf_text_prints_only_the_usage_error(self,
                                                               tmp_path):
         # 1e308 / 1e-308 overflows as the system is made monic: numpy's
-        # overflow warning printed ahead of the usage error; a fresh
-        # interpreter shows what a user sees, warnings printed, not raised
-        src = Path(__file__).resolve().parents[1] / "src"
-        path = os.pathsep.join(
-            p for p in (str(src), os.environ.get("PYTHONPATH")) if p)
-        proc = subprocess.run(
-            [sys.executable, "-W", "default", "-m", "sunpump.cli", "tf",
-             "analyze", "--tf-text", "num: 1e308 / den: 1e-308 1",
-             "--out", str(tmp_path / "out")],
-            env=dict(os.environ, PYTHONPATH=path), capture_output=True,
-            text=True, timeout=300)
+        # overflow warning printed ahead of the usage error
+        proc = fresh_cli("tf", "analyze", "--tf-text",
+                         "num: 1e308 / den: 1e-308 1",
+                         "--out", str(tmp_path / "out"))
         assert proc.returncode == 1
         assert proc.stderr == ("usage error: tf-text: coefficients must be "
                                "finite, got [inf]\n")
         assert proc.stdout == ""
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["tf", "step", "--closed", "--tf-text",
+          "num: 1e308 / den: 1 1e-300"], 3,
+         "numeric failure: the default dt for t_end = 10.0 is 0\n"),
+        (["tf", "errors", "--gains", "1e300:1e308:3", "--tf-text",
+          "num: 1e10 / den: 1 1"], 0, "")], ids=["step", "errors"])
+    def test_overflow_prints_no_numpy_warning(self, tmp_path, argv, code,
+                                              err):
+        # 20 |p| overflows for the default dt, and K 1e10 for the error;
+        # numpy's overflow warning printed on stderr
+        proc = fresh_cli(*argv, "--out", str(tmp_path))
+        assert proc.returncode == code
+        assert proc.stderr == err
 
     @pytest.mark.parametrize("argv", [["scenario", "run"], ["tf"]],
                              ids=["scenario-run", "tf"])
@@ -1174,6 +1193,23 @@ class TestCliCommands:
         assert "(120 steps)" in capsys.readouterr().out
         lines = (tmp_path / "scenario_trace.csv").read_text().splitlines()
         assert len(lines) == 121
+
+    @pytest.mark.parametrize("overrides, checks", [
+        ([], 1), (["--dt", "0.5"], 2), (["--t-end", "60"], 2)])
+    def test_scenario_run_checks_its_config_once(self, tmp_path, capsys,
+                                                 monkeypatch, overrides,
+                                                 checks):
+        # a run checked its config as parsed and again in run_scenario;
+        # now it is checked when built, and again only by an override
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text(MINIMAL)
+        calls = []
+        check = ScenarioConfig.validate
+        monkeypatch.setattr(ScenarioConfig, "validate",
+                            lambda self: calls.append(self) or check(self))
+        assert main(["scenario", "run", "--config", str(cfg), *overrides,
+                     "--out", str(tmp_path)]) == 0
+        assert len(calls) == checks
 
 
 class TestDeterminism:

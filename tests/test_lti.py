@@ -314,6 +314,14 @@ class TestStepResponse:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             step_response(tf, t_end, dt)
 
+    def test_default_dt_overflowing_to_0_refused(self):
+        # 20 |p| overflows at the closed loop's pole at -1e308: numpy's
+        # RuntimeWarning (an error under -W error) came first
+        tf = tf_feedback(TransferFunction([1e308], [1.0, 1e-300]), 1.0)
+        with pytest.raises(ValueError, match="default dt for t_end = 10.0 "
+                           "is 0"):
+            step_response(tf, 10.0)
+
     def test_unstable_flagged(self):
         tr = step_response(TransferFunction([1.0], [1.0, -1.0]), 5.0)
         assert tr.diverged
@@ -1192,6 +1200,13 @@ class TestClosedFormErrorSweep:
             expect = np.array([getattr(error_constants(k * g), attr)
                                for k in gains])
             assert np.array_equal(errors, expect)
+
+    def test_overflowing_constant_is_an_error_of_0(self):
+        # K 1e10 overflows from K = 1.8e298: the error is 1/(1 + inf) = 0,
+        # and numpy's RuntimeWarning (an error under -W error) came first
+        g = TransferFunction([1e10], [1.0, 1.0])
+        _, errors, _ = ss_error_vs_gain(g, np.geomspace(1e300, 1e308, 3))
+        assert np.array_equal(errors, np.zeros(3))
 
     def test_no_per_gain_error_constants_calls(self, monkeypatch):
         import sunpump.lti as lti

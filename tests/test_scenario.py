@@ -1,7 +1,10 @@
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
+from fractions import Fraction
 import functools
 import importlib.util
 import math
+from numbers import Real
 from pathlib import Path
 import re
 import tracemalloc
@@ -718,6 +721,42 @@ class TestPumpDynamics:
         assert flow[off[0] + 200] == pytest.approx(0.0, abs=1e-6)
 
 
+def walk_profile(prof, pts):
+    """The profile check of ``ScenarioConfig.validate`` as it was, an
+    isinstance walk over rows and entries: the reference the numpy check
+    accepts and refuses alike."""
+    columns = scenario.PROFILES[prof]
+    if not (isinstance(pts, Sequence) and len(pts) and all(
+            isinstance(p, Sequence) and len(p) == len(columns)
+            and all(isinstance(v, Real) for v in p) for p in pts)):
+        raise ConfigError(f"{prof} must be a nonempty sequence of "
+                          f"rows of {len(columns)} numbers")
+    try:
+        table = np.array(pts, dtype=float)
+    except OverflowError as exc:    # an int past the float range
+        raise ConfigError(f"{prof}: {exc}") from None
+    for key, column in zip(columns, table.T):
+        scenario.check(key, column, ConfigError, f"{prof} ")
+    if any(p1[0] <= p0[0] for p0, p1 in zip(pts, pts[1:])):
+        raise ConfigError(f"{prof} breakpoints must be ascending")
+
+
+def profiles():
+    """Breakpoint profiles, well formed or not: nested tuples and lists
+    of floats, ints (some past the float range), bools, text and None,
+    with empty and ragged rows, and tables of number rows."""
+    numbers = st.one_of(st.floats(), st.floats(-10.0, 100.0),
+                        st.integers(-10, 100), st.integers(2**1024, 2**1100),
+                        st.booleans())
+    entries = st.one_of(numbers, st.text(max_size=2), st.none())
+    sequences = (lambda xs: st.lists(xs, max_size=4),
+                 lambda xs: st.lists(xs, max_size=4).map(tuple))
+    rows = st.one_of(entries, *(seq(entries) for seq in sequences))
+    tables = [st.lists(st.tuples(*[xs] * width), min_size=1, max_size=4)
+              for xs in (numbers, st.floats(-10.0, 100.0)) for width in (2, 3)]
+    return st.one_of(entries, *(seq(rows) for seq in sequences), *tables)
+
+
 class TestConfigValidation:
     def test_threshold_ordering(self):
         with pytest.raises(ConfigError):
@@ -870,6 +909,44 @@ class TestConfigValidation:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_replace_checks_the_new_config(self):
+        # 7200 s is no whole number of 0.7 s steps: replace built this
+        # config unchecked, and only run_scenario refused it
+        with pytest.raises(ConfigError, match="whole number of steps"):
+            replace(ScenarioConfig(), dt_s=0.7)
+
+    @settings(max_examples=400)
+    @given(prof=st.sampled_from(sorted(scenario.PROFILES)),
+           pts=profiles())
+    def test_profile_check_refuses_what_the_walk_refused(self, prof, pts):
+        try:
+            walk_profile(prof, pts)
+        except ConfigError:
+            with pytest.raises(ConfigError, match=prof):
+                ScenarioConfig(**{prof: pts})
+        else:
+            ScenarioConfig(**{prof: pts})
+
+    def test_array_profile_accepted(self):
+        # the walk refused an ndarray, which is no Sequence
+        tuples = ScenarioConfig(duration_s=60.0)
+        table = replace(tuples, sun_path=np.array(tuples.sun_path))
+        with pytest.raises(ConfigError):
+            walk_profile("sun_path", table.sun_path)
+        assert run_scenario(table)[1] == run_scenario(tuples)[1]
+
+    @pytest.mark.parametrize("pts", [
+        ((0.0, Fraction(1, 2)),), ((0.0, 10**400),), (b"\x00\x05",)],
+        ids=["fraction", "int-past-float-range", "bytes-row"])
+    def test_profile_numpy_cannot_convert_refused(self, pts):
+        # the walk took a Fraction as a Real, refused 10**400 with
+        # float()'s "int too large to convert to float", and passed the
+        # bytes row, a Sequence of ints, to a bare ValueError
+        with pytest.raises(ConfigError, match=re.escape(
+                "irradiance_profile must be a nonempty sequence of rows of 2 "
+                "numbers")):
+            ScenarioConfig(irradiance_profile=pts)
+
 
 def config_at(key, value):
     """A 60 s default scenario with the input ``key`` of
@@ -937,12 +1014,11 @@ class TestRanges:
 
     @pytest.mark.parametrize("key, end", RANGE_ENDS)
     def test_end_is_accepted_and_runs_finite(self, key, end):
-        cfg = config_at(key, end)
         if (key, end) in ORDERED_ENDS:
             with pytest.raises(ConfigError, match=r"^\w+ must be below"):
-                cfg.validate()
+                config_at(key, end)
             return
-        cfg.validate()
+        cfg = config_at(key, end)
         if cfg.duration_s / cfg.dt_s > 60_000:
             return      # MAX_STEPS steps of an hour: validated, not run
         trace, summary = run_scenario(cfg)
