@@ -206,8 +206,8 @@ def _cmd_mppt_run(args):
 def _cmd_tf(args):
     from .lti import (NotSettledError, error_constants, frequency_response,
                       root_locus, routh_table, ss_error_vs_gain,
-                      stability_margins, stability_verdict_from_roots,
-                      step_metrics, step_response, tf_feedback)
+                      stability_margins, step_metrics, step_response,
+                      tf_feedback, verdict_of_roots)
     if getattr(args, "config", None):
         from .config import AnalysisRequest
         req = parse_config(args.config)
@@ -232,7 +232,7 @@ def _cmd_tf(args):
             print("zeros:", ", ".join(f"{z:.6g}" for z in tf.zeros()))
         if poles.size:
             print("routh verdict:", routh_table(tf.den).verdict)
-            print("root-sign verdict:", stability_verdict_from_roots(tf.den))
+            print("root-sign verdict:", verdict_of_roots(poles))
         else:
             print("verdict: stable (no poles)")
         return 0

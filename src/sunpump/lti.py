@@ -7,8 +7,9 @@ more state of the controllable-canonical realization, so that
 ``z' = G z`` and every sample follows exactly from the one before by
 ``z <- e^{G dt} z``: exact zero-order-hold samples, bit-reproducible
 across runs.  The samples are evaluated a block of ``_STEP_BLOCK`` at a
-time from precomputed powers of ``e^{G dt}``, within 1e-12 * max|y| of
-stepping them one at a time.
+time from powers of ``e^{G dt}`` built by doubling; n samples lie within
+n * 2**-52 * max|y| of the exact ones, the rounding of ``e^{G dt}``
+carried n steps.
 
 Roots come from one routine, ``_polished_roots``, which solves a stack of
 equal-degree polynomials with one batched eigenvalue call; ``poly_roots``
@@ -194,14 +195,16 @@ def _polished_roots(c):
     dc = c[:, :-1] * np.arange(width - 1, 0, -1)
     # guarded Newton polish: near multiple roots the derivative vanishes
     # and a raw step diverges, so only accept residual improvements
+    value = _horner(c, roots)
     for _ in range(2):
-        value = _horner(c, roots)
         deriv = _horner(dc, roots)
         ok = np.abs(deriv) > 0
         cand = roots - np.divide(value, deriv, out=np.zeros_like(value),
                                  where=ok)
-        better = np.abs(_horner(c, cand)) < np.abs(value)
+        cand_value = _horner(c, cand)
+        better = np.abs(cand_value) < np.abs(value)
         roots = np.where(better, cand, roots)
+        value = np.where(better, cand_value, value)
     order = np.lexsort((roots.imag, roots.real), axis=-1)
     return np.take_along_axis(roots, order, axis=-1)
 
@@ -287,7 +290,11 @@ def _expm(X):
 def default_step_dt(tf, t_end):
     """Sample spacing min(tau_min / 20, t_end / 2000), tau_min = 1 / max|pole|;
     the samples are exact at any spacing, so dt is no accuracy knob."""
-    mags = np.abs(tf.poles())
+    return _step_dt(tf.poles(), t_end)
+
+
+def _step_dt(poles, t_end):
+    mags = np.abs(poles)
     dt = t_end / 2000.0
     if mags.size and mags.max() > 0:
         with np.errstate(over="ignore"):    # dt 0 is refused by the caller
@@ -324,8 +331,8 @@ def step_response(tf, t_end, dt=None):
     -------
     StepTrace
         ``diverged`` is set when the system is not strictly stable.
-        ``y`` is within ``1e-12 * max|y|`` of stepping
-        ``z <- e^{G dt} z`` one sample at a time.
+        ``y`` is within ``n * 2**-52 * max|y|`` of the exact samples,
+        n = len(y): the rounding of ``e^{G dt}``, carried n steps.
     """
     if not tf.proper:
         raise ImproperSystemError(
@@ -333,8 +340,9 @@ def step_response(tf, t_end, dt=None):
     for name, value in (("t_end", t_end), ("dt", dt)):
         if value is not None and not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be finite and > 0, got {value}")
+    poles = tf.poles()
     if dt is None:
-        dt = default_step_dt(tf, t_end)
+        dt = _step_dt(poles, t_end)
         if not dt > 0:
             raise ValueError(f"the default dt for t_end = {t_end} is 0")
     if t_end < 10 * dt:
@@ -343,7 +351,7 @@ def step_response(tf, t_end, dt=None):
     if not steps <= MAX_SAMPLES - 1:
         raise ValueError(f"t_end / dt = {steps:.3g} asks for more than "
                          f"{MAX_SAMPLES} samples")
-    diverged = bool(np.any(tf.poles().real >= -1e-12))
+    diverged = bool(np.any(poles.real >= -1e-12))
 
     G, c = _hold_realization(tf)
     overflow = f"e^(G dt) overflows at dt = {dt:.6g}; take a smaller dt"
@@ -374,19 +382,15 @@ _STEP_BLOCK = 256
 def _power_outputs(F, c, z, n):
     """
     ``c F^i z`` for i = 0..n-1: the rows ``c F^j``, j < b, turn each
-    block start ``F^{kb} z`` into the b outputs that follow it with one
-    matrix product, and the block starts follow by ``F^b``.
+    block start ``F^{kb} z`` into the b outputs that follow it.  Both
+    double: h known rows times ``H = F^h`` are the next h, and H squares.
     """
-    b = min(_STEP_BLOCK, n)
-    P = np.empty((b, len(z)))
-    Fj = np.eye(len(z))
-    for j in range(b):
-        P[j] = c @ Fj
-        Fj = F @ Fj
-    starts = np.empty((-(-n // b), len(z)))
-    for k in range(len(starts)):
-        starts[k] = z
-        z = Fj @ z
+    P, H = c[None, :], F
+    while len(P) < min(_STEP_BLOCK, n):
+        P, H = np.vstack((P, P @ H)), H @ H
+    starts = z[None, :]
+    while len(starts) * len(P) < n:
+        starts, H = np.vstack((starts, starts @ H.T)), H @ H
     return (starts @ P.T).ravel()[:n]
 
 
@@ -429,7 +433,7 @@ def step_metrics(trace):
     Rise time is the first 10% to first 90% crossing of the final value,
     settling time is the last exit from the +-2% band, overshoot is
     ``(peak - final) / final * 100``.  A peak within ``1e-12 * |final|``
-    of the final value (the ``step_response`` accuracy) is no overshoot:
+    of the final value (rounding on a plateau) is no overshoot:
     the peak is the final value, at the last sample's time.
 
     Raises
@@ -553,7 +557,11 @@ def routh_table(p):
 
 def stability_verdict_from_roots(p, tol=1e-7):
     """Oracle verdict from the signs of the real parts of the roots."""
-    roots = poly_roots(p)
+    return verdict_of_roots(poly_roots(p), tol)
+
+
+def verdict_of_roots(roots, tol=1e-7):
+    """The same verdict from roots already solved."""
     if np.any(roots.real > tol):
         return "unstable"
     if np.any(np.abs(roots.real) <= tol):
@@ -706,22 +714,20 @@ def root_locus(g, gains):
         raise ValueError("closed-loop degree changes along the gain sweep")
     if first[0] == width - 1:
         raise ValueError("need degree >= 1 to extract roots")
-    branches = []
-    prev = None
-    for r in _polished_roots(stack[:, first[0]:]):
-        if prev is not None:
-            used = np.zeros(len(r), dtype=bool)
-            matched = np.empty_like(r)
-            for i, p in enumerate(prev):
-                dist = np.abs(r - p)
-                dist[used] = np.inf
-                j = int(np.argmin(dist))
-                used[j] = True
-                matched[i] = r[j]
-            r = matched
-        branches.append(r)
-        prev = r
-    return np.vstack(branches)
+    roots = _polished_roots(stack[:, first[0]:])
+    # branch i of gain k is roots[k, perms[k][i]], paired as np.argmin
+    # pairs: the first NaN, else the first least distance not yet taken
+    dist = np.abs(roots[1:, None, :] - roots[:-1, :, None])
+    perms = [list(range(roots.shape[1]))]
+    for rows in dist:
+        rows, free, perm = rows.tolist(), set(perms[0]), []
+        for a in perms[-1]:
+            row = [x if j in free else math.inf for j, x in enumerate(rows[a])]
+            nan = [j for j, x in enumerate(row) if x != x]
+            perm.append(nan[0] if nan else row.index(min(row)))
+            free.discard(perm[-1])
+        perms.append(perm)
+    return np.take_along_axis(roots, np.array(perms), axis=1)
 
 
 @dataclass(frozen=True)

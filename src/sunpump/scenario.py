@@ -29,7 +29,7 @@ clamp at 100 %) - deficit (made up by the clamp at 0 %).
 
 A :class:`ScenarioConfig` checks itself when it is built, by
 ``dataclasses.replace`` too, so a config that exists is valid; a
-profile is any 2-D array-like of numbers.
+profile is any 2-D array-like of numbers, kept as float tuples.
 """
 
 from dataclasses import dataclass, fields
@@ -118,7 +118,7 @@ class ScenarioConfig:
             raise ConfigError("mppt_algo must be 'po' or 'ic'")
         for prof, columns in PROFILES.items():
             try:
-                table = np.array(getattr(self, prof))
+                table = np.array(rows := getattr(self, prof))
             except ValueError:      # ragged rows: refused below
                 table = np.empty(0)
             if not (table.ndim == 2 and len(table)
@@ -130,6 +130,10 @@ class ScenarioConfig:
                 check(key, column, ConfigError, f"{prof} ")
             if (table[1:, 0] <= table[:-1, 0]).any():
                 raise ConfigError(f"{prof} breakpoints must be ascending")
+            if {type(rows), *map(type, rows)} != {tuple} or {
+                    type(v) for row in rows for v in row} != {float}:
+                object.__setattr__(self, prof, tuple(
+                    map(tuple, table.astype(float).tolist())))
         return self
 
     @classmethod

@@ -1217,3 +1217,251 @@ class TestClosedFormErrorSweep:
         ss_error_vs_gain(TransferFunction([0.05], [0.1, 1.1, 1.0]),
                          np.geomspace(0.1, 1000.0, 40))
         assert calls == []
+
+
+def _exact_step_at(tf, idx, dt):
+    """y(k dt) at each k of ``idx`` from the partial fractions of
+    N / (s D), solved at 60 digits: the exact zero-order-hold samples of
+    a system whose poles are simple and nonzero."""
+    with mpmath.workdps(60):
+        num = [mpmath.mpf(x) for x in tf.num.coeffs]
+        den = [mpmath.mpf(x) for x in tf.den.coeffs]
+        poles = mpmath.polyroots(den, maxsteps=400, extraprec=400)
+        dden = [c * (len(den) - 1 - i) for i, c in enumerate(den[:-1])]
+        res = [mpmath.polyval(num, p) / (p * mpmath.polyval(dden, p))
+               for p in poles]
+        y0 = mpmath.polyval(num, 0) / mpmath.polyval(den, 0)
+        return np.array([float(mpmath.re(y0 + sum(
+            r * mpmath.exp(p * int(k) * mpmath.mpf(dt))
+            for r, p in zip(res, poles)))) for k in idx])
+
+
+class TestStepAccuracyContract:
+    """``step_response`` against the exact samples: within
+    n 2**-52 max|y| on an n-sample trace, and within 1e-12 max|y| on the
+    presets' closed loops.  Three of the validation registry's five
+    loops lie 1.4e-12 to 2.1e-12 max|y| off, as the sample-by-sample
+    recurrence does: the rounding of e^{G dt} carried through 18 114 and
+    240 675 steps."""
+
+    WN = math.sqrt(5.0)
+    ROOT = math.sqrt(1.0 - 0.005 ** 2)
+
+    @pytest.mark.parametrize("num, den, t_end, dt, exact", [
+        ([1.0], [1.0, -0.3], 60.0, 1e-4, lambda t: np.expm1(0.3 * t) / 0.3),
+        ([1.0], [1.0, 0.0], 1000.0, 1e-3, lambda t: t),
+        ([5.0], [1.0, 0.01 * WN, 5.0], 1000.0, 1e-3,
+         lambda t: 1.0 - np.exp(-0.005 * TestStepAccuracyContract.WN * t) * (
+             np.cos(TestStepAccuracyContract.WN
+                    * TestStepAccuracyContract.ROOT * t)
+             + 0.005 / TestStepAccuracyContract.ROOT
+             * np.sin(TestStepAccuracyContract.WN
+                      * TestStepAccuracyContract.ROOT * t)))],
+        ids=["growing-exponential", "ramp", "second-order-zeta-0.005"])
+    def test_long_trace_within_its_rounding_bound(self, num, den, t_end, dt,
+                                                   exact):
+        # 600 001 and 1 000 001 samples; stepping z <- e^{G dt} z one
+        # sample at a time ends the ramp at 999.99999998327
+        tr = step_response(TransferFunction(num, den), t_end, dt)
+        want = exact(tr.t)
+        n = len(tr.y)
+        assert n >= 600_001
+        assert np.max(np.abs(tr.y - want)) <= n * 2.0 ** -52 * np.max(
+            np.abs(want))
+
+    def test_ramp_ends_at_its_exact_value(self):
+        tr = step_response(TransferFunction([1.0], [1.0, 0.0]), 1000.0, 1e-3)
+        assert abs(tr.y[-1] - 1000.0) <= len(tr.y) * 2.0 ** -52 * 1000.0
+
+    @staticmethod
+    def _assert_within(tf, trace, rel):
+        idx = np.unique(np.linspace(0, len(trace.t) - 1, 300).astype(int))
+        want = _exact_step_at(tf, idx, trace.t[1])
+        assert np.max(np.abs(trace.y[idx] - want)) <= rel * np.max(
+            np.abs(trace.y))
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_closed_loops(self, name):
+        tf = preset(name)
+        poles = tf.poles()
+        stable = poles[poles.real < -1e-12]
+        t_end = 8.0 / abs(stable.real.max()) if stable.size else 10.0
+        closed = tf_feedback(tf, 1.0)
+        self._assert_within(closed, step_response(closed, t_end), 1e-12)
+
+    def test_registry_loops(self, monkeypatch):
+        from sunpump import validation
+        seen = []
+
+        def record(tf, t_end, dt=None):
+            seen.append((tf, step_response(tf, t_end, dt)))
+            return seen[-1][1]
+        monkeypatch.setattr(validation, "step_response", record)
+        validation.build_report()
+        assert len(seen) == 5
+        for tf, trace in seen:
+            self._assert_within(tf, trace, len(trace.t) * 2.0 ** -52)
+
+
+class TestOneRootSolve:
+    @staticmethod
+    def _count(monkeypatch):
+        calls = []
+        real = lti._polished_roots
+        monkeypatch.setattr(lti, "_polished_roots",
+                            lambda c: calls.append(c.copy()) or real(c))
+        return calls
+
+    @pytest.mark.parametrize("dt", [None, 0.01])
+    def test_step_response(self, monkeypatch, dt):
+        # the default dt and the diverged flag each solved the poles
+        calls = self._count(monkeypatch)
+        step_response(tf_feedback(preset("cascade"), 1.0), 5.0, dt)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["cascade", "motor_paper"])
+    def test_tf_analyze_solves_the_denominator_once(self, monkeypatch,
+                                                    capsys, name):
+        # the root-sign verdict solved the printed poles again
+        from sunpump.cli import main
+        calls = self._count(monkeypatch)
+        assert main(["tf", "analyze", "--preset", name]) == 0
+        den = np.asarray(preset(name).den.coeffs)
+        assert sum(np.array_equal(c[0], den) for c in calls) == 1
+        assert "root-sign verdict: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("dt", [0.25, 0.5, 2.0])
+    def test_overflow_time_at_other_block_layouts(self, dt):
+        # 1/(s - 1) passes the float range at t = 709.78 s, whichever
+        # power of e^(G dt) first overflows
+        with pytest.raises(ValueError, match=r"overflows at t = 710 s"):
+            step_response(TransferFunction([1.0], [1.0, -1.0]), 1000.0, dt)
+
+
+def _parent_polished_roots(c):
+    """``_polished_roots`` as it evaluated each polish pass's residual
+    afresh: the reference for carrying the candidates' values over."""
+    rows, width = c.shape
+    roots = np.zeros((rows, width - 1), dtype=complex)
+    core_len = width - np.argmax(c[:, ::-1] != 0.0, axis=1)
+    for n in np.unique(core_len):
+        if n < 2:
+            continue
+        sel = core_len == n
+        core = c[sel, :n]
+        companion = np.zeros((len(core), n - 1, n - 1))
+        companion[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
+        companion[:, 0, :] = -core[:, 1:] / core[:, :1]
+        roots[sel, :n - 1] = np.linalg.eigvals(companion)
+    dc = c[:, :-1] * np.arange(width - 1, 0, -1)
+    for _ in range(2):
+        value = lti._horner(c, roots)
+        deriv = lti._horner(dc, roots)
+        ok = np.abs(deriv) > 0
+        cand = roots - np.divide(value, deriv, out=np.zeros_like(value),
+                                 where=ok)
+        better = np.abs(lti._horner(c, cand)) < np.abs(value)
+        roots = np.where(better, cand, roots)
+    order = np.lexsort((roots.imag, roots.real), axis=-1)
+    return np.take_along_axis(roots, order, axis=-1)
+
+
+def _parent_pairing(roots):
+    """``root_locus``' greedy pairing as a loop of np.argmin over the
+    poles of each gain: the reference for the pairing from one distance
+    matrix."""
+    branches, prev = [], None
+    for r in roots:
+        if prev is not None:
+            used = np.zeros(len(r), dtype=bool)
+            matched = np.empty_like(r)
+            for i, p in enumerate(prev):
+                dist = np.abs(r - p)
+                dist[used] = np.inf
+                j = int(np.argmin(dist))
+                used[j] = True
+                matched[i] = r[j]
+            r = matched
+        branches.append(r)
+        prev = r
+    return np.vstack(branches)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                  b.view(np.int64))
+
+
+# few distinct parts, so that roots repeat and distances tie
+_PARTS = st.sampled_from([0.0, 1.0, -1.0, 2.0, -0.5, 3.0, 1e300, -1e300,
+                          math.inf, math.nan])
+
+
+@st.composite
+def root_stacks(draw):
+    """A (gains, degree) stack of roots, degree 1 to 6."""
+    deg, rows = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    flat = draw(st.lists(st.builds(complex, _PARTS, _PARTS),
+                         min_size=deg * rows, max_size=deg * rows))
+    return np.array(flat, dtype=complex).reshape(rows, deg)
+
+
+@st.composite
+def meeting_loops(draw):
+    """``(G, gains)``: D + K0 N = (s - a)**2 Q for integer a and Q, so two
+    branches meet at K0, which is among the gains; D and N have integer
+    roots, some repeated, and degree 1 to 6 between them."""
+    small = st.integers(-4, 2)
+    a = draw(small)
+    q = np.poly(draw(st.lists(small, max_size=4)))
+    closed = np.polymul(np.poly([a, a]), q)
+    num = np.poly(draw(st.lists(small, max_size=len(closed) - 2)))
+    num = num * draw(st.sampled_from([1.0, -1.0]))
+    k0 = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0, 8.0]))
+    den = np.polysub(closed, k0 * num)
+    if np.all(den[:1] == 0.0) or not np.any(num):
+        den = closed
+    gains = sorted({k0, *draw(st.lists(
+        st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0]),
+        max_size=8))})
+    return TransferFunction(num, den), np.array(gains)
+
+
+class TestKernelsKeepTheirBits:
+    @settings(max_examples=300)
+    @given(stack=root_stacks())
+    def test_pairing_equals_the_per_pole_argmin_loop(self, stack):
+        g = TransferFunction([1.0], np.ones(stack.shape[1] + 1))
+        gains = np.arange(1.0, len(stack) + 1.0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = _parent_pairing(stack)
+            real = lti._polished_roots
+            lti._polished_roots = lambda c: stack
+            try:
+                got = root_locus(g, gains)
+            finally:
+                lti._polished_roots = real
+        assert _same_bits(got, want)
+
+    @settings(max_examples=200)
+    @given(loop=meeting_loops())
+    def test_locus_where_branches_meet(self, loop):
+        g, gains = loop
+        try:
+            want = _per_gain_locus(g, gains)
+        except ValueError:      # the degree changes along the sweep
+            return
+        assert _same_bits(root_locus(g, gains), want)
+
+    @settings(max_examples=300)
+    @given(roots=st.lists(st.lists(st.sampled_from(
+               [0.0, 1.0, -1.0, -2.0, 0.5, -3.0, 1e-3, -1e3]),
+               min_size=1, max_size=6), min_size=1, max_size=6),
+           scale=st.floats(1e-3, 1e3))
+    def test_polish_equals_fresh_residuals(self, roots, scale):
+        # repeated roots make the guarded polish refuse some steps
+        deg = len(roots[0])
+        c = np.array([np.poly(r[:deg] + [r[0]] * (deg - len(r)))
+                      for r in roots]) * scale
+        assert _same_bits(lti._polished_roots(c), _parent_polished_roots(c))

@@ -930,10 +930,26 @@ class TestConfigValidation:
     def test_array_profile_accepted(self):
         # the walk refused an ndarray, which is no Sequence
         tuples = ScenarioConfig(duration_s=60.0)
-        table = replace(tuples, sun_path=np.array(tuples.sun_path))
+        array = np.array(tuples.sun_path)
+        table = replace(tuples, sun_path=array)
         with pytest.raises(ConfigError):
-            walk_profile("sun_path", table.sun_path)
+            walk_profile("sun_path", array)
         assert run_scenario(table)[1] == run_scenario(tuples)[1]
+
+    @pytest.mark.parametrize("make", [list, np.array])
+    def test_profile_changed_in_place_changes_nothing(self, make):
+        # the config held the caller's list: reversed breakpoint times
+        # set after the check ran at 900 W/m2 every step, and hash() of
+        # the config raised on the list
+        prof = make([[0.0, 100.0], [60.0, 900.0]])
+        cfg = ScenarioConfig(duration_s=60.0, irradiance_profile=prof)
+        prof[1][0] = -60.0
+        assert cfg.irradiance_profile == ((0.0, 100.0), (60.0, 900.0))
+        assert all(type(v) is float for row in cfg.irradiance_profile
+                   for v in row)
+        assert hash(cfg) == hash(replace(cfg))
+        trace, _ = run_scenario(cfg)
+        assert trace.irradiance[0] == 100.0 and trace.irradiance[-1] < 900.0
 
     @pytest.mark.parametrize("pts", [
         ((0.0, Fraction(1, 2)),), ((0.0, 10**400),), (b"\x00\x05",)],
