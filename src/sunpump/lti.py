@@ -388,9 +388,11 @@ def _power_outputs(F, c, z, n):
     P, H = c[None, :], F
     while len(P) < min(_STEP_BLOCK, n):
         P, H = np.vstack((P, P @ H)), H @ H
-    starts = z[None, :]
-    while len(starts) * len(P) < n:
-        starts, H = np.vstack((starts, starts @ H.T)), H @ H
+    starts, k = z[None, :], -(-n // len(P))     # k block starts are needed
+    while len(starts) < k:
+        starts = np.vstack((starts, starts[:k - len(starts)] @ H.T))
+        if len(starts) < k:
+            H = H @ H
     return (starts @ P.T).ravel()[:n]
 
 
