@@ -391,8 +391,7 @@ def _power_outputs(F, c, z, n):
     starts, k = z[None, :], -(-n // len(P))     # k block starts are needed
     while len(starts) < k:
         starts = np.vstack((starts, starts[:k - len(starts)] @ H.T))
-        if len(starts) < k:
-            H = H @ H
+        H = H @ H if len(starts) < k else H
     return (starts @ P.T).ravel()[:n]
 
 

@@ -130,8 +130,9 @@ class ScenarioConfig:
                 check(key, column, ConfigError, f"{prof} ")
             if (table[1:, 0] <= table[:-1, 0]).any():
                 raise ConfigError(f"{prof} breakpoints must be ascending")
+            # float() keeps a float as it is: a file's values are not copied
             object.__setattr__(self, prof, tuple(
-                map(tuple, table.astype(float).tolist())))
+                tuple(map(float, row)) for row in getattr(self, prof)))
         return self
 
     @classmethod
