@@ -7,9 +7,8 @@ more state of the controllable-canonical realization, so that
 ``z' = G z`` and every sample follows exactly from the one before by
 ``z <- e^{G dt} z``: exact zero-order-hold samples, bit-reproducible
 across runs.  The samples are evaluated a block of ``_STEP_BLOCK`` at a
-time from powers of ``e^{G dt}`` built by doubling; n samples lie within
-n * 2**-52 * max|y| of the exact ones, the rounding of ``e^{G dt}``
-carried n steps.
+time from powers of ``e^{G dt}`` built by doubling: n samples lie
+within n * 2**-52 * max|y| of the exact ones.
 
 Roots come from one routine, ``_polished_roots``, which solves a stack of
 equal-degree polynomials with one batched eigenvalue call; ``poly_roots``
@@ -201,8 +200,7 @@ def _polished_roots(c):
         ok = np.abs(deriv) > 0
         cand = roots - np.divide(value, deriv, out=np.zeros_like(value),
                                  where=ok)
-        cand_value = _horner(c, cand)
-        better = np.abs(cand_value) < np.abs(value)
+        better = np.abs(cand_value := _horner(c, cand)) < np.abs(value)
         roots = np.where(better, cand, roots)
         value = np.where(better, cand_value, value)
     order = np.lexsort((roots.imag, roots.real), axis=-1)

@@ -118,7 +118,7 @@ class ScenarioConfig:
             raise ConfigError("mppt_algo must be 'po' or 'ic'")
         for prof, columns in PROFILES.items():
             try:
-                table = np.array(getattr(self, prof))
+                table = np.array(rows := getattr(self, prof))
             except ValueError:      # ragged rows: refused below
                 table = np.empty(0)
             if not (table.ndim == 2 and len(table)
@@ -130,9 +130,11 @@ class ScenarioConfig:
                 check(key, column, ConfigError, f"{prof} ")
             if (table[1:, 0] <= table[:-1, 0]).any():
                 raise ConfigError(f"{prof} breakpoints must be ascending")
-            # float() keeps a float as it is: a file's values are not copied
-            object.__setattr__(self, prof, tuple(
-                tuple(map(float, row)) for row in getattr(self, prof)))
+            # float tuples (a file's) are kept: a copy moves clouds' peak RSS
+            if {type(rows), *map(type, rows)} != {tuple} or {
+                    type(v) for row in rows for v in row} != {float}:
+                object.__setattr__(self, prof, tuple(
+                    map(tuple, table.astype(float).tolist())))
         return self
 
     @classmethod
