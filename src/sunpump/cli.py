@@ -125,10 +125,11 @@ def _cmd_solar_angles(args):
     st = st0 + (st1 - st0) * k / max(n - 1, 1)
     theta_sa = az0 + (az1 - az0) * k / max(n - 1, 1)
     theta_z, theta_e = np.zeros(n), np.zeros(n)
-    # rows with the sun at or below the horizon keep these values
+    # rows with the sun at or below the horizon keep these values: no
+    # target is sought there, so none is unreachable
     theta_te, theta_ta = np.zeros(n), theta_sa.copy()
-    alpha, beta = np.full(n, 90.0), np.zeros(n)
-    lit = unreachable = 0
+    alpha, beta, reachable = np.full(n, 90.0), np.zeros(n), np.ones(n, bool)
+    lit = 0
     for j, (s, sa) in enumerate(zip(st.tolist(), theta_sa.tolist())):
         theta_z[j], elevation = zenith_and_elevation(args.lat, delta, s)
         theta_e[j] = elevation
@@ -137,7 +138,7 @@ def _cmd_solar_angles(args):
         sun = SunPosition(elevation, sa)
         sol = optimal_orientation(sun, args.alpha_target, args.beta_target)
         lit += 1
-        unreachable += not sol.reachable
+        reachable[j] = sol.reachable
         to = sol.orientation
         theta_te[j], theta_ta[j] = to.theta_TE, to.theta_TA
         alpha[j] = angle_of_incidence(sun, to)
@@ -147,12 +148,13 @@ def _cmd_solar_angles(args):
             pass    # sun along the panel normal: beta stays 0
     path = _out_path(args, "solar_angles.csv")
     csvio.emit_csv(["n", "ST", "delta", "theta_e", "theta_z", "theta_SA",
-                    "theta_TE", "theta_TA", "alpha", "beta"],
+                    "theta_TE", "theta_TA", "alpha", "beta", "reachable"],
                    [np.full(n, args.day), st, np.full(n, delta), theta_e,
-                    theta_z, theta_sa, theta_te, theta_ta, alpha, beta], path)
+                    theta_z, theta_sa, theta_te, theta_ta, alpha, beta,
+                    reachable], path)
     print(f"wrote {path} ({n} rows, declination {delta:.3f} deg)")
-    print(f"unreachable target on {unreachable} of {lit} lit rows, "
-          f"answered with the nearest reachable one")
+    print(f"unreachable target on {n - np.count_nonzero(reachable)} of "
+          f"{lit} lit rows, answered with the nearest reachable one")
     return 0
 
 

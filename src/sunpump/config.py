@@ -41,13 +41,17 @@ ANALYSIS_KINDS = ("analyze", "step", "bode", "rlocus", "routh", "errors")
 def parse_gains(spec):
     """The gain sweep ``'a:b:n'`` as ``(a, b, n)``: n gains spaced
     geometrically from a to b (``ValueError`` unless b > a > 0 are finite
-    and n >= 1; a fractional n is truncated)."""
+    and 1 <= n <= ``lti.MAX_GAINS``; a fractional n is truncated)."""
+    from .lti import MAX_GAINS          # only analyses need lti
     try:
         a, b, n = (float(bit) for bit in spec.split(":"))
     except ValueError:
         raise ValueError(f"gains must be 'a:b:n', got {spec!r}") from None
     if not (0.0 < a < b < math.inf and 1.0 <= n < math.inf):
         raise ValueError("gains must be 'a:b:n' with b > a > 0 and n >= 1")
+    if int(n) > MAX_GAINS:
+        raise ValueError(f"gains must be 'a:b:n' with n <= {MAX_GAINS}, "
+                         f"got n = {n:.6g}")
     return a, b, int(n)
 
 

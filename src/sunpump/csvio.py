@@ -11,7 +11,10 @@ break.
 
 Bytes, not strings: a block of about 7 680 cells (512 rows of a
 15-column trace, 3 840 of a 2-column step response) becomes one uint8
-matrix.  A float cell gets a 32-byte slot, four uint64 words:
+matrix of slots, one a cell, and every slot byte that is not the cell's
+text holds the filler 0xFF, a byte UTF-8 never produces.  One
+``bytes.translate`` pass that deletes the filler gives the block's
+bytes.  A float cell gets a 32-byte slot, four uint64 words:
 
     byte  0      '-'
           1..5   "0.000"                  (0.1 .. 0.0001)
@@ -25,10 +28,18 @@ exponent.  A row of a keep table says which slot bytes are the cell's
 text.  It is picked by the notation class of X (each X in 0..8 and in
 -4..-1, a 2-digit exponent or a 3-digit one: 15 classes), the count of
 significant digits and the sign; zero and -0 are the one-digit rows of
-X = 0 with the digit 0.  Any other cell (an integer or bool as ``str``
-of its Python int, which is its "%d", or a text) gets a slot of its
-quoted UTF-8 in a fixed-width ``S`` array.  One ``np.take`` of the keep
-table and one ``np.compress`` then give the block's bytes.
+X = 0 with the digit 0.  The bytes a row drops hold the same value in
+every slot of the row ('-', "0.000", dots, trailing zero digits, the
+exponent text of a fixed-notation class, NUL), so one uint64 add of the
+row's constant turns each into the filler and carries into no other
+byte.  Any other cell (an integer or bool as ``str`` of its Python int,
+which is its "%d", or a text) gets a slot of its quoted UTF-8 and the
+filler.
+
+A float cell whose bits equal those of the cell above it gets the same
+slot: in a block where more than a quarter of the float cells do (a
+scenario trace), each run is formatted once and its slot taken for the
+run; a block with fewer (a step response) formats every cell.
 
 The fast path proves a float's digits without a string, for every
 finite |v| >= 1e-300.  X = floor(log10|v|) clipped to [-300, 308], and
@@ -43,8 +54,8 @@ more than 2^-20 from the nearest half-integer: then E lies less than
 1/2 from m, so m is E rounded, with no tie.  An X that log10 got wrong
 fails these or gives the same digits.  Every other float (nan, inf, a
 nonzero |v| below 1e-300, the subnormals among them, and a near tie)
-is formatted by ``'%.9g' % v`` and spliced in at its offset, so the
-bytes equal the per-value format's in every case.
+is formatted by ``'%.9g' % v`` into its slot, so the bytes equal the
+per-value format's in every case.
 """
 
 import functools
@@ -58,10 +69,6 @@ _BLOCK_CELLS = 7680
 # the decimal exponents of the fast path: 10^(8 - X) is a normal double
 _X_LO, _X_HI = -300, 308
 
-# keep-table rows: floats by (notation class, significant digits - 1,
-# sign), and the fallback row, which keeps only the separator
-_SLOW = 15 * 9 * 2
-
 
 def _quote(s):
     if any(ch in s for ch in (",", '"', "\n", "\r")):
@@ -71,8 +78,8 @@ def _quote(s):
 
 @functools.cache
 def _tables():
-    """Built on first write: the keep table and its row lengths, and the
-    lookups of the float slots, each indexed by a small integer.
+    """Built on first write: the filler add of each keep-table row and
+    the lookups of the float slots, each indexed by a small integer.
 
     The tables and the kernel use only the numpy loops they share with
     the rest of a run (no integer abs or subtract, no bool arithmetic):
@@ -91,12 +98,15 @@ def _tables():
     fixed = (x >= -4) & (x <= 8)
     small = fixed & (x < 0)
     whole = np.where(fixed & (x >= 0), x + 1, 1)   # digits before the point
-    floats = (sign | sep
-              | digit & (p <= 4 + 2 * np.maximum(sig, whole))
-              | dot & (p == 5 + 2 * whole) & (sig > whole) & ~small
-              | small & (p >= 1) & (p <= 1 - x)
-              | ~fixed & (p >= 24) & (p <= np.where(x < 100, 27, 28)))
-    keep = np.concatenate([floats.reshape(-1, 32), sep[None]])
+    keep = (sign | sep
+            | digit & (p <= 4 + 2 * np.maximum(sig, whole))
+            | dot & (p == 5 + 2 * whole) & (sig > whole) & ~small
+            | small & (p >= 1) & (p <= 1 - x)
+            | ~fixed & (p >= 24) & (p <= np.where(x < 100, 27, 28)))
+    # each class's bytes where its rows drop them (a dropped digit is 0)
+    template = np.frombuffer(b"".join(
+        b"-0.000" + b"0." * 9 + (b"e%+03d" % c).ljust(8, b"\0")
+        for c in x.ravel().tolist()), np.uint8).reshape(-1, 1, 1, 32)
     # the 4-digit groups abcd = 0..9999 on a (10, 10, 10, 10) grid; their
     # words are built in int64 (all below 2^63) and viewed as uint64
     d = np.arange(10, dtype=np.int64)
@@ -105,9 +115,9 @@ def _tables():
         b > 0, 2, np.where(a > 0, 3, 4)))).reshape(-1)   # trailing zeros
     xs = np.arange(_X_LO, _X_HI + 1)
     return types.SimpleNamespace(
-        keep=keep,
-        lengths=np.array([row.count(True) for row in keep.tolist()],
-                         np.uint8),
+        # by keep-table row: the words that make each dropped byte 0xFF
+        add=np.where(keep, 0, 255 - template).astype(np.uint8)
+        .reshape(-1, 32).view("<u8"),
         # by X - _X_LO: 10^(8 - X) correctly rounded (module docstring),
         # the first keep-table row of X's notation class, and "e+XX"
         scale=np.array([float("1e%d" % (8 - x)) for x in xs.tolist()]),
@@ -129,8 +139,9 @@ def _tables():
 
 def _float_cells(v):
     """
-    Slots and keep-table keys of float64 cells ``v`` (any shape), and
-    the mask of the cells left to the per-value fallback.
+    Slots of float64 cells ``v`` (any shape) as four uint64 words each,
+    the cell's text and the filler (byte 29 left for the separator),
+    and the mask of the cells formatted by the per-value fallback.
     """
     tab = _tables()
     a = np.abs(v)
@@ -167,74 +178,62 @@ def _float_cells(v):
     sig2 = tab.sig2.take(np.where(lo == 0, hi + 10000, lo))
     keys = (tab.class_rows.take(xi) + sig2
             - (v.view(np.int64) >> 63))                # +1 when negative
+    words += tab.add.take(keys, axis=0)
     slow = ~fast
     if slow.any():
-        keys[slow] = _SLOW
-    return words, keys, slow
+        words[slow] = np.frombuffer(b"".join(
+            ("%.9g" % x).encode().ljust(32, b"\xff")
+            for x in v[slow].tolist()), "<u8").reshape(-1, 4)
+    return words, slow
 
 
 def _text_cells(values, sep):
-    """Slot bytes (rows, width), keep mask and lengths of text cells,
-    each its quoted UTF-8 and the separator."""
+    """Slots (rows, width) of text cells, each its quoted UTF-8 and the
+    separator, then the filler."""
     texts = [(_quote(str(v)) + sep).encode("utf-8") for v in values]
-    slots = np.array(texts)
-    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
-    width = slots.dtype.itemsize
-    return (slots.view(np.uint8).reshape(-1, width),
-            np.arange(width) < lengths[:, None], lengths)
+    width = max(map(len, texts))
+    return np.frombuffer(b"".join(t.ljust(width, b"\xff") for t in texts),
+                         np.uint8).reshape(-1, width)
 
 
 def _block(cols, lo, hi):
     """The CSV bytes of rows ``lo:hi``."""
-    tab = _tables()
     r, k = hi - lo, len(cols)
     floats = [j for j, c in enumerate(cols) if c.dtype.kind == "f"]
-    vals = np.empty((r, len(floats)))
+    vals = np.empty((len(floats), r))
     with np.errstate(invalid="ignore"):     # a signaling NaN widened
         for i, j in enumerate(floats):
-            vals[:, i] = cols[j][lo:hi]
-    words, keys, slow = _float_cells(vals)
+            vals[i] = cols[j][lo:hi]
+    # the cells that start a run of bit-equal cells down their column
+    bits = vals.view(np.int64)
+    new = np.empty(vals.shape, bool)
+    new[:, 0] = True
+    np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
+    if 4 * np.count_nonzero(new) >= 3 * new.size:
+        words, _ = _float_cells(np.ascontiguousarray(vals.T))
+    else:
+        # format each run once: cell (row, i) takes its run's slot, runs
+        # counted column after column
+        runs, _ = _float_cells(vals[new])
+        ids = np.cumsum(new)
+        ids += -1
+        words = runs.take(ids.reshape(vals.shape).T, axis=0)
     slots = words.view(np.uint8)
     slots[..., 29] = [ord(",") if j < k - 1 else ord("\n") for j in floats]
-    keep = tab.keep.take(keys, axis=0)
-    lengths = None
     if len(floats) < k:
-        # other columns: put every column's slots and keep mask side by side
+        # other columns: put every column's slots side by side
         at = dict(zip(floats, range(len(floats))))
-        parts, masks, lengths = [], [], np.empty((r, k), np.intp)
+        parts = []
         for j, c in enumerate(cols):
             if j in at:
                 parts.append(slots[:, at[j]])
-                masks.append(keep[:, at[j]])
-                lengths[:, j] = tab.lengths.take(keys[:, at[j]])
-            else:
-                c = c[lo:hi]
-                if c.dtype.kind in "iub":
-                    c = c.astype(np.uint64 if c.dtype.kind == "u"
-                                 else np.int64)
-                part, mask, lengths[:, j] = _text_cells(
-                    c.tolist(), "," if j < k - 1 else "\n")
-                parts.append(part)
-                masks.append(mask)
+                continue
+            c = c[lo:hi]
+            if c.dtype.kind in "iub":
+                c = c.astype(np.uint64 if c.dtype.kind == "u" else np.int64)
+            parts.append(_text_cells(c.tolist(), "," if j < k - 1 else "\n"))
         slots = np.concatenate(parts, axis=1)
-        keep = np.concatenate(masks, axis=1)
-    data = np.compress(keep.ravel(), slots.ravel())
-    if not slow.any():
-        return data
-    # each fallback cell's text goes in before its separator
-    if lengths is None:
-        lengths = tab.lengths.take(keys)
-    lengths = lengths.ravel()
-    starts = np.cumsum(lengths, dtype=np.intp) - lengths
-    rows, at = np.nonzero(slow)
-    offsets = starts[rows * k + np.array(floats)[at]]
-    data = data.tobytes()
-    pieces, prev = [], 0
-    for offset, v in zip(offsets.tolist(), vals[rows, at].tolist()):
-        pieces += [data[prev:offset], ("%.9g" % v).encode()]
-        prev = offset
-    pieces.append(data[prev:])
-    return b"".join(pieces)
+    return slots.tobytes().translate(None, b"\xff")
 
 
 def emit_csv(header, columns, path):

@@ -304,6 +304,10 @@ def _step_dt(poles, t_end):
 # allocated (about 16 MB per million samples for t and y alone)
 MAX_SAMPLES = 5_000_000
 
+# most gains a root-locus or error sweep may take: checked when the sweep
+# is parsed (root_locus holds about 580 B per gain of a third-order loop)
+MAX_GAINS = 100_000
+
 
 def step_response(tf, t_end, dt=None):
     """

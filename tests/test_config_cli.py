@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from sunpump.cli import build_parser, main
-from sunpump.config import parse_config, parse_config_text
-from sunpump import csvio
+from sunpump.config import parse_config, parse_config_text, parse_gains
+from sunpump import csvio, lti
 from sunpump.csvio import emit_csv
 from sunpump.plants import PRESETS
 from sunpump.scenario import (ConfigError, ScenarioConfig, SimTrace,
@@ -200,7 +200,9 @@ COLUMN_VALUES = {
     np.uint64: st.integers(0, 2 ** 64 - 1),
     np.uint8: st.integers(0, 255),
     np.bool_: st.booleans(),
-    object: st.text(alphabet='ab ,"\n\r', max_size=4),
+    # NUL, U+00FF and multi-byte UTF-8: no text byte is the filler 0xFF
+    object: st.text(alphabet='ab ,"\n\r\x00\xff\u20ac\U0001f600',
+                    max_size=4),
 }
 
 
@@ -299,7 +301,7 @@ class TestCsvMatchesRowFormat:
         # at most 1 cell in 1000 may be (1 of 1 080 000 on daylight)
         trace, _ = run_scenario(cfg)
         cells = np.stack([getattr(trace, name) for name in trace.COLUMNS])
-        _, _, slow = csvio._float_cells(cells.astype(float))
+        _, slow = csvio._float_cells(cells.astype(float))
         assert np.count_nonzero(slow) <= cells.size // 1000
 
     @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
@@ -315,7 +317,7 @@ class TestCsvMatchesRowFormat:
         t_end = 8.0 / abs(stable.real.max()) if stable.size else 10.0
         trace = step_response(tf_feedback(tf, 1.0) if closed else tf, t_end)
         cells = np.stack([trace.t, trace.y])
-        _, _, slow = csvio._float_cells(cells)
+        _, slow = csvio._float_cells(cells)
         assert np.count_nonzero(slow) <= cells.size // 1000
 
 
@@ -367,6 +369,26 @@ class TestFloatKernel:
         path = tmp_path / "edges.csv"
         emit_csv(["x"], [values], path)
         assert path.read_bytes() == per_value_csv(values.tolist())
+
+    def test_every_keep_table_row(self, tmp_path):
+        # every row of the keep table, (notation class, significant
+        # digits, sign), with random digits: a row drops the same bytes
+        # from every slot, and its add turns each of them into the
+        # filler; the 2- and 3-digit exponent classes at several X
+        rng = np.random.default_rng(35)
+        values = [0.0, -0.0]
+        for x in [*range(-4, 9), -99, -5, 9, 99, -300, -100, 100, 307]:
+            for sig in range(1, 10):
+                for _ in range(3):
+                    digits = rng.integers(0, 10, sig)
+                    digits[[0, -1]] = rng.integers(1, 10, 2)
+                    v = float(f"{digits[0]}.{''.join(map(str, digits[1:]))}"
+                              f"e{x}")
+                    values += [v, -v]
+        assert not csvio._float_cells(np.array(values))[1].any()
+        path = tmp_path / "rows.csv"
+        emit_csv(["x"], [np.array(values)], path)
+        assert path.read_bytes() == per_value_csv(values)
 
     @settings(max_examples=200)
     @given(bits=st.lists(st.integers(0, 2 ** 64 - 1), max_size=600))
@@ -911,12 +933,73 @@ class TestCliExitCodes:
         assert err.startswith("config error: analysis " + line.split()[0])
         assert not out.exists()
 
-    def test_out_of_memory_is_a_numeric_failure(self, tmp_path, capsys):
-        # 1e15 gains: the grid alone would take petabytes
+    def test_out_of_memory_is_a_numeric_failure(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # a gain count past lti.MAX_GAINS is refused before anything is
+        # allocated; an analysis that still runs out of memory is a
+        # numeric failure
+        def exhausted(tf, gains):
+            raise MemoryError("root_locus")
+        monkeypatch.setattr(lti, "root_locus", exhausted)
         code = main(["tf", "rlocus", "--preset", "cascade", "--gains",
-                     "0.1:10:1e15", "--out", str(tmp_path)])
+                     "0.1:10:100", "--out", str(tmp_path)])
         assert code == 3
         assert "out of memory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gains", ["0.01:1000:1e8", "0.1:10:1e15"])
+    @pytest.mark.parametrize("mode", ["rlocus", "errors"])
+    def test_gain_count_past_the_ceiling_is_refused(self, mode, gains,
+                                                    tmp_path, capsys):
+        # 1e8 gains of root_locus would ask for about 58 GB: refused as
+        # the sweep is parsed, a usage error on the command line and a
+        # config error in a config file
+        out = tmp_path / "out"
+        code = main(["tf", mode, "--preset", "cascade", "--gains", gains,
+                     "--out", str(out)])
+        assert code == 1
+        assert ("usage error: gains must be 'a:b:n' with n <= 100000"
+                in capsys.readouterr().err)
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"[analysis]\nkind = {mode}\npreset = cascade\n"
+                       f"gains = {gains}\n")
+        assert main(["tf", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: analysis gains: gains must be 'a:b:n' with n <= "
+            "100000")
+        assert not out.exists()
+
+    def test_gain_count_ceiling_parses(self):
+        top = lti.MAX_GAINS
+        assert parse_gains(f"0.01:1000:{top}") == (0.01, 1000.0, top)
+        assert parse_gains(f"0.01:1000:{top}.5") == (0.01, 1000.0, top)
+        with pytest.raises(ValueError, match=f"n <= {top}, got n = "):
+            parse_gains(f"0.01:1000:{top + 1}")
+
+    @pytest.mark.parametrize("via", ["cli", "config"])
+    @pytest.mark.parametrize("mode", ["rlocus", "errors"])
+    def test_gain_count_at_the_ceiling_runs(self, mode, via, tmp_path,
+                                            capsys, monkeypatch):
+        # the ceiling itself, lowered: exactly MAX_GAINS gains run, and
+        # one more is refused on either path
+        monkeypatch.setattr(lti, "MAX_GAINS", 50)
+        rows = {"rlocus": 50 * 2, "errors": 50}[mode]
+        name = {"rlocus": "rlocus.csv", "errors": "ss_error.csv"}[mode]
+        for n, code in ((50, 0), (51, 1 if via == "cli" else 2)):
+            out = tmp_path / str(n)
+            argv = ["tf", mode, "--preset", "cascade", "--gains",
+                    f"0.01:1000:{n}"]
+            if via == "config":
+                cfg = tmp_path / f"{n}.cfg"
+                cfg.write_text(f"[analysis]\nkind = {mode}\n"
+                               f"preset = cascade\ngains = 0.01:1000:{n}\n")
+                argv = ["tf", "--config", str(cfg)]
+            assert main(argv + ["--out", str(out)]) == code
+            if code:
+                assert "with n <= 50, got n = 51" in capsys.readouterr().err
+                assert not out.exists()
+            else:
+                lines = (out / name).read_text().splitlines()
+                assert len(lines) == 1 + rows
 
     @pytest.mark.parametrize("argv", [
         ["track-sim", "--motor-step", "nan"],
@@ -1164,6 +1247,15 @@ class TestCliCommands:
                      "--out", str(tmp_path)]) == 0
         assert "unreachable target on 15 of 25 lit rows, answered with " \
             "the nearest reachable one" in capsys.readouterr().out
+        # the reachable column flags those 15 rows and no other
+        lines = (tmp_path / "solar_angles.csv").read_text().splitlines()
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        listed = re.search(r"`solar_angles.csv` has the columns `([^`]*)`",
+                           readme).group(1)
+        assert re.split(r",\s+", listed) == lines[0].split(",")
+        assert lines[0].endswith(",beta,reachable")
+        flags = [line.rsplit(",", 1)[1] for line in lines[1:]]
+        assert flags.count("0") == 15 and flags.count("1") == 10
 
     def test_track_sim(self, tmp_path, capsys):
         assert main(["track-sim", "--steps", "40",
@@ -1380,20 +1472,22 @@ class TestCliCsvBytes:
             row = [300, st, delta, theta_e, theta_z, theta_sa]
             if theta_e > 0:
                 sun = SunPosition(theta_e, theta_sa)
-                to = optimal_orientation(sun, 5.0, 0.0).orientation
+                sol = optimal_orientation(sun, 5.0, 0.0)
+                to = sol.orientation
                 try:
                     beta = incidence_direction(sun, to)
                 except UndefinedDirectionError:
                     beta = 0.0
                 row += [to.theta_TE, to.theta_TA,
-                        angle_of_incidence(sun, to), beta]
+                        angle_of_incidence(sun, to), beta, int(sol.reachable)]
             else:
-                row += [0.0, theta_sa, 90.0, 0.0]
+                # an unlit row seeks no target: reachable reads 1
+                row += [0.0, theta_sa, 90.0, 0.0, 1]
             rows.append(row)
         assert any(r[3] <= 0 for r in rows) == hour_angles.startswith("-170")
         assert (tmp_path / "solar_angles.csv").read_bytes() == rowwise_csv(
             ["n", "ST", "delta", "theta_e", "theta_z", "theta_SA",
-             "theta_TE", "theta_TA", "alpha", "beta"], rows)
+             "theta_TE", "theta_TA", "alpha", "beta", "reachable"], rows)
 
     def test_track_sim(self, tmp_path, capsys):
         from sunpump.solar import TrackerOrientation
