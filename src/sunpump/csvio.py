@@ -103,10 +103,12 @@ def _tables():
             | dot & (p == 5 + 2 * whole) & (sig > whole) & ~small
             | small & (p >= 1) & (p <= 1 - x)
             | ~fixed & (p >= 24) & (p <= np.where(x < 100, 27, 28)))
-    # each class's bytes where its rows drop them (a dropped digit is 0)
-    template = np.frombuffer(b"".join(
+    # 0xFF less each class's bytes where its rows drop them (a dropped
+    # digit is 0), subtracted by a translate, which maps no numpy loop
+    gap = np.frombuffer(b"".join(
         b"-0.000" + b"0." * 9 + (b"e%+03d" % c).ljust(8, b"\0")
-        for c in x.ravel().tolist()), np.uint8).reshape(-1, 1, 1, 32)
+        for c in x.ravel().tolist()).translate(bytes(range(255, -1, -1))),
+        np.uint8).reshape(-1, 1, 1, 32)
     # the 4-digit groups abcd = 0..9999 on a (10, 10, 10, 10) grid; their
     # words are built in int64 (all below 2^63) and viewed as uint64
     d = np.arange(10, dtype=np.int64)
@@ -116,8 +118,7 @@ def _tables():
     xs = np.arange(_X_LO, _X_HI + 1)
     return types.SimpleNamespace(
         # by keep-table row: the words that make each dropped byte 0xFF
-        add=np.where(keep, 0, 255 - template).astype(np.uint8)
-        .reshape(-1, 32).view("<u8"),
+        add=np.where(keep, 0, gap).reshape(-1, 32).view("<u8"),
         # by X - _X_LO: 10^(8 - X) correctly rounded (module docstring),
         # the first keep-table row of X's notation class, and "e+XX"
         scale=np.array([float("1e%d" % (8 - x)) for x in xs.tolist()]),
