@@ -82,9 +82,9 @@ def _tables():
     the lookups of the float slots, each indexed by a small integer.
 
     The tables and the kernel use only the numpy loops they share with
-    the rest of a run (no integer abs or subtract, no bool arithmetic):
-    each other loop maps 64 KB more of numpy's code, which the peak RSS
-    counts."""
+    the rest of a run (no integer abs or subtract, no bool arithmetic
+    or cast): each other loop maps 64 KB more of numpy's code, which the
+    peak RSS counts."""
     p = np.arange(32)
     # one X per notation class: -4..8, then 9 and 100 for the 2-digit and
     # the 3-digit exponents
@@ -214,9 +214,11 @@ def _block(cols, lo, hi):
         words, _ = _float_cells(np.ascontiguousarray(vals.T))
     else:
         # format each run once: cell (row, i) takes its run's slot, runs
-        # counted column after column
+        # counted column after column (ids built without a bool cast)
         runs, _ = _float_cells(vals[new])
-        ids = np.cumsum(new)
+        ids = np.zeros(new.size, np.intp)
+        np.putmask(ids, new, 1)
+        np.cumsum(ids, out=ids)
         ids += -1
         words = runs.take(ids.reshape(vals.shape).T, axis=0)
     slots = words.view(np.uint8)
