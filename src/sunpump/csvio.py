@@ -37,9 +37,8 @@ which is its "%d", or a text) gets a slot of its quoted UTF-8 and the
 filler.
 
 A float cell whose bits equal those of the cell above it gets the same
-slot: in a block where more than a quarter of the float cells do (a
-scenario trace), each run is formatted once and its slot taken for the
-run; a block with fewer (a step response) formats every cell.
+slot: each run of bit-equal cells down a column is formatted once and
+its slot taken for the run.
 
 The fast path proves a float's digits without a string, for every
 finite |v| >= 1e-300.  X = floor(log10|v|) clipped to [-300, 308], and
@@ -210,17 +209,14 @@ def _block(cols, lo, hi):
     new = np.empty(vals.shape, bool)
     new[:, 0] = True
     np.not_equal(bits[:, 1:], bits[:, :-1], out=new[:, 1:])
-    if 4 * np.count_nonzero(new) >= 3 * new.size:
-        words, _ = _float_cells(np.ascontiguousarray(vals.T))
-    else:
-        # format each run once: cell (row, i) takes its run's slot, runs
-        # counted column after column (ids built without a bool cast)
-        runs, _ = _float_cells(vals[new])
-        ids = np.zeros(new.size, np.intp)
-        np.putmask(ids, new, 1)
-        np.cumsum(ids, out=ids)
-        ids += -1
-        words = runs.take(ids.reshape(vals.shape).T, axis=0)
+    # format each run once: cell (row, i) takes its run's slot, runs
+    # counted column after column (ids built without a bool cast)
+    runs, _ = _float_cells(vals[new])
+    ids = np.zeros(new.size, np.intp)
+    np.putmask(ids, new, 1)
+    np.cumsum(ids, out=ids)
+    ids += -1
+    words = runs.take(ids.reshape(vals.shape).T, axis=0)
     slots = words.view(np.uint8)
     slots[..., 29] = [ord(",") if j < k - 1 else ord("\n") for j in floats]
     if len(floats) < k:
