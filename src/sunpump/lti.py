@@ -216,28 +216,24 @@ def tf_feedback(g, h):
     g : TransferFunction
         Forward path.
     h : TransferFunction or float
-        Feedback path; a plain number k is a constant gain, closing the
-        loop as ``G / (1 + k G)`` over G's own numerator, and 0 leaves
-        the loop open (returns ``g`` unchanged).
+        Feedback path; a plain number k is the constant path ``k / 1``,
+        and 0 leaves the loop open (returns ``g`` unchanged).
 
     Raises
     ------
     DegenerateSystemError
         If ``1 + G H`` has an identically zero numerator.
     """
-    if isinstance(h, TransferFunction):
-        num = g.num * h.den
-        den_coeffs = np.polyadd(np.convolve(g.den.coeffs, h.den.coeffs),
-                                np.convolve(g.num.coeffs, h.num.coeffs))
-    else:
-        k = float(h)
-        if k == 0.0:
-            return g
-        num = g.num
-        den_coeffs = np.polyadd(g.den.coeffs, k * np.asarray(g.num.coeffs))
+    h_num, h_den = ((h.num.coeffs, h.den.coeffs)
+                    if isinstance(h, TransferFunction)
+                    else ((float(h),), (1.0,)))
+    if h_num == (0.0,):
+        return g
+    den_coeffs = np.polyadd(np.convolve(g.den.coeffs, h_den),
+                            np.convolve(g.num.coeffs, h_num))
     if not np.any(den_coeffs):
         raise DegenerateSystemError("1 + GH collapsed to zero")
-    return TransferFunction(num, den_coeffs)
+    return TransferFunction(np.convolve(g.num.coeffs, h_den), den_coeffs)
 
 
 @dataclass(frozen=True)
@@ -285,13 +281,9 @@ def _expm(X):
     return E
 
 
-def default_step_dt(tf, t_end):
+def _step_dt(poles, t_end):
     """Sample spacing min(tau_min / 20, t_end / 2000), tau_min = 1 / max|pole|;
     the samples are exact at any spacing, so dt is no accuracy knob."""
-    return _step_dt(tf.poles(), t_end)
-
-
-def _step_dt(poles, t_end):
     mags = np.abs(poles)
     dt = t_end / 2000.0
     if mags.size and mags.max() > 0:
@@ -509,53 +501,34 @@ def routh_table(p):
     if coeffs[0] < 0:
         coeffs = -coeffs
     eps = 1e-9 * np.max(np.abs(coeffs))
-
-    width = n // 2 + 1
-    rows = [np.zeros(width), np.zeros(width)]
-    rows[0][: len(coeffs[0::2])] = coeffs[0::2]
-    rows[1][: len(coeffs[1::2])] = coeffs[1::2]
+    table = np.zeros((n + 1, n // 2 + 1))
+    # row 0 holds s^n, s^(n-2), ... and row 1 s^(n-1), s^(n-3), ...
+    table[:2].T.flat[:n + 1] = coeffs
     zero_event = False
-
-    table = [rows[0].copy(), rows[1].copy()]
     for i in range(2, n + 1):
-        prev, prev2 = table[i - 1], table[i - 2]
-        if np.all(prev == 0.0):
-            # full zero row: differentiate the auxiliary polynomial of prev2
+        r2, r1, row = table[i - 2:i + 1]
+        if not r1.any():
+            # full zero row: differentiate the auxiliary polynomial of r2
             zero_event = True
-            order = n - (i - 2)
-            aux_pows = np.arange(order, -1, -2, dtype=float)
-            prev = prev2[: len(aux_pows)] * aux_pows
-            padded = np.zeros(width)
-            padded[: len(prev)] = prev
-            prev = padded
-            table[i - 1] = prev
-        pivot = prev[0]
-        if pivot == 0.0:
+            pows = np.arange(n - i + 2, -1, -2, dtype=float)
+            r1[:] = 0.0
+            r1[:len(pows)] = r2[:len(pows)] * pows
+        if r1[0] == 0.0:
             zero_event = True
-            pivot = eps
-            prev = prev.copy()
-            prev[0] = pivot
-            table[i - 1] = prev
-        row = np.zeros(width)
-        for j in range(width - 1):
-            row[j] = (pivot * prev2[j + 1] - prev2[0] * prev[j + 1]) / pivot
-        # scale for numerical health; positive factor keeps signs intact
+            r1[0] = eps
+        # scaled for numerical health; a positive factor keeps the signs
+        row[:-1] = (r1[0] * r2[1:] - r2[0] * r1[1:]) / r1[0]
         m = np.max(np.abs(row))
         if m > 0:
-            row = row / m
-        table.append(row)
+            row /= m
 
-    first = [table[i][0] for i in range(n + 1)]
-    signs = [math.copysign(1.0, v) for v in first if v != 0.0]
-    changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-    if changes > 0:
-        verdict = "unstable"
-    elif zero_event:
-        verdict = "marginal"
-    else:
-        verdict = "stable"
-    return RouthResult(
-        tuple(tuple(r) for r in table), tuple(first), changes, verdict)
+    first = table[:, 0]
+    # a sign is the sign bit of a nonzero entry, as math.copysign reads it
+    signs = np.signbit(first[first != 0.0])
+    changes = int(np.count_nonzero(signs[1:] != signs[:-1]))
+    return RouthResult(tuple(map(tuple, table)), tuple(first), changes,
+                       "unstable" if changes else
+                       "marginal" if zero_event else "stable")
 
 
 def stability_verdict_from_roots(p, tol=1e-7):
@@ -746,13 +719,22 @@ class ErrorConstants:
     system_type: int
 
 
-def _lowest_terms(g_open):
-    """(system type, lowest nonzero num and den coefficients) of ``g_open``."""
+def _error_law(g_open, order, gains=1.0):
+    """
+    ``(system type, K, e)`` of unity feedback around ``gains * g_open``
+    for the input of ``order`` (0 step, 1 ramp, 2 parabola): K is inf
+    below the type, 0 above it, and ``gains`` times the lowest nonzero
+    num over den coefficient at it; ``e = 1 / (1 + K)`` for a step and
+    ``1 / K`` above, so 1/inf = 0 and 1/0 (or 1/-0.0) = inf.
+    """
     num = np.asarray(g_open.num.coeffs)
     den = np.asarray(g_open.den.coeffs)
     zn, zd = int(_first_kept(num[::-1])), int(_first_kept(den[::-1]))
-    return (max(0, zd - zn), num[len(num) - 1 - zn],
-            den[len(den) - 1 - zd])
+    sys_type = max(0, zd - zn)
+    with np.errstate(over="ignore", divide="ignore"):   # K may overflow
+        k = np.where(order < sys_type, math.inf, np.where(
+            order > sys_type, 0.0, num[-1 - zn] * gains / den[-1 - zd]))
+        return sys_type, k, 1.0 / ((order == 0) + k)
 
 
 def error_constants(g_open):
@@ -760,23 +742,11 @@ def error_constants(g_open):
     Position/velocity/acceleration constants of a unity-feedback loop.
 
     ``Kp = lim G``, ``Kv = lim s G``, ``Ka = lim s^2 G`` as s -> 0; the
-    system type is the multiplicity of the pole at the origin.
+    system type is the multiplicity of the pole at the origin.  At
+    ``1 + Kp = 0`` the closed loop has a pole at s = 0: e_step is inf.
     """
-    sys_type, num_low, den_low = _lowest_terms(g_open)
-    base = num_low / den_low
-
-    def const_at(order):
-        if sys_type > order:
-            return math.inf
-        if sys_type < order:
-            return 0.0
-        return base
-
-    kp, kv, ka = const_at(0), const_at(1), const_at(2)
-    e_step = 0.0 if math.isinf(kp) else 1.0 / (1.0 + kp)
-    e_ramp = math.inf if kv == 0.0 else (0.0 if math.isinf(kv) else 1.0 / kv)
-    e_par = math.inf if ka == 0.0 else (0.0 if math.isinf(ka) else 1.0 / ka)
-    return ErrorConstants(kp, kv, ka, e_step, e_ramp, e_par, sys_type)
+    sys_type, k, e = _error_law(g_open, np.arange(3))
+    return ErrorConstants(*k, *e, sys_type)
 
 
 def ss_error_vs_gain(g_template, gains, error_kind="step"):
@@ -797,23 +767,13 @@ def ss_error_vs_gain(g_template, gains, error_kind="step"):
     the error constant of ``G`` of the error's order, the error is
     ``1/(1 + K base)`` (step) or ``1/(K base)`` (ramp, parabola), solved
     for K in closed form; a target met everywhere on the range maps to
-    ``gains[0]``.  The error column is that closed form too, with the
-    error constant of ``K G`` rounded as ``error_constants(K * G)``
-    rounds it; it is 0 for a system type above the error's order and
-    inf below it.
+    ``gains[0]``.  The error column is ``error_constants(K * G)``'s law
+    on the error constant of ``K G``, rounded as it rounds it.
     """
     order = {"step": 0, "ramp": 1, "parabola": 2}[error_kind]
     gains = _gain_sweep(gains)
-    sys_type, num_low, den_low = _lowest_terms(g_template)
-    base = num_low / den_low
-    if sys_type > order:
-        errors = np.zeros(len(gains))
-    elif sys_type < order:
-        errors = np.full(len(gains), math.inf)
-    else:
-        with np.errstate(over="ignore", divide="raise"):
-            const = num_low * gains / den_low   # inf: an error of 0
-            errors = 1.0 / (1.0 + const) if order == 0 else 1.0 / const
+    sys_type, base, _ = _error_law(g_template, order)  # K of G: the base
+    errors = _error_law(g_template, order, gains)[2]
     targets = {}
     for target in (0.1, 0.01):
         sol = None

@@ -697,11 +697,15 @@ class TestCliExitCodes:
           "num: 1e308 / den: 1 1e-300"], 3,
          "numeric failure: the default dt for t_end = 10.0 is 0\n"),
         (["tf", "errors", "--gains", "1e300:1e308:3", "--tf-text",
-          "num: 1e10 / den: 1 1"], 0, "")], ids=["step", "errors"])
+          "num: 1e10 / den: 1 1"], 0, ""),
+        (["tf", "errors", "--gains", "0.5:2:3", "--tf-text",
+          "num: -1 / den: 1 1"], 0, "")],
+        ids=["step", "errors", "errors-pole-at-origin"])
     def test_overflow_prints_no_numpy_warning(self, tmp_path, argv, code,
                                               err):
         # 20 |p| overflows for the default dt, and K 1e10 for the error;
-        # numpy's overflow warning printed on stderr
+        # numpy's overflow warning printed on stderr.  At 1 + K Kp = 0
+        # numpy warned of a division by 0, and the sweep exited 3
         proc = fresh_cli(*argv, "--out", str(tmp_path))
         assert proc.returncode == code
         assert proc.stderr == err

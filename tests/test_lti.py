@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import mpmath
 import numpy as np
 import pytest
@@ -450,6 +450,104 @@ class TestRouth:
                 continue
             assert routh_table(p).verdict == stability_verdict_from_roots(p)
             checked += 1
+
+
+def _routh_loop(p):
+    """The Routh array built cell by cell, as routh_table built it before
+    its rows became array steps: the bit-level oracle of those steps."""
+    p = p if isinstance(p, Polynomial) else Polynomial(p)
+    n = p.degree
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    coeffs = np.asarray(p.coeffs)
+    if coeffs[0] < 0:
+        coeffs = -coeffs
+    eps = 1e-9 * np.max(np.abs(coeffs))
+
+    width = n // 2 + 1
+    rows = [np.zeros(width), np.zeros(width)]
+    rows[0][: len(coeffs[0::2])] = coeffs[0::2]
+    rows[1][: len(coeffs[1::2])] = coeffs[1::2]
+    zero_event = False
+
+    table = [rows[0].copy(), rows[1].copy()]
+    for i in range(2, n + 1):
+        prev, prev2 = table[i - 1], table[i - 2]
+        if np.all(prev == 0.0):
+            # full zero row: differentiate the auxiliary polynomial of prev2
+            zero_event = True
+            order = n - (i - 2)
+            aux_pows = np.arange(order, -1, -2, dtype=float)
+            prev = prev2[: len(aux_pows)] * aux_pows
+            padded = np.zeros(width)
+            padded[: len(prev)] = prev
+            prev = padded
+            table[i - 1] = prev
+        pivot = prev[0]
+        if pivot == 0.0:
+            zero_event = True
+            pivot = eps
+            prev = prev.copy()
+            prev[0] = pivot
+            table[i - 1] = prev
+        row = np.zeros(width)
+        for j in range(width - 1):
+            row[j] = (pivot * prev2[j + 1] - prev2[0] * prev[j + 1]) / pivot
+        # scale for numerical health; positive factor keeps signs intact
+        m = np.max(np.abs(row))
+        if m > 0:
+            row = row / m
+        table.append(row)
+
+    first = [table[i][0] for i in range(n + 1)]
+    signs = [math.copysign(1.0, v) for v in first if v != 0.0]
+    changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+    if changes > 0:
+        verdict = "unstable"
+    elif zero_event:
+        verdict = "marginal"
+    else:
+        verdict = "stable"
+    return lti.RouthResult(
+        tuple(tuple(r) for r in table), tuple(first), changes, verdict)
+
+
+# coefficients that make zero pivots (0.0, -0.0), near-zero pivots and a
+# wide spread of magnitudes
+_ROUTH_COEFFS = (st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1e9])
+                 | st.integers(-4, 4).map(float))
+
+
+@st.composite
+def _routh_polys(draw):
+    """A polynomial of degree 1-9, times s^2 + a for some of them: a
+    factor with roots on the imaginary axis (or at 0) forces zero rows."""
+    deg = draw(st.integers(1, 9))
+    c = [draw(_ROUTH_COEFFS.filter(bool))] + draw(
+        st.lists(_ROUTH_COEFFS, min_size=deg, max_size=deg))
+    a = draw(st.sampled_from([None, 0.0, 0.25, 1.0, 4.0]))
+    return c if a is None else np.convolve(c, [1.0, 0.0, a]).tolist()
+
+
+def _int_bits(cells):
+    return np.array(cells, dtype=float).view(np.int64)
+
+
+class TestRouthRows:
+    @settings(max_examples=300)
+    @given(_routh_polys())
+    @example([1.0, 2.0, 24.0, 48.0, -25.0, -50.0])   # zero row at s^3
+    @example([1.0, 1.0, 2.0, 2.0, 3.0])              # zero pivot at s^2
+    @example([1.0, 0.0, 0.0, 0.0])                   # s^3
+    @example([1.0, 0.0, 4.0])                        # s^2 + 4
+    @example([-2.0, 1.0, -3.0, 5.0])                 # leading coefficient < 0
+    def test_bits_equal_the_cell_loop(self, c):
+        got, want = routh_table(c), _routh_loop(c)
+        assert np.array_equal(_int_bits(got.table), _int_bits(want.table))
+        assert np.array_equal(_int_bits(got.first_column),
+                              _int_bits(want.first_column))
+        assert (got.sign_changes, got.verdict) == (want.sign_changes,
+                                                   want.verdict)
 
 
 class TestFrequencyResponse:
@@ -912,9 +1010,9 @@ class TestPoleOnGrid:
 def _loop_step_y(tf, t_end, dt=None):
     """The hold recurrence ``z <- e^{G dt} z`` stepped one sample at a
     time: the blocked step_response's oracle."""
-    from sunpump.lti import _expm, _hold_realization, default_step_dt
+    from sunpump.lti import _expm, _hold_realization, _step_dt
     if dt is None:
-        dt = default_step_dt(tf, t_end)
+        dt = _step_dt(tf.poles(), t_end)
     G, c = _hold_realization(tf)
     F = _expm(G * dt)
     n_steps = int(round(t_end / dt))
@@ -1001,7 +1099,7 @@ def _hold_step(name):
     t_end = 8.0 / abs(stable.real.max()) if stable.size else 10.0
     closed = tf_feedback(tf, 1.0)
     G, _ = lti._hold_realization(closed)
-    return G * lti.default_step_dt(closed, t_end)
+    return G * lti._step_dt(closed.poles(), t_end)
 
 
 class TestExactStepResponse:
@@ -1225,6 +1323,21 @@ class TestClosedFormErrorSweep:
         g = TransferFunction([1e10], [1.0, 1.0])
         _, errors, _ = ss_error_vs_gain(g, np.geomspace(1e300, 1e308, 3))
         assert np.array_equal(errors, np.zeros(3))
+
+    def test_closed_loop_pole_at_the_origin(self):
+        # Kp = -1: the closed loop -1 / (s + 1 - 1) has its pole at s = 0,
+        # so the step error is inf; numpy warned of the division by 0
+        ec = error_constants(TransferFunction([-1.0], [1.0, 1.0]))
+        assert (ec.Kp_pos, ec.e_step) == (-1.0, math.inf)
+
+    def test_sweep_through_a_pole_at_the_origin(self):
+        # K = 1 meets 1 + K Kp = 0: the sweep raised there, where
+        # error_constants(K * G) answered inf
+        g = TransferFunction([-1.0], [1.0, 1.0])
+        _, errors, targets = ss_error_vs_gain(g, [0.5, 1.0, 2.0])
+        assert errors.tolist() == [2.0, math.inf, -1.0]
+        assert error_constants(1.0 * g).e_step == math.inf
+        assert targets == {0.1: None, 0.01: None}
 
     def test_no_per_gain_error_constants_calls(self, monkeypatch):
         import sunpump.lti as lti

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from sunpump import blocks, pv, scenario
+from sunpump.lti import step_response
 from sunpump.mppt import initial_state
+from sunpump.plants import pump_tf
 from sunpump.scenario import (ConfigError, ScenarioConfig, _profile_columns,
                               control_logic_step, run_scenario)
 from sunpump.solar import SunPosition, TrackerOrientation
@@ -706,6 +708,23 @@ class TestPumpDynamics:
         assert flow == pytest.approx(want, rel=1e-9, abs=1e-9)
         assert load == pytest.approx(
             cfg.pump1_power_W * flow / cfg.pump_flow_Lpm, rel=1e-6)
+
+    @pytest.mark.parametrize("tau, dt", [(0.1, 0.1), (2.0, 0.1),
+                                         (0.5, 0.01)])
+    def test_flow_is_the_step_response_of_pump_tf(self, tau, dt):
+        # the simulator's pump lag is the analysis half's pump model:
+        # from a pump1 start, flow1 after step j is the exact sample
+        # y((j + 1) dt) of rated / (1 + tau s), within n 2**-52 rated
+        cfg = ScenarioConfig(dt_s=dt, pump_tau_s=tau, tank2_init_pct=10.0,
+                             soc_init_pct=80.0)
+        n = 200
+        h = scenario._Hydraulics(cfg, n)
+        flow = np.array([h.step(j, 50.0)[3] for j in range(n)])
+        assert h.pump1 and h.relay
+        y = step_response(pump_tf(cfg.pump_flow_Lpm, tau), n * dt, dt).y
+        assert len(y) == n + 1
+        assert np.max(np.abs(flow - y[1:])) <= (
+            len(y) * 2.0 ** -52 * cfg.pump_flow_Lpm)
 
     def test_off_decays_to_zero(self):
         # pump1 fills tank2 from 19 % to its 21 % full mark, then stops
