@@ -2,8 +2,9 @@
 
 Every name below is imported from its module on first access (PEP 562),
 so a process loads only the modules it uses: a scenario run never
-imports the transfer-function half (``lti``, ``plants``,
-``validation``).  Submodules are reachable as ``sunpump.<module>``.
+imports the transfer-function half (``lti``, ``plants``, ``validation``),
+and ``tf`` and ``validate`` never import the simulator (``scenario`` and
+what it runs).  Submodules are reachable as ``sunpump.<module>``.
 """
 
 import importlib

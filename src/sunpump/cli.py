@@ -23,15 +23,9 @@ import sys
 
 import numpy as np
 
-# the analysis modules (lti, plants, validation) are imported by the
-# commands that run them, so that the other commands never load them
-from . import csvio, mppt, pv
-from .config import ANALYSIS_KINDS, parse_config, parse_gains
-from .scenario import ConfigError, ScenarioConfig, run_scenario
-from .solar import (SunPosition, TrackerOrientation, UndefinedDirectionError,
-                    angle_of_incidence, declination, incidence_direction,
-                    optimal_orientation, zenith_and_elevation)
-from .tracking import tracking_sim
+# each command imports the modules it runs (README, "Start-up")
+from . import csvio
+from .config import ANALYSIS_KINDS, ConfigError, parse_config, parse_gains
 
 
 class UsageError(Exception):
@@ -94,6 +88,7 @@ def _out_path(args, name):
 
 
 def _cmd_pv_curve(args):
+    from . import pv
     if args.points < 0:
         raise UsageError("point count must be >= 0")
     ap = pv.default_array(args.g_t, t_c=args.t_c)
@@ -114,6 +109,9 @@ def _cmd_pv_curve(args):
 
 
 def _cmd_solar_angles(args):
+    from .solar import (SunPosition, UndefinedDirectionError,
+                        angle_of_incidence, declination, incidence_direction,
+                        optimal_orientation, zenith_and_elevation)
     st0, st1, n = _parse_span(args.hour_angles)
     az0, az1 = _parse_span(args.azimuth, 2)
     if not 0 <= n < np.inf or n != int(n):   # NaN fails the first test
@@ -159,6 +157,8 @@ def _cmd_solar_angles(args):
 
 
 def _cmd_track_sim(args):
+    from .solar import TrackerOrientation
+    from .tracking import tracking_sim
     e0, e1 = _parse_span(args.elevation, 2)
     a0, a1 = _parse_span(args.azimuth, 2)
     n = args.steps
@@ -186,6 +186,7 @@ def _cmd_track_sim(args):
 
 
 def _cmd_mppt_run(args):
+    from . import mppt, pv
     if args.steps < 1:
         raise UsageError("step count must be >= 1")
     ap = pv.default_array(args.g_t)
@@ -314,6 +315,7 @@ def _cmd_tf(args):
 
 
 def _cmd_scenario(args):
+    from .scenario import ScenarioConfig, run_scenario
     cfg = parse_config(args.config) if args.config else ScenarioConfig()
     if not isinstance(cfg, ScenarioConfig):
         raise ConfigError(

@@ -16,7 +16,11 @@ from dataclasses import dataclass
 import math
 
 from .ranges import PROFILES
-from .scenario import ConfigError, ScenarioConfig
+
+
+class ConfigError(ValueError):
+    """A scenario or an ``[analysis]`` config violates an invariant."""
+
 
 # section -> config field; scalar fields parse as float
 _SCHEMA = {
@@ -169,6 +173,7 @@ def parse_config_text(text):
             raise ConfigError("[analysis] requires a 'kind' key")
         return AnalysisRequest(**picked_analysis)
 
+    from .scenario import ScenarioConfig    # only scenarios need it
     return ScenarioConfig(**values)
 
 

@@ -192,17 +192,18 @@ def _polished_roots(c):
         companion[:, 0, :] = -core[:, 1:] / core[:, :1]
         roots[sel, :n - 1] = np.linalg.eigvals(companion)
     dc = c[:, :-1] * np.arange(width - 1, 0, -1)
-    # guarded Newton polish: near multiple roots the derivative vanishes
-    # and a raw step diverges, so only accept residual improvements
-    value = _horner(c, roots)
-    for _ in range(2):
-        deriv = _horner(dc, roots)
-        ok = np.abs(deriv) > 0
-        cand = roots - np.divide(value, deriv, out=np.zeros_like(value),
-                                 where=ok)
-        better = np.abs(cand_value := _horner(c, cand)) < np.abs(value)
-        roots = np.where(better, cand, roots)
-        value = np.where(better, cand_value, value)
+    # guarded Newton polish: near multiple roots the derivative vanishes and
+    # a raw step diverges, so accept only improving residuals, never inf/nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = _horner(c, roots)
+        for _ in range(2):
+            deriv = _horner(dc, roots)
+            ok = np.abs(deriv) > 0
+            cand = roots - np.divide(value, deriv, out=np.zeros_like(value),
+                                     where=ok)
+            better = np.abs(cand_value := _horner(c, cand)) < np.abs(value)
+            roots = np.where(better, cand, roots)
+            value = np.where(better, cand_value, value)
     order = np.lexsort((roots.imag, roots.real), axis=-1)
     return np.take_along_axis(roots, order, axis=-1)
 
@@ -488,10 +489,10 @@ def routh_table(p):
     Routh-Hurwitz array with epsilon substitution for zero pivots.
 
     A zero first-column entry in a nonzero row is replaced by
-    ``1e-9 * max|coeff|``; a full row of zeros is replaced by the
-    derivative of its auxiliary polynomial.  The verdict is ``stable``
-    for zero sign changes without any zero events, ``unstable`` for one
-    or more sign changes, and ``marginal`` otherwise.
+    ``1e-9 * max|coeff|``, a zero row by the derivative of its auxiliary
+    polynomial; an overflow raises ``ArithmeticError``.  The verdict is
+    ``stable`` for zero sign changes without any zero events,
+    ``unstable`` for one or more, and ``marginal`` otherwise.
     """
     p = p if isinstance(p, Polynomial) else Polynomial(p)
     n = p.degree
@@ -505,22 +506,26 @@ def routh_table(p):
     # row 0 holds s^n, s^(n-2), ... and row 1 s^(n-1), s^(n-3), ...
     table[:2].T.flat[:n + 1] = coeffs
     zero_event = False
-    for i in range(2, n + 1):
-        r2, r1, row = table[i - 2:i + 1]
-        if not r1.any():
-            # full zero row: differentiate the auxiliary polynomial of r2
-            zero_event = True
-            pows = np.arange(n - i + 2, -1, -2, dtype=float)
-            r1[:] = 0.0
-            r1[:len(pows)] = r2[:len(pows)] * pows
-        if r1[0] == 0.0:
-            zero_event = True
-            r1[0] = eps
-        # scaled for numerical health; a positive factor keeps the signs
-        row[:-1] = (r1[0] * r2[1:] - r2[0] * r1[1:]) / r1[0]
-        m = np.max(np.abs(row))
-        if m > 0:
-            row /= m
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(2, n + 1):
+            r2, r1, row = table[i - 2:i + 1]
+            if not r1.any():
+                # full zero row: differentiate the auxiliary polynomial of r2
+                zero_event = True
+                pows = np.arange(n - i + 2, -1, -2, dtype=float)
+                r1[:] = 0.0
+                r1[:len(pows)] = r2[:len(pows)] * pows
+            if r1[0] == 0.0:
+                zero_event = True
+                r1[0] = eps
+            # scaled for numerical health; a positive factor keeps the signs
+            row[:-1] = (r1[0] * r2[1:] - r2[0] * r1[1:]) / r1[0]
+            m = np.max(np.abs(row))
+            if m > 0:
+                row /= m
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ArithmeticError(f"Routh array overflows at row s^{n - bad[0]}")
 
     first = table[:, 0]
     # a sign is the sign bit of a nonzero entry, as math.copysign reads it

@@ -38,6 +38,7 @@ import math
 import numpy as np
 
 from . import blocks, mppt, pv
+from .config import ConfigError
 from .ranges import PROFILES, RANGES, check
 from .solar import TrackerOrientation
 from .tracking import tracking_sim
@@ -48,10 +49,6 @@ BATTERY_BUS_V = 12.0
 # longest run a config may ask for, in steps: checked before the trace
 # columns are allocated (about 120 MB per million steps)
 MAX_STEPS = 5_000_000
-
-
-class ConfigError(ValueError):
-    """Scenario configuration violates an invariant."""
 
 
 @dataclass(frozen=True)

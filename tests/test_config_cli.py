@@ -1152,6 +1152,17 @@ class TestCliCommands:
                      "num: 1 / den: 1 2 5"]) == 0
         assert "verdict: stable" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("mode", ["routh", "analyze"])
+    def test_tf_routh_overflow_is_a_numeric_failure(self, capsys, mode):
+        # this printed two RuntimeWarnings and rows of nan, then exited 0
+        # with a verdict read off a nan; analyze printed "routh verdict:
+        # unstable" beside "root-sign verdict: stable"
+        assert main(["tf", mode, "--tf-text",
+                     "num: 1 / den: 1 1e200 1e200 1e200 1e200"]) == 3
+        out, err = capsys.readouterr()
+        assert "verdict" not in out
+        assert err == "numeric failure: Routh array overflows at row s^2\n"
+
     def test_tf_analyze_keeps_small_leading_terms(self, capsys):
         # 1e-13 * max|c| used to count as zero: this read as first order
         # with one pole at -5e12, and den: 1 1e14 as degree 0 (exit 3)

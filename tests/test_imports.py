@@ -1,9 +1,11 @@
 """
 What a process loads.  The package resolves each export on first access,
-and the commands that simulate never import the analysis half of the
-toolkit (``lti``, ``plants``, ``validation``); the ``tf`` and
-``validate`` commands import it when they run.  The load checks run in
-fresh interpreters, since this one has imported everything already.
+and each CLI command imports only the modules it runs, in both
+directions: the commands that simulate never import the analysis half of
+the toolkit (``lti``, ``plants``, ``validation``), and ``tf`` and
+``validate`` never import the simulator (``scenario``, ``tracking``,
+``solar``, ``mppt``, ``blocks``).  The load checks run in fresh
+interpreters, since this one has imported everything already.
 """
 
 import ast
@@ -20,6 +22,9 @@ import sunpump
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 ANALYSIS = ("sunpump.lti", "sunpump.plants", "sunpump.validation")
+# what ``import sunpump.cli`` and ``build_parser()`` load: the parser and
+# what every command needs
+PARSER = ("cli", "config", "csvio", "ranges")
 
 # every name the package exports, by the module that defines it
 EXPORTS = {
@@ -115,6 +120,38 @@ print(json.dumps({{"codes": codes,
         assert seen == {"codes": [0, 0], "loaded": list(ANALYSIS)}
         assert {p.name for p in (tmp_path / "out").iterdir()} == {
             "step.csv", "validation_report.csv"}
+
+    @pytest.mark.parametrize("argv, adds", [
+        ((), ()),
+        (("tf", "step", "--preset", "motor_paper"), ("lti", "plants")),
+        (("validate",), ("lti", "plants", "pv", "validation")),
+        (("pv-curve",), ("pv",)),
+        (("solar-angles",), ("solar",)),
+        (("track-sim",), ("blocks", "solar", "tracking")),
+        (("mppt-run",), ("blocks", "mppt", "pv")),
+        (("scenario", "run", "--config", "short.cfg"),
+         ("blocks", "mppt", "pv", "scenario", "solar", "tracking")),
+    ], ids=["parser", "tf-step", "validate", "pv-curve", "solar-angles",
+            "track-sim", "mppt-run", "scenario-run"])
+    def test_a_command_loads_the_modules_it_runs(self, tmp_path, argv,
+                                                  adds):
+        (tmp_path / "short.cfg").write_text(
+            "[scenario]\nduration_s = 30\ndt_s = 0.1\n")
+        seen = run_fresh(f"""
+import json, sys
+loaded = lambda: sorted(m[len("sunpump."):] for m in sys.modules
+                        if m.startswith("sunpump."))
+import sunpump.cli
+sunpump.cli.build_parser()
+seen = {{"parser": loaded()}}
+if {list(argv)!r}:
+    seen["code"] = sunpump.cli.main({list(argv)!r} + ["--out", "out"])
+seen["run"] = loaded()
+print(json.dumps(seen))
+""", tmp_path)
+        assert seen.pop("code", 0) == 0
+        assert seen == {"parser": list(PARSER),
+                        "run": sorted(PARSER + adds)}
 
 
 class TestPrivateNames:

@@ -436,6 +436,12 @@ class TestRouth:
         res = routh_table([1.0, 1.0, 1.0, 1.0])
         assert res.verdict == "marginal"
 
+    def test_an_overflowing_array_raises(self):
+        # its s^2 row overflowed to nan under numpy's RuntimeWarnings, and
+        # the verdict read "unstable" off the sign of a nan
+        with pytest.raises(ArithmeticError, match=r"overflows at row s\^2$"):
+            routh_table([1.0, 1e200, 1e200, 1e200, 1e200])
+
     def test_oracle_agreement_random(self):
         rng = np.random.RandomState(7)
         checked = 0
