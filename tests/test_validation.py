@@ -3,8 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from sunpump.validation import (build_report, format_report,
+from sunpump.lti import ss_error_vs_gain
+from sunpump.plants import MOTOR_PAPER
+from sunpump.validation import (_row, build_report, format_report,
                                 report_columns)
+
+DEVIATES = {
+    "motor_tf_den_s2", "motor_K_cl_e01", "motor_K_cl_e001",
+    "charpoly_s1", "charpoly_s0", "tableII_verdict",
+    "tuned_motor_rise", "tuned_motor_settling", "tuned_motor_overshoot",
+    "tuned_motor_peak", "pump_rise", "pump_settling", "pump_time_constant",
+    "pump_e_step", "cascade_e_at_K1",
+    "pid2_rise", "pid2_overshoot", "pid2_peak_time",
+}
+QUALITATIVE = {"metering_dc_gain", "metering_pole_slow"}
 
 
 @pytest.fixture(scope="module")
@@ -23,12 +35,17 @@ class TestRegistryStructure:
         assert all(r.status in ("MATCH", "DEVIATES", "QUALITATIVE")
                    for r in rows)
 
+    def test_qualitative_iff_kind_none(self, report):
+        _, rows = report
+        for r in rows:
+            assert (r.status == "QUALITATIVE") == (r.tolerance_kind == "none")
+
     def test_match_iff_within_tolerance(self, report):
         _, rows = report
         for r in rows:
             if r.status == "QUALITATIVE" or r.claimed_value is None:
                 continue
-            if math.isnan(r.computed_value):
+            if r.computed_value is None or math.isnan(r.computed_value):
                 assert r.status == "DEVIATES"
                 continue
             dev = r.abs_dev if (r.tolerance_kind == "abs"
@@ -64,6 +81,18 @@ class TestRegistryStructure:
 
 
 class TestKnownOutcomes:
+    def test_every_status_pinned(self, report):
+        _, rows = report
+        assert len(rows) == 67
+        expected = {r.id: ("DEVIATES" if r.id in DEVIATES
+                           else "QUALITATIVE" if r.id in QUALITATIVE
+                           else "MATCH") for r in rows}
+        assert {r.id: r.status for r in rows} == expected
+        assert DEVIATES | QUALITATIVE <= expected.keys()
+        assert [r.status for r in rows].count("MATCH") == 47
+        assert format_report(rows).splitlines()[-1] == (
+            "67 rows: 47 MATCH, 18 DEVIATES, 2 QUALITATIVE")
+
     def test_pole_rows_match(self, report):
         by_id, _ = report
         assert by_id["tank2nd_pole_re"].status == "MATCH"
@@ -142,3 +171,33 @@ class TestReportFormats:
         assert claimed.dtype == float
         assert [r.claimed_value is None for r in rows] == (
             np.isnan(claimed).tolist())
+
+
+class TestStatusRule:
+    def test_missing_computed_value_deviates(self):
+        # no gain up to 1 meets either ramp-error target, so both are None
+        gains = np.geomspace(1e-2, 1.0, 50)
+        _, _, targets = ss_error_vs_gain(MOTOR_PAPER, gains,
+                                         error_kind="ramp")
+        assert targets == {0.1: None, 0.01: None}
+        row = _row("motor_K_for_e01", "gain for steady-state error 0.1",
+                   9.36, "-", targets[0.1], 0.15, "rel")
+        assert row.status == "DEVIATES"
+        assert row.computed_value is None
+        assert math.isnan(row.abs_dev) and math.isnan(row.rel_dev)
+        assert _row("motor_K_for_e01", "", 9.36, "-", math.nan, 0.15,
+                    "rel").status == "DEVIATES"
+        assert format_report([row]).splitlines()[-1] == (
+            "1 rows: 0 MATCH, 1 DEVIATES, 0 QUALITATIVE")
+        header, columns = report_columns([row])
+        assert np.isnan(columns[header.index("computed")][0])
+
+    def test_only_kind_none_is_qualitative(self):
+        for claimed, computed in ((None, 1.0), (1.0, None), (None, None),
+                                  (1.0, 1.0)):
+            for kind in ("abs", "rel"):
+                row = _row("r", "", claimed, "-", computed, 0.1, kind)
+                assert row.status == ("MATCH" if claimed == computed == 1.0
+                                      else "DEVIATES"), (claimed, computed)
+            assert _row("r", "", claimed, "-", computed, 0.0,
+                        "none").status == "QUALITATIVE"
