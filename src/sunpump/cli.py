@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 # each command imports the modules it runs (README, "Start-up")
-from . import csvio
+from . import csvio, ranges
 from .config import ANALYSIS_KINDS, ConfigError, parse_config, parse_gains
 
 
@@ -58,6 +58,16 @@ def _parse_span(text, parts=3):
         raise UsageError(f"unparsable number in {text!r}")
 
 
+def _count(n, low, what):
+    """``n`` as an int; a usage error unless it is a whole number in
+    [low, ``ranges.MAX_STEPS``], raised before anything is allocated."""
+    top = ranges.MAX_STEPS
+    if not low <= n <= top or n != int(n):   # NaN fails the first test
+        raise UsageError(f"{what} must be a whole number in [{low}, {top}], "
+                         f"got {n:.15g}")
+    return int(n)
+
+
 def _gain_grid(spec):
     try:
         a, b, n = parse_gains(spec)
@@ -89,16 +99,15 @@ def _out_path(args, name):
 
 def _cmd_pv_curve(args):
     from . import pv
-    if args.points < 0:
-        raise UsageError("point count must be >= 0")
+    points = _count(args.points, 0, "point count")
     ap = pv.default_array(args.g_t, t_c=args.t_c)
     voc = pv.open_circuit_voltage(ap)
     if voc > 0:
-        curve = pv.iv_curve(ap, np.linspace(0.0, voc, args.points))
+        curve = pv.iv_curve(ap, np.linspace(0.0, voc, points))
         columns = [curve.voltages, curve.currents, curve.powers]
     else:
         # a dark array carries no current: its curve is the point 0 V, 0 A
-        columns = [np.zeros(min(args.points, 1))] * 3
+        columns = [np.zeros(min(points, 1))] * 3
     path = _out_path(args, "pv_curve.csv")
     csvio.emit_csv(["v", "i", "p"], columns, path)
     m = pv.find_mpp(ap)
@@ -114,10 +123,7 @@ def _cmd_solar_angles(args):
                         optimal_orientation, zenith_and_elevation)
     st0, st1, n = _parse_span(args.hour_angles)
     az0, az1 = _parse_span(args.azimuth, 2)
-    if not 0 <= n < np.inf or n != int(n):   # NaN fails the first test
-        raise UsageError(f"hour-angle count must be a whole number >= 0, "
-                         f"got {n:g}")
-    n = int(n)
+    n = _count(n, 0, "hour-angle count")
     delta = declination(args.day)
     k = np.arange(n)
     st = st0 + (st1 - st0) * k / max(n - 1, 1)
@@ -161,9 +167,7 @@ def _cmd_track_sim(args):
     from .tracking import tracking_sim
     e0, e1 = _parse_span(args.elevation, 2)
     a0, a1 = _parse_span(args.azimuth, 2)
-    n = args.steps
-    if n < 1:
-        raise UsageError("step count must be >= 1")
+    n = _count(args.steps, 1, "step count")
     k = np.arange(n)
     start = None
     if args.start:
@@ -187,18 +191,17 @@ def _cmd_track_sim(args):
 
 def _cmd_mppt_run(args):
     from . import mppt, pv
-    if args.steps < 1:
-        raise UsageError("step count must be >= 1")
+    steps = _count(args.steps, 1, "step count")
     ap = pv.default_array(args.g_t)
     v0 = args.start_v
     if v0 is None:
         v0 = 0.5 * pv.open_circuit_voltage(ap)
     st0 = mppt.initial_state(v0, args.dv_step)
-    run = mppt.mppt_run(pv.default_array(1000.0), args.algo, st0, args.steps,
+    run = mppt.mppt_run(pv.default_array(1000.0), args.algo, st0, steps,
                         irradiance=args.g_t)
     path = _out_path(args, f"mppt_{args.algo}.csv")
     csvio.emit_csv(["iter", "v_ref", "i", "p"],
-                   [np.arange(1, args.steps + 1), run.v_ref, run.i, run.p],
+                   [np.arange(1, steps + 1), run.v_ref, run.i, run.p],
                    path)
     best = pv.find_mpp(ap)
     print(f"wrote {path}; final P = {run.p[-1]:.2f} W "

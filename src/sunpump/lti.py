@@ -143,11 +143,12 @@ def tf_from_text(text):
 
 def poly_roots(p):
     """
-    All roots of a polynomial, with one Newton polish pass.
+    All roots of a polynomial, polished by two guarded Newton passes.
 
-    Roots come from the companion-matrix eigenvalues and are then refined
-    with a single Newton step each, which keeps the residual
-    ``|p(r)|`` below ``1e-9 * sum|c_i| * max(1, |r|)**deg``.
+    Roots come from the companion-matrix eigenvalues.  Each pass takes
+    one Newton step per root and keeps it only where it lowers the
+    residual ``|p(r)|``, which stays below
+    ``1e-9 * sum|c_i| * max(1, |r|)**deg``.
 
     Parameters
     ----------

@@ -5,9 +5,10 @@ Both hill-climbing laws are pure step functions (state in, state out):
 Perturb-and-Observe moves the voltage reference by one fixed step in the
 direction that last increased power, Incremental-Conductance compares
 dI/dV against -I/V and holds exactly at the equality.  Each law's move
-is written once, branch-free, on floats or arrays: the step functions
-and the scalar steps of :func:`mppt_run`, the one closed MPPT loop, run
-it on floats, and the loop's blocks run it on arrays.
+is written once, branch-free, on floats or arrays, and both share one
+signature (``_LAWS``): the step functions and the scalar steps of
+:func:`mppt_run`, the one closed MPPT loop, run it on floats, and the
+loop's blocks run it on arrays.
 
 The walk only ever moves ``V_ref`` by ``+-dV_step`` or holds it, and its
 moves soon repeat with period 4: a hold, the P&O limit cycle V*, V*+d,
@@ -81,20 +82,20 @@ def initial_state(v_ref, dv_step=0.5):
                      V_ref=v_ref, dV_step=dv_step)
 
 
-def _po_move(dv_step, v_prev, p_prev, v_now, p_now):
-    """P&O reference move, on floats or arrays: up when the power and
-    voltage changes share a sign, down when they differ, none when the
-    power did not change."""
-    dp = p_now - p_prev
-    return (dp != 0.0) * (2 * (dp * (v_now - v_prev) > 0.0) - 1) * dv_step
+def _po_move(dv_step, v_prev, i_prev, p_prev, v_now, i_now, ops):
+    """P&O reference move: up when the power and voltage changes share
+    a sign, down when they differ, none when the power did not change.
+    Its conductance is never undefined: False, or all false on arrays."""
+    dp = v_now * i_now - p_prev
+    moved = dp != 0.0
+    move = moved * (2 * (dp * (v_now - v_prev) > 0.0) - 1) * dv_step
+    return move, moved & False
 
 
-def _ic_move(dv_step, v_prev, i_prev, v_now, i_now, ops):
+def _ic_move(dv_step, v_prev, i_prev, p_prev, v_now, i_now, ops):
     """
     IC reference move (see :func:`ic_step`) and whether the conductance
-    is undefined (a voltage change onto 0 V), on floats with
-    ``blocks.FLOATS`` or on arrays with ``blocks.ARRAYS`` (numpy's
-    errors off).
+    is undefined (a voltage change onto 0 V).
     """
     dv = v_now - v_prev
     di = i_now - i_prev
@@ -108,8 +109,22 @@ def _ic_move(dv_step, v_prev, i_prev, v_now, i_now, ops):
     return move, (dv != 0.0) & (v_now == 0.0)
 
 
+# each law: (dV_step, V, I and P before, V and I now, ops) -> (reference
+# move, conductance undefined); ops is blocks.FLOATS, or blocks.ARRAYS
+# with numpy's errors off
+_LAWS = {"po": _po_move, "ic": _ic_move}
+
+
 def _flag(undefined):
     return "conductance-undefined" if undefined else ""
+
+
+def _advance(law, st, v_now, i_now):
+    """The state after one ``law`` step measuring ``i_now`` at ``v_now``."""
+    move, undefined = law(st.dV_step, st.V_prev, st.I_prev, st.P_prev,
+                          v_now, i_now, blocks.FLOATS)
+    return MpptState(v_now, i_now, v_now * i_now, st.V_ref + move,
+                     st.dV_step, st.iteration + 1, _flag(undefined))
 
 
 def po_step(st, v_now, i_now):
@@ -120,10 +135,7 @@ def po_step(st, v_now, i_now):
     and voltage change share a sign, down when they differ, hold when
     power did not change.
     """
-    p_now = v_now * i_now
-    move = _po_move(st.dV_step, st.V_prev, st.P_prev, v_now, p_now)
-    return MpptState(v_now, i_now, p_now, st.V_ref + move, st.dV_step,
-                     st.iteration + 1, "")
+    return _advance(_po_move, st, v_now, i_now)
 
 
 def ic_step(st, v_now, i_now):
@@ -134,10 +146,7 @@ def ic_step(st, v_now, i_now):
     move; otherwise dI/dV is compared against -I/V and the reference
     holds at equality (tested with relative tolerance ``IC_REL_TOL``).
     """
-    move, undefined = _ic_move(st.dV_step, st.V_prev, st.I_prev, v_now,
-                               i_now, blocks.FLOATS)
-    return MpptState(v_now, i_now, v_now * i_now, st.V_ref + move,
-                     st.dV_step, st.iteration + 1, _flag(undefined))
+    return _advance(_ic_move, st, v_now, i_now)
 
 
 @dataclass(frozen=True)
@@ -176,31 +185,26 @@ def mppt_run(ap, algo, st0, steps, irradiance):
     """
     if steps < 1:
         raise ValueError("need at least one step")
-    ic = {"po": False, "ic": True}[algo]
+    law = _LAWS[algo]
     g = np.broadcast_to(np.asarray(irradiance, dtype=float), (steps,))
     v_ref, cur = np.empty(steps), np.empty(steps)
     solve = pv.array_solve(ap)
     dv_step = st0.dV_step
     v_prev, i_prev, p_prev = st0.V_prev, st0.I_prev, st0.P_prev
-    v, flag = st0.V_ref, ""
+    v, undefined = st0.V_ref, False
 
     def step(k):
-        nonlocal v_prev, i_prev, p_prev, v, flag
+        nonlocal v_prev, i_prev, p_prev, v, undefined
         i = _or_zero(pv.array_current_at, solve, v, g.item(k))
-        p_now = v * i
-        if ic:
-            move, undefined = _ic_move(dv_step, v_prev, i_prev, v, i,
-                                       blocks.FLOATS)
-            flag = _flag(undefined)
-        else:
-            move = _po_move(dv_step, v_prev, p_prev, v, p_now)
+        move, undefined = law(dv_step, v_prev, i_prev, p_prev, v, i,
+                              blocks.FLOATS)
         v_ref[k], cur[k] = v, i
-        v_prev, i_prev, p_prev = v, i, p_now
+        v_prev, i_prev, p_prev = v, i, v * i
         v = v + move
         return move
 
     def block(k, n, cycle):
-        nonlocal v_prev, i_prev, p_prev, v, flag
+        nonlocal v_prev, i_prev, p_prev, v, undefined
         vs = np.add.accumulate(np.concatenate(
             ([v], np.array(cycle)[blocks.PHASE[:n]])))
         # end before the first voltage past the bound (module docstring)
@@ -211,29 +215,23 @@ def mppt_run(ap, algo, st0, steps, irradiance):
             n = int(past[0]) + 1
             vs = vs[:n + 1]
         i = _currents(ap, solve, vs[:n], g[k:k + n])
-        before = np.concatenate(([v_prev], vs[:n - 1]))
+        before_v = np.concatenate(([v_prev], vs[:n - 1]))
+        before_i = np.concatenate(([i_prev], i[:-1]))
         with np.errstate(all="ignore"):
-            if ic:
-                move, undefined = _ic_move(
-                    dv_step, before, np.concatenate(([i_prev], i[:-1])),
-                    vs[:n], i, blocks.ARRAYS)
-            else:
-                p = vs[:n] * i
-                move = _po_move(dv_step, before, np.concatenate(
-                    ([p_prev], p[:-1])), vs[:n], p)
-                undefined = np.zeros(n, dtype=bool)
+            # a block follows step 0, so p_prev is v_prev * i_prev
+            move, flags = law(dv_step, before_v, before_i,
+                              before_v * before_i, vs[:n], i, blocks.ARRAYS)
         after = vs[:n] + move
         miss = np.flatnonzero(after.view(np.int64) != vs[1:].view(np.int64))
         c = int(miss[0]) + 1 if miss.size else n
         v_ref[k:k + c], cur[k:k + c] = vs[:c], i[:c]
         v_prev, i_prev, v = vs.item(c - 1), i.item(c - 1), after.item(c - 1)
-        p_prev = v_prev * i_prev
-        flag = _flag(undefined[c - 1])
+        p_prev, undefined = v_prev * i_prev, flags.item(c - 1)
         return c, bool(miss.size), move[:c][-8:].tolist()
 
     blocks.run(steps, _BLOCK_MIN, step, block)
     final = MpptState(v_prev, i_prev, p_prev, v, dv_step,
-                      st0.iteration + steps, flag)
+                      st0.iteration + steps, _flag(undefined))
     return MpptRun(v_ref, cur, final)
 
 

@@ -8,9 +8,11 @@ The cell current solves the implicit circuit equation
 
 with Vt_k = a_k * kB * T / q.  The array version scales voltages by the
 series count and currents by the parallel count.  The current solve is
-Newton's method from I_ph + 1 or a closed-form start right of the root
+Newton's method from I_ph + 1 or, where that lies far right of the
+root, from the nearer of it and a closed-form start right of the root
 (the mismatch is increasing and convex in I, so the iterates descend
-onto it), stopped at a 1e-12 A residual or where rounding stops the
+onto it), or at the root where both diode exponents reach their cap,
+stopped at a 1e-12 A residual or where rounding stops the
 descent: within 1e-9 A of the root (at 1e4 V, -27 692 A, the residual
 is 1.2e-8 A).  The open-circuit voltage needs no current solve: at
 I = 0 the cell voltage solves an explicit equation.
@@ -225,12 +227,20 @@ _START_EXP_MAX = 40.0   # the largest diode exponent u/Vt of a start
 def _right_start(s, v_cell, i_ph):
     """The smaller single-diode start (ln(1 + X/k) Vt - v)/r on floats or
     lanes, X = N_p I_ph + 1 + max(v, 0)/r + |v| N_p/R_p, k = N_p I_o(T):
-    diode k alone carries X there, so f >= 1, right of the root."""
+    diode k alone carries X there, so f >= 1, right of the root.  Where
+    both diode exponents reach the 700 cap at the root (from about 4e297 V
+    on the default array), f is linear in I and the start is its root:
+    Newton's slope there is the uncapped exp's, so its step from any
+    other start is below an ulp."""
     _, _, _, _, _, vt1, vt2, k1, k2, g_p, r = s
     with np.errstate(all="ignore"):   # a non-finite voltage gives NaN
         x = i_ph + 1.0 + np.maximum(v_cell, 0.0) / r + np.abs(v_cell) * g_p
-        return (np.minimum(vt1 * np.log(1.0 + x / k1),
-                           vt2 * np.log(1.0 + x / k2)) - v_cell) / r
+        start = (np.minimum(vt1 * np.log(1.0 + x / k1),
+                            vt2 * np.log(1.0 + x / k2)) - v_cell) / r
+        capped = (i_ph - (k1 + k2) * (np.exp(700.0) - 1.0)
+                  - g_p * v_cell) / (1.0 + g_p * r)
+        return np.where(v_cell + capped * r >= 700.0 * max(vt1, vt2),
+                        capped, start)
 
 
 def _solve_current(s, v, i_ph):
@@ -242,13 +252,16 @@ def _solve_current(s, v, i_ph):
     if r_s == 0.0:
         # current appears only through I*Rs; the equation is explicit
         return -_mismatch(s, v_cell, i_ph, 0.0, _capped_exp)[0]
-    # the step from the accepted iterate is free; a start left of the
-    # root overshoots, then goes on from _right_start if that is nearer;
-    # from the third iterate, one that does not descend (rounding has
-    # stopped Newton) ends it at the better of it and the last; NaN never
+    # the step from the accepted iterate is free; a far start is right of
+    # the root, as _right_start is, and the nearer of the two is taken
+    # (at a tiny R_s, _right_start overflows or loses I to rounding); a
+    # start left of the root overshoots, then goes on from _right_start
+    # if that is nearer; from the third iterate, one that does not
+    # descend (rounding has stopped Newton) ends it at the better of it
+    # and the last; NaN never
     i = i_ph + 1.0
     if v_cell + i * r_s / n_p > _START_EXP_MAX * min(vt1, vt2):
-        i = float(_right_start(s, v_cell, i_ph))
+        i = float(np.minimum(i, _right_start(s, v_cell, i_ph)))
     for n in range(_NEWTON_MAX_ITER):
         f, df = _mismatch(s, v_cell, i_ph, i, _capped_exp)
         if abs(f) <= _NEWTON_TOL_A:
@@ -312,7 +325,8 @@ def array_current_lanes(ap, v_a, g_t):
             left, i = ~bad, i_ph + 1.0
             far = v_cell + i * r_s / n_p > _START_EXP_MAX * min(vt1, vt2)
             if far.any():
-                i = np.where(far, _right_start(s, v_cell, i_ph), i)
+                i = np.where(far, np.minimum(
+                    i, _right_start(s, v_cell, i_ph)), i)
             for n in range(_NEWTON_MAX_ITER):
                 f, df = _mismatch(s, v_cell, i_ph, i, _capped_exp_lanes)
                 af, nxt = np.abs(f), i - f / df

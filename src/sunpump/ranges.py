@@ -3,12 +3,18 @@ The closed range of every numeric input, and the one check against it.
 
 A scenario config, ``tracking_sim``, ``MpptState``, ``SunPosition`` and
 ``pv.default_array`` each refuse a value outside its row here, with the
-same message.
+same message.  ``MAX_STEPS`` caps a scenario's steps and each CLI count.
 """
 
 from numbers import Real
 
 import numpy as np
+
+
+# longest run a scenario config may ask for, in steps, and the largest
+# count a CLI command takes: checked before anything is allocated (a
+# trace takes about 120 MB per million steps)
+MAX_STEPS = 5_000_000
 
 
 # the closed range (low, high, unit) of every numeric scenario input, by

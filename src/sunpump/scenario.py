@@ -39,16 +39,12 @@ import numpy as np
 
 from . import blocks, mppt, pv
 from .config import ConfigError
-from .ranges import PROFILES, RANGES, check
+from .ranges import MAX_STEPS, PROFILES, RANGES, check
 from .solar import TrackerOrientation
 from .tracking import tracking_sim
 
 
 BATTERY_BUS_V = 12.0
-
-# longest run a config may ask for, in steps: checked before the trace
-# columns are allocated (about 120 MB per million steps)
-MAX_STEPS = 5_000_000
 
 
 @dataclass(frozen=True)

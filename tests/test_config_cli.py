@@ -12,7 +12,7 @@ import pytest
 
 from sunpump.cli import build_parser, main
 from sunpump.config import parse_config, parse_config_text, parse_gains
-from sunpump import csvio, lti
+from sunpump import csvio, lti, ranges
 from sunpump.csvio import emit_csv
 from sunpump.plants import PRESETS
 from sunpump.scenario import (ConfigError, ScenarioConfig, SimTrace,
@@ -639,6 +639,29 @@ class TestCliExitCodes:
         assert "usage error" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, name", [
+        (["pv-curve", "--points", "{n}"], "pv_curve.csv"),
+        (["track-sim", "--steps", "{n}"], "track_sim.csv"),
+        (["mppt-run", "--steps", "{n}"], "mppt_po.csv"),
+        (["solar-angles", "--hour-angles=-60:60:{n}"], "solar_angles.csv")],
+        ids=["pv-curve", "track-sim", "mppt-run", "solar-angles"])
+    def test_count_past_the_ceiling_is_refused(self, argv, name, tmp_path,
+                                               capsys, monkeypatch):
+        # the ceiling, lowered: a count of MAX_STEPS runs, and one more is
+        # a usage error before anything is allocated or written (a count
+        # was checked against a floor only, so any count ran)
+        monkeypatch.setattr(ranges, "MAX_STEPS", 50)
+        for n, code in ((50, 0), (51, 1)):
+            out = tmp_path / str(n)
+            assert main([a.format(n=n) for a in argv]
+                        + ["--out", str(out)]) == code
+            if code:
+                assert ("count must be a whole number in [" in
+                        capsys.readouterr().err)
+                assert not out.exists()
+            else:
+                assert len((out / name).read_text().splitlines()) == 1 + n
+
     def test_zero_point_curve_is_header_only(self, tmp_path, capsys):
         assert main(["pv-curve", "--points", "0", "--out",
                      str(tmp_path)]) == 0
@@ -1004,6 +1027,16 @@ class TestCliExitCodes:
             else:
                 lines = (out / name).read_text().splitlines()
                 assert len(lines) == 1 + rows
+
+    @pytest.mark.parametrize("v", ["1e300", "1e306"])
+    def test_start_far_above_voc_overflows_the_power(self, tmp_path, capsys,
+                                                     v):
+        # the current there is about -V/3600 A, so P = V I overflows and
+        # the final state is refused; at 1e306 V the current solve's start
+        # overflowed, and the run wrote P = 0 and exited 0
+        assert main(["mppt-run", "--start-v", v, "--out", str(tmp_path)]) == 3
+        assert "must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["track-sim", "--motor-step", "nan"],

@@ -655,26 +655,18 @@ class TestLawFloatsMatchArrays:
         """The move kernel on arrays, as a block runs it, gives each
         step's move and IC's undefined-conductance flag bit for bit as
         the same kernel on floats, step by step."""
+        law = mppt._LAWS[algo]
         v_prev, i_prev = prev
         v, i = (np.array(c) for c in zip(*rows))
         before_v = np.concatenate(([v_prev], v[:-1]))
         before_i = np.concatenate(([i_prev], i[:-1]))
         with np.errstate(all="ignore"):
-            if algo == "ic":
-                move, undefined = mppt._ic_move(dv, before_v, before_i, v, i,
-                                                blocks.ARRAYS)
-            else:
-                move = mppt._po_move(dv, before_v, before_v * before_i, v,
-                                     v * i)
-                undefined = np.zeros(v.size, dtype=bool)
+            move, undefined = law(dv, before_v, before_i, before_v * before_i,
+                                  v, i, blocks.ARRAYS)
         want, flags = [], []
         for x, y in rows:
-            if algo == "ic":
-                m, flag = mppt._ic_move(dv, v_prev, i_prev, x, y,
-                                        blocks.FLOATS)
-            else:
-                m, flag = mppt._po_move(dv, v_prev, v_prev * i_prev, x,
-                                        x * y), False
+            m, flag = law(dv, v_prev, i_prev, v_prev * i_prev, x, y,
+                          blocks.FLOATS)
             assert type(m) is float and type(flag) is bool
             want.append(m)
             flags.append(flag)

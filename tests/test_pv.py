@@ -709,11 +709,12 @@ class TestCurrentAtMatchesLitArray:
         assert got == want, (v, g)
 
 
-def mpmath_current(ap, v):
+def mpmath_current(ap, v, cap=mpmath.inf):
     """
     Independent oracle for the 1e-9 A contract at 50 digits: the root of
-    the array equation (as in :func:`double_diode_residual`, uncapped)
-    found by bisection on a bracket the mismatch changes sign on,
+    the array equation (as in :func:`double_diode_residual`, uncapped, or
+    with each diode exponent capped at ``cap`` as the solve caps it at
+    700) found by bisection on a bracket the mismatch changes sign on,
     returned as a float.  The bracket starts at (-1, N_p I_ph + 1) and
     each end widens tenfold until it holds the root, which lies below -1
     far above V_oc and above N_p I_ph + 1 at strongly negative voltages.
@@ -732,8 +733,8 @@ def mpmath_current(ap, v):
         def f(i):
             u = mpf(v) / ap.N_s + i * mpf(c.R_s) / ap.N_p
             return i - ap.N_p * (
-                c.I_ph - c.I_o1 * law * mpmath.expm1(u / vt1)
-                - c.I_o2 * law * mpmath.expm1(u / vt2) - u / c.R_p)
+                c.I_ph - c.I_o1 * law * mpmath.expm1(min(u / vt1, cap))
+                - c.I_o2 * law * mpmath.expm1(min(u / vt2, cap)) - u / c.R_p)
 
         lo, hi = mpf(-1), ap.N_p * mpf(c.I_ph) + 1
         while not f(lo) < 0:
@@ -791,6 +792,40 @@ class TestCurrentAgainstMpmath:
                 assert abs(array_current(lit, v) - want) <= 1e-9, (g, v)
                 assert lane == array_current(lit, v), (g, v)
 
+
+    @pytest.mark.parametrize("r_s", [2.2250738585072014e-308,
+                                     2.220446049250313e-16])
+    def test_tiny_series_resistance_within_contract(self, r_s):
+        # (u - v)/r of the closed-form start overflows at the smallest
+        # normal R_s and loses the current to rounding at 2.2e-16 (1e-3 A
+        # off); N_p I_ph + 1, right of the root too, is the nearer start
+        cell = PvCellParams(I_ph=1.0, I_o1=1e-6, I_o2=1e-4, R_s=r_s,
+                            R_p=1.0, a1=1.0, a2=1.0, T_c=50.0)
+        ap = PvArrayParams(cell)
+        volts = np.linspace(0.0, open_circuit_voltage(ap), 21)
+        lanes, left_open = pv.array_current_lanes(ap, volts, 1000.0)
+        assert left_open.size == 0
+        for v, lane in zip(volts.tolist(), lanes.tolist()):
+            got = array_current(ap, v)
+            assert abs(got - mpmath_current(ap, v)) <= 1e-9, v
+            assert lane == got, v
+
+    @pytest.mark.parametrize("v", [1e298, 1e300, 1e305, 1e306, 1e307,
+                                   1e308, sys.float_info.max,
+                                   -1e305, -1e306, -1e307])
+    def test_capped_exponents_settle(self, v):
+        # both diode exponents sit at the 700 cap at the root from about
+        # 4e297 V on: the solve stalled up to 100 % off it there, and from
+        # about 1e305 V, where X/k of the start overflows, it raised; the
+        # oracle caps the exponents as the solve does
+        ap = default_array()
+        want = mpmath_current(ap, v, cap=700)
+        got = array_current(ap, v)
+        assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+        lanes, left_open = pv.array_current_lanes(ap, np.array([v]), 1000.0)
+        assert left_open.size == 0
+        assert lanes.view(np.int64).tolist() == \
+            np.array([got]).view(np.int64).tolist()
 
 def assert_elementwise(fn, x, rng):
     """``float(fn(a))`` on each float a of ``x`` has the bits of ``fn``
