@@ -13,6 +13,10 @@ block that misses at once).  The first block has ``block_min`` steps;
 each that keeps steps without a miss doubles the next, up to
 ``BLOCK_MAX``, and a miss starts again at ``block_min``.  After a miss,
 or a block that kept no step, the next step runs alone.
+
+The operations come as ``FLOATS`` and ``ARRAYS``: sin, cos, counts (the
+tracker's ADC quantization: one matrix on arrays), clip, where, maximum
+and divide, with the bits each pair shares stated where they are set.
 """
 
 from collections import deque
@@ -26,22 +30,39 @@ BLOCK_MAX = 4096
 PHASE = np.arange(BLOCK_MAX + 3) % 4
 
 # What each law runs on: FLOATS in a float step, ARRAYS in a block.  sin,
-# cos, clip, where and rint give the same float64 bits in both, but for
-# round's int 0 where np.rint gives -0.0 (on [-0.5, -0.0]).  At a tie of
-# 0.0 and -0.0 max returns its first argument and np.maximum its second;
-# max(x, NaN) is x, not NaN; and divide gives 0.0 on a zero divisor, not
-# np.divide's inf or NaN (numpy's errors off).  No law reads those: a
-# tracker count is clipped to [0, 1023], then compared or stored as an
-# integer, and the IC law takes the maximum of absolute values and 1e-12
-# and weights a quotient over a zero divisor, or its NaN, by 0.
+# cos, counts, clip and where give the same float64 bits in both.
+# counts(xs, scale, hi) is round(scale * x) clipped to [0, hi] for each x
+# of xs: a list on floats, and on arrays one (len(xs), m) matrix, scaled,
+# rounded and clipped in place, whose rows are the counts.  At a tie of
+# 0.0 and -0.0 max returns its first argument and np.maximum its second,
+# so each clip puts the bound where the tie returns it: np.rint's -0.0 (on
+# [-0.5, -0.0]) is clipped to 0.0, as round's int 0 is.  max(x, NaN) is x,
+# not NaN; and divide gives 0.0 on a zero divisor, not np.divide's inf or
+# NaN (numpy's errors off).  No law reads those: the IC law takes the
+# maximum of absolute values and 1e-12 and weights a quotient over a zero
+# divisor, or its NaN, by 0.
 FLOATS = SimpleNamespace(
-    sin=math.sin, cos=math.cos, rint=round,
-    clip=lambda x, lo, hi: min(max(x, lo), hi),
+    sin=math.sin, cos=math.cos,
+    counts=lambda xs, scale, hi: [min(hi, max(0, round(scale * x)))
+                                  for x in xs],
+    clip=lambda x, lo, hi: min(hi, max(lo, x)),
     where=lambda c, a, b: a if c else b,
     maximum=max, divide=lambda a, b: a / b if b else 0.0)
+
+
+def _counts(xs, scale, hi):
+    """``counts`` on arrays (above)."""
+    q = np.array(xs)
+    q *= scale
+    np.rint(q, out=q)
+    np.maximum(q, 0, out=q)
+    return np.minimum(q, hi, out=q)
+
+
 ARRAYS = SimpleNamespace(
-    sin=np.sin, cos=np.cos, rint=np.rint, clip=np.clip, where=np.where,
-    maximum=np.maximum, divide=np.divide)
+    sin=np.sin, cos=np.cos, counts=_counts,
+    clip=lambda x, lo, hi: np.minimum(np.maximum(x, lo), hi),
+    where=np.where, maximum=np.maximum, divide=np.divide)
 
 
 def run(n, block_min, step, block):

@@ -58,6 +58,15 @@ def _parse_span(text, parts=3):
         raise UsageError(f"unparsable number in {text!r}")
 
 
+def _checked_span(text, key):
+    """Parse 'a:b' and check each end, as typed, against its
+    ``ranges.RANGES`` row ``key`` (``ValueError``, exit 3)."""
+    ends = _parse_span(text, 2)
+    for end in ends:
+        ranges.check(key, end, ValueError)
+    return ends
+
+
 def _count(n, low, what):
     """``n`` as an int; a usage error unless it is a whole number in
     [low, ``ranges.MAX_STEPS``], raised before anything is allocated."""
@@ -122,7 +131,7 @@ def _cmd_solar_angles(args):
                         angle_of_incidence, declination, incidence_direction,
                         optimal_orientation, zenith_and_elevation)
     st0, st1, n = _parse_span(args.hour_angles)
-    az0, az1 = _parse_span(args.azimuth, 2)
+    az0, az1 = _checked_span(args.azimuth, "azimuth")
     n = _count(n, 0, "hour-angle count")
     delta = declination(args.day)
     k = np.arange(n)
@@ -165,8 +174,8 @@ def _cmd_solar_angles(args):
 def _cmd_track_sim(args):
     from .solar import TrackerOrientation
     from .tracking import tracking_sim
-    e0, e1 = _parse_span(args.elevation, 2)
-    a0, a1 = _parse_span(args.azimuth, 2)
+    e0, e1 = _checked_span(args.elevation, "elevation")
+    a0, a1 = _checked_span(args.azimuth, "azimuth")
     n = _count(args.steps, 1, "step count")
     k = np.arange(n)
     start = None

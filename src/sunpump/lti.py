@@ -343,7 +343,7 @@ def step_response(tf, t_end, dt=None):
             raise ValueError(f"the default dt for t_end = {t_end} is 0")
     if t_end < 10 * dt:
         raise ValueError("t_end must cover at least 10 steps of dt")
-    steps = t_end / dt
+    steps = float(t_end) / float(dt)   # Python floats: inf, no numpy warning
     if not steps <= MAX_SAMPLES - 1:
         raise ValueError(f"t_end / dt = {steps:.3g} asks for more than "
                          f"{MAX_SAMPLES} samples")

@@ -276,8 +276,9 @@ def _solve_current(s, v, i_ph):
 
 def array_current(ap, v_a):
     """Array output current solving the implicit double-diode equation;
-    a 1x1 array gives the cell current."""
-    return _solve_current(array_solve(ap), v_a, ap.cell.I_ph)
+    a 1x1 array gives the cell current.  The voltage is taken as a
+    Python float, which overflows to inf without numpy's warning."""
+    return _solve_current(array_solve(ap), float(v_a), ap.cell.I_ph)
 
 
 def array_current_at(s, v_a, g_t):
@@ -293,7 +294,7 @@ def array_current_at(s, v_a, g_t):
     if not (0.0 <= g_t < math.inf and 0.0 <= i_ph < math.inf):
         # the checked constructors raise here
         return array_current(ap.at_irradiance(g_t), v_a)
-    return _solve_current(s, v_a, i_ph)
+    return _solve_current(s, float(v_a), i_ph)
 
 
 def array_current_lanes(ap, v_a, g_t):

@@ -86,8 +86,14 @@ def sun_on_frame(se, te, dazi, sin, cos):
     cos_te, sin_te = cos(te), sin(te)
     cos_d = cos(dazi)
     return (cos_se * sin(dazi),
-            sin_se * sin_te + cos_se * cos_te * cos_d,
+            sun_on_normal(cos_se, sin_se, cos_te, sin_te, cos_d),
             sin_se * cos_te - cos_se * sin_te * cos_d)
+
+
+def sun_on_normal(cos_se, sin_se, cos_te, sin_te, cos_d):
+    """``s . y_m`` of :func:`sun_on_frame`, the cosine of the angle of
+    incidence, from the cosines and sines it takes."""
+    return sin_se * sin_te + cos_se * cos_te * cos_d
 
 
 def _projections(sp, to):

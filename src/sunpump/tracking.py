@@ -5,12 +5,14 @@ The sensor model projects the sun direction onto four quadrant normals
 (the panel normal tilted 45 degrees toward each in-face half-axis), from
 the sun's projections on the tracker frame (``solar.sun_on_frame``), and
 quantizes to 10-bit ADC counts, full scale at 1000 W/m2 normal
-incidence.  The state machine compares pairwise averages against a
-deadband and commands one signed motor step per axis per cycle: azimuth
-+1 on the printed "left" branch and -1 on "right", elevation +1 "up" and
--1 "down", 0 to hold.  Left-brighter commands "right", a negative
-azimuth step, so the loop converges either way.  A park snaps the
-tracker back to its start.
+incidence; a block's counts are one (4, m) matrix, scaled, rounded and
+clipped in place.  The state machine parks below a total of 32 counts
+and steps an axis once its pair sums differ by more than 20: the paper's
+mean of 8 counts and 10-count deadband, decision for decision, as every
+/2 and /4 average of integer counts is exact.  One signed motor step per
+axis per cycle: azimuth +1 on the printed "left" branch, -1 on "right",
+elevation +1 "up", -1 "down", 0 to hold; left-brighter commands "right",
+so the loop converges either way.  A park snaps back to the start.
 
 The law, :func:`sense_and_decide` and the move :func:`_move`, is written
 once on floats or arrays, and ``tracking_sim`` runs it on the schedule
@@ -29,15 +31,13 @@ import numpy as np
 
 from . import blocks
 from .ranges import check
-from .solar import TrackerOrientation, sun_on_frame
+from .solar import TrackerOrientation, sun_on_frame, sun_on_normal
 
 _SQRT_HALF = math.sqrt(0.5)
 
-# the state machine's thresholds, in ADC counts: below this mean count
-# the tracker parks; an axis holds while its difference stays within
-# the deadband
-AVGSUM_MIN = 8.0
-DIFF_DEADBAND = 10.0
+# the state machine's thresholds on count sums (module docstring)
+TOTAL_MIN = 32
+DIFF_DEADBAND = 20
 
 
 def sense_and_decide(se, te, dazi, irradiance, ops):
@@ -45,12 +45,11 @@ def sense_and_decide(se, te, dazi, irradiance, ops):
     One cycle of the tracker law: quadrant counts, then the state machine.
 
     Each count is ``round(1023 * irradiance/1000 * cos angle)``, clipped
-    to [0, 1023], for the angle between the sun vector and that
-    quadrant's normal, where the quadrant normals are the panel normal
-    tilted 45 degrees toward the four diagonal in-face directions:
-    ``sqrt(1/2) (y_m + sqrt(1/2) (+-z_m +- x_m))``.  The cosines are
-    taken in closed form from the sun's projections on the tracker
-    frame.  The counts then go through :func:`tracking_step`.
+    to [0, 1023], for the angle between the sun vector and a quadrant
+    normal, the panel normal tilted 45 degrees toward a diagonal in-face
+    direction: ``sqrt(1/2) (y_m + sqrt(1/2) (+-z_m +- x_m))``; in closed
+    form from ``sun_on_frame`` (each half-difference once), quantized by
+    ``ops.counts``, then decided by :func:`tracking_step`.
 
     Parameters
     ----------
@@ -66,10 +65,10 @@ def sense_and_decide(se, te, dazi, irradiance, ops):
     """
     s_x, s_y, s_z = sun_on_frame(se, te, dazi, ops.sin, ops.cos)
     axial = _SQRT_HALF * s_y
-    scale = 1023.0 * irradiance / 1000.0
-    counts = [ops.clip(ops.rint(scale * c), 0, 1023) for c in (
-        axial + 0.5 * (s_z - s_x), axial + 0.5 * (s_z + s_x),
-        axial - 0.5 * (s_z + s_x), axial + 0.5 * (s_x - s_z))]
+    half_diff, half_sum = 0.5 * (s_z - s_x), 0.5 * (s_z + s_x)
+    counts = ops.counts((axial + half_diff, axial + half_sum,
+                         axial - half_sum, axial - half_diff),
+                        1023.0 * irradiance / 1000.0, 1023)
     return (*counts, *tracking_step(*counts))
 
 
@@ -77,29 +76,26 @@ def tracking_step(tl, tr, bl, br):
     """
     The tracking state machine on quadrant counts, floats or arrays.
 
-    Pairwise averages feed two difference signals; below the light
-    threshold ``AVGSUM_MIN`` the tracker parks and holds, inside the
-    deadband ``DIFF_DEADBAND`` an axis
-    holds, otherwise the printed branch directions apply: a positive
-    azimuth difference commands "right" (-1), a negative one "left"
-    (+1), a positive elevation difference "up" (+1), a negative one
+    Below a total of ``TOTAL_MIN`` counts the tracker parks; an axis
+    steps toward its brighter pair once the pair sums differ by more
+    than ``DIFF_DEADBAND``: right brighter commands "left" (+1), left
+    brighter "right" (-1), top brighter "up" (+1), bottom brighter
     "down" (-1).
 
     Returns
     -------
     (azimuth step, elevation step, park)
     """
-    avg_top = (tl + tr) / 2.0
-    avg_bottom = (bl + br) / 2.0
-    avg_left = (tl + bl) / 2.0
-    avg_right = (tr + br) / 2.0
-    avgsum = (avg_top + avg_bottom + avg_left + avg_right) / 4.0
-    lit = avgsum >= AVGSUM_MIN
-    diff_azi = avg_left - avg_right
-    diff_elev = avg_top - avg_bottom
-    azi = (lit & (abs(diff_azi) > DIFF_DEADBAND)) * (1 - 2 * (diff_azi > 0))
-    elev = (lit & (abs(diff_elev) > DIFF_DEADBAND)) * (2 * (diff_elev > 0) - 1)
-    return azi, elev, avgsum < AVGSUM_MIN
+    top, bottom = tl + tr, bl + br
+    total = top + bottom
+    lit = total >= TOTAL_MIN
+    return (_axis_step((tr + br) - (tl + bl), lit),
+            _axis_step(top - bottom, lit), total < TOTAL_MIN)
+
+
+def _axis_step(diff, lit):
+    """+1 above the deadband, -1 below it, 0 inside it or unlit."""
+    return lit * ((diff > DIFF_DEADBAND) - 1 * (diff < -DIFF_DEADBAND))
 
 
 def _move(te, ta, azi_step, elev_step, park, motor_step_deg, start, ops):
@@ -125,18 +121,23 @@ class TrackingRun:
     park: np.ndarray
 
 
-# the first block's size (``blocks.run``): a block costs about 80 us plus
-# 0.1 us a step (2-vCPU x86 host), so a shorter one loses more than it saves
+# the first block's size (``blocks.run``): 128 ran slower on both scenario
+# workloads, 768 faster on daylight but slower on clouds (2-vCPU x86 host)
 _BLOCK_MIN = 256
 
 
 def _incidence_angles(se, azi, te, ta):
-    """:func:`~sunpump.solar.angle_of_incidence` over arrays (sun
-    elevation ``se`` in radians), in its operation order, with
-    ``math.acos`` on each element (``np.arccos`` differs from it in the
-    last bit on some arguments)."""
-    arg = sun_on_frame(se, np.radians(te), np.radians(azi - ta),
-                       np.sin, np.cos)[1]
+    """:func:`~sunpump.solar.angle_of_incidence` over arrays (``se`` in
+    radians), in its operation order, with ``math.acos`` on each element
+    (``np.arccos`` differs in the last bit on some arguments) and the
+    elevation's cosine and sine once per stretch of equal bits."""
+    bits = te.view(np.int64)
+    first = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    held = np.diff(first, append=te.size)
+    cos_te, sin_te = (np.repeat(f(np.radians(te[first])), held)
+                      for f in (np.cos, np.sin))
+    arg = sun_on_normal(np.cos(se), np.sin(se), cos_te, sin_te,
+                        np.cos(np.radians(azi - ta)))
     arg = np.where(arg < 1.0, arg, 1.0)
     arg = np.where(arg > -1.0, arg, -1.0)
     return np.degrees(np.fromiter(map(math.acos, arg), float, arg.size))
@@ -188,8 +189,7 @@ def tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8, irradiance=1000.0,
     se = np.radians(elev)
     theta_te, theta_ta = np.empty(n), np.empty(n)
     readings = np.empty((n, 4), dtype=np.int16)
-    azi_step = np.empty(n, dtype=np.int8)
-    elev_step = np.empty(n, dtype=np.int8)
+    azi_step, elev_step = np.empty((2, n), dtype=np.int8)
     park = np.empty(n, dtype=bool)
 
     def step(k):
@@ -221,7 +221,7 @@ def tracking_sim(sun_elev, sun_azi, motor_step_deg=1.8, irradiance=1000.0,
         c = int(miss[0]) + 1 if miss.size else m
         span = slice(k, k + c)
         theta_te[span], theta_ta[span] = te_1[:c], ta_1[:c]
-        readings[span] = np.stack(counts, axis=1)[:c]
+        readings[span] = np.array(counts).T[:c]
         azi_step[span], elev_step[span], park[span] = az[:c], el[:c], pk[:c]
         return c, bool(miss.size), list(zip(te_1[:c][-8:].tolist(),
                                             ta_1[:c][-8:].tolist()))

@@ -194,14 +194,24 @@ class TestOperationPairs:
         f, a = getattr(self.F, name), getattr(self.A, name)
         assert same_bits([f(x) for x in xs], a(np.array(xs)))
 
-    def test_rint_is_round_but_for_the_sign_of_zero(self):
-        xs = [0.0, *[x for x in SUBNORMALS if x > 0], *HALVES, 1023.0,
-              0.5000000000000001, -0.5000000000000001, 1e300, -1e300]
-        assert same_bits([self.F.rint(x) for x in xs], self.A.rint(xs))
-        # round returns an int, which has no -0.0
-        for x in (-0.0, -TINY, -0.3, -0.5):
-            assert type(self.F.rint(x)) is int and self.F.rint(x) == 0
-            assert bits(self.A.rint(x)) == bits(-0.0)
+    def test_counts_are_round_then_clip_in_both_forms(self):
+        # round's int 0 and np.rint's -0.0 (on [-0.5, -0.0]) both clip
+        # to 0.0; each form clips as round(scale * x) in [0, 1023]
+        xs = [0.0, *SUBNORMALS, *HALVES, 1023.0, 0.5000000000000001,
+              -0.5000000000000001, 1e300, -1e300, -0.0, -0.3, -0.5]
+        rng = np.random.default_rng(0)
+        scale = np.array([1.0, 1.023, 0.0, 2.046, *rng.uniform(0, 2, 60)])
+        rows = [rng.permutation(np.resize(xs, scale.size)) for _ in range(4)]
+        got = self.A.counts(tuple(rows), scale, 1023)
+        assert got.shape == (4, scale.size)
+        for row, xs_row in zip(got, rows):
+            want = [self.F.counts([x], s, 1023)[0]
+                    for x, s in zip(xs_row.tolist(), scale.tolist())]
+            assert all(type(w) is int for w in want)
+            assert want == [min(1023, max(0, round(s * x)))
+                            for x, s in zip(xs_row.tolist(), scale.tolist())]
+            assert same_bits(want, row)
+        assert not np.signbit(got).any()
 
     @pytest.mark.parametrize("lo, hi", [(0, 1023), (0.0, 180.0)])
     def test_clip(self, lo, hi):
@@ -210,8 +220,8 @@ class TestOperationPairs:
               -1.8, 181.8, 1e300, -1e300]
         assert same_bits([self.F.clip(x, lo, hi) for x in xs],
                          self.A.clip(np.array(xs), lo, hi))
-        # the tracker clips rounded counts: round's ints as floats
-        counts = [self.F.rint(x) for x in xs if abs(x) < 1e300]
+        # round's ints against the same values as floats
+        counts = [round(x) for x in xs if abs(x) < 1e300]
         assert same_bits([self.F.clip(c, lo, hi) for c in counts],
                          self.A.clip(np.array(counts, dtype=float), lo, hi))
 

@@ -715,6 +715,9 @@ class TestCliExitCodes:
         assert proc.stdout == ""
         assert not (tmp_path / "out").exists()
 
+    _TOO_MANY_SAMPLES = ("numeric failure: t_end / dt = inf asks for more "
+                         "than 5000000 samples\n")
+
     @pytest.mark.parametrize("argv, code, err", [
         (["tf", "step", "--closed", "--tf-text",
           "num: 1e308 / den: 1 1e-300"], 3,
@@ -722,13 +725,30 @@ class TestCliExitCodes:
         (["tf", "errors", "--gains", "1e300:1e308:3", "--tf-text",
           "num: 1e10 / den: 1 1"], 0, ""),
         (["tf", "errors", "--gains", "0.5:2:3", "--tf-text",
-          "num: -1 / den: 1 1"], 0, "")],
-        ids=["step", "errors", "errors-pole-at-origin"])
+          "num: -1 / den: 1 1"], 0, ""),
+        (["tf", "step", "--preset", "tank_001", "--t-end", "1e308"], 3,
+         _TOO_MANY_SAMPLES),
+        (["tf", "step", "--preset", "tank_001", "--dt", "5e-324"], 3,
+         _TOO_MANY_SAMPLES),
+        (["track-sim", "--elevation", "inf:0"], 3,
+         "numeric failure: elevation = inf outside [-90, 90] deg\n"),
+        (["track-sim", "--elevation=-1e308:0"], 3,
+         "numeric failure: elevation = -1e+308 outside [-90, 90] deg\n"),
+        (["track-sim", "--azimuth", "1e308:0"], 3,
+         "numeric failure: azimuth = 1e+308 outside [-720, 720] deg\n"),
+        (["solar-angles", "--azimuth", "inf:0"], 3,
+         "numeric failure: azimuth = inf outside [-720, 720] deg\n")],
+        ids=["step", "errors", "errors-pole-at-origin", "step-t-end",
+             "step-dt", "track-elevation-inf", "track-elevation-1e308",
+             "track-azimuth-1e308", "solar-azimuth-inf"])
     def test_overflow_prints_no_numpy_warning(self, tmp_path, argv, code,
                                               err):
         # 20 |p| overflows for the default dt, and K 1e10 for the error;
         # numpy's overflow warning printed on stderr.  At 1 + K Kp = 0
-        # numpy warned of a division by 0, and the sweep exited 3
+        # numpy warned of a division by 0, and the sweep exited 3.
+        # t_end / dt overflowed ahead of the sample-count message, and a
+        # span's path built from an end such as inf warned, then named a
+        # derived value ("elevation = nan") instead of the typed end
         proc = fresh_cli(*argv, "--out", str(tmp_path))
         assert proc.returncode == code
         assert proc.stderr == err

@@ -827,6 +827,22 @@ class TestCurrentAgainstMpmath:
         assert lanes.view(np.int64).tolist() == \
             np.array([got]).view(np.int64).tolist()
 
+    @pytest.mark.parametrize("v", [1e308, 1.6e308, sys.float_info.max])
+    def test_numpy_voltage_solves_as_a_float(self, v):
+        # on a 50 K cell u/Vt overflows before the exponent cap: a numpy
+        # float64 voltage warned there, where a Python float gives inf
+        ap = default_array(1000.0, 50.0)
+        want = array_current(ap, v)
+        oracle = mpmath_current(ap, v, cap=700)
+        assert abs(want - oracle) <= 1e-12 * abs(oracle), (want, oracle)
+        for got in (array_current(ap, np.float64(v)),
+                    pv.array_current_at(pv.array_solve(ap), np.float64(v),
+                                        1000.0)):
+            assert type(got) is float
+            assert np.float64(got).view(np.int64) == \
+                np.float64(want).view(np.int64)
+
+
 def assert_elementwise(fn, x, rng):
     """``float(fn(a))`` on each float a of ``x`` has the bits of ``fn``
     on any array holding it: whole, sliced, strided or gathered."""

@@ -1,5 +1,6 @@
 from dataclasses import dataclass
 import functools
+import itertools
 import math
 import re
 
@@ -202,6 +203,78 @@ class TestTrackingStep:
     def test_within_deadband_holds(self):
         azi, _, _ = tracking_step(505, 500, 505, 500)
         assert azi == 0
+
+
+def averaged_tracking_step(tl, tr, bl, br):
+    """Reference: the state machine on the paper's pair averages, a mean
+    of ``AVGSUM_MIN`` counts and a ``DIFF_DEADBAND`` on the average
+    differences, on floats or arrays."""
+    avg_top = (tl + tr) / 2.0
+    avg_bottom = (bl + br) / 2.0
+    avg_left = (tl + bl) / 2.0
+    avg_right = (tr + br) / 2.0
+    avgsum = (avg_top + avg_bottom + avg_left + avg_right) / 4.0
+    lit = avgsum >= AVGSUM_MIN
+    diff_azi = avg_left - avg_right
+    diff_elev = avg_top - avg_bottom
+    azi = (lit & (abs(diff_azi) > DIFF_DEADBAND)) * (1 - 2 * (diff_azi > 0))
+    elev = (lit & (abs(diff_elev) > DIFF_DEADBAND)) * (2 * (diff_elev > 0) - 1)
+    return azi, elev, avgsum < AVGSUM_MIN
+
+
+def edge_counts():
+    """Count quadruples at the state machine's edges: totals of 31, 32
+    and 33; left-right and top-bottom sum differences of 0, +-19, +-20
+    and +-21, alone and together, at a dim, a middle and a full level;
+    and counts of 0, 1, 1022 and 1023."""
+    rows = set()
+    for total in (31, 32, 33):
+        q, r = divmod(total, 4)
+        for spread in ((q + (r > 0), q + (r > 1), q + (r > 2), q),
+                       (total, 0, 0, 0), (total - 21, 21, 0, 0),
+                       (total - 20, 0, 20, 0), (total - 19, 0, 0, 19)):
+            rows |= set(itertools.permutations(spread))
+    edges = (-21, -20, -19, 0, 19, 20, 21)
+    for d_azi, d_elev in itertools.product(edges, edges):
+        if (d_azi + d_elev) % 2:
+            continue        # (tl + bl - tr - br) + (tl + tr - bl - br) is even
+        w, v = (d_azi + d_elev) // 2, (d_azi - d_elev) // 2
+        for base in (21, 500, 1002):
+            rows.add((base + w, base, base + v, base))
+    rows |= set(itertools.product((0, 1, 1022, 1023), repeat=4))
+    return sorted(rows)
+
+
+class TestCountSumsMatchAverages:
+    """``tracking_step`` decides on count sums; on integer counts in
+    [0, 1023] that is the averaged state machine, step for step, on
+    floats and on arrays."""
+
+    @staticmethod
+    def assert_same(rows):
+        for row in rows:
+            assert tracking_step(*row) == averaged_tracking_step(*row), row
+        columns = np.array(rows, dtype=float).T
+        got = tracking_step(*columns)
+        want = averaged_tracking_step(*columns)
+        for j in range(3):
+            assert np.array_equal(got[j], want[j]), j
+
+    def test_edges(self):
+        rows = edge_counts()
+        sums = [((tl + bl) - (tr + br), (tl + tr) - (bl + br))
+                for tl, tr, bl, br in rows]
+        assert {31, 32, 33} <= {sum(r) for r in rows}
+        for d in (19, 20, 21):
+            for sign in (1, -1):
+                assert any(a == sign * d for a, _ in sums)
+                assert any(e == sign * d for _, e in sums)
+        self.assert_same(rows)
+
+    @given(st.lists(st.tuples(*[st.integers(0, 1023)] * 4),
+                    min_size=1, max_size=50))
+    def test_any_counts(self, rows):
+        self.assert_same(rows)
 
 
 def move(te, ta, azi_step, elev_step, park, start=(90.0, 0.0),
